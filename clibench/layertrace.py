@@ -41,7 +41,6 @@ SPANS = {
 }
 
 FIELD_OPS = ("mul", "add", "sub", "neg", "inv", "pow")
-TABLE_REGIME_MAX = 512  # extension fields up to this order use q x q tables
 OP_KINDS = ("prime", "ext_table", "ext_poly")
 
 # per-layer metric -> (unit, how to read it from the summed trace)
@@ -117,13 +116,13 @@ class Tracer:
                 stat[2] += took - inner[0]
         return wrapper
 
-    def _op(self, fn, extension):
+    def _op(self, fn, extension, table_cap):
         ops = self.ops
 
         if extension:
             @wraps(fn)
             def wrapper(field, *args):
-                ops[1 if field.order <= TABLE_REGIME_MAX else 2] += 1
+                ops[1 if field.order <= table_cap else 2] += 1
                 return fn(field, *args)
         else:
             @wraps(fn)
@@ -180,9 +179,12 @@ class Tracer:
                 else:
                     original = getattr(mod, fname)
                     self._set_function(original, self._span(name, original))
+        # the library's own bound of the table regime; if it is renamed,
+        # tracing fails here rather than splitting the counts in the wrong place
+        table_cap = fields._TABLE_CAP
         for cls, extension in ((fields.PrimeField, False), (fields.ExtensionField, True)):
             for op in FIELD_OPS:
-                self._set(cls, op, self._op(getattr(cls, op), extension))
+                self._set(cls, op, self._op(getattr(cls, op), extension, table_cap))
         original = varieties.enumerate_coords
         self._set_function(original, self._enumerate(original))
 

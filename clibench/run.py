@@ -24,11 +24,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORKDIR = ".clibench_work"
-SETUP_SAMPLES = 9
-RUN_LIMIT_S = 140.0  # stop starting reports past this, to end within 180 s
+SETUP_SAMPLES = 21
+RUN_LIMIT_S = 140.0  # start no report past this, to end within 180 s
 PROBE_EVERY_S = 0.05  # host-speed probes between reports, at most this often
-IMPORT_PROBE = ("import time; t = time.perf_counter(); import jumploci.cli; "
-                "print(time.perf_counter() - t)")
+# How strongly report and import times follow the host probe: the slope of
+# log(time) against log(probe time), fitted over runs on the VM the bounds
+# were set on (see README.md, "Host scaling").
+HOST_ELASTICITY = 0.65
+IMPORT_SAMPLE = ("import time; from probe import host_probe; before = host_probe(); "
+                 "t = time.perf_counter(); import jumploci.cli; "
+                 "took = time.perf_counter() - t; print(took, before, host_probe())")
 
 
 def pin_to_one_cpu():
@@ -42,17 +47,19 @@ def pin_to_one_cpu():
 
 
 def measure_setup():
-    """Median time to import jumploci.cli in fresh interpreters, after one
-    warm-up import that fills the bytecode cache."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    cmd = [sys.executable, "-c", IMPORT_PROBE]
+    """Times to import jumploci.cli in fresh interpreters, after one warm-up
+    import that fills the bytecode cache.  Each sample also times the host
+    probe just before and just after its import, in the same interpreter;
+    returns (import s, probe before s, probe after s) per sample."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, HERE)))
+    cmd = [sys.executable, "-c", IMPORT_SAMPLE]
     samples = []
     for i in range(SETUP_SAMPLES + 1):
         out = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True,
                              text=True, timeout=60, check=True)
         if i:
-            samples.append(float(out.stdout))
-    return statistics.median(samples)
+            samples.append(tuple(map(float, out.stdout.split())))
+    return samples
 
 
 class Replay:
@@ -69,17 +76,23 @@ class Replay:
         self.traces = []
         self.probes = []
 
-    def run(self, order, check_oracle, tracer=None, deadline=None):
-        from replay import failure_of, host_probe, run_report
+    def run(self, order, check_oracle, tracer=None, deadline=None, whole=True):
+        """Replay `order`; return False if the deadline stopped it early.
+        When the round has to be `whole`, each report it could not start
+        counts as failed, so that the metrics are never taken over fewer
+        reports than a complete run has."""
+        from probe import host_probe
+        from replay import failure_of, run_report
         last_probe = -PROBE_EVERY_S
-        for report in order:
+        for done, report in enumerate(order):
             if time.monotonic() - last_probe >= PROBE_EVERY_S:
                 self.probes.append(host_probe())
                 last_probe = time.monotonic()
             if deadline is not None and time.monotonic() > deadline:
-                self.attempted += 1
-                self.failures["stopped at the run time limit"] += 1
-                return
+                if whole:
+                    self.attempted += len(order) - done
+                    self.failures["not started by the run time limit"] += len(order) - done
+                return False
             msg = run_report(report, check_oracle, tracer)
             self.attempted += 1
             failure = failure_of(report, msg, self.expected,
@@ -96,6 +109,7 @@ class Replay:
             self.rss_kb = max(self.rss_kb, msg["rss_kb"])
             if "trace" in msg:
                 self.traces.append(msg["trace"])
+        return True
 
     def total_s(self):
         return sum(map(sum, self.by_report.values()))
@@ -103,19 +117,26 @@ class Replay:
     def host_factor(self):
         """How much slower than the reference this host ran during the run:
         the median probe time over the reference probe time."""
-        from replay import PROBE_REF_S
+        from probe import PROBE_REF_S
         return statistics.median(self.probes) / PROBE_REF_S
 
-    def end_to_end(self, setup_s, host):
+    def end_to_end(self, setup, elasticity):
         """Each report's latency is its median across rounds, which a burst
         of host contention in one round barely moves; percentiles are over
-        reports, rates over one typical round.  Times are divided and rates
-        multiplied by `host`, which states them at the reference host speed."""
+        reports, rates over one typical round.  Times and rates are stated
+        at the reference host speed: divided (times) or multiplied (rates)
+        by the host factor raised to `elasticity`.  Each import sample is
+        scaled by the probes taken around it in its own interpreter."""
+        from probe import PROBE_REF_S
+        host = self.host_factor() ** elasticity
         lat = {rid: statistics.median(v) for rid, v in self.by_report.items()}
         busy = sum(lat.values())
         values = list(lat.values())
+        setup_s = statistics.median(
+            took * (2 * PROBE_REF_S / (before + after)) ** elasticity
+            for took, before, after in setup)
         return {
-            "setup_s": {"value": setup_s / host, "unit": "s"},
+            "setup_s": {"value": setup_s, "unit": "s"},
             "report_p50_ms": {"value": 1e3 * statistics.median(values) / host,
                               "unit": "ms"},
             "report_p90_ms": {"value": 1e3 * statistics.quantiles(values, n=10)[8] / host,
@@ -141,16 +162,20 @@ def generate_reports(workload, workdir):
 
 def untraced(reports, replay, seed, seconds, started):
     """Whole rounds, each in its own seeded order.  The first round's
-    duration fixes how many rounds fit in --seconds (at least one)."""
+    duration fixes how many rounds fit in --seconds (at least one).  Only
+    the first round has to be whole: a later one that meets the run time
+    limit just gives some reports one sample fewer."""
     rng = random.Random("order:%d" % seed)
     deadline = started + RUN_LIMIT_S
     rounds = 1
     done = 0
-    while done < rounds and time.monotonic() < deadline:
+    while done < rounds:
         order = list(reports)
         rng.shuffle(order)
         began = time.monotonic()
-        replay.run(order, check_oracle=(done == 0), deadline=deadline)
+        if not replay.run(order, check_oracle=(done == 0), deadline=deadline,
+                          whole=(done == 0)):
+            break
         if done == 0:
             rounds = max(1, int(seconds / (time.monotonic() - began) + 0.5))
         done += 1
@@ -209,7 +234,7 @@ def main(argv=None):
     with open(os.path.join(HERE, "expected.json")) as fh:
         expected = json.load(fh)[args.workload]
 
-    setup_s = None if args.trace else measure_setup()
+    setup = None if args.trace else measure_setup()
     workdir = os.path.join(WORKDIR, args.workload)
     shutil.rmtree(WORKDIR, ignore_errors=True)
     try:
@@ -230,12 +255,11 @@ def main(argv=None):
         print("clibench: fewer than two reports completed", file=sys.stderr)
         return 1
     if not args.trace:
-        host = plain.host_factor()
-        raw = plain.end_to_end(setup_s, 1.0)
-        metrics = plain.end_to_end(setup_s, host)
+        metrics = plain.end_to_end(setup, HOST_ELASTICITY)
+        raw = plain.end_to_end(setup, 0.0)
         print("host factor %.4f (%d probes); unscaled: %s" % (
-            host, len(plain.probes), ", ".join(
-                "%s %.6g" % (k, v["value"]) for k, v in sorted(raw.items()))))
+            plain.host_factor(), len(plain.probes), json.dumps(
+                {k: v["value"] for k, v in sorted(raw.items())})))
     attempted = sum(r.attempted for r in runs)
     failures = sum((r.failures for r in runs), Counter())
     for kind, n in sorted(failures.items()):
