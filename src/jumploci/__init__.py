@@ -3,8 +3,8 @@ resonance varieties, with the graded chain complex of an abelian cover
 connecting them."""
 
 from .cga import (AomotoComplex, BShape, GradedAlgebra, aomoto,
-                  generic_vanishing_experiment, pairing_cga, resonance_ideal,
-                  resonance_member, resonance_points, sample_cga, validate_cga)
+                  generic_vanishing_experiment, in_resonance, pairing_cga,
+                  resonance_ideal, resonance_points, sample_cga, validate_cga)
 from .complexes import (FinVerdict, FreeChainComplex, JumpLocusResult,
                         ModulePresentation, PresentedChainComplex,
                         add_acyclic_summand, fitting_ideal,

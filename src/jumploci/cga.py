@@ -95,6 +95,15 @@ class GradedAlgebra:
             return ()
         return self.multiply(1, 1, a, a)
 
+    def base_change(self, field, embed=None):
+        """The same algebra over an extension `field`, its structure
+        constants mapped through `embed` (None: the encoding is unchanged,
+        as for a prime field inside its extensions)."""
+        f = embed if embed is not None else (lambda c: c)
+        mult = {key: [[[f(c) for c in vec] for vec in row] for row in block]
+                for key, block in self.mult.items()}
+        return GradedAlgebra(field, self.dims, mult)
+
     def __repr__(self):
         return "GradedAlgebra(dims=%r over %r)" % (list(self.dims), self.field)
 
@@ -223,8 +232,9 @@ def _cohomology_dim(A, cx, i):
 
 
 def in_resonance(A, a, i, d):
-    """Membership without the precondition: a^2 must vanish and the i-th
-    cohomology of (A, a) must have dimension >= d."""
+    """Whether a lies in the degree-i, depth-d resonance locus: a^2 must
+    vanish (an element with a^2 != 0, possible only in characteristic 2,
+    is outside) and dim H^i(A, a) >= d, by the rank formula."""
     F = A.field
     if d <= 0:
         return True
@@ -234,14 +244,6 @@ def in_resonance(A, a, i, d):
         return False
     cx = aomoto(A, a)
     return _cohomology_dim(A, cx, i) >= d
-
-
-def resonance_member(A, a, i, d):
-    """dim H^i(A, a) >= d, by the rank formula.  Requires a^2 = 0."""
-    F = A.field
-    if any(c != F.zero for c in A.square_deg1(tuple(a))):
-        raise PreconditionError("a^2 != 0 (possible only in characteristic 2)")
-    return in_resonance(A, a, i, d)
 
 
 @dataclass
@@ -268,7 +270,8 @@ def resonance_points(A, i, d, field=None):
     for p in pts:
         for lam in F.units():
             scaled = tuple(F.mul(lam, c) for c in p.coords)
-            assert Point(F, scaled) in pts, "resonance locus is not a cone"
+            if Point(F, scaled) not in pts:
+                raise AssertionError("resonance locus is not a cone")
     return ResonanceResult(i, d, points=pts)
 
 

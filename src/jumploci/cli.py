@@ -17,10 +17,11 @@ from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
 from .documents import (dump_complex, dumps, load_document)
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import AlgebraError, DocumentError
-from .fields import ExtensionField, Rationals, extension_of, finite_field
+from .fields import ExtensionField, Rationals, finite_field
 from .fox import alexander_invariant, characteristic_variety_points
 from .groebner import Limits
 from .rings import poly_to_str
+from .varieties import extension_fields
 
 PROV = {
     "jumploci": "pointwise homology ranks; ideal route: determinantal minors "
@@ -67,45 +68,23 @@ def _limits(args):
 
 
 def _target_field(args, declared=None):
-    """The enumeration field from --q, or the document's own field."""
-    q = getattr(args, "q", None)
-    if q is None:
-        if declared is not None and declared.is_finite:
-            return declared
+    """The enumeration field: the document's own field once loaded (which
+    --q has already reduced or checked), else the field from --q."""
+    if declared is not None and declared.is_finite:
+        return declared
+    if args.q is None:
         raise DocumentError("this command needs a finite field: pass --q")
-    return finite_field(q)
-
-
-def _field_override(args):
-    q = getattr(args, "q", None)
-    return finite_field(q) if q is not None else None
+    return finite_field(args.q)
 
 
 def _load(args, attr, expect):
     path = getattr(args, attr, None)
     if path is None:
         raise DocumentError("missing required input --%s" % attr)
-    override = _field_override(args) if expect in ("cga", "complex") else None
-    if override is not None:
-        # only rational documents are reduced; finite documents must match
-        probe = load_document(path, expect)
-        declared = probe.ring.field if expect == "complex" else probe.field
-        if declared.is_finite:
-            if declared != override:
-                raise DocumentError(
-                    "%s is over %r but --q selected %r" % (path, declared, override))
-            return probe
-        return load_document(path, expect, field_override=override)
-    return load_document(path, expect)
-
-
-def _extension_fields(base, ext):
-    out = []
-    for e in range(1, ext + 1):
-        big, emb = extension_of(base, e)
-        use_emb = None if e == 1 or getattr(base, "degree", 1) == 1 else emb
-        out.append((e, big, use_emb))
-    return out
+    override = None
+    if expect in ("cga", "complex") and args.q is not None:
+        override = finite_field(args.q)
+    return load_document(path, expect, field_override=override)
 
 
 # -- commands ----------------------------------------------------------------
@@ -144,7 +123,7 @@ def cmd_jumploci(args):
     E = _load(args, "complex", "complex")
     base = _target_field(args, E.ring.field)
     result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e, big, emb in _extension_fields(base, args.ext):
+    for e, big, emb in extension_fields(base, args.ext):
         pts = jump_locus_points(E, args.i, args.d, big, torus=args.torus,
                                 embed=emb)
         result["by_extension"][str(e)] = {"field_order": big.order,
@@ -164,8 +143,9 @@ def cmd_supports(args):
     E = _load(args, "complex", "complex")
     base = _target_field(args, E.ring.field)
     limits = _limits(args)
+    extensions = list(extension_fields(base, args.ext))
     result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e, big, emb in _extension_fields(base, args.ext):
+    for e, big, emb in extensions:
         pts = support_points(E, args.i, args.d, big, torus=args.torus,
                              embed=emb, limits=limits)
         result["by_extension"][str(e)] = {"field_order": big.order,
@@ -173,7 +153,7 @@ def cmd_supports(args):
     if args.compare_v:
         comparison = {}
         agree = True
-        for e, big, emb in _extension_fields(base, args.ext):
+        for e, big, emb in extensions:
             w_union = set()
             v_union = set()
             for i2 in range(args.i + 1):
@@ -194,15 +174,12 @@ def cmd_supports(args):
 
 
 def cmd_resonance(args):
+    A = _load(args, "cga", "cga")
+    if not A.field.is_finite:
+        raise DocumentError("resonance enumeration needs --q")
     result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e in range(1, args.ext + 1):
-        sub = argparse.Namespace(**vars(args))
-        sub.q = (args.q ** e) if args.q else None
-        A = _load(sub, "cga", "cga")
-        F = A.field
-        if not F.is_finite:
-            raise DocumentError("resonance enumeration needs --q")
-        res = resonance_points(A, args.i, args.d, F)
+    for e, F, emb in extension_fields(A.field, args.ext):
+        res = resonance_points(A.base_change(F, emb), args.i, args.d, F)
         result["by_extension"][str(e)] = {"field_order": F.order,
                                           "points": point_list(F, res.points)}
         if e == 1:
@@ -286,9 +263,8 @@ def cmd_charvar(args):
     nu = _load(args, "nu", "nu")
     base = _target_field(args)
     result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e in range(1, args.ext + 1):
-        big, _ = extension_of(base, e)
-        pts = characteristic_variety_points(P, nu, args.i, args.d, base, ext=e)
+    for e, big, pts in characteristic_variety_points(P, nu, args.i, args.d,
+                                                      base, args.ext):
         result["by_extension"][str(e)] = {"field_order": big.order,
                                           "points": point_list(big, pts)}
     return {"results": result}, 0
@@ -340,6 +316,20 @@ def emit(report, args, out=None):
 # -- argument parsing ----------------------------------------------------------
 
 
+def _at_least(low):
+    """An argparse type: an int no smaller than `low`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    return parse
+
+
 def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
                 torus=False, seed=False, trials=False, limits=False):
     sp.add_argument("--format", choices=("text", "structured"), default="text")
@@ -347,21 +337,21 @@ def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
         sp.add_argument("--q", type=int, default=None,
                         help="prime power order of the coefficient field")
     if ext:
-        sp.add_argument("--ext", type=int, default=1,
+        sp.add_argument("--ext", type=_at_least(1), default=1,
                         help="also enumerate over extensions up to this degree")
     if i:
-        sp.add_argument("--i", type=int, required=True)
+        sp.add_argument("--i", type=_at_least(0), required=True)
     if d:
         sp.add_argument("--d", type=int, default=1)
     if k:
-        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--k", type=_at_least(0), required=True)
     if torus:
         sp.add_argument("--torus", action="store_true",
                         help="restrict to points with invertible coordinates")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
     if trials:
-        sp.add_argument("--trials", type=int, required=True)
+        sp.add_argument("--trials", type=_at_least(0), required=True)
     if limits:
         sp.add_argument("--max-degree", type=int, default=None)
         sp.add_argument("--max-vars", type=int, default=None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
 from .groebner import (DEFAULT_LIMITS, ModuleSolver, module_lead_terms,
                        module_saturate, standard_monomial_count, syzygy_matrix)
-from .linalg import mat_rank, mat_rank_stacked
+from .linalg import mat_mul, mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
 from .rings import Point, unit_ideal, zero_ideal
@@ -200,7 +200,7 @@ def validate_presented(E, sample_field=None):
                 dv = d.evaluate(coords, F, emb)
                 rs = rel_src.evaluate(coords, F, emb)
                 rd = rel_dst.evaluate(coords, F, emb)
-                moved_v = _scalar_mul(F, dv, rs)
+                moved_v = mat_mul(F, dv, rs)
                 if mat_rank_stacked(F, [rd, moved_v]) != mat_rank(F, rd):
                     return Verdict(False,
                                    "d_%d fails to preserve relations at point %r"
@@ -213,21 +213,6 @@ def validate_presented(E, sample_field=None):
                                        "d_%d . d_%d nonzero modulo relations at "
                                        "point %r" % (i - 1, i, coords), (i,))
     return Verdict(True, "presented complex valid at desk scale")
-
-
-def _scalar_mul(F, a, b):
-    if not a or not b or not b[0]:
-        return [[] for _ in a] if a else []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[F.zero] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c != F.zero:
-                for j in range(m):
-                    if b[t][j] != F.zero:
-                        out[i][j] = F.add(out[i][j], F.mul(c, b[t][j]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,33 +430,6 @@ def _univariate_free_presentation(E, i):
     return ModulePresentation(ring, len(positions), rel)
 
 
-def _syzygy_free_presentation(E, i, limits=DEFAULT_LIMITS):
-    ring = E.ring
-    d_i = E.differential(i)
-    d_next = E.differential(i + 1)
-    if i == 0:
-        kernel = Matrix.identity(ring, E.rank(0))
-    else:
-        kernel = syzygy_matrix(d_i, limits)
-    s = kernel.ncols
-    if s == 0:
-        return ModulePresentation(ring, 0, Matrix(ring, 0, 0, []))
-    solver = ModuleSolver(kernel, limits)
-    expr_cols = []
-    for j in range(d_next.ncols):
-        x = solver.solve(d_next.col(j))
-        if x is None:
-            raise PreconditionError(
-                "image column %d of d_%d is not inside ker d_%d; "
-                "the complex does not satisfy d.d = 0" % (j, i + 1, i))
-        expr_cols.append(x)
-    inner = syzygy_matrix(kernel, limits)
-    cols = expr_cols + [inner.col(j) for j in range(inner.ncols)]
-    rel = Matrix(ring, s, len(cols),
-                 [[cols[j][gi] for j in range(len(cols))] for gi in range(s)])
-    return ModulePresentation(ring, s, rel)
-
-
 def _laurent_multivariate_presentation(E, i, limits=DEFAULT_LIMITS):
     """Clear denominators by unit basis scalings, present over the ordinary
     ring, and reinterpret over the Laurent ring (localization is exact)."""
@@ -488,51 +446,40 @@ def _laurent_multivariate_presentation(E, i, limits=DEFAULT_LIMITS):
         rows.append([p.shift(tuple(-s for s in shift)) for p in r])
     d_next = Matrix(ring, d_next.nrows, d_next.ncols, rows)
     d_next, _ = clear_laurent_cols(d_next)
-
-    def to_ordinary(mat):
-        return Matrix(ordinary, mat.nrows, mat.ncols,
-                      [[_reinterpret(p, ordinary) for p in row]
-                       for row in mat.entries])
-
     sub = FreeChainComplex(ordinary, [d_i.nrows, d_i.ncols, d_next.ncols],
-                           [to_ordinary(d_i), to_ordinary(d_next)])
-    pres = _syzygy_free_presentation(sub, 1, limits)
-    rel = Matrix(ring, pres.gens, pres.relations.ncols,
-                 [[_reinterpret(p, ring) for p in row]
-                  for row in pres.relations.entries])
-    return ModulePresentation(ring, pres.gens, rel)
-
-
-def _reinterpret(p, new_ring):
-    from .rings import Poly
-    return Poly(new_ring, dict(p.terms))
+                           [d_i.map_coefficients(ordinary, lambda c: c),
+                            d_next.map_coefficients(ordinary, lambda c: c)])
+    pres = _presented_homology_presentation(free_as_presented(sub), 1, limits)
+    return ModulePresentation(ring, pres.gens,
+                              pres.relations.map_coefficients(ring, lambda c: c))
 
 
 def homology_presentation(E, i, limits=DEFAULT_LIMITS):
     """Presentation of H_i(E) = ker d_i / im d_{i+1}.
 
     Univariate Laurent rings go through the Smith form; ordinary rings
-    within the desk-scale Groebner scope go through syzygies; multivariate
-    Laurent rings are cleared by unit scalings first.
+    within the desk-scale Groebner scope go through syzygies, free
+    complexes as presented ones with no relations; multivariate Laurent
+    rings are cleared by unit scalings first.
     """
     if isinstance(E, PresentedChainComplex):
-        return _presented_homology_presentation(E, i, limits)
-    ring = E.ring
-    if i < 0 or i > E.top:
-        return ModulePresentation(ring, 0, Matrix(ring, 0, 0, []))
-    if ring.nvars == 1 and ring.laurent:
+        pres = _presented_homology_presentation(E, i, limits)
+    elif i < 0 or i > E.top:
+        return ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, []))
+    elif not E.ring.laurent:
+        pres = _presented_homology_presentation(free_as_presented(E), i, limits)
+    elif E.ring.nvars == 1:
         pres = _univariate_free_presentation(E, i)
-    elif not ring.laurent:
-        pres = _syzygy_free_presentation(E, i, limits)
     else:
         pres = _laurent_multivariate_presentation(E, i, limits)
     return prune_presentation(pres)
 
 
 def _presented_homology_presentation(E, i, limits=DEFAULT_LIMITS):
-    """H_i of a presented complex: generators are the syzygy-computed lifts
-    {v : D_i v in im R_{i-1}}, relations are R_i columns and D_{i+1} columns
-    expressed in those generators.  Ordinary rings only."""
+    """H_i of a presented complex, unpruned: generators are the
+    syzygy-computed lifts {v : D_i v in im R_{i-1}}, relations are R_i
+    columns and D_{i+1} columns expressed in those generators.  Ordinary
+    rings only."""
     ring = E.ring
     if ring.laurent:
         raise UnsupportedRingError(
@@ -542,42 +489,40 @@ def _presented_homology_presentation(E, i, limits=DEFAULT_LIMITS):
         return ModulePresentation(ring, 0, Matrix(ring, 0, 0, []))
     g_i = E.gens(i)
     d_i = E.differential(i)
-    rel_prev = E.relations(i - 1) if i >= 1 else Matrix.zero(ring, 0, 0)
     if i == 0:
         lifts = Matrix.identity(ring, g_i)
     else:
-        stacked_cols = []
-        for j in range(g_i):
-            stacked_cols.append(d_i.col(j))
-        for j in range(rel_prev.ncols):
-            stacked_cols.append(rel_prev.col(j))
-        stacked = Matrix(ring, d_i.nrows, len(stacked_cols),
-                         [[stacked_cols[j][r] for j in range(len(stacked_cols))]
-                          for r in range(d_i.nrows)])
+        rel_prev = E.relations(i - 1)
+        stacked = Matrix(ring, d_i.nrows, g_i + rel_prev.ncols,
+                         [d_i.row(r) + rel_prev.row(r) for r in range(d_i.nrows)])
         syz = syzygy_matrix(stacked, limits)
-        lifts = Matrix(ring, g_i, syz.ncols,
-                       [[syz[r, j] for j in range(syz.ncols)]
-                        for r in range(g_i)])
+        lifts = Matrix(ring, g_i, syz.ncols, [syz.row(r) for r in range(g_i)])
     if lifts.ncols == 0:
         return ModulePresentation(ring, 0, Matrix(ring, 0, 0, []))
     solver = ModuleSolver(lifts, limits)
     rel_cols = []
-    sources = [E.relations(i).col(j) for j in range(E.relations(i).ncols)]
-    d_next = E.differential(i + 1)
-    sources += [d_next.col(j) for j in range(d_next.ncols)]
-    for col in sources:
-        x = solver.solve(col)
+    rel_i = E.relations(i)
+    for j in range(rel_i.ncols):
+        x = solver.solve(rel_i.col(j))
         if x is None:
             raise PreconditionError(
-                "a relation or image column is not carried by ker d_%d; "
-                "the presented complex is inconsistent" % i)
+                "relation column %d of term %d is not carried by ker d_%d; "
+                "the presented complex is inconsistent" % (j, i, i))
+        rel_cols.append(x)
+    d_next = E.differential(i + 1)
+    for j in range(d_next.ncols):
+        x = solver.solve(d_next.col(j))
+        if x is None:
+            raise PreconditionError(
+                "image column %d of d_%d is not inside ker d_%d; "
+                "the complex does not satisfy d.d = 0" % (j, i + 1, i))
         rel_cols.append(x)
     inner = syzygy_matrix(lifts, limits)
     rel_cols += [inner.col(j) for j in range(inner.ncols)]
     rel = Matrix(ring, lifts.ncols, len(rel_cols),
                  [[rel_cols[j][gi] for j in range(len(rel_cols))]
                   for gi in range(lifts.ncols)])
-    return prune_presentation(ModulePresentation(ring, lifts.ncols, rel))
+    return ModulePresentation(ring, lifts.ncols, rel)
 
 
 def cached_homology_presentation(E, i, limits=DEFAULT_LIMITS):
@@ -660,9 +605,7 @@ def is_finite_dimensional(P, limits=DEFAULT_LIMITS):
         # the product of the variables, then count standard monomials
         cleared, _ = clear_laurent_cols(P.relations)
         ordinary = type(ring)(ring.field, ring.variables, False, "grlex")
-        cleared = Matrix(ordinary, cleared.nrows, cleared.ncols,
-                         [[_reinterpret(p, ordinary) for p in row]
-                          for row in cleared.entries])
+        cleared = cleared.map_coefficients(ordinary, lambda c: c)
         sat = module_saturate(ordinary, cleared, (1,) * ring.nvars, limits)
         leads = module_lead_terms(ordinary, sat, limits)
         count = standard_monomial_count(ordinary, leads, P.gens)

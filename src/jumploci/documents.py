@@ -24,11 +24,10 @@ Presentations:        {"type": "presentation", "generators": ["a", "b"],
 Scalars in documents are integers, fraction strings "3/4", or (over an
 extension field) polynomial strings in the field generator "u + 1".
 Coefficients of a rational-field document can be reduced into F_q when a
-command asks for a finite field.
+command asks for a finite field; a zero denominator is a ParseError.
 """
 
 import json
-from fractions import Fraction
 
 from .cga import GradedAlgebra
 from .complexes import (FreeChainComplex, ModulePresentation,
@@ -90,12 +89,7 @@ def load_scalar(field, value):
     if isinstance(value, int):
         return field.from_int(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text and isinstance(field, Rationals):
-            return Fraction(text)
-        scratch = Ring(field, ())
-        p = parse_poly(scratch, text)
-        return p.constant_value()
+        return parse_poly(Ring(field, ()), value).constant_value()
     raise DocumentError("cannot read scalar %r" % (value,))
 
 
@@ -244,6 +238,9 @@ _LOADERS = {
 
 
 def load_document(path, expect=None, field_override=None):
+    """Read and parse one document file.  A complex or algebra over Q is
+    reduced into `field_override` when one is given; one over a finite
+    field must already be over `field_override`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -261,6 +258,12 @@ def load_document(path, expect=None, field_override=None):
     loader = _LOADERS.get(kind)
     if loader is None:
         raise DocumentError("%s: unknown document type %r" % (path, kind))
+    if field_override is not None and kind in ("free-complex",
+                                               "presented-complex", "cga"):
+        declared = load_field((doc if kind == "cga" else doc["ring"]).get("field"))
+        if declared.is_finite and declared != field_override:
+            raise DocumentError("%s is over %r but --q selected %r"
+                                % (path, declared, field_override))
     return loader(doc, field_override=field_override)
 
 

@@ -16,6 +16,7 @@ from .complexes import (FreeChainComplex, homology_presentation,
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .matrices import Matrix
 from .rings import Ring
+from .varieties import extension_fields
 
 
 def free_reduce(letters):
@@ -29,10 +30,11 @@ def free_reduce(letters):
 
 
 def parse_word(generators, text):
-    """Parse a relator string in either accepted notation; freely reduces."""
+    """Parse a relator string in either accepted notation; freely reduces.
+    The empty word is "" or "1" (the form word_to_str writes)."""
     generators = list(generators)
     text = text.strip()
-    if not text:
+    if text in ("", "1"):
         return ()
     letters = []
     if any(ch.isspace() for ch in text) or "^" in text:
@@ -189,14 +191,13 @@ def alexander_complex(P, nu, field):
     return FreeChainComplex(ring, ranks, diffs)
 
 
-def characteristic_variety_points(P, nu, i, d, field, ext=1):
+def characteristic_variety_points(P, nu, i, d, field, max_ext=1):
     """Jump loci of the abelianized complex inside the character torus of
-    F_{q^ext} (unit-valued characters only)."""
-    from .fields import extension_of
+    F_{q^e} (unit-valued characters only), for e = 1..max_ext: a list of
+    (e, F_{q^e}, points)."""
     E = alexander_complex(P, nu, field)
-    big, emb = extension_of(field, ext)
-    use_emb = None if ext == 1 or getattr(field, "degree", 1) == 1 else emb
-    return jump_locus_points(E, i, d, big, torus=True, embed=use_emb)
+    return [(e, big, jump_locus_points(E, i, d, big, torus=True, embed=emb))
+            for e, big, emb in extension_fields(field, max_ext)]
 
 
 def alexander_invariant(P, nu, field, limits=None):

@@ -240,18 +240,5 @@ def clear_laurent_rows(matrix):
 
 def clear_laurent_cols(matrix):
     """Column version of clear_laurent_rows."""
-    ring = matrix.ring
-    shifts = []
-    cols = []
-    for j in range(matrix.ncols):
-        mins = [0] * ring.nvars
-        col = matrix.col(j)
-        for p in col:
-            pm = p.min_exponents()
-            for v in range(ring.nvars):
-                mins[v] = min(mins[v], pm[v])
-        shift = tuple(-m for m in mins)
-        shifts.append(shift)
-        cols.append([p.shift(shift) for p in col])
-    rows = [[cols[j][i] for j in range(matrix.ncols)] for i in range(matrix.nrows)]
-    return Matrix(ring, matrix.nrows, matrix.ncols, rows), shifts
+    cleared, shifts = clear_laurent_rows(matrix.transpose())
+    return cleared.transpose(), shifts

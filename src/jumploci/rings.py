@@ -6,7 +6,6 @@ Laurent.  Equality is on-the-nose equality of term maps.
 """
 
 from .errors import ParseError, PreconditionError
-from .fields import Rationals
 
 from fractions import Fraction
 
@@ -419,12 +418,12 @@ class _PolyParser:
         if tok[0].isdigit():
             self.advance()
             if "/" in tok:
-                num, den = tok.split("/")
-                if not isinstance(self.ring.field, Rationals):
-                    c = self.ring.field.div(self.ring.field.from_int(int(num)),
-                                            self.ring.field.from_int(int(den)))
-                else:
-                    c = Fraction(int(num), int(den))
+                F = self.ring.field
+                num, den = (F.from_int(int(n)) for n in tok.split("/"))
+                if den == F.zero:
+                    raise ParseError("zero denominator in %r over %r" % (tok, F),
+                                     self.tok.pos)
+                c = F.div(num, den)
             else:
                 c = self.ring.field.from_int(int(tok))
             return self._maybe_power(self.ring.const(c))

@@ -64,11 +64,10 @@ def zero_locus_points(ideal, field=None, torus=False, embed=None):
     return out
 
 
-def locus_over_extensions(ideal, base_field, max_ext, torus=False):
-    """Zero loci over F_q, F_{q^2}, ..., F_{q^max_ext}: {degree: set of Point}."""
-    out = {}
+def extension_fields(base, max_ext):
+    """Yield (e, F_{q^e}, embed) for e = 1..max_ext, each field built once;
+    embed is the coeff_map from `base` into F_{q^e} (None where the
+    encoding is unchanged: e == 1, or a prime base field)."""
     for e in range(1, max_ext + 1):
-        big, emb = extension_of(base_field, e)
-        use_emb = None if e == 1 else (emb if getattr(base_field, "degree", 1) > 1 else None)
-        out[e] = zero_locus_points(ideal, big, torus, embed=use_emb)
-    return out
+        big, emb = extension_of(base, e)
+        yield e, big, (emb if e > 1 and base.degree > 1 else None)

@@ -99,9 +99,9 @@ def test_criterion_02_minor_ideal_oracle():
 
 def test_criterion_03_support_vs_jump_unions():
     started = time.monotonic()
-    univariate, _ = _corpora()
+    univariate, bivariate = _corpora()
     f9, _ = extension_of(F3, 2)
-    for E in univariate:
+    for E in univariate + bivariate:
         for field in (F3, f9):
             table = homology_dims_table(E, field)
             v_sets = {i: {c for c, dims in table.items() if dims[i] >= 1}
@@ -271,7 +271,8 @@ def test_criterion_08_trefoil_pipeline():
     assert pres.gens == 1
     assert poly_to_str(pres.relations[0, 0].laurent_normalize()) == "t^2 - t + 1"
     assert verdict.kind == "finite" and verdict.dim == 2
-    pts = {p.coords[0] for p in characteristic_variety_points(P, nu, 1, 1, F7)}
+    [(_, _, points)] = characteristic_variety_points(P, nu, 1, 1, F7)
+    pts = {p.coords[0] for p in points}
     assert pts - {1} == {3, 5}
     elapsed = time.monotonic() - started
     assert elapsed < 1.0

@@ -206,3 +206,78 @@ def test_error_report_is_structured(docs, capsys):
     assert code == 1
     rep = json.loads(out)
     assert rep["error"]["type"] == "DocumentError"
+
+
+def _write(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_zero_denominators_are_parse_errors(capsys, tmp_path):
+    def complex_doc(entry):
+        return {"type": "free-complex",
+                "ring": {"field": {"kind": "rationals"}, "variables": ["x"]},
+                "ranks": [1, 1], "differentials": [[[entry]]]}
+
+    fifth = _write(tmp_path, "fifth.cc", complex_doc("x - 1/5"))
+    zero = _write(tmp_path, "zero.cc", complex_doc("x - 1/0"))
+    cga = _write(tmp_path, "zero.cga", {
+        "type": "cga", "field": {"kind": "rationals"}, "dims": [1, 2, 1],
+        "mult": [[1, 1, 0, 1, ["1/0"]], [1, 1, 1, 0, [-1]]]})
+    for argv in (["jumploci", "--complex", fifth, "--i", "0", "--q", "5"],
+                 ["jumploci", "--complex", zero, "--i", "0", "--q", "7"],
+                 ["resonance", "--cga", cga, "--i", "1", "--q", "5"]):
+        code, out = run(capsys, *argv, "--format", "structured")
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "ParseError"
+        assert "zero denominator" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jumploci", "--complex", "x.cc", "--i", "1", "--q", "5", "--ext", "0"],
+    ["jumploci", "--complex", "x.cc", "--i", "-3", "--q", "5"],
+    ["finiteness", "--cga", "x.cga", "--nu", "x.nu", "--k", "-1"],
+    ["genres-experiment", "--shape", "1,2,1", "--i", "1", "--trials", "-1",
+     "--q", "5"],
+])
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+    assert "Traceback" not in err
+
+
+def test_supports_reports_nonzero_square(capsys, tmp_path):
+    # d_1 d_2 = x: the image of d_2 is not inside ker d_1
+    path = _write(tmp_path, "square.cc", {
+        "type": "free-complex",
+        "ring": {"field": {"kind": "prime-field", "p": 3},
+                 "variables": ["x", "y"]},
+        "ranks": [1, 2, 1], "differentials": [[["x", "y"]], [["1"], ["0"]]]})
+    code, out = run(capsys, "supports", "--complex", path, "--i", "1",
+                    "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "PreconditionError",
+        "message": "image column 0 of d_2 is not inside ker d_1; "
+                   "the complex does not satisfy d.d = 0"}
+
+
+def test_resonance_extensions_of_a_finite_document(docs, capsys, tmp_path):
+    f5 = _write(tmp_path, "ext5.cga", {
+        "type": "cga", "field": {"kind": "prime-field", "p": 5},
+        "dims": [1, 2, 1], "mult": [[1, 1, 0, 1, [1]], [1, 1, 1, 0, [4]]]})
+    reports = []
+    for argv in (["--cga", f5], ["--cga", f5, "--q", "5"],
+                 ["--cga", docs["ext"], "--q", "5"]):
+        code, out = run(capsys, "resonance", *argv, "--i", "1", "--ext", "2",
+                        "--format", "structured")
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert reports[0]["by_extension"]["2"]["field_order"] == 25
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["by_extension"]["2"]["points"] == [["0", "0"]]

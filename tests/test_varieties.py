@@ -3,7 +3,7 @@ import pytest
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of
 from jumploci.rings import Ideal, Ring, parse_poly
-from jumploci.varieties import locus_over_extensions, zero_locus_points
+from jumploci.varieties import extension_fields, zero_locus_points
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -58,7 +58,8 @@ def test_locus_over_extensions():
     R = Ring(F3, ("x",))
     # x^2 + 1 has no roots in F_3, two in F_9
     I = Ideal(R, [parse_poly(R, "x^2 + 1")])
-    by_degree = locus_over_extensions(I, F3, 2)
+    by_degree = {e: zero_locus_points(I, F, embed=emb)
+                 for e, F, emb in extension_fields(F3, 2)}
     assert by_degree[1] == set()
     assert len(by_degree[2]) == 2
     F9, _ = extension_of(F3, 2)
@@ -74,7 +75,8 @@ def test_extension_tower_embedding_path():
     R = Ring(F4, ("x",))
     u = F4.idx((0, 1))
     I = Ideal(R, [R.var(0) - R.const(u)])  # x - u
-    by_degree = locus_over_extensions(I, F4, 2)
+    by_degree = {e: zero_locus_points(I, F, embed=emb)
+                 for e, F, emb in extension_fields(F4, 2)}
     assert {p.coords[0] for p in by_degree[1]} == {u}
     F16, emb = extension_of(F4, 2)
     assert {p.coords[0] for p in by_degree[2]} == {emb(u)}
