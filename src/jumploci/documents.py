@@ -34,10 +34,19 @@ from .complexes import (FreeChainComplex, ModulePresentation,
                         PresentedChainComplex)
 from .equivariant import FinAbGroup, NuData
 from .errors import DocumentError
-from .fields import ExtensionField, PrimeField, Rationals, field_make
+from .fields import (ExtensionField, PrimeField, Rationals, field_make,
+                     irreducible_modulus)
 from .fox import GroupPresentation
 from .matrices import Matrix
 from .rings import Ring, parse_poly, poly_to_str
+
+
+def _require(doc, key):
+    """doc[key] for a key the format requires; a missing one is a
+    DocumentError, not a KeyError."""
+    if key not in doc:
+        raise DocumentError("document is missing the required key %r" % (key,))
+    return doc[key]
 
 
 # -- fields and rings --------------------------------------------------------
@@ -50,10 +59,11 @@ def load_field(doc):
     if kind == "rationals":
         return Rationals()
     if kind == "prime-field":
-        return field_make(kind, p=doc["p"])
+        return field_make(kind, p=_require(doc, "p"))
     if kind == "extension-field":
         modulus = tuple(doc["modulus"]) if "modulus" in doc else None
-        return field_make(kind, p=doc["p"], m=doc["m"], modulus=modulus)
+        return field_make(kind, p=_require(doc, "p"), m=_require(doc, "m"),
+                          modulus=modulus)
     raise DocumentError("unknown field kind %r" % (kind,))
 
 
@@ -68,9 +78,20 @@ def dump_field(field):
     raise DocumentError("cannot serialize field %r" % (field,))
 
 
+def _declares(doc, field):
+    """Whether the field document `doc` declares exactly the finite field
+    `field` (same kind, p, m and modulus; an omitted modulus is the default
+    one).  Read from the document alone, because building an extension
+    field is the costly step of loading one."""
+    spec = dump_field(field)
+    if isinstance(doc, dict) and "modulus" not in doc and "modulus" in spec:
+        doc = dict(doc, modulus=list(irreducible_modulus(field.p, field.m)))
+    return doc == spec
+
+
 def load_ring(doc, field_override=None):
     field = field_override if field_override is not None else load_field(doc.get("field"))
-    return Ring(field, tuple(doc["variables"]),
+    return Ring(field, tuple(_require(doc, "variables")),
                 laurent=bool(doc.get("laurent", False)),
                 order=doc.get("order", "grlex"))
 
@@ -112,10 +133,10 @@ def _load_matrix(ring, rows_doc, nrows, ncols, what):
 
 
 def load_complex(doc, field_override=None):
-    ring = load_ring(doc["ring"], field_override)
+    ring = load_ring(_require(doc, "ring"), field_override)
     kind = doc.get("type", "free-complex")
     if kind == "free-complex":
-        ranks = [int(c) for c in doc["ranks"]]
+        ranks = [int(c) for c in _require(doc, "ranks")]
         diffs = []
         for i, rows in enumerate(doc.get("differentials", []), start=1):
             diffs.append(_load_matrix(ring, rows, ranks[i - 1], ranks[i],
@@ -123,8 +144,8 @@ def load_complex(doc, field_override=None):
         return FreeChainComplex(ring, ranks, diffs)
     if kind == "presented-complex":
         terms = []
-        for t in doc["terms"]:
-            gens = int(t["gens"])
+        for t in _require(doc, "terms"):
+            gens = int(_require(t, "gens"))
             rel_rows = t.get("relations", [[] for _ in range(gens)])
             ncols = len(rel_rows[0]) if rel_rows and rel_rows[0] else 0
             terms.append(ModulePresentation(
@@ -159,7 +180,7 @@ def dump_complex(E):
 
 def load_cga(doc, field_override=None):
     field = field_override if field_override is not None else load_field(doc.get("field"))
-    dims = tuple(int(b) for b in doc["dims"])
+    dims = tuple(int(b) for b in _require(doc, "dims"))
     mult = {}
     for entry in doc.get("mult", []):
         i, j, s, t, vec = entry
@@ -214,7 +235,7 @@ def dump_nu(nu):
 
 
 def load_presentation(doc):
-    return GroupPresentation(tuple(doc["generators"]),
+    return GroupPresentation(tuple(_require(doc, "generators")),
                              list(doc.get("relators", [])))
 
 
@@ -260,10 +281,12 @@ def load_document(path, expect=None, field_override=None):
         raise DocumentError("%s: unknown document type %r" % (path, kind))
     if field_override is not None and kind in ("free-complex",
                                                "presented-complex", "cga"):
-        declared = load_field((doc if kind == "cga" else doc["ring"]).get("field"))
-        if declared.is_finite and declared != field_override:
-            raise DocumentError("%s is over %r but --q selected %r"
-                                % (path, declared, field_override))
+        field_doc = (doc if kind == "cga" else _require(doc, "ring")).get("field")
+        if not _declares(field_doc, field_override):
+            declared = load_field(field_doc)
+            if declared.is_finite and declared != field_override:
+                raise DocumentError("%s is over %r but --q selected %r"
+                                    % (path, declared, field_override))
     return loader(doc, field_override=field_override)
 
 

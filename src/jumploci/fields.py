@@ -10,49 +10,45 @@ enumeration, Gaussian elimination) stay cheap:
                         ``a = sum(c_i * p**i)`` represents ``sum(c_i * u**i)``.
 
 All arithmetic goes through the field object; elements never carry their
-field around.  For small extension fields the multiplication and inverse
-tables are precomputed, so products are list lookups.
+field around.  Extension fields keep exp/log/Zech-logarithm tables of a
+primitive element, built in O(q), so each operation is a list lookup or
+two; orders above ``_TABLE_CAP`` raise ResourceLimitError.
 """
 
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 
-_TABLE_CAP = 512  # largest field order for which we precompute q x q tables
+_TABLE_CAP = 2 ** 17  # largest extension-field order; covers F_{5^7}, F_{3^10}
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def factor_prime_power(q):
     """Write q = p**m with p prime, or raise."""
     if q < 2:
         raise PreconditionError("field order must be at least 2, got %r" % (q,))
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise PreconditionError("%d is not a prime power" % q)
-            if not is_prime(p):
-                raise PreconditionError("%d is not a prime power" % q)
-            return p, m
-    raise PreconditionError("%d is not a prime power" % q)
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise PreconditionError("%d is not a prime power" % q)
+    p, m = primes[0], 1
+    while p ** m < q:
+        m += 1
+    return p, m
 
 
 class Rationals:
@@ -183,6 +179,17 @@ def _polymulmod(p, mod_vec, a, b):
     return tuple(prod[:m]) + (0,) * (m - len(prod))
 
 
+def _vecpow(p, mod_vec, a, e):
+    """a**e, e >= 0, for a coefficient vector a modulo the monic mod_vec."""
+    result = (1,) + (0,) * (len(mod_vec) - 2)
+    while e:
+        if e & 1:
+            result = _polymulmod(p, mod_vec, a, result)
+        a = _polymulmod(p, mod_vec, a, a)
+        e >>= 1
+    return result
+
+
 def _poly_divides(p, small, big):
     """Exact division test for monic-able coefficient tuples over F_p."""
     big = list(big)
@@ -200,17 +207,8 @@ def _poly_divides(p, small, big):
 
 def _monic_polys(p, d):
     """All monic coefficient tuples of degree d over F_p, ascending lex order."""
-    if d == 0:
-        yield (1,)
-        return
-    total = p ** d
-    for idx in range(total):
-        coeffs = []
-        n = idx
-        for _ in range(d):
-            coeffs.append(n % p)
-            n //= p
-        yield tuple(coeffs) + (1,)
+    for idx in range(p ** d):
+        yield tuple(idx // p ** i % p for i in range(d)) + (1,)
 
 
 def _is_irreducible(p, poly):
@@ -244,14 +242,33 @@ def irreducible_modulus(p, m):
 
 
 class ExtensionField:
+    """F_{p^m} modulo an irreducible `modulus`, elements in the int encoding.
+
+    Arithmetic reads lists built in O(q) from the primitive element g (the
+    first element of order n = q - 1 in the int encoding): ``_exp[k] = g^k``
+    for k < 2n, so a sum of two logs needs no modulo; ``_log``, its inverse;
+    and the Zech logarithms ``_zech[k] = log(1 + g^k)``, doubled so that a
+    difference of two logs is an index.  So a*b = exp[log a + log b], a + b
+    = exp[log a + zech[log b - log a]], and -a adds n/2 to log a (g^(n/2) =
+    -1 for odd p; 0 when p = 2).  ``_log[0]``, and ``_zech[k]`` where
+    1 + g^k = 0, are 2n, which lands in the zero tail ``_exp[2n:]``, so
+    results that are 0 need no branch.
+    """
+
     kind = "extension-field"
     is_finite = True
 
     def __init__(self, p, m, modulus=None):
-        if not is_prime(p):
-            raise PreconditionError("%r is not prime" % (p,))
         if m < 2:
             raise PreconditionError("extension degree must be >= 2, got %r" % (m,))
+        # before p ** m is formed (m may be huge) or a modulus searched for
+        if m >= _TABLE_CAP.bit_length() or p ** m > _TABLE_CAP:
+            raise ResourceLimitError(
+                "F_%d^%d is larger than _TABLE_CAP = %d, the largest "
+                "extension-field order that gets exp/log/Zech tables"
+                % (p, m, _TABLE_CAP))
+        if not is_prime(p):
+            raise PreconditionError("%r is not prime" % (p,))
         if modulus is None:
             modulus = irreducible_modulus(p, m)
         else:
@@ -268,10 +285,7 @@ class ExtensionField:
         self.order = p ** m
         self.zero = 0
         self.one = 1
-        self._mul_table = None
-        self._inv_table = None
-        if self.order <= _TABLE_CAP:
-            self._build_tables()
+        self._build_tables()
 
     # -- encoding ---------------------------------------------------------
 
@@ -289,79 +303,64 @@ class ExtensionField:
         return a
 
     def _build_tables(self):
-        q, p = self.order, self.p
-        vecs = [self.vec(a) for a in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                r = self.idx(_polymulmod(p, self.modulus, vecs[a], vecs[b]))
-                mul[a][b] = r
-                mul[b][a] = r
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        self._inv_table = inv
+        p, n = self.p, self.order - 1
+        one = self.vec(1)
+        cofactors = [n // r for r in _prime_factors(n)]
+        # 0..p-1 is F_p, whose units have order < n
+        g = next(v for v in map(self.vec, range(p, self.order))
+                 if all(_vecpow(p, self.modulus, v, c) != one for c in cofactors))
+        powers, v = [1], g
+        while v != one:
+            powers.append(self.idx(v))
+            v = _polymulmod(p, self.modulus, g, v)  # skips g's zero digits
+        log = [2 * n] * (n + 1)
+        for k, a in enumerate(powers):
+            log[a] = k
+        # 1 + a changes digit 0 only; log[0] = 2n where 1 + a = 0
+        zech = [log[a + 1 if a % p != p - 1 else a + 1 - p] for a in powers]
+        self._exp = powers + powers + [0] * (2 * n + 1)
+        self._log, self._zech, self._n = log, zech + zech, n
+        self._half = n // 2 if p != 2 else 0
 
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a, b):
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if not b:
+            return a
+        lb = self._log[b] + self._half
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        return self._exp[la + self._zech[lb - la]]
 
     def neg(self, a):
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._half]
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self.idx(_polymulmod(self.p, self.modulus, self.vec(a), self.vec(b)))
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.order)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.order - 2)
+        return self._exp[self._n - self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of 0 in F_%d" % self.order)
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % self._n]
 
     def from_int(self, n):
         return n % self.p  # constants embed as base-p digit 0

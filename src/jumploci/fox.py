@@ -165,6 +165,18 @@ def word_image(word, nu, ring):
     return ring.monomial(_exponent_of_prefix(nu, counts), ring.field.one)
 
 
+def _check_kills_relators(P, nu):
+    """Raise PreconditionError naming the first relator that nu does not
+    send to 0 in Z^r (such a nu is not defined on the group)."""
+    for rel in P.relators:
+        image = _exponent_of_prefix(nu, P.abelianized(rel))
+        if any(image):
+            raise PreconditionError(
+                "nu sends the relator %s to %s in Z^%d, not to 0; nu must "
+                "kill every relator" % (word_to_str(P.generators, rel),
+                                        list(image), nu.group.rank))
+
+
 def alexander_complex(P, nu, field):
     """The chain complex of the abelianized presentation 2-complex over
     k[t_1^{+-1}..t_r^{+-1}]: one 0-cell, a 1-cell per generator with
@@ -208,6 +220,11 @@ def alexander_invariant(P, nu, field, limits=None):
     E = alexander_complex(P, nu, field)
     try:
         pres = homology_presentation(E, 1, limits)
+    except PreconditionError:
+        # column r of d_1 d_2 is t^nu(r) - 1, so a refused complex most
+        # often means nu does not kill a relator; name it if so
+        _check_kills_relators(P, nu)
+        raise
     except ResourceLimitError as exc:
         from .complexes import FinVerdict, ModulePresentation
         return (ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, [])),

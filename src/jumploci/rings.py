@@ -335,14 +335,18 @@ class _Tokenizer:
         if ch in self.SYMBOLS:
             self.pos += 1
             return ch
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads; isdigit() also takes "²"
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 self.pos += 1
             if self.pos < len(self.text) and self.text[self.pos] == "/":
                 self.pos += 1
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                den = self.pos
+                while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                     self.pos += 1
+                if self.pos == den:
+                    raise ParseError("fraction %r has no denominator"
+                                     % self.text[start:self.pos], self.pos)
             return self.text[start:self.pos]
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -415,7 +419,7 @@ class _PolyParser:
             inner = self.expr()
             self.expect(")")
             return self._maybe_power(inner)
-        if tok[0].isdigit():
+        if tok[0].isdecimal():
             self.advance()
             if "/" in tok:
                 F = self.ring.field
@@ -455,7 +459,7 @@ class _PolyParser:
         if self.current == "-":
             neg = True
             self.advance()
-        if self.current is None or not self.current.lstrip("-").isdigit():
+        if self.current is None or not self.current.lstrip("-").isdecimal():
             raise ParseError("expected integer exponent", self.tok.pos)
         val = int(self.current)
         self.advance()

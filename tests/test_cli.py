@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 from jumploci.cli import main
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples", "")
 
 
 @pytest.fixture()
@@ -281,3 +284,65 @@ def test_resonance_extensions_of_a_finite_document(docs, capsys, tmp_path):
     assert reports[0]["by_extension"]["2"]["field_order"] == 25
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["by_extension"]["2"]["points"] == [["0", "0"]]
+
+
+def test_jumploci_builds_the_q_field_once(capsys, tmp_path, monkeypatch):
+    from jumploci import fields
+    path = _write(tmp_path, "f256.cc", {
+        "type": "free-complex",
+        "ring": {"field": {"kind": "extension-field", "p": 2, "m": 8},
+                 "variables": ["x"]},
+        "ranks": [1, 1], "differentials": [[["x - u"]]]})
+    builds = []
+    init = fields.ExtensionField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.ExtensionField, "__init__", counting_init)
+    code, out = run(capsys, "jumploci", "--complex", path, "--i", "0",
+                    "--q", "256", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["results"]["by_extension"]["1"]["points"] == [["u"]]
+    assert builds == [(2, 8)]
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"type": "free-complex",
+      "ring": {"field": {"kind": "rationals"}, "variables": ["x"]},
+      "ranks": [1, 1], "differentials": [[["x - 1/"]]]}, "ParseError"),
+    ({"type": "free-complex", "ranks": [1, 1], "differentials": [[["x"]]]},
+     "DocumentError"),
+    ({"type": "free-complex",
+      "ring": {"field": {"kind": "extension-field", "p": 2, "m": 18},
+               "variables": ["x"]},
+      "ranks": [1, 1], "differentials": [[["x"]]]}, "ResourceLimitError"),
+])
+def test_malformed_documents_give_error_reports(doc, error, capsys, tmp_path):
+    path = _write(tmp_path, "bad.cc", doc)
+    code, out = run(capsys, "jumploci", "--complex", path, "--i", "0",
+                    "--q", "5", "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_field_above_the_cap_is_an_error_report(capsys):
+    code, out = run(capsys, "charvar", "--presentation", SAMPLES + "trefoil.pres",
+                    "--nu", SAMPLES + "onto-z.nu", "--i", "1", "--q", "512",
+                    "--ext", "2", "--format", "structured")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "ResourceLimitError"
+    assert "F_2^18" in err["message"] and "_TABLE_CAP" in err["message"]
+
+
+def test_alexander_names_a_relator_nu_does_not_kill(capsys):
+    code, out = run(capsys, "alexander", "--presentation",
+                    SAMPLES + "trefoil.pres", "--nu", SAMPLES + "identity-z2.nu",
+                    "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "PreconditionError",
+        "message": "nu sends the relator a b a b^-1 a^-1 b^-1 to [1, -1] in "
+                   "Z^2, not to 0; nu must kill every relator"}

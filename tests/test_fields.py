@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jumploci.errors import PreconditionError
-from jumploci.fields import (ExtensionField, PrimeField, extension_of,
-                             factor_prime_power, field_make, finite_field,
-                             irreducible_modulus)
+from jumploci.errors import PreconditionError, ResourceLimitError
+from jumploci.fields import (_TABLE_CAP, ExtensionField, PrimeField,
+                             _polymulmod, extension_of, factor_prime_power,
+                             field_make, finite_field, irreducible_modulus)
 
 
 def test_field_make_prime():
@@ -104,3 +105,99 @@ def test_scalar_str():
     assert F9.scalar_str(u) == "u"
     assert F9.scalar_str(F9.add(u, F9.one)) == "u + 1"
     assert F9.scalar_str(F9.zero) == "0"
+
+
+# -- exp/log/Zech arithmetic against the digit-wise / _polymulmod reference --
+
+EXT_ORDERS = (4, 8, 9, 25, 27, 512, 625, 729, 1024)
+EXT_FIELDS = {q: finite_field(q) for q in EXT_ORDERS}
+
+
+def _ref_mul(F, a, b):
+    return F.idx(_polymulmod(F.p, F.modulus, F.vec(a), F.vec(b)))
+
+
+def _ref_pow(F, a, e):
+    """a**e by square-and-multiply over _polymulmod; a**-k = a**(k(q-2))."""
+    if e < 0:
+        e = -e * (F.order - 2)
+    result = F.one
+    while e:
+        if e & 1:
+            result = _ref_mul(F, result, a)
+        a = _ref_mul(F, a, a)
+        e >>= 1
+    return result
+
+
+def _digitwise(F, op, *xs):
+    return F.idx(tuple(op(*cs) % F.p for cs in zip(*map(F.vec, xs))))
+
+
+@pytest.mark.parametrize("q", EXT_ORDERS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extension_ops_match_reference(q, data):
+    F = EXT_FIELDS[q]
+    a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
+    e = data.draw(st.integers(-2 * q, 2 * q))
+    assert F.add(a, b) == _digitwise(F, lambda x, y: x + y, a, b)
+    assert F.sub(a, b) == _digitwise(F, lambda x, y: x - y, a, b)
+    assert F.neg(a) == _digitwise(F, lambda x: -x, a)
+    assert F.mul(a, b) == _ref_mul(F, a, b)
+    if a:
+        assert _ref_mul(F, a, F.inv(a)) == F.one
+        assert F.pow(a, e) == _ref_pow(F, a, e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+        if e < 0:
+            with pytest.raises(ZeroDivisionError):
+                F.pow(a, e)
+        else:
+            assert F.pow(a, e) == _ref_pow(F, a, e)
+    if b:
+        assert F.div(a, b) == _ref_mul(F, a, F.inv(b))
+
+
+@pytest.mark.parametrize("q", EXT_ORDERS)
+def test_pow_of_zero(q):
+    F = EXT_FIELDS[q]
+    assert F.pow(0, 0) == F.one
+    assert F.pow(0, 5) == F.zero
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_exp_log_are_inverse_bijections_onto_units(q):
+    F = finite_field(q)
+    n = q - 1
+    powers = F._exp[:n]
+    assert sorted(powers) == list(F.units())
+    assert F._exp[n:2 * n] == powers
+    assert all(F._log[F._exp[k]] == k for k in range(n))
+    assert all(F._exp[F._log[a]] == a for a in F.units())
+    g = powers[1]
+    assert all(_ref_mul(F, powers[k], g) == F._exp[k + 1] for k in range(n))
+
+
+@pytest.mark.parametrize("base,e", [(5, 4), (3, 6), (25, 2), (9, 3)])
+def test_extension_of_is_a_ring_homomorphism(base, e):
+    small = finite_field(base)
+    big, emb = extension_of(small, e)
+    assert big.order == base ** e
+    assert emb(small.one) == big.one
+    for a in small.elements():
+        for b in small.elements():
+            assert emb(small.add(a, b)) == big.add(emb(a), emb(b))
+            assert emb(small.mul(a, b)) == big.mul(emb(a), emb(b))
+
+
+def test_extension_fields_above_the_cap_are_refused():
+    assert 3 ** 10 <= _TABLE_CAP and 5 ** 7 <= _TABLE_CAP < 2 ** 18
+    for p, m in ((2, 18), (2, 10 ** 9), (3, 11)):
+        with pytest.raises(ResourceLimitError) as exc:
+            ExtensionField(p, m)
+        assert "_TABLE_CAP = %d" % _TABLE_CAP in str(exc.value)
+        assert "F_%d^%d" % (p, m) in str(exc.value)
+    with pytest.raises(ResourceLimitError):
+        finite_field(2 ** 18)
