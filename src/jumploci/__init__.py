@@ -23,7 +23,7 @@ from .fields import (ExtensionField, PrimeField, Rationals, extension_of,
 from .fox import (GroupPresentation, alexander_complex, alexander_invariant,
                   characteristic_variety_points, fox_derivative, parse_word,
                   quadratic_cup)
-from .groebner import Limits, buchberger, syzygy_matrix
+from .groebner import buchberger, syzygy_matrix
 from .linalg import mat_rank
 from .matrices import Matrix, block_diag, det, minors_ideal
 from .rings import Ideal, Point, Poly, Ring, parse_poly, poly_to_str

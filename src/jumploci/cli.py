@@ -12,15 +12,15 @@ import sys
 import time
 
 from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonance_points, validate_cga
-from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
-                        support_points, validate_complex, validate_presented)
+from .complexes import (FreeChainComplex, homology_dims_table, jump_locus_ideal,
+                        jump_locus_points, support_points, validate_complex,
+                        validate_presented)
 from .documents import (dump_complex, dumps, load_document)
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import AlgebraError, DocumentError
 from .fields import ExtensionField, Rationals, finite_field
 from .fox import alexander_invariant, characteristic_variety_points
-from .groebner import Limits
-from .rings import poly_to_str
+from .rings import Point, poly_to_str
 from .varieties import extension_fields
 
 PROV = {
@@ -56,15 +56,6 @@ def _coord_out(field, c):
 
 def point_list(field, pts):
     return sorted([[_coord_out(field, c) for c in p.coords] for p in pts])
-
-
-def _limits(args):
-    base = Limits()
-    return Limits(max_vars=getattr(args, "max_vars", None) or base.max_vars,
-                  max_generators=base.max_generators,
-                  max_degree=getattr(args, "max_degree", None) or base.max_degree,
-                  engine_max_degree=base.engine_max_degree,
-                  engine_max_basis=base.engine_max_basis)
 
 
 def _target_field(args, declared=None):
@@ -142,25 +133,26 @@ def cmd_jumploci(args):
 def cmd_supports(args):
     E = _load(args, "complex", "complex")
     base = _target_field(args, E.ring.field)
-    limits = _limits(args)
     extensions = list(extension_fields(base, args.ext))
     result = {"i": args.i, "d": args.d, "by_extension": {}}
     for e, big, emb in extensions:
         pts = support_points(E, args.i, args.d, big, torus=args.torus,
-                             embed=emb, limits=limits)
+                             embed=emb)
         result["by_extension"][str(e)] = {"field_order": big.order,
                                           "points": point_list(big, pts)}
     if args.compare_v:
         comparison = {}
         agree = True
+        torus = args.torus or E.ring.laurent
         for e, big, emb in extensions:
             w_union = set()
-            v_union = set()
             for i2 in range(args.i + 1):
                 w_union |= support_points(E, i2, 1, big, torus=args.torus,
-                                          embed=emb, limits=limits)
-                v_union |= jump_locus_points(E, i2, 1, big, torus=args.torus,
-                                             embed=emb)
+                                          embed=emb)
+            # the union of the jump loci V^1_j, j <= i, from one table
+            table = homology_dims_table(E, big, args.torus, emb)
+            v_union = {Point(big, coords, torus)
+                       for coords, dims in table.items() if any(dims[:args.i + 1])}
             same = w_union == v_union
             agree = agree and same
             comparison[str(e)] = {
@@ -219,7 +211,7 @@ def cmd_finiteness(args):
     if not F.is_finite:
         raise DocumentError("the finiteness hypothesis is checked pointwise: "
                             "pass --q")
-    rep = finiteness_test(A, nu, args.k, F, _limits(args))
+    rep = finiteness_test(A, nu, args.k, F)
     result = {
         "k_range": rep["k_range"],
         "hypothesis_holds": rep["hypothesis_holds"],
@@ -246,7 +238,7 @@ def cmd_alexander(args):
     P = _load(args, "presentation", "presentation")
     nu = _load(args, "nu", "nu")
     F = finite_field(args.q) if args.q else Rationals()
-    pres, verdict = alexander_invariant(P, nu, F, _limits(args))
+    pres, verdict = alexander_invariant(P, nu, F)
     rel = [[poly_to_str(pres.relations[i, j]) for j in range(pres.relations.ncols)]
            for i in range(pres.gens)]
     result = {
@@ -331,7 +323,7 @@ def _at_least(low):
 
 
 def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
-                torus=False, seed=False, trials=False, limits=False):
+                torus=False, seed=False, trials=False):
     sp.add_argument("--format", choices=("text", "structured"), default="text")
     if q:
         sp.add_argument("--q", type=int, default=None,
@@ -352,9 +344,6 @@ def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
         sp.add_argument("--seed", type=int, default=0)
     if trials:
         sp.add_argument("--trials", type=_at_least(0), required=True)
-    if limits:
-        sp.add_argument("--max-degree", type=int, default=None)
-        sp.add_argument("--max-vars", type=int, default=None)
 
 
 def build_parser():
@@ -381,7 +370,7 @@ def build_parser():
     sp.add_argument("--compare-v", action="store_true",
                     help="also compare the union of supports with the union "
                          "of jump loci up to degree i")
-    _add_common(sp, q=True, ext=True, i=True, d=True, torus=True, limits=True)
+    _add_common(sp, q=True, ext=True, i=True, d=True, torus=True)
     sp.set_defaults(fn=cmd_supports)
 
     sp = sub.add_parser("resonance", help="resonance points and equations")
@@ -406,14 +395,14 @@ def build_parser():
     sp = sub.add_parser("finiteness", help="vanishing-resonance finiteness test")
     sp.add_argument("--cga", required=True)
     sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True, k=True, limits=True)
+    _add_common(sp, q=True, k=True)
     sp.set_defaults(fn=cmd_finiteness)
 
     sp = sub.add_parser("alexander", help="degree-one homology of the "
                                           "abelianized cover")
     sp.add_argument("--presentation", required=True)
     sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True, limits=True)
+    _add_common(sp, q=True)
     sp.set_defaults(fn=cmd_alexander)
 
     sp = sub.add_parser("charvar", help="character-torus jump loci of a "

@@ -10,8 +10,8 @@ go through a homology presentation and its Fitting ideals.
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
-from .groebner import (DEFAULT_LIMITS, ModuleSolver, module_lead_terms,
-                       module_saturate, standard_monomial_count, syzygy_matrix)
+from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
+                       standard_monomial_count, syzygy_matrix)
 from .linalg import mat_mul, mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
@@ -430,7 +430,7 @@ def _univariate_free_presentation(E, i):
     return ModulePresentation(ring, len(positions), rel)
 
 
-def _laurent_multivariate_presentation(E, i, limits=DEFAULT_LIMITS):
+def _laurent_multivariate_presentation(E, i):
     """Clear denominators by unit basis scalings, present over the ordinary
     ring, and reinterpret over the Laurent ring (localization is exact)."""
     ring = E.ring
@@ -449,12 +449,12 @@ def _laurent_multivariate_presentation(E, i, limits=DEFAULT_LIMITS):
     sub = FreeChainComplex(ordinary, [d_i.nrows, d_i.ncols, d_next.ncols],
                            [d_i.map_coefficients(ordinary, lambda c: c),
                             d_next.map_coefficients(ordinary, lambda c: c)])
-    pres = _presented_homology_presentation(free_as_presented(sub), 1, limits)
+    pres = _presented_homology_presentation(free_as_presented(sub), 1)
     return ModulePresentation(ring, pres.gens,
                               pres.relations.map_coefficients(ring, lambda c: c))
 
 
-def homology_presentation(E, i, limits=DEFAULT_LIMITS):
+def homology_presentation(E, i):
     """Presentation of H_i(E) = ker d_i / im d_{i+1}.
 
     Univariate Laurent rings go through the Smith form; ordinary rings
@@ -463,19 +463,19 @@ def homology_presentation(E, i, limits=DEFAULT_LIMITS):
     rings are cleared by unit scalings first.
     """
     if isinstance(E, PresentedChainComplex):
-        pres = _presented_homology_presentation(E, i, limits)
+        pres = _presented_homology_presentation(E, i)
     elif i < 0 or i > E.top:
         return ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, []))
     elif not E.ring.laurent:
-        pres = _presented_homology_presentation(free_as_presented(E), i, limits)
+        pres = _presented_homology_presentation(free_as_presented(E), i)
     elif E.ring.nvars == 1:
         pres = _univariate_free_presentation(E, i)
     else:
-        pres = _laurent_multivariate_presentation(E, i, limits)
+        pres = _laurent_multivariate_presentation(E, i)
     return prune_presentation(pres)
 
 
-def _presented_homology_presentation(E, i, limits=DEFAULT_LIMITS):
+def _presented_homology_presentation(E, i):
     """H_i of a presented complex, unpruned: generators are the
     syzygy-computed lifts {v : D_i v in im R_{i-1}}, relations are R_i
     columns and D_{i+1} columns expressed in those generators.  Ordinary
@@ -495,11 +495,11 @@ def _presented_homology_presentation(E, i, limits=DEFAULT_LIMITS):
         rel_prev = E.relations(i - 1)
         stacked = Matrix(ring, d_i.nrows, g_i + rel_prev.ncols,
                          [d_i.row(r) + rel_prev.row(r) for r in range(d_i.nrows)])
-        syz = syzygy_matrix(stacked, limits)
+        syz = syzygy_matrix(stacked)
         lifts = Matrix(ring, g_i, syz.ncols, [syz.row(r) for r in range(g_i)])
     if lifts.ncols == 0:
         return ModulePresentation(ring, 0, Matrix(ring, 0, 0, []))
-    solver = ModuleSolver(lifts, limits)
+    solver = ModuleSolver(lifts)
     rel_cols = []
     rel_i = E.relations(i)
     for j in range(rel_i.ncols):
@@ -517,7 +517,7 @@ def _presented_homology_presentation(E, i, limits=DEFAULT_LIMITS):
                 "image column %d of d_%d is not inside ker d_%d; "
                 "the complex does not satisfy d.d = 0" % (j, i + 1, i))
         rel_cols.append(x)
-    inner = syzygy_matrix(lifts, limits)
+    inner = solver.syzygies()
     rel_cols += [inner.col(j) for j in range(inner.ncols)]
     rel = Matrix(ring, lifts.ncols, len(rel_cols),
                  [[rel_cols[j][gi] for j in range(len(rel_cols))]
@@ -525,12 +525,12 @@ def _presented_homology_presentation(E, i, limits=DEFAULT_LIMITS):
     return ModulePresentation(ring, lifts.ncols, rel)
 
 
-def cached_homology_presentation(E, i, limits=DEFAULT_LIMITS):
+def cached_homology_presentation(E, i):
     cache = getattr(E, "_pres_cache", None)
     if cache is None:
-        return homology_presentation(E, i, limits)
+        return homology_presentation(E, i)
     if i not in cache:
-        cache[i] = homology_presentation(E, i, limits)
+        cache[i] = homology_presentation(E, i)
     return cache[i]
 
 
@@ -549,7 +549,7 @@ def fitting_ideal(P, j):
     return minors_ideal(P.relations, size)
 
 
-def support_points(E, i, d, field, torus=False, embed=None, limits=DEFAULT_LIMITS):
+def support_points(E, i, d, field, torus=False, embed=None):
     """Support of the d-th exterior power of H_i(E), as a point set: the
     zero locus of Fitt_{d-1} of a homology presentation.  Set-level equal to
     {w : dim (H_i(E) (x) S/m_w) >= d}."""
@@ -557,7 +557,7 @@ def support_points(E, i, d, field, torus=False, embed=None, limits=DEFAULT_LIMIT
         torus = torus or E.ring.laurent
         return {Point(field, coords, torus)
                 for coords in enumerate_coords(field, E.ring.nvars, torus)}
-    pres = cached_homology_presentation(E, i, limits)
+    pres = cached_homology_presentation(E, i)
     ideal = fitting_ideal(pres, d - 1)
     from .varieties import zero_locus_points
     return zero_locus_points(ideal, field, torus, embed)
@@ -573,7 +573,7 @@ class FinVerdict:
         return self.kind == "finite"
 
 
-def is_finite_dimensional(P, limits=DEFAULT_LIMITS):
+def is_finite_dimensional(P):
     """Finite-dimensionality of a presented module over its ground field.
 
     Univariate Laurent: Smith divisors decide exactly (dim = sum of divisor
@@ -595,7 +595,7 @@ def is_finite_dimensional(P, limits=DEFAULT_LIMITS):
             dim = sum(udeg(d) for d in divisors)
             return FinVerdict("finite", dim, "Smith divisor degrees")
         if not ring.laurent:
-            leads = module_lead_terms(ring, P.relations, limits)
+            leads = module_lead_terms(ring, P.relations)
             count = standard_monomial_count(ring, leads, P.gens)
             if count is None:
                 return FinVerdict("infinite",
@@ -606,8 +606,8 @@ def is_finite_dimensional(P, limits=DEFAULT_LIMITS):
         cleared, _ = clear_laurent_cols(P.relations)
         ordinary = type(ring)(ring.field, ring.variables, False, "grlex")
         cleared = cleared.map_coefficients(ordinary, lambda c: c)
-        sat = module_saturate(ordinary, cleared, (1,) * ring.nvars, limits)
-        leads = module_lead_terms(ordinary, sat, limits)
+        sat = module_saturate(ordinary, cleared, (1,) * ring.nvars)
+        leads = module_lead_terms(ordinary, sat)
         count = standard_monomial_count(ordinary, leads, P.gens)
         if count is None:
             return FinVerdict("infinite",

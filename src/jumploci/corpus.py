@@ -9,7 +9,7 @@ rings, syzygies otherwise).
 import random
 
 from .complexes import FreeChainComplex
-from .groebner import DEFAULT_LIMITS, syzygy_matrix
+from .groebner import syzygy_matrix
 from .matrices import Matrix
 from .rings import Poly, Ring
 from .smith import kernel_matrix, smith_normal_form
@@ -40,13 +40,13 @@ def _random_matrix(rng, ring, nrows, ncols, **kw):
                    for _ in range(nrows)])
 
 
-def _kernel_generators(ring, d, limits):
+def _kernel_generators(ring, d):
     if ring.nvars == 1 and ring.laurent:
         return kernel_matrix(smith_normal_form(d))
-    return syzygy_matrix(d, limits)
+    return syzygy_matrix(d)
 
 
-def random_free_complex(ring, seed, max_len=3, max_rank=4, limits=DEFAULT_LIMITS):
+def random_free_complex(ring, seed, max_len=3, max_rank=4):
     """A random complex with d.d = 0 by construction: later differentials
     factor through the kernel of the previous one with small coefficients.
     Ranks avoid 0 most of the time so the loci stay interesting."""
@@ -63,7 +63,7 @@ def random_free_complex(ring, seed, max_len=3, max_rank=4, limits=DEFAULT_LIMITS
         if i == 1:
             d = _random_matrix(rng, ring, nrows, ncols, **poly_kw)
         else:
-            kernel = _kernel_generators(ring, prev, limits)
+            kernel = _kernel_generators(ring, prev)
             if kernel.ncols == 0 or ncols == 0:
                 d = Matrix.zero(ring, nrows, ncols)
             else:

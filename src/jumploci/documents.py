@@ -41,6 +41,14 @@ from .matrices import Matrix
 from .rings import Ring, parse_poly, poly_to_str
 
 
+def _object(value, what):
+    """`value` when it is a JSON object; anything else is a DocumentError,
+    not an AttributeError."""
+    if not isinstance(value, dict):
+        raise DocumentError("%s must be a JSON object, not %.40r" % (what, value))
+    return value
+
+
 def _require(doc, key):
     """doc[key] for a key the format requires; a missing one is a
     DocumentError, not a KeyError."""
@@ -55,7 +63,7 @@ def _require(doc, key):
 def load_field(doc):
     if doc is None:
         return Rationals()
-    kind = doc.get("kind")
+    kind = _object(doc, "a field").get("kind")
     if kind == "rationals":
         return Rationals()
     if kind == "prime-field":
@@ -90,6 +98,7 @@ def _declares(doc, field):
 
 
 def load_ring(doc, field_override=None):
+    doc = _object(doc, "a ring")
     field = field_override if field_override is not None else load_field(doc.get("field"))
     return Ring(field, tuple(_require(doc, "variables")),
                 laurent=bool(doc.get("laurent", False)),
@@ -145,6 +154,7 @@ def load_complex(doc, field_override=None):
     if kind == "presented-complex":
         terms = []
         for t in _require(doc, "terms"):
+            t = _object(t, "a term")
             gens = int(_require(t, "gens"))
             rel_rows = t.get("relations", [[] for _ in range(gens)])
             ncols = len(rel_rows[0]) if rel_rows and rel_rows[0] else 0
@@ -210,6 +220,7 @@ def dump_cga(A):
 
 
 def load_group(doc):
+    doc = _object(doc, "a group")
     return FinAbGroup(int(doc.get("rank", 0)),
                       tuple(int(n) for n in doc.get("torsion", ())))
 
@@ -218,9 +229,8 @@ def dump_group(G):
     return {"type": "group", "rank": G.rank, "torsion": list(G.torsion)}
 
 
-def load_nu(doc, group=None):
-    if group is None:
-        group = load_group(doc["group"]) if "group" in doc else None
+def load_nu(doc):
+    group = load_group(doc["group"]) if "group" in doc else None
     free_block = [list(map(int, row)) for row in doc.get("free_block", [])]
     torsion_blocks = [list(map(int, row)) for row in doc.get("torsion_blocks", [])]
     b1 = int(doc["b1"]) if "b1" in doc else (len(free_block[0]) if free_block
@@ -264,7 +274,7 @@ def load_document(path, expect=None, field_override=None):
     field must already be over `field_override`."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = _object(json.load(fh), "the document in %s" % path)
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
@@ -281,7 +291,8 @@ def load_document(path, expect=None, field_override=None):
         raise DocumentError("%s: unknown document type %r" % (path, kind))
     if field_override is not None and kind in ("free-complex",
                                                "presented-complex", "cga"):
-        field_doc = (doc if kind == "cga" else _require(doc, "ring")).get("field")
+        holder = doc if kind == "cga" else _object(_require(doc, "ring"), "a ring")
+        field_doc = holder.get("field")
         if not _declares(field_doc, field_override):
             declared = load_field(field_doc)
             if declared.is_finite and declared != field_override:

@@ -73,22 +73,15 @@ def integer_smith_divisors(rows):
             row[k], row[pj] = row[pj], row[k]
         dirty = False
         for i in range(k + 1, m):
-            if a[i][k] % a[k][k] != 0:
-                q = a[i][k] // a[k][k]
-                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                dirty = True
-            elif a[i][k] != 0:
+            if a[i][k] != 0:
+                dirty = dirty or a[i][k] % a[k][k] != 0
                 q = a[i][k] // a[k][k]
                 a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         if dirty:
             continue
         for j in range(k + 1, n):
-            if a[k][j] % a[k][k] != 0:
-                q = a[k][j] // a[k][k]
-                for row in a:
-                    row[j] -= q * row[k]
-                dirty = True
-            elif a[k][j] != 0:
+            if a[k][j] != 0:
+                dirty = dirty or a[k][j] % a[k][k] != 0
                 q = a[k][j] // a[k][k]
                 for row in a:
                     row[j] -= q * row[k]
@@ -121,8 +114,8 @@ class GrRingDescriptor:
     sbar: object                 # Ring k[x_1..x_r]
     nilpotent_parts: tuple       # per torsion factor: ("trivial",) or ("truncated", p^s)
 
-    def specm_size(self, over_field=None):
-        F = over_field if over_field is not None else self.field
+    def specm_size(self):
+        F = self.field
         return F.order ** self.group.rank if F.is_finite else None
 
 
@@ -214,7 +207,7 @@ def identity_nu(b1):
     return NuData(b1, block, (), FinAbGroup(b1))
 
 
-def build_E1(A, nu, validate=True):
+def build_E1(A, nu):
     """The first page: ranks b_i(A) over k[x_1..x_r], with the differential
     determined on generators by comultiplication followed by the induced
     map into the group's degree-one homology, embedded as linear forms.
@@ -223,10 +216,9 @@ def build_E1(A, nu, validate=True):
     evaluating d_i at w and transposing gives left-multiplication by the
     pulled-back element (tested, not just asserted).
     """
-    if validate:
-        verdict = validate_cga(A)
-        if not verdict.ok:
-            raise PreconditionError("invalid algebra: %s" % verdict.message)
+    verdict = validate_cga(A)
+    if not verdict.ok:
+        raise PreconditionError("invalid algebra: %s" % verdict.message)
     if nu.b1 != A.dim(1):
         raise PreconditionError("nu source rank %d != b_1(A) = %d"
                                 % (nu.b1, A.dim(1)))
@@ -269,11 +261,10 @@ def build_E1(A, nu, validate=True):
                                 grid[t][u] = grid[t][u] + x.scale(F.mul(c_ns, mu[u]))
         diffs.append(Matrix(ring, rows, cols, grid))
     E = FreeChainComplex(ring, A.dims, diffs)
-    if validate:
-        verdict = validate_complex(E)
-        if not verdict.ok:
-            raise AssertionError("page differential fails d.d = 0: %s"
-                                 % verdict.message)
+    verdict = validate_complex(E)
+    if not verdict.ok:
+        raise AssertionError("page differential fails d.d = 0: %s"
+                             % verdict.message)
     return E
 
 
@@ -329,7 +320,7 @@ def verify_cv_res(A, nu, i, d, field):
     }
 
 
-def finiteness_test(A, nu, k_range, field, limits=None, symbolic=False):
+def finiteness_test(A, nu, k_range, field, symbolic=False):
     """Hypothesis: the pullback of every nonzero w avoids all degree <= k
     resonance (beyond 0).  When it holds, the page homology supports are
     checked to sit inside the origin and the homology dimensions are
@@ -342,8 +333,6 @@ def finiteness_test(A, nu, k_range, field, limits=None, symbolic=False):
     implementation fault and raises.
     """
     from .cga import resonance_ideal
-    from .groebner import DEFAULT_LIMITS
-    limits = limits or DEFAULT_LIMITS
     if k_range > A.top:
         raise PreconditionError("k exceeds the top degree of the algebra")
     if not field.is_finite or field != A.field:
@@ -389,12 +378,12 @@ def finiteness_test(A, nu, k_range, field, limits=None, symbolic=False):
     dims = {}
     support_ok = True
     for i in range(0, k_range + 1):
-        pts = support_points(E, i, 1, field, limits=limits)
+        pts = support_points(E, i, 1, field)
         supports[i] = pts
         if any(p.coords != zero for p in pts):
             support_ok = False
-        pres = cached_homology_presentation(E, i, limits)
-        dims[i] = is_finite_dimensional(pres, limits)
+        pres = cached_homology_presentation(E, i)
+        dims[i] = is_finite_dimensional(pres)
     report["e2_supports"] = supports
     report["e2_supports_in_origin"] = support_ok
     report["e2_dims"] = dims

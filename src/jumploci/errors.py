@@ -14,7 +14,7 @@ class UnsupportedRingError(AlgebraError):
 
 
 class ResourceLimitError(AlgebraError):
-    """Input exceeds the configured desk-scale limits.
+    """Input exceeds a fixed desk-scale bound.
 
     Raised instead of letting a symbolic computation run unbounded."""
 

@@ -212,14 +212,12 @@ def characteristic_variety_points(P, nu, i, d, field, max_ext=1):
             for e, big, emb in extension_fields(field, max_ext)]
 
 
-def alexander_invariant(P, nu, field, limits=None):
+def alexander_invariant(P, nu, field):
     """Presentation of the degree-one homology of the abelianized cover,
     plus its finite-dimensionality verdict."""
-    from .groebner import DEFAULT_LIMITS
-    limits = limits or DEFAULT_LIMITS
     E = alexander_complex(P, nu, field)
     try:
-        pres = homology_presentation(E, 1, limits)
+        pres = homology_presentation(E, 1)
     except PreconditionError:
         # column r of d_1 d_2 is t^nu(r) - 1, so a refused complex most
         # often means nu does not kill a relator; name it if so
@@ -229,7 +227,7 @@ def alexander_invariant(P, nu, field, limits=None):
         from .complexes import FinVerdict, ModulePresentation
         return (ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, [])),
                 FinVerdict("unknown", note=str(exc)))
-    return pres, is_finite_dimensional(pres, limits)
+    return pres, is_finite_dimensional(pres)
 
 
 # ---------------------------------------------------------------------------

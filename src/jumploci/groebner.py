@@ -1,7 +1,7 @@
 """A small Buchberger engine for ideals and submodules of free modules.
 
 Everything here is desk scale by design: naive pair selection with the
-coprimality criterion, dense dictionaries, and explicit resource limits
+coprimality criterion, dense dictionaries, and fixed resource bounds
 that raise instead of letting a computation run unbounded.
 
 Module elements are dicts mapping (component, exponent_tuple) to nonzero
@@ -11,25 +11,18 @@ order across the component blocks) and a variable-elimination order used
 for saturation.
 """
 
-from dataclasses import dataclass
-
 from .errors import ResourceLimitError, UnsupportedRingError
 from .matrices import Matrix
 from .rings import Ideal, Poly, Ring
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Desk-scale guards.  The strict input bounds apply to the public
-    Groebner-basis operation; the engine bounds stop runaway growth."""
-    max_vars: int = 3
-    max_generators: int = 6
-    max_degree: int = 6
-    engine_max_degree: int = 48
-    engine_max_basis: int = 600
-
-
-DEFAULT_LIMITS = Limits()
+# Desk-scale bounds.  `buchberger` refuses an ideal beyond the input bounds;
+# the engine bounds stop runaway growth in every Groebner computation.
+MAX_VARS = 3
+MAX_GENERATORS = 6
+MAX_DEGREE = 6
+ENGINE_MAX_DEGREE = 48
+ENGINE_MAX_BASIS = 600
 
 
 def _require_ordinary(ring):
@@ -104,7 +97,7 @@ def _pure_component(v):
     return comps.pop() if len(comps) == 1 else None
 
 
-def module_groebner(ring, gens, key, limits=DEFAULT_LIMITS):
+def module_groebner(ring, gens, key):
     """Buchberger for a submodule of a free module, returning a reduced basis.
 
     gens: module elements (dicts).  key: module monomial order key.
@@ -150,16 +143,16 @@ def module_groebner(ring, gens, key, limits=DEFAULT_LIMITS):
         )
         r = m_reduce(F, s, reducers, key)
         if r:
-            if max(sum(e) for (_, e) in r) > limits.engine_max_degree:
+            if max(sum(e) for (_, e) in r) > ENGINE_MAX_DEGREE:
                 raise ResourceLimitError(
                     "intermediate degree exceeds the desk-scale bound %d"
-                    % limits.engine_max_degree)
+                    % ENGINE_MAX_DEGREE)
             r = m_normalize(F, r, key)
             basis.append((r, m_lead(r, key), _pure_component(r)))
             reducers.append((r, basis[-1][1]))
-            if len(basis) > limits.engine_max_basis:
+            if len(basis) > ENGINE_MAX_BASIS:
                 raise ResourceLimitError(
-                    "basis grew past the desk-scale bound %d" % limits.engine_max_basis)
+                    "basis grew past the desk-scale bound %d" % ENGINE_MAX_BASIS)
             pairs.extend(make_pairs(len(basis) - 1))
     # minimalize: drop elements whose lead is divisible by another lead
     minimal = []
@@ -227,33 +220,33 @@ def module_to_poly(ring, v, comp=0):
     return Poly(ring, {e: c for (c0, e), c in v.items() if c0 == comp})
 
 
-def buchberger(ideal, limits=DEFAULT_LIMITS):
+def buchberger(ideal):
     """Reduced Groebner basis of an ideal, under the ring's monomial order.
 
-    Enforces the strict desk-scale input bounds: at most `max_vars`
-    variables, `max_generators` generators, total degree `max_degree`.
+    Enforces the strict desk-scale input bounds: at most `MAX_VARS`
+    variables, `MAX_GENERATORS` generators, total degree `MAX_DEGREE`.
     """
     ring = ideal.ring
     _require_ordinary(ring)
-    if ring.nvars > limits.max_vars:
+    if ring.nvars > MAX_VARS:
         raise ResourceLimitError(
             "%d variables exceeds the desk-scale bound %d"
-            % (ring.nvars, limits.max_vars))
-    if len(ideal.generators) > limits.max_generators:
+            % (ring.nvars, MAX_VARS))
+    if len(ideal.generators) > MAX_GENERATORS:
         raise ResourceLimitError(
             "%d generators exceeds the desk-scale bound %d"
-            % (len(ideal.generators), limits.max_generators))
+            % (len(ideal.generators), MAX_GENERATORS))
     for g in ideal.generators:
-        if g.total_degree() > limits.max_degree:
+        if g.total_degree() > MAX_DEGREE:
             raise ResourceLimitError(
                 "generator degree %d exceeds the desk-scale bound %d"
-                % (g.total_degree(), limits.max_degree))
+                % (g.total_degree(), MAX_DEGREE))
     gens = [poly_to_module(g) for g in ideal.generators]
-    basis = module_groebner(ring, gens, pot_key(ring), limits)
+    basis = module_groebner(ring, gens, pot_key(ring))
     return Ideal(ring, [module_to_poly(ring, v) for v in basis])
 
 
-def ideal_normal_form(ideal_gb, p, limits=DEFAULT_LIMITS):
+def ideal_normal_form(ideal_gb, p):
     """Normal form of p against a Groebner basis (list of Poly or Ideal)."""
     gens = ideal_gb.generators if isinstance(ideal_gb, Ideal) else ideal_gb
     ring = p.ring
@@ -270,71 +263,65 @@ def ideal_normal_form(ideal_gb, p, limits=DEFAULT_LIMITS):
 # syzygies, membership, quotients
 
 
-def _columns_as_module(matrix, comp_offset=0):
+def _columns_as_module(matrix):
     cols = []
     for j in range(matrix.ncols):
         v = {}
         for i in range(matrix.nrows):
             p = matrix.entries[i][j]
             for e, c in p.terms.items():
-                v[(comp_offset + i, e)] = c
+                v[(i, e)] = c
         cols.append(v)
     return cols
 
 
-def syzygy_matrix(matrix, limits=DEFAULT_LIMITS):
-    """Generators of the kernel module {v : M v = 0}, as matrix columns.
+def _module_as_columns(ring, elems, nrows):
+    """The matrix over `ring` whose column j is elems[j]: the inverse of
+    _columns_as_module."""
+    cols = []
+    for v in elems:
+        col = [dict() for _ in range(nrows)]
+        for (comp, e), c in v.items():
+            col[comp][e] = c
+        cols.append([Poly(ring, t) for t in col])
+    return Matrix(ring, nrows, len(cols),
+                  [[col[i] for col in cols] for i in range(nrows)])
 
-    Computed by the standard elimination trick: tag column j of M with the
-    j-th basis vector of a second block, take a position-over-term basis
-    with the image block dominant, and keep the elements supported purely
-    on the tag block.
-    """
-    ring = matrix.ring
-    _require_ordinary(ring)
-    m, n = matrix.nrows, matrix.ncols
-    gens = []
-    cols = _columns_as_module(matrix)
-    for j, col in enumerate(cols):
-        v = dict(col)
-        v[(m + j, (0,) * ring.nvars)] = ring.field.one
-        gens.append(v)
-    basis = module_groebner(ring, gens, pot_key(ring), limits)
-    syz_cols = []
-    for v in basis:
-        if all(comp >= m for (comp, _) in v):
-            col = [Poly(ring, {}) for _ in range(n)]
-            grouped = {}
-            for (comp, e), c in v.items():
-                grouped.setdefault(comp - m, {})[e] = c
-            for idx, terms in grouped.items():
-                col[idx] = Poly(ring, terms)
-            syz_cols.append(col)
-    out = Matrix(ring, n, len(syz_cols),
-                 [[syz_cols[j][i] for j in range(len(syz_cols))]
-                  for i in range(n)]) if syz_cols else Matrix(ring, n, 0,
-                                                              [[] for _ in range(n)])
-    return out
+
+def syzygy_matrix(matrix):
+    """Generators of the kernel module {v : M v = 0}, as matrix columns."""
+    return ModuleSolver(matrix).syzygies()
 
 
 class ModuleSolver:
     """Solve K x = c repeatedly for the same K (membership in the column
-    span, with the certificate).  Same tagging trick as syzygy_matrix."""
+    span, with the certificate), and read off the syzygies of K.
 
-    def __init__(self, matrix, limits=DEFAULT_LIMITS):
+    Standard elimination trick: tag column j of K with the j-th basis
+    vector of a second block and take a position-over-term basis, with the
+    image block dominant.
+    """
+
+    def __init__(self, matrix):
         ring = matrix.ring
         _require_ordinary(ring)
         self.ring = ring
         self.m = matrix.nrows
         self.n = matrix.ncols
         self.key = pot_key(ring)
-        gens = []
-        for j, col in enumerate(_columns_as_module(matrix)):
-            v = dict(col)
+        gens = _columns_as_module(matrix)
+        for j, v in enumerate(gens):
             v[(self.m + j, (0,) * ring.nvars)] = ring.field.one
-            gens.append(v)
-        basis = module_groebner(ring, gens, self.key, limits)
+        basis = module_groebner(ring, gens, self.key)
         self.basis = [(g, m_lead(g, self.key)) for g in basis]
+
+    def syzygies(self):
+        """Generators of {v : K v = 0}, as matrix columns: the basis
+        elements supported purely on the tag block."""
+        m = self.m
+        kernel = [{(comp - m, e): c for (comp, e), c in g.items()}
+                  for g, _ in self.basis if all(comp >= m for (comp, _) in g)]
+        return _module_as_columns(self.ring, kernel, self.n)
 
     def solve(self, rhs):
         """rhs: list of Poly of length m.  Returns list of Poly (length n)
@@ -352,10 +339,10 @@ class ModuleSolver:
         return [Poly(self.ring, t) for t in x]
 
 
-def module_lead_terms(ring, columns_matrix, limits=DEFAULT_LIMITS):
+def module_lead_terms(ring, columns_matrix):
     """Leading terms of the reduced basis of the column module."""
     key = pot_key(ring)
-    basis = module_groebner(ring, _columns_as_module(columns_matrix), key, limits)
+    basis = module_groebner(ring, _columns_as_module(columns_matrix), key)
     return [m_lead(v, key) for v in basis]
 
 
@@ -399,7 +386,7 @@ def standard_monomial_count(ring, lead_terms, ncomponents):
     return total
 
 
-def module_saturate(ring, columns_matrix, monomial_exps, limits=DEFAULT_LIMITS):
+def module_saturate(ring, columns_matrix, monomial_exps):
     """Saturation (M : f^inf) of the column module by f = x^monomial_exps.
 
     Standard auxiliary-variable computation: adjoin y, add the columns
@@ -414,9 +401,6 @@ def module_saturate(ring, columns_matrix, monomial_exps, limits=DEFAULT_LIMITS):
     big = Ring(ring.field, ring.variables + (aux_name,), False, ring.order or "grlex")
     y_index = big.nvars - 1
 
-    def up(p):
-        return Poly(big, {e + (0,): c for e, c in p.terms.items()})
-
     gens = []
     for col in _columns_as_module(columns_matrix):
         gens.append({(comp, e + (0,)): c for (comp, e), c in col.items()})
@@ -426,18 +410,7 @@ def module_saturate(ring, columns_matrix, monomial_exps, limits=DEFAULT_LIMITS):
         v = {(comp, (0,) * big.nvars): one,
              (comp, f_mono): big.field.neg(one)}
         gens.append(v)
-    basis = module_groebner(big, gens, elim_var_key(big, y_index), limits)
-    kept = []
-    for v in basis:
-        if all(e[y_index] == 0 for (_, e) in v):
-            kept.append({(comp, e[:-1]): c for (comp, e), c in v.items()})
-    cols = []
-    for v in kept:
-        col = [dict() for _ in range(g)]
-        for (comp, e), c in v.items():
-            col[comp][e] = c
-        cols.append([Poly(ring, t) for t in col])
-    if not cols:
-        return Matrix(ring, g, 0, [[] for _ in range(g)])
-    return Matrix(ring, g, len(cols),
-                  [[cols[j][i] for j in range(len(cols))] for i in range(g)])
+    basis = module_groebner(big, gens, elim_var_key(big, y_index))
+    kept = [{(comp, e[:-1]): c for (comp, e), c in v.items()}
+            for v in basis if all(e[y_index] == 0 for (_, e) in v)]
+    return _module_as_columns(ring, kept, g)

@@ -43,7 +43,6 @@ def mat_rank_stacked(F, blocks):
     """Rank of the column-wise concatenation [A | B | ...] of blocks with a
     common row count.  Empty blocks are skipped."""
     rows = None
-    ncols = 0
     for b in blocks:
         if not b or not b[0]:
             continue
@@ -52,74 +51,9 @@ def mat_rank_stacked(F, blocks):
         else:
             for r, br in zip(rows, b):
                 r.extend(br)
-        ncols += len(b[0])
     if rows is None:
         return 0
     return mat_rank(F, rows)
-
-
-def rref(F, rows):
-    """Reduced row echelon form; returns (matrix, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col] != F.zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = F.inv(m[row][col])
-        m[row] = [F.mul(inv, x) for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != F.zero:
-                c = m[r][col]
-                m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
-
-
-def nullspace(F, rows, ncols=None):
-    """Basis of the right kernel {v : M v = 0} as a list of vectors."""
-    if not rows:
-        n = ncols if ncols is not None else 0
-        basis = []
-        for j in range(n):
-            v = [F.zero] * n
-            v[j] = F.one
-            basis.append(v)
-        return basis
-    n = len(rows[0])
-    red, pivots = rref(F, rows)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [F.zero] * n
-        v[j] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(red[i][j])
-        basis.append(v)
-    return basis
-
-
-def mat_inverse(F, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [F.one if i == j else F.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(F, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
 
 
 def mat_mul(F, a, b):

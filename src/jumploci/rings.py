@@ -239,12 +239,11 @@ class Poly:
         c = shifted.terms[lead]
         return shifted.scale(self.ring.field.inv(c))
 
-    def monic(self, key=None):
+    def monic(self):
         """Divide by the leading coefficient under the ring's order."""
         if not self.terms:
             return self
-        key = key or self.ring.monomial_key()
-        lead = max(self.terms, key=key)
+        lead = max(self.terms, key=self.ring.monomial_key())
         return self.scale(self.ring.field.inv(self.terms[lead]))
 
     # -- hashing / comparison ---------------------------------------------
@@ -495,22 +494,19 @@ class Ideal:
 
     __slots__ = ("ring", "generators")
 
-    def __init__(self, ring, generators, normalize=True):
+    def __init__(self, ring, generators):
         self.ring = ring
-        if normalize:
-            gens = []
-            seen = set()
-            for g in generators:
-                if g.is_zero():
-                    continue
-                g = g.laurent_normalize() if ring.laurent else g.monic()
-                if g not in seen:
-                    seen.add(g)
-                    gens.append(g)
-            gens.sort(key=lambda g: g.sort_key())
-            self.generators = tuple(gens)
-        else:
-            self.generators = tuple(generators)
+        gens = []
+        seen = set()
+        for g in generators:
+            if g.is_zero():
+                continue
+            g = g.laurent_normalize() if ring.laurent else g.monic()
+            if g not in seen:
+                seen.add(g)
+                gens.append(g)
+        gens.sort(key=lambda g: g.sort_key())
+        self.generators = tuple(gens)
 
     def is_zero_ideal(self):
         return not self.generators

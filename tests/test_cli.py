@@ -254,6 +254,22 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["supports", "--complex", SAMPLES + "koszul2.cc", "--i", "1", "--q", "3"],
+    ["finiteness", "--cga", SAMPLES + "exterior.cga", "--nu",
+     SAMPLES + "identity-z2.nu", "--k", "1", "--q", "5"],
+    ["alexander", "--presentation", SAMPLES + "trefoil.pres", "--nu",
+     SAMPLES + "onto-z.nu"],
+])
+@pytest.mark.parametrize("flag", ["--max-degree", "--max-vars"])
+def test_groebner_bounds_are_not_flags(argv, flag, capsys):
+    # the desk-scale bounds are constants of the Groebner engine
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
 def test_supports_reports_nonzero_square(capsys, tmp_path):
     # d_1 d_2 = x: the image of d_2 is not inside ker d_1
     path = _write(tmp_path, "square.cc", {
@@ -308,6 +324,19 @@ def test_jumploci_builds_the_q_field_once(capsys, tmp_path, monkeypatch):
     assert builds == [(2, 8)]
 
 
+NON_OBJECT_RING = {"type": "free-complex", "ring": 5, "ranks": [1, 1],
+                   "differentials": [[["x"]]]}
+NON_OBJECT_FIELD = {"type": "cga", "field": 7, "dims": [1, 1]}
+
+
+def _load_argv(doc, path):
+    """A command that loads `doc` from `path`: resonance for an algebra,
+    jumploci for anything else."""
+    if isinstance(doc, dict) and doc["type"] == "cga":
+        return ("resonance", "--cga", path, "--i", "0")
+    return ("jumploci", "--complex", path, "--i", "0")
+
+
 @pytest.mark.parametrize("doc,error", [
     ({"type": "free-complex",
       "ring": {"field": {"kind": "rationals"}, "variables": ["x"]},
@@ -318,13 +347,25 @@ def test_jumploci_builds_the_q_field_once(capsys, tmp_path, monkeypatch):
       "ring": {"field": {"kind": "extension-field", "p": 2, "m": 18},
                "variables": ["x"]},
       "ranks": [1, 1], "differentials": [[["x"]]]}, "ResourceLimitError"),
+    ([1, 2], "DocumentError"),
+    (NON_OBJECT_RING, "DocumentError"),
+    (NON_OBJECT_FIELD, "DocumentError"),
 ])
 def test_malformed_documents_give_error_reports(doc, error, capsys, tmp_path):
     path = _write(tmp_path, "bad.cc", doc)
-    code, out = run(capsys, "jumploci", "--complex", path, "--i", "0",
-                    "--q", "5", "--format", "structured")
+    code, out = run(capsys, *_load_argv(doc, path), "--q", "5",
+                    "--format", "structured")
     assert code == 1
     assert json.loads(out)["error"]["type"] == error
+
+
+def test_non_object_ring_or_field_without_q(capsys, tmp_path):
+    # without --q the document's own ring and field are read
+    for doc in (NON_OBJECT_RING, NON_OBJECT_FIELD):
+        path = _write(tmp_path, "bad.cc", doc)
+        code, out = run(capsys, *_load_argv(doc, path), "--format", "structured")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DocumentError"
 
 
 def test_field_above_the_cap_is_an_error_report(capsys):

@@ -43,6 +43,10 @@ def test_integer_smith():
     assert integer_smith_divisors([[2, 0], [0, 3]]) == [1, 6]
     assert integer_smith_divisors([[1, 0], [0, 1]]) == [1, 1]
     assert integer_smith_divisors([[2, 4]]) == [2]
+    # pivots that do not divide their column / row: reduce and pivot again
+    assert integer_smith_divisors([[4], [6]]) == [2]
+    assert integer_smith_divisors([[4, 6]]) == [2]
+    assert integer_smith_divisors([[6, 4], [4, 6]]) == [2, 10]
 
 
 def test_gr_ring_free_part():

@@ -1,0 +1,45 @@
+"""Repository hygiene: the README documents exactly the CLI's long options,
+and the library holds no `assert` statement (they vanish under -O)."""
+
+import argparse
+import ast
+import os
+import re
+
+from jumploci.cli import build_parser
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+EXEMPT = {"--help", "--no-build-isolation"}
+
+
+def _parser_long_options():
+    found = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            found.update(o for o in action.option_strings if o.startswith("--"))
+    return found - EXEMPT
+
+
+def test_readme_flags_match_the_parser():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = set(re.findall(r"--[a-z][a-z0-9-]*", fh.read())) - EXEMPT
+    accepted = _parser_long_options()
+    assert accepted - readme == set(), "options missing from README"
+    assert readme - accepted == set(), "README flags the CLI does not accept"
+
+
+def test_library_has_no_assert_statements():
+    src = os.path.join(ROOT, "src", "jumploci")
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        offenders += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []
