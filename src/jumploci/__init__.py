@@ -5,17 +5,17 @@ connecting them."""
 from .cga import (AomotoComplex, BShape, GradedAlgebra, aomoto,
                   generic_vanishing_experiment, in_resonance, pairing_cga,
                   resonance_ideal, resonance_points, sample_cga, validate_cga)
-from .complexes import (FinVerdict, FreeChainComplex, JumpLocusResult,
-                        ModulePresentation, PresentedChainComplex,
-                        add_acyclic_summand, fitting_ideal,
-                        homology_dims_at_point, homology_dims_table,
-                        homology_presentation, is_finite_dimensional,
-                        jump_locus_ideal, jump_locus_points, specialize,
-                        support_points, validate_complex, validate_presented)
+from .complexes import (FinVerdict, FreeChainComplex, ModulePresentation,
+                        PresentedChainComplex, add_acyclic_summand,
+                        fitting_ideal, homology_dims_at, homology_dims_at_point,
+                        homology_dims_table, homology_presentation,
+                        is_finite_dimensional, jump_locus_ideal,
+                        jump_locus_points, specialize, support_points,
+                        validate_complex, validate_presented)
 from .equivariant import (FinAbGroup, GrRingDescriptor, NuData, build_E1,
                           finiteness_test, gr_ring, identity_nu,
                           verify_cv_res)
-from .errors import (AlgebraError, DocumentError, ParseError,
+from .errors import (AlgebraError, DocumentError, InternalError, ParseError,
                      PreconditionError, ResourceLimitError,
                      UnsupportedRingError)
 from .fields import (ExtensionField, PrimeField, Rationals, extension_of,

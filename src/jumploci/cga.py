@@ -11,11 +11,11 @@ d-dimensional.
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .linalg import mat_rank
 from .matrices import Matrix, block_diag_minors_ideal
-from .rings import Ideal, Point, Ring
-from .varieties import enumerate_coords
+from .rings import Ideal, Point, Ring, zero_ideal
+from .varieties import points_where
 
 
 class GradedAlgebra:
@@ -263,15 +263,13 @@ def resonance_points(A, i, d, field=None):
         raise PreconditionError("resonance enumeration needs a finite field")
     if F != A.field:
         raise PreconditionError("enumeration field must match the algebra's field")
-    pts = set()
-    for coords in enumerate_coords(F, A.dim(1), False):
-        if in_resonance(A, coords, i, d):
-            pts.add(Point(F, coords))
+    pts = points_where(F, A.dim(1), False,
+                       lambda coords: in_resonance(A, coords, i, d))
     for p in pts:
         for lam in F.units():
             scaled = tuple(F.mul(lam, c) for c in p.coords)
             if Point(F, scaled) not in pts:
-                raise AssertionError("resonance locus is not a cone")
+                raise InternalError("resonance locus is not a cone")
     return ResonanceResult(i, d, points=pts)
 
 
@@ -302,11 +300,14 @@ def resonance_ideal(A, i, d):
     """Bihomogeneous equations for the degree-i resonance locus: the
     coordinates of a^2 (the square-zero quadric) together with the minors
     of size b_i - d + 1 of the block matrix delta^{i-1} (+) delta^i with
-    symbolic a.  Zero locus equals resonance_points over every finite field."""
-    if d < 1:
-        raise PreconditionError("resonance ideals are indexed by d >= 1")
+    symbolic a.  Zero locus equals resonance_points over every finite field;
+    for d = 0 that is all of A^1, the zero ideal."""
+    if d < 0:
+        raise PreconditionError("d must be non-negative")
     names = tuple("a%d" % (s + 1) for s in range(A.dim(1)))
     ring = Ring(A.field, names, order="grlex")
+    if d == 0:
+        return zero_ideal(ring)
     F = A.field
     if i < 0 or i > A.top:
         return Ideal(ring, [ring.one()])

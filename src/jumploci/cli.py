@@ -12,7 +12,7 @@ import sys
 import time
 
 from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonance_points, validate_cga
-from .complexes import (FreeChainComplex, homology_dims_table, jump_locus_ideal,
+from .complexes import (FreeChainComplex, homology_dims_at, jump_locus_ideal,
                         jump_locus_points, support_points, validate_complex,
                         validate_presented)
 from .documents import (dump_complex, dumps, load_document)
@@ -20,8 +20,8 @@ from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import AlgebraError, DocumentError
 from .fields import ExtensionField, Rationals, finite_field
 from .fox import alexander_invariant, characteristic_variety_points
-from .rings import Point, poly_to_str
-from .varieties import extension_fields
+from .rings import poly_to_str
+from .varieties import extension_fields, on_torus, points_where
 
 PROV = {
     "jumploci": "pointwise homology ranks; ideal route: determinantal minors "
@@ -143,16 +143,16 @@ def cmd_supports(args):
     if args.compare_v:
         comparison = {}
         agree = True
-        torus = args.torus or E.ring.laurent
+        torus = on_torus(E.ring, args.torus)
         for e, big, emb in extensions:
             w_union = set()
             for i2 in range(args.i + 1):
                 w_union |= support_points(E, i2, 1, big, torus=args.torus,
                                           embed=emb)
-            # the union of the jump loci V^1_j, j <= i, from one table
-            table = homology_dims_table(E, big, args.torus, emb)
-            v_union = {Point(big, coords, torus)
-                       for coords, dims in table.items() if any(dims[:args.i + 1])}
+            # the union of the jump loci V^j_1, j <= i, in one pass
+            dims_at = homology_dims_at(E, big, emb)
+            v_union = points_where(big, E.ring.nvars, torus,
+                                   lambda c: any(dims_at(c)[:args.i + 1]))
             same = w_union == v_union
             agree = agree and same
             comparison[str(e)] = {
@@ -175,7 +175,7 @@ def cmd_resonance(args):
         result["by_extension"][str(e)] = {"field_order": F.order,
                                           "points": point_list(F, res.points)}
         if e == 1:
-            ideal = resonance_ideal(A, args.i, max(args.d, 1))
+            ideal = resonance_ideal(A, args.i, args.d)
             result["ideal"] = [poly_to_str(g) for g in ideal.generators]
     return {"results": result}, 0
 
@@ -263,10 +263,9 @@ def cmd_charvar(args):
 
 
 def cmd_genres(args):
-    dims = tuple(int(x) for x in args.shape.split(","))
     F = _target_field(args)
-    rep = generic_vanishing_experiment(BShape(dims), args.i, args.trials, F,
-                                       args.seed)
+    rep = generic_vanishing_experiment(BShape(args.shape), args.i,
+                                       args.trials, F, args.seed)
     for key in ("vanishing_exemplar", "resonant_exemplar"):
         ex = rep.get(key)
         if ex:
@@ -322,6 +321,11 @@ def _at_least(low):
     return parse
 
 
+def _shape(text):
+    """An argparse type: comma-separated dimensions, each at least 0."""
+    return tuple(_at_least(0)(part) for part in text.split(","))
+
+
 def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
                 torus=False, seed=False, trials=False):
     sp.add_argument("--format", choices=("text", "structured"), default="text")
@@ -334,7 +338,7 @@ def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
     if i:
         sp.add_argument("--i", type=_at_least(0), required=True)
     if d:
-        sp.add_argument("--d", type=int, default=1)
+        sp.add_argument("--d", type=_at_least(0), default=1)
     if k:
         sp.add_argument("--k", type=_at_least(0), required=True)
     if torus:
@@ -414,7 +418,7 @@ def build_parser():
 
     sp = sub.add_parser("genres-experiment",
                         help="classify random algebras by vanishing resonance")
-    sp.add_argument("--shape", required=True,
+    sp.add_argument("--shape", type=_shape, required=True,
                     help="comma-separated dims, e.g. 1,2,1")
     _add_common(sp, q=True, i=True, seed=True, trials=True)
     sp.set_defaults(fn=cmd_genres)

@@ -15,9 +15,10 @@ from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
 from .linalg import mat_mul, mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
-from .rings import Point, unit_ideal, zero_ideal
+from .rings import unit_ideal, zero_ideal
 from .smith import kernel_positions, smith_normal_form, snf_solve, udeg
-from .varieties import coefficient_embedding, enumerate_coords
+from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
+                        points_where, zero_locus_points)
 
 
 @dataclass
@@ -195,8 +196,7 @@ def validate_presented(E, sample_field=None):
                     "supply a finite sample field")
             F = sample_field
             emb = coefficient_embedding(ring.field, F)
-            torus = ring.laurent
-            for coords in enumerate_coords(F, ring.nvars, torus):
+            for coords in enumerate_coords(F, ring.nvars, on_torus(ring)):
                 dv = d.evaluate(coords, F, emb)
                 rs = rel_src.evaluate(coords, F, emb)
                 rd = rel_dst.evaluate(coords, F, emb)
@@ -217,26 +217,6 @@ def validate_presented(E, sample_field=None):
 
 # ---------------------------------------------------------------------------
 # pointwise homology
-
-
-@dataclass
-class JumpLocusResult:
-    """A jump-locus answer: the symbolic ideal, the enumerated points, or
-    both.  When both are present every point must lie in the ideal's locus."""
-    i: int
-    d: int
-    ideal: object = None
-    points: set = None
-
-    def verify(self):
-        if self.ideal is None or self.points is None:
-            return True
-        for p in self.points:
-            emb = coefficient_embedding(self.ideal.ring.field, p.field)
-            for g in self.ideal.generators:
-                if g.evaluate(p.coords, p.field, emb) != p.field.zero:
-                    return False
-        return True
 
 
 @dataclass
@@ -275,14 +255,25 @@ def specialize(E, point):
     return VectorComplex(F, E.ranks, maps)
 
 
+def homology_dims_at(E, field, embed=None):
+    """The per-point evaluator of a free or presented complex: a callable
+    coords -> [dim H_0, ..., dim H_n] over `field`.  For a free complex
+    dims[i] = c_i - rank d_i(w) - rank d_{i+1}(w); a presented complex
+    takes the quotient-space analogue."""
+    emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
+    if not isinstance(E, FreeChainComplex):
+        return lambda coords: _presented_dims(E, coords, field, emb)
+    diffs = [E.differential(i) for i in range(1, E.top + 1)]
+
+    def dims(coords):
+        mats = [d.evaluate(coords, field, emb) for d in diffs]
+        return VectorComplex(field, E.ranks, tuple(mats)).homology_dims()
+    return dims
+
+
 def homology_dims_at_point(E, point):
-    """dims[i] = c_i - rank d_i(w) - rank d_{i+1}(w) for a free complex, or
-    the quotient-space analogue for a presented complex."""
-    if isinstance(E, FreeChainComplex):
-        return specialize(E, point).homology_dims()
-    F = point.field
-    emb = coefficient_embedding(E.ring.field, F)
-    return _presented_dims(E, point.coords, F, emb)
+    """Homology dimensions of E at one point (see homology_dims_at)."""
+    return homology_dims_at(E, point.field)(point.coords)
 
 
 def _presented_dims(E, coords, F, emb):
@@ -305,38 +296,26 @@ def _presented_dims(E, coords, F, emb):
 
 def homology_dims_table(E, field, torus=False, embed=None):
     """Homology dimensions at every point of F^r (or the torus):
-    {coords: [dim H_0, ..., dim H_n]}.  Differentials are evaluated once
-    per point, which serves all (i, d) membership queries at once."""
+    {coords: [dim H_0, ..., dim H_n]}.  A brute-force oracle for the tests:
+    it holds all q^r points, and no command calls it."""
+    dims_at = homology_dims_at(E, field, embed)
     ring = E.ring
-    emb = embed if embed is not None else coefficient_embedding(ring.field, field)
-    torus = torus or ring.laurent
-    table = {}
-    if isinstance(E, FreeChainComplex):
-        n = E.top
-        diffs = [E.differential(i) for i in range(1, n + 1)]
-        for coords in enumerate_coords(field, ring.nvars, torus):
-            mats = [d.evaluate(coords, field, emb) for d in diffs]
-            table[coords] = VectorComplex(field, E.ranks, tuple(mats)).homology_dims()
-    else:
-        for coords in enumerate_coords(field, ring.nvars, torus):
-            table[coords] = _presented_dims(E, coords, field, emb)
-    return table
+    return {c: dims_at(c)
+            for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
 def jump_locus_points(E, i, d, field, torus=False, embed=None):
     """{w : dim H_i(E (x) S/m_w) >= d} by pointwise rank computation."""
     if d < 0:
         raise PreconditionError("d must be non-negative")
-    ring = E.ring
-    torus = torus or ring.laurent
     if d == 0:
-        return {Point(field, coords, torus)
-                for coords in enumerate_coords(field, ring.nvars, torus)}
-    if i < 0 or i > E.top:
+        test = lambda coords: True
+    elif 0 <= i <= E.top:
+        dims_at = homology_dims_at(E, field, embed)
+        test = lambda coords: dims_at(coords)[i] >= d
+    else:
         return set()
-    table = homology_dims_table(E, field, torus, embed)
-    return {Point(field, coords, torus)
-            for coords, dims in table.items() if dims[i] >= d}
+    return points_where(field, E.ring.nvars, on_torus(E.ring, torus), test)
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +533,10 @@ def support_points(E, i, d, field, torus=False, embed=None):
     zero locus of Fitt_{d-1} of a homology presentation.  Set-level equal to
     {w : dim (H_i(E) (x) S/m_w) >= d}."""
     if d < 1:
-        torus = torus or E.ring.laurent
-        return {Point(field, coords, torus)
-                for coords in enumerate_coords(field, E.ring.nvars, torus)}
+        return points_where(field, E.ring.nvars, on_torus(E.ring, torus),
+                            lambda coords: True)
     pres = cached_homology_presentation(E, i)
-    ideal = fitting_ideal(pres, d - 1)
-    from .varieties import zero_locus_points
-    return zero_locus_points(ideal, field, torus, embed)
+    return zero_locus_points(fitting_ideal(pres, d - 1), field, torus, embed)
 
 
 @dataclass

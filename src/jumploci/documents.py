@@ -41,20 +41,48 @@ from .matrices import Matrix
 from .rings import Ring, parse_poly, poly_to_str
 
 
-def _object(value, what):
-    """`value` when it is a JSON object; anything else is a DocumentError,
-    not an AttributeError."""
-    if not isinstance(value, dict):
-        raise DocumentError("%s must be a JSON object, not %.40r" % (what, value))
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# the JSON kinds a document value is checked against: (description, test)
+_KINDS = {
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "entry": ("a polynomial string or an integer",
+              lambda v: isinstance(v, str) or _is_int(v)),
+}
+
+
+def _check(value, kind, what):
+    """`value` when it is of the JSON kind `kind` (a _KINDS name, or [k]
+    for a list of k); anything else is a DocumentError naming `what`, not a
+    TypeError, ValueError or IndexError further in."""
+    if isinstance(kind, list):
+        for n, item in enumerate(_check(value, "list", what)):
+            _check(item, kind[0], "entry %d of %s" % (n, what))
+        return value
+    description, test = _KINDS[kind]
+    if not test(value):
+        raise DocumentError("%s must be %s, not %.40r" % (what, description, value))
     return value
 
 
-def _require(doc, key):
-    """doc[key] for a key the format requires; a missing one is a
-    DocumentError, not a KeyError."""
+_REQUIRED = object()
+
+
+def _require(doc, key, kind, default=_REQUIRED):
+    """doc[key] checked against `kind`; a missing key is a DocumentError
+    when the format requires it (no default), else `default`."""
     if key not in doc:
-        raise DocumentError("document is missing the required key %r" % (key,))
-    return doc[key]
+        if default is _REQUIRED:
+            raise DocumentError("document is missing the required key %r" % (key,))
+        return default
+    return _check(doc[key], kind, repr(key))
 
 
 # -- fields and rings --------------------------------------------------------
@@ -63,15 +91,15 @@ def _require(doc, key):
 def load_field(doc):
     if doc is None:
         return Rationals()
-    kind = _object(doc, "a field").get("kind")
+    kind = _check(doc, "object", "a field").get("kind")
     if kind == "rationals":
         return Rationals()
     if kind == "prime-field":
-        return field_make(kind, p=_require(doc, "p"))
+        return field_make(kind, p=_require(doc, "p", "int"))
     if kind == "extension-field":
-        modulus = tuple(doc["modulus"]) if "modulus" in doc else None
-        return field_make(kind, p=_require(doc, "p"), m=_require(doc, "m"),
-                          modulus=modulus)
+        return field_make(kind, p=_require(doc, "p", "int"),
+                          m=_require(doc, "m", "int"),
+                          modulus=_require(doc, "modulus", ["int"], None))
     raise DocumentError("unknown field kind %r" % (kind,))
 
 
@@ -98,11 +126,11 @@ def _declares(doc, field):
 
 
 def load_ring(doc, field_override=None):
-    doc = _object(doc, "a ring")
+    doc = _check(doc, "object", "a ring")
     field = field_override if field_override is not None else load_field(doc.get("field"))
-    return Ring(field, tuple(_require(doc, "variables")),
-                laurent=bool(doc.get("laurent", False)),
-                order=doc.get("order", "grlex"))
+    return Ring(field, _require(doc, "variables", ["str"]),
+                laurent=_require(doc, "laurent", "bool", False),
+                order=_require(doc, "order", "str", "grlex"))
 
 
 def dump_ring(ring):
@@ -141,31 +169,37 @@ def _load_matrix(ring, rows_doc, nrows, ncols, what):
                   [[parse_poly(ring, str(s)) for s in row] for row in rows_doc])
 
 
+def _load_differentials(ring, doc, ranks):
+    """The differentials d_i : ranks[i] -> ranks[i-1] of a complex document."""
+    diffs = _require(doc, "differentials", [[["entry"]]], [])
+    expected = max(len(ranks) - 1, 0)
+    if len(diffs) != expected:
+        raise DocumentError("expected %d differentials, got %d"
+                            % (expected, len(diffs)))
+    return [_load_matrix(ring, rows, ranks[i - 1], ranks[i],
+                         "differential %d" % i)
+            for i, rows in enumerate(diffs, start=1)]
+
+
 def load_complex(doc, field_override=None):
-    ring = load_ring(_require(doc, "ring"), field_override)
+    ring = load_ring(_require(doc, "ring", "object"), field_override)
     kind = doc.get("type", "free-complex")
     if kind == "free-complex":
-        ranks = [int(c) for c in _require(doc, "ranks")]
-        diffs = []
-        for i, rows in enumerate(doc.get("differentials", []), start=1):
-            diffs.append(_load_matrix(ring, rows, ranks[i - 1], ranks[i],
-                                      "differential %d" % i))
-        return FreeChainComplex(ring, ranks, diffs)
+        ranks = _require(doc, "ranks", ["count"])
+        return FreeChainComplex(ring, ranks, _load_differentials(ring, doc, ranks))
     if kind == "presented-complex":
         terms = []
-        for t in _require(doc, "terms"):
-            t = _object(t, "a term")
-            gens = int(_require(t, "gens"))
-            rel_rows = t.get("relations", [[] for _ in range(gens)])
+        for t in _require(doc, "terms", ["object"]):
+            gens = _require(t, "gens", "count")
+            rel_rows = _require(t, "relations", [["entry"]],
+                                [[] for _ in range(gens)])
             ncols = len(rel_rows[0]) if rel_rows and rel_rows[0] else 0
             terms.append(ModulePresentation(
                 ring, gens, _load_matrix(ring, rel_rows, gens, ncols,
                                          "relations")))
-        diffs = []
-        for i, rows in enumerate(doc.get("differentials", []), start=1):
-            diffs.append(_load_matrix(ring, rows, terms[i - 1].gens,
-                                      terms[i].gens, "differential %d" % i))
-        return PresentedChainComplex(ring, terms, diffs)
+        gens = [t.gens for t in terms]
+        return PresentedChainComplex(ring, terms,
+                                     _load_differentials(ring, doc, gens))
     raise DocumentError("unknown complex type %r" % (kind,))
 
 
@@ -190,11 +224,18 @@ def dump_complex(E):
 
 def load_cga(doc, field_override=None):
     field = field_override if field_override is not None else load_field(doc.get("field"))
-    dims = tuple(int(b) for b in _require(doc, "dims"))
+    dims = _require(doc, "dims", ["count"])
     mult = {}
-    for entry in doc.get("mult", []):
-        i, j, s, t, vec = entry
-        i, j, s, t = int(i), int(j), int(s), int(t)
+    for n, entry in enumerate(_require(doc, "mult", ["list"], [])):
+        what = "entry %d of 'mult'" % n
+        if len(entry) != 5:
+            raise DocumentError("%s must be [i, j, s, t, [coefficients]]" % what)
+        i, j, s, t = (_check(v, "int", what) for v in entry[:4])
+        vec = _check(entry[4], "list", what)
+        if not (i >= 1 and j >= 1 and i + j < len(dims)
+                and 0 <= s < dims[i] and 0 <= t < dims[j]):
+            raise DocumentError("%s: (i, j, s, t) = (%d, %d, %d, %d) is out of "
+                                "range for dims %r" % (what, i, j, s, t, dims))
         block = mult.setdefault((i, j),
                                 [[[field.zero] * dims[i + j]
                                   for _ in range(dims[j])]
@@ -220,9 +261,9 @@ def dump_cga(A):
 
 
 def load_group(doc):
-    doc = _object(doc, "a group")
-    return FinAbGroup(int(doc.get("rank", 0)),
-                      tuple(int(n) for n in doc.get("torsion", ())))
+    doc = _check(doc, "object", "a group")
+    return FinAbGroup(_require(doc, "rank", "int", 0),
+                      _require(doc, "torsion", ["int"], []))
 
 
 def dump_group(G):
@@ -231,10 +272,10 @@ def dump_group(G):
 
 def load_nu(doc):
     group = load_group(doc["group"]) if "group" in doc else None
-    free_block = [list(map(int, row)) for row in doc.get("free_block", [])]
-    torsion_blocks = [list(map(int, row)) for row in doc.get("torsion_blocks", [])]
-    b1 = int(doc["b1"]) if "b1" in doc else (len(free_block[0]) if free_block
-                                             else len(torsion_blocks[0]))
+    free_block = _require(doc, "free_block", [["int"]], [])
+    torsion_blocks = _require(doc, "torsion_blocks", [["int"]], [])
+    rows = free_block + torsion_blocks
+    b1 = _require(doc, "b1", "count", len(rows[0]) if rows else _REQUIRED)
     return NuData(b1, free_block, torsion_blocks, group)
 
 
@@ -245,8 +286,8 @@ def dump_nu(nu):
 
 
 def load_presentation(doc):
-    return GroupPresentation(tuple(_require(doc, "generators")),
-                             list(doc.get("relators", [])))
+    return GroupPresentation(_require(doc, "generators", ["str"]),
+                             _require(doc, "relators", ["str"], []))
 
 
 def dump_presentation(P):
@@ -274,12 +315,12 @@ def load_document(path, expect=None, field_override=None):
     field must already be over `field_override`."""
     try:
         with open(path) as fh:
-            doc = _object(json.load(fh), "the document in %s" % path)
+            doc = _check(json.load(fh), "object", "the document in %s" % path)
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise DocumentError("%s is not valid JSON: %s" % (path, exc))
-    kind = doc.get("type", "free-complex" if "ranks" in doc else None)
+    kind = _require(doc, "type", "str", "free-complex" if "ranks" in doc else None)
     if expect is not None:
         allowed = {"complex": ("free-complex", "presented-complex")}.get(
             expect, (expect,))
@@ -291,7 +332,7 @@ def load_document(path, expect=None, field_override=None):
         raise DocumentError("%s: unknown document type %r" % (path, kind))
     if field_override is not None and kind in ("free-complex",
                                                "presented-complex", "cga"):
-        holder = doc if kind == "cga" else _object(_require(doc, "ring"), "a ring")
+        holder = doc if kind == "cga" else _require(doc, "ring", "object")
         field_doc = holder.get("field")
         if not _declares(field_doc, field_override):
             declared = load_field(field_doc)

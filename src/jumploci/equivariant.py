@@ -13,10 +13,10 @@ from .cga import aomoto, in_resonance, validate_cga
 from .complexes import (FreeChainComplex, cached_homology_presentation,
                         is_finite_dimensional, jump_locus_points,
                         support_points, validate_complex)
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .matrices import Matrix
-from .rings import Point, Ring
-from .varieties import enumerate_coords
+from .rings import Ring
+from .varieties import enumerate_coords, points_where, vanishes
 
 
 class FinAbGroup:
@@ -263,7 +263,7 @@ def build_E1(A, nu):
     E = FreeChainComplex(ring, A.dims, diffs)
     verdict = validate_complex(E)
     if not verdict.ok:
-        raise AssertionError("page differential fails d.d = 0: %s"
+        raise InternalError("page differential fails d.d = 0: %s"
                              % verdict.message)
     return E
 
@@ -305,11 +305,10 @@ def verify_cv_res(A, nu, i, d, field):
         raise PreconditionError("enumeration field must match the algebra's")
     E = build_E1(A, nu)
     lhs = jump_locus_points(E, i, d, field)
-    rhs = set()
-    for coords in enumerate_coords(field, nu.group.rank, False):
-        a = nu.nu_bar_pullback(field, coords)
-        if in_resonance(A, a, i, d):
-            rhs.add(Point(field, coords))
+
+    def pulled_back_resonant(w):
+        return in_resonance(A, nu.nu_bar_pullback(field, w), i, d)
+    rhs = points_where(field, nu.group.rank, False, pulled_back_resonant)
     return {
         "i": i,
         "d": d,
@@ -350,13 +349,11 @@ def finiteness_test(A, nu, k_range, field, symbolic=False):
         a = nu.nu_bar_pullback(field, coords)
         for i in range(0, k_range + 1):
             member = in_resonance(A, a, i, 1)
-            if ideals is not None:
-                on_ideal = all(g.evaluate(a, field) == field.zero
-                               for g in ideals[i].generators)
-                if on_ideal != member:
-                    raise AssertionError(
-                        "resonance equations disagree with the rank route "
-                        "at w=%r, i=%d" % (coords, i))
+            if (ideals is not None
+                    and vanishes(ideals[i].generators, a, field, None) != member):
+                raise InternalError(
+                    "resonance equations disagree with the rank route "
+                    "at w=%r, i=%d" % (coords, i))
             if member:
                 violations.append({"w": coords, "i": i})
                 break

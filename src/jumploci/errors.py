@@ -27,5 +27,10 @@ class ParseError(AlgebraError):
         self.position = position
 
 
+class InternalError(AlgebraError):
+    """An invariant the package guarantees was found broken: a fault of the
+    implementation, not of the input."""
+
+
 class DocumentError(AlgebraError):
     """An input document is malformed or inconsistent."""

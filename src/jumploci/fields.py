@@ -17,7 +17,7 @@ two; orders above ``_TABLE_CAP`` raise ResourceLimitError.
 
 from fractions import Fraction
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InternalError, PreconditionError, ResourceLimitError
 
 _TABLE_CAP = 2 ** 17  # largest extension-field order; covers F_{5^7}, F_{3^10}
 
@@ -238,7 +238,7 @@ def irreducible_modulus(p, m):
     for poly in _monic_polys(p, m):
         if _is_irreducible(p, poly):
             return poly
-    raise AssertionError("no irreducible polynomial found (impossible)")
+    raise InternalError("no irreducible polynomial found (impossible)")
 
 
 class ExtensionField:
@@ -445,7 +445,7 @@ def extension_of(field, e):
             root = cand
             break
     if root is None:
-        raise AssertionError("modulus has no root in the extension (impossible)")
+        raise InternalError("modulus has no root in the extension (impossible)")
     table = []
     for a in field.elements():
         acc = 0

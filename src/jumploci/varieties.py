@@ -1,9 +1,16 @@
-"""Pointwise zero loci over finite fields.
+"""Pointwise loci over finite fields.
 
 Enumeration is the desk-scale stand-in for an algebraically closed field:
 ideals are exact over any field, and their points are listed over F_q and
 its extensions F_{q^e}.  Laurent rings only have torus points (all
-coordinates invertible), so the torus restriction is forced there.
+coordinates invertible), so `on_torus` forces the torus restriction there.
+
+Every pointwise locus of the package (zero loci and so supports, jump
+loci, resonance) is one `points_where` pass: the coordinates are streamed
+from `enumerate_coords`, tested one at a time, and only the points of the
+locus are kept, so memory is O(locus), not O(q^r).  The one q^r table,
+`complexes.homology_dims_table`, is a brute-force oracle for the tests and
+no command uses it.
 """
 
 from itertools import product
@@ -40,6 +47,25 @@ def enumerate_coords(field, r, torus):
     return product(pool, repeat=r)
 
 
+def on_torus(ring, torus=False):
+    """Whether the points of `ring`'s affine space are torus points: on
+    request, and always over a Laurent ring, whose variables are units."""
+    return torus or ring.laurent
+
+
+def points_where(field, r, torus, test):
+    """The points of F^r (or the torus) whose coordinates pass `test`,
+    streamed: no table of the q^r points is held."""
+    return {Point(field, c, torus) for c in enumerate_coords(field, r, torus)
+            if test(c)}
+
+
+def vanishes(gens, coords, field, embed):
+    """Whether every polynomial of `gens` vanishes at `coords`; `embed` is
+    the coeff_map into `field`.  Stops at the first nonzero value."""
+    return all(g.evaluate(coords, field, embed) == field.zero for g in gens)
+
+
 def zero_locus_points(ideal, field=None, torus=False, embed=None):
     """The points of F^r (or the torus) where every generator vanishes.
 
@@ -50,18 +76,9 @@ def zero_locus_points(ideal, field=None, torus=False, embed=None):
     ring = ideal.ring
     F = field if field is not None else ring.field
     emb = embed if embed is not None else coefficient_embedding(ring.field, F)
-    torus = torus or ring.laurent
     gens = sorted(ideal.generators, key=lambda g: len(g.terms))
-    out = set()
-    for coords in enumerate_coords(F, ring.nvars, torus):
-        ok = True
-        for g in gens:
-            if g.evaluate(coords, F, emb) != F.zero:
-                ok = False
-                break
-        if ok:
-            out.add(Point(F, coords, torus))
-    return out
+    return points_where(F, ring.nvars, on_torus(ring, torus),
+                        lambda c: vanishes(gens, c, F, emb))
 
 
 def extension_fields(base, max_ext):

@@ -80,6 +80,10 @@ def _ideal_vs_points(E, fields_with_embeds, dmax=4):
                                                            embed=emb)}
                 rhs = {c for c, dims in table.items() if dims[i] >= d}
                 assert lhs == rhs, (E.ring, i, d, field)
+                # the streamed route the CLI runs gives the same locus
+                streamed = {p.coords for p in jump_locus_points(
+                    E, i, d, field, embed=emb)}
+                assert streamed == lhs, (E.ring, i, d, field)
 
 
 def test_criterion_02_minor_ideal_oracle():

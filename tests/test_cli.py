@@ -244,6 +244,13 @@ def test_zero_denominators_are_parse_errors(capsys, tmp_path):
     ["finiteness", "--cga", "x.cga", "--nu", "x.nu", "--k", "-1"],
     ["genres-experiment", "--shape", "1,2,1", "--i", "1", "--trials", "-1",
      "--q", "5"],
+    ["genres-experiment", "--shape", "1,-2,1", "--i", "1", "--trials", "1",
+     "--q", "5"],
+    ["jumploci", "--complex", "x.cc", "--i", "1", "--d", "-1", "--q", "5"],
+    ["supports", "--complex", "x.cc", "--i", "1", "--d", "-1", "--q", "5"],
+    ["resonance", "--cga", "x.cga", "--i", "1", "--d", "-1", "--q", "5"],
+    ["verify-cvres", "--cga", "x.cga", "--nu", "x.nu", "--i", "1", "--d", "-2",
+     "--q", "5"],
 ])
 def test_out_of_range_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -327,6 +334,8 @@ def test_jumploci_builds_the_q_field_once(capsys, tmp_path, monkeypatch):
 NON_OBJECT_RING = {"type": "free-complex", "ring": 5, "ranks": [1, 1],
                    "differentials": [[["x"]]]}
 NON_OBJECT_FIELD = {"type": "cga", "field": 7, "dims": [1, 1]}
+RING_X = {"field": {"kind": "prime-field", "p": 5}, "variables": ["x"]}
+CGA_Q = {"type": "cga", "field": {"kind": "rationals"}, "dims": [1, 2, 1]}
 
 
 def _load_argv(doc, path):
@@ -350,6 +359,18 @@ def _load_argv(doc, path):
     ([1, 2], "DocumentError"),
     (NON_OBJECT_RING, "DocumentError"),
     (NON_OBJECT_FIELD, "DocumentError"),
+    # values of the wrong JSON type or out of range
+    (dict(NON_OBJECT_RING, ring=RING_X, ranks=[1, 2, {}]), "DocumentError"),
+    (dict(NON_OBJECT_RING, ring=dict(RING_X, variables=[[], "y"])),
+     "DocumentError"),
+    (dict(NON_OBJECT_RING, ring=dict(RING_X, field={"kind": "prime-field",
+                                                    "p": {}})),
+     "DocumentError"),
+    ({"type": "presented-complex", "ring": RING_X, "terms": None},
+     "DocumentError"),
+    (dict(CGA_Q, mult=None), "DocumentError"),
+    (dict(CGA_Q, mult=[[1, 5, 1, 0, [-1]]]), "DocumentError"),
+    (dict(CGA_Q, mult=[[0, 1, 0, 0, [1]]]), "DocumentError"),
 ])
 def test_malformed_documents_give_error_reports(doc, error, capsys, tmp_path):
     path = _write(tmp_path, "bad.cc", doc)
@@ -387,3 +408,41 @@ def test_alexander_names_a_relator_nu_does_not_kill(capsys):
         "type": "PreconditionError",
         "message": "nu sends the relator a b a b^-1 a^-1 b^-1 to [1, -1] in "
                    "Z^2, not to 0; nu must kill every relator"}
+
+
+def test_shape_that_is_not_integers_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["genres-experiment", "--shape", "a,b", "--i", "1", "--trials",
+              "1", "--q", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid int value: 'a'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_resonance_ideal_cuts_out_the_printed_points(d, capsys):
+    from jumploci.fields import finite_field
+    from jumploci.rings import Ideal, Ring, parse_poly
+    from jumploci.varieties import zero_locus_points
+    code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
+                    "--i", "1", "--d", d, "--q", "3", "--format", "structured")
+    assert code == 0
+    res = json.loads(out)["results"]
+    ring = Ring(finite_field(3), ("a1", "a2"))
+    ideal = Ideal(ring, [parse_poly(ring, g) for g in res["ideal"]])
+    locus = sorted(list(p.coords) for p in zero_locus_points(ideal))
+    assert locus == res["by_extension"]["1"]["points"]
+    assert (res["ideal"] == []) == (d == "0")
+
+
+def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
+    # a membership test that is not scaling-invariant breaks the cone check
+    from jumploci import cga
+    monkeypatch.setattr(cga, "in_resonance",
+                        lambda A, a, i, d: tuple(a) == (1, 0))
+    code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
+                    "--i", "1", "--q", "3", "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "InternalError", "message": "resonance locus is not a cone"}

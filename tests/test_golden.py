@@ -1,0 +1,64 @@
+"""Golden stdout digests: the determinism contract checked in tier-1.
+
+Each command is a README sample or a variant of one (extension fields,
+the torus, the union comparison); the sha256 of its stdout was recorded
+before the pointwise loci were moved onto one streaming kernel, and must
+not change while the printed results stay the same.  Paths are relative to
+the repository root, which the test makes the working directory.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from jumploci.cli import main
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+GOLDEN = [
+    ("jumploci --complex samples/augmentation.cc --i 1 --d 1 --q 5",
+     0, "72ecda56feeec894776a0d94b04110c75502b98298936c151caf7871426fcdaa"),
+    ("supports --complex samples/augmentation.cc --i 1 --d 1 --q 5 --compare-v",
+     0, "3751870fa020e0437a538fe488aae25d377cdba1e4a5b315d30d08999076c1dc"),
+    ("resonance --cga samples/zero-pairing.cga --i 1 --d 1 --q 3",
+     0, "add5aea1846d400c114433279e9528de46b5c36c681f6f247c5451a45b95e12a"),
+    ("e1 --cga samples/exterior.cga --nu samples/identity-z2.nu --q 5 --format structured",
+     0, "8c9368a2d9594d2e9304b5bdc8346367468e4dedd8cdc9d444ee85ca6b747416"),
+    ("verify-cvres --cga samples/exterior.cga --nu samples/identity-z2.nu --i 1 --d 1 --q 3",
+     0, "7402a98d41c2fafd4eec6857a8167ae7033b25cd60556a566d4dc748bb43e90e"),
+    ("finiteness --cga samples/exterior.cga --nu samples/identity-z2.nu --k 2 --q 5",
+     0, "6c7b578c4753950e18d647fd0d2de263613ca87da488c531721e301e633b0118"),
+    ("alexander --presentation samples/trefoil.pres --nu samples/onto-z.nu",
+     0, "0618c2b320b367cc62981cdcce97fc8e7f74d8c86ded08a2ca94f4b57f4af50a"),
+    ("charvar --presentation samples/trefoil.pres --nu samples/onto-z.nu --i 1 --d 1 --q 7",
+     0, "637ff565961d1fb827d014fb9030fbd8dbc2ee55fac9010387fb724bd68a7ce8"),
+    ("genres-experiment --shape 1,2,1 --i 1 --trials 200 --q 5 --seed 0",
+     0, "dbbe1729d205f0080775fb6ab8a68fd01649343cd68a9830893efa6772656b40"),
+    ("validate --cga samples/exterior.cga --complex samples/koszul2.cc",
+     0, "f1c3f838529af257ba02428fcabdb1c2774c396ec84c69efa2b64801ef06e6fb"),
+    ("supports --complex samples/koszul2.cc --i 1 --d 1 --q 3 --ext 2 --compare-v",
+     0, "668eb1f69b4f135a227e277998f4e84316701f17d96b1841441605498d5fec1f"),
+    ("supports --complex samples/augmentation.cc --i 1 --d 1 --q 5 --ext 2 --compare-v --format structured",
+     0, "83e033f684cfefae53b47f5071cbb69debafff0666a179e7c2a2d46275bea3df"),
+    ("jumploci --complex samples/koszul2.cc --i 1 --d 1 --q 3 --ext 2 --torus",
+     0, "6e6a556dcc192b37ed897dfd9587af6d5a9c8979d510b9b5da90ffcf80d4f272"),
+    ("jumploci --complex samples/augmentation.cc --i 0 --d 1 --q 5 --torus --format structured",
+     0, "aa487d8d1c59efd681e6fda2c703ee56f0af77ff887778f3bcd1ee06b960ebdd"),
+    ("charvar --presentation samples/trefoil.pres --nu samples/onto-z.nu --i 1 --d 1 --q 7 --ext 2",
+     0, "fc9456c9b5ab0f57ab40cb4247e803b30f89c82fbf031486fcfc34a04cc08e6f"),
+    ("resonance --cga samples/exterior.cga --i 1 --d 1 --q 3 --ext 2",
+     0, "f23fab3d1ca017c3d6889b5aa1b824e606819ffc86c5e9cb3799551e08d2a98a"),
+    ("finiteness --cga samples/exterior.cga --nu samples/identity-z2.nu --k 1 --q 5",
+     0, "3cbba564136b84b9db146733d098681b4a21bf19699e64b8b63496979d42b5bf"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN,
+                         ids=[g[0].split(" --")[0] + "-%d" % n
+                              for n, g in enumerate(GOLDEN)])
+def test_stdout_digest(command, code, digest, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Repository hygiene: the README documents exactly the CLI's long options,
-and the library holds no `assert` statement (they vanish under -O)."""
+and the library holds no `assert` statement (they vanish under -O) and no
+`raise AssertionError` (a broken invariant is an InternalError report)."""
 
 import argparse
 import ast
@@ -41,5 +42,14 @@ def test_library_has_no_assert_statements():
         with open(os.path.join(src, name)) as fh:
             tree = ast.parse(fh.read(), name)
         offenders += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                      if isinstance(node, ast.Assert) or _raises_assertion(node)]
     assert offenders == []
+
+
+def _raises_assertion(node):
+    """`raise AssertionError(...)`: an invariant belongs in an
+    errors.InternalError, which the CLI reports instead of a traceback."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
