@@ -2,7 +2,7 @@
 resonance varieties, with the graded chain complex of an abelian cover
 connecting them."""
 
-from .cga import (AomotoComplex, BShape, GradedAlgebra, aomoto,
+from .cga import (BShape, GradedAlgebra, aomoto_complex,
                   generic_vanishing_experiment, in_resonance, pairing_cga,
                   resonance_ideal, resonance_points, sample_cga, validate_cga)
 from .complexes import (FinVerdict, FreeChainComplex, ModulePresentation,

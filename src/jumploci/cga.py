@@ -5,17 +5,19 @@ constants for products of positive-degree basis elements; products landing
 above degree n are zero.  Left-multiplication by a square-zero degree-one
 element turns the algebra into a cochain complex, and the resonance locus
 in degree i collects the elements where its i-th cohomology is at least
-d-dimensional.
+d-dimensional.  All of these complexes are the specializations of one free
+complex over k[a1..a_{b_1}], the universal Aomoto complex, so resonance is
+its jump locus on the quadric a^2 = 0.
 """
 
 import random
 from dataclasses import dataclass
 
+from .complexes import (FreeChainComplex, Verdict, homology_dims_at,
+                        jump_locus_ideal, jump_locus_points)
 from .errors import InternalError, PreconditionError
-from .linalg import mat_rank
-from .matrices import Matrix, block_diag_minors_ideal
-from .rings import Ideal, Point, Ring, zero_ideal
-from .varieties import points_where
+from .matrices import Matrix
+from .rings import Ideal, Point, Ring, unit_ideal, zero_ideal
 
 
 class GradedAlgebra:
@@ -46,6 +48,7 @@ class GradedAlgebra:
                             "product vector in block (%d,%d) has wrong length" % (i, j))
             store[(i, j)] = block
         self.mult = store
+        self._aomoto = None  # built on demand by aomoto_complex
 
     @property
     def top(self):
@@ -123,7 +126,6 @@ def validate_cga(A):
     """Unit, graded-commutativity, associativity; in characteristic 2 the
     square-zero condition on degree-1 elements is per element, not an axiom.
     Reports the first violating tuple."""
-    from .complexes import Verdict
     F = A.field
     n = A.top
     char2 = F.characteristic == 2
@@ -180,160 +182,88 @@ def validate_cga(A):
 
 
 # ---------------------------------------------------------------------------
-# the multiplication complex of a degree-one element
+# the universal Aomoto complex and its jump loci
 
 
-@dataclass
-class AomotoComplex:
-    algebra: object
-    element: tuple
-    maps: tuple  # maps[i]: A^i -> A^{i+1}, shape b_{i+1} x b_i
-
-    def map_for(self, i):
-        """delta^i, a b_{i+1} x b_i scalar matrix (empty shapes off range)."""
-        if 0 <= i < len(self.maps):
-            return self.maps[i]
-        return []
-
-
-def aomoto(A, a):
-    """The cochain complex (A, left multiplication by a), for a in A^1 with
-    a^2 = 0.  The square-zero check only bites in characteristic 2."""
+def aomoto_complex(A):
+    """The universal Aomoto complex E_A, built once per algebra: the free
+    chain complex over S = k[a1..a_{b_1}] with ranks b_0..b_n whose d_i
+    (b_{i-1} x b_i) is the transpose of left multiplication by
+    a = sum a_s e_s from A^{i-1} to A^i.  Its rank formula at a point a is
+    dim H^i(A, a), so resonance is its jump locus cut by a^2 = 0.  d_1 d_2
+    is the row of coordinates of a^2, and every d_i d_{i+1} vanishes where
+    a^2 does: identically, away from characteristic 2."""
+    if A._aomoto is not None:
+        return A._aomoto
     F = A.field
-    a = tuple(a)
-    if len(a) != A.dim(1):
-        raise PreconditionError("element has wrong length for A^1")
-    sq = A.square_deg1(a)
-    if any(c != F.zero for c in sq):
-        raise PreconditionError("a^2 != 0: multiplication by a is not a differential")
-    maps = []
-    for i in range(A.top):
-        rows = A.dim(i + 1)
-        cols = A.dim(i)
-        mat = [[F.zero] * cols for _ in range(rows)]
-        if i == 0:
-            for u in range(min(rows, len(a))):
-                mat[u][0] = a[u]
-        else:
-            for t in range(cols):
-                basis = tuple(F.one if v == t else F.zero for v in range(cols))
-                prod = A.multiply(1, i, a, basis)
-                for u in range(rows):
-                    mat[u][t] = prod[u]
-        maps.append(mat)
-    return AomotoComplex(A, a, tuple(maps))
+    ring = Ring(F, tuple("a%d" % (s + 1) for s in range(A.dim(1))), order="grlex")
+    avars = [ring.var(s) for s in range(A.dim(1))]
+    diffs = [Matrix(ring, 1, A.dim(1), [avars])] if A.top >= 1 else []
+    for i in range(2, A.top + 1):
+        rows, cols = A.dim(i - 1), A.dim(i)
+        grid = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
+        for s, x in enumerate(avars):
+            for t in range(rows):
+                for u, c in enumerate(A.mu(1, i - 1, s, t)):
+                    if c != F.zero:
+                        grid[t][u] = grid[t][u] + x.scale(c)
+        diffs.append(Matrix(ring, rows, cols, grid))
+    A._aomoto = FreeChainComplex(ring, A.dims, diffs)
+    return A._aomoto
 
 
-def _cohomology_dim(A, cx, i):
-    F = A.field
-    r_in = mat_rank(F, cx.map_for(i - 1)) if i >= 1 else 0
-    r_out = mat_rank(F, cx.map_for(i))
-    return A.dim(i) - r_in - r_out
+def _square_zero(A, a):
+    return all(c == A.field.zero for c in A.square_deg1(tuple(a)))
 
 
 def in_resonance(A, a, i, d):
     """Whether a lies in the degree-i, depth-d resonance locus: a^2 must
     vanish (an element with a^2 != 0, possible only in characteristic 2,
-    is outside) and dim H^i(A, a) >= d, by the rank formula."""
-    F = A.field
+    is outside) and dim H^i(A, a) >= d, by the rank formula of E_A at a."""
     if d <= 0:
         return True
     if i < 0 or i > A.top:
         return False
-    if any(c != F.zero for c in A.square_deg1(tuple(a))):
+    if len(a) != A.dim(1):
+        raise PreconditionError("element has wrong length for A^1")
+    if not _square_zero(A, a):
         return False
-    cx = aomoto(A, a)
-    return _cohomology_dim(A, cx, i) >= d
+    return homology_dims_at(aomoto_complex(A), A.field)(tuple(a))[i] >= d
 
 
-@dataclass
-class ResonanceResult:
-    i: int
-    d: int
-    points: set = None
-    ideal: object = None
-
-
-def resonance_points(A, i, d, field=None):
-    """All a in A^1(F) with a^2 = 0 and dim H^i(A, a) >= d.
+def resonance_points(A, i, d):
+    """All a in A^1(F) with a^2 = 0 and dim H^i(A, a) >= d: the jump locus
+    of E_A over the algebra's finite field, cut by a^2 = 0 when d >= 1.
 
     The result is checked to be a cone (closed under scaling)."""
-    F = field if field is not None else A.field
-    if not F.is_finite:
-        raise PreconditionError("resonance enumeration needs a finite field")
-    if F != A.field:
-        raise PreconditionError("enumeration field must match the algebra's field")
-    pts = points_where(F, A.dim(1), False,
-                       lambda coords: in_resonance(A, coords, i, d))
+    F = A.field
+    pts = jump_locus_points(aomoto_complex(A), i, d, F)
+    if d >= 1:
+        pts = {p for p in pts if _square_zero(A, p.coords)}
     for p in pts:
         for lam in F.units():
             scaled = tuple(F.mul(lam, c) for c in p.coords)
             if Point(F, scaled) not in pts:
                 raise InternalError("resonance locus is not a cone")
-    return ResonanceResult(i, d, points=pts)
-
-
-def _symbolic_aomoto_matrices(A, ring):
-    """delta^i with symbolic coordinates a_1..a_{b_1}: entries are linear
-    forms over ring = k[a_1..a_{b_1}]."""
-    F = A.field
-    avars = [ring.var(s) for s in range(A.dim(1))]
-    mats = []
-    for i in range(A.top):
-        rows, cols = A.dim(i + 1), A.dim(i)
-        grid = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-        for s in range(A.dim(1)):
-            if i == 0:
-                if s < rows:
-                    grid[s][0] = grid[s][0] + avars[s]
-            else:
-                for t in range(cols):
-                    coeffs = A.mu(1, i, s, t)
-                    for u in range(rows):
-                        if coeffs[u] != F.zero:
-                            grid[u][t] = grid[u][t] + avars[s].scale(coeffs[u])
-        mats.append(Matrix(ring, rows, cols, grid))
-    return mats
+    return pts
 
 
 def resonance_ideal(A, i, d):
     """Bihomogeneous equations for the degree-i resonance locus: the
-    coordinates of a^2 (the square-zero quadric) together with the minors
-    of size b_i - d + 1 of the block matrix delta^{i-1} (+) delta^i with
-    symbolic a.  Zero locus equals resonance_points over every finite field;
-    for d = 0 that is all of A^1, the zero ideal."""
+    coordinates of a^2 (the square-zero quadrics, the entries of d_1 d_2)
+    together with the jump locus ideal of E_A.  Zero locus
+    equals resonance_points over every finite field; for d = 0 that is all
+    of A^1, the zero ideal."""
     if d < 0:
         raise PreconditionError("d must be non-negative")
-    names = tuple("a%d" % (s + 1) for s in range(A.dim(1)))
-    ring = Ring(A.field, names, order="grlex")
+    E = aomoto_complex(A)
     if d == 0:
-        return zero_ideal(ring)
-    F = A.field
-    if i < 0 or i > A.top:
-        return Ideal(ring, [ring.one()])
-    size = A.dim(i) - d + 1
-    if size <= 0:
-        return Ideal(ring, [ring.one()])
-    gens = []
-    # quadric: coordinates of a^2 (emitted even when char != 2 makes them
-    # redundant for the enumerated points)
-    avars = [ring.var(s) for s in range(A.dim(1))]
-    if A.top >= 2:
-        for u in range(A.dim(2)):
-            acc = ring.zero()
-            for s in range(A.dim(1)):
-                for t in range(A.dim(1)):
-                    c = A.mu(1, 1, s, t)[u]
-                    if c != F.zero:
-                        acc = acc + (avars[s] * avars[t]).scale(c)
-            gens.append(acc)
-    mats = _symbolic_aomoto_matrices(A, ring)
-    below = mats[i - 1] if i >= 1 else Matrix(ring, A.dim(i), 0,
-                                              [[] for _ in range(A.dim(i))])
-    here = mats[i] if i < len(mats) else Matrix(ring, 0, A.dim(i), [])
-    minor_ideal = block_diag_minors_ideal(below, here, size)
-    gens.extend(minor_ideal.generators)
-    return Ideal(ring, gens)
+        return zero_ideal(E.ring)
+    if A.dim(i) - d + 1 <= 0:
+        return unit_ideal(E.ring)
+    # the quadrics are emitted even when char != 2 makes them vanish
+    quadrics = (E.differential(1) * E.differential(2)).row(0)
+    return Ideal(E.ring, [*quadrics, *jump_locus_ideal(E, i, d).generators])
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +375,7 @@ def generic_vanishing_experiment(shape, i, trials, field, seed):
     witnesses = []
     for trial in range(trials):
         A = sample_cga(BShape(dims), F, "%s:%d" % (seed, trial))
-        res = resonance_points(A, i, 1, F)
-        nontrivial = {p for p in res.points if p.coords != zero}
+        nontrivial = {p for p in resonance_points(A, i, 1) if p.coords != zero}
         if nontrivial:
             resonant_count += 1
             witness = sorted(nontrivial, key=lambda p: p.sort_key())[0]

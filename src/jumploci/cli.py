@@ -15,10 +15,10 @@ from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonanc
 from .complexes import (FreeChainComplex, homology_dims_at, jump_locus_ideal,
                         jump_locus_points, support_points, validate_complex,
                         validate_presented)
-from .documents import (dump_complex, dumps, load_document)
+from .documents import dump_complex, dump_scalar, dumps, load_document
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import AlgebraError, DocumentError
-from .fields import ExtensionField, Rationals, finite_field
+from .fields import Rationals, finite_field
 from .fox import alexander_invariant, characteristic_variety_points
 from .rings import poly_to_str
 from .varieties import extension_fields, on_torus, points_where
@@ -46,16 +46,8 @@ PROV = {
 }
 
 
-def _coord_out(field, c):
-    if isinstance(field, ExtensionField):
-        return field.scalar_str(c)
-    if isinstance(field, Rationals):
-        return str(c)
-    return c
-
-
 def point_list(field, pts):
-    return sorted([[_coord_out(field, c) for c in p.coords] for p in pts])
+    return sorted([[dump_scalar(field, c) for c in p.coords] for p in pts])
 
 
 def _target_field(args, declared=None):
@@ -171,9 +163,9 @@ def cmd_resonance(args):
         raise DocumentError("resonance enumeration needs --q")
     result = {"i": args.i, "d": args.d, "by_extension": {}}
     for e, F, emb in extension_fields(A.field, args.ext):
-        res = resonance_points(A.base_change(F, emb), args.i, args.d, F)
+        pts = resonance_points(A.base_change(F, emb), args.i, args.d)
         result["by_extension"][str(e)] = {"field_order": F.order,
-                                          "points": point_list(F, res.points)}
+                                          "points": point_list(F, pts)}
         if e == 1:
             ideal = resonance_ideal(A, args.i, args.d)
             result["ideal"] = [poly_to_str(g) for g in ideal.generators]
@@ -194,7 +186,7 @@ def cmd_verify_cvres(args):
     F = A.field
     if not F.is_finite:
         raise DocumentError("verify-cvres enumerates points: pass --q")
-    rep = verify_cv_res(A, nu, args.i, args.d, F)
+    rep = verify_cv_res(A, nu, args.i, args.d)
     result = {
         "i": args.i, "d": args.d, "field_order": F.order,
         "lhs_points": point_list(F, rep["lhs_points"]),
@@ -211,7 +203,7 @@ def cmd_finiteness(args):
     if not F.is_finite:
         raise DocumentError("the finiteness hypothesis is checked pointwise: "
                             "pass --q")
-    rep = finiteness_test(A, nu, args.k, F)
+    rep = finiteness_test(A, nu, args.k)
     result = {
         "k_range": rep["k_range"],
         "hypothesis_holds": rep["hypothesis_holds"],
@@ -221,7 +213,7 @@ def cmd_finiteness(args):
     }
     if rep["violations"]:
         result["violations"] = sorted(
-            [{"w": [_coord_out(F, c) for c in v["w"]], "i": v["i"]}
+            [{"w": [dump_scalar(F, c) for c in v["w"]], "i": v["i"]}
              for v in rep["violations"]],
             key=lambda v: (v["i"], v["w"]))
     if rep["hypothesis_holds"]:
@@ -269,12 +261,12 @@ def cmd_genres(args):
     for key in ("vanishing_exemplar", "resonant_exemplar"):
         ex = rep.get(key)
         if ex:
-            ex["mult"] = [[i, j, s, t, [_coord_out(F, c) for c in vec]]
+            ex["mult"] = [[i, j, s, t, [dump_scalar(F, c) for c in vec]]
                           for (i, j, s, t, vec) in ex["mult"]]
             if "witness" in ex:
-                ex["witness"] = [_coord_out(F, c) for c in ex["witness"]]
+                ex["witness"] = [dump_scalar(F, c) for c in ex["witness"]]
     rep["resonant_witnesses"] = [
-        {"trial": w["trial"], "witness": [_coord_out(F, c) for c in w["witness"]]}
+        {"trial": w["trial"], "witness": [dump_scalar(F, c) for c in w["witness"]]}
         for w in rep["resonant_witnesses"]]
     return {"results": rep}, 0
 
@@ -287,8 +279,6 @@ def _render_text(report, out):
         if isinstance(value, dict):
             for k in sorted(value):
                 walk("%s.%s" % (prefix, k) if prefix else str(k), value[k])
-        elif isinstance(value, list) and value and isinstance(value[0], list):
-            out.write("%s: %s\n" % (prefix, json.dumps(value)))
         elif isinstance(value, list):
             out.write("%s: %s\n" % (prefix, json.dumps(value)))
         else:

@@ -151,7 +151,7 @@ def load_scalar(field, value):
     raise DocumentError("cannot read scalar %r" % (value,))
 
 
-def _scalar_out(field, c):
+def dump_scalar(field, c):
     if isinstance(field, Rationals):
         return str(c) if c.denominator != 1 else int(c)
     if isinstance(field, ExtensionField):
@@ -252,7 +252,7 @@ def dump_cga(A):
             for t, vec in enumerate(row):
                 if any(c != F.zero for c in vec):
                     entries.append([i, j, s, t,
-                                    [_scalar_out(F, c) for c in vec]])
+                                    [dump_scalar(F, c) for c in vec]])
     return {"type": "cga", "field": dump_field(F), "dims": list(A.dims),
             "mult": entries}
 

@@ -9,7 +9,7 @@ directions which carry no points and are recorded but quotiented away.
 
 from dataclasses import dataclass
 
-from .cga import aomoto, in_resonance, validate_cga
+from .cga import aomoto_complex, in_resonance, resonance_ideal, validate_cga
 from .complexes import (FreeChainComplex, cached_homology_presentation,
                         is_finite_dimensional, jump_locus_points,
                         support_points, validate_complex)
@@ -269,23 +269,14 @@ def build_E1(A, nu):
 
 
 def transpose_identity_holds(A, nu, E, w, field):
-    """Check (d_i(w))^T = delta^{i-1}(pullback of w) entrywise, all i."""
-    F = field
-    a = nu.nu_bar_pullback(F, w)
-    if any(c != F.zero for c in A.square_deg1(a)):
-        return False
-    cx = aomoto(A, a)
-    for i in range(1, A.top + 1):
-        d_eval = E.differential(i).evaluate(w, F)
-        delta = cx.map_for(i - 1)
-        rows = len(d_eval)
-        cols = len(d_eval[0]) if rows else 0
-        for t in range(rows):
-            for u in range(cols):
-                want = delta[u][t] if delta and u < len(delta) else F.zero
-                if d_eval[t][u] != want:
-                    return False
-    return True
+    """Check d_i(w) of the page E against d_i(pullback of w) of the
+    universal Aomoto complex entrywise, all i: both are the transpose of
+    left multiplication by the pulled-back element."""
+    a = nu.nu_bar_pullback(field, w)
+    EA = aomoto_complex(A)
+    return all(E.differential(i).evaluate(w, field)
+               == EA.differential(i).evaluate(a, field)
+               for i in range(1, A.top + 1))
 
 
 PROV_COMPARISON = ("jump loci of the graded page coincide with resonance "
@@ -295,14 +286,14 @@ PROV_FINITENESS = ("trivial resonance meeting the image forces the page "
                    "finite-dimensional completed invariants (one-directional)")
 
 
-def verify_cv_res(A, nu, i, d, field):
-    """Both sides of the comparison at every point of F^r: the pointwise
-    jump locus of the page, and the pullback membership in resonance.
-    `equal` must be true; a false value signals an implementation fault."""
+def verify_cv_res(A, nu, i, d):
+    """Both sides of the comparison at every point of F^r, F the algebra's
+    finite field: the pointwise jump locus of the page, and the pullback
+    membership in resonance.  `equal` must be true; a false value signals
+    an implementation fault."""
+    field = A.field
     if not field.is_finite:
         raise PreconditionError("point verification needs a finite field")
-    if field != A.field:
-        raise PreconditionError("enumeration field must match the algebra's")
     E = build_E1(A, nu)
     lhs = jump_locus_points(E, i, d, field)
 
@@ -319,24 +310,24 @@ def verify_cv_res(A, nu, i, d, field):
     }
 
 
-def finiteness_test(A, nu, k_range, field, symbolic=False):
+def finiteness_test(A, nu, k_range, symbolic=False):
     """Hypothesis: the pullback of every nonzero w avoids all degree <= k
-    resonance (beyond 0).  When it holds, the page homology supports are
-    checked to sit inside the origin and the homology dimensions are
-    reported; the conclusion transfers to the completed invariants of the
-    cover (the completion itself is never materialized).  A failed
-    hypothesis is reported as inconclusive: the criterion is one-directional.
+    resonance (beyond 0), over the algebra's finite field.  When it holds,
+    the page homology supports are checked to sit inside the origin and the
+    homology dimensions are reported; the conclusion transfers to the
+    completed invariants of the cover (the completion itself is never
+    materialized).  A failed hypothesis is reported as inconclusive: the
+    criterion is one-directional.
 
     With symbolic=True every pointwise membership is confirmed against the
     resonance equations (quadrics plus minors); a mismatch would be an
     implementation fault and raises.
     """
-    from .cga import resonance_ideal
+    field = A.field
     if k_range > A.top:
         raise PreconditionError("k exceeds the top degree of the algebra")
-    if not field.is_finite or field != A.field:
-        raise PreconditionError("the hypothesis check enumerates a finite field "
-                                "matching the algebra's")
+    if not field.is_finite:
+        raise PreconditionError("the hypothesis check enumerates a finite field")
     E = build_E1(A, nu)
     r = nu.group.rank
     zero = tuple(field.zero for _ in range(r))

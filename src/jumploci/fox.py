@@ -10,6 +10,8 @@ where an uppercase letter is the inverse (usable when every generator is a
 single lowercase letter).
 """
 
+import re
+
 from .cga import GradedAlgebra
 from .complexes import (FreeChainComplex, homology_presentation,
                         is_finite_dimensional, jump_locus_points)
@@ -29,27 +31,39 @@ def free_reduce(letters):
     return tuple(out)
 
 
+MAX_RELATOR_LENGTH = 10000  # letters of a relator before free reduction
+
+_EXPONENT = re.compile(r"([+-]?)0*([0-9]+)")
+
+
 def parse_word(generators, text):
     """Parse a relator string in either accepted notation; freely reduces.
-    The empty word is "" or "1" (the form word_to_str writes)."""
+    The empty word is "" or "1" (the form word_to_str writes).  A relator
+    longer than MAX_RELATOR_LENGTH letters, exponents expanded, is refused
+    before it is built."""
     generators = list(generators)
     text = text.strip()
     if text in ("", "1"):
         return ()
     letters = []
     if any(ch.isspace() for ch in text) or "^" in text:
+        bare = False  # the last token is a generator without an exponent
         for token in text.replace("^", " ^").split():
             if token.startswith("^"):
                 # exponent applies to the previous letter, composing with its
                 # own sign ("A^2" is a^-2)
-                if not letters:
-                    raise ParseError("exponent with no preceding generator")
-                exp = int(token[1:])
+                if not bare:
+                    raise ParseError(
+                        "second exponent on one generator" if letters
+                        else "exponent with no preceding generator")
                 g, sign = letters.pop()
+                exp = _exponent(token, len(letters))
                 letters.extend(_letter_power(g, sign * exp))
+                bare = False
                 continue
             idx = _gen_index(generators, token)
             letters.append((idx, 1) if not token[0].isupper() else (idx, -1))
+            bare = True
     else:
         if not all(len(g) == 1 and g.islower() for g in generators):
             raise ParseError(
@@ -61,7 +75,28 @@ def parse_word(generators, text):
                 letters.append((_gen_index(generators, ch.lower()), -1))
             else:
                 raise ParseError("unexpected character %r in compact word" % ch)
+    if len(letters) > MAX_RELATOR_LENGTH:
+        raise _too_long()
     return free_reduce(letters)
+
+
+def _exponent(token, written):
+    """The integer of an exponent token `^n`; refused when its letters and
+    the `written` ones before it would pass MAX_RELATOR_LENGTH."""
+    m = _EXPONENT.fullmatch(token[1:])
+    if m is None:
+        raise ParseError("malformed exponent %r" % token)
+    sign, digits = m.groups()
+    # digits are counted before int(), which refuses very long strings
+    if (len(digits) > len(str(MAX_RELATOR_LENGTH))
+            or written + int(digits) > MAX_RELATOR_LENGTH):
+        raise _too_long()
+    return -int(digits) if sign == "-" else int(digits)
+
+
+def _too_long():
+    return ResourceLimitError("relator longer than MAX_RELATOR_LENGTH = %d "
+                              "letters" % MAX_RELATOR_LENGTH)
 
 
 def _letter_power(g, exp):

@@ -55,7 +55,6 @@ class SmithForm:
     D: Matrix
     V: Matrix
     divisors: tuple
-    U_inv: Matrix
     V_inv: Matrix
 
 
@@ -67,19 +66,16 @@ class _Worker:
         self.n = matrix.ncols
         self.a = [list(row) for row in matrix.entries]
         self.u = [list(row) for row in Matrix.identity(ring, self.m).entries]
-        self.uinv = [list(row) for row in Matrix.identity(ring, self.m).entries]
         self.v = [list(row) for row in Matrix.identity(ring, self.n).entries]
         self.vinv = [list(row) for row in Matrix.identity(ring, self.n).entries]
 
-    # invariant:  a == u * a_orig * v   and   a_orig == uinv * a * vinv
+    # invariant:  a == u * a_orig * v   and   v * vinv == 1
 
     def row_swap(self, i, j):
         if i == j:
             return
         self.a[i], self.a[j] = self.a[j], self.a[i]
         self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.uinv:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(self, i, j):
         if i == j:
@@ -96,8 +92,6 @@ class _Worker:
             return
         self.a[i] = [x + q * y for x, y in zip(self.a[i], self.a[j])]
         self.u[i] = [x + q * y for x, y in zip(self.u[i], self.u[j])]
-        for r in self.uinv:
-            r[j] = r[j] - q * r[i]
 
     def col_addmul(self, i, j, q):
         """col_i += q * col_j"""
@@ -109,11 +103,9 @@ class _Worker:
             r[i] = r[i] + q * r[j]
         self.vinv[j] = [x - q * y for x, y in zip(self.vinv[j], self.vinv[i])]
 
-    def row_scale(self, i, unit, unit_inv):
+    def row_scale(self, i, unit):
         self.a[i] = [unit * x for x in self.a[i]]
         self.u[i] = [unit * x for x in self.u[i]]
-        for r in self.uinv:
-            r[i] = unit_inv * r[i]
 
     def _find_min(self, k):
         best = None
@@ -188,9 +180,7 @@ def smith_normal_form(matrix):
         for i in range(w.m):
             shift = min((umin(p) for p in w.a[i] if not p.is_zero()), default=0)
             if shift < 0:
-                unit = Poly(ring, {(-shift,): ring.field.one})
-                unit_inv = Poly(ring, {(shift,): ring.field.one})
-                w.row_scale(i, unit, unit_inv)
+                w.row_scale(i, Poly(ring, {(-shift,): ring.field.one}))
     w.run()
     # normalize the diagonal: monic, and (Laurent) lowest exponent 0
     F = ring.field
@@ -200,9 +190,7 @@ def smith_normal_form(matrix):
             continue
         shift = umin(p) if ring.laurent else 0
         lead = ucoeff(p, udeg(p))
-        unit = Poly(ring, {(-shift,): F.inv(lead)})
-        unit_inv = Poly(ring, {(shift,): lead})
-        w.row_scale(k, unit, unit_inv)
+        w.row_scale(k, Poly(ring, {(-shift,): F.inv(lead)}))
     divisors = []
     for k in range(min(w.m, w.n)):
         if not w.a[k][k].is_zero():
@@ -212,7 +200,6 @@ def smith_normal_form(matrix):
         D=Matrix(ring, w.m, w.n, w.a),
         V=Matrix(ring, w.n, w.n, w.v),
         divisors=tuple(divisors),
-        U_inv=Matrix(ring, w.m, w.m, w.uinv),
         V_inv=Matrix(ring, w.n, w.n, w.vinv),
     )
 

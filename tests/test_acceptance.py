@@ -139,15 +139,15 @@ def test_criterion_04_resonance_basics():
     for field in (F3, F5):
         for A in _cga_corpus(field):
             zero = tuple(field.zero for _ in range(A.dim(1)))
-            r01 = {p.coords for p in resonance_points(A, 0, 1, field).points}
+            r01 = {p.coords for p in resonance_points(A, 0, 1)}
             assert r01 == {zero}
             for d in (2, 3):
-                assert resonance_points(A, 0, d, field).points == set()
+                assert resonance_points(A, 0, d) == set()
             for i in (1, 2):
                 sets = {}
                 for d in (1, 2, 3):
                     sets[d] = {p.coords
-                               for p in resonance_points(A, i, d, field).points}
+                               for p in resonance_points(A, i, d)}
                 assert sets[3] <= sets[2] <= sets[1]
                 for d in (1, 2):
                     for coords in sets[d]:
@@ -165,10 +165,10 @@ def test_criterion_05_section6_examples():
     for q in (3, 5):
         F = finite_field(q)
         heis = pairing_cga(F, 2, 1, {})
-        pts = {p.coords for p in resonance_points(heis, 1, 1, F).points}
+        pts = {p.coords for p in resonance_points(heis, 1, 1)}
         assert pts == set(product(F.elements(), repeat=2))
         nondeg = pairing_cga(F, 2, 1, {(0, 1): [1]})
-        pts2 = {p.coords for p in resonance_points(nondeg, 1, 1, F).points}
+        pts2 = {p.coords for p in resonance_points(nondeg, 1, 1)}
         assert pts2 == {(F.zero, F.zero)}
     # the two-generator group with a^2 b = b a^2: quadratic pairing is
     # nondegenerate, the finiteness hypothesis holds with supports at the
@@ -177,7 +177,7 @@ def test_criterion_05_section6_examples():
     nu = NuData(2, [[1, 0], [0, 1]], (), FinAbGroup(2))
     for F in (F3, F5):
         A = quadratic_cup(P, F)
-        rep = finiteness_test(A, nu, 1, F)
+        rep = finiteness_test(A, nu, 1)
         assert rep["hypothesis_holds"] is True
         assert rep["e2_supports_in_origin"] is True
         assert all(v.kind == "finite" for v in rep["e2_dims"].values())
@@ -185,7 +185,7 @@ def test_criterion_05_section6_examples():
     assert verdict.kind == "infinite"
     # the zero-pairing analogue is inconclusive for the same test
     heis5 = pairing_cga(F5, 2, 1, {})
-    rep = finiteness_test(heis5, identity_nu(2), 1, F5)
+    rep = finiteness_test(heis5, identity_nu(2), 1)
     assert rep["hypothesis_holds"] is False
     assert "inconclusive" in rep["conclusion"]
     elapsed = time.monotonic() - started
@@ -231,7 +231,7 @@ def test_criterion_06_comparison_theorem():
         for A, nu in pairs:
             for i in (0, 1, 2):
                 for d in (1, 2):
-                    rep = verify_cv_res(A, nu, i, d, field)
+                    rep = verify_cv_res(A, nu, i, d)
                     assert rep["equal"], (field, i, d, nu.group)
                     checks += 1
     elapsed = time.monotonic() - started
@@ -296,7 +296,7 @@ def test_criterion_09_generic_vanishing_experiment():
     for trial in range(trials):
         A = sample_cga(BShape((1, 2, 1)), F5, "%s:%d" % (seed, trial))
         c = A.mu(1, 1, 0, 1)[0]
-        pts = {p.coords for p in resonance_points(A, 1, 1, F5).points}
+        pts = {p.coords for p in resonance_points(A, 1, 1)}
         if c == F5.zero:
             zero_trials += 1
             assert pts == set(product(range(5), repeat=2))
@@ -311,21 +311,21 @@ def test_criterion_09_generic_vanishing_experiment():
         coords = tuple(w["witness"])
         assert coords != (F5.zero, F5.zero)
         assert coords in {p.coords
-                          for p in resonance_points(A_w, 1, 1, F5).points}
+                          for p in resonance_points(A_w, 1, 1)}
     # the two recorded exemplars recompute consistently
     res_ex = rep["resonant_exemplar"]
     assert res_ex["mult"] == []
     witness = tuple(res_ex["witness"])
     A0 = pairing_cga(F5, 2, 1, {})
     assert witness in {p.coords
-                       for p in resonance_points(A0, 1, 1, F5).points}
+                       for p in resonance_points(A0, 1, 1)}
     van_ex = rep["vanishing_exemplar"]
     pairing = {}
     for (i, j, s, t, vec) in van_ex["mult"]:
         if (s, t) == (0, 1):
             pairing[(0, 1)] = vec
     A1 = pairing_cga(F5, 2, 1, pairing)
-    assert {p.coords for p in resonance_points(A1, 1, 1, F5).points} == {(0, 0)}
+    assert {p.coords for p in resonance_points(A1, 1, 1)} == {(0, 0)}
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     _report(9, "200-trial classification over F_5 (zero pairing resonant: "

@@ -399,6 +399,24 @@ def test_field_above_the_cap_is_an_error_report(capsys):
     assert "F_2^18" in err["message"] and "_TABLE_CAP" in err["message"]
 
 
+@pytest.mark.parametrize("relator,error", [
+    ("a^x b", "ParseError"),
+    ("a^ b", "ParseError"),
+    ("a^2^3 b", "ParseError"),
+    ("a^10001 b", "ResourceLimitError"),
+])
+def test_bad_relator_exponents_give_error_reports(relator, error, capsys,
+                                                  tmp_path):
+    # 10001 is one letter past fox.MAX_RELATOR_LENGTH
+    path = _write(tmp_path, "bad.pres", {
+        "type": "presentation", "generators": ["a", "b"],
+        "relators": [relator]})
+    code, out = run(capsys, "alexander", "--presentation", path, "--nu",
+                    SAMPLES + "onto-z.nu", "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
 def test_alexander_names_a_relator_nu_does_not_kill(capsys):
     code, out = run(capsys, "alexander", "--presentation",
                     SAMPLES + "trefoil.pres", "--nu", SAMPLES + "identity-z2.nu",
@@ -437,10 +455,11 @@ def test_resonance_ideal_cuts_out_the_printed_points(d, capsys):
 
 
 def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
-    # a membership test that is not scaling-invariant breaks the cone check
+    # a locus that is not scaling-invariant breaks the cone check
     from jumploci import cga
-    monkeypatch.setattr(cga, "in_resonance",
-                        lambda A, a, i, d: tuple(a) == (1, 0))
+    from jumploci.rings import Point
+    monkeypatch.setattr(cga, "jump_locus_points",
+                        lambda E, i, d, field: {Point(field, (1, 0))})
     code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
                     "--i", "1", "--q", "3", "--format", "structured")
     assert code == 1

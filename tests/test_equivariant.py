@@ -145,20 +145,20 @@ def test_build_e1_shape_mismatch():
 
 
 def test_verify_cvres_torus():
-    rep = verify_cv_res(exterior2(F3), identity_nu(2), 1, 1, F3)
+    rep = verify_cv_res(exterior2(F3), identity_nu(2), 1, 1)
     assert rep["equal"]
     assert {p.coords for p in rep["lhs_points"]} == {(0, 0)}
 
 
 def test_verify_cvres_zero_mult():
-    rep = verify_cv_res(zero_mult(F3), identity_nu(2), 1, 1, F3)
+    rep = verify_cv_res(zero_mult(F3), identity_nu(2), 1, 1)
     assert rep["equal"]
     assert len(rep["lhs_points"]) == 9
 
 
 def test_verify_cvres_degree_zero():
     for A in (exterior2(F3), zero_mult(F3)):
-        rep = verify_cv_res(A, identity_nu(2), 0, 1, F3)
+        rep = verify_cv_res(A, identity_nu(2), 0, 1)
         assert rep["equal"]
         assert {p.coords for p in rep["lhs_points"]} == {(0, 0)}
 
@@ -173,7 +173,7 @@ def test_identity_specialization_matches_resonance():
             for d in (1, 2):
                 lhs = {p.coords for p in jump_locus_points(E, i, d, F3)}
                 rhs = {p.coords
-                       for p in resonance_points(A, i, d, F3).points}
+                       for p in resonance_points(A, i, d)}
                 assert lhs == rhs
 
 
@@ -196,7 +196,7 @@ def test_torsion_collapse():
 
 
 def test_finiteness_torus():
-    rep = finiteness_test(exterior2(F5), identity_nu(2), 2, F5)
+    rep = finiteness_test(exterior2(F5), identity_nu(2), 2)
     assert rep["hypothesis_holds"]
     assert rep["e2_supports_in_origin"]
     dims = {i: (v.kind, v.dim) for i, v in rep["e2_dims"].items()}
@@ -204,7 +204,7 @@ def test_finiteness_torus():
 
 
 def test_finiteness_zero_mult_inconclusive():
-    rep = finiteness_test(zero_mult(F3), identity_nu(2), 1, F3)
+    rep = finiteness_test(zero_mult(F3), identity_nu(2), 1)
     assert not rep["hypothesis_holds"]
     assert "inconclusive" in rep["conclusion"]
     assert rep["violations"]
@@ -212,7 +212,7 @@ def test_finiteness_zero_mult_inconclusive():
 
 def test_finiteness_k_out_of_range():
     with pytest.raises(PreconditionError):
-        finiteness_test(exterior2(F3), identity_nu(2), 5, F3)
+        finiteness_test(exterior2(F3), identity_nu(2), 5)
 
 
 def test_rank3_exterior_page_is_koszul():
@@ -233,21 +233,21 @@ def test_rank3_exterior_page_is_koszul():
     for i in range(4):
         pts = {p.coords for p in jump_locus_points(E, i, 1, F3)}
         assert pts == {(0, 0, 0)}, i
-    rep = finiteness_test(A, nu, 3, F3)
+    rep = finiteness_test(A, nu, 3)
     assert rep["hypothesis_holds"] and rep["e2_supports_in_origin"]
     dims = {i: (v.kind, v.dim) for i, v in rep["e2_dims"].items()}
     assert dims == {0: ("finite", 1), 1: ("finite", 0), 2: ("finite", 0),
                     3: ("finite", 0)}
     for i in (0, 1, 2, 3):
-        rep2 = verify_cv_res(A, nu, i, 1, F3)
+        rep2 = verify_cv_res(A, nu, i, 1)
         assert rep2["equal"]
 
 
 def test_finiteness_symbolic_confirmation():
     # every pointwise membership is re-derived from the resonance equations
-    rep = finiteness_test(exterior2(F5), identity_nu(2), 2, F5, symbolic=True)
+    rep = finiteness_test(exterior2(F5), identity_nu(2), 2, symbolic=True)
     assert rep["hypothesis_holds"]
-    rep2 = finiteness_test(zero_mult(F3), identity_nu(2), 1, F3, symbolic=True)
+    rep2 = finiteness_test(zero_mult(F3), identity_nu(2), 1, symbolic=True)
     assert not rep2["hypothesis_holds"]
 
 
@@ -258,7 +258,7 @@ def test_finiteness_chain_on_random_corpus():
     for seed in range(12):
         b1 = 1 + seed % 3
         A = sample_cga(BShape((1, b1, 1 + seed % 2)), F3, "chain:%d" % seed)
-        rep = finiteness_test(A, identity_nu(b1), 2, F3)
+        rep = finiteness_test(A, identity_nu(b1), 2)
         if rep["hypothesis_holds"]:
             held += 1
             assert rep["e2_supports_in_origin"]

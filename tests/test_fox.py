@@ -6,12 +6,13 @@ from jumploci.complexes import (jump_locus_points, support_points,
                                 validate_complex)
 from jumploci.corpus import random_word
 from jumploci.equivariant import FinAbGroup, NuData
-from jumploci.errors import ParseError, PreconditionError
+from jumploci.errors import ParseError, PreconditionError, ResourceLimitError
 from jumploci.fields import PrimeField, Rationals
-from jumploci.fox import (GroupPresentation, alexander_complex,
-                          alexander_invariant, characteristic_variety_points,
-                          fox_derivative, magnus_quadratic, parse_word,
-                          quadratic_cup, word_image)
+from jumploci.fox import (MAX_RELATOR_LENGTH, GroupPresentation,
+                          alexander_complex, alexander_invariant,
+                          characteristic_variety_points, fox_derivative,
+                          magnus_quadratic, parse_word, quadratic_cup,
+                          word_image)
 from jumploci.cga import resonance_points, validate_cga
 from jumploci.rings import Ring, poly_to_str
 
@@ -66,6 +67,26 @@ def test_parse_word_errors():
         parse_word(("a",), "c")
     with pytest.raises(ParseError):
         parse_word(("gen1", "gen2"), "gen1gen2")
+
+
+@pytest.mark.parametrize("text", ["a^x b", "a^ b", "a^- b", "a^1.5", "^2 a",
+                                  "a^2^3", "a^2 ^3", "A^-1^2"])
+def test_parse_word_malformed_exponents(text):
+    with pytest.raises(ParseError):
+        parse_word(("a", "b"), text)
+
+
+def test_parse_word_length_bound():
+    n = MAX_RELATOR_LENGTH
+    assert len(parse_word(("a", "b"), "a^%d" % n)) == n
+    assert len(parse_word(("a", "b"), "b a^-%d" % (n - 1))) == n
+    assert len(parse_word(("a",), "a" * n)) == n
+    for text in ("a^%d" % (n + 1), "b a^%d" % n, "a^-%d" % (n + 1),
+                 "a " * n + "a"):
+        with pytest.raises(ResourceLimitError):
+            parse_word(("a", "b"), text)
+    with pytest.raises(ResourceLimitError):
+        parse_word(("a",), "a" * (n + 1))
 
 
 # -- the derivative ---------------------------------------------------------------
@@ -299,7 +320,7 @@ def test_quadratic_cup_a2b_coefficient_two():
     # over an odd-characteristic field the pairing is nondegenerate, so the
     # degree-one resonance is trivial
     A5 = quadratic_cup(A2B, F5)
-    pts = resonance_points(A5, 1, 1, F5).points
+    pts = resonance_points(A5, 1, 1)
     assert {p.coords for p in pts} == {(0, 0)}
 
 

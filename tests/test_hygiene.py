@@ -1,9 +1,12 @@
 """Repository hygiene: the README documents exactly the CLI's long options,
-and the library holds no `assert` statement (they vanish under -O) and no
-`raise AssertionError` (a broken invariant is an InternalError report)."""
+the library holds no `assert` statement (they vanish under -O) and no
+`raise AssertionError` (a broken invariant is an InternalError report), and
+every library name the benchmark's traced run wraps still exists."""
 
 import argparse
 import ast
+import importlib
+import importlib.util
 import os
 import re
 
@@ -53,3 +56,29 @@ def _raises_assertion(node):
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_traced_names_resolve():
+    """`clibench/layertrace.py` wraps library functions by name; a rename or
+    deletion in the library would otherwise break `--trace 1` silently."""
+    path = os.path.join(ROOT, "clibench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = []
+    for modname, names in layertrace.SPANS.values():
+        mod = importlib.import_module(modname)
+        if names == "cmd_*":
+            if not any(a.startswith("cmd_") for a in vars(mod)):
+                missing.append(modname + ".cmd_*")
+            continue
+        for name in names:
+            owner = mod
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append("%s.%s" % (modname, name))
+    from jumploci import fields, varieties
+    assert isinstance(fields._TABLE_CAP, int)
+    assert callable(varieties.enumerate_coords)
+    assert missing == []

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.fields import PrimeField, Rationals, finite_field
@@ -24,6 +26,34 @@ def test_parse_format_round_trip_laurent():
     for text in ["t^-1", "t^2 - t + 1", "2*t^-3 + t", "t - t^-1"]:
         p = parse_poly(R, text)
         assert parse_poly(R, poly_to_str(p)) == p
+
+
+ROUND_TRIP_FIELDS = (Q, F5, finite_field(8), finite_field(9), finite_field(25))
+
+
+@st.composite
+def _polys(draw):
+    """A polynomial over Q, F_5, F_8, F_9 or F_25, ordinary or Laurent, in
+    one or two variables."""
+    field = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    nvars = draw(st.integers(1, 2))
+    laurent = draw(st.booleans())
+    ring = Ring(field, ("x", "y")[:nvars], laurent=laurent)
+    exps = st.tuples(*[st.integers(-3 if laurent else 0, 4)] * nvars)
+    if field.is_finite:
+        coeffs = st.integers(1, field.order - 1)
+    else:
+        coeffs = st.fractions(-50, 50, max_denominator=20).filter(bool)
+    p = ring.zero()
+    for e, c in draw(st.dictionaries(exps, coeffs, max_size=5)).items():
+        p = p + ring.monomial(e, c)
+    return p
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_polys())
+def test_parse_format_round_trip_generated(p):
+    assert parse_poly(p.ring, poly_to_str(p)) == p
 
 
 def test_parse_extension_scalar():
