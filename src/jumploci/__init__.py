@@ -7,7 +7,8 @@ from .cga import (BShape, GradedAlgebra, aomoto_complex,
                   resonance_ideal, resonance_points, sample_cga, validate_cga)
 from .complexes import (FinVerdict, FreeChainComplex, ModulePresentation,
                         PresentedChainComplex, add_acyclic_summand,
-                        fitting_ideal, homology_dims_at, homology_dims_at_point,
+                        fitting_ideal, homology_dim_at, homology_dims_at,
+                        homology_dims_at_point,
                         homology_dims_table, homology_presentation,
                         is_finite_dimensional, jump_locus_ideal,
                         jump_locus_points, specialize, support_points,
@@ -27,7 +28,7 @@ from .groebner import buchberger, syzygy_matrix
 from .linalg import mat_rank
 from .matrices import Matrix, block_diag, det, minors_ideal
 from .rings import Ideal, Point, Poly, Ring, parse_poly, poly_to_str
-from .smith import SmithForm, smith_normal_form
+from .smith import SmithForm, smith_divisors, smith_normal_form
 from .varieties import zero_locus_points
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ its jump locus on the quadric a^2 = 0.
 import random
 from dataclasses import dataclass
 
-from .complexes import (FreeChainComplex, Verdict, homology_dims_at,
+from .complexes import (FreeChainComplex, Verdict, homology_dim_at,
                         jump_locus_ideal, jump_locus_points)
 from .errors import InternalError, PreconditionError
 from .matrices import Matrix
@@ -228,7 +228,7 @@ def in_resonance(A, a, i, d):
         raise PreconditionError("element has wrong length for A^1")
     if not _square_zero(A, a):
         return False
-    return homology_dims_at(aomoto_complex(A), A.field)(tuple(a))[i] >= d
+    return homology_dim_at(aomoto_complex(A), i, A.field)(tuple(a)) >= d
 
 
 def resonance_points(A, i, d):

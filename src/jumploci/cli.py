@@ -15,7 +15,7 @@ from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonanc
 from .complexes import (FreeChainComplex, homology_dims_at, jump_locus_ideal,
                         jump_locus_points, support_points, validate_complex,
                         validate_presented)
-from .documents import dump_complex, dump_scalar, dumps, load_document
+from .documents import dump, dump_complex, dump_scalar, load_document
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import AlgebraError, DocumentError
 from .fields import Rationals, finite_field
@@ -289,7 +289,7 @@ def _render_text(report, out):
 def emit(report, args, out=None):
     out = out if out is not None else sys.stdout
     if args.format == "structured":
-        out.write(dumps(report))
+        dump(report, out)
     else:
         _render_text(report, out)
 

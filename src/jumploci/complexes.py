@@ -15,8 +15,9 @@ from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
 from .linalg import mat_mul, mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
-from .rings import unit_ideal, zero_ideal
-from .smith import kernel_positions, smith_normal_form, snf_solve, udeg
+from .rings import Point, Ring, unit_ideal, zero_ideal
+from .smith import (kernel_positions, line_restriction, smith_divisors,
+                    smith_normal_form, snf_solve, udeg, vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where, zero_locus_points)
 
@@ -256,13 +257,14 @@ def specialize(E, point):
 
 
 def homology_dims_at(E, field, embed=None):
-    """The per-point evaluator of a free or presented complex: a callable
+    """The all-degree evaluator of a free or presented complex: a callable
     coords -> [dim H_0, ..., dim H_n] over `field`.  For a free complex
     dims[i] = c_i - rank d_i(w) - rank d_{i+1}(w); a presented complex
     takes the quotient-space analogue."""
     emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
     if not isinstance(E, FreeChainComplex):
-        return lambda coords: _presented_dims(E, coords, field, emb)
+        return lambda coords: [_presented_dim(E, i, coords, field, emb)
+                               for i in range(E.top + 1)]
     diffs = [E.differential(i) for i in range(1, E.top + 1)]
 
     def dims(coords):
@@ -271,27 +273,41 @@ def homology_dims_at(E, field, embed=None):
     return dims
 
 
+def homology_dim_at(E, i, field, embed=None):
+    """The one-degree evaluator: a callable coords -> dim H_i over `field`
+    that evaluates and ranks only what degree i needs, d_i and d_{i+1}
+    (and, for a presented complex, the relations of E_{i-1} and E_i)."""
+    emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
+    if not isinstance(E, FreeChainComplex):
+        return lambda coords: _presented_dim(E, i, coords, field, emb)
+    c_i = E.rank(i)
+    maps = [d for d in (E.differential(i), E.differential(i + 1))
+            if d.nrows and d.ncols]  # an empty map has rank 0
+
+    def dim(coords):
+        return c_i - sum(mat_rank(field, d.evaluate(coords, field, emb))
+                         for d in maps)
+    return dim
+
+
 def homology_dims_at_point(E, point):
     """Homology dimensions of E at one point (see homology_dims_at)."""
     return homology_dims_at(E, point.field)(point.coords)
 
 
-def _presented_dims(E, coords, F, emb):
-    n = E.top
-    rel = [E.relations(i).evaluate(coords, F, emb) for i in range(n + 1)]
-    rel_rank = [mat_rank(F, r) for r in rel]
-    diff = [E.differential(i).evaluate(coords, F, emb) for i in range(n + 2)]
-    dims = []
-    for i in range(n + 1):
-        q_dim = E.gens(i) - rel_rank[i]
-        if i >= 1:
-            rank_out = (mat_rank_stacked(F, [diff[i], rel[i - 1]])
-                        - rel_rank[i - 1])
-        else:
-            rank_out = 0
-        rank_in = mat_rank_stacked(F, [diff[i + 1], rel[i]]) - rel_rank[i]
-        dims.append(q_dim - rank_out - rank_in)
-    return dims
+def _presented_dim(E, i, coords, F, emb):
+    """dim H_i at coords of a presented complex: generators of E_i modulo
+    its relations, less the ranks of d_i and d_{i+1} modulo relations."""
+    rel = E.relations(i).evaluate(coords, F, emb)
+    rel_rank = mat_rank(F, rel)
+    d_in = E.differential(i + 1).evaluate(coords, F, emb)
+    rank_in = mat_rank_stacked(F, [d_in, rel]) - rel_rank
+    rank_out = 0
+    if i >= 1:
+        prev = E.relations(i - 1).evaluate(coords, F, emb)
+        d_out = E.differential(i).evaluate(coords, F, emb)
+        rank_out = mat_rank_stacked(F, [d_out, prev]) - mat_rank(F, prev)
+    return E.gens(i) - rel_rank - rank_out - rank_in
 
 
 def homology_dims_table(E, field, torus=False, embed=None):
@@ -304,18 +320,68 @@ def homology_dims_table(E, field, torus=False, embed=None):
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
+# A free complex over a field of at least this many elements takes the
+# fibered route of jump_locus_points.  Over small fields one Smith form per
+# line costs more than ranking the line's q points; README gives the
+# measured crossover and why the threshold sits above it.
+FIBER_MIN_Q = 16
+
+
 def jump_locus_points(E, i, d, field, torus=False, embed=None):
-    """{w : dim H_i(E (x) S/m_w) >= d} by pointwise rank computation."""
+    """{w : dim H_i(E (x) S/m_w) >= d} over `field`.
+
+    The route is fixed by the input: a free complex in at least one
+    variable over a field of at least FIBER_MIN_Q elements is read line by
+    line from Smith divisors (`_fibered_jump_points`); presented complexes
+    and smaller fields rank d_i and d_{i+1} at each point.
+    """
     if d < 0:
         raise PreconditionError("d must be non-negative")
+    ring = E.ring
+    torus = on_torus(ring, torus)
     if d == 0:
-        test = lambda coords: True
-    elif 0 <= i <= E.top:
-        dims_at = homology_dims_at(E, field, embed)
-        test = lambda coords: dims_at(coords)[i] >= d
-    else:
+        return points_where(field, ring.nvars, torus, lambda coords: True)
+    if not 0 <= i <= E.top:
         return set()
-    return points_where(field, E.ring.nvars, on_torus(E.ring, torus), test)
+    emb = embed if embed is not None else coefficient_embedding(ring.field, field)
+    if (isinstance(E, FreeChainComplex) and ring.nvars >= 1
+            and field.is_finite and field.order >= FIBER_MIN_Q):
+        return _fibered_jump_points(E, i, d, field, torus, emb)
+    dim_at = homology_dim_at(E, i, field, emb)
+    return points_where(field, ring.nvars, torus, lambda coords: dim_at(coords) >= d)
+
+
+def _fibered_jump_points(E, i, d, field, torus, emb):
+    """The jump locus of a free complex, one line x_1..x_{r-1} = h at a time.
+
+    Substituting the head h turns d_i and d_{i+1} into matrices over F[t]
+    (F[t^±1] for a Laurent ring), t = x_r.  If M = U diag(δ_1 | δ_2 | ...) V
+    with U, V unimodular, rank M(b) is the number of δ_k with δ_k(b) != 0,
+    so dim H_i(h, b) = c_i - #divisors + #divisors vanishing at b.  The
+    divisors form a chain, so the ones vanishing at b are a suffix: only the
+    last one is solved on the line, the others are evaluated at its roots,
+    and a line whose divisors are all constant has one value throughout."""
+    F = field
+    line = Ring(F, E.ring.variables[-1:], laurent=E.ring.laurent)
+    restrict = [line_restriction(E.differential(k), line, emb)
+                for k in (i, i + 1)]
+    fiber = [b for (b,) in enumerate_coords(F, 1, torus)]
+    c_i = E.rank(i)
+    out = set()
+    for head in enumerate_coords(F, E.ring.nvars - 1, torus):
+        chains = [smith_divisors(at(head)) for at in restrict]
+        # how many divisors must vanish at b for dim H_i >= d
+        need = d - c_i + sum(len(ch) for ch in chains)
+        if need <= 0:
+            out.update(Point(F, head + (b,), torus) for b in fiber)
+            continue
+        vanishing = {}
+        for ch in chains:
+            for b, k in vanishing_counts(ch, fiber, torus):
+                vanishing[b] = vanishing.get(b, 0) + k
+        out.update(Point(F, head + (b,), torus)
+                   for b, k in vanishing.items() if k >= need)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -344,3 +344,10 @@ def load_document(path, expect=None, field_override=None):
 
 def dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def dump(doc, out):
+    """Write dumps(doc) to the stream `out` chunk by chunk, so the whole
+    text and the list of its chunks are never held at once."""
+    json.dump(doc, out, sort_keys=True, indent=2)
+    out.write("\n")

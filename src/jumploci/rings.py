@@ -76,6 +76,8 @@ class Ring:
         return lambda e: (sum(e), e)  # grlex; also the canonical display order
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Ring) and self.field == other.field
                 and self.variables == other.variables
                 and self.laurent == other.laurent and self.order == other.order)

@@ -1,11 +1,13 @@
 import pytest
 
+from jumploci import complexes
 from jumploci.cga import (BShape, GradedAlgebra, aomoto_complex,
-                          generic_vanishing_experiment, in_resonance,
-                          pairing_cga, resonance_ideal, resonance_points,
-                          sample_cga, validate_cga)
+                          exterior_algebra, generic_vanishing_experiment,
+                          in_resonance, pairing_cga, resonance_ideal,
+                          resonance_points, sample_cga, validate_cga)
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of
+from jumploci.rings import Poly
 from jumploci.varieties import zero_locus_points
 
 from oracles import rank_by_minors
@@ -222,3 +224,24 @@ def test_char2_square_condition():
     assert validate_cga(A).ok  # legal in characteristic 2
     # a square-nonzero element is simply outside the locus
     assert not in_resonance(A, (F2.one,), 1, 1)
+
+
+def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
+    # R^1 of the exterior algebra on 4 generators over F_5 (below the
+    # fibered route's threshold): at each of the 625 points only d_1
+    # (1 x 4) and d_2 (4 x 6) of the Aomoto complex are evaluated and ranked
+    counts = {"evaluate": 0, "rank": 0}
+    evaluate, rank = Poly.evaluate, complexes.mat_rank
+
+    def counted_evaluate(*args, **kwargs):
+        counts["evaluate"] += 1
+        return evaluate(*args, **kwargs)
+
+    def counted_rank(*args):
+        counts["rank"] += 1
+        return rank(*args)
+    monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
+    monkeypatch.setattr(complexes, "mat_rank", counted_rank)
+    pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
+    assert {p.coords for p in pts} == {(0, 0, 0, 0)}
+    assert counts == {"evaluate": 28 * 625, "rank": 2 * 625}

@@ -3,9 +3,11 @@ import tracemalloc
 
 import pytest
 
-from jumploci.complexes import (FreeChainComplex, ModulePresentation,
-                                PresentedChainComplex, add_acyclic_summand,
-                                fitting_ideal, homology_dims_at_point,
+from jumploci import complexes
+from jumploci.complexes import (FIBER_MIN_Q, FreeChainComplex,
+                                ModulePresentation, PresentedChainComplex,
+                                add_acyclic_summand, fitting_ideal,
+                                homology_dims_at_point,
                                 homology_dims_table, homology_presentation,
                                 is_finite_dimensional, jump_locus_ideal,
                                 jump_locus_points, prune_presentation,
@@ -13,10 +15,10 @@ from jumploci.complexes import (FreeChainComplex, ModulePresentation,
                                 validate_presented)
 from jumploci.corpus import random_bivariate_complex, random_laurent_complex
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals, finite_field
+from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.matrices import Matrix
 from jumploci.rings import Ideal, Point, Ring, parse_poly, poly_to_str
-from jumploci.varieties import zero_locus_points
+from jumploci.varieties import extension_fields, zero_locus_points
 
 from oracles import rank_by_minors
 
@@ -229,6 +231,118 @@ def test_negative_degree_empty():
     assert jump_locus_points(E, -1, 1, F3) == set()
     assert jump_locus_ideal(E, -1, 1).is_unit_ideal()
     assert jump_locus_ideal(E, -1, 0).is_zero_ideal()
+
+
+# -- the fibered route, against the brute-force table ---------------------------
+
+
+def _table_locus(table, i, d):
+    """The jump locus read off homology_dims_table, the brute-force oracle."""
+    return {c for c, dims in table.items()
+            if (dims[i] if 0 <= i < len(dims) else 0) >= d}
+
+
+def _assert_fibered_matches_table(E, field, torus=False, embed=None):
+    assert field.order >= FIBER_MIN_Q  # so jump_locus_points goes fibered
+    table = homology_dims_table(E, field, torus=torus, embed=embed)
+    for i in range(-1, E.top + 2):
+        for d in range(4):
+            got = {p.coords for p in jump_locus_points(E, i, d, field,
+                                                       torus=torus,
+                                                       embed=embed)}
+            assert got == _table_locus(table, i, d), (E, i, d, field)
+
+
+def _laurent_twist(E, seed):
+    """E over the Laurent ring in E's variables, with every basis vector of
+    every term scaled by a random unit monomial: d_k[r][c] picks up
+    t^(a_c - a_r), so d.d = 0 still holds and negative exponents appear."""
+    rng = random.Random("twist:%s" % (seed,))
+    R = Ring(E.ring.field, E.ring.variables, laurent=True)
+    shifts = [[tuple(rng.randint(-1, 1) for _ in R.variables)
+               for _ in range(c)] for c in E.ranks]
+    diffs = []
+    for k, d in enumerate(E.differentials, start=1):
+        grid = [[d[r, c].map_coefficients(R, lambda a: a).shift(
+                    tuple(b - a for a, b in zip(shifts[k - 1][r], shifts[k][c])))
+                 for c in range(d.ncols)] for r in range(d.nrows)]
+        diffs.append(Matrix(R, d.nrows, d.ncols, grid))
+    return FreeChainComplex(R, E.ranks, diffs)
+
+
+def test_fibered_route_bivariate_corpus_f17():
+    F = finite_field(17)
+    for seed in range(100):
+        _assert_fibered_matches_table(random_bivariate_complex(F, seed), F)
+
+
+def test_fibered_route_through_extension_embeddings():
+    # F_5 -> F_25 with the embedding of extension_of passed explicitly, and
+    # F_4 -> F_16 through extension_fields, whose embedding is not None
+    f25, emb25 = extension_of(F5, 2)
+    f4 = finite_field(4)
+    (_, f16, emb16), = [x for x in extension_fields(f4, 2) if x[0] == 2]
+    assert emb16 is not None
+    for seed in range(12):
+        _assert_fibered_matches_table(random_bivariate_complex(F5, seed),
+                                      f25, embed=emb25)
+        _assert_fibered_matches_table(random_bivariate_complex(f4, seed),
+                                      f16, embed=emb16)
+
+
+@pytest.mark.parametrize("q", [16, 17])
+def test_fibered_route_laurent_corpora(q):
+    F = finite_field(q)
+    for seed in range(25):
+        E = random_laurent_complex(F, seed)
+        _assert_fibered_matches_table(E, F, torus=True)
+    for seed in range(12):
+        E = _laurent_twist(random_bivariate_complex(F, seed), seed)
+        assert validate_complex(E).ok
+        _assert_fibered_matches_table(E, F, torus=True)
+
+
+def test_fibered_route_ordinary_ring_on_the_torus():
+    F = finite_field(16)
+    _assert_fibered_matches_table(koszul_complex(F), F, torus=True)
+    for seed in range(12):
+        _assert_fibered_matches_table(random_bivariate_complex(F, seed), F,
+                                      torus=True)
+
+
+def _count_divisor_calls(monkeypatch):
+    calls = []
+    real = complexes.smith_divisors
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+    monkeypatch.setattr(complexes, "smith_divisors", counted)
+    return calls
+
+
+def test_route_is_fixed_by_the_field_order(monkeypatch):
+    calls = _count_divisor_calls(monkeypatch)
+    for q in (13, 16):
+        F = finite_field(q)
+        E = random_bivariate_complex(F, 3)
+        del calls[:]
+        pts = {p.coords for p in jump_locus_points(E, 1, 1, F)}
+        assert pts == _table_locus(homology_dims_table(E, F), 1, 1)
+        assert bool(calls) == (q >= FIBER_MIN_Q), q
+    # presented complexes stay pointwise at any order
+    del calls[:]
+    augmentation = augmentation_complex(finite_field(17))
+    assert len(jump_locus_points(augmentation, 1, 1, finite_field(17))) == 16
+    assert calls == []
+
+
+def test_fibered_koszul_over_f729_counts(monkeypatch):
+    calls = _count_divisor_calls(monkeypatch)
+    F = finite_field(729)
+    E = koszul_complex(F3)
+    assert {p.coords for p in jump_locus_points(E, 1, 1, F)} == {(0, 0)}
+    assert 0 < len(calls) <= 2 * 729
 
 
 # -- homology presentations -------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Repository hygiene: the README documents exactly the CLI's long options,
-the library holds no `assert` statement (they vanish under -O) and no
-`raise AssertionError` (a broken invariant is an InternalError report), and
-every library name the benchmark's traced run wraps still exists."""
+"""Repository hygiene: the README documents exactly the CLI's long options
+and the jump-locus route threshold the library uses, the library holds no
+`assert` statement (they vanish under -O) and no `raise AssertionError` (a
+broken invariant is an InternalError report), and every library name the
+benchmark's traced run wraps still exists."""
 
 import argparse
 import ast
@@ -34,6 +35,13 @@ def test_readme_flags_match_the_parser():
     accepted = _parser_long_options()
     assert accepted - readme == set(), "options missing from README"
     assert readme - accepted == set(), "README flags the CLI does not accept"
+
+
+def test_readme_states_the_route_threshold():
+    from jumploci.complexes import FIBER_MIN_Q
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        stated = re.findall(r"FIBER_MIN_Q = (\d+)", fh.read())
+    assert stated and all(int(q) == FIBER_MIN_Q for q in stated), stated
 
 
 def test_library_has_no_assert_statements():

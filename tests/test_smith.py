@@ -6,8 +6,9 @@ from jumploci.errors import UnsupportedRingError
 from jumploci.fields import PrimeField, Rationals
 from jumploci.matrices import Matrix
 from jumploci.rings import Ring, parse_poly, poly_to_str
-from jumploci.smith import (kernel_matrix, smith_normal_form, snf_solve,
-                            udeg, udivmod)
+from jumploci.smith import (kernel_matrix, line_restriction, smith_divisors,
+                            smith_normal_form, snf_solve, udeg, udivmod,
+                            vanishing_counts)
 
 from oracles import upoly_gcd
 
@@ -59,6 +60,7 @@ def test_one_by_two_matches_gcd_oracle():
 
 
 def _random_laurent_matrix(rng, ring, m, n):
+    low = -2 if ring.laurent else 0
     rows = []
     for _ in range(m):
         row = []
@@ -68,11 +70,33 @@ def _random_laurent_matrix(rng, ring, m, n):
             else:
                 p = ring.zero()
                 for _ in range(rng.randint(1, 2)):
-                    p = p + ring.monomial((rng.randint(-2, 3),),
+                    p = p + ring.monomial((rng.randint(low, 3),),
                                           rng.randint(1, 4))
                 row.append(p)
         rows.append(row)
     return Matrix(ring, m, n, rows)
+
+
+@pytest.mark.parametrize("ring", [Ring(F5, ("t",)), L5],
+                         ids=["ordinary", "laurent"])
+def test_smith_divisors_equal_the_full_form(ring):
+    rng = random.Random(31)
+    cases = [Matrix.zero(ring, 0, 3), Matrix.zero(ring, 3, 0),
+             Matrix.zero(ring, 0, 0), Matrix.zero(ring, 2, 3)]
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        M = _random_laurent_matrix(rng, ring, m, n)
+        if rng.random() < 0.4:  # rank-deficient: through a thinner middle
+            k = rng.randint(1, max(1, min(m, n) - 1))
+            M = (_random_laurent_matrix(rng, ring, m, k)
+                 * _random_laurent_matrix(rng, ring, k, n))
+        cases.append(M)
+    deficient = 0
+    for M in cases:
+        divisors = smith_divisors(M)
+        assert divisors == smith_normal_form(M).divisors
+        deficient += len(divisors) < min(M.nrows, M.ncols)
+    assert deficient >= 10
 
 
 def test_snf_transform_identities_random():
@@ -127,3 +151,28 @@ def test_snf_refuses_multivariate():
     R = Ring(F5, ("x", "y"))
     with pytest.raises(UnsupportedRingError):
         smith_normal_form(Matrix.zero(R, 1, 1))
+
+
+def test_vanishing_counts_read_a_divisor_chain():
+    # 1 | t - 1 | (t - 1)(t - 2)(t + 1): at 1 two divisors vanish, at 2 and
+    # at -1 = 4 one does; t alone vanishes only at 0, which the torus lacks
+    R = Ring(F5, ("t",))
+    chain = smith_divisors(Matrix(R, 3, 3, [
+        [R.one(), R.zero(), R.zero()],
+        [R.zero(), _poly(R, "t - 1"), R.zero()],
+        [R.zero(), R.zero(), _poly(R, "(t - 1)*(t - 2)*(t + 1)")]]))
+    assert dict(vanishing_counts(chain, range(5))) == {1: 2, 2: 1, 4: 1}
+    line = (_poly(R, "t"),)
+    assert dict(vanishing_counts(line, range(5))) == {0: 1}
+    assert dict(vanishing_counts(line, range(1, 5), torus=True)) == {}
+    assert dict(vanishing_counts((R.one(),), range(5))) == {}
+
+
+def test_line_restriction_substitutes_the_head():
+    R2 = Ring(F5, ("x", "y"))
+    line = Ring(F5, ("y",))
+    M = Matrix(R2, 1, 2, [[_poly(R2, "x^2*y + 3*x"), _poly(R2, "y^2 - x*y")]])
+    at = line_restriction(M, line)
+    assert at((2,)) == Matrix(line, 1, 2, [[_poly(line, "4*y + 1"),
+                                            _poly(line, "y^2 - 2*y")]])
+    assert at((0,)) == Matrix(line, 1, 2, [[line.zero(), _poly(line, "y^2")]])
