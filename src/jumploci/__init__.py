@@ -7,11 +7,9 @@ from .cga import (BShape, GradedAlgebra, aomoto_complex,
                   resonance_ideal, resonance_points, sample_cga, validate_cga)
 from .complexes import (FinVerdict, FreeChainComplex, ModulePresentation,
                         PresentedChainComplex, add_acyclic_summand,
-                        fitting_ideal, homology_dim_at, homology_dims_at,
-                        homology_dims_at_point,
-                        homology_dims_table, homology_presentation,
-                        is_finite_dimensional, jump_locus_ideal,
-                        jump_locus_points, specialize, support_points,
+                        fitting_ideal, homology_dim_at, homology_dims_table,
+                        homology_presentation, is_finite_dimensional,
+                        jump_locus_ideal, jump_locus_points, support_points,
                         validate_complex, validate_presented)
 from .equivariant import (FinAbGroup, GrRingDescriptor, NuData, build_E1,
                           finiteness_test, gr_ring, identity_nu,

@@ -12,16 +12,15 @@ import sys
 import time
 
 from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonance_points, validate_cga
-from .complexes import (FreeChainComplex, homology_dims_at, jump_locus_ideal,
-                        jump_locus_points, support_points, validate_complex,
-                        validate_presented)
+from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
+                        support_points, validate_complex, validate_presented)
 from .documents import dump, dump_complex, dump_scalar, load_document
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import AlgebraError, DocumentError
 from .fields import Rationals, finite_field
 from .fox import alexander_invariant, characteristic_variety_points
 from .rings import poly_to_str
-from .varieties import extension_fields, on_torus, points_where
+from .varieties import extension_fields
 
 PROV = {
     "jumploci": "pointwise homology ranks; ideal route: determinantal minors "
@@ -135,16 +134,13 @@ def cmd_supports(args):
     if args.compare_v:
         comparison = {}
         agree = True
-        torus = on_torus(E.ring, args.torus)
         for e, big, emb in extensions:
-            w_union = set()
+            w_union, v_union = set(), set()
             for i2 in range(args.i + 1):
                 w_union |= support_points(E, i2, 1, big, torus=args.torus,
                                           embed=emb)
-            # the union of the jump loci V^j_1, j <= i, in one pass
-            dims_at = homology_dims_at(E, big, emb)
-            v_union = points_where(big, E.ring.nvars, torus,
-                                   lambda c: any(dims_at(c)[:args.i + 1]))
+                v_union |= jump_locus_points(E, i2, 1, big, torus=args.torus,
+                                             embed=emb)
             same = w_union == v_union
             agree = agree and same
             comparison[str(e)] = {

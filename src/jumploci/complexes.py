@@ -32,47 +32,62 @@ class Verdict:
         return self.ok
 
 
-class FreeChainComplex:
-    """ranks: list c_0..c_n;  differentials: [d_1..d_n], d_i of shape
-    c_{i-1} x c_i.  Immutable after construction."""
+class _ChainComplex:
+    """Terms E_0..E_n of g_0..g_n generators and differentials d_i of shape
+    g_{i-1} x g_i, all over `ring`.  Both kinds of complex share these checks
+    and a cache of homology presentations; a free term has no relations."""
 
-    def __init__(self, ring, ranks, differentials):
-        ranks = tuple(ranks)
-        if not ranks:
+    def __init__(self, ring, gens, differentials):
+        gens = tuple(gens)
+        if not gens:
             raise PreconditionError("a complex needs at least one term")
-        if any(c < 0 for c in ranks):
+        if any(c < 0 for c in gens):
             raise PreconditionError("negative rank")
-        if len(differentials) != len(ranks) - 1:
+        if len(differentials) != len(gens) - 1:
             raise PreconditionError(
-                "expected %d differentials, got %d" % (len(ranks) - 1,
+                "expected %d differentials, got %d" % (len(gens) - 1,
                                                        len(differentials)))
         for i, d in enumerate(differentials, start=1):
             if d.ring != ring:
                 raise PreconditionError("differential over a different ring")
-            if (d.nrows, d.ncols) != (ranks[i - 1], ranks[i]):
+            if (d.nrows, d.ncols) != (gens[i - 1], gens[i]):
                 raise PreconditionError(
                     "d_%d has shape %dx%d, expected %dx%d"
-                    % (i, d.nrows, d.ncols, ranks[i - 1], ranks[i]))
+                    % (i, d.nrows, d.ncols, gens[i - 1], gens[i]))
         self.ring = ring
-        self.ranks = ranks
+        self._gens = gens
         self.differentials = tuple(differentials)
         self._pres_cache = {}
-        self._minor_memos = {}
 
     @property
     def top(self):
-        return len(self.ranks) - 1
+        return len(self._gens) - 1
 
-    def rank(self, i):
+    def gens(self, i):
         if 0 <= i <= self.top:
-            return self.ranks[i]
+            return self._gens[i]
         return 0
+
+    def relations(self, i):
+        return Matrix.zero(self.ring, self.gens(i), 0)
 
     def differential(self, i):
         """d_i: E_i -> E_{i-1}; zero-shaped matrices outside 1..n."""
         if 1 <= i <= self.top:
             return self.differentials[i - 1]
-        return Matrix.zero(self.ring, self.rank(i - 1), self.rank(i))
+        return Matrix.zero(self.ring, self.gens(i - 1), self.gens(i))
+
+
+class FreeChainComplex(_ChainComplex):
+    """ranks: list c_0..c_n;  differentials: [d_1..d_n], d_i of shape
+    c_{i-1} x c_i.  Immutable after construction."""
+
+    def __init__(self, ring, ranks, differentials):
+        super().__init__(ring, ranks, differentials)
+        self.ranks = self._gens
+        self._minor_memos = {}
+
+    rank = _ChainComplex.gens
 
     def __repr__(self):
         return "FreeChainComplex(ranks=%r over %r)" % (list(self.ranks), self.ring)
@@ -92,45 +107,22 @@ class ModulePresentation:
             raise PreconditionError("relations over a different ring")
 
 
-class PresentedChainComplex:
+class PresentedChainComplex(_ChainComplex):
     """Terms are presented modules; differentials act on generators and must
     carry relations into relations."""
 
     def __init__(self, ring, terms, differentials):
         terms = tuple(terms)
-        if len(differentials) != len(terms) - 1:
-            raise PreconditionError("expected %d differentials" % (len(terms) - 1))
-        for i, d in enumerate(differentials, start=1):
-            if (d.nrows, d.ncols) != (terms[i - 1].gens, terms[i].gens):
-                raise PreconditionError("d_%d shape mismatch with generators" % i)
-        self.ring = ring
+        for k, t in enumerate(terms):
+            if t.ring != ring:
+                raise PreconditionError("term %d over a different ring" % k)
+        super().__init__(ring, [t.gens for t in terms], differentials)
         self.terms = terms
-        self.differentials = tuple(differentials)
-
-    @property
-    def top(self):
-        return len(self.terms) - 1
-
-    def gens(self, i):
-        if 0 <= i <= self.top:
-            return self.terms[i].gens
-        return 0
 
     def relations(self, i):
         if 0 <= i <= self.top:
             return self.terms[i].relations
-        return Matrix.zero(self.ring, self.gens(i), 0)
-
-    def differential(self, i):
-        if 1 <= i <= self.top:
-            return self.differentials[i - 1]
-        return Matrix.zero(self.ring, self.gens(i - 1), self.gens(i))
-
-
-def free_as_presented(E):
-    terms = [ModulePresentation(E.ring, E.rank(i), Matrix.zero(E.ring, E.rank(i), 0))
-             for i in range(E.top + 1)]
-    return PresentedChainComplex(E.ring, terms, list(E.differentials))
+        return super().relations(i)
 
 
 # ---------------------------------------------------------------------------
@@ -220,103 +212,46 @@ def validate_presented(E, sample_field=None):
 # pointwise homology
 
 
-@dataclass
-class VectorComplex:
-    """A specialized complex of finite-dimensional vector spaces."""
-    field: object
-    dims: tuple
-    maps: tuple  # maps[i] is d_{i+1} evaluated: dims[i] x dims[i+1]
-
-    def homology_dims(self):
-        F = self.field
-        n = len(self.dims) - 1
-        ranks = [mat_rank(F, m) for m in self.maps]
-        out = []
-        for i in range(n + 1):
-            r_in = ranks[i] if i < n else 0      # rank d_{i+1}
-            r_out = ranks[i - 1] if i >= 1 else 0  # rank d_i
-            out.append(self.dims[i] - r_in - r_out)
-        return out
-
-
-def specialize(E, point):
-    """Tensor a free complex with the residue field at `point`: entrywise
-    evaluation of every differential."""
-    if not isinstance(E, FreeChainComplex):
-        raise PreconditionError("specialize takes a free complex; presented "
-                                "terms are handled by jump_locus_points")
-    ring = E.ring
-    if len(point.coords) != ring.nvars:
-        raise PreconditionError("point dimension %d does not match the ring's %d"
-                                % (len(point.coords), ring.nvars))
-    F = point.field
-    emb = coefficient_embedding(ring.field, F)
-    maps = tuple(E.differential(i + 1).evaluate(point.coords, F, emb)
-                 for i in range(E.top))
-    return VectorComplex(F, E.ranks, maps)
-
-
-def homology_dims_at(E, field, embed=None):
-    """The all-degree evaluator of a free or presented complex: a callable
-    coords -> [dim H_0, ..., dim H_n] over `field`.  For a free complex
-    dims[i] = c_i - rank d_i(w) - rank d_{i+1}(w); a presented complex
-    takes the quotient-space analogue."""
-    emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
-    if not isinstance(E, FreeChainComplex):
-        return lambda coords: [_presented_dim(E, i, coords, field, emb)
-                               for i in range(E.top + 1)]
-    diffs = [E.differential(i) for i in range(1, E.top + 1)]
-
-    def dims(coords):
-        mats = [d.evaluate(coords, field, emb) for d in diffs]
-        return VectorComplex(field, E.ranks, tuple(mats)).homology_dims()
-    return dims
-
-
 def homology_dim_at(E, i, field, embed=None):
-    """The one-degree evaluator: a callable coords -> dim H_i over `field`
-    that evaluates and ranks only what degree i needs, d_i and d_{i+1}
-    (and, for a presented complex, the relations of E_{i-1} and E_i)."""
+    """The per-point evaluator: a callable coords -> dim H_i over `field`.
+
+    Term k is g_k generators modulo the columns R_k of its relations (a free
+    term has none), so dim H_i = g_i - rank R_i - sum over d = d_i, d_{i+1}
+    of (rank [d | R_t] - rank R_t), R_t the relations of the term d lands
+    in.  The R_i terms cancel against d_{i+1}, and d_i counts only when it
+    is nonempty.  Empty blocks are dropped here, so a free complex
+    evaluates and ranks d_i and d_{i+1} only."""
     emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
-    if not isinstance(E, FreeChainComplex):
-        return lambda coords: _presented_dim(E, i, coords, field, emb)
-    c_i = E.rank(i)
-    maps = [d for d in (E.differential(i), E.differential(i + 1))
-            if d.nrows and d.ncols]  # an empty map has rank 0
+
+    def live(*blocks):
+        return [m for m in blocks if m.nrows and m.ncols]
+
+    d_out, rel_prev = E.differential(i), E.relations(i - 1)
+    signed = [(-1, live(E.differential(i + 1), E.relations(i)))]
+    if live(d_out):
+        signed += [(-1, live(d_out, rel_prev)), (1, live(rel_prev))]
+    terms = [(sign, blocks) for sign, blocks in signed if blocks]
+    g_i = E.gens(i)
+
+    def rank(blocks):
+        if len(blocks) == 1:  # nothing to concatenate, so no copy
+            return mat_rank(field, blocks[0])
+        return mat_rank_stacked(field, blocks)
 
     def dim(coords):
-        return c_i - sum(mat_rank(field, d.evaluate(coords, field, emb))
-                         for d in maps)
+        return g_i + sum(sign * rank([m.evaluate(coords, field, emb)
+                                      for m in blocks])
+                         for sign, blocks in terms)
     return dim
-
-
-def homology_dims_at_point(E, point):
-    """Homology dimensions of E at one point (see homology_dims_at)."""
-    return homology_dims_at(E, point.field)(point.coords)
-
-
-def _presented_dim(E, i, coords, F, emb):
-    """dim H_i at coords of a presented complex: generators of E_i modulo
-    its relations, less the ranks of d_i and d_{i+1} modulo relations."""
-    rel = E.relations(i).evaluate(coords, F, emb)
-    rel_rank = mat_rank(F, rel)
-    d_in = E.differential(i + 1).evaluate(coords, F, emb)
-    rank_in = mat_rank_stacked(F, [d_in, rel]) - rel_rank
-    rank_out = 0
-    if i >= 1:
-        prev = E.relations(i - 1).evaluate(coords, F, emb)
-        d_out = E.differential(i).evaluate(coords, F, emb)
-        rank_out = mat_rank_stacked(F, [d_out, prev]) - mat_rank(F, prev)
-    return E.gens(i) - rel_rank - rank_out - rank_in
 
 
 def homology_dims_table(E, field, torus=False, embed=None):
     """Homology dimensions at every point of F^r (or the torus):
     {coords: [dim H_0, ..., dim H_n]}.  A brute-force oracle for the tests:
     it holds all q^r points, and no command calls it."""
-    dims_at = homology_dims_at(E, field, embed)
+    dims = [homology_dim_at(E, j, field, embed) for j in range(E.top + 1)]
     ring = E.ring
-    return {c: dims_at(c)
+    return {c: [dim(c) for dim in dims]
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
@@ -494,7 +429,7 @@ def _laurent_multivariate_presentation(E, i):
     sub = FreeChainComplex(ordinary, [d_i.nrows, d_i.ncols, d_next.ncols],
                            [d_i.map_coefficients(ordinary, lambda c: c),
                             d_next.map_coefficients(ordinary, lambda c: c)])
-    pres = _presented_homology_presentation(free_as_presented(sub), 1)
+    pres = _presented_homology_presentation(sub, 1)
     return ModulePresentation(ring, pres.gens,
                               pres.relations.map_coefficients(ring, lambda c: c))
 
@@ -502,17 +437,15 @@ def _laurent_multivariate_presentation(E, i):
 def homology_presentation(E, i):
     """Presentation of H_i(E) = ker d_i / im d_{i+1}.
 
-    Univariate Laurent rings go through the Smith form; ordinary rings
-    within the desk-scale Groebner scope go through syzygies, free
-    complexes as presented ones with no relations; multivariate Laurent
-    rings are cleared by unit scalings first.
+    Ordinary rings within the desk-scale Groebner scope go through
+    syzygies, a free complex read as a presented one with no relations.
+    Free complexes over univariate Laurent rings go through the Smith form;
+    multivariate Laurent rings are cleared by unit scalings first.
     """
-    if isinstance(E, PresentedChainComplex):
+    if not E.ring.laurent or isinstance(E, PresentedChainComplex):
         pres = _presented_homology_presentation(E, i)
     elif i < 0 or i > E.top:
         return ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, []))
-    elif not E.ring.laurent:
-        pres = _presented_homology_presentation(free_as_presented(E), i)
     elif E.ring.nvars == 1:
         pres = _univariate_free_presentation(E, i)
     else:
@@ -571,9 +504,7 @@ def _presented_homology_presentation(E, i):
 
 
 def cached_homology_presentation(E, i):
-    cache = getattr(E, "_pres_cache", None)
-    if cache is None:
-        return homology_presentation(E, i)
+    cache = E._pres_cache
     if i not in cache:
         cache[i] = homology_presentation(E, i)
     return cache[i]
@@ -629,8 +560,7 @@ def is_finite_dimensional(P):
         return FinVerdict("finite", 0, "zero module")
     try:
         if ring.nvars == 1 and ring.laurent:
-            snf = smith_normal_form(P.relations)
-            divisors = snf.divisors
+            divisors = smith_divisors(P.relations)
             if len(divisors) < P.gens:
                 return FinVerdict("infinite",
                                   note="a free summand survives the relations")

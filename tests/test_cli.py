@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -100,15 +101,20 @@ def test_reports_are_byte_identical(docs, capsys):
 def test_reports_identical_across_hash_seeds(docs):
     # byte-identical output from separate interpreter processes with
     # different hash randomization
-    import os
     import subprocess
     import sys
+
+    import jumploci
+    # the child imports the package the tests import, with or without
+    # PYTHONPATH set by the caller
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     args = [sys.executable, "-m", "jumploci.cli", "genres-experiment",
             "--shape", "1,2,1", "--i", "1", "--trials", "30", "--q", "5",
             "--seed", "7", "--format", "structured"]
     outs = []
     for hash_seed in ("0", "1", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         r = subprocess.run(args, capture_output=True, env=env)
         assert r.returncode == 0
         outs.append(r.stdout)
@@ -118,7 +124,7 @@ def test_reports_identical_across_hash_seeds(docs):
              "--format", "structured"]
     outs2 = []
     for hash_seed in ("0", "99"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         r = subprocess.run(args2, capture_output=True, env=env)
         assert r.returncode == 0
         outs2.append(r.stdout)
@@ -465,3 +471,40 @@ def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["error"] == {
         "type": "InternalError", "message": "resonance locus is not a cone"}
+
+
+@pytest.mark.parametrize("doc, q", [("augmentation.cc", ["--q", "5"]),
+                                    ("koszul2.cc", [])])
+def test_compare_v_presents_each_degree_once(doc, q, capsys, monkeypatch):
+    # the support union and the printed support share one cached
+    # presentation per degree, for presented complexes as for free ones
+    from jumploci import complexes
+    present = complexes.homology_presentation
+    calls = []
+
+    def counting(E, i):
+        calls.append(i)
+        return present(E, i)
+
+    monkeypatch.setattr(complexes, "homology_presentation", counting)
+    code, _ = run(capsys, "supports", "--complex", SAMPLES + doc, "--i", "1",
+                  *q, "--compare-v", "--ext", "2")
+    assert code == 0
+    assert sorted(calls) == [0, 1]
+
+
+def test_compare_v_union_of_a_rational_complex_at_q17(capsys, tmp_path):
+    # stdout digest recorded while the jump union was still read from all
+    # homology dimensions point by point; at q = 17 it is now the union of
+    # fibered jump loci
+    path = _write(tmp_path, "rational.cc", {
+        "type": "free-complex",
+        "ring": {"field": {"kind": "rationals"}, "variables": ["x", "y"]},
+        "ranks": [2, 3, 1],
+        "differentials": [[["x^2 - 2", "y - 3", "0"], ["0", "0", "x - y"]],
+                          [["3 - y"], ["x^2 - 2"], ["0"]]]})
+    code, out = run(capsys, "supports", "--complex", path, "--i", "1",
+                    "--q", "17", "--compare-v")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8a5d2908d5670682cd7d346daebbc8718248fddd4e1e6fda08e36327f18e98aa")

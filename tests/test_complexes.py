@@ -7,12 +7,11 @@ from jumploci import complexes
 from jumploci.complexes import (FIBER_MIN_Q, FreeChainComplex,
                                 ModulePresentation, PresentedChainComplex,
                                 add_acyclic_summand, fitting_ideal,
-                                homology_dims_at_point,
-                                homology_dims_table, homology_presentation,
-                                is_finite_dimensional, jump_locus_ideal,
-                                jump_locus_points, prune_presentation,
-                                specialize, support_points, validate_complex,
-                                validate_presented)
+                                homology_dim_at, homology_dims_table,
+                                homology_presentation, is_finite_dimensional,
+                                jump_locus_ideal, jump_locus_points,
+                                prune_presentation, support_points,
+                                validate_complex, validate_presented)
 from jumploci.corpus import random_bivariate_complex, random_laurent_complex
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
@@ -49,6 +48,12 @@ def times_poly_laurent(field, text):
                             (Matrix(R, 1, 1, [[parse_poly(R, text)]]),))
 
 
+def dims_at(E, point):
+    """[dim H_0, ..., dim H_n] of E at one point, read degree by degree."""
+    return [homology_dim_at(E, j, point.field)(point.coords)
+            for j in range(E.top + 1)]
+
+
 def augmentation_complex(field):
     """Example with a non-free degree-0 term: S -> S/(x) over S = k[x]."""
     R = Ring(field, ("x",))
@@ -74,6 +79,20 @@ def test_validate_detects_bad_sign():
     assert not v.ok
     assert v.location == (1, 0, 0)
     assert "2*x*y" in v.message
+
+
+def test_presented_complex_checks_rings():
+    R5, R3 = Ring(F5, ("x",)), Ring(F3, ("x",))
+
+    def free_term(R):
+        return ModulePresentation(R, 1, Matrix.zero(R, 1, 0))
+
+    with pytest.raises(PreconditionError, match="differential over a different ring"):
+        PresentedChainComplex(R5, (free_term(R5), free_term(R5)),
+                              (Matrix(R3, 1, 1, [[R3.var(0)]]),))
+    with pytest.raises(PreconditionError, match="term 1 over a different ring"):
+        PresentedChainComplex(R5, (free_term(R5), free_term(R3)),
+                              (Matrix(R5, 1, 1, [[R5.var(0)]]),))
 
 
 def test_validate_single_differential():
@@ -102,39 +121,36 @@ def test_validate_presented_multivariate_pointwise():
 
 def test_specialize_unit_point():
     E = times_x_complex(F5)
-    vc = specialize(E, Point(F5, (2,)))
-    assert vc.homology_dims() == [0, 0]
+    assert dims_at(E, Point(F5, (2,))) == [0, 0]
 
 
 def test_specialize_zero_point():
     E = times_x_complex(F5)
-    vc = specialize(E, Point(F5, (0,)))
-    assert vc.homology_dims() == [1, 1]
+    assert dims_at(E, Point(F5, (0,))) == [1, 1]
 
 
 def test_specialize_koszul_at_unit_against_rank_oracle():
     E = koszul_complex(F3)
     pt = Point(F3, (1, 1))
-    vc = specialize(E, pt)
     # oracle: direct rank computation of the two evaluated integer matrices
     d1 = [[1, 1]]
     d2 = [[-1], [1]]
     r1 = rank_by_minors(d1, 3)
     r2 = rank_by_minors(d2, 3)
     expected = [1 - r1, 2 - r1 - r2, 1 - r2]
-    assert vc.homology_dims() == expected == [0, 0, 0]
+    assert dims_at(E, pt) == expected == [0, 0, 0]
 
 
 def test_homology_dims_torus_koszul_origin():
     # all differentials evaluate to zero, so dims equal the ranks
     E = koszul_complex(F3)
-    assert homology_dims_at_point(E, Point(F3, (0, 0))) == [1, 2, 1]
+    assert dims_at(E, Point(F3, (0, 0))) == [1, 2, 1]
 
 
 def test_homology_dims_times_x():
     E = times_x_complex(F5)
-    assert homology_dims_at_point(E, Point(F5, (0,))) == [1, 1]
-    assert homology_dims_at_point(E, Point(F5, (3,))) == [0, 0]
+    assert dims_at(E, Point(F5, (0,))) == [1, 1]
+    assert dims_at(E, Point(F5, (3,))) == [0, 0]
 
 
 # -- jump locus ideals -----------------------------------------------------------
@@ -148,7 +164,7 @@ def test_jump_ideal_times_x():
     assert {p.coords for p in pts} == {(0,)}
     # oracle: pointwise dims over all of F_5
     expected = {c for c in range(5)
-                if homology_dims_at_point(E, Point(F5, (c,)))[1] >= 1}
+                if dims_at(E, Point(F5, (c,)))[1] >= 1}
     assert {p.coords[0] for p in pts} == expected
 
 
@@ -186,9 +202,9 @@ def test_augmentation_jump_points(q):
 def test_koszul_jump_points_exhaustive_oracle():
     E = koszul_complex(F3)
     pts = jump_locus_points(E, 1, 1, F3)
-    # oracle: exhaustive dims at all 9 points via specialize
+    # oracle: exhaustive dims at all 9 points, every degree
     expected = {(a, b) for a in range(3) for b in range(3)
-                if specialize(E, Point(F3, (a, b))).homology_dims()[1] >= 1}
+                if dims_at(E, Point(F3, (a, b)))[1] >= 1}
     assert {p.coords for p in pts} == expected == {(0, 0)}
 
 
@@ -556,7 +572,7 @@ def test_presented_dims_against_quotient_basis_oracle():
         P = PresentedChainComplex(R, terms, list(E.differentials))
         assert validate_presented(P).ok
         for w in range(3):
-            got = homology_dims_at_point(P, Point(F3, (w,)))
+            got = dims_at(P, Point(F3, (w,)))
             gens = [P.gens(i) for i in range(P.top + 1)]
             rels = [P.relations(i).evaluate((w,)) for i in range(P.top + 1)]
             rels = [[list(map(int, row)) for row in m] for m in rels]
@@ -568,10 +584,11 @@ def test_presented_dims_against_quotient_basis_oracle():
 
 
 def test_free_as_presented_dims_agree():
-    from jumploci.complexes import free_as_presented
     for seed in (0, 3):
         E = random_laurent_complex(F5, seed)
-        P = free_as_presented(E)
+        terms = [ModulePresentation(E.ring, c, Matrix.zero(E.ring, c, 0))
+                 for c in E.ranks]
+        P = PresentedChainComplex(E.ring, terms, list(E.differentials))
         t_free = homology_dims_table(E, F5)
         t_pres = homology_dims_table(P, F5)
         assert t_free == t_pres

@@ -225,11 +225,10 @@ def test_trefoil_characteristic_points():
     assert roots == {3, 5}
     assert got - {1} == roots
     # no hand assertion about the identity character: compute it honestly
-    from jumploci.complexes import homology_dims_at_point
-    from jumploci.rings import Point
+    from jumploci.complexes import homology_dim_at
     E = alexander_complex(TREFOIL, nu, F7)
-    ident = homology_dims_at_point(E, Point(F7, (1,), torus=True))
-    assert (1 in got) == (ident[1] >= 1)
+    ident = homology_dim_at(E, 1, F7)((1,))
+    assert (1 in got) == (ident >= 1)
 
 
 def test_circle_characteristic_identity_only():
