@@ -49,6 +49,7 @@ class GradedAlgebra:
             store[(i, j)] = block
         self.mult = store
         self._aomoto = None  # built on demand by aomoto_complex
+        self._dim_at = {}  # degree -> rank formula of E_A, for in_resonance
 
     @property
     def top(self):
@@ -219,7 +220,8 @@ def _square_zero(A, a):
 def in_resonance(A, a, i, d):
     """Whether a lies in the degree-i, depth-d resonance locus: a^2 must
     vanish (an element with a^2 != 0, possible only in characteristic 2,
-    is outside) and dim H^i(A, a) >= d, by the rank formula of E_A at a."""
+    is outside) and dim H^i(A, a) >= d, by the rank formula of E_A at a,
+    built once per degree and kept on the algebra."""
     if d <= 0:
         return True
     if i < 0 or i > A.top:
@@ -228,7 +230,9 @@ def in_resonance(A, a, i, d):
         raise PreconditionError("element has wrong length for A^1")
     if not _square_zero(A, a):
         return False
-    return homology_dim_at(aomoto_complex(A), i, A.field)(tuple(a)) >= d
+    if i not in A._dim_at:
+        A._dim_at[i] = homology_dim_at(aomoto_complex(A), i, A.field)
+    return A._dim_at[i](tuple(a)) >= d
 
 
 def resonance_points(A, i, d):

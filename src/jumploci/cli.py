@@ -16,7 +16,8 @@ from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
                         support_points, validate_complex, validate_presented)
 from .documents import dump, dump_complex, dump_scalar, load_document
 from .equivariant import build_E1, finiteness_test, verify_cv_res
-from .errors import AlgebraError, DocumentError
+from .errors import (AlgebraError, DocumentError, InternalError,
+                     ResourceLimitError)
 from .fields import Rationals, finite_field
 from .fox import alexander_invariant, characteristic_variety_points
 from .rings import poly_to_str
@@ -412,6 +413,17 @@ def build_parser():
     return ap
 
 
+def error_code(exc):
+    """The exit code of an error report: 3 for a resource limit, 4 for a
+    broken internal invariant, 2 for a usage or document error (1 is kept
+    for a false verdict)."""
+    if isinstance(exc, ResourceLimitError):
+        return 3
+    if isinstance(exc, InternalError):
+        return 4
+    return 2
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -423,7 +435,7 @@ def main(argv=None):
             "type": type(exc).__name__, "message": str(exc)}}
         emit(report, args)
         print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)
-        return 1
+        return error_code(exc)
     report = {"command": args.command,
               "provenance": PROV.get(args.command, "")}
     report.update(body)

@@ -255,20 +255,23 @@ def homology_dims_table(E, field, torus=False, embed=None):
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
-# A free complex over a field of at least this many elements takes the
-# fibered route of jump_locus_points.  Over small fields one Smith form per
-# line costs more than ranking the line's q points; README gives the
-# measured crossover and why the threshold sits above it.
+# A free complex that is not conical, over a field of at least this many
+# elements, takes the fibered route of jump_locus_points.  Over small
+# fields one Smith form per line costs more than ranking the line's q
+# points; README gives the measured crossover and why the threshold sits
+# above it.
 FIBER_MIN_Q = 16
 
 
 def jump_locus_points(E, i, d, field, torus=False, embed=None):
     """{w : dim H_i(E (x) S/m_w) >= d} over `field`.
 
-    The route is fixed by the input: a free complex in at least one
-    variable over a field of at least FIBER_MIN_Q elements is read line by
-    line from Smith divisors (`_fibered_jump_points`); presented complexes
-    and smaller fields rank d_i and d_{i+1} at each point.
+    The route is fixed by the input.  A free complex in at least one
+    variable whose d_i and d_{i+1} are column-graded is solved on the
+    origin and the charts of P^{r-1}, then scaled (`_conical_jump_points`);
+    otherwise, over a field of at least FIBER_MIN_Q elements, it is read
+    line by line from Smith divisors (`_fibered_jump_points`).  Presented
+    complexes and smaller fields rank d_i and d_{i+1} at each point.
     """
     if d < 0:
         raise PreconditionError("d must be non-negative")
@@ -279,11 +282,48 @@ def jump_locus_points(E, i, d, field, torus=False, embed=None):
     if not 0 <= i <= E.top:
         return set()
     emb = embed if embed is not None else coefficient_embedding(ring.field, field)
-    if (isinstance(E, FreeChainComplex) and ring.nvars >= 1
-            and field.is_finite and field.order >= FIBER_MIN_Q):
-        return _fibered_jump_points(E, i, d, field, torus, emb)
+    if isinstance(E, FreeChainComplex) and ring.nvars >= 1 and field.is_finite:
+        if all(_column_graded(E.differential(j)) for j in (i, i + 1)):
+            return _conical_jump_points(E, i, d, field, torus, emb)
+        if field.order >= FIBER_MIN_Q:
+            return _fibered_jump_points(E, i, d, field, torus, emb)
     dim_at = homology_dim_at(E, i, field, emb)
     return points_where(field, ring.nvars, torus, lambda coords: dim_at(coords) >= d)
+
+
+def _column_graded(M):
+    """Whether the nonzero terms of each column of M share one total degree."""
+    return all(len({sum(e) for p in M.col(j) for e in p.terms}) <= 1
+               for j in range(M.ncols))
+
+
+def _conical_jump_points(E, i, d, field, torus, emb):
+    """The jump locus of a free complex whose d_i and d_{i+1} are
+    column-graded, so d(λx) = d(x) diag(λ^{deg of each column}) and
+    dim H_i is constant on every punctured line through 0.
+
+    The origin is tested once (off the torus).  Chart k sets x_1..x_k = 0
+    and x_{k+1} = 1 (only x_1 = 1 on the torus), leaving a free complex in
+    x_{k+2}..x_r whose locus jump_locus_points finds by its own rule; every
+    point of it is then scaled by every λ in F^x."""
+    F, ring = field, E.ring
+    r = ring.nvars
+    out = set()
+    if not torus and homology_dim_at(E, i, F, emb)((F.zero,) * r) >= d:
+        out.add(Point(F, (F.zero,) * r))
+    units, mul = list(F.units()), F.mul
+    for k in range(1 if torus else r):
+        tail = Ring(F, ring.variables[k + 1:], laurent=ring.laurent)
+        zeros = (F.zero,) * k
+        chart = FreeChainComplex(
+            tail, [E.rank(i - 1), E.rank(i), E.rank(i + 1)],
+            [line_restriction(E.differential(j), tail, emb)(zeros + (F.one,))
+             for j in (i, i + 1)])
+        for p in jump_locus_points(chart, 1, d, F, torus):
+            for lam in units:
+                scaled = tuple([mul(lam, c) for c in p.coords])
+                out.add(Point(F, zeros + (lam,) + scaled, torus))
+    return out
 
 
 def _fibered_jump_points(E, i, d, field, torus, emb):

@@ -234,11 +234,13 @@ def smith_divisors(matrix):
 
 
 def line_restriction(M, line, emb=None):
-    """A callable head -> M with x_1..x_{r-1} set to head: a matrix over
-    `line`, the univariate (Laurent) ring in x_r over the field of the
-    heads.  `emb` maps M's coefficients into that field (None: unchanged)."""
+    """A callable head -> M with x_1..x_k set to head: a matrix over
+    `line`, the (Laurent) ring in the remaining variables over the field of
+    the heads, so k = r - 1 for a line and less for a chart.  `emb` maps
+    M's coefficients into that field (None: unchanged)."""
     F = line.field
-    grid = [[[(e[:-1], e[-1], emb(c) if emb is not None else c)
+    split = M.ring.nvars - line.nvars
+    grid = [[[(e[:split], e[split:], emb(c) if emb is not None else c)
               for e, c in p.terms.items()] for p in row] for row in M.entries]
 
     def at(head):
@@ -252,7 +254,7 @@ def line_restriction(M, line, emb=None):
                         if k:
                             c = F.mul(c, F.pow(x, k))
                     acc[e] = F.add(acc.get(e, F.zero), c)
-                out.append(Poly(line, {(e,): c for e, c in acc.items()
+                out.append(Poly(line, {e: c for e, c in acc.items()
                                        if c != F.zero}))
             rows.append(out)
         return Matrix(line, M.nrows, M.ncols, rows)

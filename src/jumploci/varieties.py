@@ -6,11 +6,14 @@ its extensions F_{q^e}.  Laurent rings only have torus points (all
 coordinates invertible), so `on_torus` forces the torus restriction there.
 
 Every pointwise locus of the package (zero loci and so supports, jump
-loci, resonance) is one `points_where` pass: the coordinates are streamed
-from `enumerate_coords`, tested one at a time, and only the points of the
-locus are kept, so memory is O(locus), not O(q^r).  The one q^r table,
-`complexes.homology_dims_table`, is a brute-force oracle for the tests and
-no command uses it.
+loci, resonance) streams its coordinates from `enumerate_coords`, tests
+them one at a time, and keeps only the points of the locus, so memory is
+O(locus), not O(q^r).  Zero loci and point-by-point jump loci are one
+`points_where` pass over F^r; a conical jump locus is the origin plus one
+pass per chart x_1..x_k = 0, x_{k+1} = 1 of P^{r-1}, over F^{r-k-1}, whose
+points are then scaled by F^x; the fibered route streams the heads of its
+lines.  The one q^r table, `complexes.homology_dims_table`, is a
+brute-force oracle for the tests and no command uses it.
 """
 
 from itertools import product

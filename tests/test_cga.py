@@ -227,9 +227,10 @@ def test_char2_square_condition():
 
 
 def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
-    # R^1 of the exterior algebra on 4 generators over F_5 (below the
-    # fibered route's threshold): at each of the 625 points only d_1
-    # (1 x 4) and d_2 (4 x 6) of the Aomoto complex are evaluated and ranked
+    # R^1 of the exterior algebra on 4 generators over F_5: the Aomoto
+    # complex is conical, so only the origin and the chart points of P^3
+    # are ranked, 157 = 1 + 125 + 25 + 5 + 1 of the 625, and at each only
+    # d_1 (1 x 4) and d_2 (4 x 6) are evaluated and ranked
     counts = {"evaluate": 0, "rank": 0}
     evaluate, rank = Poly.evaluate, complexes.mat_rank
 
@@ -244,4 +245,4 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
     pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
     assert {p.coords for p in pts} == {(0, 0, 0, 0)}
-    assert counts == {"evaluate": 28 * 625, "rank": 2 * 625}
+    assert counts == {"evaluate": 28 * 157, "rank": 2 * 157}

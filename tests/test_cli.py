@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from jumploci.cli import main
+from jumploci import errors
+from jumploci.cli import error_code, main
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples", "")
 
@@ -204,7 +205,7 @@ def test_field_mismatch_rejected(docs, capsys, tmp_path):
     p.write_text(json.dumps(doc))
     code, out = run(capsys, "resonance", "--cga", str(p), "--i", "1",
                     "--d", "1", "--q", "5")
-    assert code == 1
+    assert code == 2
     assert "error" in out
 
 
@@ -212,7 +213,7 @@ def test_error_report_is_structured(docs, capsys):
     code, out = run(capsys, "jumploci", "--complex", "/nonexistent.cc",
                     "--i", "1", "--d", "1", "--q", "3", "--format",
                     "structured")
-    assert code == 1
+    assert code == 2
     rep = json.loads(out)
     assert rep["error"]["type"] == "DocumentError"
 
@@ -238,7 +239,7 @@ def test_zero_denominators_are_parse_errors(capsys, tmp_path):
                  ["jumploci", "--complex", zero, "--i", "0", "--q", "7"],
                  ["resonance", "--cga", cga, "--i", "1", "--q", "5"]):
         code, out = run(capsys, *argv, "--format", "structured")
-        assert code == 1
+        assert code == 2
         err = json.loads(out)["error"]
         assert err["type"] == "ParseError"
         assert "zero denominator" in err["message"]
@@ -292,7 +293,7 @@ def test_supports_reports_nonzero_square(capsys, tmp_path):
         "ranks": [1, 2, 1], "differentials": [[["x", "y"]], [["1"], ["0"]]]})
     code, out = run(capsys, "supports", "--complex", path, "--i", "1",
                     "--format", "structured")
-    assert code == 1
+    assert code == 2
     assert json.loads(out)["error"] == {
         "type": "PreconditionError",
         "message": "image column 0 of d_2 is not inside ker d_1; "
@@ -382,7 +383,7 @@ def test_malformed_documents_give_error_reports(doc, error, capsys, tmp_path):
     path = _write(tmp_path, "bad.cc", doc)
     code, out = run(capsys, *_load_argv(doc, path), "--q", "5",
                     "--format", "structured")
-    assert code == 1
+    assert code == (3 if error == "ResourceLimitError" else 2)
     assert json.loads(out)["error"]["type"] == error
 
 
@@ -391,7 +392,7 @@ def test_non_object_ring_or_field_without_q(capsys, tmp_path):
     for doc in (NON_OBJECT_RING, NON_OBJECT_FIELD):
         path = _write(tmp_path, "bad.cc", doc)
         code, out = run(capsys, *_load_argv(doc, path), "--format", "structured")
-        assert code == 1
+        assert code == 2
         assert json.loads(out)["error"]["type"] == "DocumentError"
 
 
@@ -399,7 +400,7 @@ def test_field_above_the_cap_is_an_error_report(capsys):
     code, out = run(capsys, "charvar", "--presentation", SAMPLES + "trefoil.pres",
                     "--nu", SAMPLES + "onto-z.nu", "--i", "1", "--q", "512",
                     "--ext", "2", "--format", "structured")
-    assert code == 1
+    assert code == 3
     err = json.loads(out)["error"]
     assert err["type"] == "ResourceLimitError"
     assert "F_2^18" in err["message"] and "_TABLE_CAP" in err["message"]
@@ -419,7 +420,7 @@ def test_bad_relator_exponents_give_error_reports(relator, error, capsys,
         "relators": [relator]})
     code, out = run(capsys, "alexander", "--presentation", path, "--nu",
                     SAMPLES + "onto-z.nu", "--format", "structured")
-    assert code == 1
+    assert code == (3 if error == "ResourceLimitError" else 2)
     assert json.loads(out)["error"]["type"] == error
 
 
@@ -427,7 +428,7 @@ def test_alexander_names_a_relator_nu_does_not_kill(capsys):
     code, out = run(capsys, "alexander", "--presentation",
                     SAMPLES + "trefoil.pres", "--nu", SAMPLES + "identity-z2.nu",
                     "--format", "structured")
-    assert code == 1
+    assert code == 2
     assert json.loads(out)["error"] == {
         "type": "PreconditionError",
         "message": "nu sends the relator a b a b^-1 a^-1 b^-1 to [1, -1] in "
@@ -468,7 +469,7 @@ def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
                         lambda E, i, d, field: {Point(field, (1, 0))})
     code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
                     "--i", "1", "--q", "3", "--format", "structured")
-    assert code == 1
+    assert code == 4
     assert json.loads(out)["error"] == {
         "type": "InternalError", "message": "resonance locus is not a cone"}
 
@@ -508,3 +509,12 @@ def test_compare_v_union_of_a_rational_complex_at_q17(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8a5d2908d5670682cd7d346daebbc8718248fddd4e1e6fda08e36327f18e98aa")
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.DocumentError, 2), (errors.ParseError, 2),
+    (errors.PreconditionError, 2), (errors.UnsupportedRingError, 2),
+    (errors.ResourceLimitError, 3), (errors.InternalError, 4)])
+def test_each_kind_of_error_has_its_exit_code(error, code):
+    # 0 is ok and 1 a false verdict, so no error report exits 0 or 1
+    assert error_code(error("message")) == code

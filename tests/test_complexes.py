@@ -1,9 +1,12 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumploci import complexes
+from jumploci.cga import aomoto_complex, exterior_algebra, sample_cga
 from jumploci.complexes import (FIBER_MIN_Q, FreeChainComplex,
                                 ModulePresentation, PresentedChainComplex,
                                 add_acyclic_summand, fitting_ideal,
@@ -13,10 +16,11 @@ from jumploci.complexes import (FIBER_MIN_Q, FreeChainComplex,
                                 prune_presentation, support_points,
                                 validate_complex, validate_presented)
 from jumploci.corpus import random_bivariate_complex, random_laurent_complex
+from jumploci.equivariant import build_E1, identity_nu
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.matrices import Matrix
-from jumploci.rings import Ideal, Point, Ring, parse_poly, poly_to_str
+from jumploci.rings import Ideal, Point, Poly, Ring, parse_poly, poly_to_str
 from jumploci.varieties import extension_fields, zero_locus_points
 
 from oracles import rank_by_minors
@@ -259,7 +263,12 @@ def _table_locus(table, i, d):
 
 
 def _assert_fibered_matches_table(E, field, torus=False, embed=None):
-    assert field.order >= FIBER_MIN_Q  # so jump_locus_points goes fibered
+    # so jump_locus_points goes fibered, or conical with fibered charts
+    assert field.order >= FIBER_MIN_Q
+    _assert_locus_matches_table(E, field, torus, embed)
+
+
+def _assert_locus_matches_table(E, field, torus=False, embed=None):
     table = homology_dims_table(E, field, torus=torus, embed=embed)
     for i in range(-1, E.top + 2):
         for d in range(4):
@@ -359,6 +368,151 @@ def test_fibered_koszul_over_f729_counts(monkeypatch):
     E = koszul_complex(F3)
     assert {p.coords for p in jump_locus_points(E, 1, 1, F)} == {(0, 0)}
     assert 0 < len(calls) <= 2 * 729
+
+
+# -- the cone route: the origin, the charts of P^{r-1}, and scaling ---------------
+
+
+def _conical(E):
+    """Whether every differential of E is column-graded, so that every
+    jump_locus_points call on E takes the cone route."""
+    return all(complexes._column_graded(d) for d in E.differentials)
+
+
+def koszul3_complex(field):
+    """0 -> S -> S^3 -> S^3 -> S -> 0 over S = k[x, y, z]."""
+    R = Ring(field, ("x", "y", "z"))
+    x, y, z = (R.var(k) for k in range(3))
+    zero = R.zero()
+    d1 = Matrix(R, 1, 3, [[x, y, z]])
+    d2 = Matrix(R, 3, 3, [[-y, -z, zero], [x, zero, -z], [zero, x, y]])
+    d3 = Matrix(R, 3, 1, [[z], [-y], [x]])
+    return FreeChainComplex(R, (1, 3, 3, 1), (d1, d2, d3))
+
+
+@pytest.mark.parametrize("q", [3, 17])
+@pytest.mark.parametrize("torus", [False, True])
+def test_cone_route_koszul_in_three_variables(q, torus):
+    F = finite_field(q)
+    E = koszul3_complex(F)
+    assert validate_complex(E).ok and _conical(E)
+    _assert_locus_matches_table(E, F, torus=torus)
+
+
+@pytest.mark.parametrize("q", [3, 17])
+def test_cone_route_conical_bivariate_corpus(q):
+    F = finite_field(q)
+    conical = [E for E in (random_bivariate_complex(F, seed)
+                           for seed in range(100)) if _conical(E)]
+    assert len(conical) >= 20
+    for E in conical:
+        _assert_locus_matches_table(E, F)
+
+
+@pytest.mark.parametrize("q", [5, 17])
+def test_cone_route_laurent_complexes_on_the_torus(q):
+    F = finite_field(q)
+    L = Ring(F, ("x", "y"), laurent=True)
+    # columns of degree 1: x - y and x^2 y^-1 - y
+    handmade = FreeChainComplex(L, (1, 2), (Matrix(L, 1, 2, [[
+        parse_poly(L, "x - y"), parse_poly(L, "x^2*y^-1 - y")]]),))
+    laurent = [random_laurent_complex(F, seed) for seed in range(40)]
+    twisted = [_laurent_twist(random_bivariate_complex(F, seed), seed)
+               for seed in range(40)]
+    conical = [E for E in [handmade] + laurent + twisted if _conical(E)]
+    assert len(conical) >= 15
+    for E in conical:
+        _assert_locus_matches_table(E, F, torus=True)
+
+
+@pytest.mark.parametrize("q", [5, 17])
+def test_cone_route_columns_of_different_degrees(q):
+    F = finite_field(q)
+    R = Ring(F, ("x", "y"))
+    for rows in ([["x", "y^2"]], [["x", "y^2"], ["y", "x*y"]]):
+        M = Matrix(R, len(rows), 2, [[parse_poly(R, e) for e in row]
+                                     for row in rows])
+        E = FreeChainComplex(R, (len(rows), 2), (M,))
+        assert _conical(E)
+        _assert_locus_matches_table(E, F)
+
+
+def test_cone_route_is_fixed_by_the_column_degrees(monkeypatch):
+    calls = []
+    real = complexes._conical_jump_points
+
+    def counted(E, *args):
+        calls.append(E)
+        return real(E, *args)
+    monkeypatch.setattr(complexes, "_conical_jump_points", counted)
+    R = Ring(F5, ("x", "y"))
+
+    def one_map(rows):
+        return FreeChainComplex(R, (len(rows), len(rows[0])), (Matrix(
+            R, len(rows), len(rows[0]),
+            [[parse_poly(R, e) for e in row] for row in rows]),))
+    for E, conical in ((koszul_complex(F5), True),
+                       (one_map([["x", "y^2"]]), True),
+                       (one_map([["x", "y"], ["1", "1"]]), False),  # row-graded
+                       (one_map([["x + 1", "y"]]), False)):
+        table = homology_dims_table(E, F5)
+        for i in (0, 1):
+            del calls[:]
+            got = {p.coords for p in jump_locus_points(E, i, 1, F5)}
+            assert got == _table_locus(table, i, 1)
+            assert bool(calls) == conical, (E, i)
+
+
+@st.composite
+def _column_graded_complexes(draw):
+    """One-differential complexes whose d_1 has one total degree per
+    column, over F_5, F_7 or F_17, ordinary or Laurent."""
+    F = PrimeField(draw(st.sampled_from([5, 7, 17])))
+    laurent = draw(st.booleans())
+    nvars = draw(st.integers(1, 2 if F.order > 7 else 3))
+    R = Ring(F, ("x", "y", "z")[:nvars], laurent=laurent)
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    low = -2 if laurent else 0
+    cols = []
+    for _ in range(ncols):
+        deg = draw(st.integers(-1 if laurent else 0, 3))
+        monomials = [e for e in itertools.product(range(low, 4), repeat=nvars)
+                     if sum(e) == deg]
+        cols.append([Poly(R, {e: draw(st.integers(1, F.order - 1)) for e in
+                              draw(st.lists(st.sampled_from(monomials),
+                                            max_size=2, unique=True))})
+                     for _ in range(nrows)])
+    M = Matrix(R, nrows, ncols, [list(row) for row in zip(*cols)])
+    return FreeChainComplex(R, (nrows, ncols), (M,))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_column_graded_complexes())
+def test_cone_route_on_random_column_graded_maps(E):
+    assert _conical(E)
+    _assert_locus_matches_table(E, E.ring.field, torus=E.ring.laurent)
+
+
+@pytest.mark.parametrize("q, count", [(5, 3), (7, 2), (17, 1)])
+def test_cone_route_aomoto_complexes_of_sampled_algebras(q, count):
+    # resonance of (1,4,3) algebras; at F_17 the charts go fibered
+    F = finite_field(q)
+    for seed in range(count):
+        E = aomoto_complex(sample_cga((1, 4, 3), F, "cone:%d" % seed))
+        assert _conical(E)
+        _assert_locus_matches_table(E, F)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_cone_route_exterior_aomoto_complex_and_pages(q):
+    # R(exterior(4)), and the E1 pages of exterior(3) and exterior(4) with
+    # the identity nu
+    F = finite_field(q)
+    for E in (aomoto_complex(exterior_algebra(F, 4)),
+              build_E1(exterior_algebra(F, 3), identity_nu(3)),
+              build_E1(exterior_algebra(F, 4), identity_nu(4))):
+        assert _conical(E)
+        _assert_locus_matches_table(E, F)
 
 
 # -- homology presentations -------------------------------------------------------

@@ -85,7 +85,7 @@ def test_mutated_documents_give_reports(command, tmp_path):
                 out = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(out):
-                        main(run)
+                        code = main(run)
                     report = json.loads(out.getvalue())
                 except Exception as exc:  # any escape is a failure
                     failures.append((arg, path, value, repr(exc)))
@@ -93,4 +93,7 @@ def test_mutated_documents_give_reports(command, tmp_path):
                 error = report.get("error")
                 if error is not None and error["type"] not in REPORTED:
                     failures.append((arg, path, value, error))
+                # 0 and 1 are a verdict, 2..4 an error report
+                if (error is not None) != (code in (2, 3, 4)):
+                    failures.append((arg, path, value, "exit %s" % code))
     assert failures == []

@@ -156,6 +156,26 @@ def test_verify_cvres_zero_mult():
     assert len(rep["lhs_points"]) == 9
 
 
+def test_membership_builds_one_rank_formula_per_degree(monkeypatch):
+    # the right side of verify_cv_res asks in_resonance at each of the 125
+    # points of F_5^3; the rank formula of E_A is built once per degree
+    from jumploci import cga
+    builds = []
+    real = cga.homology_dim_at
+
+    def counted(E, i, field):
+        builds.append(i)
+        return real(E, i, field)
+    monkeypatch.setattr(cga, "homology_dim_at", counted)
+    rep = verify_cv_res(cga.exterior_algebra(F5, 3), identity_nu(3), 1, 1)
+    assert rep["equal"] and {p.coords for p in rep["rhs_points"]} == {(0, 0, 0)}
+    assert builds == [1]
+    del builds[:]
+    rep = finiteness_test(cga.exterior_algebra(F5, 3), identity_nu(3), 1)
+    assert rep["hypothesis_holds"]
+    assert sorted(builds) == [0, 1]
+
+
 def test_verify_cvres_degree_zero():
     for A in (exterior2(F3), zero_mult(F3)):
         rep = verify_cv_res(A, identity_nu(2), 0, 1)
