@@ -13,7 +13,7 @@ from .complexes import (FinVerdict, FreeChainComplex, ModulePresentation,
                         validate_complex, validate_presented)
 from .equivariant import (FinAbGroup, GrRingDescriptor, NuData, build_E1,
                           finiteness_test, gr_ring, identity_nu,
-                          verify_cv_res)
+                          pulled_back_aomoto_complex, verify_cv_res)
 from .errors import (AlgebraError, DocumentError, InternalError, ParseError,
                      PreconditionError, ResourceLimitError,
                      UnsupportedRingError)

@@ -49,7 +49,6 @@ class GradedAlgebra:
             store[(i, j)] = block
         self.mult = store
         self._aomoto = None  # built on demand by aomoto_complex
-        self._dim_at = {}  # degree -> rank formula of E_A, for in_resonance
 
     @property
     def top(self):
@@ -220,8 +219,8 @@ def _square_zero(A, a):
 def in_resonance(A, a, i, d):
     """Whether a lies in the degree-i, depth-d resonance locus: a^2 must
     vanish (an element with a^2 != 0, possible only in characteristic 2,
-    is outside) and dim H^i(A, a) >= d, by the rank formula of E_A at a,
-    built once per degree and kept on the algebra."""
+    is outside) and dim H^i(A, a) >= d, by the rank formula of E_A at a.
+    One point at a time; every locus of the package is a jump locus."""
     if d <= 0:
         return True
     if i < 0 or i > A.top:
@@ -230,9 +229,7 @@ def in_resonance(A, a, i, d):
         raise PreconditionError("element has wrong length for A^1")
     if not _square_zero(A, a):
         return False
-    if i not in A._dim_at:
-        A._dim_at[i] = homology_dim_at(aomoto_complex(A), i, A.field)
-    return A._dim_at[i](tuple(a)) >= d
+    return homology_dim_at(aomoto_complex(A), i, A.field)(tuple(a)) >= d
 
 
 def resonance_points(A, i, d):

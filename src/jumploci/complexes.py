@@ -3,8 +3,8 @@
 A FreeChainComplex holds ranks c_0..c_n and differentials d_i of shape
 c_{i-1} x c_i with d_i d_{i+1} = 0.  Jump loci come in two independent
 flavors: symbolic determinantal ideals (free complexes only), and pointwise
-homology dimensions over a finite field (free or presented).  Support loci
-go through a homology presentation and its Fitting ideals.
+homology dimensions over a finite field (free or presented).  A support
+locus is the degree-0 jump locus of a homology presentation matrix.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from .rings import Point, Ring, unit_ideal, zero_ideal
 from .smith import (kernel_positions, line_restriction, smith_divisors,
                     smith_normal_form, snf_solve, udeg, vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
-                        points_where, zero_locus_points)
+                        points_where)
 
 
 @dataclass
@@ -246,12 +246,22 @@ def homology_dim_at(E, i, field, embed=None):
 
 
 def homology_dims_table(E, field, torus=False, embed=None):
-    """Homology dimensions at every point of F^r (or the torus):
-    {coords: [dim H_0, ..., dim H_n]}.  A brute-force oracle for the tests:
-    it holds all q^r points, and no command calls it."""
-    dims = [homology_dim_at(E, j, field, embed) for j in range(E.top + 1)]
-    ring = E.ring
-    return {c: [dim(c) for dim in dims]
+    """{coords: [dim H_0, ..., dim H_n]} at every point of F^r (or the
+    torus): a brute-force oracle for the tests, which no command calls.
+    Independent of `homology_dim_at`, it ranks each d_j and relation block
+    R_k once per point: dim H_j = g_j - rank R_j - im_j - im_{j+1}, with
+    im_j = rank [d_j | R_{j-1}] - rank R_{j-1}, and 0 outside 1..n."""
+    ring, n = E.ring, E.top
+    emb = embed if embed is not None else coefficient_embedding(ring.field, field)
+    diffs, rels = E.differentials, [E.relations(k) for k in range(n + 1)]
+
+    def dims(c):
+        rel = [R.evaluate(c, field, emb) for R in rels]
+        rk = [mat_rank(field, R) for R in rel]
+        im = [0] + [mat_rank_stacked(field, [d.evaluate(c, field, emb), rel[j]])
+                    - rk[j] for j, d in enumerate(diffs)] + [0]
+        return [E.gens(j) - rk[j] - im[j] - im[j + 1] for j in range(n + 1)]
+    return {c: dims(c)
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
@@ -567,13 +577,15 @@ def fitting_ideal(P, j):
 
 def support_points(E, i, d, field, torus=False, embed=None):
     """Support of the d-th exterior power of H_i(E), as a point set: the
-    zero locus of Fitt_{d-1} of a homology presentation.  Set-level equal to
-    {w : dim (H_i(E) (x) S/m_w) >= d}."""
+    zero locus of Fitt_{d-1} of a presentation S^m --P--> S^g of H_i(E).
+    As dim (H_i(E) (x) S/m_w) = g - rank P(w), that is the degree-0,
+    depth-d jump locus of the two-term free complex [P]: no minors."""
     if d < 1:
         return points_where(field, E.ring.nvars, on_torus(E.ring, torus),
                             lambda coords: True)
-    pres = cached_homology_presentation(E, i)
-    return zero_locus_points(fitting_ideal(pres, d - 1), field, torus, embed)
+    P = cached_homology_presentation(E, i).relations
+    two_term = FreeChainComplex(P.ring, [P.nrows, P.ncols], [P])
+    return jump_locus_points(two_term, 0, d, field, torus, embed)
 
 
 @dataclass

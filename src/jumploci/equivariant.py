@@ -8,15 +8,15 @@ directions which carry no points and are recorded but quotiented away.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .cga import aomoto_complex, in_resonance, resonance_ideal, validate_cga
+from .cga import _square_zero, aomoto_complex, validate_cga
 from .complexes import (FreeChainComplex, cached_homology_presentation,
                         is_finite_dimensional, jump_locus_points,
                         support_points, validate_complex)
 from .errors import InternalError, PreconditionError
 from .matrices import Matrix
 from .rings import Ring
-from .varieties import enumerate_coords, points_where, vanishes
 
 
 class FinAbGroup:
@@ -186,16 +186,9 @@ class NuData:
 
     def nu_bar_pullback(self, field, w):
         """nu-bar^*(w) in A^1 coordinates: the transpose acting on w."""
-        F = field
-        out = []
-        for s in range(self.b1):
-            acc = F.zero
-            for rho in range(self.group.rank):
-                c = self.free_block[rho][s]
-                if c:
-                    acc = F.add(acc, F.mul(F.from_int(c), w[rho]))
-            out.append(acc)
-        return tuple(out)
+        F, nbar = field, self.nu_bar_star(field)
+        return tuple(reduce(F.add, [F.mul(row[s], c) for row, c in zip(nbar, w)],
+                            F.zero) for s in range(self.b1))
 
     def __repr__(self):
         return "NuData(b1=%d onto %r)" % (self.b1, self.group)
@@ -213,8 +206,9 @@ def build_E1(A, nu):
     map into the group's degree-one homology, embedded as linear forms.
 
     With the bases fixed here, the defining transpose identity is exact:
-    evaluating d_i at w and transposing gives left-multiplication by the
-    pulled-back element (tested, not just asserted).
+    the page equals `pulled_back_aomoto_complex(A, nu)` matrix for matrix,
+    so d_i(w) transposed is left-multiplication by the pulled-back element
+    (tested, not just asserted).
     """
     verdict = validate_cga(A)
     if not verdict.ok:
@@ -268,15 +262,35 @@ def build_E1(A, nu):
     return E
 
 
-def transpose_identity_holds(A, nu, E, w, field):
-    """Check d_i(w) of the page E against d_i(pullback of w) of the
-    universal Aomoto complex entrywise, all i: both are the transpose of
-    left multiplication by the pulled-back element."""
-    a = nu.nu_bar_pullback(field, w)
-    EA = aomoto_complex(A)
-    return all(E.differential(i).evaluate(w, field)
-               == EA.differential(i).evaluate(a, field)
-               for i in range(1, A.top + 1))
+def pulled_back_aomoto_complex(A, nu):
+    """nu-bar^*E_A over the ring of gr_ring(group, k): the universal Aomoto
+    complex with each a_s replaced by sum_rho n-bar[rho][s] x_rho.  Built
+    from E_A, never from build_E1, so the comparison still sets two
+    constructions against each other."""
+    if nu.b1 != A.dim(1):
+        raise PreconditionError("nu source rank %d != b_1(A) = %d"
+                                % (nu.b1, A.dim(1)))
+    ring = gr_ring(nu.group, A.field).sbar
+    nbar = nu.nu_bar_star(A.field)
+    forms = [sum((ring.var(rho).scale(row[s]) for rho, row in enumerate(nbar)),
+                 ring.zero()) for s in range(nu.b1)]
+
+    def pull(p):  # every entry of E_A is a linear form sum c_s a_s
+        return sum((forms[e.index(1)].scale(c) for e, c in p.terms.items()),
+                   ring.zero())
+    return FreeChainComplex(ring, A.dims, [
+        Matrix(ring, d.nrows, d.ncols, [[pull(p) for p in row] for row in d.entries])
+        for d in aomoto_complex(A).differentials])
+
+
+def _pulled_back_resonance(A, nu, P, i, d):
+    """{w : nu-bar^*(w) in R^i_d(A)}: the jump locus of P, the pulled-back
+    Aomoto complex, cut by nu-bar^*(w)^2 = 0 when d >= 1."""
+    pts = jump_locus_points(P, i, d, A.field)
+    if d >= 1:
+        pts = {p for p in pts
+               if _square_zero(A, nu.nu_bar_pullback(A.field, p.coords))}
+    return pts
 
 
 PROV_COMPARISON = ("jump loci of the graded page coincide with resonance "
@@ -288,18 +302,15 @@ PROV_FINITENESS = ("trivial resonance meeting the image forces the page "
 
 def verify_cv_res(A, nu, i, d):
     """Both sides of the comparison at every point of F^r, F the algebra's
-    finite field: the pointwise jump locus of the page, and the pullback
-    membership in resonance.  `equal` must be true; a false value signals
-    an implementation fault."""
+    finite field: the jump loci of the page and of the pulled-back Aomoto
+    complex, the latter cut by nu-bar^*(w)^2 = 0.  `equal` must be true; a
+    false value signals an implementation fault."""
     field = A.field
     if not field.is_finite:
         raise PreconditionError("point verification needs a finite field")
     E = build_E1(A, nu)
     lhs = jump_locus_points(E, i, d, field)
-
-    def pulled_back_resonant(w):
-        return in_resonance(A, nu.nu_bar_pullback(field, w), i, d)
-    rhs = points_where(field, nu.group.rank, False, pulled_back_resonant)
+    rhs = _pulled_back_resonance(A, nu, pulled_back_aomoto_complex(A, nu), i, d)
     return {
         "i": i,
         "d": d,
@@ -310,18 +321,16 @@ def verify_cv_res(A, nu, i, d):
     }
 
 
-def finiteness_test(A, nu, k_range, symbolic=False):
+def finiteness_test(A, nu, k_range):
     """Hypothesis: the pullback of every nonzero w avoids all degree <= k
-    resonance (beyond 0), over the algebra's finite field.  When it holds,
-    the page homology supports are checked to sit inside the origin and the
-    homology dimensions are reported; the conclusion transfers to the
-    completed invariants of the cover (the completion itself is never
+    resonance (beyond 0), over the algebra's finite field.  Its violations
+    are each nonzero w of the pulled-back resonance loci for i = 0..k, with
+    the first i that holds it, in coordinate (enumeration) order.  When it
+    holds, the page homology supports are checked to sit inside the origin
+    and the homology dimensions are reported; the conclusion transfers to
+    the completed invariants of the cover (the completion itself is never
     materialized).  A failed hypothesis is reported as inconclusive: the
     criterion is one-directional.
-
-    With symbolic=True every pointwise membership is confirmed against the
-    resonance equations (quadrics plus minors); a mismatch would be an
-    implementation fault and raises.
     """
     field = A.field
     if k_range > A.top:
@@ -329,25 +338,14 @@ def finiteness_test(A, nu, k_range, symbolic=False):
     if not field.is_finite:
         raise PreconditionError("the hypothesis check enumerates a finite field")
     E = build_E1(A, nu)
-    r = nu.group.rank
-    zero = tuple(field.zero for _ in range(r))
-    ideals = ({i: resonance_ideal(A, i, 1) for i in range(k_range + 1)}
-              if symbolic else None)
-    violations = []
-    for coords in enumerate_coords(field, r, False):
-        if coords == zero:
-            continue
-        a = nu.nu_bar_pullback(field, coords)
-        for i in range(0, k_range + 1):
-            member = in_resonance(A, a, i, 1)
-            if (ideals is not None
-                    and vanishes(ideals[i].generators, a, field, None) != member):
-                raise InternalError(
-                    "resonance equations disagree with the rank route "
-                    "at w=%r, i=%d" % (coords, i))
-            if member:
-                violations.append({"w": coords, "i": i})
-                break
+    zero = tuple(field.zero for _ in range(nu.group.rank))
+    P = pulled_back_aomoto_complex(A, nu)
+    first = {}
+    for i in range(0, k_range + 1):
+        for p in _pulled_back_resonance(A, nu, P, i, 1):
+            if p.coords != zero:
+                first.setdefault(p.coords, i)
+    violations = [{"w": w, "i": first[w]} for w in sorted(first)]
     holds = not violations
     report = {
         "k_range": k_range,
@@ -362,18 +360,13 @@ def finiteness_test(A, nu, k_range, symbolic=False):
                                 "one-directional, a resonant direction in the "
                                 "image decides nothing")
         return report
-    supports = {}
-    dims = {}
-    support_ok = True
+    supports, dims = {}, {}
     for i in range(0, k_range + 1):
-        pts = support_points(E, i, 1, field)
-        supports[i] = pts
-        if any(p.coords != zero for p in pts):
-            support_ok = False
-        pres = cached_homology_presentation(E, i)
-        dims[i] = is_finite_dimensional(pres)
+        supports[i] = support_points(E, i, 1, field)
+        dims[i] = is_finite_dimensional(cached_homology_presentation(E, i))
     report["e2_supports"] = supports
-    report["e2_supports_in_origin"] = support_ok
+    report["e2_supports_in_origin"] = all(
+        p.coords == zero for pts in supports.values() for p in pts)
     report["e2_dims"] = dims
     report["conclusion"] = ("completed homology through degree %d is "
                             "finite-dimensional" % k_range)

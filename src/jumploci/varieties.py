@@ -5,15 +5,16 @@ ideals are exact over any field, and their points are listed over F_q and
 its extensions F_{q^e}.  Laurent rings only have torus points (all
 coordinates invertible), so `on_torus` forces the torus restriction there.
 
-Every pointwise locus of the package (zero loci and so supports, jump
-loci, resonance) streams its coordinates from `enumerate_coords`, tests
-them one at a time, and keeps only the points of the locus, so memory is
-O(locus), not O(q^r).  Zero loci and point-by-point jump loci are one
-`points_where` pass over F^r; a conical jump locus is the origin plus one
-pass per chart x_1..x_k = 0, x_{k+1} = 1 of P^{r-1}, over F^{r-k-1}, whose
-points are then scaled by F^x; the fibered route streams the heads of its
-lines.  The one q^r table, `complexes.homology_dims_table`, is a
-brute-force oracle for the tests and no command uses it.
+Every pointwise locus of the package (zero loci, and jump loci and so
+supports, resonance and its pullback) streams its coordinates from
+`enumerate_coords`, tests them one at a time, and keeps only the points of
+the locus, so memory is O(locus), not O(q^r).  Every command takes its
+loci from `complexes.jump_locus_points`; `zero_locus_points` is an oracle.
+Zero loci and point-by-point jump loci are one `points_where` pass over
+F^r; a conical jump locus is the origin plus one pass per chart x_1..x_k =
+0, x_{k+1} = 1 of P^{r-1}, whose points are then scaled by F^x; the
+fibered route streams the heads of its lines.  The one q^r table,
+`complexes.homology_dims_table`, is a brute-force oracle for the tests.
 """
 
 from itertools import product
@@ -63,12 +64,6 @@ def points_where(field, r, torus, test):
             if test(c)}
 
 
-def vanishes(gens, coords, field, embed):
-    """Whether every polynomial of `gens` vanishes at `coords`; `embed` is
-    the coeff_map into `field`.  Stops at the first nonzero value."""
-    return all(g.evaluate(coords, field, embed) == field.zero for g in gens)
-
-
 def zero_locus_points(ideal, field=None, torus=False, embed=None):
     """The points of F^r (or the torus) where every generator vanishes.
 
@@ -80,8 +75,8 @@ def zero_locus_points(ideal, field=None, torus=False, embed=None):
     F = field if field is not None else ring.field
     emb = embed if embed is not None else coefficient_embedding(ring.field, F)
     gens = sorted(ideal.generators, key=lambda g: len(g.terms))
-    return points_where(F, ring.nvars, on_torus(ring, torus),
-                        lambda c: vanishes(gens, c, F, emb))
+    return points_where(F, ring.nvars, on_torus(ring, torus), lambda c: all(
+        g.evaluate(c, F, emb) == F.zero for g in gens))
 
 
 def extension_fields(base, max_ext):

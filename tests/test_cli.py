@@ -518,3 +518,32 @@ def test_compare_v_union_of_a_rational_complex_at_q17(capsys, tmp_path):
 def test_each_kind_of_error_has_its_exit_code(error, code):
     # 0 is ok and 1 a false verdict, so no error report exits 0 or 1
     assert error_code(error("message")) == code
+
+
+@pytest.mark.parametrize("q", [3, 5, 17])
+def test_supports_compare_v_matches_the_fitting_oracle(q, capsys, tmp_path):
+    # the complexes of the benchmark's symbolic supports reports, over F_q:
+    # printed supports and support unions against V(Fitt_0) of each degree.
+    # (Over F_16, seed 9 spends over a minute in its Groebner presentation.)
+    from jumploci.cli import point_list
+    from jumploci.complexes import cached_homology_presentation, fitting_ideal
+    from jumploci.corpus import random_free_complex
+    from jumploci.documents import dump_complex
+    from jumploci.fields import finite_field
+    from jumploci.rings import Ring
+    from jumploci.varieties import zero_locus_points
+    F = finite_field(q)
+    for seed in range(10):
+        E = random_free_complex(Ring(F, ("x", "y")), seed, max_rank=4)
+        path = tmp_path / ("free-%d.cc" % seed)
+        path.write_text(json.dumps(dump_complex(E)))
+        code, out = run(capsys, "supports", "--complex", str(path), "--i",
+                        "1", "--compare-v", "--format", "structured")
+        assert code == 0
+        res = json.loads(out)["results"]
+        oracle = [zero_locus_points(
+            fitting_ideal(cached_homology_presentation(E, j), 0), F)
+            for j in (0, 1)]
+        assert res["by_extension"]["1"]["points"] == point_list(F, oracle[1])
+        assert (res["compare_v"]["1"]["support_union"]
+                == point_list(F, oracle[0] | oracle[1]))

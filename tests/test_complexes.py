@@ -779,3 +779,23 @@ def test_multivariate_laurent_presentation():
     assert pres.gens == 1
     v = is_finite_dimensional(pres)
     assert v.kind == "infinite"
+
+
+@pytest.mark.parametrize("q", [3, 5, 16, 17])
+def test_supports_match_the_fitting_oracle(q):
+    # support_points is a jump locus of the two-term complex [P]; the
+    # Fitting route it replaced, V(Fitt_{d-1}), stays here as its oracle,
+    # over F_q and F_{q^2} (bivariate over F_{q^2} only while q^4 is small)
+    F = finite_field(q)
+    for make in (random_bivariate_complex, random_laurent_complex):
+        max_ext = 1 if make is random_bivariate_complex and q > 5 else 2
+        for seed in range(40):
+            E = make(F, seed)
+            for i in range(E.top + 1):
+                pres = complexes.cached_homology_presentation(E, i)
+                for d in (1, 2):
+                    fitt = fitting_ideal(pres, d - 1)
+                    for _, big, emb in extension_fields(F, max_ext):
+                        assert (support_points(E, i, d, big, embed=emb)
+                                == zero_locus_points(fitt, big, embed=emb)), \
+                            (seed, i, d, big)

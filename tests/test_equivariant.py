@@ -1,18 +1,19 @@
-import itertools
 import random
 
 import pytest
 
-from jumploci.cga import BShape, pairing_cga, resonance_points, sample_cga
+from jumploci.cga import (BShape, exterior_algebra, in_resonance, pairing_cga,
+                          resonance_ideal, resonance_points, sample_cga)
 from jumploci.complexes import (homology_dims_table, jump_locus_points,
                                 validate_complex)
 from jumploci.equivariant import (FinAbGroup, NuData, build_E1,
                                   finiteness_test, gr_ring, identity_nu,
                                   integer_smith_divisors,
-                                  transpose_identity_holds, verify_cv_res)
+                                  pulled_back_aomoto_complex, verify_cv_res)
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals
+from jumploci.fields import PrimeField, Rationals, finite_field
 from jumploci.rings import poly_to_str
+from jumploci.varieties import enumerate_coords, points_where
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -116,17 +117,43 @@ def test_build_e1_trivial_group():
     assert table[()] == [1, 2, 1]
 
 
+def _algebra(field, b1, b2, seed):
+    """A sampled (1, b1, b2) algebra; in characteristic 2 the pairing has
+    no diagonal, so build_E1 accepts every map out of it."""
+    if field.characteristic != 2:
+        return sample_cga(BShape((1, b1, b2)), field, seed)
+    rng = random.Random(seed)
+    elems = list(field.elements())
+    return pairing_cga(field, b1, b2, {
+        (s, t): [rng.choice(elems) for _ in range(b2)]
+        for s in range(b1) for t in range(s + 1, b1)})
+
+
+def _nus(b1):
+    """The identity, onto Z, and (b1 >= 2) a map onto Z + Z/4."""
+    nus = [identity_nu(b1), NuData(b1, [[1] * b1], (), FinAbGroup(1))]
+    if b1 >= 2:
+        nus.append(NuData(b1, [[1] + [0] * (b1 - 1)],
+                          [[0, 1] + [0] * (b1 - 2)], FinAbGroup(1, (4,))))
+    return nus
+
+
 def test_transpose_identity_oracle():
-    # the defining identity, at every point, for several algebras and maps
-    rng = random.Random(41)
-    for seed in range(8):
-        b1 = rng.randint(1, 3)
-        b2 = rng.randint(0, 2)
-        A = sample_cga(BShape((1, b1, b2)), F3, "ti:%d" % seed)
-        nu = identity_nu(b1)
-        E = build_E1(A, nu)
-        for w in itertools.product(range(3), repeat=b1):
-            assert transpose_identity_holds(A, nu, E, w, F3)
+    # the defining identity, exactly: the page equals the universal Aomoto
+    # complex pulled back along nu-bar, ring for ring and matrix for matrix
+    cases = 0
+    for q in (2, 3, 4, 5, 7):
+        F = finite_field(q)
+        for seed in range(4):
+            b1 = 1 + seed % 3
+            A = _algebra(F, b1, seed % 3, "ti:%d:%d" % (q, seed))
+            for nu in _nus(b1):
+                E = build_E1(A, nu)
+                P = pulled_back_aomoto_complex(A, nu)
+                assert E.ring == P.ring
+                assert E.differentials == P.differentials
+                cases += 1
+    assert cases == 50
 
 
 def test_build_e1_random_validates():
@@ -156,24 +183,43 @@ def test_verify_cvres_zero_mult():
     assert len(rep["lhs_points"]) == 9
 
 
-def test_membership_builds_one_rank_formula_per_degree(monkeypatch):
-    # the right side of verify_cv_res asks in_resonance at each of the 125
-    # points of F_5^3; the rank formula of E_A is built once per degree
-    from jumploci import cga
-    builds = []
-    real = cga.homology_dim_at
+def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
+    # exterior(3) over F_5 with the identity: the pullback side ranks the
+    # origin and the points of the charts of P^2, 1 + (5^3 - 1)/(5 - 1)
+    # per degree, not all 125 points of F_5^3
+    from jumploci import cga, complexes, equivariant
+    ranked = []
 
-    def counted(E, i, field):
-        builds.append(i)
-        return real(E, i, field)
-    monkeypatch.setattr(cga, "homology_dim_at", counted)
-    rep = verify_cv_res(cga.exterior_algebra(F5, 3), identity_nu(3), 1, 1)
-    assert rep["equal"] and {p.coords for p in rep["rhs_points"]} == {(0, 0, 0)}
-    assert builds == [1]
-    del builds[:]
-    rep = finiteness_test(cga.exterior_algebra(F5, 3), identity_nu(3), 1)
+    def counting(real):
+        def wrapped(E, i, field, embed=None):
+            dim = real(E, i, field, embed)
+
+            def counted(coords):
+                ranked.append(coords)
+                return dim(coords)
+            return counted
+        return wrapped
+    for module in (complexes, cga):
+        monkeypatch.setattr(module, "homology_dim_at",
+                            counting(module.homology_dim_at))
+
+    def count(thunk):
+        del ranked[:]
+        out = thunk()
+        return len(ranked), out
+    A, nu = exterior_algebra(F5, 3), identity_nu(3)
+    bound = 1 + (5 ** 3 - 1) // (5 - 1)
+    E = build_E1(A, nu)
+    for i in (0, 1):
+        page, _ = count(lambda: jump_locus_points(E, i, 1, F5))
+        both, rep = count(lambda: verify_cv_res(A, nu, i, 1))
+        assert rep["equal"] and {p.coords for p in rep["rhs_points"]} == {(0, 0, 0)}
+        assert 0 < both - page <= bound
+    supports, _ = count(lambda: [equivariant.support_points(E, i, 1, F5)
+                                 for i in (0, 1)])
+    total, rep = count(lambda: finiteness_test(A, nu, 1))
     assert rep["hypothesis_holds"]
-    assert sorted(builds) == [0, 1]
+    assert 0 < total - supports <= 2 * bound
 
 
 def test_verify_cvres_degree_zero():
@@ -246,10 +292,7 @@ def test_rank3_exterior_page_is_koszul():
     nu = identity_nu(3)
     E = build_E1(A, nu)
     assert validate_complex(E).ok
-    rng = random.Random(9)
-    for _ in range(10):
-        w = tuple(rng.randrange(3) for _ in range(3))
-        assert transpose_identity_holds(A, nu, E, w, F3)
+    assert E.differentials == pulled_back_aomoto_complex(A, nu).differentials
     for i in range(4):
         pts = {p.coords for p in jump_locus_points(E, i, 1, F3)}
         assert pts == {(0, 0, 0)}, i
@@ -264,11 +307,65 @@ def test_rank3_exterior_page_is_koszul():
 
 
 def test_finiteness_symbolic_confirmation():
-    # every pointwise membership is re-derived from the resonance equations
-    rep = finiteness_test(exterior2(F5), identity_nu(2), 2, symbolic=True)
-    assert rep["hypothesis_holds"]
-    rep2 = finiteness_test(zero_mult(F3), identity_nu(2), 1, symbolic=True)
-    assert not rep2["hypothesis_holds"]
+    # the hypothesis loci against the resonance equations: for every
+    # nonzero w, nu-bar^*(w) lies in V(resonance_ideal(A, i, 1)) exactly
+    # when w is in the pulled-back locus i
+    for F in (F3, F5):
+        for seed in range(6):
+            b1 = 1 + seed % 3
+            A = sample_cga(BShape((1, b1, 1 + seed % 2)), F, "sym:%d" % seed)
+            for nu in _nus(b1):
+                zero = (F.zero,) * nu.group.rank
+                for i in range(A.top + 1):
+                    gens = resonance_ideal(A, i, 1).generators
+                    locus = {p.coords
+                             for p in verify_cv_res(A, nu, i, 1)["rhs_points"]}
+                    for w in enumerate_coords(F, nu.group.rank, False):
+                        if w != zero:
+                            a = nu.nu_bar_pullback(F, w)
+                            on_v = all(g.evaluate(a, F) == F.zero for g in gens)
+                            assert on_v == (w in locus)
+
+
+def _pullback_oracle(A, nu, i, d):
+    """The pullback side one point at a time, as it was computed before it
+    became a jump locus: a points_where pass asking in_resonance."""
+    F = A.field
+    return points_where(F, nu.group.rank, False, lambda w: in_resonance(
+        A, nu.nu_bar_pullback(F, w), i, d))
+
+
+def _violations_oracle(A, nu, k):
+    """finiteness_test's violations by the per-point loop it replaced."""
+    F = A.field
+    zero = (F.zero,) * nu.group.rank
+    out = []
+    for w in enumerate_coords(F, nu.group.rank, False):
+        if w == zero:
+            continue
+        a = nu.nu_bar_pullback(F, w)
+        i = next((i for i in range(k + 1) if in_resonance(A, a, i, 1)), None)
+        if i is not None:
+            out.append({"w": w, "i": i})
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 17])
+def test_pullback_side_matches_the_per_point_oracle(q):
+    # verify-cvres's right side and finiteness violations, in order,
+    # against the in_resonance loop; b_1 <= 2 above F_9 keeps q^r small
+    F = finite_field(q)
+    for seed in range(4 if q > 9 else 8):
+        b1 = 1 + seed % (2 if q > 9 else 3)
+        A = _algebra(F, b1, 1 + seed % 3, "pb:%d:%d" % (q, seed))
+        for nu in _nus(b1):
+            for i in range(A.top + 1):
+                for d in (1, 2):
+                    rep = verify_cv_res(A, nu, i, d)
+                    assert rep["equal"]
+                    assert rep["rhs_points"] == _pullback_oracle(A, nu, i, d)
+            rep = finiteness_test(A, nu, A.top)
+            assert rep["violations"] == _violations_oracle(A, nu, A.top)
 
 
 def test_finiteness_chain_on_random_corpus():
