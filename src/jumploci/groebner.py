@@ -1,8 +1,9 @@
 """A small Buchberger engine for ideals and submodules of free modules.
 
-Everything here is desk scale by design: naive pair selection with the
-coprimality criterion, dense dictionaries, and fixed resource bounds
-that raise instead of letting a computation run unbounded.
+Everything here is desk scale by design: Buchberger's algorithm with the
+Gebauer-Moeller pair criteria and sugar selection, dense dictionaries, and
+fixed resource bounds that raise instead of letting a computation run
+unbounded.
 
 Module elements are dicts mapping (component, exponent_tuple) to nonzero
 scalars.  Module monomial orders are key functions on those pairs; the
@@ -11,13 +12,16 @@ order across the component blocks) and a variable-elimination order used
 for saturation.
 """
 
+import heapq
+
 from .errors import ResourceLimitError, UnsupportedRingError
 from .matrices import Matrix
 from .rings import Ideal, Poly, Ring
 
 
 # Desk-scale bounds.  `buchberger` refuses an ideal beyond the input bounds;
-# the engine bounds stop runaway growth in every Groebner computation.
+# the engine bounds stop runaway growth in every Groebner computation:
+# the degree of an element the S-pair loop adds, and how many it adds.
 MAX_VARS = 3
 MAX_GENERATORS = 6
 MAX_DEGREE = 6
@@ -97,44 +101,81 @@ def _pure_component(v):
     return comps.pop() if len(comps) == 1 else None
 
 
+def _lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
 def module_groebner(ring, gens, key):
     """Buchberger for a submodule of a free module, returning a reduced basis.
 
     gens: module elements (dicts).  key: module monomial order key.
-    The coprimality criterion only applies when both elements live in a
-    single component (it is unsound for genuinely vector-valued elements).
+    Pairs are formed only between leads in one component and kept by the
+    Gebauer-Moeller update (J. Symb. Comput. 6, 1988).  The next pair is the
+    one of least sugar, then lcm degree, then indices (Giovini et al., ISSAC
+    1991): an input's sugar is its highest total degree, a pair's is that
+    of the larger of its two lcm multiples, and a new element keeps the
+    sugar of its pair.
     """
     _require_ordinary(ring)
     F = ring.field
-    basis = []
+    basis = []      # (element, lead, pure component or None, sugar)
+    reducers = []   # (element, lead) of every element, in basis order
+    active = []     # indices of the elements no later lead divides
+    pairs = {}      # component -> {(i, j): lcm of the leads}, i > j
+    queue = []      # heap of (sugar, lcm degree, i, j) over `pairs`
+
+    def update(h):
+        """Add the pairs of basis[h] and drop the ones it makes useless."""
+        _, (c, eh), pure_h, sugar_h = basis[h]
+        old = pairs.setdefault(c, {})
+        # chain criterion: lead(h) divides lcm(i, j) strictly below it
+        for (i, j), lij in list(old.items()):
+            if (_divides(eh, lij) and _lcm(basis[i][1][1], eh) != lij
+                    and _lcm(basis[j][1][1], eh) != lij):
+                del old[(i, j)]
+        new = []
+        for g in active:
+            _, (cg, eg), pure_g, _ = basis[g]
+            if cg == c:
+                # coprime leads only count for one-component elements (the
+                # criterion is unsound for genuinely vector-valued ones)
+                coprime = (pure_h is not None and pure_g is not None
+                           and all(min(a, b) == 0 for a, b in zip(eg, eh)))
+                new.append((g, _lcm(eg, eh), coprime))
+        # criteria M and F: one new pair per minimal lcm; a coprime pair
+        # stays long enough to stand for its lcm, then goes
+        kept = []
+        for n, (g, lcm, coprime) in enumerate(new):
+            if coprime or not any(_divides(other, lcm) for _, other, _ in
+                                  new[n + 1:] + kept):
+                kept.append((g, lcm, coprime))
+        for g, lcm, coprime in kept:
+            if not coprime:
+                old[(h, g)] = lcm
+                deg = sum(lcm)
+                sugar = max(sugar_h + deg - sum(eh),
+                            basis[g][3] + deg - sum(basis[g][1][1]))
+                heapq.heappush(queue, (sugar, deg, h, g))
+        active[:] = [g for g in active
+                     if basis[g][1][0] != c or not _divides(eh, basis[g][1][1])]
+        active.append(h)
+
+    def add(g, sugar):
+        g = m_normalize(F, g, key)
+        basis.append((g, m_lead(g, key), _pure_component(g), sugar))
+        reducers.append(basis[-1][:2])
+        update(len(basis) - 1)
+
     for g in gens:
         if g:
-            g = m_normalize(F, g, key)
-            basis.append((g, m_lead(g, key), _pure_component(g)))
-
-    def make_pairs(new_idx):
-        out = []
-        ci, ei = basis[new_idx][1]
-        for t in range(new_idx):
-            ct, et = basis[t][1]
-            if ct != ci:
-                continue  # no S-pair across components
-            if (basis[new_idx][2] is not None and basis[t][2] is not None
-                    and all(min(a, b) == 0 for a, b in zip(ei, et))):
-                continue  # coprime leads of one-component elements
-            lcm_deg = sum(max(a, b) for a, b in zip(ei, et))
-            out.append((lcm_deg, new_idx, t))
-        return out
-
-    pairs = []
-    for idx in range(len(basis)):
-        pairs.extend(make_pairs(idx))
-    reducers = [(g, lead) for (g, lead, _) in basis]
-    while pairs:
-        pairs.sort(key=lambda p: p[0], reverse=True)
-        _, i, j = pairs.pop()
-        (gi, (ci, ei), _), (gj, (cj, ej), _) = basis[i], basis[j]
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            add(g, max(sum(e) for (_, e) in g))
+    added = 0
+    while queue:
+        sugar, _, i, j = heapq.heappop(queue)
+        (gi, (ci, ei), _, _), (gj, (_, ej), _, _) = basis[i], basis[j]
+        lcm = pairs[ci].pop((i, j), None)
+        if lcm is None:
+            continue  # dropped by the chain criterion
         s = m_add(
             F,
             m_scale_term(F, gi, tuple(a - b for a, b in zip(lcm, ei)), F.one),
@@ -147,18 +188,16 @@ def module_groebner(ring, gens, key):
                 raise ResourceLimitError(
                     "intermediate degree exceeds the desk-scale bound %d"
                     % ENGINE_MAX_DEGREE)
-            r = m_normalize(F, r, key)
-            basis.append((r, m_lead(r, key), _pure_component(r)))
-            reducers.append((r, basis[-1][1]))
-            if len(basis) > ENGINE_MAX_BASIS:
+            added += 1
+            if added > ENGINE_MAX_BASIS:
                 raise ResourceLimitError(
                     "basis grew past the desk-scale bound %d" % ENGINE_MAX_BASIS)
-            pairs.extend(make_pairs(len(basis) - 1))
+            add(r, sugar)
     # minimalize: drop elements whose lead is divisible by another lead
     minimal = []
-    for idx, (g, lead, _) in enumerate(basis):
+    for idx, (g, lead, _, _) in enumerate(basis):
         keep = True
-        for jdx, (_, lead2, _) in enumerate(basis):
+        for jdx, (_, lead2, _, _) in enumerate(basis):
             if jdx == idx:
                 continue
             if lead2[0] == lead[0] and _divides(lead2[1], lead[1]):

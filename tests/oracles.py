@@ -293,3 +293,122 @@ def magnus_triple(word, n):
             qg[g][g] = 1
         acc = mul(acc, (1, lg, qg))
     return acc
+
+
+# -- module Groebner bases by plain Buchberger ---------------------------------
+
+
+def _m_add(F, a, b):
+    out = dict(a)
+    for k, c in b.items():
+        s = F.add(out.get(k, F.zero), c)
+        if s == F.zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _m_scale_term(F, v, mono, coeff):
+    return {(comp, tuple(x + y for x, y in zip(e, mono))): F.mul(c, coeff)
+            for (comp, e), c in v.items()}
+
+
+def _divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+def module_normal_form(F, v, basis, key):
+    """Remainder of v on division by basis, a list of (element, lead)."""
+    remainder = {}
+    work = dict(v)
+    while work:
+        lt = max(work, key=key)
+        comp, mono = lt
+        for g, (gcomp, gmono) in basis:
+            if gcomp == comp and _divides(gmono, mono):
+                factor = F.neg(F.div(work[lt], g[(gcomp, gmono)]))
+                work = _m_add(F, work, _m_scale_term(
+                    F, g, tuple(a - b for a, b in zip(mono, gmono)), factor))
+                break
+        else:
+            remainder[lt] = work.pop(lt)
+    return remainder
+
+
+def s_polynomial(F, a, b, key):
+    """S-polynomial of two monic module elements with leads in one
+    component."""
+    (_, ea), (_, eb) = max(a, key=key), max(b, key=key)
+    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+    return _m_add(F, _m_scale_term(F, a, tuple(x - y for x, y in zip(lcm, ea)),
+                                   F.one),
+                  _m_scale_term(F, b, tuple(x - y for x, y in zip(lcm, eb)),
+                                F.neg(F.one)))
+
+
+def _m_normalize(F, v, key):
+    inv = F.inv(v[max(v, key=key)])
+    return {k: F.mul(inv, c) for k, c in v.items()}
+
+
+def _pure_component(v):
+    comps = {comp for (comp, _) in v}
+    return comps.pop() if len(comps) == 1 else None
+
+
+def reference_module_groebner(field, gens, key):
+    """Reduced Groebner basis of the submodule spanned by gens (dicts
+    (component, exponent) -> coefficient) under the module order `key`.
+
+    Plain Buchberger: every same-component pair is reduced, in order of
+    lcm degree, and only the coprime criterion of one-component elements
+    skips any.  No resource bounds.  Returns the basis sorted by lead.
+    """
+    F = field
+    basis = []
+    for g in gens:
+        if g:
+            g = _m_normalize(F, g, key)
+            basis.append((g, max(g, key=key), _pure_component(g)))
+
+    def make_pairs(new):
+        out = []
+        ci, ei = basis[new][1]
+        for t in range(new):
+            ct, et = basis[t][1]
+            if ct != ci:
+                continue
+            if (basis[new][2] is not None and basis[t][2] is not None
+                    and all(min(a, b) == 0 for a, b in zip(ei, et))):
+                continue
+            out.append((sum(max(a, b) for a, b in zip(ei, et)), new, t))
+        return out
+
+    pairs = [p for idx in range(len(basis)) for p in make_pairs(idx)]
+    reducers = [(g, lead) for (g, lead, _) in basis]
+    while pairs:
+        pairs.sort(key=lambda p: p[0], reverse=True)
+        _, i, j = pairs.pop()
+        gi, gj = basis[i][0], basis[j][0]
+        r = module_normal_form(F, s_polynomial(F, gi, gj, key), reducers, key)
+        if r:
+            r = _m_normalize(F, r, key)
+            basis.append((r, max(r, key=key), _pure_component(r)))
+            reducers.append((r, basis[-1][1]))
+            pairs.extend(make_pairs(len(basis) - 1))
+    minimal = []
+    for idx, (g, lead, _) in enumerate(basis):
+        if not any(lead2[0] == lead[0] and _divides(lead2[1], lead[1])
+                   and not (lead2[1] == lead[1] and jdx > idx)
+                   for jdx, (_, lead2, _) in enumerate(basis) if jdx != idx):
+            minimal.append((g, lead))
+    reduced = []
+    for idx, (g, lead) in enumerate(minimal):
+        tail = dict(g)
+        tail.pop(lead)
+        r = module_normal_form(F, tail, minimal[:idx] + minimal[idx + 1:], key)
+        r[lead] = F.one
+        reduced.append((r, lead))
+    reduced.sort(key=lambda gl: key(gl[1]))
+    return [g for g, _ in reduced]

@@ -520,11 +520,10 @@ def test_each_kind_of_error_has_its_exit_code(error, code):
     assert error_code(error("message")) == code
 
 
-@pytest.mark.parametrize("q", [3, 5, 17])
+@pytest.mark.parametrize("q", [3, 5, 16, 17])
 def test_supports_compare_v_matches_the_fitting_oracle(q, capsys, tmp_path):
     # the complexes of the benchmark's symbolic supports reports, over F_q:
     # printed supports and support unions against V(Fitt_0) of each degree.
-    # (Over F_16, seed 9 spends over a minute in its Groebner presentation.)
     from jumploci.cli import point_list
     from jumploci.complexes import cached_homology_presentation, fitting_ideal
     from jumploci.corpus import random_free_complex

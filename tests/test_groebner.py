@@ -1,18 +1,120 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jumploci import groebner
+from jumploci.cli import main
+from jumploci.complexes import homology_presentation, is_finite_dimensional
+from jumploci.corpus import random_bivariate_complex, random_free_complex
+from jumploci.documents import dump_complex
 from jumploci.errors import ResourceLimitError, UnsupportedRingError
-from jumploci.fields import PrimeField, Rationals
-from jumploci.groebner import (ModuleSolver, buchberger, ideal_normal_form,
-                               m_lead, m_reduce, module_lead_terms,
+from jumploci.fields import PrimeField, Rationals, finite_field
+from jumploci.groebner import (ModuleSolver, buchberger, elim_var_key,
+                               ideal_normal_form, module_lead_terms,
                                module_saturate, pot_key, poly_to_module,
                                standard_monomial_count, syzygy_matrix)
 from jumploci.matrices import Matrix
-from jumploci.rings import Ideal, Ring, parse_poly, poly_to_str
+from jumploci.rings import Ideal, Poly, Ring, parse_poly, poly_to_str
+from oracles import (module_normal_form, reference_module_groebner,
+                     s_polynomial)
 
 Q = Rationals()
 F3 = PrimeField(3)
+FIELDS = [finite_field(2), F3, finite_field(4), finite_field(5), Q]
+
+
+class GroebnerRecorder:
+    """Records every `module_groebner` call made inside a `with` block:
+    its ring, inputs, order key and output, and how many of its S-pair
+    reductions reached zero.
+
+    The engine ends with one inter-reduction per output element, so of
+    the `m_reduce` calls it makes, all but the last len(output) reduce an
+    S-pair.  Past `limit` reductions in one call the recorder raises, so a
+    runaway computation fails instead of running on.
+    """
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.calls = []     # (ring, gens, key, output)
+        self.s_pairs = 0
+        self.zeros = 0
+
+    def __enter__(self):
+        engine, reduce = groebner.module_groebner, groebner.m_reduce
+        self._saved = engine, reduce
+        outcomes = []
+
+        def recording_reduce(F, v, basis, key):
+            r = reduce(F, v, basis, key)
+            outcomes.append(not r)
+            if self.limit is not None and len(outcomes) > self.limit:
+                raise AssertionError("over %d reductions in one Groebner "
+                                     "basis" % self.limit)
+            return r
+
+        def recording_engine(ring, gens, key):
+            gens = [dict(g) for g in gens]
+            outcomes.clear()
+            groebner.m_reduce = recording_reduce
+            try:
+                out = engine(ring, gens, key)
+            finally:
+                groebner.m_reduce = reduce
+            pairs = outcomes[:len(outcomes) - len(out)]
+            self.s_pairs += len(pairs)
+            self.zeros += sum(pairs)
+            self.calls.append((ring, gens, key, out))
+            return out
+
+        groebner.module_groebner = recording_engine
+        return self
+
+    def __exit__(self, *exc):
+        groebner.module_groebner, groebner.m_reduce = self._saved
+
+
+def _assert_reference_bases(calls):
+    for ring, gens, key, out in calls:
+        assert out == reference_module_groebner(ring.field, gens, key)
+
+
+def _assert_buchberger_criterion(ring, gens, key, out):
+    # the output is a Groebner basis of the module the inputs span: every
+    # S-pair of it and every input reduce to zero against it
+    F = ring.field
+    basis = [(g, max(g, key=key)) for g in out]
+    for a, (ga, la) in enumerate(basis):
+        for gb, lb in basis[:a]:
+            if la[0] == lb[0]:
+                assert module_normal_form(
+                    F, s_polynomial(F, ga, gb, key), basis, key) == {}
+    for g in gens:
+        assert module_normal_form(F, g, basis, key) == {}
+
+
+@pytest.fixture(scope="module")
+def symbolic_workload(tmp_path_factory):
+    """The Groebner calls of the benchmark's symbolic `supports` reports:
+    `supports --compare-v --i 1 --q 3` on random_free_complex(F_3[x, y],
+    seed, max_rank=4) for seeds 0-99."""
+    ring = Ring(F3, ("x", "y"))
+    folder = tmp_path_factory.mktemp("symbolic")
+    paths = []
+    for seed in range(100):
+        path = folder / ("free-%d.cc" % seed)
+        path.write_text(json.dumps(dump_complex(
+            random_free_complex(ring, seed, max_rank=4))))
+        paths.append(str(path))
+    with GroebnerRecorder() as rec, contextlib.redirect_stdout(io.StringIO()):
+        for path in paths:
+            assert main(["supports", "--complex", path, "--i", "1", "--q",
+                         "3", "--compare-v"]) == 0
+    return rec
 
 
 def _ideal(ring, *texts):
@@ -49,7 +151,6 @@ def test_hand_run_example_grlex():
 def test_spolys_of_output_reduce_to_zero():
     rng = random.Random(5)
     R = Ring(F3, ("x", "y"), order="grlex")
-    key = pot_key(R)
     for _ in range(10):
         gens = []
         for _ in range(rng.randint(1, 3)):
@@ -59,20 +160,9 @@ def test_spolys_of_output_reduce_to_zero():
                                    rng.randint(1, 2))
             gens.append(p)
         G = buchberger(Ideal(R, gens))
-        basis = [(poly_to_module(g), m_lead(poly_to_module(g), key))
-                 for g in G.generators]
-        for a, (ga, la) in enumerate(basis):
-            for gb, lb in basis[:a]:
-                lcm = tuple(max(x, y) for x, y in zip(la[1], lb[1]))
-                from jumploci.groebner import m_add, m_scale_term
-                s = m_add(F3,
-                          m_scale_term(F3, ga,
-                                       tuple(x - y for x, y in zip(lcm, la[1])),
-                                       F3.one),
-                          m_scale_term(F3, gb,
-                                       tuple(x - y for x, y in zip(lcm, lb[1])),
-                                       F3.neg(F3.one)))
-                assert m_reduce(F3, s, basis, key) == {}
+        _assert_buchberger_criterion(
+            R, [poly_to_module(g) for g in gens if not g.is_zero()],
+            pot_key(R), [poly_to_module(g) for g in G.generators])
 
 
 def test_ideal_membership_via_normal_form():
@@ -97,6 +187,15 @@ def test_buchberger_rejects_laurent_and_limits():
     with pytest.raises(ResourceLimitError):
         buchberger(Ideal(R, many))
 
+
+def test_basis_bound_counts_only_added_elements(monkeypatch):
+    monkeypatch.setattr(groebner, "ENGINE_MAX_BASIS", 0)
+    R = Ring(Q, ("x", "y"), order="grlex")
+    # three inputs, and the one S-pair reduction reaches zero
+    assert buchberger(_ideal(R, "x", "y", "x*y + x")) == _ideal(R, "x", "y")
+    # the S-pair of (y - x^2, x*y) adds y^2
+    with pytest.raises(ResourceLimitError, match="desk-scale bound 0"):
+        buchberger(_ideal(R, "y - x^2", "x*y"))
 
 def test_koszul_syzygy():
     R = Ring(Q, ("x", "y"))
@@ -201,3 +300,111 @@ def test_module_saturation():
     # the zero module saturates to the zero module
     empty = module_saturate(R, Matrix(R, 1, 0, [[]]), (1, 1))
     assert empty.ncols == 0
+
+
+def test_symbolic_workload_reduces_few_s_pairs_to_zero(symbolic_workload):
+    # plain Buchberger, with only the coprime criterion, reduces 973 S-pairs
+    # here and 721 of them to zero; the Gebauer-Moeller criteria with sugar
+    # selection reduce 258, 26 of them to zero
+    assert symbolic_workload.s_pairs < 400
+    assert symbolic_workload.zeros < 100
+
+
+def test_engine_equals_reference_on_symbolic_workload(symbolic_workload):
+    assert len(symbolic_workload.calls) > 100
+    _assert_reference_bases(symbolic_workload.calls)
+
+
+def test_engine_equals_reference_on_bivariate_corpus():
+    # generation (syzygies), homology presentations (tagged modules),
+    # finiteness verdicts (lead terms) and saturations of the relations
+    with GroebnerRecorder() as rec:
+        for seed in range(50):
+            E = random_bivariate_complex(F3, seed)
+            for i in range(E.top + 1):
+                P = homology_presentation(E, i)
+                is_finite_dimensional(P)
+                if P.relations.ncols:
+                    module_saturate(E.ring, P.relations, (1, 1))
+                    module_saturate(E.ring, P.relations, (0, 1))
+    keys = {key.__qualname__.split(".")[0] for _, _, key, _ in rec.calls}
+    assert keys == {"pot_key", "elim_var_key"}
+    _assert_reference_bases(rec.calls)
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
+@pytest.mark.parametrize("order", ["grlex", "lex"])
+def test_engine_equals_reference_on_ideals(field, order):
+    rng = random.Random("ideals:%s:%s" % (field, order))
+    for nvars in (1, 2, 3):
+        R = Ring(field, ("x", "y", "z")[:nvars], order=order)
+        for _ in range(15):
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                terms = {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                         field.from_int(rng.choice((1, 2, -1)))
+                         for _ in range(rng.randint(1, 3))}
+                gens.append(Poly(R, terms))
+            with GroebnerRecorder() as rec:
+                buchberger(Ideal(R, gens))
+            assert len(rec.calls) == 1
+            _assert_reference_bases(rec.calls)
+
+
+@st.composite
+def _random_modules(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ring = Ring(field, ("x", "y"), order=draw(st.sampled_from(["grlex",
+                                                               "lex"])))
+    units = list(field.units()) if field.is_finite else [
+        field.from_int(c) for c in (1, -1, 2, -3)]
+    ncomp = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = {}
+        for _ in range(draw(st.integers(1, 4))):
+            term = (draw(st.integers(0, ncomp - 1)),
+                    (draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+            v[term] = draw(st.sampled_from(units))
+        gens.append(v)
+    key = (pot_key(ring) if draw(st.booleans())
+           else elim_var_key(ring, draw(st.integers(0, 1))))
+    return ring, gens, key
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_modules())
+def test_engine_equals_reference_on_random_modules(case):
+    ring, gens, key = case
+    out = groebner.module_groebner(ring, gens, key)
+    assert out == reference_module_groebner(ring.field, gens, key)
+    _assert_buchberger_criterion(ring, gens, key, out)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F3", "F4", "F5", "Q"])
+def test_module_bases_satisfy_buchberger_criterion(field):
+    # ModuleSolver's tagged modules (position over term) and the
+    # saturation modules (y eliminated) of random bivariate differentials
+    with GroebnerRecorder() as rec:
+        for seed in range(30):
+            E = random_bivariate_complex(field, seed)
+            for i in range(1, E.top + 1):
+                d = E.differential(i)
+                ModuleSolver(d)
+                module_saturate(E.ring, d, (1, seed % 2))
+    keys = {key.__qualname__.split(".")[0] for _, _, key, _ in rec.calls}
+    assert keys == {"pot_key", "elim_var_key"}
+    for call in rec.calls:
+        _assert_buchberger_criterion(*call)
+
+
+def test_f16_presentation_reduces_few_s_pairs():
+    # H_1 of this complex is the syzygy module of a 4x4 matrix over
+    # F_16[x, y]; plain Buchberger spent minutes presenting it
+    E = random_free_complex(Ring(finite_field(16), ("x", "y")), 9,
+                            max_rank=4)
+    assert list(E.ranks) == [4, 4, 0]
+    with GroebnerRecorder(limit=200) as rec:
+        P = homology_presentation(E, 1)
+    assert (P.gens, P.relations.ncols) == (0, 0)
+    assert rec.s_pairs < 100
