@@ -25,7 +25,7 @@ from .fox import (GroupPresentation, alexander_complex, alexander_invariant,
 from .groebner import buchberger, syzygy_matrix
 from .linalg import mat_rank
 from .matrices import Matrix, block_diag, det, minors_ideal
-from .rings import Ideal, Point, Poly, Ring, parse_poly, poly_to_str
+from .rings import Ideal, Poly, Ring, parse_poly, poly_to_str
 from .smith import SmithForm, smith_divisors, smith_normal_form
 from .varieties import zero_locus_points
 

@@ -7,7 +7,11 @@ element turns the algebra into a cochain complex, and the resonance locus
 in degree i collects the elements where its i-th cohomology is at least
 d-dimensional.  All of these complexes are the specializations of one free
 complex over k[a1..a_{b_1}], the universal Aomoto complex, so resonance is
-its jump locus on the quadric a^2 = 0.
+its jump locus on the quadric a^2 = 0.  The quadrics are the entries of
+d_1 d_2, so `square_zero_jump_points` makes the one cut for E_A and for
+every pullback of it.  Loci are sets of coordinate tuples, and points over
+an extension F_{q^e} come from the (field, embed) pair of jump_locus_points,
+as for every other locus.
 """
 
 import random
@@ -17,7 +21,7 @@ from .complexes import (FreeChainComplex, Verdict, homology_dim_at,
                         jump_locus_ideal, jump_locus_points)
 from .errors import InternalError, PreconditionError
 from .matrices import Matrix
-from .rings import Ideal, Point, Ring, unit_ideal, zero_ideal
+from .rings import Ideal, Ring, unit_ideal, zero_ideal
 
 
 class GradedAlgebra:
@@ -97,15 +101,6 @@ class GradedAlgebra:
         if self.top < 2:
             return ()
         return self.multiply(1, 1, a, a)
-
-    def base_change(self, field, embed=None):
-        """The same algebra over an extension `field`, its structure
-        constants mapped through `embed` (None: the encoding is unchanged,
-        as for a prime field inside its extensions)."""
-        f = embed if embed is not None else (lambda c: c)
-        mult = {key: [[[f(c) for c in vec] for vec in row] for row in block]
-                for key, block in self.mult.items()}
-        return GradedAlgebra(field, self.dims, mult)
 
     def __repr__(self):
         return "GradedAlgebra(dims=%r over %r)" % (list(self.dims), self.field)
@@ -212,39 +207,54 @@ def aomoto_complex(A):
     return A._aomoto
 
 
-def _square_zero(A, a):
-    return all(c == A.field.zero for c in A.square_deg1(tuple(a)))
+def square_zero_quadrics(E):
+    """The entries of d_1 d_2.  On E_A they are the coordinates of a^2; on
+    a pullback of E_A, those of the pulled-back element's square."""
+    return (E.differential(1) * E.differential(2)).row(0)
+
+
+def square_zero_jump_points(E, i, d, field, embed=None):
+    """The jump locus of E (E_A or a pullback of it) over `field`, cut by
+    the square-zero quadrics when d >= 1: resonance, or pulled-back
+    resonance.  `field` and `embed` are those of jump_locus_points."""
+    pts = jump_locus_points(E, i, d, field, embed=embed)
+    if d < 1:
+        return pts
+    # a nonempty locus means jump_locus_points accepted embed=None as an
+    # unchanged encoding of E's coefficients in `field`
+    quadrics, zero = square_zero_quadrics(E), field.zero
+    return {w for w in pts
+            if all(q.evaluate(w, field, embed) == zero for q in quadrics)}
 
 
 def in_resonance(A, a, i, d):
     """Whether a lies in the degree-i, depth-d resonance locus: a^2 must
     vanish (an element with a^2 != 0, possible only in characteristic 2,
     is outside) and dim H^i(A, a) >= d, by the rank formula of E_A at a.
-    One point at a time; every locus of the package is a jump locus."""
+    One point at a time, with a^2 multiplied out in A rather than read
+    from the square-zero quadrics, so it stays an independent check."""
     if d <= 0:
         return True
     if i < 0 or i > A.top:
         return False
     if len(a) != A.dim(1):
         raise PreconditionError("element has wrong length for A^1")
-    if not _square_zero(A, a):
+    if any(c != A.field.zero for c in A.square_deg1(tuple(a))):
         return False
     return homology_dim_at(aomoto_complex(A), i, A.field)(tuple(a)) >= d
 
 
-def resonance_points(A, i, d):
-    """All a in A^1(F) with a^2 = 0 and dim H^i(A, a) >= d: the jump locus
-    of E_A over the algebra's finite field, cut by a^2 = 0 when d >= 1.
+def resonance_points(A, i, d, field=None, embed=None):
+    """All a in A^1 over `field` (default: the algebra's finite field) with
+    a^2 = 0 and dim H^i(A, a) >= d: the jump locus of E_A cut by a^2 = 0
+    when d >= 1.  `field` and `embed` are those of jump_locus_points.
 
     The result is checked to be a cone (closed under scaling)."""
-    F = A.field
-    pts = jump_locus_points(aomoto_complex(A), i, d, F)
-    if d >= 1:
-        pts = {p for p in pts if _square_zero(A, p.coords)}
+    F = field if field is not None else A.field
+    pts = square_zero_jump_points(aomoto_complex(A), i, d, F, embed)
     for p in pts:
         for lam in F.units():
-            scaled = tuple(F.mul(lam, c) for c in p.coords)
-            if Point(F, scaled) not in pts:
+            if tuple(F.mul(lam, c) for c in p) not in pts:
                 raise InternalError("resonance locus is not a cone")
     return pts
 
@@ -263,8 +273,8 @@ def resonance_ideal(A, i, d):
     if A.dim(i) - d + 1 <= 0:
         return unit_ideal(E.ring)
     # the quadrics are emitted even when char != 2 makes them vanish
-    quadrics = (E.differential(1) * E.differential(2)).row(0)
-    return Ideal(E.ring, [*quadrics, *jump_locus_ideal(E, i, d).generators])
+    return Ideal(E.ring, [*square_zero_quadrics(E),
+                          *jump_locus_ideal(E, i, d).generators])
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +386,16 @@ def generic_vanishing_experiment(shape, i, trials, field, seed):
     witnesses = []
     for trial in range(trials):
         A = sample_cga(BShape(dims), F, "%s:%d" % (seed, trial))
-        nontrivial = {p for p in resonance_points(A, i, 1) if p.coords != zero}
+        nontrivial = {p for p in resonance_points(A, i, 1) if p != zero}
         if nontrivial:
             resonant_count += 1
-            witness = sorted(nontrivial, key=lambda p: p.sort_key())[0]
-            witnesses.append({"trial": trial, "witness": witness.coords})
+            witness = min(nontrivial)
+            witnesses.append({"trial": trial, "witness": witness})
             if resonant_exemplar is None:
                 resonant_exemplar = {
                     "trial": trial,
                     "mult": _mult_entries(A),
-                    "witness": witness.coords,
+                    "witness": witness,
                 }
         else:
             trivial_count += 1

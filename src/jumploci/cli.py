@@ -47,7 +47,15 @@ PROV = {
 
 
 def point_list(field, pts):
-    return sorted([[dump_scalar(field, c) for c in p.coords] for p in pts])
+    return sorted([[dump_scalar(field, c) for c in p] for p in pts])
+
+
+def _by_extension(extensions, locus):
+    """The by_extension block: for each (e, F_{q^e}, embed) of
+    `extensions`, the field order and the points of locus(F_{q^e}, embed)."""
+    return {str(e): {"field_order": big.order,
+                     "points": point_list(big, locus(big, emb))}
+            for e, big, emb in extensions}
 
 
 def _target_field(args, declared=None):
@@ -105,12 +113,10 @@ def cmd_validate(args):
 def cmd_jumploci(args):
     E = _load(args, "complex", "complex")
     base = _target_field(args, E.ring.field)
-    result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e, big, emb in extension_fields(base, args.ext):
-        pts = jump_locus_points(E, args.i, args.d, big, torus=args.torus,
-                                embed=emb)
-        result["by_extension"][str(e)] = {"field_order": big.order,
-                                          "points": point_list(big, pts)}
+    result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
+        extension_fields(base, args.ext),
+        lambda big, emb: jump_locus_points(E, args.i, args.d, big,
+                                           torus=args.torus, embed=emb))}
     if isinstance(E, FreeChainComplex):
         ideal = jump_locus_ideal(E, args.i, args.d)
         result["ideal"] = [poly_to_str(g) for g in ideal.generators]
@@ -126,12 +132,10 @@ def cmd_supports(args):
     E = _load(args, "complex", "complex")
     base = _target_field(args, E.ring.field)
     extensions = list(extension_fields(base, args.ext))
-    result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e, big, emb in extensions:
-        pts = support_points(E, args.i, args.d, big, torus=args.torus,
-                             embed=emb)
-        result["by_extension"][str(e)] = {"field_order": big.order,
-                                          "points": point_list(big, pts)}
+    result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
+        extensions,
+        lambda big, emb: support_points(E, args.i, args.d, big,
+                                        torus=args.torus, embed=emb))}
     if args.compare_v:
         comparison = {}
         agree = True
@@ -158,15 +162,12 @@ def cmd_resonance(args):
     A = _load(args, "cga", "cga")
     if not A.field.is_finite:
         raise DocumentError("resonance enumeration needs --q")
-    result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e, F, emb in extension_fields(A.field, args.ext):
-        pts = resonance_points(A.base_change(F, emb), args.i, args.d)
-        result["by_extension"][str(e)] = {"field_order": F.order,
-                                          "points": point_list(F, pts)}
-        if e == 1:
-            ideal = resonance_ideal(A, args.i, args.d)
-            result["ideal"] = [poly_to_str(g) for g in ideal.generators]
-    return {"results": result}, 0
+    by_extension = _by_extension(
+        extension_fields(A.field, args.ext),
+        lambda big, emb: resonance_points(A, args.i, args.d, big, emb))
+    ideal = resonance_ideal(A, args.i, args.d)
+    return {"results": {"i": args.i, "d": args.d, "by_extension": by_extension,
+                        "ideal": [poly_to_str(g) for g in ideal.generators]}}, 0
 
 
 def cmd_e1(args):

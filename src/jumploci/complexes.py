@@ -15,7 +15,7 @@ from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
 from .linalg import mat_mul, mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
-from .rings import Point, Ring, unit_ideal, zero_ideal
+from .rings import Ring, unit_ideal, zero_ideal
 from .smith import (kernel_positions, line_restriction, smith_divisors,
                     smith_normal_form, snf_solve, udeg, vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
@@ -320,7 +320,7 @@ def _conical_jump_points(E, i, d, field, torus, emb):
     r = ring.nvars
     out = set()
     if not torus and homology_dim_at(E, i, F, emb)((F.zero,) * r) >= d:
-        out.add(Point(F, (F.zero,) * r))
+        out.add((F.zero,) * r)
     units, mul = list(F.units()), F.mul
     for k in range(1 if torus else r):
         tail = Ring(F, ring.variables[k + 1:], laurent=ring.laurent)
@@ -331,8 +331,7 @@ def _conical_jump_points(E, i, d, field, torus, emb):
              for j in (i, i + 1)])
         for p in jump_locus_points(chart, 1, d, F, torus):
             for lam in units:
-                scaled = tuple([mul(lam, c) for c in p.coords])
-                out.add(Point(F, zeros + (lam,) + scaled, torus))
+                out.add(zeros + (lam,) + tuple([mul(lam, c) for c in p]))
     return out
 
 
@@ -358,14 +357,13 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
         # how many divisors must vanish at b for dim H_i >= d
         need = d - c_i + sum(len(ch) for ch in chains)
         if need <= 0:
-            out.update(Point(F, head + (b,), torus) for b in fiber)
+            out.update(head + (b,) for b in fiber)
             continue
         vanishing = {}
         for ch in chains:
             for b, k in vanishing_counts(ch, fiber, torus):
                 vanishing[b] = vanishing.get(b, 0) + k
-        out.update(Point(F, head + (b,), torus)
-                   for b, k in vanishing.items() if k >= need)
+        out.update(head + (b,) for b, k in vanishing.items() if k >= need)
     return out
 
 

@@ -10,7 +10,7 @@ directions which carry no points and are recorded but quotiented away.
 from dataclasses import dataclass
 from functools import reduce
 
-from .cga import _square_zero, aomoto_complex, validate_cga
+from .cga import aomoto_complex, square_zero_jump_points, validate_cga
 from .complexes import (FreeChainComplex, cached_homology_presentation,
                         is_finite_dimensional, jump_locus_points,
                         support_points, validate_complex)
@@ -283,16 +283,6 @@ def pulled_back_aomoto_complex(A, nu):
         for d in aomoto_complex(A).differentials])
 
 
-def _pulled_back_resonance(A, nu, P, i, d):
-    """{w : nu-bar^*(w) in R^i_d(A)}: the jump locus of P, the pulled-back
-    Aomoto complex, cut by nu-bar^*(w)^2 = 0 when d >= 1."""
-    pts = jump_locus_points(P, i, d, A.field)
-    if d >= 1:
-        pts = {p for p in pts
-               if _square_zero(A, nu.nu_bar_pullback(A.field, p.coords))}
-    return pts
-
-
 PROV_COMPARISON = ("jump loci of the graded page coincide with resonance "
                    "pulled back along the induced degree-one map")
 PROV_FINITENESS = ("trivial resonance meeting the image forces the page "
@@ -303,14 +293,14 @@ PROV_FINITENESS = ("trivial resonance meeting the image forces the page "
 def verify_cv_res(A, nu, i, d):
     """Both sides of the comparison at every point of F^r, F the algebra's
     finite field: the jump loci of the page and of the pulled-back Aomoto
-    complex, the latter cut by nu-bar^*(w)^2 = 0.  `equal` must be true; a
-    false value signals an implementation fault."""
+    complex, the latter cut by nu-bar^*(w)^2 = 0, the entries of its d_1 d_2.
+    `equal` must be true; a false value signals an implementation fault."""
     field = A.field
     if not field.is_finite:
         raise PreconditionError("point verification needs a finite field")
     E = build_E1(A, nu)
     lhs = jump_locus_points(E, i, d, field)
-    rhs = _pulled_back_resonance(A, nu, pulled_back_aomoto_complex(A, nu), i, d)
+    rhs = square_zero_jump_points(pulled_back_aomoto_complex(A, nu), i, d, field)
     return {
         "i": i,
         "d": d,
@@ -342,9 +332,9 @@ def finiteness_test(A, nu, k_range):
     P = pulled_back_aomoto_complex(A, nu)
     first = {}
     for i in range(0, k_range + 1):
-        for p in _pulled_back_resonance(A, nu, P, i, 1):
-            if p.coords != zero:
-                first.setdefault(p.coords, i)
+        for w in square_zero_jump_points(P, i, 1, field):
+            if w != zero:
+                first.setdefault(w, i)
     violations = [{"w": w, "i": first[w]} for w in sorted(first)]
     holds = not violations
     report = {
@@ -366,7 +356,7 @@ def finiteness_test(A, nu, k_range):
         dims[i] = is_finite_dimensional(cached_homology_presentation(E, i))
     report["e2_supports"] = supports
     report["e2_supports_in_origin"] = all(
-        p.coords == zero for pts in supports.values() for p in pts)
+        w == zero for pts in supports.values() for w in pts)
     report["e2_dims"] = dims
     report["conclusion"] = ("completed homology through degree %d is "
                             "finite-dimensional" % k_range)

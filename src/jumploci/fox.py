@@ -258,10 +258,6 @@ def alexander_invariant(P, nu, field):
         # often means nu does not kill a relator; name it if so
         _check_kills_relators(P, nu)
         raise
-    except ResourceLimitError as exc:
-        from .complexes import FinVerdict, ModulePresentation
-        return (ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, [])),
-                FinVerdict("unknown", note=str(exc)))
     return pres, is_finite_dimensional(pres)
 
 

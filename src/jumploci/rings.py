@@ -535,34 +535,3 @@ def unit_ideal(ring):
 
 def zero_ideal(ring):
     return Ideal(ring, [])
-
-
-class Point:
-    """A point of affine space F^r (or of the torus (F^x)^r)."""
-
-    __slots__ = ("field", "coords", "torus")
-
-    def __init__(self, field, coords, torus=False):
-        coords = tuple(coords)
-        if torus and any(c == field.zero for c in coords):
-            raise PreconditionError("torus point with a zero coordinate")
-        self.field = field
-        self.coords = coords
-        self.torus = torus
-
-    def __eq__(self, other):
-        return (isinstance(other, Point) and self.field == other.field
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
-
-    def sort_key(self):
-        return tuple(_scalar_sort_key(c) for c in self.coords)
-
-    def __repr__(self):
-        return "(%s)" % ", ".join(self.field.scalar_str(c) for c in self.coords)
-
-
-def sorted_points(points):
-    return sorted(points, key=lambda p: p.sort_key())

@@ -8,8 +8,11 @@ coordinates invertible), so `on_torus` forces the torus restriction there.
 Every pointwise locus of the package (zero loci, and jump loci and so
 supports, resonance and its pullback) streams its coordinates from
 `enumerate_coords`, tests them one at a time, and keeps only the points of
-the locus, so memory is O(locus), not O(q^r).  Every command takes its
-loci from `complexes.jump_locus_points`; `zero_locus_points` is an oracle.
+the locus, so memory is O(locus), not O(q^r).  A locus is a set of
+coordinate tuples over the enumeration field; over an extension F_{q^e}
+that field comes with the `embed` of `extension_fields`.  Every command
+takes its loci from `complexes.jump_locus_points`; `zero_locus_points` is
+an oracle.
 Zero loci and point-by-point jump loci are one `points_where` pass over
 F^r; a conical jump locus is the origin plus one pass per chart x_1..x_k =
 0, x_{k+1} = 1 of P^{r-1}, whose points are then scaled by F^x; the
@@ -21,7 +24,6 @@ from itertools import product
 
 from .errors import PreconditionError
 from .fields import extension_of
-from .rings import Point
 
 
 def coefficient_embedding(ring_field, target_field):
@@ -58,10 +60,9 @@ def on_torus(ring, torus=False):
 
 
 def points_where(field, r, torus, test):
-    """The points of F^r (or the torus) whose coordinates pass `test`,
+    """The coordinate tuples of F^r (or the torus) that pass `test`,
     streamed: no table of the q^r points is held."""
-    return {Point(field, c, torus) for c in enumerate_coords(field, r, torus)
-            if test(c)}
+    return {c for c in enumerate_coords(field, r, torus) if test(c)}
 
 
 def zero_locus_points(ideal, field=None, torus=False, embed=None):

@@ -412,3 +412,17 @@ def reference_module_groebner(field, gens, key):
         reduced.append((r, lead))
     reduced.sort(key=lambda gl: key(gl[1]))
     return [g for g, _ in reduced]
+
+
+# -- graded algebras over an extension field -----------------------------------
+
+
+def base_change(A, field, embed=None):
+    """The graded algebra A over an extension `field`, each structure
+    constant mapped through `embed` (None: the encoding is unchanged, as
+    for a prime field inside its extensions).  Its loci are enumerated over
+    `field` as the algebra's own field, with no embedding."""
+    f = embed if embed is not None else (lambda c: c)
+    mult = {key: [[[f(c) for c in vec] for vec in row] for row in block]
+            for key, block in A.mult.items()}
+    return type(A)(field, A.dims, mult)

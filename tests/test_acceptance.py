@@ -53,11 +53,11 @@ def test_criterion_01_augmentation_example():
     for q in (3, 5, 7):
         F = finite_field(q)
         E = augmentation_complex(F)
-        jump = {p.coords[0] for p in jump_locus_points(E, 1, 1, F)}
+        jump = {p[0] for p in jump_locus_points(E, 1, 1, F)}
         assert jump == set(range(1, q)), "V^1_1 must be F_q minus the origin"
         supp_union = set()
         for i in (0, 1):
-            supp_union |= {p.coords[0] for p in support_points(E, i, 1, F)}
+            supp_union |= {p[0] for p in support_points(E, i, 1, F)}
         assert supp_union == set(range(q)), "the union of supports is all of F_q"
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -76,13 +76,11 @@ def _ideal_vs_points(E, fields_with_embeds, dmax=4):
         for i in range(E.top + 1):
             for d in range(1, dmax + 1):
                 ideal = jump_locus_ideal(E, i, d)
-                lhs = {p.coords for p in zero_locus_points(ideal, field,
-                                                           embed=emb)}
+                lhs = zero_locus_points(ideal, field, embed=emb)
                 rhs = {c for c, dims in table.items() if dims[i] >= d}
                 assert lhs == rhs, (E.ring, i, d, field)
                 # the streamed route the CLI runs gives the same locus
-                streamed = {p.coords for p in jump_locus_points(
-                    E, i, d, field, embed=emb)}
+                streamed = jump_locus_points(E, i, d, field, embed=emb)
                 assert streamed == lhs, (E.ring, i, d, field)
 
 
@@ -110,8 +108,7 @@ def test_criterion_03_support_vs_jump_unions():
             table = homology_dims_table(E, field)
             v_sets = {i: {c for c, dims in table.items() if dims[i] >= 1}
                       for i in range(E.top + 1)}
-            w_sets = {i: {p.coords
-                          for p in support_points(E, i, 1, field)}
+            w_sets = {i: support_points(E, i, 1, field)
                       for i in range(E.top + 1)}
             v_union, w_union = set(), set()
             for trunc in range(E.top + 1):
@@ -139,15 +136,14 @@ def test_criterion_04_resonance_basics():
     for field in (F3, F5):
         for A in _cga_corpus(field):
             zero = tuple(field.zero for _ in range(A.dim(1)))
-            r01 = {p.coords for p in resonance_points(A, 0, 1)}
+            r01 = resonance_points(A, 0, 1)
             assert r01 == {zero}
             for d in (2, 3):
                 assert resonance_points(A, 0, d) == set()
             for i in (1, 2):
                 sets = {}
                 for d in (1, 2, 3):
-                    sets[d] = {p.coords
-                               for p in resonance_points(A, i, d)}
+                    sets[d] = resonance_points(A, i, d)
                 assert sets[3] <= sets[2] <= sets[1]
                 for d in (1, 2):
                     for coords in sets[d]:
@@ -165,10 +161,10 @@ def test_criterion_05_section6_examples():
     for q in (3, 5):
         F = finite_field(q)
         heis = pairing_cga(F, 2, 1, {})
-        pts = {p.coords for p in resonance_points(heis, 1, 1)}
+        pts = resonance_points(heis, 1, 1)
         assert pts == set(product(F.elements(), repeat=2))
         nondeg = pairing_cga(F, 2, 1, {(0, 1): [1]})
-        pts2 = {p.coords for p in resonance_points(nondeg, 1, 1)}
+        pts2 = resonance_points(nondeg, 1, 1)
         assert pts2 == {(F.zero, F.zero)}
     # the two-generator group with a^2 b = b a^2: quadratic pairing is
     # nondegenerate, the finiteness hypothesis holds with supports at the
@@ -276,7 +272,7 @@ def test_criterion_08_trefoil_pipeline():
     assert poly_to_str(pres.relations[0, 0].laurent_normalize()) == "t^2 - t + 1"
     assert verdict.kind == "finite" and verdict.dim == 2
     [(_, _, points)] = characteristic_variety_points(P, nu, 1, 1, F7)
-    pts = {p.coords[0] for p in points}
+    pts = {p[0] for p in points}
     assert pts - {1} == {3, 5}
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -296,7 +292,7 @@ def test_criterion_09_generic_vanishing_experiment():
     for trial in range(trials):
         A = sample_cga(BShape((1, 2, 1)), F5, "%s:%d" % (seed, trial))
         c = A.mu(1, 1, 0, 1)[0]
-        pts = {p.coords for p in resonance_points(A, 1, 1)}
+        pts = resonance_points(A, 1, 1)
         if c == F5.zero:
             zero_trials += 1
             assert pts == set(product(range(5), repeat=2))
@@ -310,22 +306,20 @@ def test_criterion_09_generic_vanishing_experiment():
         A_w = sample_cga(BShape((1, 2, 1)), F5, "%s:%d" % (seed, w["trial"]))
         coords = tuple(w["witness"])
         assert coords != (F5.zero, F5.zero)
-        assert coords in {p.coords
-                          for p in resonance_points(A_w, 1, 1)}
+        assert coords in resonance_points(A_w, 1, 1)
     # the two recorded exemplars recompute consistently
     res_ex = rep["resonant_exemplar"]
     assert res_ex["mult"] == []
     witness = tuple(res_ex["witness"])
     A0 = pairing_cga(F5, 2, 1, {})
-    assert witness in {p.coords
-                       for p in resonance_points(A0, 1, 1)}
+    assert witness in resonance_points(A0, 1, 1)
     van_ex = rep["vanishing_exemplar"]
     pairing = {}
     for (i, j, s, t, vec) in van_ex["mult"]:
         if (s, t) == (0, 1):
             pairing[(0, 1)] = vec
     A1 = pairing_cga(F5, 2, 1, pairing)
-    assert {p.coords for p in resonance_points(A1, 1, 1)} == {(0, 0)}
+    assert resonance_points(A1, 1, 1) == {(0, 0)}
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     _report(9, "200-trial classification over F_5 (zero pairing resonant: "

@@ -1,16 +1,18 @@
 import pytest
 
 from jumploci import complexes
+from jumploci.complexes import jump_locus_points
 from jumploci.cga import (BShape, GradedAlgebra, aomoto_complex,
                           exterior_algebra, generic_vanishing_experiment,
                           in_resonance, pairing_cga, resonance_ideal,
                           resonance_points, sample_cga, validate_cga)
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals, extension_of
+from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.rings import Poly
-from jumploci.varieties import zero_locus_points
+from jumploci.varieties import (extension_fields, points_where,
+                                zero_locus_points)
 
-from oracles import rank_by_minors
+from oracles import base_change, rank_by_minors
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -86,7 +88,7 @@ def test_resonance_member_zero_mult_true():
 
 def test_resonance_points_exterior_exhaustive():
     A = exterior2(F3)
-    got = {p.coords for p in resonance_points(A, 1, 1)}
+    got = resonance_points(A, 1, 1)
     # oracle: closed-form membership over all 9 vectors: delta^0 = a as a
     # column, delta^1 = (-a2, a1); H^1 = 2 - rank - rank
     expected = set()
@@ -106,7 +108,7 @@ def test_resonance_points_zero_mult_everything():
 
 def test_resonance_points_degree_zero():
     A = sample_cga(BShape((1, 2, 1)), F3, "any")
-    assert {p.coords for p in resonance_points(A, 0, 1)} == {(0, 0)}
+    assert resonance_points(A, 0, 1) == {(0, 0)}
 
 
 def test_resonance_ideal_matches_points():
@@ -115,8 +117,8 @@ def test_resonance_ideal_matches_points():
         for i in (0, 1, 2):
             for d in (1, 2):
                 ideal = resonance_ideal(A, i, d)
-                locus = {p.coords for p in zero_locus_points(ideal, F)}
-                pts = {p.coords for p in resonance_points(A, i, d)}
+                locus = zero_locus_points(ideal, F)
+                pts = resonance_points(A, i, d)
                 assert locus == pts, (i, d)
 
 
@@ -124,11 +126,50 @@ def test_resonance_ideal_extension_degree_two():
     A = exterior2(F3)
     ideal = resonance_ideal(A, 1, 1)
     F9, _ = extension_of(F3, 2)
-    locus = {p.coords for p in zero_locus_points(ideal, F9)}
+    locus = zero_locus_points(ideal, F9)
     # reload the algebra over F_9 to enumerate there directly
     A9 = pairing_cga(F9, 2, 1, {(0, 1): [1]})
-    pts = {p.coords for p in resonance_points(A9, 1, 1)}
+    pts = resonance_points(A9, 1, 1)
     assert locus == pts == {(0, 0)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_extension_resonance_against_the_base_changed_algebra(q):
+    # resonance over F_{q^e} through the (field, embed) pair equals the
+    # resonance of the algebra rebuilt over F_{q^e}; F_4 -> F_16 is the
+    # case whose embedding is not None
+    F = finite_field(q)
+    nontrivial = 0
+    for e, big, emb in extension_fields(F, 3):
+        assert (emb is not None) == (e > 1 and q == 4)
+        for shape in ((1, 3, 2), (1, 4, 3)):
+            if e == 1 or big.order ** (shape[1] - 1) > 5000:
+                continue
+            for seed in range(2):
+                A = sample_cga(BShape(shape), F, "ext:%d" % seed)
+                B = base_change(A, big, emb)
+                for i, d in ((1, 1), (1, 2), (2, 1)):
+                    got = resonance_points(A, i, d, big, emb)
+                    assert got == resonance_points(B, i, d), (shape, e, i, d)
+                    nontrivial += len(got) > 1
+    assert nontrivial
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_square_zero_cut_against_in_resonance_in_characteristic_2(q):
+    # in characteristic 2 an element can have a^2 != 0: the cut by the
+    # entries of d_1 d_2 drops exactly the elements in_resonance refuses,
+    # which multiplies a by itself in A
+    F = finite_field(q)
+    cut = 0
+    for seed in range(6):
+        A = sample_cga(BShape((1, 3, 2)), F, "char2:%d" % seed)
+        for i, d in ((1, 1), (1, 2), (2, 1)):
+            got = resonance_points(A, i, d)
+            assert got == points_where(F, 3, False, lambda a: in_resonance(
+                A, a, i, d)), (seed, i, d)
+            cut += len(jump_locus_points(aomoto_complex(A), i, d, F)) > len(got)
+    assert cut
 
 
 def test_resonance_ideal_empty_cases():
@@ -146,8 +187,7 @@ def test_cone_and_nesting_exhaustive():
             for i in (0, 1, 2):
                 sets = {}
                 for d in (1, 2, 3):
-                    sets[d] = {p.coords
-                               for p in resonance_points(A, i, d)}
+                    sets[d] = resonance_points(A, i, d)
                 assert sets[3] <= sets[2] <= sets[1]
                 zero = tuple(field.zero for _ in range(A.dim(1)))
                 for d in (1, 2, 3):
@@ -167,10 +207,10 @@ def test_sample_cga_validity_and_classification():
         A = sample_cga(BShape((1, 2, 1)), F5, seed)
         assert validate_cga(A).ok
     zero = zero_mult(F5)
-    assert {p.coords for p in resonance_points(zero, 1, 1)} == {
+    assert resonance_points(zero, 1, 1) == {
         (a, b) for a in range(5) for b in range(5)}
     nondeg = exterior2(F5)
-    assert {p.coords for p in resonance_points(nondeg, 1, 1)} == {
+    assert resonance_points(nondeg, 1, 1) == {
         (0, 0)}
 
 
@@ -230,7 +270,8 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     # R^1 of the exterior algebra on 4 generators over F_5: the Aomoto
     # complex is conical, so only the origin and the chart points of P^3
     # are ranked, 157 = 1 + 125 + 25 + 5 + 1 of the 625, and at each only
-    # d_1 (1 x 4) and d_2 (4 x 6) are evaluated and ranked
+    # d_1 (1 x 4) and d_2 (4 x 6) are evaluated and ranked; the six a^2
+    # quadrics are evaluated at the one point of the locus
     counts = {"evaluate": 0, "rank": 0}
     evaluate, rank = Poly.evaluate, complexes.mat_rank
 
@@ -244,5 +285,5 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
     pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
-    assert {p.coords for p in pts} == {(0, 0, 0, 0)}
-    assert counts == {"evaluate": 28 * 157, "rank": 2 * 157}
+    assert pts == {(0, 0, 0, 0)}
+    assert counts == {"evaluate": 28 * 157 + 6 * 1, "rank": 2 * 157}

@@ -435,6 +435,40 @@ def test_alexander_names_a_relator_nu_does_not_kill(capsys):
                    "Z^2, not to 0; nu must kill every relator"}
 
 
+@pytest.mark.parametrize("q", ["4", "7"])
+def test_charvar_points_are_characters(q, capsys):
+    # a character takes unit values: no printed coordinate is 0, over F_q
+    # or over F_{q^2} (where F_4 -> F_16 goes through an embedding)
+    code, out = run(capsys, "charvar", "--presentation",
+                    SAMPLES + "trefoil.pres", "--nu", SAMPLES + "onto-z.nu",
+                    "--i", "1", "--q", q, "--ext", "2", "--format",
+                    "structured")
+    assert code == 0
+    by_ext = json.loads(out)["results"]["by_extension"]
+    assert sorted(by_ext) == ["1", "2"]
+    for block in by_ext.values():
+        assert block["points"]
+        assert all(c not in (0, "0") for p in block["points"] for c in p)
+
+
+def test_alexander_presentation_past_a_bound_is_an_error_report(
+        capsys, tmp_path, monkeypatch):
+    # H_1 of Z^2 = <a, b | [a, b]> over k[t1^±1, t2^±1] needs a Groebner
+    # basis; with no degree allowed, the presentation is refused, never
+    # printed as a zero module
+    from jumploci import groebner
+    monkeypatch.setattr(groebner, "ENGINE_MAX_DEGREE", 0)
+    path = _write(tmp_path, "z2.pres", {
+        "type": "presentation", "generators": ["a", "b"],
+        "relators": ["a b a^-1 b^-1"]})
+    code, out = run(capsys, "alexander", "--presentation", path, "--nu",
+                    SAMPLES + "identity-z2.nu", "--format", "structured")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "ResourceLimitError",
+        "message": "intermediate degree exceeds the desk-scale bound 0"}
+
+
 def test_shape_that_is_not_integers_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["genres-experiment", "--shape", "a,b", "--i", "1", "--trials",
@@ -456,7 +490,7 @@ def test_resonance_ideal_cuts_out_the_printed_points(d, capsys):
     res = json.loads(out)["results"]
     ring = Ring(finite_field(3), ("a1", "a2"))
     ideal = Ideal(ring, [parse_poly(ring, g) for g in res["ideal"]])
-    locus = sorted(list(p.coords) for p in zero_locus_points(ideal))
+    locus = sorted(list(p) for p in zero_locus_points(ideal))
     assert locus == res["by_extension"]["1"]["points"]
     assert (res["ideal"] == []) == (d == "0")
 
@@ -464,9 +498,8 @@ def test_resonance_ideal_cuts_out_the_printed_points(d, capsys):
 def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
     # a locus that is not scaling-invariant breaks the cone check
     from jumploci import cga
-    from jumploci.rings import Point
     monkeypatch.setattr(cga, "jump_locus_points",
-                        lambda E, i, d, field: {Point(field, (1, 0))})
+                        lambda E, i, d, field, embed: {(1, 0)})
     code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
                     "--i", "1", "--q", "3", "--format", "structured")
     assert code == 4

@@ -218,7 +218,7 @@ def test_alexander_complex_requires_surjective():
 def test_trefoil_characteristic_points():
     nu = nu_onto_z(2)
     [(_, _, pts)] = characteristic_variety_points(TREFOIL, nu, 1, 1, F7)
-    got = {p.coords[0] for p in pts}
+    got = {p[0] for p in pts}
     # required check: the roots of t^2 - t + 1 in F_7 are exactly {3, 5};
     # the unit circle oracle evaluates the polynomial at every unit
     roots = {t for t in range(1, 7) if (t * t - t + 1) % 7 == 0}
@@ -240,7 +240,7 @@ def test_circle_characteristic_identity_only():
     for q in (5, 7):
         F = PrimeField(q)
         [(_, _, pts)] = characteristic_variety_points(CIRCLE, nu, 1, 1, F)
-        assert {p.coords for p in pts} == {(1,)}
+        assert pts == {(1,)}
         E = alexander_complex(CIRCLE, nu, F)
         assert support_points(E, 1, 1, F) == set()
 
@@ -252,7 +252,7 @@ def test_identity_character_in_degree_zero():
         nu_p = nu if P is not TREFOIL else nu_onto_z(2)
         [(_, _, pts)] = characteristic_variety_points(P, nu_p, 0, 1, F5)
         expected = {tuple([1] * nu_p.group.rank)}
-        assert {p.coords for p in pts} == expected
+        assert pts == expected
 
 
 def test_support_jump_union_comparison():
@@ -265,8 +265,8 @@ def test_support_jump_union_comparison():
         E = alexander_complex(P, nu_p, F)
         v_union, w_union = set(), set()
         for i in (0, 1):
-            v_union |= {p.coords for p in jump_locus_points(E, i, 1, F)}
-            w_union |= {p.coords for p in support_points(E, i, 1, F)}
+            v_union |= jump_locus_points(E, i, 1, F)
+            w_union |= support_points(E, i, 1, F)
         assert v_union == w_union
 
 
@@ -283,8 +283,8 @@ def test_unit_column_scaling_invariance():
     E2 = FreeChainComplex(ring, E.ranks, [E.differentials[0], scaled])
     for i in (0, 1, 2):
         for d in (1, 2):
-            assert ({p.coords for p in jump_locus_points(E, i, d, F7)}
-                    == {p.coords for p in jump_locus_points(E2, i, d, F7)})
+            assert (jump_locus_points(E, i, d, F7)
+                    == jump_locus_points(E2, i, d, F7))
 
 
 # -- the quadratic pairing -------------------------------------------------------------
@@ -320,7 +320,7 @@ def test_quadratic_cup_a2b_coefficient_two():
     # degree-one resonance is trivial
     A5 = quadratic_cup(A2B, F5)
     pts = resonance_points(A5, 1, 1)
-    assert {p.coords for p in pts} == {(0, 0)}
+    assert pts == {(0, 0)}
 
 
 def test_quadratic_cup_rejects_noncommutator():

@@ -51,6 +51,8 @@ GOLDEN = [
      0, "f23fab3d1ca017c3d6889b5aa1b824e606819ffc86c5e9cb3799551e08d2a98a"),
     ("finiteness --cga samples/exterior.cga --nu samples/identity-z2.nu --k 1 --q 5",
      0, "3cbba564136b84b9db146733d098681b4a21bf19699e64b8b63496979d42b5bf"),
+    ("resonance --cga samples/f4-pairing.cga --i 1 --d 1 --ext 2",
+     0, "63db19d96f2a69ca0893dcbd27ade0417868b14ff86e28b0992fd8db0dafb99d"),
 ]
 
 

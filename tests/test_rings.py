@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.fields import PrimeField, Rationals, finite_field
-from jumploci.rings import (Ideal, Point, Ring, parse_poly, poly_to_str,
-                            sorted_points)
+from jumploci.rings import Ideal, Ring, parse_poly, poly_to_str
 
 
 Q = Rationals()
@@ -127,14 +126,3 @@ def test_ideal_canonicalization():
     assert Ideal(R, []).is_zero_ideal()
     assert Ideal(R, [R.const(2)]).is_unit_ideal()
 
-
-def test_point_torus_guard():
-    with pytest.raises(PreconditionError):
-        Point(F5, (0, 1), torus=True)
-    p = Point(F5, (2, 3), torus=True)
-    assert p.coords == (2, 3)
-
-
-def test_sorted_points_deterministic():
-    pts = {Point(F5, (c,)) for c in (3, 1, 4, 0)}
-    assert [p.coords[0] for p in sorted_points(pts)] == [0, 1, 3, 4]
