@@ -23,29 +23,6 @@ from .fox import alexander_invariant, characteristic_variety_points
 from .rings import poly_to_str
 from .varieties import extension_fields
 
-PROV = {
-    "jumploci": "pointwise homology ranks; ideal route: determinantal minors "
-                "of the adjacent differentials (free complexes only)",
-    "supports": "Fitting ideals of a homology presentation; set-level equal "
-                "to the pointwise exterior-power support",
-    "resonance": "rank of left-multiplication in the algebra; ideal route: "
-                 "square-zero quadrics plus block minors",
-    "verify-cvres": "jump loci of the graded page against resonance pulled "
-                    "back along the induced degree-one map",
-    "finiteness": "trivial resonance in the image forces page supports into "
-                  "the origin; finiteness of the completed invariants follows "
-                  "(one-directional)",
-    "alexander": "degree-one homology presentation of the abelianized cover; "
-                 "finiteness by divisor degrees or standard monomials",
-    "charvar": "unit-character jump loci of the abelianized complex",
-    "genres-experiment": "random structure constants classified by whether "
-                         "degree-i resonance is trivial",
-    "e1": "graded page of the cover: comultiplication followed by the "
-          "induced map, embedded as linear forms",
-    "validate": "axiom check: shapes, d.d = 0, commutativity, associativity",
-}
-
-
 def point_list(field, pts):
     return sorted([[dump_scalar(field, c) for c in p] for p in pts])
 
@@ -68,14 +45,13 @@ def _target_field(args, declared=None):
     return finite_field(args.q)
 
 
-def _load(args, attr, expect):
-    path = getattr(args, attr, None)
-    if path is None:
-        raise DocumentError("missing required input --%s" % attr)
+def _load(args, kind):
+    """The document of `kind` at the path of --<kind>; --q overrides the
+    field of an algebra or a complex."""
     override = None
-    if expect in ("cga", "complex") and args.q is not None:
+    if kind in ("cga", "complex") and args.q is not None:
         override = finite_field(args.q)
-    return load_document(path, expect, field_override=override)
+    return load_document(getattr(args, kind), kind, field_override=override)
 
 
 # -- commands ----------------------------------------------------------------
@@ -85,13 +61,13 @@ def cmd_validate(args):
     results = {}
     ok = True
     if args.cga:
-        A = _load(args, "cga", "cga")
+        A = _load(args, "cga")
         v = validate_cga(A)
         results["cga"] = {"ok": v.ok, "message": v.message,
                           "location": list(v.location) if v.location else None}
         ok = ok and v.ok
     if args.complex:
-        E = _load(args, "complex", "complex")
+        E = _load(args, "complex")
         if isinstance(E, FreeChainComplex):
             v = validate_complex(E)
         else:
@@ -101,7 +77,7 @@ def cmd_validate(args):
                               "location": list(v.location) if v.location else None}
         ok = ok and v.ok
     if args.presentation:
-        P = _load(args, "presentation", "presentation")
+        P = _load(args, "presentation")
         results["presentation"] = {"ok": True,
                                    "message": "%d generators, %d relators"
                                               % (P.ngens, len(P.relators))}
@@ -110,8 +86,7 @@ def cmd_validate(args):
     return {"results": results, "ok": ok}, (0 if ok else 1)
 
 
-def cmd_jumploci(args):
-    E = _load(args, "complex", "complex")
+def cmd_jumploci(args, E):
     base = _target_field(args, E.ring.field)
     result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
         extension_fields(base, args.ext),
@@ -128,8 +103,7 @@ def cmd_jumploci(args):
     return {"results": result}, 0
 
 
-def cmd_supports(args):
-    E = _load(args, "complex", "complex")
+def cmd_supports(args, E):
     base = _target_field(args, E.ring.field)
     extensions = list(extension_fields(base, args.ext))
     result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
@@ -158,8 +132,7 @@ def cmd_supports(args):
     return {"results": result}, 0
 
 
-def cmd_resonance(args):
-    A = _load(args, "cga", "cga")
+def cmd_resonance(args, A):
     if not A.field.is_finite:
         raise DocumentError("resonance enumeration needs --q")
     by_extension = _by_extension(
@@ -170,17 +143,13 @@ def cmd_resonance(args):
                         "ideal": [poly_to_str(g) for g in ideal.generators]}}, 0
 
 
-def cmd_e1(args):
-    A = _load(args, "cga", "cga")
-    nu = _load(args, "nu", "nu")
+def cmd_e1(args, A, nu):
     E = build_E1(A, nu)
     doc = dump_complex(E)
     return {"results": {"ranks": list(E.ranks)}, "complex": doc}, 0
 
 
-def cmd_verify_cvres(args):
-    A = _load(args, "cga", "cga")
-    nu = _load(args, "nu", "nu")
+def cmd_verify_cvres(args, A, nu):
     F = A.field
     if not F.is_finite:
         raise DocumentError("verify-cvres enumerates points: pass --q")
@@ -194,9 +163,7 @@ def cmd_verify_cvres(args):
     return {"results": result}, 0 if rep["equal"] else 1
 
 
-def cmd_finiteness(args):
-    A = _load(args, "cga", "cga")
-    nu = _load(args, "nu", "nu")
+def cmd_finiteness(args, A, nu):
     F = A.field
     if not F.is_finite:
         raise DocumentError("the finiteness hypothesis is checked pointwise: "
@@ -224,9 +191,7 @@ def cmd_finiteness(args):
     return {"results": result}, 0
 
 
-def cmd_alexander(args):
-    P = _load(args, "presentation", "presentation")
-    nu = _load(args, "nu", "nu")
+def cmd_alexander(args, P, nu):
     F = finite_field(args.q) if args.q else Rationals()
     pres, verdict = alexander_invariant(P, nu, F)
     rel = [[poly_to_str(pres.relations[i, j]) for j in range(pres.relations.ncols)]
@@ -240,19 +205,15 @@ def cmd_alexander(args):
     return {"results": result}, 0
 
 
-def cmd_charvar(args):
-    P = _load(args, "presentation", "presentation")
-    nu = _load(args, "nu", "nu")
-    base = _target_field(args)
-    result = {"i": args.i, "d": args.d, "by_extension": {}}
-    for e, big, pts in characteristic_variety_points(P, nu, args.i, args.d,
-                                                      base, args.ext):
-        result["by_extension"][str(e)] = {"field_order": big.order,
-                                          "points": point_list(big, pts)}
+def cmd_charvar(args, P, nu):
+    result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
+        extension_fields(_target_field(args), args.ext),
+        lambda big, emb: characteristic_variety_points(P, nu, args.i, args.d,
+                                                       big))}
     return {"results": result}, 0
 
 
-def cmd_genres(args):
+def cmd_genres_experiment(args):
     F = _target_field(args)
     rep = generic_vanishing_experiment(BShape(args.shape), args.i,
                                        args.trials, F, args.seed)
@@ -314,28 +275,83 @@ def _shape(text):
     return tuple(_at_least(0)(part) for part in text.split(","))
 
 
-def _add_common(sp, *, q=False, ext=False, i=False, d=False, k=False,
-                torus=False, seed=False, trials=False):
-    sp.add_argument("--format", choices=("text", "structured"), default="text")
-    if q:
-        sp.add_argument("--q", type=int, default=None,
-                        help="prime power order of the coefficient field")
-    if ext:
-        sp.add_argument("--ext", type=_at_least(1), default=1,
-                        help="also enumerate over extensions up to this degree")
-    if i:
-        sp.add_argument("--i", type=_at_least(0), required=True)
-    if d:
-        sp.add_argument("--d", type=_at_least(0), default=1)
-    if k:
-        sp.add_argument("--k", type=_at_least(0), required=True)
-    if torus:
-        sp.add_argument("--torus", action="store_true",
-                        help="restrict to points with invertible coordinates")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
-    if trials:
-        sp.add_argument("--trials", type=_at_least(0), required=True)
+# name -> (--help line, provenance, documents, flags).  main loads the
+# documents in this order and passes them to cmd_<name>; --help lists each
+# document (a required --<kind>) and then each flag, in this order.
+COMMANDS = {
+    "validate": (
+        "axiom checks for input documents",
+        "axiom check: shapes, d.d = 0, commutativity, associativity",
+        (), ("cga", "complex", "presentation", "format", "q")),
+    "jumploci": (
+        "pointwise jump loci and minor ideals",
+        "pointwise homology ranks; ideal route: determinantal minors of the "
+        "adjacent differentials (free complexes only)",
+        ("complex",), ("format", "q", "ext", "i", "d", "torus")),
+    "supports": (
+        "support loci via Fitting ideals",
+        "Fitting ideals of a homology presentation; set-level equal to the "
+        "pointwise exterior-power support",
+        ("complex",), ("compare-v", "format", "q", "ext", "i", "d", "torus")),
+    "resonance": (
+        "resonance points and equations",
+        "rank of left-multiplication in the algebra; ideal route: square-zero "
+        "quadrics plus block minors",
+        ("cga",), ("format", "q", "ext", "i", "d")),
+    "e1": (
+        "the graded page of a cover as a complex document",
+        "graded page of the cover: comultiplication followed by the induced "
+        "map, embedded as linear forms",
+        ("cga", "nu"), ("format", "q")),
+    "verify-cvres": (
+        "compare page jump loci with pulled-back resonance",
+        "jump loci of the graded page against resonance pulled back along "
+        "the induced degree-one map",
+        ("cga", "nu"), ("format", "q", "i", "d")),
+    "finiteness": (
+        "vanishing-resonance finiteness test",
+        "trivial resonance in the image forces page supports into the "
+        "origin; finiteness of the completed invariants follows "
+        "(one-directional)",
+        ("cga", "nu"), ("format", "q", "k")),
+    "alexander": (
+        "degree-one homology of the abelianized cover",
+        "degree-one homology presentation of the abelianized cover; "
+        "finiteness by divisor degrees or standard monomials",
+        ("presentation", "nu"), ("format", "q")),
+    "charvar": (
+        "character-torus jump loci of a presentation",
+        "unit-character jump loci of the abelianized complex",
+        ("presentation", "nu"), ("format", "q", "ext", "i", "d")),
+    "genres-experiment": (
+        "classify random algebras by vanishing resonance",
+        "random structure constants classified by whether degree-i resonance "
+        "is trivial",
+        (), ("shape", "format", "q", "i", "seed", "trials")),
+}
+
+# flag -> the argparse keywords of --<flag>; validate reads its documents
+# through the first three, optional there
+FLAGS = {
+    "cga": {}, "complex": {}, "presentation": {},
+    "compare-v": {"action": "store_true",
+                  "help": "also compare the union of supports with the union "
+                          "of jump loci up to degree i"},
+    "shape": {"type": _shape, "required": True,
+              "help": "comma-separated dims, e.g. 1,2,1"},
+    "format": {"choices": ("text", "structured"), "default": "text"},
+    "q": {"type": int, "default": None,
+          "help": "prime power order of the coefficient field"},
+    "ext": {"type": _at_least(1), "default": 1,
+            "help": "also enumerate over extensions up to this degree"},
+    "i": {"type": _at_least(0), "required": True},
+    "d": {"type": _at_least(0), "default": 1},
+    "k": {"type": _at_least(0), "required": True},
+    "torus": {"action": "store_true",
+              "help": "restrict to points with invertible coordinates"},
+    "seed": {"type": int, "default": 0},
+    "trials": {"type": _at_least(1), "required": True},
+}
 
 
 def build_parser():
@@ -344,73 +360,14 @@ def build_parser():
         description="Exact jump loci, supports, and resonance of chain "
                     "complexes, graded algebras, and group presentations.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="axiom checks for input documents")
-    sp.add_argument("--cga")
-    sp.add_argument("--complex")
-    sp.add_argument("--presentation")
-    _add_common(sp, q=True)
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = sub.add_parser("jumploci", help="pointwise jump loci and minor ideals")
-    sp.add_argument("--complex", required=True)
-    _add_common(sp, q=True, ext=True, i=True, d=True, torus=True)
-    sp.set_defaults(fn=cmd_jumploci)
-
-    sp = sub.add_parser("supports", help="support loci via Fitting ideals")
-    sp.add_argument("--complex", required=True)
-    sp.add_argument("--compare-v", action="store_true",
-                    help="also compare the union of supports with the union "
-                         "of jump loci up to degree i")
-    _add_common(sp, q=True, ext=True, i=True, d=True, torus=True)
-    sp.set_defaults(fn=cmd_supports)
-
-    sp = sub.add_parser("resonance", help="resonance points and equations")
-    sp.add_argument("--cga", required=True)
-    _add_common(sp, q=True, ext=True, i=True, d=True)
-    sp.set_defaults(fn=cmd_resonance)
-
-    sp = sub.add_parser("e1", help="the graded page of a cover as a complex "
-                                   "document")
-    sp.add_argument("--cga", required=True)
-    sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True)
-    sp.set_defaults(fn=cmd_e1)
-
-    sp = sub.add_parser("verify-cvres", help="compare page jump loci with "
-                                             "pulled-back resonance")
-    sp.add_argument("--cga", required=True)
-    sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True, i=True, d=True)
-    sp.set_defaults(fn=cmd_verify_cvres)
-
-    sp = sub.add_parser("finiteness", help="vanishing-resonance finiteness test")
-    sp.add_argument("--cga", required=True)
-    sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True, k=True)
-    sp.set_defaults(fn=cmd_finiteness)
-
-    sp = sub.add_parser("alexander", help="degree-one homology of the "
-                                          "abelianized cover")
-    sp.add_argument("--presentation", required=True)
-    sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True)
-    sp.set_defaults(fn=cmd_alexander)
-
-    sp = sub.add_parser("charvar", help="character-torus jump loci of a "
-                                        "presentation")
-    sp.add_argument("--presentation", required=True)
-    sp.add_argument("--nu", required=True)
-    _add_common(sp, q=True, ext=True, i=True, d=True)
-    sp.set_defaults(fn=cmd_charvar)
-
-    sp = sub.add_parser("genres-experiment",
-                        help="classify random algebras by vanishing resonance")
-    sp.add_argument("--shape", type=_shape, required=True,
-                    help="comma-separated dims, e.g. 1,2,1")
-    _add_common(sp, q=True, i=True, seed=True, trials=True)
-    sp.set_defaults(fn=cmd_genres)
-
+    for name, (line, _, documents, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=line)
+        for kind in documents:
+            sp.add_argument("--" + kind, required=True)
+        for flag in flags:
+            sp.add_argument("--" + flag, **FLAGS[flag])
+        # the module attribute, so that a wrapper set on it is the one called
+        sp.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return ap
 
 
@@ -426,19 +383,18 @@ def error_code(exc):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, provenance, documents, _ = COMMANDS[args.command]
     started = time.monotonic()
     try:
-        body, code = args.fn(args)
+        body, code = args.fn(args, *[_load(args, kind) for kind in documents])
     except AlgebraError as exc:
         report = {"command": args.command, "error": {
             "type": type(exc).__name__, "message": str(exc)}}
         emit(report, args)
         print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)
         return error_code(exc)
-    report = {"command": args.command,
-              "provenance": PROV.get(args.command, "")}
+    report = {"command": args.command, "provenance": provenance}
     report.update(body)
     emit(report, args)
     print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)

@@ -283,13 +283,6 @@ def pulled_back_aomoto_complex(A, nu):
         for d in aomoto_complex(A).differentials])
 
 
-PROV_COMPARISON = ("jump loci of the graded page coincide with resonance "
-                   "pulled back along the induced degree-one map")
-PROV_FINITENESS = ("trivial resonance meeting the image forces the page "
-                   "homology supports into the origin, hence "
-                   "finite-dimensional completed invariants (one-directional)")
-
-
 def verify_cv_res(A, nu, i, d):
     """Both sides of the comparison at every point of F^r, F the algebra's
     finite field: the jump loci of the page and of the pulled-back Aomoto
@@ -307,7 +300,6 @@ def verify_cv_res(A, nu, i, d):
         "lhs_points": lhs,
         "rhs_points": rhs,
         "equal": lhs == rhs,
-        "provenance": PROV_COMPARISON,
     }
 
 
@@ -343,7 +335,6 @@ def finiteness_test(A, nu, k_range):
         "violations": violations,
         "group": repr(nu.group),
         "nilpotent_parts": list(gr_ring(nu.group, field).nilpotent_parts),
-        "provenance": PROV_FINITENESS,
     }
     if not holds:
         report["conclusion"] = ("inconclusive: the finiteness criterion is "

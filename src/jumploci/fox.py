@@ -18,7 +18,6 @@ from .complexes import (FreeChainComplex, homology_presentation,
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .matrices import Matrix
 from .rings import Ring
-from .varieties import extension_fields
 
 
 def free_reduce(letters):
@@ -238,13 +237,13 @@ def alexander_complex(P, nu, field):
     return FreeChainComplex(ring, ranks, diffs)
 
 
-def characteristic_variety_points(P, nu, i, d, field, max_ext=1):
+def characteristic_variety_points(P, nu, i, d, field):
     """Jump loci of the abelianized complex inside the character torus of
-    F_{q^e} (unit-valued characters only), for e = 1..max_ext: a list of
-    (e, F_{q^e}, points)."""
-    E = alexander_complex(P, nu, field)
-    return [(e, big, jump_locus_points(E, i, d, big, torus=True, embed=emb))
-            for e, big, emb in extension_fields(field, max_ext)]
+    `field` (unit-valued characters only).  The complex is built over
+    `field` itself: its coefficients are integers, which need no
+    embedding."""
+    return jump_locus_points(alexander_complex(P, nu, field), i, d, field,
+                             torus=True)
 
 
 def alexander_invariant(P, nu, field):

@@ -271,7 +271,7 @@ def test_criterion_08_trefoil_pipeline():
     assert pres.gens == 1
     assert poly_to_str(pres.relations[0, 0].laurent_normalize()) == "t^2 - t + 1"
     assert verdict.kind == "finite" and verdict.dim == 2
-    [(_, _, points)] = characteristic_variety_points(P, nu, 1, 1, F7)
+    points = characteristic_variety_points(P, nu, 1, 1, F7)
     pts = {p[0] for p in points}
     assert pts - {1} == {3, 5}
     elapsed = time.monotonic() - started

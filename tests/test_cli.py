@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from jumploci import errors
+from jumploci import cli, errors
 from jumploci.cli import error_code, main
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples", "")
@@ -258,6 +258,8 @@ def test_zero_denominators_are_parse_errors(capsys, tmp_path):
     ["resonance", "--cga", "x.cga", "--i", "1", "--d", "-1", "--q", "5"],
     ["verify-cvres", "--cga", "x.cga", "--nu", "x.nu", "--i", "1", "--d", "-2",
      "--q", "5"],
+    ["genres-experiment", "--shape", "1,2,1", "--i", "1", "--trials", "0",
+     "--q", "5"],
 ])
 def test_out_of_range_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -266,6 +268,21 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert "must be at least" in err
     assert "Traceback" not in err
+
+
+def test_main_calls_the_handler_the_module_holds(capsys, monkeypatch):
+    # a wrapper set on the module attribute (as a tracer sets one) is the
+    # handler main calls, with the documents of the command loaded
+    calls = []
+
+    def spy(args, A):
+        calls.append((args.i, A.dims))
+        return {"results": {}}, 0
+    monkeypatch.setattr(cli, "cmd_resonance", spy)
+    code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
+                    "--i", "1", "--q", "3")
+    assert code == 0 and calls == [(1, (1, 2, 1))]
+    assert out.startswith("command: resonance\nprovenance: ")
 
 
 @pytest.mark.parametrize("argv", [

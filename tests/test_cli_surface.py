@@ -1,0 +1,109 @@
+"""The CLI surface, pinned: `--help` of the top level and of every command,
+the usage error and exit code of each bare command and of an unknown one
+(a bare `validate` parses, and is an error report), the stdout of one
+structured run of each command on `samples/`, and which error `validate`
+reports first.  `cli_surface.json` holds the help and usage texts as
+argparse printed them at 80 columns.
+
+Help and usage texts are compared with each run of whitespace collapsed to
+one space: from Python 3.13 on argparse wraps a long usage line at other
+points, while the words and their order, which the parser declares, stay
+the same.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from jumploci.cli import main
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+with open(os.path.join(os.path.dirname(__file__), "cli_surface.json")) as fh:
+    SURFACE = json.load(fh)
+
+RUNS = [
+    ("validate --cga samples/exterior.cga --complex samples/koszul2.cc "
+     "--presentation samples/trefoil.pres",
+     0, "1f1ab1df006c21f912a2323e146f46cd553eb86f4b1dfe372922fa698a11a32a"),
+    ("jumploci --complex samples/koszul2.cc --i 1 --q 3 --ext 2 --torus",
+     0, "c951bcb61a7a57a75f0438be7a35073a21b915334e7132bac269ab36ad30db3b"),
+    ("supports --complex samples/augmentation.cc --i 1 --d 2 --q 5 --compare-v",
+     0, "1a1b127138583cb626420d4ca68d42b17a42395be16cfcc31bcc3c388c58ef12"),
+    ("resonance --cga samples/f4-pairing.cga --i 1 --ext 2",
+     0, "42fafae157052a604f077f00fe7187d1908bfcf67fbbb77a4de1d0c2fb3e3643"),
+    ("e1 --cga samples/exterior.cga --nu samples/identity-z2.nu --q 3",
+     0, "fc0e8755e310176f496a52021a0921276dff21b10f8b3dc7ac47dd6bfb5fd6b2"),
+    ("verify-cvres --cga samples/exterior.cga --nu samples/identity-z2.nu "
+     "--i 0 --q 3",
+     0, "495f7c3518f5835f140c25cc0798a3f7b17f83fc62a35615e06fbf6ad34a8a6e"),
+    ("finiteness --cga samples/zero-pairing.cga --nu samples/identity-z2.nu "
+     "--k 1 --q 3",
+     0, "c33d217119af1d2da38cef5fd178ff4dc90df709dbd586cb01030534f4914e09"),
+    ("alexander --presentation samples/central-square.pres "
+     "--nu samples/onto-z.nu --q 5",
+     0, "bf28636d3bd1e3fafc3a7754a7605657cfadecf7c81f8bfa8f602f909514d620"),
+    ("charvar --presentation samples/central-square.pres "
+     "--nu samples/onto-z.nu --i 1 --q 5 --ext 2",
+     0, "209e1f437a892425b1bf0419f70706c4bafb37d876609ad4d4aff14d90d246a3"),
+    ("genres-experiment --shape 1,2,1 --i 1 --trials 30 --q 3 --seed 7",
+     0, "0b2511f89dfad2833247f1dea32dd992a69bd1082abec864ca4279b4c096c1a8"),
+]
+
+
+def _words(text):
+    return " ".join(text.split())
+
+
+@pytest.mark.parametrize("argv", sorted(SURFACE), ids=lambda a: a or "bare")
+def test_help_and_usage_errors(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = SURFACE[argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    got = capsys.readouterr()
+    assert exc.value.code == want["code"]
+    assert _words(got.out) == _words(want["stdout"])
+    assert _words(got.err) == _words(want["stderr"])
+
+
+@pytest.mark.parametrize("command, code, digest", RUNS,
+                         ids=[r[0].split(" --")[0] for r in RUNS])
+def test_structured_stdout_digest(command, code, digest, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(command.split() + ["--format", "structured"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bare_validate_is_an_error_report(capsys):
+    assert main(["validate"]) == 2
+    assert capsys.readouterr().out == (
+        "command: validate\n"
+        "error.message: validate needs --cga, --complex, or --presentation\n"
+        "error.type: DocumentError\n")
+
+
+def test_validate_checks_the_complex_before_loading_the_presentation(
+        capsys, tmp_path):
+    # the complex needs a sample field, which is refused before the
+    # malformed presentation is read
+    cc, pres = tmp_path / "c.cc", tmp_path / "p.pres"
+    cc.write_text(json.dumps({
+        "type": "presented-complex",
+        "ring": {"field": {"kind": "prime-field", "p": 3},
+                 "variables": ["x", "y"], "laurent": False},
+        "terms": [{"gens": 1, "relations": [["x"]]},
+                  {"gens": 1, "relations": [["y"]]}],
+        "differentials": [[["1"]]]}))
+    pres.write_text(json.dumps({"generators": 5}))
+    argv = ["validate", "--complex", str(cc), "--presentation", str(pres),
+            "--format", "structured"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "PreconditionError"
+    assert "supply a finite sample field" in err["message"]
+    assert main(argv + ["--q", "3"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "DocumentError"

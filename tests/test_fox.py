@@ -217,7 +217,7 @@ def test_alexander_complex_requires_surjective():
 
 def test_trefoil_characteristic_points():
     nu = nu_onto_z(2)
-    [(_, _, pts)] = characteristic_variety_points(TREFOIL, nu, 1, 1, F7)
+    pts = characteristic_variety_points(TREFOIL, nu, 1, 1, F7)
     got = {p[0] for p in pts}
     # required check: the roots of t^2 - t + 1 in F_7 are exactly {3, 5};
     # the unit circle oracle evaluates the polynomial at every unit
@@ -239,7 +239,7 @@ def test_circle_characteristic_identity_only():
     nu = NuData(1, [[1]], (), FinAbGroup(1))
     for q in (5, 7):
         F = PrimeField(q)
-        [(_, _, pts)] = characteristic_variety_points(CIRCLE, nu, 1, 1, F)
+        pts = characteristic_variety_points(CIRCLE, nu, 1, 1, F)
         assert pts == {(1,)}
         E = alexander_complex(CIRCLE, nu, F)
         assert support_points(E, 1, 1, F) == set()
@@ -250,7 +250,7 @@ def test_identity_character_in_degree_zero():
     nu = nu_identity(2)
     for P in (WEDGE, TREFOIL, A2B):
         nu_p = nu if P is not TREFOIL else nu_onto_z(2)
-        [(_, _, pts)] = characteristic_variety_points(P, nu_p, 0, 1, F5)
+        pts = characteristic_variety_points(P, nu_p, 0, 1, F5)
         expected = {tuple([1] * nu_p.group.rank)}
         assert pts == expected
 
