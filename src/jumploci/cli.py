@@ -24,7 +24,10 @@ from .rings import poly_to_str
 from .varieties import extension_fields
 
 def point_list(field, pts):
-    return sorted([[dump_scalar(field, c) for c in p] for p in pts])
+    """The points `pts` as sorted lists of document scalars, with each
+    distinct coordinate converted once."""
+    scalar = {c: dump_scalar(field, c) for c in set().union(*pts)}
+    return sorted([list(map(scalar.__getitem__, p)) for p in pts])
 
 
 def _by_extension(extensions, locus):
@@ -354,13 +357,20 @@ FLAGS = {
 }
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser of `argv`.  When argv[0] names a command, only that
+    command's sub-parser is built, and the metavar keeps every command in
+    the usage line; --help, a bare argv and an unknown command build all."""
     ap = argparse.ArgumentParser(
         prog="jumploci",
         description="Exact jump loci, supports, and resonance of chain "
                     "complexes, graded algebras, and group presentations.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    metavar = "{%s}" % ",".join(COMMANDS) if named else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (line, _, documents, flags) in COMMANDS.items():
+        if named and name != named:
+            continue
         sp = sub.add_parser(name, help=line)
         for kind in documents:
             sp.add_argument("--" + kind, required=True)
@@ -383,7 +393,8 @@ def error_code(exc):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     _, provenance, documents, _ = COMMANDS[args.command]
     started = time.monotonic()
     try:

@@ -28,6 +28,7 @@ command asks for a finite field; a zero denominator is a ParseError.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .cga import GradedAlgebra
 from .complexes import (FreeChainComplex, ModulePresentation,
@@ -342,12 +343,67 @@ def load_document(path, expect=None, field_override=None):
     return loader(doc, field_override=field_override)
 
 
+def _scalar(v):
+    """The JSON text of the scalar `v` as json.dumps writes it, or None
+    for a list, tuple or dict."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return int.__repr__(v)
+    if isinstance(v, (list, tuple, dict)):
+        return None
+    return json.dumps(v)
+
+
+def _write(value, nl, write):
+    """Write the text of json.dumps(value, sort_keys=True, indent=2)
+    through `write`, one call per array that holds no array or object, so
+    that a point is one join and not one call per coordinate; `nl` is the
+    newline and indent that precede the closing bracket of `value`.  Object
+    keys must be strings, as they are in every document."""
+    if isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = nl + "  "
+        texts = []
+        for item in value:
+            text = _scalar(item)
+            if text is None:
+                break
+            texts.append(text)
+        else:
+            write("[" + inner + ("," + inner).join(texts) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write(item, inner, write)
+            sep = "," + inner
+        write(nl + "]")
+    else:
+        write(_scalar(value))
+
+
 def dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    parts = []
+    _write(doc, "\n", parts.append)
+    return "".join(parts) + "\n"
 
 
 def dump(doc, out):
-    """Write dumps(doc) to the stream `out` chunk by chunk, so the whole
-    text and the list of its chunks are never held at once."""
-    json.dump(doc, out, sort_keys=True, indent=2)
+    """Write dumps(doc) to the stream `out` piece by piece, so the whole
+    text and the list of its pieces are never held at once."""
+    _write(doc, "\n", out.write)
     out.write("\n")

@@ -596,3 +596,32 @@ def test_supports_compare_v_matches_the_fitting_oracle(q, capsys, tmp_path):
         assert res["by_extension"]["1"]["points"] == point_list(F, oracle[1])
         assert (res["compare_v"]["1"]["support_union"]
                 == point_list(F, oracle[0] | oracle[1]))
+
+
+def _each_coordinate(field, pts):
+    """point_list as one dump_scalar call per coordinate, the reference."""
+    from jumploci.documents import dump_scalar
+    return sorted([[dump_scalar(field, c) for c in p] for p in pts])
+
+
+def _point_sets():
+    from fractions import Fraction
+    from itertools import product
+    from jumploci.fields import PrimeField, Rationals, finite_field
+    Q, F7, F16 = Rationals(), PrimeField(7), finite_field(16)
+    half, three = Fraction(1, 2), Fraction(3)
+    return [
+        (Q, {(half, three), (Fraction(-1, 3), three), (half, Fraction(7))}),
+        (Q, {(three, three)}),
+        (F7, set(product(range(7), repeat=2))),
+        (F7, {(3, 3, 3), (3, 0, 3), (0, 3, 6)}),
+        (F7, set()),
+        (finite_field(9), set(product(range(9), repeat=2))),
+        (F16, {(5, 5), (5, 11), (11, 5), (0, 5)}),
+        (F16, {(c,) for c in range(16)}),
+    ]
+
+
+@pytest.mark.parametrize("field, pts", _point_sets())
+def test_point_list_matches_the_per_coordinate_conversion(field, pts):
+    assert cli.point_list(field, pts) == _each_coordinate(field, pts)

@@ -1,9 +1,11 @@
 """The CLI surface, pinned: `--help` of the top level and of every command,
 the usage error and exit code of each bare command and of an unknown one
-(a bare `validate` parses, and is an error report), the stdout of one
-structured run of each command on `samples/`, and which error `validate`
-reports first.  `cli_surface.json` holds the help and usage texts as
-argparse printed them at 80 columns.
+(a bare `validate` parses, and is an error report), the usage errors of an
+unrecognized argument, a stray positional, an out-of-range and an ambiguous
+flag after a command, the stdout of one structured run of each command on
+`samples/`, which error `validate` reports first, and which sub-parsers
+`main` builds for each kind of argv.  `cli_surface.json` holds the help and
+usage texts as argparse printed them at 80 columns.
 
 Help and usage texts are compared with each run of whitespace collapsed to
 one space: from Python 3.13 on argparse wraps a long usage line at other
@@ -11,13 +13,15 @@ points, while the words and their order, which the parser declares, stay
 the same.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
-from jumploci.cli import main
+from jumploci.cli import COMMANDS, main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -107,3 +111,45 @@ def test_validate_checks_the_complex_before_loading_the_presentation(
     assert "supply a finite sample field" in err["message"]
     assert main(argv + ["--q", "3"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DocumentError"
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The names of the sub-parsers main builds, in order."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return names
+
+
+def test_a_named_command_builds_only_its_sub_parser(built, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(RUNS[2][0].split()) == 0
+    assert built == ["supports"]
+    with pytest.raises(SystemExit):
+        main(["supports", "-h"])
+    assert built == ["supports"] * 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "supports"]],
+                         ids=["help", "bare", "unknown", "help-first"])
+def test_help_bare_and_unknown_argv_build_every_sub_parser(argv, built, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == list(COMMANDS)
+
+
+def test_main_without_argv_reads_sys_argv(built, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = RUNS[1][0].split() + ["--format", "structured"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["jumploci"] + argv)
+    assert main() == 0
+    assert capsys.readouterr().out == want
+    assert built == ["jumploci"] * 2

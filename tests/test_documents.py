@@ -1,10 +1,13 @@
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumploci.cga import pairing_cga
-from jumploci.documents import (dump_cga, dump_complex, dump_field, dump_group,
-                                dump_nu, dump_presentation, load_cga,
+from jumploci.documents import (dump, dump_cga, dump_complex, dump_field,
+                                dump_group, dump_nu, dump_presentation, dumps,
+                                load_cga,
                                 load_complex, load_document, load_field,
                                 load_group, load_nu, load_presentation)
 from jumploci.equivariant import FinAbGroup, NuData
@@ -98,3 +101,36 @@ def test_load_document_type_guard(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DocumentError):
         load_document(str(bad))
+
+
+# JSON-like documents: scalars of every JSON kind (strings with quotes,
+# backslashes, control characters and non-ASCII; every float json writes,
+# NaN and the infinities included), lists, tuples, and objects with string
+# keys, empty containers included
+_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ["", '"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "\u00e9\u2211\U0001f600", "\ud800"]))
+_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_STRINGS, inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_DOCS)
+def test_dump_and_dumps_write_what_json_dumps_writes(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert dumps(doc) == want
+    out = io.StringIO()
+    dump(doc, out)
+    assert out.getvalue() == want
+
+
+def test_dumps_refuses_values_json_refuses_and_keys_that_are_not_strings():
+    for doc in ({"a": object()}, [1, {1, 2}]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dumps(doc)
+    with pytest.raises(TypeError):
+        dumps({1: 0})
