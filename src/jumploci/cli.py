@@ -73,9 +73,8 @@ def cmd_validate(args):
         E = _load(args, "complex")
         if isinstance(E, FreeChainComplex):
             v = validate_complex(E)
-        else:
-            sample = finite_field(args.q) if args.q else None
-            v = validate_presented(E, sample)
+        else:  # sampled over the document's field, which --q has replaced
+            v = validate_presented(E, E.ring.field)
         results["complex"] = {"ok": v.ok, "message": v.message,
                               "location": list(v.location) if v.location else None}
         ok = ok and v.ok

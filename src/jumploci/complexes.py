@@ -16,8 +16,9 @@ from .linalg import mat_mul, mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
 from .rings import Ring, unit_ideal, zero_ideal
-from .smith import (kernel_positions, line_restriction, smith_divisors,
-                    smith_normal_form, snf_solve, udeg, vanishing_counts)
+from .smith import (_dense_divisors, kernel_positions, line_restriction,
+                    smith_divisors, smith_normal_form, snf_solve,
+                    vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where)
 
@@ -353,7 +354,7 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
     c_i = E.rank(i)
     out = set()
     for head in enumerate_coords(F, E.ring.nvars - 1, torus):
-        chains = [smith_divisors(at(head)) for at in restrict]
+        chains = [_dense_divisors(at(head)) for at in restrict]
         # how many divisors must vanish at b for dim H_i >= d
         need = d - c_i + sum(len(ch) for ch in chains)
         if need <= 0:
@@ -361,7 +362,7 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
             continue
         vanishing = {}
         for ch in chains:
-            for b, k in vanishing_counts(ch, fiber, torus):
+            for b, k in vanishing_counts(F, ch, fiber, torus):
                 vanishing[b] = vanishing.get(b, 0) + k
         out.update(head + (b,) for b, k in vanishing.items() if k >= need)
     return out
@@ -614,7 +615,7 @@ def is_finite_dimensional(P):
             if len(divisors) < P.gens:
                 return FinVerdict("infinite",
                                   note="a free summand survives the relations")
-            dim = sum(udeg(d) for d in divisors)
+            dim = sum(d.total_degree() for d in divisors)
             return FinVerdict("finite", dim, "Smith divisor degrees")
         if not ring.laurent:
             leads = module_lead_terms(ring, P.relations)

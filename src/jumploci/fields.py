@@ -190,19 +190,26 @@ def _vecpow(p, mod_vec, a, e):
     return result
 
 
-def _poly_divides(p, small, big):
-    """Exact division test for monic-able coefficient tuples over F_p."""
-    big = list(big)
-    ds, db = len(small) - 1, len(big) - 1
-    if ds > db:
-        return False
-    lead_inv = pow(small[-1], p - 2, p)
-    for shift in range(db - ds, -1, -1):
-        c = (big[ds + shift] * lead_inv) % p
-        if c:
-            for k in range(ds + 1):
-                big[k + shift] = (big[k + shift] - c * small[k]) % p
-    return all(c == 0 for c in big)
+def udivmod(F, a, b):
+    """Quotient and remainder of the coefficient list a by b over the field
+    F, each list lowest degree first and trimmed (so [] is zero)."""
+    db = len(b) - 1
+    if db < 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    sub, mul, zero = F.sub, F.mul, F.zero
+    lead_inv = F.inv(b[db])
+    r = list(a)
+    q = [zero] * (len(a) - db)  # [] when deg a < deg b
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
+        if c != zero:
+            q[k] = c = mul(c, lead_inv)
+            for j in range(db):
+                r[k + j] = sub(r[k + j], mul(c, b[j]))
+    del r[db:]
+    while r and r[-1] == zero:
+        r.pop()
+    return q, r
 
 
 def _monic_polys(p, d):
@@ -225,9 +232,10 @@ def _is_irreducible(p, poly):
         if acc == 0:
             return False
     # trial division by monic irreducibles of degree 2..d//2
+    F = PrimeField(p)
     for e in range(2, d // 2 + 1):
         for g in _monic_polys(p, e):
-            if _is_irreducible(p, g) and _poly_divides(p, g, poly):
+            if _is_irreducible(p, g) and not udivmod(F, poly, g)[1]:
                 return False
     return True
 

@@ -1,54 +1,52 @@
 """Smith normal form over k[t] and k[t^{+-1}].
 
 Both rings are PIDs; the algorithm is the classical Euclidean one, done
-with explicit row/column transforms.  Laurent input is first cleared by
-row shifts (unit scalings), so the elimination itself always runs on
-ordinary polynomials.  Divisors are normalized per the ring: monic, and
-for Laurent rings additionally shifted so the lowest exponent is 0.
+with explicit row/column transforms.  It runs on dense coefficient lists
+of field elements (lowest degree first and trimmed, so [] is zero and
+len - 1 the degree) through the field's own operations: a matrix becomes
+lists once on entry and Poly entries again once on exit.  Laurent input is
+first cleared by row shifts (unit scalings), so the elimination itself
+always runs on ordinary polynomials.  Divisors are normalized per the ring:
+monic, and for Laurent rings additionally shifted so the lowest exponent
+is 0.
 """
 
 from dataclasses import dataclass
 
 from .errors import UnsupportedRingError
+from .fields import udivmod
 from .matrices import Matrix
 from .rings import Poly
 
 
-def udeg(p):
-    """Degree of a univariate polynomial; -1 for zero."""
-    if not p.terms:
-        return -1
-    return max(e[0] for e in p.terms)
+def _dense(F, terms, shift=0):
+    """The coefficient list of t^shift times a univariate term dict
+    {(e,): c} as Poly.terms holds it (no zero c; every e + shift >= 0)."""
+    if not terms:
+        return []
+    c = [F.zero] * (max(terms)[0] + shift + 1)
+    for (e,), v in terms.items():
+        c[e + shift] = v
+    return c
 
 
-def umin(p):
-    if not p.terms:
-        return 0
-    return min(e[0] for e in p.terms)
+def _poly(ring, c, shift=0):
+    """The Poly of t^shift times the coefficient list c."""
+    zero = ring.field.zero
+    return Poly(ring, {(e + shift,): v for e, v in enumerate(c) if v != zero})
 
 
-def ucoeff(p, k):
-    return p.terms.get((k,), p.ring.field.zero)
-
-
-def udivmod(a, b):
-    """Division with remainder in k[t] (entries must be ordinary)."""
-    F = a.ring.field
-    db = udeg(b)
-    if db < 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead_inv = F.inv(ucoeff(b, db))
-    if db == 0:
-        return a.scale(lead_inv), a.ring.zero()
-    q = a.ring.zero()
-    r = a
-    while not r.is_zero() and udeg(r) >= db:
-        d = udeg(r)
-        c = F.mul(ucoeff(r, d), lead_inv)
-        qt = Poly(a.ring, {(d - db,): c})
-        q = q + qt
-        r = r - qt * b
-    return q, r
+def _submul(F, x, q, y):
+    """x - q*y on coefficient lists."""
+    out = x + [F.zero] * (len(q) + len(y) - 1 - len(x))
+    sub, mul = F.sub, F.mul
+    for i, c in enumerate(q):
+        if c != F.zero:
+            for j, b in enumerate(y, i):
+                out[j] = sub(out[j], mul(c, b))
+    while out and out[-1] == F.zero:
+        out.pop()
+    return out
 
 
 @dataclass
@@ -60,77 +58,74 @@ class SmithForm:
     V_inv: Matrix
 
 
-class _Worker:
-    """Euclidean elimination on a copy of `matrix`.  With `transforms`, U, V
-    and V^{-1} are kept alongside; without, only the diagonal is wanted and
-    u, v and vinv are None."""
+def _identity(F, n, shifts):
+    """The n x n identity as coefficient lists, row i times t^shifts[i]."""
+    return [[[F.zero] * shifts[i] + [F.one] if i == j else [] for j in range(n)]
+            for i in range(n)]
 
-    def __init__(self, matrix, transforms=True):
-        ring = matrix.ring
-        self.ring = ring
-        self.m = matrix.nrows
-        self.n = matrix.ncols
-        self.a = [list(row) for row in matrix.entries]
+
+class _Worker:
+    """Euclidean elimination on coefficient lists over the field F.  Row i
+    of `rows` (term dicts) enters times t^shifts[i], shifts[i] >= 0.  With
+    `transforms`, U, V and V^{-1} are kept alongside; without, only the
+    diagonal is wanted and u, v and vinv are None."""
+
+    def __init__(self, F, rows, ncols, shifts, transforms):
+        self.F = F
+        self.m, self.n = len(rows), ncols
+        self.a = [[_dense(F, terms, s) for terms in row]
+                  for row, s in zip(rows, shifts)]
         self.u = self.v = self.vinv = None
         if transforms:
-            self.u = [list(row) for row in Matrix.identity(ring, self.m).entries]
-            self.v = [list(row) for row in Matrix.identity(ring, self.n).entries]
-            self.vinv = [list(row) for row in Matrix.identity(ring, self.n).entries]
+            self.u = _identity(F, self.m, shifts)
+            self.v = _identity(F, self.n, [0] * self.n)
+            self.vinv = _identity(F, self.n, [0] * self.n)
         # the grids each row operation and each column operation acts on
-        self.row_grids = [g for g in (self.a, self.u) if g is not None]
-        self.col_grids = [g for g in (self.a, self.v) if g is not None]
+        self.row_grids = [self.a] if self.u is None else [self.a, self.u]
+        self.col_grids = [self.a] if self.v is None else [self.a, self.v]
 
     # invariant:  a == u * a_orig * v   and   v * vinv == 1
 
     def row_swap(self, i, j):
-        if i == j:
-            return
         for g in self.row_grids:
             g[i], g[j] = g[j], g[i]
 
     def col_swap(self, i, j):
-        if i == j:
-            return
         for g in self.col_grids:
             for r in g:
                 r[i], r[j] = r[j], r[i]
         if self.vinv is not None:
             self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
-    def row_addmul(self, i, j, q):
-        """row_i += q * row_j"""
-        if q.is_zero():
-            return
+    def row_submul(self, i, j, q):
+        """row_i -= q * row_j"""
+        F = self.F
         for g in self.row_grids:
-            g[i] = [x + q * y if y.terms else x for x, y in zip(g[i], g[j])]
+            g[i] = [_submul(F, x, q, y) if y else x for x, y in zip(g[i], g[j])]
 
-    def col_addmul(self, i, j, q):
-        """col_i += q * col_j"""
-        if q.is_zero():
-            return
+    def col_submul(self, i, j, q):
+        """col_i -= q * col_j"""
+        F = self.F
         for g in self.col_grids:
             for r in g:
-                if r[j].terms:
-                    r[i] = r[i] + q * r[j]
+                if r[j]:
+                    r[i] = _submul(F, r[i], q, r[j])
         if self.vinv is not None:
-            self.vinv[j] = [x - q * y for x, y in zip(self.vinv[j], self.vinv[i])]
-
-    def row_scale(self, i, unit):
-        for g in self.row_grids:
-            g[i] = [unit * x for x in g[i]]
+            minus_q = [F.neg(c) for c in q]
+            self.vinv[j] = [_submul(F, x, minus_q, y) if y else x
+                            for x, y in zip(self.vinv[j], self.vinv[i])]
 
     def _find_min(self, k):
         best = None
         for i in range(k, self.m):
             for j in range(k, self.n):
                 p = self.a[i][j]
-                if not p.is_zero():
-                    d = udeg(p)
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
+                if p and (best is None or len(p) < best[0]):
+                    best = (len(p), i, j)
         return best
 
     def run(self):
+        F = self.F
         k = 0
         limit = min(self.m, self.n)
         while k < limit:
@@ -143,68 +138,74 @@ class _Worker:
             dirty = False
             pivot = self.a[k][k]
             for i in range(k + 1, self.m):
-                if not self.a[i][k].is_zero():
-                    q, r = udivmod(self.a[i][k], pivot)
-                    self.row_addmul(i, k, -q)
-                    if not r.is_zero():
+                if self.a[i][k]:
+                    q, r = udivmod(F, self.a[i][k], pivot)
+                    self.row_submul(i, k, q)
+                    if r:
                         dirty = True
             if dirty:
                 continue
             for j in range(k + 1, self.n):
-                if not self.a[k][j].is_zero():
-                    q, r = udivmod(self.a[k][j], pivot)
-                    self.col_addmul(j, k, -q)
-                    if not r.is_zero():
+                if self.a[k][j]:
+                    q, r = udivmod(F, self.a[k][j], pivot)
+                    self.col_submul(j, k, q)
+                    if r:
                         dirty = True
             if dirty:
                 continue
             # pivot row and column are clear; enforce divisibility of the rest
             offender = self._indivisible_row(k, pivot)
             if offender is not None:
-                self.row_addmul(k, offender, self.ring.one())
+                self.row_submul(k, offender, [F.neg(F.one)])
                 continue
             k += 1
 
     def _indivisible_row(self, k, pivot):
         """A row below k with an entry the pivot does not divide, or None
         (always None for a constant pivot, a unit)."""
-        if udeg(pivot) == 0:
+        if len(pivot) == 1:
             return None
         for i in range(k + 1, self.m):
             for j in range(k + 1, self.n):
-                if not self.a[i][j].is_zero():
-                    _, r = udivmod(self.a[i][j], pivot)
-                    if not r.is_zero():
-                        return i
+                if self.a[i][j] and udivmod(self.F, self.a[i][j], pivot)[1]:
+                    return i
         return None
 
 
 def _diagonalize(matrix, transforms):
     """Run the elimination and normalize the diagonal: monic, and (Laurent)
-    lowest exponent 0.  Returns the worker and the nonzero divisors."""
+    lowest exponent 0, with the row of U scaled to match.  Returns the
+    worker, the power of t that each row of U is still to be multiplied
+    by, and the nonzero divisors as coefficient lists."""
     ring = matrix.ring
     if ring.nvars != 1:
         raise UnsupportedRingError(
             "Smith normal form requires a univariate ring, got %d variables"
             % ring.nvars)
-    w = _Worker(matrix, transforms)
-    if ring.laurent:
-        for i in range(w.m):
-            shift = min((umin(p) for p in w.a[i] if not p.is_zero()), default=0)
-            if shift < 0:
-                w.row_scale(i, Poly(ring, {(-shift,): ring.field.one}))
-    w.run()
     F = ring.field
+    rows = [[p.terms for p in row] for row in matrix.entries]
+    # each row of a Laurent matrix times the least t^s, s >= 0, that leaves
+    # no negative exponent: a unit scaling
+    shifts = ([-min([min(terms)[0] for terms in row if terms] + [0])
+               for row in rows] if ring.laurent else [0] * len(rows))
+    w = _Worker(F, rows, matrix.ncols, shifts, transforms)
+    w.run()
+    u_shifts = [0] * w.m
     divisors = []
     for k in range(min(w.m, w.n)):
         p = w.a[k][k]
-        if p.is_zero():
+        if not p:
             continue
-        shift = umin(p) if ring.laurent else 0
-        lead = ucoeff(p, udeg(p))
-        w.row_scale(k, Poly(ring, {(-shift,): F.inv(lead)}))
-        divisors.append(w.a[k][k])
-    return w, tuple(divisors)
+        shift = 0
+        while ring.laurent and p[shift] == F.zero:
+            shift += 1
+        lead_inv = F.inv(p[-1])
+        w.a[k][k] = p = [F.mul(lead_inv, c) for c in p[shift:]]
+        if transforms:
+            w.u[k] = [[F.mul(lead_inv, c) for c in x] for x in w.u[k]]
+            u_shifts[k] = -shift
+        divisors.append(p)
+    return w, u_shifts, divisors
 
 
 def smith_normal_form(matrix):
@@ -214,15 +215,21 @@ def smith_normal_form(matrix):
     d_1 | d_2 | ..., normalized to monic with lowest exponent 0 (Laurent).
     U and V are invertible over the ring; V's inverse is included.
     """
-    w, divisors = _diagonalize(matrix, True)
+    w, u_shifts, divisors = _diagonalize(matrix, True)
     ring = matrix.ring
-    return SmithForm(
-        U=Matrix(ring, w.m, w.m, w.u),
-        D=Matrix(ring, w.m, w.n, w.a),
-        V=Matrix(ring, w.n, w.n, w.v),
-        divisors=divisors,
-        V_inv=Matrix(ring, w.n, w.n, w.vinv),
-    )
+
+    def back(grid, ncols, shifts=None):
+        shifts = shifts or [0] * len(grid)
+        return Matrix(ring, len(grid), ncols, [[_poly(ring, c, s) for c in row]
+                                               for row, s in zip(grid, shifts)])
+    return SmithForm(U=back(w.u, w.m, u_shifts), D=back(w.a, w.n),
+                     V=back(w.v, w.n), V_inv=back(w.vinv, w.n),
+                     divisors=tuple(_poly(ring, c) for c in divisors))
+
+
+def _dense_divisors(matrix):
+    """smith_divisors(matrix) as coefficient lists, lowest degree first."""
+    return _diagonalize(matrix, False)[2]
 
 
 def smith_divisors(matrix):
@@ -230,7 +237,7 @@ def smith_divisors(matrix):
     smith_normal_form(matrix).divisors, without the U, V and V^{-1}
     bookkeeping.  Over a PID, rank A(b) is the number of them that do not
     vanish at b, for every b where the ring's units stay units."""
-    return _diagonalize(matrix, False)[1]
+    return tuple(_poly(matrix.ring, c) for c in _dense_divisors(matrix))
 
 
 def line_restriction(M, line, emb=None):
@@ -261,36 +268,38 @@ def line_restriction(M, line, emb=None):
     return at
 
 
-def _horner(F, coeffs, b):
-    acc = F.zero
-    for c in coeffs:
-        acc = F.add(F.mul(acc, b), c)
+def _horner(F, coeffs, values):
+    """The coefficient list coeffs (not []) evaluated at each of `values`."""
+    add, mul = F.add, F.mul
+    acc = [coeffs[-1]] * len(values)
+    for c in coeffs[-2::-1]:
+        acc = [add(mul(a, b), c) for a, b in zip(acc, values)]
     return acc
 
 
-def vanishing_counts(divisors, values, torus=False):
+def vanishing_counts(F, divisors, values, torus=False):
     """(b, how many of `divisors` vanish at b) for each b of `values` where
-    any does.  `divisors` is a chain d_1 | d_2 | ... as smith_divisors
-    gives it, so the ones vanishing at b are a suffix: only the last
-    non-constant one is solved (read off when linear, else evaluated at
-    every b), and the others are evaluated at its roots only.  `torus`
-    says that `values` holds no 0."""
-    chain = [p for p in divisors if udeg(p) > 0]
+    any does.  `divisors` is a chain d_1 | d_2 | ... of monic coefficient
+    lists over F, lowest degree first, as _dense_divisors gives it, so the
+    ones vanishing at b are a suffix: only the last non-constant one is
+    solved (read off when linear, else evaluated at every b), and the
+    others are evaluated at its roots only.  `torus` says that `values`
+    holds no 0."""
+    chain = [c for c in divisors if len(c) > 1]
     if not chain:
         return
-    F = chain[0].ring.field
-    *rest, last = [[p.terms.get((k,), F.zero) for k in range(udeg(p), -1, -1)]
-                   for p in chain]  # coefficients, highest first
+    *rest, last = chain
     if len(last) == 2:  # monic t + c
-        roots = [F.neg(last[1])]
+        roots = [F.neg(last[0])]
         if torus and roots[0] == F.zero:
             roots = []
     else:
-        roots = [b for b in values if _horner(F, last, b) == F.zero]
+        roots = [b for b, v in zip(values, _horner(F, last, values))
+                 if v == F.zero]
     for b in roots:
         k = 1
-        for p in reversed(rest):
-            if _horner(F, p, b) != F.zero:
+        for c in reversed(rest):
+            if _horner(F, c, (b,))[0] != F.zero:
                 break
             k += 1
         yield b, k
@@ -299,11 +308,8 @@ def vanishing_counts(divisors, values, torus=False):
 def kernel_positions(snf):
     """Column indices j of V whose images span ker(A):  positions with a
     zero (or absent) diagonal divisor."""
-    positions = []
-    for j in range(snf.D.ncols):
-        if j >= snf.D.nrows or snf.D[j, j].is_zero():
-            positions.append(j)
-    return positions
+    return [j for j in range(snf.D.ncols)
+            if j >= snf.D.nrows or snf.D[j, j].is_zero()]
 
 
 def kernel_matrix(snf):
@@ -321,43 +327,20 @@ def snf_solve(snf, rhs):
     divisors, zero elsewhere.
     """
     ring = snf.D.ring
+    F = ring.field
     m, n = snf.D.nrows, snf.D.ncols
-    y = []
-    for i in range(m):
-        acc = ring.zero()
-        for j in range(m):
-            u = snf.U[i, j]
-            if not u.is_zero() and not rhs[j].is_zero():
-                acc = acc + u * rhs[j]
-        y.append(acc)
-    x_diag = []
-    for i in range(m):
-        if i < n and not snf.D[i, i].is_zero():
-            if y[i].is_zero():
-                x_diag.append(ring.zero())
-                continue
-            d = snf.D[i, i]
-            if ring.laurent:
-                sh = umin(y[i])
-                q, r = udivmod(y[i].shift((-sh,)), d)
-                q = q.shift((sh,))
-            else:
-                q, r = udivmod(y[i], d)
-            if not r.is_zero():
-                return None
-            x_diag.append(q)
-        elif not y[i].is_zero():
+    y = (snf.U * Matrix(ring, m, 1, [[c] for c in rhs])).col(0)
+    x = [ring.zero()] * n
+    for i, c in enumerate(y):
+        if c.is_zero():
+            continue
+        d = snf.D[i, i] if i < n else ring.zero()
+        if d.is_zero():
             return None
-        else:
-            x_diag.append(ring.zero())
-    while len(x_diag) < n:
-        x_diag.append(ring.zero())
-    x = []
-    for i in range(n):
-        acc = ring.zero()
-        for j in range(n):
-            v = snf.V[i, j]
-            if not v.is_zero() and not x_diag[j].is_zero():
-                acc = acc + v * x_diag[j]
-        x.append(acc)
-    return x
+        # a Laurent c is first shifted onto k[t], and its quotient back
+        shift = min(e for (e,) in c.terms) if ring.laurent else 0
+        q, r = udivmod(F, _dense(F, c.terms, -shift), _dense(F, d.terms))
+        if r:
+            return None
+        x[i] = _poly(ring, q, shift)
+    return (snf.V * Matrix(ring, n, 1, [[c] for c in x])).col(0)

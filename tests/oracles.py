@@ -2,12 +2,17 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas, without touching the package's own linear algebra, polynomial,
-or calculus code paths.  Tests compute expected values with these and
-freeze or compare them against the package.
+or calculus code paths; the reference Smith form runs on the package's
+Poly arithmetic, which its Smith worker does not use.  Tests compute
+expected values with these and freeze or compare them against the package.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from jumploci.errors import UnsupportedRingError
+from jumploci.matrices import Matrix
+from jumploci.rings import Poly
 
 
 # -- integer matrices mod p ---------------------------------------------------
@@ -426,3 +431,209 @@ def base_change(A, field, embed=None):
     mult = {key: [[[f(c) for c in vec] for vec in row] for row in block]
             for key, block in A.mult.items()}
     return type(A)(field, A.dims, mult)
+
+
+# -- the Smith form on generic Poly arithmetic --------------------------------
+#
+# The Euclidean elimination of `jumploci.smith` as it ran on Poly entries
+# before it moved to coefficient lists: the same pivots, and the same row
+# and column operations in the same order, done with Poly's own +, - and *.
+# So U, D, V, V^{-1} and the divisors must agree entry by entry.
+
+
+def udeg(p):
+    """Degree of a univariate polynomial; -1 for zero."""
+    if not p.terms:
+        return -1
+    return max(e[0] for e in p.terms)
+
+
+def umin(p):
+    if not p.terms:
+        return 0
+    return min(e[0] for e in p.terms)
+
+
+def ucoeff(p, k):
+    return p.terms.get((k,), p.ring.field.zero)
+
+
+def udivmod(a, b):
+    """Division with remainder in k[t] (entries must be ordinary)."""
+    F = a.ring.field
+    db = udeg(b)
+    if db < 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead_inv = F.inv(ucoeff(b, db))
+    if db == 0:
+        return a.scale(lead_inv), a.ring.zero()
+    q = a.ring.zero()
+    r = a
+    while not r.is_zero() and udeg(r) >= db:
+        d = udeg(r)
+        c = F.mul(ucoeff(r, d), lead_inv)
+        qt = Poly(a.ring, {(d - db,): c})
+        q = q + qt
+        r = r - qt * b
+    return q, r
+
+
+class _Worker:
+    """Euclidean elimination on a copy of `matrix`.  With `transforms`, U, V
+    and V^{-1} are kept alongside; without, only the diagonal is wanted and
+    u, v and vinv are None."""
+
+    def __init__(self, matrix, transforms=True):
+        ring = matrix.ring
+        self.ring = ring
+        self.m = matrix.nrows
+        self.n = matrix.ncols
+        self.a = [list(row) for row in matrix.entries]
+        self.u = self.v = self.vinv = None
+        if transforms:
+            self.u = [list(row) for row in Matrix.identity(ring, self.m).entries]
+            self.v = [list(row) for row in Matrix.identity(ring, self.n).entries]
+            self.vinv = [list(row) for row in Matrix.identity(ring, self.n).entries]
+        # the grids each row operation and each column operation acts on
+        self.row_grids = [g for g in (self.a, self.u) if g is not None]
+        self.col_grids = [g for g in (self.a, self.v) if g is not None]
+
+    # invariant:  a == u * a_orig * v   and   v * vinv == 1
+
+    def row_swap(self, i, j):
+        if i == j:
+            return
+        for g in self.row_grids:
+            g[i], g[j] = g[j], g[i]
+
+    def col_swap(self, i, j):
+        if i == j:
+            return
+        for g in self.col_grids:
+            for r in g:
+                r[i], r[j] = r[j], r[i]
+        if self.vinv is not None:
+            self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+
+    def row_addmul(self, i, j, q):
+        """row_i += q * row_j"""
+        if q.is_zero():
+            return
+        for g in self.row_grids:
+            g[i] = [x + q * y if y.terms else x for x, y in zip(g[i], g[j])]
+
+    def col_addmul(self, i, j, q):
+        """col_i += q * col_j"""
+        if q.is_zero():
+            return
+        for g in self.col_grids:
+            for r in g:
+                if r[j].terms:
+                    r[i] = r[i] + q * r[j]
+        if self.vinv is not None:
+            self.vinv[j] = [x - q * y for x, y in zip(self.vinv[j], self.vinv[i])]
+
+    def row_scale(self, i, unit):
+        for g in self.row_grids:
+            g[i] = [unit * x for x in g[i]]
+
+    def _find_min(self, k):
+        best = None
+        for i in range(k, self.m):
+            for j in range(k, self.n):
+                p = self.a[i][j]
+                if not p.is_zero():
+                    d = udeg(p)
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+        return best
+
+    def run(self):
+        k = 0
+        limit = min(self.m, self.n)
+        while k < limit:
+            found = self._find_min(k)
+            if found is None:
+                break
+            _, i, j = found
+            self.row_swap(k, i)
+            self.col_swap(k, j)
+            dirty = False
+            pivot = self.a[k][k]
+            for i in range(k + 1, self.m):
+                if not self.a[i][k].is_zero():
+                    q, r = udivmod(self.a[i][k], pivot)
+                    self.row_addmul(i, k, -q)
+                    if not r.is_zero():
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(k + 1, self.n):
+                if not self.a[k][j].is_zero():
+                    q, r = udivmod(self.a[k][j], pivot)
+                    self.col_addmul(j, k, -q)
+                    if not r.is_zero():
+                        dirty = True
+            if dirty:
+                continue
+            # pivot row and column are clear; enforce divisibility of the rest
+            offender = self._indivisible_row(k, pivot)
+            if offender is not None:
+                self.row_addmul(k, offender, self.ring.one())
+                continue
+            k += 1
+
+    def _indivisible_row(self, k, pivot):
+        """A row below k with an entry the pivot does not divide, or None
+        (always None for a constant pivot, a unit)."""
+        if udeg(pivot) == 0:
+            return None
+        for i in range(k + 1, self.m):
+            for j in range(k + 1, self.n):
+                if not self.a[i][j].is_zero():
+                    _, r = udivmod(self.a[i][j], pivot)
+                    if not r.is_zero():
+                        return i
+        return None
+
+
+def _diagonalize(matrix, transforms):
+    """Run the elimination and normalize the diagonal: monic, and (Laurent)
+    lowest exponent 0.  Returns the worker and the nonzero divisors."""
+    ring = matrix.ring
+    if ring.nvars != 1:
+        raise UnsupportedRingError(
+            "Smith normal form requires a univariate ring, got %d variables"
+            % ring.nvars)
+    w = _Worker(matrix, transforms)
+    if ring.laurent:
+        for i in range(w.m):
+            shift = min((umin(p) for p in w.a[i] if not p.is_zero()), default=0)
+            if shift < 0:
+                w.row_scale(i, Poly(ring, {(-shift,): ring.field.one}))
+    w.run()
+    F = ring.field
+    divisors = []
+    for k in range(min(w.m, w.n)):
+        p = w.a[k][k]
+        if p.is_zero():
+            continue
+        shift = umin(p) if ring.laurent else 0
+        lead = ucoeff(p, udeg(p))
+        w.row_scale(k, Poly(ring, {(-shift,): F.inv(lead)}))
+        divisors.append(w.a[k][k])
+    return w, tuple(divisors)
+
+
+def reference_smith_form(matrix):
+    """Smith normal form U*A*V = D over a univariate (Laurent) polynomial ring.
+
+    Returns (U, D, V, V^{-1}, divisors), the divisors forming the chain
+    d_1 | d_2 | ..., normalized to monic with lowest exponent 0 (Laurent).
+    U and V are invertible over the ring; V's inverse is included.
+    """
+    w, divisors = _diagonalize(matrix, True)
+    ring = matrix.ring
+    return (Matrix(ring, w.m, w.m, w.u), Matrix(ring, w.m, w.n, w.a),
+            Matrix(ring, w.n, w.n, w.v), Matrix(ring, w.n, w.n, w.vinv),
+            divisors)

@@ -90,18 +90,23 @@ def test_bare_validate_is_an_error_report(capsys):
         "error.type: DocumentError\n")
 
 
-def test_validate_checks_the_complex_before_loading_the_presentation(
-        capsys, tmp_path):
-    # the complex needs a sample field, which is refused before the
-    # malformed presentation is read
-    cc, pres = tmp_path / "c.cc", tmp_path / "p.pres"
-    cc.write_text(json.dumps({
+def _presented_xy(field):
+    """A presented complex over field[x, y] whose d_1 does not preserve the
+    relations: it sends y to y, outside (x)."""
+    return json.dumps({
         "type": "presented-complex",
-        "ring": {"field": {"kind": "prime-field", "p": 3},
-                 "variables": ["x", "y"], "laurent": False},
+        "ring": {"field": field, "variables": ["x", "y"], "laurent": False},
         "terms": [{"gens": 1, "relations": [["x"]]},
                   {"gens": 1, "relations": [["y"]]}],
-        "differentials": [[["1"]]]}))
+        "differentials": [[["1"]]]})
+
+
+def test_validate_checks_the_complex_before_loading_the_presentation(
+        capsys, tmp_path):
+    # a complex over Q[x, y] needs a finite sample field, which is refused
+    # before the malformed presentation is read
+    cc, pres = tmp_path / "c.cc", tmp_path / "p.pres"
+    cc.write_text(_presented_xy({"kind": "rationals"}))
     pres.write_text(json.dumps({"generators": 5}))
     argv = ["validate", "--complex", str(cc), "--presentation", str(pres),
             "--format", "structured"]
@@ -111,6 +116,22 @@ def test_validate_checks_the_complex_before_loading_the_presentation(
     assert "supply a finite sample field" in err["message"]
     assert main(argv + ["--q", "3"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DocumentError"
+
+
+def test_validate_samples_a_finite_field_document_over_its_own_field(
+        capsys, tmp_path):
+    # over F_3[x, y] the document's own field is the sample field, so no
+    # --q is needed, and --q 3 gives the same report
+    cc = tmp_path / "c.cc"
+    cc.write_text(_presented_xy({"kind": "prime-field", "p": 3}))
+    argv = ["validate", "--complex", str(cc), "--format", "structured"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["results"]["complex"] == {
+        "ok": False, "location": [1],
+        "message": "d_1 fails to preserve relations at point (0, 1)"}
+    assert main(argv + ["--q", "3"]) == 1
+    assert capsys.readouterr().out == out
 
 
 @pytest.fixture()

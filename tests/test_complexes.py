@@ -334,12 +334,12 @@ def test_fibered_route_ordinary_ring_on_the_torus():
 
 def _count_divisor_calls(monkeypatch):
     calls = []
-    real = complexes.smith_divisors
+    real = complexes._dense_divisors
 
     def counted(M):
         calls.append(M)
         return real(M)
-    monkeypatch.setattr(complexes, "smith_divisors", counted)
+    monkeypatch.setattr(complexes, "_dense_divisors", counted)
     return calls
 
 

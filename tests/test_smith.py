@@ -1,16 +1,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jumploci.errors import UnsupportedRingError
-from jumploci.fields import PrimeField, Rationals
+from jumploci.fields import PrimeField, Rationals, finite_field, udivmod
 from jumploci.matrices import Matrix
-from jumploci.rings import Ring, parse_poly, poly_to_str
-from jumploci.smith import (kernel_matrix, line_restriction, smith_divisors,
-                            smith_normal_form, snf_solve, udeg, udivmod,
+from jumploci.rings import Poly, Ring, parse_poly, poly_to_str
+from jumploci.smith import (_dense_divisors, kernel_matrix, line_restriction,
+                            smith_divisors, smith_normal_form, snf_solve,
                             vanishing_counts)
 
-from oracles import upoly_gcd
+from oracles import reference_smith_form, udivmod as poly_udivmod
+from oracles import upoly_gcd, upoly_mul
 
 F5 = PrimeField(5)
 Q = Rationals()
@@ -23,12 +25,27 @@ def _poly(ring, text):
 
 
 def test_udivmod():
-    R = Ring(Q, ("t",))
-    a = _poly(R, "t^3 + 2*t + 1")
-    b = _poly(R, "t^2 + 1")
-    q, r = udivmod(a, b)
-    assert q * b + r == a
-    assert udeg(r) < udeg(b)
+    # coefficient lists, lowest degree first: t^3 + 2t + 1 = t (t^2 + 1) + t + 1
+    a, b = [Q.one, Q.from_int(2), Q.zero, Q.one], [Q.one, Q.zero, Q.one]
+    assert udivmod(Q, a, b) == ([Q.zero, Q.one], [Q.one, Q.one])
+    assert udivmod(Q, b, a) == ([], b)
+    assert udivmod(Q, a, [Q.from_int(2)]) == ([x / 2 for x in a], [])
+    with pytest.raises(ZeroDivisionError):
+        udivmod(Q, a, [])
+    # over F_5, against the oracle's product: q * b + r == a, deg r < deg b
+    rng = random.Random(7)
+    for _ in range(50):
+        a = [rng.randrange(5) for _ in range(rng.randint(0, 6))]
+        b = [rng.randrange(5) for _ in range(rng.randint(0, 3))] + [rng.randrange(1, 5)]
+        while a and a[-1] == 0:
+            a.pop()
+        q, r = udivmod(F5, a, b)
+        assert len(r) < len(b) and (not r or r[-1])
+        qb = upoly_mul(q, b, 5)
+        total = [(x + y) % 5 for x, y in zip(qb + [0] * len(r), r + [0] * len(qb))]
+        while total and total[-1] == 0:
+            total.pop()
+        assert total == a
 
 
 def test_diagonal_example():
@@ -53,7 +70,7 @@ def test_one_by_two_matches_gcd_oracle():
     assert len(snf.divisors) == 1
     got = snf.divisors[0]
     expected = upoly_gcd([1, 4, 1], [4, 1, 4], 5)  # coefficient lists mod 5
-    got_coeffs = [0] * (udeg(got) + 1)
+    got_coeffs = [0] * (got.total_degree() + 1)
     for (e,), c in got.terms.items():
         got_coeffs[e] = c
     assert got_coeffs == expected
@@ -121,7 +138,7 @@ def test_snf_transform_identities_random():
                     assert snf.D[i, j].is_zero()
         divisors = snf.divisors
         for a, b in zip(divisors, divisors[1:]):
-            q, r = udivmod(b, a)
+            q, r = poly_udivmod(b, a)
             assert r.is_zero()
         for d in divisors:
             assert min(e[0] for e in d.terms) == 0
@@ -157,15 +174,16 @@ def test_vanishing_counts_read_a_divisor_chain():
     # 1 | t - 1 | (t - 1)(t - 2)(t + 1): at 1 two divisors vanish, at 2 and
     # at -1 = 4 one does; t alone vanishes only at 0, which the torus lacks
     R = Ring(F5, ("t",))
-    chain = smith_divisors(Matrix(R, 3, 3, [
+    chain = _dense_divisors(Matrix(R, 3, 3, [
         [R.one(), R.zero(), R.zero()],
         [R.zero(), _poly(R, "t - 1"), R.zero()],
         [R.zero(), R.zero(), _poly(R, "(t - 1)*(t - 2)*(t + 1)")]]))
-    assert dict(vanishing_counts(chain, range(5))) == {1: 2, 2: 1, 4: 1}
-    line = (_poly(R, "t"),)
-    assert dict(vanishing_counts(line, range(5))) == {0: 1}
-    assert dict(vanishing_counts(line, range(1, 5), torus=True)) == {}
-    assert dict(vanishing_counts((R.one(),), range(5))) == {}
+    assert chain == [[1], [4, 1], [2, 4, 3, 1]]  # lowest degree first
+    assert dict(vanishing_counts(F5, chain, range(5))) == {1: 2, 2: 1, 4: 1}
+    line = ([0, 1],)
+    assert dict(vanishing_counts(F5, line, range(5))) == {0: 1}
+    assert dict(vanishing_counts(F5, line, range(1, 5), torus=True)) == {}
+    assert dict(vanishing_counts(F5, ([1],), range(5))) == {}
 
 
 def test_line_restriction_substitutes_the_head():
@@ -176,3 +194,65 @@ def test_line_restriction_substitutes_the_head():
     assert at((2,)) == Matrix(line, 1, 2, [[_poly(line, "4*y + 1"),
                                             _poly(line, "y^2 - 2*y")]])
     assert at((0,)) == Matrix(line, 1, 2, [[line.zero(), _poly(line, "y^2")]])
+
+
+# -- the coefficient-list worker against the Poly oracle -----------------------
+
+_ORACLE_RINGS = [Ring(F5, ("t",)), Ring(finite_field(16), ("t",)),
+                 Ring(finite_field(27), ("t",)), Ring(Q, ("t",)), L5, LQ]
+
+
+@st.composite
+def _smith_inputs(draw):
+    """A matrix of at most 4 x 4 over one of _ORACLE_RINGS, entries of
+    degree at most 3 (exponents from -2 in a Laurent ring), some of its
+    rows and columns zero."""
+    ring = draw(st.sampled_from(_ORACLE_RINGS))
+    F = ring.field
+    if F.is_finite:
+        coeff = st.integers(1, F.order - 1)
+    else:
+        coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    zero_rows = draw(st.sets(st.integers(0, 3), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 3), max_size=2))
+    entry = st.dictionaries(st.integers(-2 if ring.laurent else 0, 3), coeff,
+                            max_size=3)
+    return Matrix(ring, m, n, [
+        [Poly(ring, {} if i in zero_rows or j in zero_cols else
+              {(e,): c for e, c in draw(entry).items()})
+         for j in range(n)] for i in range(m)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_smith_inputs())
+@example(Matrix.zero(L5, 0, 3))
+@example(Matrix.zero(LQ, 3, 0))
+@example(Matrix.zero(Ring(Q, ("t",)), 0, 0))
+@example(Matrix(L5, 2, 2, [[_poly(L5, "t^-1 + 2"), L5.zero()],
+                           [_poly(L5, "3*t^2"), L5.zero()]]))
+def test_smith_form_equals_the_poly_oracle(M):
+    snf = smith_normal_form(M)
+    U, D, V, V_inv, divisors = reference_smith_form(M)
+    assert snf.U.entries == U.entries
+    assert snf.D.entries == D.entries
+    assert snf.V.entries == V.entries
+    assert snf.V_inv.entries == V_inv.entries
+    assert snf.divisors == divisors == smith_divisors(M)
+    assert snf.U * M * snf.V == snf.D
+    assert snf.V * snf.V_inv == Matrix.identity(M.ring, M.ncols)
+
+
+def test_the_elimination_makes_no_poly_arithmetic(monkeypatch):
+    R = Ring(F5, ("t",))
+    M = _random_laurent_matrix(random.Random(5), R, 4, 4)
+    expected = reference_smith_form(M)[4]
+    assert [d.total_degree() for d in expected] == [0, 0, 1, 6]
+    calls = []
+    for name in ("__add__", "__mul__", "__neg__"):
+        def spy(*args, _real=getattr(Poly, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(Poly, name, spy)
+    assert smith_divisors(M) == expected
+    assert calls == []
