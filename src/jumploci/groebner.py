@@ -1,20 +1,23 @@
 """A small Buchberger engine for ideals and submodules of free modules.
 
 Everything here is desk scale by design: Buchberger's algorithm with the
-Gebauer-Moeller pair criteria and sugar selection, dense dictionaries, and
+Gebauer-Moeller pair criteria and sugar selection, sparse dictionaries, and
 fixed resource bounds that raise instead of letting a computation run
-unbounded.
+unbounded.  The normal form keeps the terms left to reduce in a heap of
+order keys, each computed once per basis computation (`TermOrder`), and
+adds each multiple of a reducer into them in place.
 
 Module elements are dicts mapping (component, exponent_tuple) to nonzero
-scalars.  Module monomial orders are key functions on those pairs; the
-built-in ones are position-over-term (used for syzygies: an elimination
-order across the component blocks) and a variable-elimination order used
-for saturation.
+scalars.  Module monomial orders are key functions on those pairs, each
+returning a flat tuple of ints; the built-in ones are position-over-term
+(used for syzygies: an elimination order across the component blocks) and
+a variable-elimination order used for saturation.
 """
 
 import heapq
+import operator
 
-from .errors import ResourceLimitError, UnsupportedRingError
+from .errors import InternalError, ResourceLimitError, UnsupportedRingError
 from .matrices import Matrix
 from .rings import Ideal, Poly, Ring
 
@@ -40,60 +43,84 @@ def _require_ordinary(ring):
 # module elements
 
 
-def m_add(F, a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = F.add(out.get(k, F.zero), c)
-        if s == F.zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+class TermOrder(dict):
+    """A module monomial order with each term's heap entry computed once.
+
+    `key` is the order's key function; it returns a flat tuple of ints.
+    order[term] is (negated key, term), made on first use and kept, so the
+    smallest entry of a heap is the largest term.
+    """
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, term):
+        entry = self[term] = (tuple([-x for x in self.key(term)]), term)
+        return entry
 
 
-def m_scale_term(F, v, mono, coeff):
-    """Multiply a module element by coeff * x^mono."""
-    out = {}
-    for (comp, e), c in v.items():
-        out[(comp, tuple(x + y for x, y in zip(e, mono)))] = F.mul(c, coeff)
-    return out
-
-
-def m_lead(v, key):
-    return max(v, key=key)
+def m_lead(v, order):
+    """The leading term of a nonzero module element."""
+    return min(map(order.__getitem__, v))[1]
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(operator.le, e1, e2))
 
 
-def m_reduce(F, v, basis, key):
-    """Full normal form of v against basis (list of (elem, lead) pairs)."""
-    remainder = {}
+def _add_multiple(F, work, g, shift, coeff, order, heap):
+    """work += coeff * x^shift * g, in place; a term new to work is pushed
+    on heap."""
+    zero, add, mul = F.zero, F.add, F.mul
+    for (comp, e), c in g.items():
+        term = (comp, tuple(map(operator.add, e, shift)))
+        old = work.get(term)
+        if old is None:
+            work[term] = mul(c, coeff)
+            heapq.heappush(heap, order[term])
+        else:
+            s = add(old, mul(c, coeff))
+            if s == zero:
+                del work[term]
+            else:
+                work[term] = s
+
+
+def m_reduce(F, v, basis, order):
+    """Full normal form of v against basis (list of (elem, lead) pairs).
+
+    The lead of what is left is reduced by the first basis element whose
+    lead divides it, or else moves to the remainder, so the remainder's
+    terms come in decreasing order.  The terms left sit in a heap of their
+    cached entries (Yan's geobuckets, J. Symb. Comput. 25, 1998, with one
+    bucket): a term that cancels stays in the heap until it is popped and
+    skipped.
+    """
     work = dict(v)
-    while work:
-        lt = m_lead(work, key)
+    heap = [order[t] for t in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        if lt not in work:
+            continue  # cancelled after it was pushed
         comp, mono = lt
-        reduced = False
         for g, glead in basis:
             gcomp, gmono = glead
             if gcomp == comp and _divides(gmono, mono):
-                factor_mono = tuple(a - b for a, b in zip(mono, gmono))
-                factor_coeff = F.neg(F.div(work[lt], g[glead]))
-                work = m_add(F, work, m_scale_term(F, g, factor_mono, factor_coeff))
-                reduced = True
+                _add_multiple(F, work, g, tuple(map(operator.sub, mono, gmono)),
+                              F.neg(F.div(work[lt], g[glead])), order, heap)
+                if lt in work:
+                    raise InternalError(
+                        "reducing by a basis element left its lead %r" % (lt,))
                 break
-        if not reduced:
+        else:
             remainder[lt] = work.pop(lt)
+    if work:
+        raise InternalError("%d terms of a normal form were never popped"
+                            % len(work))
     return remainder
-
-
-def m_normalize(F, v, key):
-    """Scale so the leading coefficient is 1."""
-    if not v:
-        return v
-    inv = F.inv(v[m_lead(v, key)])
-    return {k: F.mul(inv, c) for k, c in v.items()}
 
 
 def _pure_component(v):
@@ -123,6 +150,7 @@ def module_groebner(ring, gens, key):
     active = []     # indices of the elements no later lead divides
     pairs = {}      # component -> {(i, j): lcm of the leads}, i > j
     queue = []      # heap of (sugar, lcm degree, i, j) over `pairs`
+    order = TermOrder(key)
 
     def update(h):
         """Add the pairs of basis[h] and drop the ones it makes useless."""
@@ -161,9 +189,11 @@ def module_groebner(ring, gens, key):
         active.append(h)
 
     def add(g, sugar):
-        g = m_normalize(F, g, key)
-        basis.append((g, m_lead(g, key), _pure_component(g), sugar))
-        reducers.append(basis[-1][:2])
+        lead = m_lead(g, order)
+        inv = F.inv(g[lead])
+        g = {t: F.mul(inv, c) for t, c in g.items()}
+        basis.append((g, lead, _pure_component(g), sugar))
+        reducers.append((g, lead))
         update(len(basis) - 1)
 
     for g in gens:
@@ -176,13 +206,12 @@ def module_groebner(ring, gens, key):
         lcm = pairs[ci].pop((i, j), None)
         if lcm is None:
             continue  # dropped by the chain criterion
-        s = m_add(
-            F,
-            m_scale_term(F, gi, tuple(a - b for a, b in zip(lcm, ei)), F.one),
-            m_scale_term(F, gj, tuple(a - b for a, b in zip(lcm, ej)),
-                         F.neg(F.one)),
-        )
-        r = m_reduce(F, s, reducers, key)
+        s = {}  # its heap is built by m_reduce, so the pushes go nowhere
+        _add_multiple(F, s, gi, tuple(a - b for a, b in zip(lcm, ei)), F.one,
+                      order, [])
+        _add_multiple(F, s, gj, tuple(a - b for a, b in zip(lcm, ej)),
+                      F.neg(F.one), order, [])
+        r = m_reduce(F, s, reducers, order)
         if r:
             if max(sum(e) for (_, e) in r) > ENGINE_MAX_DEGREE:
                 raise ResourceLimitError(
@@ -213,7 +242,7 @@ def module_groebner(ring, gens, key):
         others = [minimal[t] for t in range(len(minimal)) if t != idx]
         tail = dict(g)
         tail.pop(lead)
-        r = m_reduce(F, tail, others, key)
+        r = m_reduce(F, tail, others, order)
         r[lead] = F.one
         reduced.append((r, lead))
     reduced.sort(key=lambda gl: key(gl[1]))
@@ -233,7 +262,7 @@ def pot_key(ring):
     monokey = ring.monomial_key()
     def key(term):
         comp, e = term
-        return (-comp, monokey(e))
+        return (-comp, *monokey(e))
     return key
 
 
@@ -243,7 +272,7 @@ def elim_var_key(ring, var_index):
     monokey = ring.monomial_key()
     def key(term):
         comp, e = term
-        return (e[var_index], -comp, monokey(e))
+        return (e[var_index], -comp, *monokey(e))
     return key
 
 
@@ -283,19 +312,6 @@ def buchberger(ideal):
     gens = [poly_to_module(g) for g in ideal.generators]
     basis = module_groebner(ring, gens, pot_key(ring))
     return Ideal(ring, [module_to_poly(ring, v) for v in basis])
-
-
-def ideal_normal_form(ideal_gb, p):
-    """Normal form of p against a Groebner basis (list of Poly or Ideal)."""
-    gens = ideal_gb.generators if isinstance(ideal_gb, Ideal) else ideal_gb
-    ring = p.ring
-    key = pot_key(ring)
-    basis = []
-    for g in gens:
-        v = poly_to_module(g)
-        basis.append((v, m_lead(v, key)))
-    r = m_reduce(ring.field, poly_to_module(p), basis, key)
-    return module_to_poly(ring, r)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +363,12 @@ class ModuleSolver:
         self.ring = ring
         self.m = matrix.nrows
         self.n = matrix.ncols
-        self.key = pot_key(ring)
+        self.order = TermOrder(pot_key(ring))
         gens = _columns_as_module(matrix)
         for j, v in enumerate(gens):
             v[(self.m + j, (0,) * ring.nvars)] = ring.field.one
-        basis = module_groebner(ring, gens, self.key)
-        self.basis = [(g, m_lead(g, self.key)) for g in basis]
+        basis = module_groebner(ring, gens, self.order.key)
+        self.basis = [(g, m_lead(g, self.order)) for g in basis]
 
     def syzygies(self):
         """Generators of {v : K v = 0}, as matrix columns: the basis
@@ -369,7 +385,7 @@ class ModuleSolver:
         for i, p in enumerate(rhs):
             for e, c in p.terms.items():
                 v[(i, e)] = c
-        r = m_reduce(self.ring.field, v, self.basis, self.key)
+        r = m_reduce(self.ring.field, v, self.basis, self.order)
         if any(comp < self.m for (comp, _) in r):
             return None
         x = [dict() for _ in range(self.n)]
@@ -380,9 +396,9 @@ class ModuleSolver:
 
 def module_lead_terms(ring, columns_matrix):
     """Leading terms of the reduced basis of the column module."""
-    key = pot_key(ring)
-    basis = module_groebner(ring, _columns_as_module(columns_matrix), key)
-    return [m_lead(v, key) for v in basis]
+    order = TermOrder(pot_key(ring))
+    basis = module_groebner(ring, _columns_as_module(columns_matrix), order.key)
+    return [m_lead(v, order) for v in basis]
 
 
 def standard_monomial_count(ring, lead_terms, ncomponents):

@@ -69,11 +69,11 @@ class Ring:
         return self.const(self.field.from_int(n))
 
     def monomial_key(self):
-        """Key function turning an exponent tuple into a sortable key
+        """Key function turning an exponent tuple into a flat tuple of ints
         (larger key = larger monomial)."""
         if self.order == "lex":
             return lambda e: e
-        return lambda e: (sum(e), e)  # grlex; also the canonical display order
+        return lambda e: (sum(e), *e)  # grlex; also the canonical display order
 
     def __eq__(self, other):
         if other is self:

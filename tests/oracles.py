@@ -12,7 +12,7 @@ from itertools import combinations
 
 from jumploci.errors import UnsupportedRingError
 from jumploci.matrices import Matrix
-from jumploci.rings import Poly
+from jumploci.rings import Ideal, Poly
 
 
 # -- integer matrices mod p ---------------------------------------------------
@@ -339,6 +339,21 @@ def module_normal_form(F, v, basis, key):
         else:
             remainder[lt] = work.pop(lt)
     return remainder
+
+
+def ideal_normal_form(ideal_gb, p):
+    """Normal form of p against a Groebner basis (list of Poly or Ideal)
+    under its ring's monomial order: module_normal_form in one component."""
+    gens = ideal_gb.generators if isinstance(ideal_gb, Ideal) else ideal_gb
+    monokey = p.ring.monomial_key()
+    key = lambda term: monokey(term[1])
+    basis = []
+    for g in gens:
+        v = {(0, e): c for e, c in g.terms.items()}
+        basis.append((v, max(v, key=key)))
+    r = module_normal_form(p.ring.field, {(0, e): c for e, c in p.terms.items()},
+                           basis, key)
+    return Poly(p.ring, {e: c for (_, e), c in r.items()})
 
 
 def s_polynomial(F, a, b, key):

@@ -14,13 +14,13 @@ from jumploci.documents import dump_complex
 from jumploci.errors import ResourceLimitError, UnsupportedRingError
 from jumploci.fields import PrimeField, Rationals, finite_field
 from jumploci.groebner import (ModuleSolver, buchberger, elim_var_key,
-                               ideal_normal_form, module_lead_terms,
-                               module_saturate, pot_key, poly_to_module,
-                               standard_monomial_count, syzygy_matrix)
+                               module_lead_terms, module_saturate, pot_key,
+                               poly_to_module, standard_monomial_count,
+                               syzygy_matrix)
 from jumploci.matrices import Matrix
 from jumploci.rings import Ideal, Poly, Ring, parse_poly, poly_to_str
-from oracles import (module_normal_form, reference_module_groebner,
-                     s_polynomial)
+from oracles import (ideal_normal_form, module_normal_form,
+                     reference_module_groebner, s_polynomial)
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -49,8 +49,8 @@ class GroebnerRecorder:
         self._saved = engine, reduce
         outcomes = []
 
-        def recording_reduce(F, v, basis, key):
-            r = reduce(F, v, basis, key)
+        def recording_reduce(F, v, basis, order):
+            r = reduce(F, v, basis, order)
             outcomes.append(not r)
             if self.limit is not None and len(outcomes) > self.limit:
                 raise AssertionError("over %d reductions in one Groebner "
@@ -351,13 +351,17 @@ def test_engine_equals_reference_on_ideals(field, order):
             _assert_reference_bases(rec.calls)
 
 
+def _units(field):
+    return list(field.units()) if field.is_finite else [
+        field.from_int(c) for c in (1, -1, 2, -3)]
+
+
 @st.composite
 def _random_modules(draw):
     field = draw(st.sampled_from(FIELDS))
     ring = Ring(field, ("x", "y"), order=draw(st.sampled_from(["grlex",
                                                                "lex"])))
-    units = list(field.units()) if field.is_finite else [
-        field.from_int(c) for c in (1, -1, 2, -3)]
+    units = _units(field)
     ncomp = draw(st.integers(1, 3))
     gens = []
     for _ in range(draw(st.integers(1, 4))):
@@ -379,6 +383,109 @@ def test_engine_equals_reference_on_random_modules(case):
     out = groebner.module_groebner(ring, gens, key)
     assert out == reference_module_groebner(ring.field, gens, key)
     _assert_buchberger_criterion(ring, gens, key, out)
+
+
+@st.composite
+def _normal_form_cases(draw):
+    """A module element (possibly zero) and a list of reducers (possibly
+    empty): the drawn generators, or the reduced basis they span.  The
+    element is random terms plus multiples of some reducers."""
+    ring, gens, key = draw(_random_modules())
+    F = ring.field
+    units = _units(F)
+    ncomp = 1 + max(comp for g in gens for comp, _ in g)
+    if draw(st.booleans()):
+        gens = groebner.module_groebner(ring, gens, key)
+    if draw(st.integers(0, 5)) == 5:
+        gens = []
+    v = {}
+    for _ in range(draw(st.integers(0, 6))):
+        term = (draw(st.integers(0, ncomp - 1)),
+                (draw(st.integers(0, 4)), draw(st.integers(0, 4))))
+        v[term] = draw(st.sampled_from(units))
+    for g in gens:
+        if draw(st.booleans()):
+            shift, c = ((draw(st.integers(0, 2)), draw(st.integers(0, 2))),
+                        draw(st.sampled_from(units)))
+            for (comp, e), a in g.items():
+                term = (comp, (e[0] + shift[0], e[1] + shift[1]))
+                v[term] = F.add(v.get(term, F.zero), F.mul(a, c))
+    v = {t: c for t, c in v.items() if c != F.zero}
+    return ring, v, [(g, max(g, key=key)) for g in gens], key
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_normal_form_cases(), _normal_form_cases())
+def test_normal_form_equals_oracle(case, other):
+    # the heap normal form gives the oracle's remainder with its terms in
+    # the oracle's order, and one TermOrder serves any number of calls
+    ring, v, basis, key = case
+    F = ring.field
+    order = groebner.TermOrder(key)
+    before = list(v.items())
+    for w in (v, v, {t: F.neg(c) for t, c in v.items()}):
+        assert (list(groebner.m_reduce(F, w, basis, order).items())
+                == list(module_normal_form(F, w, basis, key).items()))
+    assert list(v.items()) == before
+    ring, v, basis, key = other
+    assert (list(groebner.m_reduce(ring.field, v, basis,
+                                   groebner.TermOrder(key)).items())
+            == list(module_normal_form(ring.field, v, basis, key).items()))
+
+
+def _oracle_solve(K, rhs):
+    """ModuleSolver.solve built on the oracles: the reference basis of the
+    tagged columns and the plain normal form."""
+    ring, F, m = K.ring, K.ring.field, K.nrows
+    key = pot_key(ring)
+    gens = []
+    for j in range(K.ncols):
+        v = {(i, e): c for i in range(m) for e, c in K[i, j].terms.items()}
+        v[(m + j, (0,) * ring.nvars)] = F.one
+        gens.append(v)
+    basis = [(g, max(g, key=key))
+             for g in reference_module_groebner(F, gens, key)]
+    r = module_normal_form(F, {(i, e): c for i, p in enumerate(rhs)
+                               for e, c in p.terms.items()}, basis, key)
+    if any(comp < m for comp, _ in r):
+        return None
+    x = [dict() for _ in range(K.ncols)]
+    for (comp, e), c in r.items():
+        x[comp - m][e] = F.neg(c)
+    return [list(t.items()) for t in x]
+
+
+@st.composite
+def _solve_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ring = Ring(field, ("x", "y"), order=draw(st.sampled_from(["grlex",
+                                                               "lex"])))
+    units = _units(field)
+
+    def poly(most):
+        return Poly(ring, {(draw(st.integers(0, 2)), draw(st.integers(0, 2))):
+                           draw(st.sampled_from(units))
+                           for _ in range(draw(st.integers(0, most)))})
+
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    K = Matrix(ring, m, n, [[poly(2) for _ in range(n)] for _ in range(m)])
+    if draw(st.booleans()):
+        rhs = (K * Matrix(ring, n, 1, [[poly(2)] for _ in range(n)])).col(0)
+    else:
+        rhs = [poly(3) for _ in range(m)]
+    return K, rhs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_solve_cases())
+def test_module_solver_equals_oracle_solve(case):
+    K, rhs = case
+    x = ModuleSolver(K).solve(rhs)
+    expected = _oracle_solve(K, rhs)
+    if expected is None:
+        assert x is None
+    else:
+        assert [list(p.terms.items()) for p in x] == expected
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F3", "F4", "F5", "Q"])
