@@ -3,11 +3,10 @@ resonance varieties, with the graded chain complex of an abelian cover
 connecting them."""
 
 from .cga import (BShape, GradedAlgebra, aomoto_complex,
-                  generic_vanishing_experiment, in_resonance, pairing_cga,
-                  resonance_ideal, resonance_points, sample_cga, validate_cga)
+                  generic_vanishing_experiment, pairing_cga, resonance_ideal,
+                  resonance_points, sample_cga, validate_cga)
 from .complexes import (FinVerdict, FreeChainComplex, ModulePresentation,
-                        PresentedChainComplex, add_acyclic_summand,
-                        fitting_ideal, homology_dim_at, homology_dims_table,
+                        PresentedChainComplex, fitting_ideal, homology_dim_at,
                         homology_presentation, is_finite_dimensional,
                         jump_locus_ideal, jump_locus_points, support_points,
                         validate_complex, validate_presented)
@@ -24,7 +23,7 @@ from .fox import (GroupPresentation, alexander_complex, alexander_invariant,
                   quadratic_cup)
 from .groebner import buchberger, syzygy_matrix
 from .linalg import mat_rank
-from .matrices import Matrix, block_diag, det, minors_ideal
+from .matrices import Matrix, minors_ideal
 from .rings import Ideal, Poly, Ring, parse_poly, poly_to_str
 from .smith import SmithForm, smith_divisors, smith_normal_form
 from .varieties import zero_locus_points

@@ -96,12 +96,6 @@ class GradedAlgebra:
                         out[u] = F.add(out[u], F.mul(w, c))
         return tuple(out)
 
-    def square_deg1(self, a):
-        """a*a for a in A^1 (coordinate tuple)."""
-        if self.top < 2:
-            return ()
-        return self.multiply(1, 1, a, a)
-
     def __repr__(self):
         return "GradedAlgebra(dims=%r over %r)" % (list(self.dims), self.field)
 
@@ -239,7 +233,7 @@ def in_resonance(A, a, i, d):
         return False
     if len(a) != A.dim(1):
         raise PreconditionError("element has wrong length for A^1")
-    if any(c != A.field.zero for c in A.square_deg1(tuple(a))):
+    if any(c != A.field.zero for c in A.multiply(1, 1, a, a)):
         return False
     return homology_dim_at(aomoto_complex(A), i, A.field)(tuple(a)) >= d
 
@@ -370,8 +364,8 @@ def generic_vanishing_experiment(shape, i, trials, field, seed):
     resonance is trivial (contains only 0) or not.  Per-trial seeds are
     derived by counter, so any execution schedule sees the same algebras.
 
-    Returns a report dict with counts, one exemplar per class, and a witness
-    element for each resonant exemplar."""
+    Returns a report dict with counts, one exemplar per class (its trial and
+    algebra), and a witness element for each resonant trial."""
     dims = shape.dims if isinstance(shape, BShape) else tuple(shape)
     if len(dims) > 3:
         raise PreconditionError("the experiment runs on shapes of length <= 3")
@@ -392,15 +386,12 @@ def generic_vanishing_experiment(shape, i, trials, field, seed):
             witness = min(nontrivial)
             witnesses.append({"trial": trial, "witness": witness})
             if resonant_exemplar is None:
-                resonant_exemplar = {
-                    "trial": trial,
-                    "mult": _mult_entries(A),
-                    "witness": witness,
-                }
+                resonant_exemplar = {"trial": trial, "algebra": A,
+                                     "witness": witness}
         else:
             trivial_count += 1
             if trivial_exemplar is None:
-                trivial_exemplar = {"trial": trial, "mult": _mult_entries(A)}
+                trivial_exemplar = {"trial": trial, "algebra": A}
     return {
         "shape": list(dims),
         "i": i,
@@ -413,13 +404,3 @@ def generic_vanishing_experiment(shape, i, trials, field, seed):
         "resonant_exemplar": resonant_exemplar,
         "resonant_witnesses": witnesses,
     }
-
-
-def _mult_entries(A):
-    out = []
-    for (i, j), block in sorted(A.mult.items()):
-        for s, row in enumerate(block):
-            for t, vec in enumerate(row):
-                if any(c != A.field.zero for c in vec):
-                    out.append([i, j, s, t, list(vec)])
-    return out

@@ -7,6 +7,7 @@ and timing goes to stderr only.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -14,7 +15,8 @@ import time
 from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonance_points, validate_cga
 from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
                         support_points, validate_complex, validate_presented)
-from .documents import dump, dump_complex, dump_scalar, load_document
+from .documents import (dump, dump_cga, dump_complex, dump_matrix, dump_scalar,
+                        load_document)
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import (AlgebraError, DocumentError, InternalError,
                      ResourceLimitError)
@@ -187,8 +189,7 @@ def cmd_finiteness(args, A, nu):
         result["e2_supports_in_origin"] = rep["e2_supports_in_origin"]
         result["e2_supports"] = {str(i): point_list(F, pts)
                                  for i, pts in rep["e2_supports"].items()}
-        result["e2_dims"] = {str(i): {"kind": v.kind, "dim": v.dim,
-                                      "note": v.note}
+        result["e2_dims"] = {str(i): dataclasses.asdict(v)
                              for i, v in rep["e2_dims"].items()}
     return {"results": result}, 0
 
@@ -196,13 +197,10 @@ def cmd_finiteness(args, A, nu):
 def cmd_alexander(args, P, nu):
     F = finite_field(args.q) if args.q else Rationals()
     pres, verdict = alexander_invariant(P, nu, F)
-    rel = [[poly_to_str(pres.relations[i, j]) for j in range(pres.relations.ncols)]
-           for i in range(pres.gens)]
     result = {
         "generators": pres.gens,
-        "relations": rel,
-        "finiteness": {"kind": verdict.kind, "dim": verdict.dim,
-                       "note": verdict.note},
+        "relations": dump_matrix(pres.relations),
+        "finiteness": dataclasses.asdict(verdict),
     }
     return {"results": result}, 0
 
@@ -222,8 +220,7 @@ def cmd_genres_experiment(args):
     for key in ("vanishing_exemplar", "resonant_exemplar"):
         ex = rep.get(key)
         if ex:
-            ex["mult"] = [[i, j, s, t, [dump_scalar(F, c) for c in vec]]
-                          for (i, j, s, t, vec) in ex["mult"]]
+            ex["mult"] = dump_cga(ex.pop("algebra"))["mult"]
             if "witness" in ex:
                 ex["witness"] = [dump_scalar(F, c) for c in ex["witness"]]
     rep["resonant_witnesses"] = [

@@ -484,22 +484,27 @@ def _laurent_multivariate_presentation(E, i):
 
 
 def homology_presentation(E, i):
-    """Presentation of H_i(E) = ker d_i / im d_{i+1}.
+    """Presentation of H_i(E) = ker d_i / im d_{i+1}, computed once per
+    complex and degree and then read from the complex's cache.
 
     Ordinary rings within the desk-scale Groebner scope go through
     syzygies, a free complex read as a presented one with no relations.
     Free complexes over univariate Laurent rings go through the Smith form;
     multivariate Laurent rings are cleared by unit scalings first.
     """
+    cache = E._pres_cache
+    if i in cache:
+        return cache[i]
     if not E.ring.laurent or isinstance(E, PresentedChainComplex):
         pres = _presented_homology_presentation(E, i)
     elif i < 0 or i > E.top:
-        return ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, []))
+        pres = ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, []))
     elif E.ring.nvars == 1:
         pres = _univariate_free_presentation(E, i)
     else:
         pres = _laurent_multivariate_presentation(E, i)
-    return prune_presentation(pres)
+    cache[i] = pres = prune_presentation(pres)
+    return pres
 
 
 def _presented_homology_presentation(E, i):
@@ -552,13 +557,6 @@ def _presented_homology_presentation(E, i):
     return ModulePresentation(ring, lifts.ncols, rel)
 
 
-def cached_homology_presentation(E, i):
-    cache = E._pres_cache
-    if i not in cache:
-        cache[i] = homology_presentation(E, i)
-    return cache[i]
-
-
 # ---------------------------------------------------------------------------
 # Fitting ideals, supports, finiteness
 
@@ -582,7 +580,7 @@ def support_points(E, i, d, field, torus=False, embed=None):
     if d < 1:
         return points_where(field, E.ring.nvars, on_torus(E.ring, torus),
                             lambda coords: True)
-    P = cached_homology_presentation(E, i).relations
+    P = homology_presentation(E, i).relations
     two_term = FreeChainComplex(P.ring, [P.nrows, P.ncols], [P])
     return jump_locus_points(two_term, 0, d, field, torus, embed)
 
@@ -592,9 +590,6 @@ class FinVerdict:
     kind: str              # "finite" | "infinite" | "unknown"
     dim: int = None
     note: str = ""
-
-    def is_finite(self):
-        return self.kind == "finite"
 
 
 def is_finite_dimensional(P):
@@ -639,35 +634,3 @@ def is_finite_dimensional(P):
                           "standard monomial count after saturation")
     except ResourceLimitError as exc:
         return FinVerdict("unknown", note=str(exc))
-
-
-# ---------------------------------------------------------------------------
-# small constructions used by tests and the corpus
-
-
-def add_acyclic_summand(E, m):
-    """Direct-sum an elementary acyclic complex (identity S -> S in degrees
-    m, m-1) onto a free complex; homology is unchanged."""
-    if not (1 <= m <= E.top):
-        raise PreconditionError("summand degree out of range")
-    ring = E.ring
-    ranks = list(E.ranks)
-    ranks[m] += 1
-    ranks[m - 1] += 1
-    diffs = []
-    for i in range(1, E.top + 1):
-        d = E.differential(i)
-        if i == m:
-            rows = [list(r) + [ring.zero()] for r in d.entries]
-            rows.append([ring.zero()] * d.ncols + [ring.one()])
-            diffs.append(Matrix(ring, d.nrows + 1, d.ncols + 1, rows))
-        elif i == m + 1:
-            rows = [list(r) for r in d.entries]
-            rows.append([ring.zero()] * d.ncols)
-            diffs.append(Matrix(ring, d.nrows + 1, d.ncols, rows))
-        elif i == m - 1:
-            rows = [list(r) + [ring.zero()] for r in d.entries]
-            diffs.append(Matrix(ring, d.nrows, d.ncols + 1, rows))
-        else:
-            diffs.append(d)
-    return FreeChainComplex(ring, ranks, diffs)

@@ -204,7 +204,7 @@ def load_complex(doc, field_override=None):
     raise DocumentError("unknown complex type %r" % (kind,))
 
 
-def _dump_matrix(m):
+def dump_matrix(m):
     return [[poly_to_str(m[i, j]) for j in range(m.ncols)]
             for i in range(m.nrows)]
 
@@ -213,11 +213,11 @@ def dump_complex(E):
     if isinstance(E, FreeChainComplex):
         return {"type": "free-complex", "ring": dump_ring(E.ring),
                 "ranks": list(E.ranks),
-                "differentials": [_dump_matrix(d) for d in E.differentials]}
+                "differentials": [dump_matrix(d) for d in E.differentials]}
     return {"type": "presented-complex", "ring": dump_ring(E.ring),
-            "terms": [{"gens": t.gens, "relations": _dump_matrix(t.relations)}
+            "terms": [{"gens": t.gens, "relations": dump_matrix(t.relations)}
                       for t in E.terms],
-            "differentials": [_dump_matrix(d) for d in E.differentials]}
+            "differentials": [dump_matrix(d) for d in E.differentials]}
 
 
 # -- graded algebras ---------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .cga import aomoto_complex, square_zero_jump_points, validate_cga
-from .complexes import (FreeChainComplex, cached_homology_presentation,
+from .complexes import (FreeChainComplex, homology_presentation,
                         is_finite_dimensional, jump_locus_points,
                         support_points, validate_complex)
 from .errors import InternalError, PreconditionError
@@ -113,10 +113,6 @@ class GrRingDescriptor:
     field: object
     sbar: object                 # Ring k[x_1..x_r]
     nilpotent_parts: tuple       # per torsion factor: ("trivial",) or ("truncated", p^s)
-
-    def specm_size(self):
-        F = self.field
-        return F.order ** self.group.rank if F.is_finite else None
 
 
 def gr_ring(G, field):
@@ -223,7 +219,7 @@ def build_E1(A, nu):
         for rho in range(nu.group.rank):
             w = tuple(F.one if k == rho else F.zero for k in range(nu.group.rank))
             a = nu.nu_bar_pullback(F, w)
-            if any(c != F.zero for c in A.square_deg1(a)):
+            if any(c != F.zero for c in A.multiply(1, 1, a, a)):
                 raise PreconditionError(
                     "in characteristic 2 the pulled-back basis element %d has "
                     "nonzero square; the page differential would not compose "
@@ -344,7 +340,7 @@ def finiteness_test(A, nu, k_range):
     supports, dims = {}, {}
     for i in range(0, k_range + 1):
         supports[i] = support_points(E, i, 1, field)
-        dims[i] = is_finite_dimensional(cached_homology_presentation(E, i))
+        dims[i] = is_finite_dimensional(homology_presentation(E, i))
     report["e2_supports"] = supports
     report["e2_supports_in_origin"] = all(
         w == zero for pts in supports.values() for w in pts)

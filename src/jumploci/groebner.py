@@ -22,12 +22,9 @@ from .matrices import Matrix
 from .rings import Ideal, Poly, Ring
 
 
-# Desk-scale bounds.  `buchberger` refuses an ideal beyond the input bounds;
-# the engine bounds stop runaway growth in every Groebner computation:
-# the degree of an element the S-pair loop adds, and how many it adds.
-MAX_VARS = 3
-MAX_GENERATORS = 6
-MAX_DEGREE = 6
+# Desk-scale bounds, which stop runaway growth in every Groebner
+# computation: the degree of an element the S-pair loop adds, and how many
+# it adds.
 ENGINE_MAX_DEGREE = 48
 ENGINE_MAX_BASIS = 600
 
@@ -289,26 +286,10 @@ def module_to_poly(ring, v, comp=0):
 
 
 def buchberger(ideal):
-    """Reduced Groebner basis of an ideal, under the ring's monomial order.
-
-    Enforces the strict desk-scale input bounds: at most `MAX_VARS`
-    variables, `MAX_GENERATORS` generators, total degree `MAX_DEGREE`.
-    """
+    """Reduced Groebner basis of an ideal, under the ring's monomial order,
+    within the engine bounds of every Groebner computation."""
     ring = ideal.ring
     _require_ordinary(ring)
-    if ring.nvars > MAX_VARS:
-        raise ResourceLimitError(
-            "%d variables exceeds the desk-scale bound %d"
-            % (ring.nvars, MAX_VARS))
-    if len(ideal.generators) > MAX_GENERATORS:
-        raise ResourceLimitError(
-            "%d generators exceeds the desk-scale bound %d"
-            % (len(ideal.generators), MAX_GENERATORS))
-    for g in ideal.generators:
-        if g.total_degree() > MAX_DEGREE:
-            raise ResourceLimitError(
-                "generator degree %d exceeds the desk-scale bound %d"
-                % (g.total_degree(), MAX_DEGREE))
     gens = [poly_to_module(g) for g in ideal.generators]
     basis = module_groebner(ring, gens, pot_key(ring))
     return Ideal(ring, [module_to_poly(ring, v) for v in basis])

@@ -1,4 +1,4 @@
-"""Matrices with polynomial entries, determinants, and minor ideals."""
+"""Matrices with polynomial entries, their minors, and minor ideals."""
 
 from itertools import combinations
 
@@ -37,17 +37,6 @@ class Matrix:
         z, o = ring.zero(), ring.one()
         return cls(ring, n, n, [[o if i == j else z for j in range(n)]
                                 for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, ring, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(ring, nrows, ncols, rows)
-
-    @classmethod
-    def from_scalar_rows(cls, ring, rows):
-        return cls.from_rows(ring, [[ring.const(c) for c in row] for row in rows]) \
-            if rows else cls(ring, 0, 0, [])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -109,30 +98,9 @@ class Matrix:
         return "[%s]" % body
 
 
-def block_diag(a, b):
-    if a.ring != b.ring:
-        raise PreconditionError("blocks over different rings")
-    ring = a.ring
-    z = ring.zero()
-    rows = []
-    for i in range(a.nrows):
-        rows.append(list(a.entries[i]) + [z] * b.ncols)
-    for i in range(b.nrows):
-        rows.append([z] * a.ncols + list(b.entries[i]))
-    return Matrix(ring, a.nrows + b.nrows, a.ncols + b.ncols, rows)
-
-
-def det(matrix):
-    """Determinant by cofactor expansion with subset memoization."""
-    if matrix.nrows != matrix.ncols:
-        raise PreconditionError("determinant of a non-square matrix")
-    n = matrix.nrows
-    if n == 0:
-        return matrix.ring.one()
-    return _det_submatrix(matrix, tuple(range(n)), tuple(range(n)), {})
-
-
 def _det_submatrix(matrix, rows, cols, memo):
+    """The minor on `rows` x `cols`, by cofactor expansion along the first
+    row, memoized per pair of subsets."""
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
@@ -187,7 +155,8 @@ def minors_ideal(matrix, size):
 
 
 def block_diag_minors_ideal(a, b, size, memo_a=None, memo_b=None):
-    """Minor ideal of block_diag(a, b) computed blockwise.
+    """Minor ideal of the block-diagonal matrix with blocks a and b,
+    computed blockwise.
 
     A minor of a block-diagonal matrix vanishes unless its row and column
     subsets split along the blocks with equal sizes, in which case it is

@@ -510,12 +510,6 @@ class Ideal:
         gens.sort(key=lambda g: g.sort_key())
         self.generators = tuple(gens)
 
-    def is_zero_ideal(self):
-        return not self.generators
-
-    def is_unit_ideal(self):
-        return any(g.is_unit() for g in self.generators)
-
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.ring == other.ring
                 and self.generators == other.generators)

@@ -5,13 +5,17 @@ formulas, without touching the package's own linear algebra, polynomial,
 or calculus code paths; the reference Smith form runs on the package's
 Poly arithmetic, which its Smith worker does not use.  Tests compute
 expected values with these and freeze or compare them against the package.
+The few constructions on the package's own matrices and complexes that
+only the tests need (a determinant, a block sum, an acyclic summand) live
+here too.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from jumploci.errors import UnsupportedRingError
-from jumploci.matrices import Matrix
+from jumploci.complexes import FreeChainComplex
+from jumploci.errors import PreconditionError, UnsupportedRingError
+from jumploci.matrices import Matrix, all_minors
 from jumploci.rings import Ideal, Poly
 
 
@@ -432,6 +436,55 @@ def reference_module_groebner(field, gens, key):
         reduced.append((r, lead))
     reduced.sort(key=lambda gl: key(gl[1]))
     return [g for g, _ in reduced]
+
+
+# -- constructions on polynomial matrices and free complexes ------------------
+
+
+def det(matrix):
+    """Determinant of a square matrix: its one full-size minor, 1 when 0x0."""
+    return (all_minors(matrix, matrix.nrows) or [matrix.ring.one()])[0]
+
+
+def block_diag(a, b):
+    if a.ring != b.ring:
+        raise PreconditionError("blocks over different rings")
+    ring = a.ring
+    z = ring.zero()
+    rows = []
+    for i in range(a.nrows):
+        rows.append(list(a.entries[i]) + [z] * b.ncols)
+    for i in range(b.nrows):
+        rows.append([z] * a.ncols + list(b.entries[i]))
+    return Matrix(ring, a.nrows + b.nrows, a.ncols + b.ncols, rows)
+
+
+def add_acyclic_summand(E, m):
+    """Direct-sum an elementary acyclic complex (identity S -> S in degrees
+    m, m-1) onto a free complex; homology is unchanged."""
+    if not (1 <= m <= E.top):
+        raise PreconditionError("summand degree out of range")
+    ring = E.ring
+    ranks = list(E.ranks)
+    ranks[m] += 1
+    ranks[m - 1] += 1
+    diffs = []
+    for i in range(1, E.top + 1):
+        d = E.differential(i)
+        if i == m:
+            rows = [list(r) + [ring.zero()] for r in d.entries]
+            rows.append([ring.zero()] * d.ncols + [ring.one()])
+            diffs.append(Matrix(ring, d.nrows + 1, d.ncols + 1, rows))
+        elif i == m + 1:
+            rows = [list(r) for r in d.entries]
+            rows.append([ring.zero()] * d.ncols)
+            diffs.append(Matrix(ring, d.nrows + 1, d.ncols, rows))
+        elif i == m - 1:
+            rows = [list(r) + [ring.zero()] for r in d.entries]
+            diffs.append(Matrix(ring, d.nrows, d.ncols + 1, rows))
+        else:
+            diffs.append(d)
+    return FreeChainComplex(ring, ranks, diffs)
 
 
 # -- graded algebras over an extension field -----------------------------------

@@ -528,16 +528,18 @@ def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
                                     ("koszul2.cc", [])])
 def test_compare_v_presents_each_degree_once(doc, q, capsys, monkeypatch):
     # the support union and the printed support share one cached
-    # presentation per degree, for presented complexes as for free ones
+    # presentation per degree, for presented complexes as for free ones:
+    # the syzygy route behind homology_presentation runs once per degree
     from jumploci import complexes
-    present = complexes.homology_presentation
+    present = complexes._presented_homology_presentation
     calls = []
 
     def counting(E, i):
         calls.append(i)
         return present(E, i)
 
-    monkeypatch.setattr(complexes, "homology_presentation", counting)
+    monkeypatch.setattr(complexes, "_presented_homology_presentation",
+                        counting)
     code, _ = run(capsys, "supports", "--complex", SAMPLES + doc, "--i", "1",
                   *q, "--compare-v", "--ext", "2")
     assert code == 0
@@ -575,7 +577,7 @@ def test_supports_compare_v_matches_the_fitting_oracle(q, capsys, tmp_path):
     # the complexes of the benchmark's symbolic supports reports, over F_q:
     # printed supports and support unions against V(Fitt_0) of each degree.
     from jumploci.cli import point_list
-    from jumploci.complexes import cached_homology_presentation, fitting_ideal
+    from jumploci.complexes import fitting_ideal, homology_presentation
     from jumploci.corpus import random_free_complex
     from jumploci.documents import dump_complex
     from jumploci.fields import finite_field
@@ -591,7 +593,7 @@ def test_supports_compare_v_matches_the_fitting_oracle(q, capsys, tmp_path):
         assert code == 0
         res = json.loads(out)["results"]
         oracle = [zero_locus_points(
-            fitting_ideal(cached_homology_presentation(E, j), 0), F)
+            fitting_ideal(homology_presentation(E, j), 0), F)
             for j in (0, 1)]
         assert res["by_extension"]["1"]["points"] == point_list(F, oracle[1])
         assert (res["compare_v"]["1"]["support_union"]

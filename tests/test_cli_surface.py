@@ -4,8 +4,9 @@ the usage error and exit code of each bare command and of an unknown one
 unrecognized argument, a stray positional, an out-of-range and an ambiguous
 flag after a command, the stdout of one structured run of each command on
 `samples/`, which error `validate` reports first, and which sub-parsers
-`main` builds for each kind of argv.  `cli_surface.json` holds the help and
-usage texts as argparse printed them at 80 columns.
+`main` builds for each kind of argv, and the error report of each command
+that enumerates points when no finite field is given.  `cli_surface.json`
+holds the help and usage texts as argparse printed them at 80 columns.
 
 Help and usage texts are compared with each run of whitespace collapsed to
 one space: from Python 3.13 on argparse wraps a long usage line at other
@@ -88,6 +89,33 @@ def test_bare_validate_is_an_error_report(capsys):
         "command: validate\n"
         "error.message: validate needs --cga, --complex, or --presentation\n"
         "error.type: DocumentError\n")
+
+
+# commands that enumerate points, run with no finite field:
+# samples/exterior.cga is over Q, and a presentation or a shape names no field
+REFUSALS = [
+    ("resonance --cga samples/exterior.cga --i 1",
+     "resonance enumeration needs --q"),
+    ("verify-cvres --cga samples/exterior.cga --nu samples/identity-z2.nu "
+     "--i 1", "verify-cvres enumerates points: pass --q"),
+    ("finiteness --cga samples/exterior.cga --nu samples/identity-z2.nu "
+     "--k 1", "the finiteness hypothesis is checked pointwise: pass --q"),
+    ("charvar --presentation samples/trefoil.pres --nu samples/onto-z.nu "
+     "--i 1", "this command needs a finite field: pass --q"),
+    ("genres-experiment --shape 1,2,1 --i 1 --trials 3",
+     "this command needs a finite field: pass --q"),
+]
+
+
+@pytest.mark.parametrize("command, message", REFUSALS,
+                         ids=[c.split()[0] for c, _ in REFUSALS])
+def test_enumerating_without_a_finite_field_is_an_error_report(
+        command, message, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(command.split()) == 2
+    assert capsys.readouterr().out == (
+        "command: %s\nerror.message: %s\nerror.type: DocumentError\n"
+        % (command.split()[0], message))
 
 
 def _presented_xy(field):

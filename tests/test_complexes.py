@@ -9,8 +9,8 @@ from jumploci import complexes
 from jumploci.cga import aomoto_complex, exterior_algebra, sample_cga
 from jumploci.complexes import (FIBER_MIN_Q, FreeChainComplex,
                                 ModulePresentation, PresentedChainComplex,
-                                add_acyclic_summand, fitting_ideal,
-                                homology_dim_at, homology_dims_table,
+                                fitting_ideal, homology_dim_at,
+                                homology_dims_table,
                                 homology_presentation, is_finite_dimensional,
                                 jump_locus_ideal, jump_locus_points,
                                 prune_presentation, support_points,
@@ -20,10 +20,11 @@ from jumploci.equivariant import build_E1, identity_nu
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.matrices import Matrix
-from jumploci.rings import Ideal, Poly, Ring, parse_poly, poly_to_str
+from jumploci.rings import (Ideal, Poly, Ring, parse_poly, poly_to_str,
+                            unit_ideal, zero_ideal)
 from jumploci.varieties import extension_fields, zero_locus_points
 
-from oracles import rank_by_minors
+from oracles import add_acyclic_summand, rank_by_minors
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -119,6 +120,45 @@ def test_validate_presented_multivariate_pointwise():
         validate_presented(E)  # multivariate needs a sample field
 
 
+def _quotient_then_two_free_terms(ring, d_2):
+    """E_0 = S/(v), v the first variable, then free E_1 and E_2 of rank 1,
+    with d_1 = [1] and d_2 = [d_2]: d_1 d_2 = d_2 vanishes in E_0 exactly
+    when d_2 lies in (v)."""
+    v = ring.var(0)
+    e0 = ModulePresentation(ring, 1, Matrix(ring, 1, 1, [[v]]))
+    free = ModulePresentation(ring, 1, Matrix(ring, 1, 0, [[]]))
+    return PresentedChainComplex(
+        ring, (e0, free, free),
+        (Matrix(ring, 1, 1, [[ring.one()]]), Matrix(ring, 1, 1, [[d_2(v)]])))
+
+
+def test_validate_presented_composite_modulo_relations():
+    # d_1 . d_2 = [1] is not in (v): refused by exact membership over a
+    # univariate ring, and at the first sampled point over k[x, y]
+    R = Ring(F3, ("t",))
+    verdict = validate_presented(
+        _quotient_then_two_free_terms(R, lambda v: R.one()))
+    assert not verdict.ok
+    assert verdict.message == ("d_1 . d_2 nonzero modulo relations at "
+                               "generator 0")
+    assert verdict.location == (2, 0)
+    R2 = Ring(F3, ("x", "y"))
+    verdict = validate_presented(
+        _quotient_then_two_free_terms(R2, lambda v: R2.one()), F3)
+    assert not verdict.ok
+    assert verdict.message == ("d_1 . d_2 nonzero modulo relations at point "
+                               "(0, 0)")
+    assert verdict.location == (2,)
+    # d_2 = [v] lands in the relations; over F_3[t^±1] t is a unit, so (t)
+    # is the whole ring and d_2 = [1] lands there too
+    assert validate_presented(_quotient_then_two_free_terms(R, lambda v: v)).ok
+    assert validate_presented(
+        _quotient_then_two_free_terms(R2, lambda v: v), F3).ok
+    L = Ring(F3, ("t",), laurent=True)
+    assert validate_presented(
+        _quotient_then_two_free_terms(L, lambda v: L.one())).ok
+
+
 # -- specialization -------------------------------------------------------------
 
 
@@ -175,13 +215,13 @@ def test_jump_ideal_rank_zero_term():
     R = Ring(F5, ("x",))
     E = FreeChainComplex(R, (0, 1), (Matrix(R, 0, 1, [[]][0:0]),))
     I = jump_locus_ideal(E, 0, 1)
-    assert I.is_unit_ideal()
+    assert I == unit_ideal(R)
 
 
 def test_jump_ideal_d_zero_is_whole_space():
     E = times_x_complex(F5)
     I = jump_locus_ideal(E, 0, 0)
-    assert I.is_zero_ideal()
+    assert I == zero_ideal(E.ring)
 
 
 def test_jump_ideal_refuses_presented():
@@ -248,8 +288,8 @@ def test_jump_points_d_zero_everything():
 def test_negative_degree_empty():
     E = koszul_complex(F3)
     assert jump_locus_points(E, -1, 1, F3) == set()
-    assert jump_locus_ideal(E, -1, 1).is_unit_ideal()
-    assert jump_locus_ideal(E, -1, 0).is_zero_ideal()
+    assert jump_locus_ideal(E, -1, 1) == unit_ideal(E.ring)
+    assert jump_locus_ideal(E, -1, 0) == zero_ideal(E.ring)
 
 
 # -- the fibered route, against the brute-force table ---------------------------
@@ -586,9 +626,9 @@ def test_fitting_examples():
                                         [[f, R.zero()], [R.zero(), g]]))
     assert fitting_ideal(P, 0) == Ideal(R, [f * g])
     assert fitting_ideal(P, 1) == Ideal(R, [f, g])
-    assert fitting_ideal(P, 2).is_unit_ideal()
+    assert fitting_ideal(P, 2) == unit_ideal(R)
     free = ModulePresentation(R, 1, Matrix(R, 1, 0, [[]]))
-    assert fitting_ideal(free, 0).is_zero_ideal()
+    assert fitting_ideal(free, 0) == zero_ideal(R)
 
 
 def test_fitting_bridge_pointwise():
@@ -837,7 +877,7 @@ def test_supports_match_the_fitting_oracle(q):
         for seed in range(40):
             E = make(F, seed)
             for i in range(E.top + 1):
-                pres = complexes.cached_homology_presentation(E, i)
+                pres = homology_presentation(E, i)
                 for d in (1, 2):
                     fitt = fitting_ideal(pres, d - 1)
                     for _, big, emb in extension_fields(F, max_ext):

@@ -1,8 +1,9 @@
 """Repository hygiene: the README documents exactly the CLI's long options
 and the jump-locus route threshold the library uses, the library holds no
 `assert` statement (they vanish under -O) and no `raise AssertionError` (a
-broken invariant is an InternalError report), and every library name the
-benchmark's traced run wraps still exists."""
+broken invariant is an InternalError report), every library name the
+benchmark's traced run wraps still exists, and every public name of the
+library has a caller."""
 
 import argparse
 import ast
@@ -10,6 +11,7 @@ import importlib
 import importlib.util
 import os
 import re
+from collections import Counter
 
 from jumploci.cli import build_parser
 
@@ -66,15 +68,20 @@ def _raises_assertion(node):
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-def test_traced_names_resolve():
-    """`clibench/layertrace.py` wraps library functions by name; a rename or
-    deletion in the library would otherwise break `--trace 1` silently."""
+def _traced_spans():
+    """The `SPANS` table of `clibench/layertrace.py`."""
     path = os.path.join(ROOT, "clibench", "layertrace.py")
     spec = importlib.util.spec_from_file_location("layertrace", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace.SPANS
+
+
+def test_traced_names_resolve():
+    """`clibench/layertrace.py` wraps library functions by name; a rename or
+    deletion in the library would otherwise break `--trace 1` silently."""
     missing = []
-    for modname, names in layertrace.SPANS.values():
+    for modname, names in _traced_spans().values():
         mod = importlib.import_module(modname)
         if names == "cmd_*":
             if not any(a.startswith("cmd_") for a in vars(mod)):
@@ -90,3 +97,87 @@ def test_traced_names_resolve():
     assert isinstance(fields._TABLE_CAP, int)
     assert callable(varieties.enumerate_coords)
     assert missing == []
+
+
+# Public names no command reaches that stay in the library on purpose.
+KEEP = {
+    # the Fitting route of supports, kept as the independent oracle of
+    # support_points, and the ideal behind the local finiteness verdict at 1
+    "fitting_ideal",
+    # the CGA of a cup-product pairing, which the tangent-cone checks on
+    # group presentations build from quadratic_cup
+    "pairing_cga",
+    "quadratic_cup",
+}
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _uses(node):
+    """How often each name occurs in `node` as an AST name or attribute."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+    return found
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function and
+    class of a module, and of each public method of such a class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield "%s.%s" % (node.name, item.name), item
+
+
+def _benchmark_names():
+    """The library names the benchmark imports or its traced run wraps,
+    read from `clibench/`, so that the list follows the benchmark."""
+    bench = os.path.join(ROOT, "clibench")
+    names = set()
+    for fname in sorted(os.listdir(bench)):
+        if not fname.endswith(".py"):
+            continue
+        tree = _parse(os.path.join(bench, fname))
+        names.update(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.module or "").startswith("jumploci")
+                     for alias in node.names)
+    for _, traced in _traced_spans().values():
+        if traced != "cmd_*":
+            names.update(traced)
+    return names
+
+
+def test_public_names_have_a_caller():
+    """A public function, class or method of the library is called from
+    elsewhere in the library, is a command handler, serves the benchmark,
+    or is kept on purpose (KEEP); code only the tests need belongs in
+    tests/oracles.py."""
+    src = os.path.join(ROOT, "src", "jumploci")
+    trees = {name: _parse(os.path.join(src, name))
+             for name in sorted(os.listdir(src)) if name.endswith(".py")}
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(_uses(tree))
+    exempt = _benchmark_names() | KEEP
+    uncalled = []
+    for fname, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            name = node.name
+            if (uses[name] > _uses(node)[name] or name.startswith("cmd_")
+                    or qualified in exempt):
+                continue
+            uncalled.append("%s:%s" % (fname, qualified))
+    assert uncalled == []

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.fields import PrimeField, Rationals, finite_field
-from jumploci.rings import Ideal, Ring, parse_poly, poly_to_str
+from jumploci.rings import (Ideal, Ring, parse_poly, poly_to_str, unit_ideal,
+                            zero_ideal)
 
 
 Q = Rationals()
@@ -25,6 +26,27 @@ def test_parse_format_round_trip_laurent():
     for text in ["t^-1", "t^2 - t + 1", "2*t^-3 + t", "t - t^-1"]:
         p = parse_poly(R, text)
         assert parse_poly(R, poly_to_str(p)) == p
+
+
+@pytest.mark.parametrize("laurent, text, expected", [
+    (False, "(x + 1)^2", "x^2 + 2*x + 1"),
+    (False, "2^3", "3"),
+    (False, "(2)^-1", "3"),
+    (True, "(t)^-2", "t^-2"),
+    (True, "(2*t)^-1", "3*t^-1"),
+])
+def test_power_of_a_parenthesised_or_numeric_base(laurent, text, expected):
+    # over F_5: 2^3 = 8 = 3 and 2^-1 = 3
+    R = Ring(F5, ("t",) if laurent else ("x",), laurent=laurent)
+    assert poly_to_str(parse_poly(R, text)) == expected
+
+
+@pytest.mark.parametrize("laurent, text", [
+    (False, "(x + 1)^-1"), (False, "(x)^-1"), (True, "(t + 1)^-1")])
+def test_negative_power_of_a_non_unit_is_a_parse_error(laurent, text):
+    R = Ring(F5, ("t",) if laurent else ("x",), laurent=laurent)
+    with pytest.raises(ParseError, match="negative power of a non-unit"):
+        parse_poly(R, text)
 
 
 ROUND_TRIP_FIELDS = (Q, F5, finite_field(8), finite_field(9), finite_field(25))
@@ -123,6 +145,6 @@ def test_ideal_canonicalization():
     b = Ideal(R, [x.scale(3)])
     assert a == b
     assert len(a.generators) == 1
-    assert Ideal(R, []).is_zero_ideal()
-    assert Ideal(R, [R.const(2)]).is_unit_ideal()
+    assert Ideal(R, []) == zero_ideal(R)
+    assert Ideal(R, [R.const(2)]) == unit_ideal(R)
 
