@@ -63,14 +63,21 @@ class GradedAlgebra:
             return self.dims[i]
         return 0
 
-    def mu(self, i, j, s, t):
-        """Coefficient vector of (basis s of A^i) * (basis t of A^j)."""
+    def basis(self, i, s):
+        """Coordinates of basis element s of A^i."""
         F = self.field
-        if i == 0 or j == 0:
-            raise PreconditionError("unit products are implicit")
+        return tuple(F.one if t == s else F.zero for t in range(self.dim(i)))
+
+    def mu(self, i, j, s, t):
+        """Coefficient vector of (basis s of A^i) * (basis t of A^j); the
+        basis element of A^0 is the unit."""
+        if i == 0:
+            return self.basis(j, t)
+        if j == 0:
+            return self.basis(i, s)
         block = self.mult.get((i, j))
         if block is None:
-            return (F.zero,) * self.dim(i + j)
+            return (self.field.zero,) * self.dim(i + j)
         return block[s][t]
 
     def multiply(self, i, j, avec, bvec):
@@ -78,10 +85,6 @@ class GradedAlgebra:
         F = self.field
         if i + j > self.top:
             return ()
-        if i == 0:
-            return tuple(F.mul(avec[0], c) for c in bvec)
-        if j == 0:
-            return tuple(F.mul(bvec[0], c) for c in avec)
         out = [F.zero] * self.dim(i + j)
         for s, ca in enumerate(avec):
             if ca == F.zero:
@@ -138,9 +141,7 @@ def validate_cga(A):
         for i in range(1, n + 1):
             if i % 2 == 1 and 2 * i <= n:
                 for s in range(A.dim(i)):
-                    basis = tuple(F.one if t == s else F.zero
-                                  for t in range(A.dim(i)))
-                    sq = A.multiply(i, i, basis, basis)
+                    sq = A.multiply(i, i, A.basis(i, s), A.basis(i, s))
                     if any(c != F.zero for c in sq):
                         return Verdict(False,
                                        "odd-degree basis element %d of degree %d "
@@ -150,14 +151,12 @@ def validate_cga(A):
         for j in range(1, n - i):
             for l in range(1, n - i - j + 1):
                 for s in range(A.dim(i)):
-                    es = tuple(F.one if t == s else F.zero for t in range(A.dim(i)))
+                    es = A.basis(i, s)
                     for t in range(A.dim(j)):
-                        et = tuple(F.one if u == t else F.zero
-                                   for u in range(A.dim(j)))
+                        et = A.basis(j, t)
                         st = A.multiply(i, j, es, et)
                         for u in range(A.dim(l)):
-                            eu = tuple(F.one if v == u else F.zero
-                                       for v in range(A.dim(l)))
+                            eu = A.basis(l, u)
                             left = A.multiply(i + j, l, st, eu)
                             tu = A.multiply(j, l, et, eu)
                             right = A.multiply(i, j + l, es, tu)
@@ -187,8 +186,8 @@ def aomoto_complex(A):
     F = A.field
     ring = Ring(F, tuple("a%d" % (s + 1) for s in range(A.dim(1))), order="grlex")
     avars = [ring.var(s) for s in range(A.dim(1))]
-    diffs = [Matrix(ring, 1, A.dim(1), [avars])] if A.top >= 1 else []
-    for i in range(2, A.top + 1):
+    diffs = []
+    for i in range(1, A.top + 1):
         rows, cols = A.dim(i - 1), A.dim(i)
         grid = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
         for s, x in enumerate(avars):
@@ -297,17 +296,10 @@ def sample_cga(shape, field, seed):
     if not F.is_finite:
         raise PreconditionError("sampling draws uniformly from a finite field")
     elems = list(F.elements())
-    block = [[[F.zero] * b2 for _ in range(b1)] for _ in range(b1)]
-    char2 = F.characteristic == 2
-    for s in range(b1):
-        start = s if char2 else s + 1
-        for t in range(start, b1):
-            vec = [rng.choice(elems) for _ in range(b2)]
-            block[s][t] = list(vec)
-            if t != s:
-                block[t][s] = [c if char2 else F.neg(c) for c in vec]
-    mult = {(1, 1): block}
-    return GradedAlgebra(F, dims, mult)
+    diagonal = F.characteristic == 2
+    return _pairing_algebra(F, b1, b2, (
+        ((s, t), [rng.choice(elems) for _ in range(b2)])
+        for s in range(b1) for t in range(s if diagonal else s + 1, b1)))
 
 
 def exterior_algebra(field, n):
@@ -331,12 +323,7 @@ def exterior_algebra(field, n):
                     if not set(s) & set(t):
                         merged = tuple(sorted(s + t))
                         # sign of the permutation sorting the concatenation
-                        concat = list(s + t)
-                        swaps = 0
-                        for a in range(len(concat)):
-                            for b in range(a + 1, len(concat)):
-                                if concat[a] > concat[b]:
-                                    swaps += 1
+                        swaps = sum(a > b for a, b in combinations(s + t, 2))
                         sign = F.one if swaps % 2 == 0 else F.neg(F.one)
                         vec[index[i + j][merged]] = sign
                     row.append(tuple(vec))
@@ -347,12 +334,22 @@ def exterior_algebra(field, n):
 
 def pairing_cga(field, b1, b2, pairing):
     """Explicit length-3 algebra from pairing[(s, t)] = coefficient vector
-    for s < t (and s <= t in characteristic 2)."""
+    for s < t (and s <= t in characteristic 2); int coefficients are read
+    through the field's from_int."""
+    F = field
+    return _pairing_algebra(F, b1, b2, (
+        ((s, t), [F.from_int(c) if isinstance(c, int) else c for c in vec])
+        for (s, t), vec in pairing.items()))
+
+
+def _pairing_algebra(field, b1, b2, pairing):
+    """The (1, b1, b2) algebra whose product of degree-one basis elements
+    s, t is the vector given for (s, t) in the iterable `pairing` of
+    ((s, t), vector), and its graded-commutative mirror at (t, s)."""
     F = field
     block = [[[F.zero] * b2 for _ in range(b1)] for _ in range(b1)]
     char2 = F.characteristic == 2
-    for (s, t), vec in pairing.items():
-        vec = [F.from_int(c) if isinstance(c, int) else c for c in vec]
+    for (s, t), vec in pairing:
         block[s][t] = list(vec)
         if t != s:
             block[t][s] = [c if char2 else F.neg(c) for c in vec]

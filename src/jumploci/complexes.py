@@ -86,7 +86,6 @@ class FreeChainComplex(_ChainComplex):
     def __init__(self, ring, ranks, differentials):
         super().__init__(ring, ranks, differentials)
         self.ranks = self._gens
-        self._minor_memos = {}
 
     rank = _ChainComplex.gens
 
@@ -389,10 +388,8 @@ def jump_locus_ideal(E, i, d):
     size = c_i - d + 1
     if size <= 0:
         return unit_ideal(E.ring) if d > 0 else zero_ideal(E.ring)
-    memo_a = E._minor_memos.setdefault(i + 1, {})
-    memo_b = E._minor_memos.setdefault(i, {})
     return block_diag_minors_ideal(E.differential(i + 1), E.differential(i),
-                                   size, memo_a, memo_b)
+                                   size)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +473,10 @@ def _laurent_multivariate_presentation(E, i):
     d_next = Matrix(ring, d_next.nrows, d_next.ncols, rows)
     d_next, _ = clear_laurent_cols(d_next)
     sub = FreeChainComplex(ordinary, [d_i.nrows, d_i.ncols, d_next.ncols],
-                           [d_i.map_coefficients(ordinary, lambda c: c),
-                            d_next.map_coefficients(ordinary, lambda c: c)])
+                           [d_i.over(ordinary), d_next.over(ordinary)])
     pres = _presented_homology_presentation(sub, 1)
     return ModulePresentation(ring, pres.gens,
-                              pres.relations.map_coefficients(ring, lambda c: c))
+                              pres.relations.over(ring))
 
 
 def homology_presentation(E, i):
@@ -623,7 +619,7 @@ def is_finite_dimensional(P):
         # the product of the variables, then count standard monomials
         cleared, _ = clear_laurent_cols(P.relations)
         ordinary = type(ring)(ring.field, ring.variables, False, "grlex")
-        cleared = cleared.map_coefficients(ordinary, lambda c: c)
+        cleared = cleared.over(ordinary)
         sat = module_saturate(ordinary, cleared, (1,) * ring.nvars)
         leads = module_lead_terms(ordinary, sat)
         count = standard_monomial_count(ordinary, leads, P.gens)

@@ -321,6 +321,10 @@ def load_document(path, expect=None, field_override=None):
         raise DocumentError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise DocumentError("%s is not valid JSON: %s" % (path, exc))
+    except ValueError as exc:
+        # bytes that are not text, or an integer longer than
+        # sys.get_int_max_str_digits() allows
+        raise DocumentError("%s cannot be read: %s" % (path, exc))
     kind = _require(doc, "type", "str", "free-complex" if "ranks" in doc else None)
     if expect is not None:
         allowed = {"complex": ("free-complex", "presented-complex")}.get(

@@ -52,57 +52,6 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def integer_smith_divisors(rows):
-    """Divisors of an integer matrix (no transforms); classical algorithm."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    divisors = []
-    k = 0
-    while k < min(m, n):
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(pivot[0])):
-                    pivot = (a[i][j], i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        a[k], a[pi] = a[pi], a[k]
-        for row in a:
-            row[k], row[pj] = row[pj], row[k]
-        dirty = False
-        for i in range(k + 1, m):
-            if a[i][k] != 0:
-                dirty = dirty or a[i][k] % a[k][k] != 0
-                q = a[i][k] // a[k][k]
-                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        if dirty:
-            continue
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                dirty = dirty or a[k][j] % a[k][k] != 0
-                q = a[k][j] // a[k][k]
-                for row in a:
-                    row[j] -= q * row[k]
-        if dirty:
-            continue
-        offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % a[k][k] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[k] = [x + y for x, y in zip(a[k], a[offender])]
-            continue
-        divisors.append(abs(a[k][k]))
-        k += 1
-    return divisors
-
-
 @dataclass(frozen=True)
 class GrRingDescriptor:
     """The associated graded ring of the group algebra along powers of the
@@ -140,7 +89,7 @@ def gr_ring(G, field):
 class NuData:
     """A homomorphism Z^{b1} -> G given by integer blocks: `free_block` is
     rank(G) x b1, `torsion_blocks[j]` is the row onto Z/n_j.  Surjectivity
-    onto G is required (checked by integer Smith divisors)."""
+    onto G is required (checked by a column reduction)."""
 
     def __init__(self, b1, free_block, torsion_blocks=(), group=None):
         free_block = tuple(tuple(int(c) for c in row) for row in free_block)
@@ -163,18 +112,26 @@ class NuData:
                 "the map is not onto the group; only epimorphisms are accepted")
 
     def is_surjective(self):
-        G = self.group
-        rows = [list(r) for r in self.free_block + self.torsion_blocks]
-        m = len(rows)
-        if m == 0:
-            return True
-        for j, n in enumerate(G.torsion):
-            col = [0] * m
-            col[G.rank + j] = n
-            for i in range(m):
-                rows[i] = rows[i] + [col[i]]
-        divisors = integer_smith_divisors(rows)
-        return len(divisors) == m and all(d == 1 for d in divisors)
+        """Whether the columns of the blocks, with n_j e_j for each torsion
+        factor Z/n_j, span Z^m.  For each coordinate k in turn, Euclid on
+        the columns with a nonzero k-th entry leaves one column, whose
+        entry is their gcd; the map is onto when every such gcd is +-1."""
+        G, m = self.group, self.group.ngens
+        cols = [list(c) for c in zip(*self.free_block, *self.torsion_blocks)]
+        cols += [[n if k == G.rank + j else 0 for k in range(m)]
+                 for j, n in enumerate(G.torsion)]
+        for k in range(m):
+            live = sorted((c for c in cols if c[k]), key=lambda c: abs(c[k]))
+            while len(live) > 1:
+                pivot = live[0]
+                for c in live[1:]:
+                    q = c[k] // pivot[k]
+                    c[k:] = [x - q * y for x, y in zip(c[k:], pivot[k:])]
+                live = sorted((c for c in live if c[k]), key=lambda c: abs(c[k]))
+            if not live or abs(live[0][k]) != 1:
+                return False
+            cols.remove(live[0])
+        return True
 
     def nu_bar_star(self, field):
         """The induced map H_1(X,k) -> k^r: the free block reduced into k."""
@@ -238,17 +195,11 @@ def build_E1(A, nu):
                 c_ns = nbar[rho][s]
                 if c_ns == F.zero:
                     continue
-                if i == 1:
-                    # comultiplication into H_1 (x) H_0: entry [0][u] = n[rho][u]
+                for t in range(rows):
+                    mu = A.mu(1, i - 1, s, t)
                     for u in range(cols):
-                        if u == s:
-                            grid[0][u] = grid[0][u] + x.scale(c_ns)
-                else:
-                    for t in range(rows):
-                        mu = A.mu(1, i - 1, s, t)
-                        for u in range(cols):
-                            if mu[u] != F.zero:
-                                grid[t][u] = grid[t][u] + x.scale(F.mul(c_ns, mu[u]))
+                        if mu[u] != F.zero:
+                            grid[t][u] = grid[t][u] + x.scale(F.mul(c_ns, mu[u]))
         diffs.append(Matrix(ring, rows, cols, grid))
     E = FreeChainComplex(ring, A.dims, diffs)
     verdict = validate_complex(E)

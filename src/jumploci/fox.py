@@ -264,7 +264,7 @@ def alexander_invariant(P, nu, field):
 # quadratic part of the cup product, from the series expansion of relators
 
 
-def _series_mul(n, a, b):
+def _series_mul(a, b):
     """Multiply truncated series with noncommuting symbols: keys are (),
     (i,), (i, j); coefficients are ints."""
     out = {}
@@ -277,7 +277,7 @@ def _series_mul(n, a, b):
     return {k: c for k, c in out.items() if c}
 
 
-def _series_of_letter(n, g, e):
+def _series_of_letter(g, e):
     if e == 1:
         return {(): 1, (g,): 1}
     return {(): 1, (g,): -1, (g, g): 1}
@@ -288,7 +288,7 @@ def magnus_quadratic(P, word):
     Returns (linear, quadratic) as dicts over generator indices/pairs."""
     series = {(): 1}
     for g, e in word:
-        series = _series_mul(P.ngens, series, _series_of_letter(P.ngens, g, e))
+        series = _series_mul(series, _series_of_letter(g, e))
     linear = {k[0]: c for k, c in series.items() if len(k) == 1}
     quadratic = {k: c for k, c in series.items() if len(k) == 2}
     return linear, quadratic

@@ -16,6 +16,7 @@ a variable-elimination order used for saturation.
 
 import heapq
 import operator
+from itertools import product
 
 from .errors import InternalError, ResourceLimitError, UnsupportedRingError
 from .matrices import Matrix
@@ -405,20 +406,9 @@ def standard_monomial_count(ring, lead_terms, ncomponents):
             bounds.append(min(pure))
         if not finite:
             return None
-        count = 0
-        # enumerate exponent tuples below the pure-power bounds
-        def rec(prefix):
-            nonlocal count
-            if len(prefix) == r:
-                for e in leads:
-                    if _divides(e, prefix):
-                        return
-                count += 1
-                return
-            for x in range(bounds[len(prefix)]):
-                rec(prefix + (x,))
-        rec(())
-        total += count
+        # the exponent tuples below the pure-power bounds that no lead divides
+        total += sum(not any(_divides(e, x) for e in leads)
+                     for x in product(*map(range, bounds)))
     return total
 
 

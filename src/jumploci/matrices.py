@@ -3,7 +3,7 @@
 from itertools import combinations
 
 from .errors import PreconditionError
-from .rings import Ideal, unit_ideal, zero_ideal
+from .rings import Ideal, Poly, unit_ideal, zero_ideal
 
 
 class Matrix:
@@ -81,10 +81,11 @@ class Matrix:
     def __hash__(self):
         return hash((self.ring, self.entries))
 
-    def map_coefficients(self, new_ring, fn):
-        return Matrix(new_ring, self.nrows, self.ncols,
-                      [[p.map_coefficients(new_ring, fn) for p in row]
-                       for row in self.entries])
+    def over(self, ring):
+        """The same entries over `ring`, which has this ring's field and
+        variables: a Laurent ring and its ordinary twin."""
+        return Matrix(ring, self.nrows, self.ncols,
+                      [[Poly(ring, p.terms) for p in row] for row in self.entries])
 
     def evaluate(self, coords, field=None, coeff_map=None):
         """Entrywise evaluation; returns a list-of-lists scalar matrix."""
@@ -154,7 +155,7 @@ def minors_ideal(matrix, size):
     return Ideal(matrix.ring, all_minors(matrix, size))
 
 
-def block_diag_minors_ideal(a, b, size, memo_a=None, memo_b=None):
+def block_diag_minors_ideal(a, b, size):
     """Minor ideal of the block-diagonal matrix with blocks a and b,
     computed blockwise.
 
@@ -170,8 +171,8 @@ def block_diag_minors_ideal(a, b, size, memo_a=None, memo_b=None):
         return unit_ideal(a.ring)
     if size > min(a.nrows + b.nrows, a.ncols + b.ncols):
         return zero_ideal(a.ring)
-    memo_a = {} if memo_a is None else memo_a
-    memo_b = {} if memo_b is None else memo_b
+    # the cofactor expansions of all sizes share one memo per block
+    memo_a, memo_b = {}, {}
     gens = []
     one = a.ring.one()
     for sa in range(size + 1):

@@ -65,9 +65,6 @@ class Ring:
             return self.zero()
         return Poly(self, {exps: coeff})
 
-    def from_int(self, n):
-        return self.const(self.field.from_int(n))
-
     def monomial_key(self):
         """Key function turning an exponent tuple into a flat tuple of ints
         (larger key = larger monomial)."""
@@ -213,15 +210,6 @@ class Poly:
                     v = F.mul(v, F.pow(coords[i], e))
             acc = F.add(acc, v)
         return acc
-
-    def map_coefficients(self, new_ring, fn):
-        F = new_ring.field
-        terms = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v != F.zero:
-                terms[e] = v
-        return Poly(new_ring, terms)
 
     # -- Laurent normalization --------------------------------------------
 
@@ -424,13 +412,13 @@ class _PolyParser:
             self.advance()
             if "/" in tok:
                 F = self.ring.field
-                num, den = (F.from_int(int(n)) for n in tok.split("/"))
+                num, den = (F.from_int(self._int(n)) for n in tok.split("/"))
                 if den == F.zero:
                     raise ParseError("zero denominator in %r over %r" % (tok, F),
                                      self.tok.pos)
                 c = F.div(num, den)
             else:
-                c = self.ring.field.from_int(int(tok))
+                c = self.ring.field.from_int(self._int(tok))
             return self._maybe_power(self.ring.const(c))
         # a name: ring variable or the extension generator u
         self.advance()
@@ -462,9 +450,15 @@ class _PolyParser:
             self.advance()
         if self.current is None or not self.current.lstrip("-").isdecimal():
             raise ParseError("expected integer exponent", self.tok.pos)
-        val = int(self.current)
+        val = self._int(self.current)
         self.advance()
         return -val if neg else val
+
+    def _int(self, digits):
+        try:
+            return int(digits)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise ParseError("integer literal too long: %s" % exc, self.tok.pos)
 
     def _maybe_power(self, base):
         exp = self._power_suffix()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jumploci import complexes
@@ -214,6 +216,24 @@ def test_sample_cga_validity_and_classification():
     nondeg = exterior2(F5)
     assert resonance_points(nondeg, 1, 1) == {
         (0, 0)}
+
+
+@pytest.mark.parametrize("q,shape", [(5, (1, 2, 1)), (5, (1, 3, 2)),
+                                     (4, (1, 2, 2)), (3, (1, 0, 1))])
+def test_unit_products_are_the_scalar_action(q, shape):
+    # the basis element of A^0 is the unit, so a degree-0 factor (c,)
+    # scales the other factor by c, on either side
+    F = finite_field(q)
+    rng = random.Random("unit:%d:%r" % (q, shape))
+    elems = list(F.elements())
+    for seed in range(3):
+        A = sample_cga(BShape(shape), F, seed)
+        for j in range(A.top + 1):
+            b = tuple(rng.choice(elems) for _ in range(A.dim(j)))
+            for c in elems:
+                cb = tuple(F.mul(c, x) for x in b)
+                assert A.multiply(0, j, (c,), b) == cb
+                assert A.multiply(j, 0, b, (c,)) == cb
 
 
 def test_sample_cga_rejects_long_shapes():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -243,6 +244,37 @@ def test_zero_denominators_are_parse_errors(capsys, tmp_path):
         err = json.loads(out)["error"]
         assert err["type"] == "ParseError"
         assert "zero denominator" in err["message"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize("entry,error", [
+    ("9" * 5001, "DocumentError"),
+    ('"%s"' % ("9" * 5001), "ParseError"),
+    ('"x^%s"' % ("9" * 5000), "ParseError"),
+    ('"1/%s"' % ("3" * 5000), "ParseError"),
+], ids=["json-integer", "entry", "exponent", "denominator"])
+def test_over_long_integers_give_error_reports(entry, error, capsys,
+                                               tmp_path):
+    # JSON text written by hand: json.dumps cannot write the bare integer
+    path = tmp_path / "long.cc"
+    path.write_text(
+        '{"type": "free-complex", "ring": {"field": {"kind": "rationals"}, '
+        '"variables": ["x"]}, "ranks": [1, 1], "differentials": [[[%s]]]}'
+        % entry)
+    code, out = run(capsys, "jumploci", "--complex", str(path), "--i", "0",
+                    "--q", "5", "--format", "structured")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_undecodable_document_is_a_document_error(capsys, tmp_path):
+    path = tmp_path / "bytes.cc"
+    path.write_bytes(b'{"ranks": [1], "note": "\xff"}')
+    code, out = run(capsys, "jumploci", "--complex", str(path), "--i", "0",
+                    "--format", "structured")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DocumentError"
 
 
 @pytest.mark.parametrize("argv", [

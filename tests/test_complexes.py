@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from jumploci import complexes
 from jumploci.cga import aomoto_complex, exterior_algebra, sample_cga
-from jumploci.complexes import (FIBER_MIN_Q, FreeChainComplex,
+from jumploci.complexes import (FIBER_MIN_Q, FinVerdict, FreeChainComplex,
                                 ModulePresentation, PresentedChainComplex,
                                 fitting_ideal, homology_dim_at,
                                 homology_dims_table,
@@ -157,6 +157,20 @@ def test_validate_presented_composite_modulo_relations():
     L = Ring(F3, ("t",), laurent=True)
     assert validate_presented(
         _quotient_then_two_free_terms(L, lambda v: L.one())).ok
+
+
+def test_validate_presented_relation_outside_the_relations():
+    # E_0 = S/(t^2), E_1 = S/(t), d_1 = [1]: the relation t of E_1 lands
+    # outside (t^2)
+    R = Ring(F3, ("t",))
+    t = R.var(0)
+    e0 = ModulePresentation(R, 1, Matrix(R, 1, 1, [[t * t]]))
+    e1 = ModulePresentation(R, 1, Matrix(R, 1, 1, [[t]]))
+    verdict = validate_presented(
+        PresentedChainComplex(R, (e0, e1), (Matrix(R, 1, 1, [[R.one()]]),)))
+    assert not verdict.ok
+    assert verdict.message == "d_1 sends relation 0 outside the relations"
+    assert verdict.location == (1, 0)
 
 
 # -- specialization -------------------------------------------------------------
@@ -325,7 +339,7 @@ def _laurent_twist(E, seed):
                for _ in range(c)] for c in E.ranks]
     diffs = []
     for k, d in enumerate(E.differentials, start=1):
-        grid = [[d[r, c].map_coefficients(R, lambda a: a).shift(
+        grid = [[Poly(R, d[r, c].terms).shift(
                     tuple(b - a for a, b in zip(shifts[k - 1][r], shifts[k][c])))
                  for c in range(d.ncols)] for r in range(d.nrows)]
         diffs.append(Matrix(R, d.nrows, d.ncols, grid))
@@ -701,6 +715,18 @@ def test_finite_dimension_examples():
     P2 = ModulePresentation(R, 1, Matrix(R, 1, 2, [[R.var(0), R.var(1)]]))
     v2 = is_finite_dimensional(P2)
     assert v2.kind == "finite" and v2.dim == 1
+
+
+@pytest.mark.parametrize("relations,dim", [
+    (["s - 1", "t - 1"], 1),
+    (["s^2 - 1", "t + 1"], 2),
+])
+def test_finite_dimension_over_a_bivariate_laurent_ring(relations, dim):
+    L = Ring(F3, ("s", "t"), laurent=True)
+    P = ModulePresentation(L, 1, Matrix(L, 1, 2, [
+        [parse_poly(L, r) for r in relations]]))
+    assert is_finite_dimensional(P) == FinVerdict(
+        "finite", dim, "standard monomial count after saturation")
 
 
 def test_finite_dimension_past_a_bound_is_unknown(monkeypatch):

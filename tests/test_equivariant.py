@@ -8,7 +8,6 @@ from jumploci.complexes import (homology_dims_table, jump_locus_points,
                                 validate_complex)
 from jumploci.equivariant import (FinAbGroup, NuData, build_E1,
                                   finiteness_test, gr_ring, identity_nu,
-                                  integer_smith_divisors,
                                   pulled_back_aomoto_complex, verify_cv_res)
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, finite_field
@@ -40,14 +39,19 @@ def test_finabgroup_invariants():
         FinAbGroup(-1)
 
 
-def test_integer_smith():
-    assert integer_smith_divisors([[2, 0], [0, 3]]) == [1, 6]
-    assert integer_smith_divisors([[1, 0], [0, 1]]) == [1, 1]
-    assert integer_smith_divisors([[2, 4]]) == [2]
-    # pivots that do not divide their column / row: reduce and pivot again
-    assert integer_smith_divisors([[4], [6]]) == [2]
-    assert integer_smith_divisors([[4, 6]]) == [2]
-    assert integer_smith_divisors([[6, 4], [4, 6]]) == [2, 10]
+def test_surjectivity_by_column_reduction():
+    # each accepted map needs more than one Euclid step on some coordinate
+    NuData(2, [[2, 3]], (), FinAbGroup(1))
+    NuData(2, [[3, 5], [1, 2]], (), FinAbGroup(2))
+    NuData(2, [[1, 0]], [[1, 3]], FinAbGroup(1, (2,)))
+    # image lattices of index 2, 20, 6 and 2
+    for b1, free, torsion, group in (
+            (2, [[4, 6]], (), FinAbGroup(1)),
+            (2, [[6, 4], [4, 6]], (), FinAbGroup(2)),
+            (2, [[2, 0], [0, 3]], (), FinAbGroup(2)),
+            (2, [[1, 1]], [[2, 4]], FinAbGroup(1, (4,)))):
+        with pytest.raises(PreconditionError, match="not onto"):
+            NuData(b1, free, torsion, group)
 
 
 def test_gr_ring_free_part():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,18 @@ def test_negative_exponent_rejected_in_ordinary_ring():
     R = Ring(F5, ("x",))
     with pytest.raises(ParseError):
         parse_poly(R, "x^-1")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize("text", ["9" * 5001, "x^" + "9" * 5000,
+                                  "-x^-" + "9" * 5000, "1/" + "3" * 5000],
+                         ids=["entry", "exponent", "negative-exponent",
+                              "denominator"])
+def test_over_long_integer_literal_is_a_parse_error(text):
+    R = Ring(Q, ("x",), laurent=True)
+    with pytest.raises(ParseError, match="integer literal too long"):
+        parse_poly(R, text)
 
 
 def test_arithmetic_identities_random():

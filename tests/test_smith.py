@@ -163,6 +163,15 @@ def test_kernel_matrix_and_solve():
         assert back == rhs
 
 
+def test_snf_solve_refuses_what_the_divisors_miss():
+    # A = [[t, 0], [0, 0]]: [0, 1] meets the zero divisor, [t, 0] is A [1, 0]
+    R = Ring(PrimeField(3), ("t",))
+    t, z = R.var(0), R.zero()
+    snf = smith_normal_form(Matrix(R, 2, 2, [[t, z], [z, z]]))
+    assert snf_solve(snf, [z, R.one()]) is None
+    assert snf_solve(snf, [t, z]) == [R.one(), z]
+
+
 def test_snf_refuses_multivariate():
     R = Ring(F5, ("x", "y"))
     with pytest.raises(UnsupportedRingError):
