@@ -26,10 +26,15 @@ from .rings import poly_to_str
 from .varieties import extension_fields
 
 def point_list(field, pts):
-    """The points `pts` as sorted lists of document scalars, with each
-    distinct coordinate converted once."""
-    scalar = {c: dump_scalar(field, c) for c in set().union(*pts)}
-    return sorted([list(map(scalar.__getitem__, p)) for p in pts])
+    """The points `pts` as sorted lists of document scalars, converted a
+    coordinate column at a time through one dict that converts each
+    distinct coordinate once.  Points of F^0 have no columns: the one
+    such point is the empty list."""
+    columns = list(zip(*pts))
+    if not columns:
+        return [[] for _ in pts]
+    scalar = {c: dump_scalar(field, c) for c in set().union(*columns)}.__getitem__
+    return sorted(map(list, zip(*[map(scalar, col) for col in columns])))
 
 
 def _by_extension(extensions, locus):

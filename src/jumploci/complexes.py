@@ -189,18 +189,21 @@ def validate_presented(E, sample_field=None):
                     "supply a finite sample field")
             F = sample_field
             emb = coefficient_embedding(ring.field, F)
+            d_at, src_at, dst_at = (m.evaluator(F, emb)
+                                    for m in (d, rel_src, rel_dst))
+            if comp is not None:
+                comp_at = comp.evaluator(F, emb)
+                dst2_at = E.relations(i - 2).evaluator(F, emb)
             for coords in enumerate_coords(F, ring.nvars, on_torus(ring)):
-                dv = d.evaluate(coords, F, emb)
-                rs = rel_src.evaluate(coords, F, emb)
-                rd = rel_dst.evaluate(coords, F, emb)
-                moved_v = mat_mul(F, dv, rs)
+                rd = dst_at(coords)
+                moved_v = mat_mul(F, d_at(coords), src_at(coords))
                 if mat_rank_stacked(F, [rd, moved_v]) != mat_rank(F, rd):
                     return Verdict(False,
                                    "d_%d fails to preserve relations at point %r"
                                    % (i, coords), (i,))
                 if comp is not None:
-                    comp_v = comp.evaluate(coords, F, emb)
-                    rd2 = E.relations(i - 2).evaluate(coords, F, emb)
+                    comp_v = comp_at(coords)
+                    rd2 = dst2_at(coords)
                     if mat_rank_stacked(F, [rd2, comp_v]) != mat_rank(F, rd2):
                         return Verdict(False,
                                        "d_%d . d_%d nonzero modulo relations at "
@@ -220,7 +223,8 @@ def homology_dim_at(E, i, field, embed=None):
     of (rank [d | R_t] - rank R_t), R_t the relations of the term d lands
     in.  The R_i terms cancel against d_{i+1}, and d_i counts only when it
     is nonempty.  Empty blocks are dropped here, so a free complex
-    evaluates and ranks d_i and d_{i+1} only."""
+    evaluates and ranks d_i and d_{i+1} only.  Each block's evaluation plan
+    is built once here and applied at every point."""
     emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
 
     def live(*blocks):
@@ -230,7 +234,8 @@ def homology_dim_at(E, i, field, embed=None):
     signed = [(-1, live(E.differential(i + 1), E.relations(i)))]
     if live(d_out):
         signed += [(-1, live(d_out, rel_prev)), (1, live(rel_prev))]
-    terms = [(sign, blocks) for sign, blocks in signed if blocks]
+    terms = [(sign, [m.evaluator(field, emb) for m in blocks])
+             for sign, blocks in signed if blocks]
     g_i = E.gens(i)
 
     def rank(blocks):
@@ -239,8 +244,7 @@ def homology_dim_at(E, i, field, embed=None):
         return mat_rank_stacked(field, blocks)
 
     def dim(coords):
-        return g_i + sum(sign * rank([m.evaluate(coords, field, emb)
-                                      for m in blocks])
+        return g_i + sum(sign * rank([at(coords) for at in blocks])
                          for sign, blocks in terms)
     return dim
 
@@ -253,12 +257,13 @@ def homology_dims_table(E, field, torus=False, embed=None):
     im_j = rank [d_j | R_{j-1}] - rank R_{j-1}, and 0 outside 1..n."""
     ring, n = E.ring, E.top
     emb = embed if embed is not None else coefficient_embedding(ring.field, field)
-    diffs, rels = E.differentials, [E.relations(k) for k in range(n + 1)]
+    diffs = [d.evaluator(field, emb) for d in E.differentials]
+    rels = [E.relations(k).evaluator(field, emb) for k in range(n + 1)]
 
     def dims(c):
-        rel = [R.evaluate(c, field, emb) for R in rels]
+        rel = [R(c) for R in rels]
         rk = [mat_rank(field, R) for R in rel]
-        im = [0] + [mat_rank_stacked(field, [d.evaluate(c, field, emb), rel[j]])
+        im = [0] + [mat_rank_stacked(field, [d(c), rel[j]])
                     - rk[j] for j, d in enumerate(diffs)] + [0]
         return [E.gens(j) - rk[j] - im[j] - im[j + 1] for j in range(n + 1)]
     return {c: dims(c)

@@ -28,6 +28,7 @@ command asks for a finite field; a zero denominator is a ParseError.
 """
 
 import json
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .cga import GradedAlgebra
@@ -359,12 +360,50 @@ def _scalar(v):
     return json.dumps(v)
 
 
+def _cell_columns(value):
+    """The columns of `value` when it is a list of lists of one length
+    k >= 1 whose cells are all ints (not bools) or strings, as a point list
+    is; else None."""
+    if type(value) is not list or set(map(type, value)) != {list}:
+        return None
+    if len(set(map(len, value))) != 1 or not value[0]:
+        return None
+    columns = list(zip(*value))
+    if all(set(map(type, col)) <= {int, str} for col in columns):
+        return columns
+    return None
+
+
+def _write_columns(columns, nl, write):
+    """Write the rows whose columns are `columns` as _write would, in
+    bounded chunks: each distinct cell of a column is rendered once, with
+    the separator that follows it attached (after the last column, the
+    close of its row and the open of the next), and the text is a join of
+    those shared strings in row order."""
+    inner = nl + "  "
+    cell = inner + "  "
+    seps = ["," + cell] * (len(columns) - 1) + [inner + "]," + inner + "[" + cell]
+    texts = [{v: _scalar(v) + sep for v in set(col)}.__getitem__
+             for col, sep in zip(columns, seps)]
+    stream = chain.from_iterable(zip(*map(map, texts, columns)))
+    # every cell but the last, whose row closes the array instead
+    left = len(columns) * len(columns[0]) - 1
+    write("[" + inner + "[" + cell)
+    while left:
+        chunk = min(left, 4096)
+        write("".join(islice(stream, chunk)))
+        left -= chunk
+    write(_scalar(columns[-1][-1]) + inner + "]" + nl + "]")
+
+
 def _write(value, nl, write):
     """Write the text of json.dumps(value, sort_keys=True, indent=2)
     through `write`, one call per array that holds no array or object, so
-    that a point is one join and not one call per coordinate; `nl` is the
-    newline and indent that precede the closing bracket of `value`.  Object
-    keys must be strings, as they are in every document."""
+    that a point is one join and not one call per coordinate, and a list
+    of rows of ints and strings, such as a point list, column by column
+    in chunks (_write_columns); `nl` is the newline and indent that
+    precede the closing bracket of `value`.  Object keys must be strings,
+    as they are in every document."""
     if isinstance(value, dict):
         if not value:
             write("{}")
@@ -379,6 +418,10 @@ def _write(value, nl, write):
     elif isinstance(value, (list, tuple)):
         if not value:
             write("[]")
+            return
+        columns = _cell_columns(value)
+        if columns is not None:
+            _write_columns(columns, nl, write)
             return
         inner = nl + "  "
         texts = []

@@ -35,20 +35,57 @@ def _prime_factors(n):
 
 
 def is_prime(n):
-    return n >= 2 and _prime_factors(n) == [n]
+    """Miller-Rabin to the prime bases 2..41, which is exact below
+    3317044064679887385961981 (Sorenson and Webster, 2017); a larger n is
+    refused rather than guessed at."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % b == 0 for b in bases):
+        return False
+    if n >= 3317044064679887385961981:
+        raise ResourceLimitError(
+            "%d is past 3317044064679887385961981, below which primality "
+            "is decided exactly" % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root(q, m):
+    """The integer r with r**m == q, or None: Newton's step from above."""
+    r = 1 << -(-q.bit_length() // m)  # 2^ceil(bits/m) >= the m-th root
+    while True:
+        s = ((m - 1) * r + q // r ** (m - 1)) // m
+        if s >= r:
+            return r if r ** m == q else None
+        r = s
 
 
 def factor_prime_power(q):
-    """Write q = p**m with p prime, or raise."""
+    """Write q = p**m with p prime, or raise.  If q = p**m, the root of q
+    for the largest m that has one is p, so that one root's primality
+    decides: no q is trial-divided."""
     if q < 2:
         raise PreconditionError("field order must be at least 2, got %r" % (q,))
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise PreconditionError("%d is not a prime power" % q)
-    p, m = primes[0], 1
-    while p ** m < q:
-        m += 1
-    return p, m
+    for m in range(q.bit_length(), 0, -1):
+        p = _root(q, m)
+        if p is not None:
+            if p > 1 and is_prime(p):
+                return p, m
+            break
+    raise PreconditionError("%d is not a prime power" % q)
 
 
 class Rationals:

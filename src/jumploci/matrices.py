@@ -89,8 +89,51 @@ class Matrix:
 
     def evaluate(self, coords, field=None, coeff_map=None):
         """Entrywise evaluation; returns a list-of-lists scalar matrix."""
-        return [[p.evaluate(coords, field, coeff_map) for p in row]
+        return self.evaluator(field, coeff_map)(coords)
+
+    def evaluator(self, field=None, coeff_map=None):
+        """The evaluation plan of this matrix: a callable coords -> the
+        list-of-lists scalar matrix at coords, with `field` and `coeff_map`
+        as in Poly.evaluate.
+
+        The plan is built once: the distinct monomials of all entries, each
+        as its (variable, exponent) factors, and each entry as (monomial
+        index, embedded coefficient) pairs.  At a point each monomial is
+        valued once, and each entry is a short sum.  A coefficient 1 is
+        stored as None and costs no product."""
+        F = field if field is not None else self.ring.field
+        one = F.one
+        index = {}
+
+        def pair(e, c):
+            c = coeff_map(c) if coeff_map is not None else c
+            return index.setdefault(e, len(index)), (None if c == one else c)
+
+        grid = [[[pair(e, c) for e, c in p.terms.items()] for p in row]
                 for row in self.entries]
+        monomials = [[(v, k) for v, k in enumerate(e) if k] for e in index]
+        add, mul, pow_, zero = F.add, F.mul, F.pow, F.zero
+
+        def at(coords):
+            values = []
+            for factors in monomials:
+                value = None
+                for v, k in factors:
+                    x = coords[v] if k == 1 else pow_(coords[v], k)
+                    value = x if value is None else mul(value, x)
+                values.append(one if value is None else value)
+            rows = []
+            for row in grid:
+                out = []
+                for terms in row:
+                    acc = None
+                    for m, c in terms:
+                        v = values[m] if c is None else mul(c, values[m])
+                        acc = v if acc is None else add(acc, v)
+                    out.append(zero if acc is None else acc)
+                rows.append(out)
+            return rows
+        return at
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:

@@ -5,7 +5,7 @@ non-negative for ordinary rings and arbitrary integers when the ring is
 Laurent.  Equality is on-the-nose equality of term maps.
 """
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, ResourceLimitError
 
 from fractions import Fraction
 
@@ -354,7 +354,15 @@ class _PolyParser:
                                            except for a leading sign)
     factor  := number | name ('^' int)? | '(' expr ')'
     The name 'u' denotes the generator of an extension coefficient field.
+
+    A power is expanded only when its estimated size is at most
+    MAX_POWER_SIZE: the product over the variables of (exponent x the
+    base's exponent spread + 1), which bounds its terms, times over Q the
+    exponent x the bits of the base's longest numerator or denominator,
+    which bounds the bits of its coefficients.
     """
+
+    MAX_POWER_SIZE = 2048
 
     def __init__(self, ring, text):
         self.ring = ring
@@ -464,15 +472,31 @@ class _PolyParser:
         exp = self._power_suffix()
         if exp is None:
             return base
+        if exp < 0 and not base.is_unit():
+            raise ParseError("negative power of a non-unit", self.tok.pos)
+        self._check_power_size(base, abs(exp))
         if exp < 0:
-            if not base.is_unit():
-                raise ParseError("negative power of a non-unit", self.tok.pos)
             if base.is_constant():
                 return self.ring.const(self.ring.field.pow(base.constant_value(), exp))
             (e, c), = base.terms.items()
             return Poly(self.ring, {tuple(x * exp for x in e):
                                     self.ring.field.pow(c, exp)})
         return base ** exp
+
+    def _check_power_size(self, base, n):
+        """Refuse base^n, n >= 0, when its size passes MAX_POWER_SIZE."""
+        if not base.terms:
+            return
+        size = 1
+        for column in zip(*base.terms):
+            size *= n * (max(column) - min(column)) + 1
+        if self.ring.field.characteristic == 0:
+            size *= n * max(max(abs(c.numerator), c.denominator).bit_length()
+                            for c in base.terms.values())
+        if size > self.MAX_POWER_SIZE:
+            raise ResourceLimitError(
+                "a power of size %d (terms, times coefficient bits over Q) "
+                "is past MAX_POWER_SIZE = %d" % (size, self.MAX_POWER_SIZE))
 
 
 def parse_poly(ring, text):

@@ -11,6 +11,7 @@ from jumploci.cga import (BShape, GradedAlgebra, aomoto_complex,
 from jumploci.documents import dump_cga
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
+from jumploci.matrices import Matrix
 from jumploci.rings import Poly, unit_ideal, zero_ideal
 from jumploci.varieties import (extension_fields, points_where,
                                 zero_locus_points)
@@ -292,20 +293,31 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     # R^1 of the exterior algebra on 4 generators over F_5: the Aomoto
     # complex is conical, so only the origin and the chart points of P^3
     # are ranked, 157 = 1 + 125 + 25 + 5 + 1 of the 625, and at each only
-    # d_1 (1 x 4) and d_2 (4 x 6) are evaluated and ranked; the six a^2
-    # quadrics are evaluated at the one point of the locus
-    counts = {"evaluate": 0, "rank": 0}
-    evaluate, rank = Poly.evaluate, complexes.mat_rank
+    # d_1 (1 x 4) and d_2 (4 x 6) are evaluated, each from its plan, and
+    # ranked; the six a^2 quadrics are evaluated one polynomial at a time
+    # at the one point of the locus
+    counts = {"evaluate": 0, "rank": 0, (1, 4): 0, (4, 6): 0}
+    evaluate, evaluator, rank = Poly.evaluate, Matrix.evaluator, complexes.mat_rank
 
     def counted_evaluate(*args, **kwargs):
         counts["evaluate"] += 1
         return evaluate(*args, **kwargs)
 
+    def counted_evaluator(self, *args):
+        at, shape = evaluator(self, *args), (self.nrows, self.ncols)
+
+        def counted_at(coords):
+            counts[shape] = counts.get(shape, 0) + 1
+            return at(coords)
+        return counted_at
+
     def counted_rank(*args):
         counts["rank"] += 1
         return rank(*args)
     monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
+    monkeypatch.setattr(Matrix, "evaluator", counted_evaluator)
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
     pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
     assert pts == {(0, 0, 0, 0)}
-    assert counts == {"evaluate": 28 * 157 + 6 * 1, "rank": 2 * 157}
+    assert counts == {"evaluate": 6 * 1, "rank": 2 * 157,
+                      (1, 4): 157, (4, 6): 157}

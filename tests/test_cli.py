@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -653,9 +654,59 @@ def _point_sets():
         (finite_field(9), set(product(range(9), repeat=2))),
         (F16, {(5, 5), (5, 11), (11, 5), (0, 5)}),
         (F16, {(c,) for c in range(16)}),
+        (F7, {()}),
     ]
 
 
 @pytest.mark.parametrize("field, pts", _point_sets())
 def test_point_list_matches_the_per_coordinate_conversion(field, pts):
     assert cli.point_list(field, pts) == _each_coordinate(field, pts)
+
+
+def test_zero_variable_locus_prints_the_empty_point(capsys, tmp_path):
+    # F_5^0 is one point, the empty tuple; H_0 of [0] : F_5 -> F_5 is 1
+    # there, so the locus is that point and prints as [[]]
+    path = _write(tmp_path, "point.cc", {
+        "type": "free-complex",
+        "ring": {"field": {"kind": "prime-field", "p": 5}, "variables": []},
+        "ranks": [1, 1], "differentials": [[["0"]]]})
+    code, out = run(capsys, "jumploci", "--complex", path, "--i", "0",
+                    "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["results"]["by_extension"]["1"]["points"] == [[]]
+    assert '"points": [\n          []\n        ]' in out
+
+
+@pytest.mark.parametrize("field, entry", [
+    ({"kind": "prime-field", "p": 7}, "(x + y + 1)^300"),
+    ({"kind": "prime-field", "p": 7}, "(x + 1)^20000"),
+    ({"kind": "rationals"}, "2^3000000000"),
+])
+def test_a_power_past_the_parser_bound_is_an_error_report(field, entry, capsys,
+                                                          tmp_path):
+    # the first two ran for 5 s and over 30 s, the third ended in a
+    # MemoryError; the document over Q is read over Q, without --q
+    path = _write(tmp_path, "power.cc", {
+        "type": "free-complex",
+        "ring": {"field": field, "variables": ["x", "y"]},
+        "ranks": [1, 1], "differentials": [[[entry]]]})
+    code, out = run(capsys, "jumploci", "--complex", path, "--i", "0",
+                    "--format", "structured")
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "ResourceLimitError"
+    assert "MAX_POWER_SIZE" in err["message"]
+
+
+def test_a_huge_prime_q_is_factored_without_trial_division(capsys):
+    # a prime near 10^18: the F_3 document cannot be read over it, which is
+    # reported at once, where trial division of q ran for many seconds
+    started = time.perf_counter()
+    code, out = run(capsys, "jumploci", "--complex", SAMPLES + "koszul2.cc",
+                    "--i", "0", "--q", "1000000000000000003",
+                    "--format", "structured")
+    assert time.perf_counter() - started < 5
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "DocumentError"
+    assert "F1000000000000000003" in err["message"]

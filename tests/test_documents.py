@@ -134,3 +134,60 @@ def test_dumps_refuses_values_json_refuses_and_keys_that_are_not_strings():
             dumps(doc)
     with pytest.raises(TypeError):
         dumps({1: 0})
+
+
+# Arrays shaped like point lists, which reach the column-by-column writer:
+# lists of rows of one length of ints and strings (non-ASCII included), and
+# near misses that must take the general path: ragged rows, tuple rows, and
+# a bool, float or None among the cells (True beside a 1 above all).
+_CELLS = st.one_of(st.integers(), _STRINGS)
+_ODD_CELLS = st.one_of(st.booleans(), st.floats(), st.none(), st.just(1))
+
+
+@st.composite
+def _point_arrays(draw):
+    k = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=8))
+    if rows and draw(st.booleans()):
+        n = draw(st.integers(0, len(rows) - 1))
+        miss = draw(st.sampled_from(["ragged", "tuple", "cell", "true"]))
+        if miss == "ragged":
+            rows[n] = rows[n] + [draw(_CELLS)]
+        elif miss == "tuple":
+            rows[n] = tuple(rows[n])
+        elif k:
+            j = draw(st.integers(0, k - 1))
+            rows[n][j] = draw(_ODD_CELLS) if miss == "cell" else True
+            if miss == "true":  # True and 1 are one key of a dict
+                rows.append(rows[n][:j] + [1] + rows[n][j + 1:])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_point_arrays(), st.dictionaries(_STRINGS, _point_arrays()),
+                 st.lists(_point_arrays(), max_size=3)))
+def test_point_arrays_are_written_as_json_dumps_writes(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert dumps(doc) == want
+    out = io.StringIO()
+    dump(doc, out)
+    assert out.getvalue() == want
+
+
+def test_a_large_point_list_is_written_in_bounded_chunks():
+    # 101^2 points of F_101^2, as a jump locus prints them
+    doc = {"points": [[a, b] for a in range(101) for b in range(101)],
+           "strings": [["u + %d" % a, "é"] for a in range(3000)],
+           "flags": [[True, 1], [1, True]] * 1500}
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    sizes = []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+    out = Out()
+    dump(doc, out)
+    if out.getvalue() != want:  # no diff of half a megabyte
+        pytest.fail("dump wrote other text than json.dumps")
+    assert max(sizes) < len(want) // 4

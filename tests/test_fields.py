@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from jumploci.errors import PreconditionError, ResourceLimitError
 from jumploci.fields import (_TABLE_CAP, ExtensionField, PrimeField,
                              _polymulmod, extension_of, factor_prime_power,
-                             field_make, finite_field, irreducible_modulus)
+                             field_make, finite_field, irreducible_modulus,
+                             is_prime)
 
 
 def test_field_make_prime():
@@ -44,6 +45,46 @@ def test_factor_prime_power():
     assert factor_prime_power(7) == (7, 1)
     with pytest.raises(PreconditionError):
         factor_prime_power(12)
+
+
+def test_factor_prime_power_of_every_order_up_to_the_table_cap():
+    # the reference: a sieve of the primes, and their powers
+    n = _TABLE_CAP
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(sieve[d * d::d]))
+    want = {}
+    for p in range(2, n + 1):
+        if sieve[p]:
+            q, m = p, 1
+            while q <= n:
+                want[q] = (p, m)
+                q, m = q * p, m + 1
+    for q in range(2, n + 1):
+        if q in want:
+            assert factor_prime_power(q) == want[q]
+        else:
+            with pytest.raises(PreconditionError):
+                factor_prime_power(q)
+    assert all(is_prime(p) == bool(sieve[p]) for p in range(n + 1))
+
+
+def test_primality_past_trial_division():
+    # Carmichael numbers, and strong pseudoprimes to the bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(1000000000000000003) and is_prime(2 ** 61 - 1)
+    assert factor_prime_power(1000000000000000003) == (1000000000000000003, 1)
+    assert factor_prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
+    assert factor_prime_power(3 ** 40) == (3, 40)
+    for q in (10 ** 18, 1000000007 * 1000000009, 6 ** 30):
+        with pytest.raises(PreconditionError):
+            factor_prime_power(q)
+    # past the range where the bases decide exactly, a report
+    with pytest.raises(ResourceLimitError):
+        is_prime(10 ** 30 + 57)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 25])

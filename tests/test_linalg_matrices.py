@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals
+from jumploci.fields import PrimeField, Rationals, extension_of
 from jumploci.linalg import mat_rank
 from jumploci.matrices import (Matrix, all_minors, block_diag_minors_ideal,
                                minors_ideal)
@@ -88,3 +89,62 @@ def test_matrix_shape_checks():
     M = Matrix.zero(R, 0, 3)
     assert M.nrows == 0 and M.ncols == 3
     assert all_minors(M, 1) == []
+
+
+# Matrix.evaluate runs through the matrix's evaluation plan; the reference is
+# Poly.evaluate entry by entry.  Cases: Q, F_p, a ring over F_p evaluated in
+# F_{p^m} through the prime field's embedding, and Laurent F_p[t^±1] at
+# torus points, with negative exponents; zero and constant entries, and
+# 0 x n and n x 0 shapes.
+@st.composite
+def _evaluation_cases(draw):
+    kind = draw(st.sampled_from(["rationals", "prime", "extension", "laurent"]))
+    nvars = draw(st.integers(0, 3))
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    base = Q if kind == "rationals" else PrimeField(draw(st.sampled_from([2, 3, 5])))
+    laurent = kind == "laurent"
+    ring = Ring(base, ("x", "y", "z")[:nvars], laurent=laurent)
+    if kind == "extension":
+        field, embed = extension_of(base, draw(st.integers(2, 3)))
+    else:
+        field, embed = base, None
+    if base.is_finite:
+        coeffs = st.integers(1, base.order - 1)
+    else:
+        coeffs = st.fractions(-9, 9, max_denominator=5).filter(bool)
+    exps = st.tuples(*[st.integers(-3 if laurent else 0, 3)] * nvars)
+
+    def entry():
+        p = ring.zero()
+        for e, c in draw(st.dictionaries(exps, coeffs, max_size=4)).items():
+            p = p + ring.monomial(e, c)
+        return p
+    M = Matrix(ring, nrows, ncols,
+               [[entry() for _ in range(ncols)] for _ in range(nrows)])
+    if field.is_finite:
+        low = 1 if laurent else 0
+        values = st.integers(low, field.order - 1)
+    else:
+        values = st.fractions(-9, 9, max_denominator=5)
+    points = draw(st.lists(st.tuples(*[values] * nvars), min_size=1, max_size=3))
+    return M, field, embed, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_evaluation_cases())
+def test_matrix_evaluate_is_entrywise_poly_evaluate(case):
+    M, field, embed, points = case
+    at = M.evaluator(field, embed)  # one plan, applied at every point
+    for coords in points:
+        want = [[p.evaluate(coords, field, embed) for p in row]
+                for row in M.entries]
+        assert M.evaluate(coords, field, embed) == want
+        assert at(coords) == want
+    assert len(want) == M.nrows and all(len(r) == M.ncols for r in want)
+
+
+def test_matrix_evaluate_of_empty_shapes():
+    R = Ring(F5, ("x",))
+    assert Matrix.zero(R, 0, 3).evaluate((2,)) == []
+    assert Matrix.zero(R, 3, 0).evaluate((2,)) == [[], [], []]
+    assert Matrix(R, 1, 2, [[R.const(3), R.zero()]]).evaluate((2,)) == [[3, 0]]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumploci.errors import ParseError, PreconditionError
+from jumploci.errors import ParseError, PreconditionError, ResourceLimitError
 from jumploci.fields import PrimeField, Rationals, finite_field
 from jumploci.rings import (Ideal, Ring, parse_poly, poly_to_str, unit_ideal,
                             zero_ideal)
@@ -48,6 +48,27 @@ def test_negative_power_of_a_non_unit_is_a_parse_error(laurent, text):
     R = Ring(F5, ("t",) if laurent else ("x",), laurent=laurent)
     with pytest.raises(ParseError, match="negative power of a non-unit"):
         parse_poly(R, text)
+
+
+@pytest.mark.parametrize("field, text", [
+    (PrimeField(7), "(x + y + 1)^300"), (PrimeField(7), "(x + 1)^20000"),
+    (PrimeField(7), "(x*y + 1)^3000"), (Q, "2^3000000000"),
+    (Q, "(1/2)^-3000000000"), (Q, "(x + 1)^45")])
+def test_a_power_past_the_size_bound_is_refused(field, text):
+    # sizes 301^2, 20001, 3001^2, 3*10^9 * 2 bits, 3*10^9 * 2 bits, and
+    # 46 terms * 45 bits, each past 2048
+    R = Ring(field, ("x", "y"))
+    with pytest.raises(ResourceLimitError, match="MAX_POWER_SIZE = 2048"):
+        parse_poly(R, text)
+
+
+@pytest.mark.parametrize("field, text, terms", [
+    (PrimeField(7), "(x + y + 1)^44", 168), (PrimeField(7), "7^3000000000", 0),
+    (PrimeField(7), "x^3000000000", 1), (PrimeField(7), "(x - x)^3000000000", 0),
+    (Q, "2^1024", 1), (Q, "(x + 1)^44", 45)])
+def test_a_power_within_the_size_bound_is_expanded(field, text, terms):
+    R = Ring(field, ("x", "y"))
+    assert len(parse_poly(R, text).terms) == terms
 
 
 ROUND_TRIP_FIELDS = (Q, F5, finite_field(8), finite_field(9), finite_field(25))
