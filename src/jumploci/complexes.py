@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
 from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
                        standard_monomial_count, syzygy_matrix)
-from .linalg import mat_mul, mat_rank, mat_rank_stacked
+from .linalg import mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
-from .rings import Ring, unit_ideal, zero_ideal
-from .smith import (_dense_divisors, kernel_positions, line_restriction,
-                    smith_divisors, smith_normal_form, snf_solve,
-                    vanishing_counts)
+from .rings import Poly, Ring, unit_ideal, zero_ideal
+from .smith import (_dense_divisors, kernel_positions, smith_divisors,
+                    smith_normal_form, snf_solve, vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where)
 
@@ -189,14 +188,12 @@ def validate_presented(E, sample_field=None):
                     "supply a finite sample field")
             F = sample_field
             emb = coefficient_embedding(ring.field, F)
-            d_at, src_at, dst_at = (m.evaluator(F, emb)
-                                    for m in (d, rel_src, rel_dst))
+            moved_at, dst_at = (m.evaluator(F, emb) for m in (moved, rel_dst))
             if comp is not None:
                 comp_at = comp.evaluator(F, emb)
                 dst2_at = E.relations(i - 2).evaluator(F, emb)
             for coords in enumerate_coords(F, ring.nvars, on_torus(ring)):
-                rd = dst_at(coords)
-                moved_v = mat_mul(F, d_at(coords), src_at(coords))
+                rd, moved_v = dst_at(coords), moved_at(coords)
                 if mat_rank_stacked(F, [rd, moved_v]) != mat_rank(F, rd):
                     return Verdict(False,
                                    "d_%d fails to preserve relations at point %r"
@@ -223,29 +220,30 @@ def homology_dim_at(E, i, field, embed=None):
     of (rank [d | R_t] - rank R_t), R_t the relations of the term d lands
     in.  The R_i terms cancel against d_{i+1}, and d_i counts only when it
     is nonempty.  Empty blocks are dropped here, so a free complex
-    evaluates and ranks d_i and d_{i+1} only.  Each block's evaluation plan
-    is built once here and applied at every point."""
+    evaluates and ranks d_i and d_{i+1} only.  Each distinct block's plan
+    is built once here and applied once per point: R_{i-1}, read by two
+    ranks, is evaluated once."""
     emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
-
-    def live(*blocks):
-        return [m for m in blocks if m.nrows and m.ncols]
-
     d_out, rel_prev = E.differential(i), E.relations(i - 1)
-    signed = [(-1, live(E.differential(i + 1), E.relations(i)))]
-    if live(d_out):
-        signed += [(-1, live(d_out, rel_prev)), (1, live(rel_prev))]
-    terms = [(sign, [m.evaluator(field, emb) for m in blocks])
-             for sign, blocks in signed if blocks]
+    signed = [(-1, (E.differential(i + 1), E.relations(i)))]
+    if d_out.nrows and d_out.ncols:
+        signed += [(-1, (d_out, rel_prev)), (1, (rel_prev,))]
+    live = [(sign, [m for m in blocks if m.nrows and m.ncols])
+            for sign, blocks in signed]
+    distinct = {id(m): m for _, blocks in live for m in blocks}
+    plans = {key: m.evaluator(field, emb) for key, m in distinct.items()}
+    terms = [(sign, [id(m) for m in blocks]) for sign, blocks in live if blocks]
     g_i = E.gens(i)
 
-    def rank(blocks):
-        if len(blocks) == 1:  # nothing to concatenate, so no copy
-            return mat_rank(field, blocks[0])
-        return mat_rank_stacked(field, blocks)
+    def rank(values):
+        if len(values) == 1:  # nothing to concatenate, so no copy
+            return mat_rank(field, values[0])
+        return mat_rank_stacked(field, values)
 
     def dim(coords):
-        return g_i + sum(sign * rank([at(coords) for at in blocks])
-                         for sign, blocks in terms)
+        values = {key: at(coords) for key, at in plans.items()}
+        return g_i + sum(sign * rank([values[k] for k in keys])
+                         for sign, keys in terms)
     return dim
 
 
@@ -318,9 +316,10 @@ def _conical_jump_points(E, i, d, field, torus, emb):
     dim H_i is constant on every punctured line through 0.
 
     The origin is tested once (off the torus).  Chart k sets x_1..x_k = 0
-    and x_{k+1} = 1 (only x_1 = 1 on the torus), leaving a free complex in
-    x_{k+2}..x_r whose locus jump_locus_points finds by its own rule; every
-    point of it is then scaled by every λ in F^x."""
+    and x_{k+1} = 1 (only x_1 = 1 on the torus) through the plans of d_i
+    and d_{i+1} that keep x_{k+2}..x_r, leaving a free complex in them (in
+    none for k = r - 1) whose locus jump_locus_points finds by its own
+    rule; every point of it is then scaled by every λ in F^x."""
     F, ring = field, E.ring
     r = ring.nvars
     out = set()
@@ -330,10 +329,13 @@ def _conical_jump_points(E, i, d, field, torus, emb):
     for k in range(1 if torus else r):
         tail = Ring(F, ring.variables[k + 1:], laurent=ring.laurent)
         zeros = (F.zero,) * k
+        prefix, diffs = zeros + (F.one,), []
+        for M in (E.differential(i), E.differential(i + 1)):
+            grid = M.evaluator(F, emb, tail)(prefix)
+            diffs.append(Matrix(tail, M.nrows, M.ncols,
+                                [[Poly(tail, t) for t in row] for row in grid]))
         chart = FreeChainComplex(
-            tail, [E.rank(i - 1), E.rank(i), E.rank(i + 1)],
-            [line_restriction(E.differential(j), tail, emb)(zeros + (F.one,))
-             for j in (i, i + 1)])
+            tail, [E.rank(i - 1), E.rank(i), E.rank(i + 1)], diffs)
         for p in jump_locus_points(chart, 1, d, F, torus):
             for lam in units:
                 out.add(zeros + (lam,) + tuple([mul(lam, c) for c in p]))
@@ -344,21 +346,24 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
     """The jump locus of a free complex, one line x_1..x_{r-1} = h at a time.
 
     Substituting the head h turns d_i and d_{i+1} into matrices over F[t]
-    (F[t^±1] for a Laurent ring), t = x_r.  If M = U diag(δ_1 | δ_2 | ...) V
-    with U, V unimodular, rank M(b) is the number of δ_k with δ_k(b) != 0,
-    so dim H_i(h, b) = c_i - #divisors + #divisors vanishing at b.  The
-    divisors form a chain, so the ones vanishing at b are a suffix: only the
-    last one is solved on the line, the others are evaluated at its roots,
-    and a line whose divisors are all constant has one value throughout."""
+    (F[t^±1] for a Laurent ring), t = x_r, whose rows of term dicts the
+    plans that keep x_r hand to the Smith worker: no Poly or Matrix per
+    head.  If M = U diag(δ_1 | δ_2 | ...) V with U, V unimodular, rank M(b)
+    is the number of δ_k with δ_k(b) != 0, so dim H_i(h, b) = c_i -
+    #divisors + #divisors vanishing at b.  The divisors form a chain, so
+    the ones vanishing at b are a suffix: only the last one is solved on
+    the line, the others are evaluated at its roots, and a line whose
+    divisors are all constant has one value throughout."""
     F = field
     line = Ring(F, E.ring.variables[-1:], laurent=E.ring.laurent)
-    restrict = [line_restriction(E.differential(k), line, emb)
-                for k in (i, i + 1)]
+    restrict = [(M.evaluator(F, emb, line), M.ncols)
+                for M in (E.differential(i), E.differential(i + 1))]
     fiber = [b for (b,) in enumerate_coords(F, 1, torus)]
     c_i = E.rank(i)
     out = set()
     for head in enumerate_coords(F, E.ring.nvars - 1, torus):
-        chains = [_dense_divisors(at(head)) for at in restrict]
+        chains = [_dense_divisors(line, at(head), ncols)
+                  for at, ncols in restrict]
         # how many divisors must vanish at b for dim H_i >= d
         need = d - c_i + sum(len(ch) for ch in chains)
         if need <= 0:

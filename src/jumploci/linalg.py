@@ -55,21 +55,3 @@ def mat_rank_stacked(F, blocks):
         return 0
     return mat_rank(F, rows)
 
-
-def mat_mul(F, a, b):
-    if not a or not b:
-        return []
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[F.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c != F.zero:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j] != F.zero:
-                        oi[j] = F.add(oi[j], F.mul(c, bt[j]))
-    return out

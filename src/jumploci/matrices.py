@@ -91,30 +91,35 @@ class Matrix:
         """Entrywise evaluation; returns a list-of-lists scalar matrix."""
         return self.evaluator(field, coeff_map)(coords)
 
-    def evaluator(self, field=None, coeff_map=None):
+    def evaluator(self, field=None, coeff_map=None, kept=None):
         """The evaluation plan of this matrix: a callable coords -> the
         list-of-lists scalar matrix at coords, with `field` and `coeff_map`
-        as in Poly.evaluate.
+        as in Poly.evaluate.  Given `kept`, a ring over `field` in the last
+        kept.nvars variables, coords is the prefix of the others, and each
+        entry comes back as a term dict over `kept` with no zero coefficient.
 
-        The plan is built once: the distinct monomials of all entries, each
-        as its (variable, exponent) factors, and each entry as (monomial
-        index, embedded coefficient) pairs.  At a point each monomial is
-        valued once, and each entry is a short sum.  A coefficient 1 is
-        stored as None and costs no product."""
+        The plan is built once: the distinct monomials of all entries in
+        the substituted variables, each as its (variable, exponent) factors,
+        and each entry as (monomial index, kept exponents, embedded
+        coefficient) triples.  At a point each monomial is valued once, and
+        each entry is a short sum.  A coefficient 1 is stored as None and
+        costs no product."""
         F = field if field is not None else self.ring.field
+        split = self.ring.nvars - (kept.nvars if kept is not None else 0)
         one = F.one
         index = {}
 
-        def pair(e, c):
+        def triple(e, c):
             c = coeff_map(c) if coeff_map is not None else c
-            return index.setdefault(e, len(index)), (None if c == one else c)
+            return (index.setdefault(e[:split], len(index)), e[split:],
+                    None if c == one else c)
 
-        grid = [[[pair(e, c) for e, c in p.terms.items()] for p in row]
+        grid = [[[triple(e, c) for e, c in p.terms.items()] for p in row]
                 for row in self.entries]
         monomials = [[(v, k) for v, k in enumerate(e) if k] for e in index]
         add, mul, pow_, zero = F.add, F.mul, F.pow, F.zero
 
-        def at(coords):
+        def valued(coords):
             values = []
             for factors in monomials:
                 value = None
@@ -122,18 +127,36 @@ class Matrix:
                     x = coords[v] if k == 1 else pow_(coords[v], k)
                     value = x if value is None else mul(value, x)
                 values.append(one if value is None else value)
+            return values
+
+        def at(coords):
+            values = valued(coords)
             rows = []
             for row in grid:
                 out = []
                 for terms in row:
                     acc = None
-                    for m, c in terms:
+                    for m, _, c in terms:
                         v = values[m] if c is None else mul(c, values[m])
                         acc = v if acc is None else add(acc, v)
                     out.append(zero if acc is None else acc)
                 rows.append(out)
             return rows
-        return at
+
+        def at_prefix(coords):
+            values = valued(coords)
+            rows = []
+            for row in grid:
+                out = []
+                for terms in row:
+                    acc = {}
+                    for m, e, c in terms:
+                        v = values[m] if c is None else mul(c, values[m])
+                        acc[e] = add(acc[e], v) if e in acc else v
+                    out.append({e: c for e, c in acc.items() if c != zero})
+                rows.append(out)
+            return rows
+        return at if kept is None else at_prefix
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:

@@ -3,9 +3,12 @@
 Both rings are PIDs; the algorithm is the classical Euclidean one, done
 with explicit row/column transforms.  It runs on dense coefficient lists
 of field elements (lowest degree first and trimmed, so [] is zero and
-len - 1 the degree) through the field's own operations: a matrix becomes
-lists once on entry and Poly entries again once on exit.  Laurent input is
-first cleared by row shifts (unit scalings), so the elimination itself
+len - 1 the degree) through the field's own operations.  The worker takes
+rows of term dicts: a Matrix gives its entries' terms and gets Poly
+entries back once on exit, while the fibered route of `complexes` hands
+it the term dicts of a Matrix.evaluator plan at each head and keeps the
+divisors as lists, so no Poly or Matrix is built per head.  Laurent input
+is first cleared by row shifts (unit scalings), so the elimination itself
 always runs on ordinary polynomials.  Divisors are normalized per the ring:
 monic, and for Laurent rings additionally shifted so the lowest exponent
 is 0.
@@ -172,23 +175,27 @@ class _Worker:
         return None
 
 
-def _diagonalize(matrix, transforms):
-    """Run the elimination and normalize the diagonal: monic, and (Laurent)
-    lowest exponent 0, with the row of U scaled to match.  Returns the
-    worker, the power of t that each row of U is still to be multiplied
-    by, and the nonzero divisors as coefficient lists."""
-    ring = matrix.ring
-    if ring.nvars != 1:
+def _rows(matrix):
+    """The entries of a matrix over a univariate ring as term dicts."""
+    if matrix.ring.nvars != 1:
         raise UnsupportedRingError(
             "Smith normal form requires a univariate ring, got %d variables"
-            % ring.nvars)
+            % matrix.ring.nvars)
+    return [[p.terms for p in row] for row in matrix.entries]
+
+
+def _diagonalize(ring, rows, ncols, transforms):
+    """Run the elimination on `rows`, term dicts over the univariate ring
+    `ring`, and normalize the diagonal: monic, and (Laurent) lowest
+    exponent 0, with the row of U scaled to match.  Returns the worker,
+    the power of t that each row of U is still to be multiplied by, and
+    the nonzero divisors as coefficient lists."""
     F = ring.field
-    rows = [[p.terms for p in row] for row in matrix.entries]
     # each row of a Laurent matrix times the least t^s, s >= 0, that leaves
     # no negative exponent: a unit scaling
     shifts = ([-min([min(terms)[0] for terms in row if terms] + [0])
                for row in rows] if ring.laurent else [0] * len(rows))
-    w = _Worker(F, rows, matrix.ncols, shifts, transforms)
+    w = _Worker(F, rows, ncols, shifts, transforms)
     w.run()
     u_shifts = [0] * w.m
     divisors = []
@@ -215,8 +222,9 @@ def smith_normal_form(matrix):
     d_1 | d_2 | ..., normalized to monic with lowest exponent 0 (Laurent).
     U and V are invertible over the ring; V's inverse is included.
     """
-    w, u_shifts, divisors = _diagonalize(matrix, True)
     ring = matrix.ring
+    w, u_shifts, divisors = _diagonalize(ring, _rows(matrix), matrix.ncols,
+                                         True)
 
     def back(grid, ncols, shifts=None):
         shifts = shifts or [0] * len(grid)
@@ -227,9 +235,10 @@ def smith_normal_form(matrix):
                      divisors=tuple(_poly(ring, c) for c in divisors))
 
 
-def _dense_divisors(matrix):
-    """smith_divisors(matrix) as coefficient lists, lowest degree first."""
-    return _diagonalize(matrix, False)[2]
+def _dense_divisors(ring, rows, ncols):
+    """The invariant factors of `rows`, term dicts over the univariate
+    `ring`, as coefficient lists, lowest degree first."""
+    return _diagonalize(ring, rows, ncols, False)[2]
 
 
 def smith_divisors(matrix):
@@ -237,35 +246,9 @@ def smith_divisors(matrix):
     smith_normal_form(matrix).divisors, without the U, V and V^{-1}
     bookkeeping.  Over a PID, rank A(b) is the number of them that do not
     vanish at b, for every b where the ring's units stay units."""
-    return tuple(_poly(matrix.ring, c) for c in _dense_divisors(matrix))
-
-
-def line_restriction(M, line, emb=None):
-    """A callable head -> M with x_1..x_k set to head: a matrix over
-    `line`, the (Laurent) ring in the remaining variables over the field of
-    the heads, so k = r - 1 for a line and less for a chart.  `emb` maps
-    M's coefficients into that field (None: unchanged)."""
-    F = line.field
-    split = M.ring.nvars - line.nvars
-    grid = [[[(e[:split], e[split:], emb(c) if emb is not None else c)
-              for e, c in p.terms.items()] for p in row] for row in M.entries]
-
-    def at(head):
-        rows = []
-        for row in grid:
-            out = []
-            for terms in row:
-                acc = {}
-                for head_exps, e, c in terms:
-                    for x, k in zip(head, head_exps):
-                        if k:
-                            c = F.mul(c, F.pow(x, k))
-                    acc[e] = F.add(acc.get(e, F.zero), c)
-                out.append(Poly(line, {e: c for e, c in acc.items()
-                                       if c != F.zero}))
-            rows.append(out)
-        return Matrix(line, M.nrows, M.ncols, rows)
-    return at
+    ring = matrix.ring
+    return tuple(_poly(ring, c)
+                 for c in _dense_divisors(ring, _rows(matrix), matrix.ncols))
 
 
 def _horner(F, coeffs, values):

@@ -16,7 +16,7 @@ from jumploci.rings import Poly, unit_ideal, zero_ideal
 from jumploci.varieties import (extension_fields, points_where,
                                 zero_locus_points)
 
-from oracles import base_change, rank_by_minors
+from oracles import _matmul_mod_p, base_change, rank_by_minors
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -266,7 +266,6 @@ def test_experiment_zero_trials_error():
 
 def test_aomoto_composes_to_zero():
     # delta(a) . delta(a) = 0 for every square-zero a of every sampled algebra
-    from jumploci.linalg import mat_mul
     for field in (F3, F5):
         for seed in range(5):
             A = sample_cga(BShape((1, 2, 2)), field, "dd:%d" % seed)
@@ -276,7 +275,7 @@ def test_aomoto_composes_to_zero():
                     lo, hi = delta(A, coords, i), delta(A, coords, i + 1)
                     if not lo or not hi:
                         continue
-                    prod = mat_mul(field, hi, lo)
+                    prod = _matmul_mod_p(hi, lo, field.order)
                     assert all(c == field.zero for row in prod for c in row)
 
 
@@ -294,8 +293,10 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     # complex is conical, so only the origin and the chart points of P^3
     # are ranked, 157 = 1 + 125 + 25 + 5 + 1 of the 625, and at each only
     # d_1 (1 x 4) and d_2 (4 x 6) are evaluated, each from its plan, and
-    # ranked; the six a^2 quadrics are evaluated one polynomial at a time
-    # at the one point of the locus
+    # ranked; each of the 4 charts substitutes its prefix into d_1 and d_2
+    # once, through plans that keep the chart's variables; the six a^2
+    # quadrics are evaluated one polynomial at a time at the one point of
+    # the locus
     counts = {"evaluate": 0, "rank": 0, (1, 4): 0, (4, 6): 0}
     evaluate, evaluator, rank = Poly.evaluate, Matrix.evaluator, complexes.mat_rank
 
@@ -303,11 +304,14 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
         counts["evaluate"] += 1
         return evaluate(*args, **kwargs)
 
-    def counted_evaluator(self, *args):
-        at, shape = evaluator(self, *args), (self.nrows, self.ncols)
+    def counted_evaluator(self, field=None, coeff_map=None, kept=None):
+        at = evaluator(self, field, coeff_map, kept)
+        key = (self.nrows, self.ncols)
+        if kept is not None:
+            key = ("chart",) + key
 
         def counted_at(coords):
-            counts[shape] = counts.get(shape, 0) + 1
+            counts[key] = counts.get(key, 0) + 1
             return at(coords)
         return counted_at
 
@@ -320,4 +324,5 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
     assert pts == {(0, 0, 0, 0)}
     assert counts == {"evaluate": 6 * 1, "rank": 2 * 157,
-                      (1, 4): 157, (4, 6): 157}
+                      (1, 4): 157, (4, 6): 157,
+                      ("chart", 1, 4): 4, ("chart", 4, 6): 4}

@@ -390,9 +390,9 @@ def _count_divisor_calls(monkeypatch):
     calls = []
     real = complexes._dense_divisors
 
-    def counted(M):
-        calls.append(M)
-        return real(M)
+    def counted(ring, rows, ncols):
+        calls.append(rows)
+        return real(ring, rows, ncols)
     monkeypatch.setattr(complexes, "_dense_divisors", counted)
     return calls
 
@@ -419,6 +419,43 @@ def test_fibered_koszul_over_f729_counts(monkeypatch):
     E = koszul_complex(F3)
     assert jump_locus_points(E, 1, 1, F) == {(0, 0)}
     assert 0 < len(calls) <= 2 * 729
+
+
+def test_fibered_route_builds_no_matrix_or_poly_per_head(monkeypatch):
+    # each head's d_1 and d_2 go from their plans to the Smith worker as
+    # term dicts: 2 Smith forms per head of F_16, and no Matrix or Poly
+    F = finite_field(16)
+    E = random_bivariate_complex(F, 3)
+    want = _table_locus(homology_dims_table(E, F), 1, 1)
+    calls = _count_divisor_calls(monkeypatch)
+    built = []
+    for cls in (Matrix, Poly):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert jump_locus_points(E, 1, 1, F) == want
+    assert len(calls) == 2 * 16
+    assert built == []
+
+
+def test_pointwise_homology_evaluates_each_block_once_per_point(monkeypatch):
+    # F_5[x] --1--> F_5[x]/(x): dim H_1 = 1 - (rank [1 | x] - rank [x])
+    # reads the relations [x] twice per point and evaluates them once
+    applied = {}
+    evaluator = Matrix.evaluator
+
+    def counted_evaluator(self, *args):
+        at = evaluator(self, *args)
+
+        def counted_at(coords):
+            applied[repr(self)] = applied.get(repr(self), 0) + 1
+            return at(coords)
+        return counted_at
+    monkeypatch.setattr(Matrix, "evaluator", counted_evaluator)
+    dim_at = homology_dim_at(augmentation_complex(F5), 1, F5)
+    assert [dim_at((a,)) for a in range(5)] == [0, 1, 1, 1, 1]
+    assert applied == {"[1]": 5, "[x]": 5}
 
 
 # -- the cone route: the origin, the charts of P^{r-1}, and scaling ---------------

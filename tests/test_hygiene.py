@@ -127,6 +127,43 @@ def _uses(node):
     return found
 
 
+def _calls(node):
+    """How often each name is called as a method, `x.<name>(...)`, in
+    `node`."""
+    return Counter(sub.func.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Call)
+                   and isinstance(sub.func, ast.Attribute))
+
+
+def _is_property(node):
+    return any(isinstance(dec, ast.Name) and dec.id == "property"
+               for dec in node.decorator_list)
+
+
+def _uncalled(trees, exempt):
+    """The public definitions of `trees` ({file name: module}) without a
+    caller.  A function or class has one when its name occurs outside its
+    own body; a method that is not a property, only when `x.<name>(...)`
+    is called outside its own body.  Command handlers (`cmd_*`) and the
+    qualified names in `exempt` are let through."""
+    uses, calls = Counter(), Counter()
+    for tree in trees.values():
+        uses.update(_uses(tree))
+        calls.update(_calls(tree))
+    uncalled = []
+    for fname, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            name = node.name
+            if "." in qualified and not _is_property(node):
+                used = calls[name] > _calls(node)[name]
+            else:
+                used = uses[name] > _uses(node)[name]
+            if used or name.startswith("cmd_") or qualified in exempt:
+                continue
+            uncalled.append("%s:%s" % (fname, qualified))
+    return uncalled
+
+
 def _public_definitions(tree):
     """(qualified name, node) of each public module-level function and
     class of a module, and of each public method of such a class."""
@@ -168,16 +205,32 @@ def test_public_names_have_a_caller():
     src = os.path.join(ROOT, "src", "jumploci")
     trees = {name: _parse(os.path.join(src, name))
              for name in sorted(os.listdir(src)) if name.endswith(".py")}
-    uses = Counter()
-    for tree in trees.values():
-        uses.update(_uses(tree))
-    exempt = _benchmark_names() | KEEP
-    uncalled = []
-    for fname, tree in trees.items():
-        for qualified, node in _public_definitions(tree):
-            name = node.name
-            if (uses[name] > _uses(node)[name] or name.startswith("cmd_")
-                    or qualified in exempt):
-                continue
-            uncalled.append("%s:%s" % (fname, qualified))
-    assert uncalled == []
+    assert _uncalled(trees, _benchmark_names() | KEEP) == []
+
+
+def test_uncalled_names_a_method_that_is_only_read():
+    """A method whose name is only read as an attribute, as
+    `FinVerdict.is_finite` was through every `field.is_finite`, or that
+    only calls itself, has no caller; a property read has one."""
+    tree = ast.parse(
+        "class Verdict:\n"
+        "    @property\n"
+        "    def order(self):\n"
+        "        return 1\n"
+        "    def is_finite(self):\n"
+        "        return True\n"
+        "    def add(self, other):\n"
+        "        return self\n"
+        "    def spin(self):\n"
+        "        return self.spin()\n"
+        "def helper():\n"
+        "    return 0\n"
+        "def lonely():\n"
+        "    return lonely\n"
+        "def cmd_run(field):\n"
+        "    return field.is_finite, field.order, field.add(helper())\n")
+    assert _uncalled({"m.py": tree}, set()) == [
+        "m.py:Verdict", "m.py:Verdict.is_finite", "m.py:Verdict.spin",
+        "m.py:lonely"]
+    assert _uncalled({"m.py": tree}, {"Verdict", "lonely"}) == [
+        "m.py:Verdict.is_finite", "m.py:Verdict.spin"]

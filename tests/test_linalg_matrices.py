@@ -8,7 +8,8 @@ from jumploci.fields import PrimeField, Rationals, extension_of
 from jumploci.linalg import mat_rank
 from jumploci.matrices import (Matrix, all_minors, block_diag_minors_ideal,
                                minors_ideal)
-from jumploci.rings import Ideal, Ring, unit_ideal, zero_ideal
+from jumploci.rings import (Ideal, Poly, Ring, parse_poly, unit_ideal,
+                            zero_ideal)
 
 from oracles import block_diag, det, det_mod_p, rank_by_minors
 
@@ -127,20 +128,50 @@ def _evaluation_cases(draw):
     else:
         values = st.fractions(-9, 9, max_denominator=5)
     points = draw(st.lists(st.tuples(*[values] * nvars), min_size=1, max_size=3))
-    return M, field, embed, points
+    return M, field, embed, points, draw(st.integers(0, nvars))
 
 
+# With a prefix length k, the plan that keeps the last nvars - k variables
+# substitutes the first k coordinates; each returned term dict (no zero
+# coefficient), evaluated at the rest, is the entry's value at the point.
+# k = nvars keeps no variable and still gives term dicts.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_evaluation_cases())
 def test_matrix_evaluate_is_entrywise_poly_evaluate(case):
-    M, field, embed, points = case
+    M, field, embed, points, k = case
     at = M.evaluator(field, embed)  # one plan, applied at every point
+    kept = Ring(field, M.ring.variables[k:], laurent=M.ring.laurent)
+    at_prefix = M.evaluator(field, embed, kept)
     for coords in points:
         want = [[p.evaluate(coords, field, embed) for p in row]
                 for row in M.entries]
         assert M.evaluate(coords, field, embed) == want
         assert at(coords) == want
+        rows = at_prefix(coords[:k])
+        assert all(c != field.zero for row in rows for t in row
+                   for c in t.values())
+        assert [[Poly(kept, t).evaluate(coords[k:]) for t in row]
+                for row in rows] == want
     assert len(want) == M.nrows and all(len(r) == M.ncols for r in want)
+
+
+def test_evaluator_substitutes_a_head_or_a_chart_prefix():
+    # the fibered route keeps the last variable; the last chart of the
+    # conical route keeps none, and still gets term dicts
+    R2 = Ring(F5, ("x", "y"))
+    line, none = Ring(F5, ("y",)), Ring(F5, ())
+    M = Matrix(R2, 1, 2, [[parse_poly(R2, "x^2*y + 3*x"),
+                           parse_poly(R2, "y^2 - x*y")]])
+    at = M.evaluator(F5, None, line)
+    assert at((2,)) == [[{(1,): 4, (0,): 1}, {(2,): 1, (1,): 3}]]
+    assert at((0,)) == [[{}, {(2,): 1}]]
+    # x^2*y + 3*x vanishes at (2, 1), and no zero coefficient is kept
+    assert M.evaluator(F5, None, none)((2, 1)) == [[{}, {(): 4}]]
+    assert M.evaluator(F5, None, R2)(()) == [[p.terms for p in M.entries[0]]]
+    L2 = Ring(F5, ("x", "y"), laurent=True)
+    N = Matrix(L2, 1, 1, [[parse_poly(L2, "x^-1*y^-2 + x")]])
+    assert N.evaluator(F5, None, Ring(F5, ("y",), laurent=True))((2,)) == [
+        [{(-2,): 3, (0,): 2}]]
 
 
 def test_matrix_evaluate_of_empty_shapes():

@@ -7,9 +7,8 @@ from jumploci.errors import UnsupportedRingError
 from jumploci.fields import PrimeField, Rationals, finite_field, udivmod
 from jumploci.matrices import Matrix
 from jumploci.rings import Poly, Ring, parse_poly, poly_to_str
-from jumploci.smith import (_dense_divisors, kernel_matrix, line_restriction,
-                            smith_divisors, smith_normal_form, snf_solve,
-                            vanishing_counts)
+from jumploci.smith import (_dense_divisors, kernel_matrix, smith_divisors,
+                            smith_normal_form, snf_solve, vanishing_counts)
 
 from oracles import det, reference_smith_form, udivmod as poly_udivmod
 from oracles import upoly_gcd, upoly_mul
@@ -182,26 +181,18 @@ def test_vanishing_counts_read_a_divisor_chain():
     # 1 | t - 1 | (t - 1)(t - 2)(t + 1): at 1 two divisors vanish, at 2 and
     # at -1 = 4 one does; t alone vanishes only at 0, which the torus lacks
     R = Ring(F5, ("t",))
-    chain = _dense_divisors(Matrix(R, 3, 3, [
+    M = Matrix(R, 3, 3, [
         [R.one(), R.zero(), R.zero()],
         [R.zero(), _poly(R, "t - 1"), R.zero()],
-        [R.zero(), R.zero(), _poly(R, "(t - 1)*(t - 2)*(t + 1)")]]))
+        [R.zero(), R.zero(), _poly(R, "(t - 1)*(t - 2)*(t + 1)")]])
+    # the worker takes rows of term dicts, as a plan that keeps t gives them
+    chain = _dense_divisors(R, M.evaluator(F5, None, R)(()), 3)
     assert chain == [[1], [4, 1], [2, 4, 3, 1]]  # lowest degree first
     assert dict(vanishing_counts(F5, chain, range(5))) == {1: 2, 2: 1, 4: 1}
     line = ([0, 1],)
     assert dict(vanishing_counts(F5, line, range(5))) == {0: 1}
     assert dict(vanishing_counts(F5, line, range(1, 5), torus=True)) == {}
     assert dict(vanishing_counts(F5, ([1],), range(5))) == {}
-
-
-def test_line_restriction_substitutes_the_head():
-    R2 = Ring(F5, ("x", "y"))
-    line = Ring(F5, ("y",))
-    M = Matrix(R2, 1, 2, [[_poly(R2, "x^2*y + 3*x"), _poly(R2, "y^2 - x*y")]])
-    at = line_restriction(M, line)
-    assert at((2,)) == Matrix(line, 1, 2, [[_poly(line, "4*y + 1"),
-                                            _poly(line, "y^2 - 2*y")]])
-    assert at((0,)) == Matrix(line, 1, 2, [[line.zero(), _poly(line, "y^2")]])
 
 
 # -- the coefficient-list worker against the Poly oracle -----------------------
