@@ -200,7 +200,7 @@ def cmd_finiteness(args, A, nu):
 
 
 def cmd_alexander(args, P, nu):
-    F = finite_field(args.q) if args.q else Rationals()
+    F = finite_field(args.q) if args.q is not None else Rationals()
     pres, verdict = alexander_invariant(P, nu, F)
     result = {
         "generators": pres.gens,

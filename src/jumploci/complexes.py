@@ -16,8 +16,8 @@ from .linalg import mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
 from .rings import Poly, Ring, unit_ideal, zero_ideal
-from .smith import (_dense_divisors, kernel_positions, smith_divisors,
-                    smith_normal_form, snf_solve, vanishing_counts)
+from .smith import (_dense_divisors, smith_divisors, smith_normal_form,
+                    vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where)
 
@@ -143,19 +143,37 @@ def validate_complex(E):
     return Verdict(True, "complex valid: shapes consistent and d.d = 0")
 
 
-def _membership_solver(ring, matrix):
-    """Return a solve(rhs_columns) -> bool checking column-span membership."""
+def _first_outside(R, M):
+    """The index of the first column of M outside the column span of R, or
+    None, over a ring in at most one variable.  Over k[t] or k[t^±1], a
+    PID, c lies in span R exactly when R and [R | c] have the same Smith
+    divisors: coker R maps onto coker [R | c], a finitely generated module
+    is fixed by its invariant factors, and a surjection between isomorphic
+    finitely generated modules is injective (Vasconcelos 1969).  Over the
+    field itself the invariant is the rank at the one point ()."""
+    ring = R.ring
     if ring.nvars == 1:
-        snf = smith_normal_form(matrix)
-        return lambda col: snf_solve(snf, col) is not None
-    solver = ModuleSolver(matrix)
-    return lambda col: solver.solve(col) is not None
+        invariant = smith_divisors
+    else:
+        def invariant(A):
+            return mat_rank(ring.field, A.evaluate(()))
+    base = invariant(R)
+    for j in range(M.ncols):
+        col = M.col(j)
+        if all(p.is_zero() for p in col):
+            continue
+        augmented = Matrix(ring, R.nrows, R.ncols + 1,
+                           [R.row(r) + [col[r]] for r in range(R.nrows)])
+        if invariant(augmented) != base:
+            return j
+    return None
 
 
 def validate_presented(E, sample_field=None):
     """Check differentials map relations into relations and composites vanish
-    modulo relations.  Univariate rings get exact membership; multivariate
-    rings are checked pointwise over `sample_field` (required there)."""
+    modulo relations.  Rings in at most one variable get exact membership,
+    read from invariants (`_first_outside`); multivariate rings are checked
+    pointwise over `sample_field` (required there)."""
     ring = E.ring
     exact = ring.nvars <= 1
     for i in range(1, E.top + 1):
@@ -165,22 +183,17 @@ def validate_presented(E, sample_field=None):
         moved = d * rel_src
         comp = (E.differential(i - 1) * d) if i >= 2 else None
         if exact:
-            if moved.ncols and rel_dst.nrows:
-                member = _membership_solver(ring, rel_dst)
-                for j in range(moved.ncols):
-                    if not member(moved.col(j)):
-                        return Verdict(False,
-                                       "d_%d sends relation %d outside the relations"
-                                       % (i, j), (i, j))
-            if comp is not None and not comp.is_zero():
-                dst_rel = E.relations(i - 2)
-                member = _membership_solver(ring, dst_rel)
-                for j in range(comp.ncols):
-                    col = comp.col(j)
-                    if any(not p.is_zero() for p in col) and not member(col):
-                        return Verdict(False,
-                                       "d_%d . d_%d nonzero modulo relations at "
-                                       "generator %d" % (i - 1, i, j), (i, j))
+            j = _first_outside(rel_dst, moved)
+            if j is not None:
+                return Verdict(False,
+                               "d_%d sends relation %d outside the relations"
+                               % (i, j), (i, j))
+            if comp is not None:
+                j = _first_outside(E.relations(i - 2), comp)
+                if j is not None:
+                    return Verdict(False,
+                                   "d_%d . d_%d nonzero modulo relations at "
+                                   "generator %d" % (i - 1, i, j), (i, j))
         else:
             if sample_field is None or not sample_field.is_finite:
                 raise PreconditionError(
@@ -412,38 +425,30 @@ def prune_presentation(P):
     ring = P.ring
     rows = [list(r) for r in P.relations.entries]
     gens = P.gens
-    changed = True
-    while changed and gens:
-        changed = False
-        ncols = len(rows[0]) if rows and rows[0] is not None else 0
-        if not rows or ncols == 0:
+    while True:
+        # the first unit entry, generator by generator
+        pivot = next(((gi, cj) for gi, row in enumerate(rows)
+                      for cj, e in enumerate(row) if e.is_unit()), None)
+        if pivot is None:
             break
-        for gi in range(gens):
-            for cj in range(ncols):
-                e = rows[gi][cj]
-                if e.is_zero() or not e.is_unit():
-                    continue
-                # invert the unit: constant, or c*t^k in a Laurent ring
-                (exp, coeff), = e.terms.items()
-                inv = ring.monomial(tuple(-x for x in exp), ring.field.inv(coeff))
-                # clear the pivot column from the other columns
-                for c2 in range(ncols):
-                    if c2 == cj:
-                        continue
-                    factor = rows[gi][c2] * inv
-                    if factor.is_zero():
-                        continue
-                    for g2 in range(gens):
-                        rows[g2][c2] = rows[g2][c2] - factor * rows[g2][cj]
-                # drop generator gi and column cj
-                rows.pop(gi)
-                for r in rows:
-                    r.pop(cj)
-                gens -= 1
-                changed = True
-                break
-            if changed:
-                break
+        gi, cj = pivot
+        # invert the unit: constant, or c*t^k in a Laurent ring
+        (exp, coeff), = rows[gi][cj].terms.items()
+        inv = ring.monomial(tuple(-x for x in exp), ring.field.inv(coeff))
+        # clear the pivot column from the other columns
+        for c2 in range(len(rows[gi])):
+            if c2 == cj:
+                continue
+            factor = rows[gi][c2] * inv
+            if factor.is_zero():
+                continue
+            for row in rows:
+                row[c2] = row[c2] - factor * row[cj]
+        # drop generator gi and column cj
+        rows.pop(gi)
+        for r in rows:
+            r.pop(cj)
+        gens -= 1
     # drop zero relation columns
     ncols = len(rows[0]) if rows else 0
     keep = [j for j in range(ncols)
@@ -458,12 +463,13 @@ def _univariate_free_presentation(E, i):
     d_next = E.differential(i + 1)
     if i == 0:
         return ModulePresentation(ring, E.rank(0), d_next)
+    # ker d_i is spanned by the columns of V past the divisors, so H_i is
+    # presented by the rows of V^{-1} d_{i+1} past them
     snf = smith_normal_form(d_i)
-    positions = kernel_positions(snf)
     vin_d = snf.V_inv * d_next
-    rows = [[vin_d[p, j] for j in range(vin_d.ncols)] for p in positions]
-    rel = Matrix(ring, len(positions), vin_d.ncols, rows)
-    return ModulePresentation(ring, len(positions), rel)
+    rows = vin_d.entries[len(snf.divisors):]
+    return ModulePresentation(ring, len(rows),
+                              Matrix(ring, len(rows), vin_d.ncols, rows))
 
 
 def _laurent_multivariate_presentation(E, i):

@@ -1,17 +1,19 @@
 """Smith normal form over k[t] and k[t^{+-1}].
 
-Both rings are PIDs; the algorithm is the classical Euclidean one, done
-with explicit row/column transforms.  It runs on dense coefficient lists
-of field elements (lowest degree first and trimmed, so [] is zero and
-len - 1 the degree) through the field's own operations.  The worker takes
-rows of term dicts: a Matrix gives its entries' terms and gets Poly
-entries back once on exit, while the fibered route of `complexes` hands
-it the term dicts of a Matrix.evaluator plan at each head and keeps the
-divisors as lists, so no Poly or Matrix is built per head.  Laurent input
-is first cleared by row shifts (unit scalings), so the elimination itself
-always runs on ordinary polynomials.  Divisors are normalized per the ring:
-monic, and for Laurent rings additionally shifted so the lowest exponent
-is 0.
+Both rings are PIDs; the algorithm is the classical Euclidean one.  Row
+operations act on the matrix alone; column operations are also kept as V
+and V^{-1} when the caller asks for them, so the columns of A V past the
+divisors are zero and the matching columns of V span ker A.  It runs on
+dense coefficient lists of field elements (lowest degree first and
+trimmed, so [] is zero and len - 1 the degree) through the field's own
+operations.  The worker takes rows of term dicts: a Matrix gives its
+entries' terms and gets Poly entries back once on exit, while the
+fibered route of `complexes` hands it the term dicts of a
+Matrix.evaluator plan at each head and keeps the divisors as lists, so
+no Poly or Matrix is built per head.  Laurent input is first cleared by
+row shifts (unit scalings), so the elimination itself always runs on
+ordinary polynomials.  Divisors are normalized per the ring: monic, and
+for Laurent rings additionally shifted so the lowest exponent is 0.
 """
 
 from dataclasses import dataclass
@@ -33,10 +35,10 @@ def _dense(F, terms, shift=0):
     return c
 
 
-def _poly(ring, c, shift=0):
-    """The Poly of t^shift times the coefficient list c."""
+def _poly(ring, c):
+    """The Poly of the coefficient list c."""
     zero = ring.field.zero
-    return Poly(ring, {(e + shift,): v for e, v in enumerate(c) if v != zero})
+    return Poly(ring, {(e,): v for e, v in enumerate(c) if v != zero})
 
 
 def _submul(F, x, q, y):
@@ -54,44 +56,41 @@ def _submul(F, x, q, y):
 
 @dataclass
 class SmithForm:
-    U: Matrix
-    D: Matrix
+    """The divisors d_1 | d_2 | ... of A and a unimodular V with V V_inv = 1
+    such that A V is zero past its first len(divisors) columns."""
     V: Matrix
     divisors: tuple
     V_inv: Matrix
 
 
-def _identity(F, n, shifts):
-    """The n x n identity as coefficient lists, row i times t^shifts[i]."""
-    return [[[F.zero] * shifts[i] + [F.one] if i == j else [] for j in range(n)]
-            for i in range(n)]
+def _identity(F, n):
+    """The n x n identity as coefficient lists."""
+    return [[[F.one] if i == j else [] for j in range(n)] for i in range(n)]
 
 
 class _Worker:
     """Euclidean elimination on coefficient lists over the field F.  Row i
     of `rows` (term dicts) enters times t^shifts[i], shifts[i] >= 0.  With
-    `transforms`, U, V and V^{-1} are kept alongside; without, only the
-    diagonal is wanted and u, v and vinv are None."""
+    `transforms`, V and V^{-1} are kept alongside; without, only the
+    diagonal is wanted and v and vinv are None.  The nonzero pivots end in
+    positions 0..k-1, and every other entry of a is zero."""
 
     def __init__(self, F, rows, ncols, shifts, transforms):
         self.F = F
         self.m, self.n = len(rows), ncols
         self.a = [[_dense(F, terms, s) for terms in row]
                   for row, s in zip(rows, shifts)]
-        self.u = self.v = self.vinv = None
+        self.v = self.vinv = None
         if transforms:
-            self.u = _identity(F, self.m, shifts)
-            self.v = _identity(F, self.n, [0] * self.n)
-            self.vinv = _identity(F, self.n, [0] * self.n)
-        # the grids each row operation and each column operation acts on
-        self.row_grids = [self.a] if self.u is None else [self.a, self.u]
+            self.v = _identity(F, self.n)
+            self.vinv = _identity(F, self.n)
+        # the grids each column operation acts on
         self.col_grids = [self.a] if self.v is None else [self.a, self.v]
 
-    # invariant:  a == u * a_orig * v   and   v * vinv == 1
+    # invariant:  a == (row operations) * a_orig * v   and   v * vinv == 1
 
     def row_swap(self, i, j):
-        for g in self.row_grids:
-            g[i], g[j] = g[j], g[i]
+        self.a[i], self.a[j] = self.a[j], self.a[i]
 
     def col_swap(self, i, j):
         for g in self.col_grids:
@@ -103,8 +102,8 @@ class _Worker:
     def row_submul(self, i, j, q):
         """row_i -= q * row_j"""
         F = self.F
-        for g in self.row_grids:
-            g[i] = [_submul(F, x, q, y) if y else x for x, y in zip(g[i], g[j])]
+        self.a[i] = [_submul(F, x, q, y) if y else x
+                     for x, y in zip(self.a[i], self.a[j])]
 
     def col_submul(self, i, j, q):
         """col_i -= q * col_j"""
@@ -187,9 +186,8 @@ def _rows(matrix):
 def _diagonalize(ring, rows, ncols, transforms):
     """Run the elimination on `rows`, term dicts over the univariate ring
     `ring`, and normalize the diagonal: monic, and (Laurent) lowest
-    exponent 0, with the row of U scaled to match.  Returns the worker,
-    the power of t that each row of U is still to be multiplied by, and
-    the nonzero divisors as coefficient lists."""
+    exponent 0.  Returns the worker and the nonzero divisors as
+    coefficient lists."""
     F = ring.field
     # each row of a Laurent matrix times the least t^s, s >= 0, that leaves
     # no negative exponent: a unit scaling
@@ -197,53 +195,48 @@ def _diagonalize(ring, rows, ncols, transforms):
                for row in rows] if ring.laurent else [0] * len(rows))
     w = _Worker(F, rows, ncols, shifts, transforms)
     w.run()
-    u_shifts = [0] * w.m
     divisors = []
     for k in range(min(w.m, w.n)):
         p = w.a[k][k]
         if not p:
-            continue
+            break
         shift = 0
         while ring.laurent and p[shift] == F.zero:
             shift += 1
         lead_inv = F.inv(p[-1])
-        w.a[k][k] = p = [F.mul(lead_inv, c) for c in p[shift:]]
-        if transforms:
-            w.u[k] = [[F.mul(lead_inv, c) for c in x] for x in w.u[k]]
-            u_shifts[k] = -shift
-        divisors.append(p)
-    return w, u_shifts, divisors
+        divisors.append([F.mul(lead_inv, c) for c in p[shift:]])
+    return w, divisors
 
 
 def smith_normal_form(matrix):
-    """Smith normal form U*A*V = D over a univariate (Laurent) polynomial ring.
+    """Smith normal form of a matrix A over a univariate (Laurent)
+    polynomial ring.
 
     Returns a SmithForm whose divisors form the divisibility chain
-    d_1 | d_2 | ..., normalized to monic with lowest exponent 0 (Laurent).
-    U and V are invertible over the ring; V's inverse is included.
+    d_1 | d_2 | ..., normalized to monic with lowest exponent 0 (Laurent),
+    and a V invertible over the ring, with its inverse, such that A V
+    equals diag(divisors) up to a row transform invertible over the ring:
+    its columns past the divisors are zero, so they span ker A.
     """
     ring = matrix.ring
-    w, u_shifts, divisors = _diagonalize(ring, _rows(matrix), matrix.ncols,
-                                         True)
+    w, divisors = _diagonalize(ring, _rows(matrix), matrix.ncols, True)
 
-    def back(grid, ncols, shifts=None):
-        shifts = shifts or [0] * len(grid)
-        return Matrix(ring, len(grid), ncols, [[_poly(ring, c, s) for c in row]
-                                               for row, s in zip(grid, shifts)])
-    return SmithForm(U=back(w.u, w.m, u_shifts), D=back(w.a, w.n),
-                     V=back(w.v, w.n), V_inv=back(w.vinv, w.n),
+    def back(grid):
+        return Matrix(ring, w.n, w.n, [[_poly(ring, c) for c in row]
+                                       for row in grid])
+    return SmithForm(V=back(w.v), V_inv=back(w.vinv),
                      divisors=tuple(_poly(ring, c) for c in divisors))
 
 
 def _dense_divisors(ring, rows, ncols):
     """The invariant factors of `rows`, term dicts over the univariate
     `ring`, as coefficient lists, lowest degree first."""
-    return _diagonalize(ring, rows, ncols, False)[2]
+    return _diagonalize(ring, rows, ncols, False)[1]
 
 
 def smith_divisors(matrix):
     """The invariant factors of `matrix` alone, equal to
-    smith_normal_form(matrix).divisors, without the U, V and V^{-1}
+    smith_normal_form(matrix).divisors, without the V and V^{-1}
     bookkeeping.  Over a PID, rank A(b) is the number of them that do not
     vanish at b, for every b where the ring's units stay units."""
     ring = matrix.ring
@@ -288,42 +281,8 @@ def vanishing_counts(F, divisors, values, torus=False):
         yield b, k
 
 
-def kernel_positions(snf):
-    """Column indices j of V whose images span ker(A):  positions with a
-    zero (or absent) diagonal divisor."""
-    return [j for j in range(snf.D.ncols)
-            if j >= snf.D.nrows or snf.D[j, j].is_zero()]
-
-
 def kernel_matrix(snf):
-    """Matrix whose columns freely generate ker(A)."""
-    cols = kernel_positions(snf)
-    ring = snf.V.ring
-    return Matrix(ring, snf.V.nrows, len(cols),
-                  [[snf.V[i, j] for j in cols] for i in range(snf.V.nrows)])
-
-
-def snf_solve(snf, rhs):
-    """Solve A x = rhs (rhs a list of Poly, one per row), or return None.
-
-    Works over the PID via the diagonal form: exact divisions against the
-    divisors, zero elsewhere.
-    """
-    ring = snf.D.ring
-    F = ring.field
-    m, n = snf.D.nrows, snf.D.ncols
-    y = (snf.U * Matrix(ring, m, 1, [[c] for c in rhs])).col(0)
-    x = [ring.zero()] * n
-    for i, c in enumerate(y):
-        if c.is_zero():
-            continue
-        d = snf.D[i, i] if i < n else ring.zero()
-        if d.is_zero():
-            return None
-        # a Laurent c is first shifted onto k[t], and its quotient back
-        shift = min(e for (e,) in c.terms) if ring.laurent else 0
-        q, r = udivmod(F, _dense(F, c.terms, -shift), _dense(F, d.terms))
-        if r:
-            return None
-        x[i] = _poly(ring, q, shift)
-    return (snf.V * Matrix(ring, n, 1, [[c] for c in x])).col(0)
+    """Matrix whose columns freely generate ker(A): the columns of V past
+    the divisors."""
+    V, k = snf.V, len(snf.divisors)
+    return Matrix(V.ring, V.nrows, V.ncols - k, [row[k:] for row in V.entries])

@@ -501,6 +501,18 @@ def test_charvar_points_are_characters(q, capsys):
         assert all(c not in (0, "0") for p in block["points"] for c in p)
 
 
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_alexander_refuses_a_field_order_below_two(q, capsys):
+    # --q 0 is a field order like any other, not a request for Q
+    code, out = run(capsys, "alexander", "--presentation",
+                    SAMPLES + "trefoil.pres", "--nu", SAMPLES + "onto-z.nu",
+                    "--q", q, "--format", "structured")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "PreconditionError",
+        "message": "field order must be at least 2, got %s" % q}
+
+
 def test_alexander_presentation_past_a_bound_is_an_error_report(
         capsys, tmp_path, monkeypatch):
     # H_1 of Z^2 = <a, b | [a, b]> over k[t1^±1, t2^±1] needs a Groebner

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumploci import complexes
 from jumploci.cga import aomoto_complex, exterior_algebra, sample_cga
@@ -19,12 +19,14 @@ from jumploci.corpus import random_bivariate_complex, random_laurent_complex
 from jumploci.equivariant import build_E1, identity_nu
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
+from jumploci.groebner import ModuleSolver
 from jumploci.matrices import Matrix
 from jumploci.rings import (Ideal, Poly, Ring, parse_poly, poly_to_str,
                             unit_ideal, zero_ideal)
 from jumploci.varieties import extension_fields, zero_locus_points
 
-from oracles import add_acyclic_summand, rank_by_minors
+from oracles import (add_acyclic_summand, rank_by_minors,
+                     reference_smith_form, udivmod as poly_udivmod, umin)
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -171,6 +173,131 @@ def test_validate_presented_relation_outside_the_relations():
     assert not verdict.ok
     assert verdict.message == "d_1 sends relation 0 outside the relations"
     assert verdict.location == (1, 0)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["F5", "Q"])
+def test_validate_presented_over_a_ring_in_no_variables(field):
+    # presented vector spaces: span membership is a rank comparison at ()
+    R = Ring(field, ())
+
+    def matrix(rows):
+        return Matrix(R, len(rows), len(rows[0]),
+                      [[R.monomial((), field.from_int(c)) if c else R.zero()
+                        for c in row] for row in rows])
+
+    def term(relations):
+        return ModulePresentation(R, len(relations), matrix(relations))
+
+    e0 = term([[1], [2]])  # k^2 / span (1, 2)
+    free = term([[]])
+    # d_1 sends the relation of k / span (1) to (1, 2), d_1 d_2 = (3, 6)
+    valid = PresentedChainComplex(R, (e0, term([[1]]), free),
+                                  (matrix([[1], [2]]), matrix([[3]])))
+    assert validate_presented(valid).ok
+    # relation 0 of k^2 / span (e_1, e_2) goes to (1, 2), relation 1 to
+    # (0, 1), outside span (1, 2)
+    moved = PresentedChainComplex(R, (e0, term([[1, 0], [0, 1]])),
+                                  (matrix([[1, 0], [2, 1]]),))
+    verdict = validate_presented(moved)
+    assert not verdict.ok
+    assert verdict.message == "d_1 sends relation 1 outside the relations"
+    assert verdict.location == (1, 1)
+    # d_1 d_2 = [[0, 1], [0, 0]]: generator 0 goes to zero, generator 1 to
+    # (1, 0), outside span (1, 2)
+    composite = PresentedChainComplex(
+        R, (e0, free, term([[], []])),
+        (matrix([[1], [0]]), matrix([[0, 1]])))
+    verdict = validate_presented(composite)
+    assert not verdict.ok
+    assert verdict.message == ("d_1 . d_2 nonzero modulo relations at "
+                               "generator 1")
+    assert verdict.location == (2, 1)
+
+
+_SPAN_RINGS = [Ring(F5, ("t",)), Ring(F5, ("t",), laurent=True),
+               Ring(Q, ("t",)), Ring(Q, ("t",), laurent=True)]
+
+
+def _in_span_by_oracle(R, c):
+    """Whether c lies in the column span of R, solved through the oracle's
+    U R V = D: U c must be zero past the divisors of D, and each entry
+    before them divisible by its divisor."""
+    U, _, _, _, divisors = reference_smith_form(R)
+    ring = R.ring
+    y = (U * Matrix(ring, len(c), 1, [[p] for p in c])).col(0)
+    for i, p in enumerate(y):
+        if p.is_zero():
+            continue
+        if i >= len(divisors):
+            return False
+        # a Laurent entry is first moved onto k[t] by a unit
+        p = p.shift((-umin(p),)) if ring.laurent else p
+        if not poly_udivmod(p, divisors[i])[1].is_zero():
+            return False
+    return True
+
+
+@st.composite
+def _span_inputs(draw):
+    """(R, M) over one of _SPAN_RINGS: R of at most 3 x 3, and each column
+    of M either R times a drawn vector, a drawn column, or zero."""
+    ring = draw(st.sampled_from(_SPAN_RINGS))
+    if ring.field.is_finite:
+        coeff = st.integers(1, 4)
+    else:
+        coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    exponent = st.integers(-1 if ring.laurent else 0, 2)
+
+    def entries(count, nonzero=False):
+        terms = st.dictionaries(exponent, coeff, min_size=int(nonzero),
+                                max_size=2)
+        return [Poly(ring, {(e,): c for e, c in draw(terms).items()})
+                for _ in range(count)]
+    m, n = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    R = Matrix(ring, m, n, [entries(n) for _ in range(m)])
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["member", "drawn", "zero"]),
+                              min_size=1, max_size=3)):
+        if kind == "member":
+            v = Matrix(ring, n, 1, [[p] for p in entries(n, True)])
+            cols.append((R * v).col(0))
+        else:
+            cols.append(entries(m, True) if kind == "drawn"
+                        else [ring.zero()] * m)
+    return R, Matrix(ring, m, len(cols), [list(r) for r in zip(*cols)])
+
+
+def _span_case(ring, R_rows, M_rows):
+    """(R, M) from rows of polynomial strings."""
+    return tuple(Matrix(ring, len(rows), len(rows[0]),
+                        [[parse_poly(ring, e) for e in row] for row in rows])
+                 for rows in (R_rows, M_rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_span_inputs())
+# A = [[t, 0], [0, 0]]: a zero column, then [t, 0] = A [1, 0] inside and
+# [0, 1], which meets the zero divisor, outside
+@example(_span_case(Ring(F3, ("t",)), [["t", "0"], ["0", "0"]],
+                    [["0", "t", "0"], ["0", "0", "1"]]))
+# R with no columns: only the zero column lies in its span
+@example(_span_case(_SPAN_RINGS[0], [[], []], [["0", "1"], ["0", "t"]]))
+# t is a unit of F_5[t^±1] but not of F_5[t]
+@example(_span_case(_SPAN_RINGS[1], [["t"]], [["1"]]))
+@example(_span_case(_SPAN_RINGS[0], [["t"]], [["t^2", "1"]]))
+def test_membership_by_invariants_agrees_with_a_solve(case):
+    R, M = case
+    ring = R.ring
+    inside = [_in_span_by_oracle(R, M.col(j)) for j in range(M.ncols)]
+    if not ring.laurent:
+        solver = ModuleSolver(R)
+        assert inside == [solver.solve(M.col(j)) is not None
+                          for j in range(M.ncols)]
+    assert [complexes._first_outside(R, Matrix(ring, M.nrows, 1,
+                                                [[p] for p in M.col(j)]))
+            is None for j in range(M.ncols)] == inside
+    assert complexes._first_outside(R, M) == next(
+        (j for j, ok in enumerate(inside) if not ok), None)
 
 
 # -- specialization -------------------------------------------------------------
