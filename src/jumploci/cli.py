@@ -6,11 +6,11 @@ sets are sorted canonically, structured output is JSON with sorted keys,
 and timing goes to stderr only.
 """
 
-import argparse
 import dataclasses
 import json
 import sys
 import time
+import types
 
 from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonance_points, validate_cga
 from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
@@ -266,11 +266,13 @@ def _at_least(low):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-        if value < low:
-            raise argparse.ArgumentTypeError("must be at least %d, got %d"
-                                             % (low, value))
-        return value
+            message = "invalid int value: %r" % text
+        else:
+            if value >= low:
+                return value
+            message = "must be at least %d, got %d" % (low, value)
+        import argparse
+        raise argparse.ArgumentTypeError(message)
     return parse
 
 
@@ -358,10 +360,60 @@ FLAGS = {
 }
 
 
+def _options(name):
+    """The options of command `name`, each --<option> with its argparse
+    keywords: every document, a required --<kind>, then every flag."""
+    _, _, documents, flags = COMMANDS[name]
+    options = {kind: {"required": True} for kind in documents}
+    options.update((flag, FLAGS[flag]) for flag in flags)
+    return options
+
+
+def _parse_plain(argv):
+    """What argparse makes of a well-formed `argv`, read off the tables, or
+    None.  Well formed: a command, then only exact --<name> tokens of its
+    documents and flags, each but a store_true one followed by one value
+    that does not start with "-" and passes the flag's type and choices,
+    and every required flag given.  Anything else (help, a usage error, an
+    abbreviation, --name=value, a value starting with "-") is left to
+    argparse, whose texts and exit codes stay the only ones."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = _options(argv[0])
+    values = {flag: False if kw.get("action") == "store_true"
+              else kw.get("default") for flag, kw in options.items()}
+    missing = {flag for flag, kw in options.items() if kw.get("required")}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token[2:]
+        if not token.startswith("--") or flag not in options:
+            return None
+        kw = options[flag]
+        missing.discard(flag)
+        if kw.get("action") == "store_true":
+            values[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is refused as "-" is
+        if text.startswith("-"):
+            return None
+        try:
+            values[flag] = kw.get("type", str)(text)
+        except Exception:  # argparse reports it, or raises it, itself
+            return None
+        if "choices" in kw and values[flag] not in kw["choices"]:
+            return None
+    if missing:
+        return None
+    return types.SimpleNamespace(
+        command=argv[0], fn=globals()["cmd_" + argv[0].replace("-", "_")],
+        **{flag.replace("-", "_"): value for flag, value in values.items()})
+
+
 def build_parser(argv=()):
     """The parser of `argv`.  When argv[0] names a command, only that
     command's sub-parser is built, and the metavar keeps every command in
     the usage line; --help, a bare argv and an unknown command build all."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="jumploci",
         description="Exact jump loci, supports, and resonance of chain "
@@ -369,14 +421,12 @@ def build_parser(argv=()):
     named = argv[0] if argv and argv[0] in COMMANDS else None
     metavar = "{%s}" % ",".join(COMMANDS) if named else None
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (line, _, documents, flags) in COMMANDS.items():
+    for name, (line, _, _, _) in COMMANDS.items():
         if named and name != named:
             continue
         sp = sub.add_parser(name, help=line)
-        for kind in documents:
-            sp.add_argument("--" + kind, required=True)
-        for flag in flags:
-            sp.add_argument("--" + flag, **FLAGS[flag])
+        for option, kw in _options(name).items():
+            sp.add_argument("--" + option, **kw)
         # the module attribute, so that a wrapper set on it is the one called
         sp.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return ap
@@ -395,7 +445,7 @@ def error_code(exc):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_plain(argv) or build_parser(argv).parse_args(argv)
     _, provenance, documents, _ = COMMANDS[args.command]
     started = time.monotonic()
     try:

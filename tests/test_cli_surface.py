@@ -5,8 +5,11 @@ unrecognized argument, a stray positional, an out-of-range and an ambiguous
 flag after a command, the stdout of one structured run of each command on
 `samples/`, which error `validate` reports first, and which sub-parsers
 `main` builds for each kind of argv, and the error report of each command
-that enumerates points when no finite field is given.  `cli_surface.json`
-holds the help and usage texts as argparse printed them at 80 columns.
+that enumerates points when no finite field is given.  A well-formed argv
+is read off the command tables into what argparse would give it, and a
+report in a fresh interpreter loads neither argparse, gettext nor locale.
+`cli_surface.json` holds the help and usage texts as argparse printed them
+at 80 columns.
 
 Help and usage texts are compared with each run of whitespace collapsed to
 one space: from Python 3.13 on argparse wraps a long usage line at other
@@ -18,11 +21,14 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jumploci.cli import COMMANDS, main
+from jumploci.cli import (COMMANDS, _options, _parse_plain, build_parser,
+                          main)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -177,11 +183,17 @@ def built(monkeypatch):
 
 
 def test_a_named_command_builds_only_its_sub_parser(built, capsys, monkeypatch):
+    # a well-formed argv is read off the tables and builds no sub-parser;
+    # help and a usage error after a command build that command's alone
     monkeypatch.chdir(ROOT)
     assert main(RUNS[2][0].split()) == 0
-    assert built == ["supports"]
+    assert built == []
     with pytest.raises(SystemExit):
         main(["supports", "-h"])
+    assert built == ["supports"]
+    with pytest.raises(SystemExit) as exc:
+        main(RUNS[2][0].split() + ["--bogus"])
+    assert exc.value.code == 2
     assert built == ["supports"] * 2
 
 
@@ -201,4 +213,100 @@ def test_main_without_argv_reads_sys_argv(built, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["jumploci"] + argv)
     assert main() == 0
     assert capsys.readouterr().out == want
-    assert built == ["jumploci"] * 2
+    assert built == []
+
+
+def _canonical(name):
+    """The items of a well-formed argv of `name`: every document and flag of
+    its row, each with a value that passes the flag's type and choices."""
+    return [["--" + option] if kw.get("action") == "store_true" else
+            ["--" + option, kw["choices"][-1] if "choices" in kw
+             else "1" if "type" in kw else "x." + option]
+            for option, kw in _options(name).items()]
+
+
+def _argv(name, items):
+    return [name] + [token for item in items for token in item]
+
+
+@pytest.mark.parametrize("argv", [r[0].split() for r in RUNS]
+                         + [_argv(name, _canonical(name)) for name in COMMANDS],
+                         ids=[r[0].split()[0] for r in RUNS]
+                         + ["canonical-" + name for name in COMMANDS])
+def test_a_well_formed_argv_takes_the_table_path(argv):
+    args = _parse_plain(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser(argv).parse_args(argv))
+
+
+# tokens and values that make an argv not well formed: help, the end of
+# options, an abbreviation, --name=value, a short option, stray
+# positionals, negative, empty and out-of-range values, bad choices and
+# bad shapes
+HOSTILE = ["-h", "--help", "--", "--comp", "--q=5", "--i=1", "-q", "x",
+           "supports"]
+VALUES = ["-1", "", "0", "2", "-", "x", "text", "json", "1,2,1", "1,,2",
+          "a,b", " 3", "--i"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then items in any order: its own flags with valid values
+    (a store_true flag alone) or with drawn ones; any flag or hostile
+    token, with a drawn value or alone; and in half of the argvs every
+    item of the canonical argv too, so that many are well formed and some
+    repeat a flag."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    own = _canonical(name)
+    every = sorted({"--" + option for command in COMMANDS
+                    for option in _options(command)})
+    token = st.sampled_from(every + HOSTILE)
+    value = st.sampled_from(VALUES)
+    item = st.one_of(st.sampled_from(own),
+                     st.tuples(st.sampled_from([it[0] for it in own]),
+                               value).map(list),
+                     st.tuples(token, value).map(list),
+                     token.map(lambda t: [t]))
+    items = draw(st.lists(item, max_size=6))
+    if draw(st.booleans()):
+        items += own
+    return _argv(name, draw(st.permutations(items)))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(_argvs())
+def test_the_table_path_agrees_with_argparse(argv):
+    args = _parse_plain(argv)
+    if args is None:
+        return
+    try:
+        want = vars(build_parser(argv).parse_args(argv))
+    except SystemExit:
+        want = None
+    assert vars(args) == want
+
+
+# run in a fresh interpreter: import the CLI, run the argvs of sys.argv,
+# print the modules main imported and which of argparse, gettext and locale
+# are loaded
+_FRESH = """
+import io, json, sys
+import jumploci.cli
+before = set(sys.modules)
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+codes = [jumploci.cli.main(argv.split()) for argv in sys.argv[1:]]
+print(json.dumps([codes, sorted(set(sys.modules) - before),
+                  sorted({"argparse", "gettext", "locale"} & set(sys.modules))]),
+      file=sys.__stdout__)
+"""
+
+
+def test_a_report_loads_no_argparse_gettext_or_locale():
+    import jumploci
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _FRESH] + [r[0] for r in RUNS],
+                       capture_output=True, text=True, cwd=ROOT,
+                       env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[code for _, code, _ in RUNS], [], []]
