@@ -68,23 +68,19 @@ def _load(args, kind):
 
 
 def cmd_validate(args):
-    results = {}
-    ok = True
+    verdicts = {}
     if args.cga:
-        A = _load(args, "cga")
-        v = validate_cga(A)
-        results["cga"] = {"ok": v.ok, "message": v.message,
-                          "location": list(v.location) if v.location else None}
-        ok = ok and v.ok
+        verdicts["cga"] = validate_cga(_load(args, "cga"))
     if args.complex:
         E = _load(args, "complex")
-        if isinstance(E, FreeChainComplex):
-            v = validate_complex(E)
-        else:  # sampled over the document's field, which --q has replaced
-            v = validate_presented(E, E.ring.field)
-        results["complex"] = {"ok": v.ok, "message": v.message,
-                              "location": list(v.location) if v.location else None}
-        ok = ok and v.ok
+        # a presented complex is sampled over the document's field, which
+        # --q has replaced
+        verdicts["complex"] = (validate_complex(E)
+                               if isinstance(E, FreeChainComplex)
+                               else validate_presented(E, E.ring.field))
+    results = {name: {"ok": v.ok, "message": v.message,
+                      "location": list(v.location) if v.location else None}
+               for name, v in verdicts.items()}
     if args.presentation:
         P = _load(args, "presentation")
         results["presentation"] = {"ok": True,
@@ -92,6 +88,7 @@ def cmd_validate(args):
                                               % (P.ngens, len(P.relators))}
     if not results:
         raise DocumentError("validate needs --cga, --complex, or --presentation")
+    ok = all(v.ok for v in verdicts.values())
     return {"results": results, "ok": ok}, (0 if ok else 1)
 
 
@@ -450,14 +447,11 @@ def main(argv=None):
     started = time.monotonic()
     try:
         body, code = args.fn(args, *[_load(args, kind) for kind in documents])
+        report = {"command": args.command, "provenance": provenance, **body}
     except AlgebraError as exc:
         report = {"command": args.command, "error": {
             "type": type(exc).__name__, "message": str(exc)}}
-        emit(report, args)
-        print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)
-        return error_code(exc)
-    report = {"command": args.command, "provenance": provenance}
-    report.update(body)
+        code = error_code(exc)
     emit(report, args)
     print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)
     return code

@@ -171,53 +171,43 @@ def _first_outside(R, M):
 
 def validate_presented(E, sample_field=None):
     """Check differentials map relations into relations and composites vanish
-    modulo relations.  Rings in at most one variable get exact membership,
-    read from invariants (`_first_outside`); multivariate rings are checked
-    pointwise over `sample_field` (required there)."""
+    modulo relations.  Each degree lists its conditions in order: a matrix
+    that must lie in the span of some relations, with its message at a
+    column and at a point.  Rings in at most one variable get exact
+    membership, read from invariants (`_first_outside`); multivariate rings
+    are checked pointwise over `sample_field` (required there), every
+    condition at a point before the next point."""
     ring = E.ring
-    exact = ring.nvars <= 1
     for i in range(1, E.top + 1):
         d = E.differential(i)
-        rel_src = E.relations(i)
-        rel_dst = E.relations(i - 1)
-        moved = d * rel_src
-        comp = (E.differential(i - 1) * d) if i >= 2 else None
-        if exact:
-            j = _first_outside(rel_dst, moved)
-            if j is not None:
-                return Verdict(False,
-                               "d_%d sends relation %d outside the relations"
-                               % (i, j), (i, j))
-            if comp is not None:
-                j = _first_outside(E.relations(i - 2), comp)
+        checks = [(d * E.relations(i), E.relations(i - 1),
+                   "d_%d sends relation %%d outside the relations" % i,
+                   "d_%d fails to preserve relations at point %%r" % i)]
+        if i >= 2:
+            checks.append((E.differential(i - 1) * d, E.relations(i - 2),
+                           "d_%d . d_%d nonzero modulo relations at generator "
+                           "%%d" % (i - 1, i),
+                           "d_%d . d_%d nonzero modulo relations at point %%r"
+                           % (i - 1, i)))
+        if ring.nvars <= 1:
+            for M, R, at_column, _ in checks:
+                j = _first_outside(R, M)
                 if j is not None:
-                    return Verdict(False,
-                                   "d_%d . d_%d nonzero modulo relations at "
-                                   "generator %d" % (i - 1, i, j), (i, j))
-        else:
-            if sample_field is None or not sample_field.is_finite:
-                raise PreconditionError(
-                    "multivariate presented complexes are validated pointwise; "
-                    "supply a finite sample field")
-            F = sample_field
-            emb = coefficient_embedding(ring.field, F)
-            moved_at, dst_at = (m.evaluator(F, emb) for m in (moved, rel_dst))
-            if comp is not None:
-                comp_at = comp.evaluator(F, emb)
-                dst2_at = E.relations(i - 2).evaluator(F, emb)
-            for coords in enumerate_coords(F, ring.nvars, on_torus(ring)):
-                rd, moved_v = dst_at(coords), moved_at(coords)
-                if mat_rank_stacked(F, [rd, moved_v]) != mat_rank(F, rd):
-                    return Verdict(False,
-                                   "d_%d fails to preserve relations at point %r"
-                                   % (i, coords), (i,))
-                if comp is not None:
-                    comp_v = comp_at(coords)
-                    rd2 = dst2_at(coords)
-                    if mat_rank_stacked(F, [rd2, comp_v]) != mat_rank(F, rd2):
-                        return Verdict(False,
-                                       "d_%d . d_%d nonzero modulo relations at "
-                                       "point %r" % (i - 1, i, coords), (i,))
+                    return Verdict(False, at_column % j, (i, j))
+            continue
+        if sample_field is None or not sample_field.is_finite:
+            raise PreconditionError(
+                "multivariate presented complexes are validated pointwise; "
+                "supply a finite sample field")
+        F = sample_field
+        emb = coefficient_embedding(ring.field, F)
+        plans = [(M.evaluator(F, emb), R.evaluator(F, emb), at_point)
+                 for M, R, _, at_point in checks]
+        for coords in enumerate_coords(F, ring.nvars, on_torus(ring)):
+            for M_at, R_at, at_point in plans:
+                rv = R_at(coords)
+                if mat_rank_stacked(F, [rv, M_at(coords)]) != mat_rank(F, rv):
+                    return Verdict(False, at_point % (coords,), (i,))
     return Verdict(True, "presented complex valid at desk scale")
 
 
@@ -458,15 +448,12 @@ def prune_presentation(P):
 
 
 def _univariate_free_presentation(E, i):
-    ring = E.ring
-    d_i = E.differential(i)
-    d_next = E.differential(i + 1)
-    if i == 0:
-        return ModulePresentation(ring, E.rank(0), d_next)
     # ker d_i is spanned by the columns of V past the divisors, so H_i is
-    # presented by the rows of V^{-1} d_{i+1} past them
-    snf = smith_normal_form(d_i)
-    vin_d = snf.V_inv * d_next
+    # presented by the rows of V^{-1} d_{i+1} past them (all rows of d_1
+    # for i = 0, where d_0 has no rows and V = 1)
+    ring = E.ring
+    snf = smith_normal_form(E.differential(i))
+    vin_d = snf.V_inv * E.differential(i + 1)
     rows = vin_d.entries[len(snf.divisors):]
     return ModulePresentation(ring, len(rows),
                               Matrix(ring, len(rows), vin_d.ncols, rows))
@@ -509,8 +496,6 @@ def homology_presentation(E, i):
         return cache[i]
     if not E.ring.laurent or isinstance(E, PresentedChainComplex):
         pres = _presented_homology_presentation(E, i)
-    elif i < 0 or i > E.top:
-        pres = ModulePresentation(E.ring, 0, Matrix(E.ring, 0, 0, []))
     elif E.ring.nvars == 1:
         pres = _univariate_free_presentation(E, i)
     else:
@@ -545,22 +530,16 @@ def _presented_homology_presentation(E, i):
         return ModulePresentation(ring, 0, Matrix(ring, 0, 0, []))
     solver = ModuleSolver(lifts)
     rel_cols = []
-    rel_i = E.relations(i)
-    for j in range(rel_i.ncols):
-        x = solver.solve(rel_i.col(j))
-        if x is None:
-            raise PreconditionError(
-                "relation column %d of term %d is not carried by ker d_%d; "
-                "the presented complex is inconsistent" % (j, i, i))
-        rel_cols.append(x)
-    d_next = E.differential(i + 1)
-    for j in range(d_next.ncols):
-        x = solver.solve(d_next.col(j))
-        if x is None:
-            raise PreconditionError(
-                "image column %d of d_%d is not inside ker d_%d; "
-                "the complex does not satisfy d.d = 0" % (j, i + 1, i))
-        rel_cols.append(x)
+    for M, refusal in (
+            (E.relations(i), "relation column %%d of term %d is not carried "
+             "by ker d_%d; the presented complex is inconsistent" % (i, i)),
+            (E.differential(i + 1), "image column %%d of d_%d is not inside "
+             "ker d_%d; the complex does not satisfy d.d = 0" % (i + 1, i))):
+        for j in range(M.ncols):
+            x = solver.solve(M.col(j))
+            if x is None:
+                raise PreconditionError(refusal % j)
+            rel_cols.append(x)
     inner = solver.syzygies()
     rel_cols += [inner.col(j) for j in range(inner.ncols)]
     rel = Matrix(ring, lifts.ncols, len(rel_cols),
@@ -624,25 +603,21 @@ def is_finite_dimensional(P):
                                   note="a free summand survives the relations")
             dim = sum(d.total_degree() for d in divisors)
             return FinVerdict("finite", dim, "Smith divisor degrees")
-        if not ring.laurent:
-            leads = module_lead_terms(ring, P.relations)
-            count = standard_monomial_count(ring, leads, P.gens)
-            if count is None:
-                return FinVerdict("infinite",
-                                  note="standard monomials are unbounded")
-            return FinVerdict("finite", count, "standard monomial count")
-        # multivariate Laurent: clear columns (unit scalings), saturate by
-        # the product of the variables, then count standard monomials
-        cleared, _ = clear_laurent_cols(P.relations)
-        ordinary = type(ring)(ring.field, ring.variables, False, "grlex")
-        cleared = cleared.over(ordinary)
-        sat = module_saturate(ordinary, cleared, (1,) * ring.nvars)
-        leads = module_lead_terms(ordinary, sat)
-        count = standard_monomial_count(ordinary, leads, P.gens)
+        relations = P.relations
+        notes = ("standard monomial count", "standard monomials are unbounded")
+        if ring.laurent:
+            # multivariate Laurent: clear columns (unit scalings) and
+            # saturate by the product of the variables over the ordinary twin
+            cleared, _ = clear_laurent_cols(relations)
+            ring = type(ring)(ring.field, ring.variables, False, "grlex")
+            relations = module_saturate(ring, cleared.over(ring),
+                                        (1,) * ring.nvars)
+            notes = ("standard monomial count after saturation",
+                     "torus support is positive-dimensional")
+        count = standard_monomial_count(
+            ring, module_lead_terms(ring, relations), P.gens)
         if count is None:
-            return FinVerdict("infinite",
-                              note="torus support is positive-dimensional")
-        return FinVerdict("finite", count,
-                          "standard monomial count after saturation")
+            return FinVerdict("infinite", note=notes[1])
+        return FinVerdict("finite", count, notes[0])
     except ResourceLimitError as exc:
         return FinVerdict("unknown", note=str(exc))

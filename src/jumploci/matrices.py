@@ -207,18 +207,12 @@ def all_minors(matrix, size, memo=None):
 
 
 def minors_ideal(matrix, size):
-    """Ideal generated by all size x size minors.
-
-    size == 0 is the unit ideal (the empty determinant is 1: rank >= 0
-    always holds); size beyond min(rows, cols) is the zero ideal.
-    """
-    if size < 0:
-        raise PreconditionError("minor size must be non-negative")
-    if size == 0:
-        return unit_ideal(matrix.ring)
-    if size > min(matrix.nrows, matrix.ncols):
-        return zero_ideal(matrix.ring)
-    return Ideal(matrix.ring, all_minors(matrix, size))
+    """Ideal generated by all size x size minors: the block-diagonal minor
+    ideal of the matrix and a 0x0 block, each minor times the empty
+    determinant 1.  size == 0 is the unit ideal (rank >= 0 always holds);
+    size beyond min(rows, cols) is the zero ideal."""
+    return block_diag_minors_ideal(matrix, Matrix.zero(matrix.ring, 0, 0),
+                                   size)
 
 
 def block_diag_minors_ideal(a, b, size):

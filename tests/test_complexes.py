@@ -175,6 +175,51 @@ def test_validate_presented_relation_outside_the_relations():
     assert verdict.location == (1, 0)
 
 
+def test_validate_presented_reports_the_first_failing_point():
+    # over F_3[x, y], E = S/(x) <- S/(x) <- S/(y) with d_1 = d_2 = [1]: in
+    # degree 2 the composite [1] leaves (x) first at (0, 0) and the relation
+    # y of E_2 leaves (x) first at (0, 1), so the point order decides
+    R = Ring(F3, ("x", "y"))
+    x, y = R.var(0), R.var(1)
+
+    def term(p):
+        return ModulePresentation(R, 1, Matrix(R, 1, 1, [[p]]))
+    one = Matrix(R, 1, 1, [[R.one()]])
+    E = PresentedChainComplex(R, (term(x), term(x), term(y)), (one, one))
+    assert validate_presented(E, F3) == complexes.Verdict(
+        False, "d_1 . d_2 nonzero modulo relations at point (0, 0)", (2,))
+
+
+def test_validate_presented_reports_the_relation_condition_first():
+    # over F_3[t], E = S/(t) <- S/(t) <- S/(1) with d_1 = d_2 = [1]: in
+    # degree 2 both the relation 1 of E_2 and the composite [1] leave (t)
+    R = Ring(F3, ("t",))
+    t = R.var(0)
+
+    def term(p):
+        return ModulePresentation(R, 1, Matrix(R, 1, 1, [[p]]))
+    one = Matrix(R, 1, 1, [[R.one()]])
+    E = PresentedChainComplex(R, (term(t), term(t), term(R.one())),
+                              (one, one))
+    assert validate_presented(E) == complexes.Verdict(
+        False, "d_2 sends relation 0 outside the relations", (2, 0))
+
+
+def test_presentation_refuses_a_relation_outside_the_kernel():
+    # E_0 = S/(t^2), E_1 = S/(t), d_1 = [1] over F_3[t]: ker d_1 is (t^2),
+    # which does not hold the relation t of E_1
+    R = Ring(F3, ("t",))
+    t = R.var(0)
+    e0 = ModulePresentation(R, 1, Matrix(R, 1, 1, [[t * t]]))
+    e1 = ModulePresentation(R, 1, Matrix(R, 1, 1, [[t]]))
+    E = PresentedChainComplex(R, (e0, e1), (Matrix(R, 1, 1, [[R.one()]]),))
+    with pytest.raises(PreconditionError) as info:
+        homology_presentation(E, 1)
+    assert str(info.value) == (
+        "relation column 0 of term 1 is not carried by ker d_1; the "
+        "presented complex is inconsistent")
+
+
 @pytest.mark.parametrize("field", [F5, Q], ids=["F5", "Q"])
 def test_validate_presented_over_a_ring_in_no_variables(field):
     # presented vector spaces: span membership is a rank comparison at ()
@@ -893,6 +938,23 @@ def test_finite_dimension_over_a_bivariate_laurent_ring(relations, dim):
         "finite", dim, "standard monomial count after saturation")
 
 
+@pytest.mark.parametrize("variables,laurent,relations,verdict", [
+    (("t",), False, ["t^2"], FinVerdict("finite", 2, "standard monomial count")),
+    (("t",), False, [], FinVerdict("infinite", None,
+                                   "standard monomials are unbounded")),
+    (("t",), True, [], FinVerdict("infinite", None,
+                                  "a free summand survives the relations")),
+    (("s", "t"), True, ["s - 1"], FinVerdict(
+        "infinite", None, "torus support is positive-dimensional")),
+], ids=["torsion", "free", "free-laurent", "laurent-curve"])
+def test_finite_dimension_verdicts_with_their_notes(variables, laurent,
+                                                    relations, verdict):
+    R = Ring(F3, variables, laurent=laurent)
+    P = ModulePresentation(R, 1, Matrix(R, 1, len(relations), [
+        [parse_poly(R, r) for r in relations]]))
+    assert is_finite_dimensional(P) == verdict
+
+
 def test_finite_dimension_past_a_bound_is_unknown(monkeypatch):
     # S(xy, x^2 + y^2) reduces to y^3, past a degree bound of 2: the
     # verdict is "unknown" with the bound named, never finite or infinite
@@ -1054,6 +1116,28 @@ def test_multivariate_laurent_presentation():
     assert pres.gens == 1
     v = is_finite_dimensional(pres)
     assert v.kind == "infinite"
+
+
+def test_laurent_presentations_at_the_ends():
+    # H_0 of a free Laurent complex is presented by d_1 itself, and a degree
+    # outside 0..n has the empty presentation
+    R = Ring(F3, ("t1", "t2"), laurent=True)
+    t1, t2 = R.var(0), R.var(1)
+    bivariate = FreeChainComplex(
+        R, (1, 2), (Matrix(R, 1, 2, [[t1 - R.one(), t2 - R.one()]]),))
+    cases = [bivariate] + [random_laurent_complex(finite_field(q), seed)
+                           for q in (3, 5, 16) for seed in range(15)]
+    for E in cases:
+        pres = homology_presentation(E, 0)
+        expected = prune_presentation(
+            ModulePresentation(E.ring, E.rank(0), E.differential(1)))
+        assert pres == expected
+        assert (pres.relations.nrows, pres.relations.ncols) == (
+            expected.relations.nrows, expected.relations.ncols)
+        for i in (-1, E.top + 1):
+            pres = homology_presentation(E, i)
+            assert (pres.gens, pres.relations.nrows,
+                    pres.relations.ncols) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("q", [3, 5, 16, 17])

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,12 +76,22 @@ def test_block_diag_minors_match_generic_route():
             rows.append(row)
         return Matrix(R, m, n, rows)
 
+    def reference(M, s):
+        # the determinant of every s x s submatrix: one empty submatrix at
+        # s = 0 (the unit ideal), none past the smaller dimension
+        return Ideal(R, [det(Matrix(R, s, s, [[M[r, c] for c in cols]
+                                             for r in rows]))
+                         for rows in combinations(range(M.nrows), s)
+                         for cols in combinations(range(M.ncols), s)])
+
     for _ in range(15):
         a = rand_matrix(rng.randint(0, 2), rng.randint(0, 2))
         b = rand_matrix(rng.randint(0, 2), rng.randint(0, 2))
         big = block_diag(a, b)
-        for s in range(0, min(big.nrows, big.ncols) + 1):
-            assert block_diag_minors_ideal(a, b, s) == minors_ideal(big, s)
+        for s in range(0, min(big.nrows, big.ncols) + 2):
+            expected = reference(big, s)
+            assert block_diag_minors_ideal(a, b, s) == expected
+            assert minors_ideal(big, s) == expected
 
 
 def test_matrix_shape_checks():
