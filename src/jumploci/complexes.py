@@ -16,8 +16,8 @@ from .linalg import mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
 from .rings import Poly, Ring, unit_ideal, zero_ideal
-from .smith import (_dense_divisors, smith_divisors, smith_normal_form,
-                    vanishing_counts)
+from .smith import (_dense_divisors, divisors_at_heads, smith_divisors,
+                    smith_normal_form, vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where)
 
@@ -273,9 +273,8 @@ def homology_dims_table(E, field, torus=False, embed=None):
 
 # A free complex that is not conical, over a field of at least this many
 # elements, takes the fibered route of jump_locus_points.  Over small
-# fields one Smith form per line costs more than ranking the line's q
-# points; README gives the measured crossover and why the threshold sits
-# above it.
+# fields the Smith divisors of a line cost more than ranking its q points;
+# README gives the measured crossover and why the threshold sits above it.
 FIBER_MIN_Q = 16
 
 
@@ -349,24 +348,19 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
     """The jump locus of a free complex, one line x_1..x_{r-1} = h at a time.
 
     Substituting the head h turns d_i and d_{i+1} into matrices over F[t]
-    (F[t^±1] for a Laurent ring), t = x_r, whose rows of term dicts the
-    plans that keep x_r hand to the Smith worker: no Poly or Matrix per
-    head.  If M = U diag(δ_1 | δ_2 | ...) V with U, V unimodular, rank M(b)
-    is the number of δ_k with δ_k(b) != 0, so dim H_i(h, b) = c_i -
-    #divisors + #divisors vanishing at b.  The divisors form a chain, so
-    the ones vanishing at b are a suffix: only the last one is solved on
-    the line, the others are evaluated at its roots, and a line whose
-    divisors are all constant has one value throughout."""
+    (F[t^±1] for a Laurent ring), t = x_r, whose invariant factors
+    `_head_divisors` gives.  If M = U diag(δ_1 | δ_2 | ...) V with U, V
+    unimodular, rank M(b) is the number of δ_k with δ_k(b) != 0, so
+    dim H_i(h, b) = c_i - #divisors + #divisors vanishing at b.  The
+    divisors form a chain, so the ones vanishing at b are a suffix: only
+    the last one is solved on the line, the others are evaluated at its
+    roots, and a line whose divisors are all constant has one value
+    throughout."""
     F = field
-    line = Ring(F, E.ring.variables[-1:], laurent=E.ring.laurent)
-    restrict = [(M.evaluator(F, emb, line), M.ncols)
-                for M in (E.differential(i), E.differential(i + 1))]
     fiber = [b for (b,) in enumerate_coords(F, 1, torus)]
     c_i = E.rank(i)
     out = set()
-    for head in enumerate_coords(F, E.ring.nvars - 1, torus):
-        chains = [_dense_divisors(line, at(head), ncols)
-                  for at, ncols in restrict]
+    for head, chains in _head_divisors(E, i, F, torus, emb, fiber):
         # how many divisors must vanish at b for dim H_i >= d
         need = d - c_i + sum(len(ch) for ch in chains)
         if need <= 0:
@@ -378,6 +372,36 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
                 vanishing[b] = vanishing.get(b, 0) + k
         out.update(head + (b,) for b, k in vanishing.items() if k >= need)
     return out
+
+
+def _head_divisors(E, i, F, torus, emb, fiber):
+    """(h, [the divisors of d_i(h, t), of d_{i+1}(h, t)]) for every head h.
+
+    The plans that keep x_{r-1} and x_r give each matrix at an outer head
+    x_1..x_{r-2} as term dicts, which `smith.divisors_at_heads` eliminates
+    once over F(x_{r-1})[x_r] and reads at every x_{r-1} of `fiber`.  A
+    head it leaves out, and every head of a complex in one variable, gets
+    its own Smith form from the plan that keeps x_r: no Poly or Matrix per
+    head either way."""
+    ring = E.ring
+    line = Ring(F, ring.variables[-1:], laurent=ring.laurent)
+    maps = [(M, M.evaluator(F, emb, line))
+            for M in (E.differential(i), E.differential(i + 1))]
+    if ring.nvars == 1:
+        yield (), [_dense_divisors(line, at(()), M.ncols) for M, at in maps]
+        return
+    plane = Ring(F, ring.variables[-2:], laurent=ring.laurent)
+    plans = [M.evaluator(F, emb, plane) for M, _ in maps]
+    for outer in enumerate_coords(F, ring.nvars - 2, torus):
+        shared = [divisors_at_heads(F, plan(outer), M.ncols, ring.laurent,
+                                    fiber)
+                  for plan, (M, _) in zip(plans, maps)]
+        for k, h in enumerate(fiber):
+            head = outer + (h,)
+            yield head, [
+                chains[k] if chains[k] is not None
+                else _dense_divisors(line, at(head), M.ncols)
+                for chains, (M, at) in zip(shared, maps)]
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,11 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
+                and (self.nrows, self.ncols) == (other.nrows, other.ncols)
                 and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        return hash((self.ring, self.nrows, self.ncols, self.entries))
 
     def over(self, ring):
         """The same entries over `ring`, which has this ring's field and

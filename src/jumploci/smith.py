@@ -9,14 +9,23 @@ trimmed, so [] is zero and len - 1 the degree) through the field's own
 operations.  The worker takes rows of term dicts: a Matrix gives its
 entries' terms and gets Poly entries back once on exit, while the
 fibered route of `complexes` hands it the term dicts of a
-Matrix.evaluator plan at each head and keeps the divisors as lists, so
-no Poly or Matrix is built per head.  Laurent input is first cleared by
-row shifts (unit scalings), so the elimination itself always runs on
-ordinary polynomials.  Divisors are normalized per the ring: monic, and
-for Laurent rings additionally shifted so the lowest exponent is 0.
+Matrix.evaluator plan and keeps the divisors as lists, so no Poly or
+Matrix is built per head.  Laurent input is first cleared by row shifts
+(unit scalings), so the elimination itself always runs on ordinary
+polynomials.  Divisors are normalized per the ring: monic, and for
+Laurent rings additionally shifted so the lowest exponent is 0.
+
+The same worker runs over F(x), the rational functions in one more
+variable (`RationalFunctions`), for a matrix over F[x][y]:
+`divisors_at_heads` eliminates once and reads the divisors of M(h, y)
+off the generic ones at every head h where nothing the elimination
+inverted vanishes (the specialization argument of comprehensive Groebner
+systems, Weispfenning 1992), and leaves the other heads to their own
+Smith form.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import UnsupportedRingError
 from .fields import udivmod
@@ -183,16 +192,15 @@ def _rows(matrix):
     return [[p.terms for p in row] for row in matrix.entries]
 
 
-def _diagonalize(ring, rows, ncols, transforms):
-    """Run the elimination on `rows`, term dicts over the univariate ring
-    `ring`, and normalize the diagonal: monic, and (Laurent) lowest
-    exponent 0.  Returns the worker and the nonzero divisors as
-    coefficient lists."""
-    F = ring.field
+def _diagonalize(F, laurent, rows, ncols, transforms):
+    """Run the elimination on `rows`, term dicts in one variable over the
+    field F (Laurent when `laurent`), and normalize the diagonal: monic,
+    and (Laurent) lowest exponent 0.  Returns the worker and the nonzero
+    divisors as coefficient lists."""
     # each row of a Laurent matrix times the least t^s, s >= 0, that leaves
     # no negative exponent: a unit scaling
     shifts = ([-min([min(terms)[0] for terms in row if terms] + [0])
-               for row in rows] if ring.laurent else [0] * len(rows))
+               for row in rows] if laurent else [0] * len(rows))
     w = _Worker(F, rows, ncols, shifts, transforms)
     w.run()
     divisors = []
@@ -201,7 +209,7 @@ def _diagonalize(ring, rows, ncols, transforms):
         if not p:
             break
         shift = 0
-        while ring.laurent and p[shift] == F.zero:
+        while laurent and p[shift] == F.zero:
             shift += 1
         lead_inv = F.inv(p[-1])
         divisors.append([F.mul(lead_inv, c) for c in p[shift:]])
@@ -219,7 +227,8 @@ def smith_normal_form(matrix):
     its columns past the divisors are zero, so they span ker A.
     """
     ring = matrix.ring
-    w, divisors = _diagonalize(ring, _rows(matrix), matrix.ncols, True)
+    w, divisors = _diagonalize(ring.field, ring.laurent, _rows(matrix),
+                               matrix.ncols, True)
 
     def back(grid):
         return Matrix(ring, w.n, w.n, [[_poly(ring, c) for c in row]
@@ -231,7 +240,7 @@ def smith_normal_form(matrix):
 def _dense_divisors(ring, rows, ncols):
     """The invariant factors of `rows`, term dicts over the univariate
     `ring`, as coefficient lists, lowest degree first."""
-    return _diagonalize(ring, rows, ncols, False)[1]
+    return _diagonalize(ring.field, ring.laurent, rows, ncols, False)[1]
 
 
 def smith_divisors(matrix):
@@ -251,6 +260,149 @@ def _horner(F, coeffs, values):
     for c in coeffs[-2::-1]:
         acc = [add(mul(a, b), c) for a, b in zip(acc, values)]
     return acc
+
+
+def _mul(F, a, b):
+    """a*b on coefficient lists."""
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    add, mul = F.add, F.mul
+    for i, c in enumerate(a):
+        for j, v in enumerate(b, i):
+            out[j] = add(out[j], mul(c, v))
+    return out
+
+
+class _Swell(Exception):
+    """A numerator or denominator of a shared elimination passed its bound."""
+
+
+class RationalFunctions:
+    """The field F(x), for the Smith worker and udivmod.  An element is a
+    pair (num, den) of coprime coefficient lists over F, den monic, so
+    equal elements are equal pairs.  `guards` collects polynomials in x:
+    the num and the den of every element inverted, and the den of every
+    entry read by `of_terms`.  An element whose num or den passes x-degree
+    floor(sqrt(q)) raises _Swell: from there the shared elimination costs
+    more than the q Smith forms over F[y] it replaces."""
+
+    def __init__(self, F):
+        self.F = F
+        self.bound = isqrt(F.order)
+        self.zero = ([], [F.one])
+        self.one = ([F.one], [F.one])
+        self.guards = []
+        self._minus_one = [F.neg(F.one)]
+
+    def _make(self, num, den):
+        """num/den in lowest terms, den monic."""
+        F = self.F
+        if not num:
+            return self.zero
+        if len(den) > 1:
+            g, r = num, den
+            while r:
+                g, r = r, udivmod(F, g, r)[1]
+            if len(g) > 1:
+                num, den = udivmod(F, num, g)[0], udivmod(F, den, g)[0]
+        if den[-1] != F.one:
+            c = F.inv(den[-1])
+            num, den = [F.mul(c, v) for v in num], [F.mul(c, v) for v in den]
+        if len(num) > self.bound + 1 or len(den) > self.bound + 1:
+            raise _Swell
+        return num, den
+
+    def of_terms(self, terms):
+        """A term dict {(ex, ey): c} over F[x, y] (or F[x^±1, y^±1]) as
+        {(ey,): the coefficient of y^ey in F(x)}."""
+        F = self.F
+        by_y = {}
+        for (ex, ey), c in terms.items():
+            by_y.setdefault(ey, {})[ex] = c
+        out = {}
+        for ey, col in by_y.items():
+            low = min(min(col), 0)
+            num = [F.zero] * (max(col) - low + 1)
+            for ex, c in col.items():
+                num[ex - low] = c
+            den = [F.zero] * -low + [F.one]
+            if low:
+                self.guards.append(den)
+            out[(ey,)] = self._make(num, den)
+        return out
+
+    def add(self, a, b):
+        return self._combine(a, self._minus_one, b)
+
+    def sub(self, a, b):
+        return self._combine(a, [self.F.one], b)
+
+    def _combine(self, a, c, b):
+        """a - c*b for a constant c, given as the list [c]."""
+        F, (an, ad), (bn, bd) = self.F, a, b
+        if ad == bd:
+            return self._make(_submul(F, an, c, bn), ad)
+        return self._make(_submul(F, _mul(F, an, bd), c, _mul(F, bn, ad)),
+                          _mul(F, ad, bd))
+
+    def mul(self, a, b):
+        return self._make(_mul(self.F, a[0], b[0]), _mul(self.F, a[1], b[1]))
+
+    def neg(self, a):
+        return [self.F.neg(c) for c in a[0]], a[1]
+
+    def inv(self, a):
+        num, den = a
+        if not num:
+            raise ZeroDivisionError("inverse of 0")
+        self.guards += (num, den)
+        c = self.F.inv(num[-1])
+        return [self.F.mul(c, v) for v in den], [self.F.mul(c, v) for v in num]
+
+
+def _values(F, c, xs):
+    """The element c = (num, den) of F(x) at each x of xs."""
+    num, den = c
+    if not num:
+        return [F.zero] * len(xs)
+    values = _horner(F, num, xs)
+    if len(den) > 1:
+        values = [F.div(a, b) for a, b in zip(values, _horner(F, den, xs))]
+    return values
+
+
+def divisors_at_heads(F, rows, ncols, laurent, heads):
+    """The invariant factors over F[y] (F[y^±1] when `laurent`) of M(h, y)
+    at x = h for each h of `heads`, M given as rows of term dicts in
+    (x, y): a list of chains as _dense_divisors gives them, with None at
+    each head the caller must eliminate on its own.
+
+    The worker eliminates once over F(x)[y].  A head is exceptional when
+    a guard of RationalFunctions vanishes there, or, over a Laurent ring,
+    the lowest coefficient of a divisor (the normalization shifts by it).
+    Anywhere else every operation of the elimination is defined at h and
+    unimodular over F[y], and each δ_j is monic, so δ_j(h) keeps its
+    degree, δ_{j+1}(h)/δ_j(h) is a division by a monic polynomial with no
+    new denominator, and the δ_j(h) are the Smith divisors of M(h, y).
+    Every head is None when the elimination swells."""
+    K = RationalFunctions(F)
+    try:
+        grid = [[K.of_terms(terms) for terms in row] for row in rows]
+        divisors = _diagonalize(K, laurent, grid, ncols, False)[1]
+    except _Swell:
+        return [None] * len(heads)
+    guards = K.guards + ([p[0][0] for p in divisors] if laurent else [])
+    keep = [True] * len(heads)
+    for g in {tuple(g) for g in guards if len(g) > 1}:
+        for k, v in enumerate(_horner(F, g, heads)):
+            if v == F.zero:
+                keep[k] = False
+    good = [h for h, ok in zip(heads, keep) if ok]
+    values = [[_values(F, c, good) for c in p] for p in divisors]
+    chains = iter([[[v[k] for v in p] for p in values]
+                   for k in range(len(good))])
+    return [next(chains) if ok else None for ok in keep]
 
 
 def vanishing_counts(F, divisors, values, torus=False):

@@ -16,7 +16,9 @@ an oracle.
 Zero loci and point-by-point jump loci are one `points_where` pass over
 F^r; a conical jump locus is the origin plus one pass per chart x_1..x_k =
 0, x_{k+1} = 1 of P^{r-1}, whose points are then scaled by F^x; the
-fibered route streams the heads of its lines.  The one q^r table,
+fibered route streams the outer heads x_1..x_{r-2} and reads every line
+through one of them off one Smith elimination over F(x_{r-1})[x_r].  The
+one q^r table,
 `complexes.homology_dims_table`, is a brute-force oracle for the tests.
 """
 

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jumploci import complexes
+from jumploci import complexes, smith
 from jumploci.cga import aomoto_complex, exterior_algebra, sample_cga
 from jumploci.complexes import (FIBER_MIN_Q, FinVerdict, FreeChainComplex,
                                 ModulePresentation, PresentedChainComplex,
@@ -15,7 +15,8 @@ from jumploci.complexes import (FIBER_MIN_Q, FinVerdict, FreeChainComplex,
                                 jump_locus_ideal, jump_locus_points,
                                 prune_presentation, support_points,
                                 validate_complex, validate_presented)
-from jumploci.corpus import random_bivariate_complex, random_laurent_complex
+from jumploci.corpus import (random_bivariate_complex, random_free_complex,
+                             random_laurent_complex)
 from jumploci.equivariant import build_E1, identity_nu
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
@@ -23,7 +24,9 @@ from jumploci.groebner import ModuleSolver
 from jumploci.matrices import Matrix
 from jumploci.rings import (Ideal, Poly, Ring, parse_poly, poly_to_str,
                             unit_ideal, zero_ideal)
-from jumploci.varieties import extension_fields, zero_locus_points
+from jumploci.smith import _dense_divisors, divisors_at_heads
+from jumploci.varieties import (enumerate_coords, extension_fields, on_torus,
+                                zero_locus_points)
 
 from oracles import (add_acyclic_summand, rank_by_minors,
                      reference_smith_form, udivmod as poly_udivmod, umin)
@@ -569,20 +572,32 @@ def _count_divisor_calls(monkeypatch):
     return calls
 
 
+def _spy(monkeypatch, name):
+    """The list of the first arguments of every call to complexes.<name>."""
+    taken = []
+    real = getattr(complexes, name)
+
+    def spied(*args):
+        taken.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(complexes, name, spied)
+    return taken
+
+
 def test_route_is_fixed_by_the_field_order(monkeypatch):
-    calls = _count_divisor_calls(monkeypatch)
+    taken = _spy(monkeypatch, "_fibered_jump_points")
     for q in (13, 16):
         F = finite_field(q)
         E = random_bivariate_complex(F, 3)
-        del calls[:]
+        del taken[:]
         pts = jump_locus_points(E, 1, 1, F)
         assert pts == _table_locus(homology_dims_table(E, F), 1, 1)
-        assert bool(calls) == (q >= FIBER_MIN_Q), q
+        assert taken == ([E] if q >= FIBER_MIN_Q else []), q
     # presented complexes stay pointwise at any order
-    del calls[:]
+    del taken[:]
     augmentation = augmentation_complex(finite_field(17))
     assert len(jump_locus_points(augmentation, 1, 1, finite_field(17))) == 16
-    assert calls == []
+    assert taken == []
 
 
 def test_fibered_koszul_over_f729_counts(monkeypatch):
@@ -594,11 +609,16 @@ def test_fibered_koszul_over_f729_counts(monkeypatch):
 
 
 def test_fibered_route_builds_no_matrix_or_poly_per_head(monkeypatch):
-    # each head's d_1 and d_2 go from their plans to the Smith worker as
-    # term dicts: 2 Smith forms per head of F_16, and no Matrix or Poly
+    # d_1 and d_2 go from their plans to the Smith worker as term dicts:
+    # one elimination over F_16(x) each, read off at every head, and a
+    # Smith form over F_16[y] at each exceptional head only; no Matrix or
+    # Poly is built
     F = finite_field(16)
-    E = random_bivariate_complex(F, 3)
-    want = _table_locus(homology_dims_table(E, F), 1, 1)
+    cases = [(random_bivariate_complex(F, seed), exceptional)
+             for seed, exceptional in (
+                 (18, 1 + 2),     # d_1 and d_2 have 1 and 2 exceptional heads
+                 (3, 16 + 0))]    # d_1 swells over F_16(x): each head is one
+    wants = [_table_locus(homology_dims_table(E, F), 1, 1) for E, _ in cases]
     calls = _count_divisor_calls(monkeypatch)
     built = []
     for cls in (Matrix, Poly):
@@ -606,9 +626,117 @@ def test_fibered_route_builds_no_matrix_or_poly_per_head(monkeypatch):
             built.append(type(self).__name__)
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-    assert jump_locus_points(E, 1, 1, F) == want
-    assert len(calls) == 2 * 16
+    for (E, exceptional), want in zip(cases, wants):
+        del calls[:]
+        assert jump_locus_points(E, 1, 1, F) == want
+        assert len(calls) == exceptional
     assert built == []
+
+
+# -- one elimination over F(x)[y], read off at every head ------------------------
+
+
+def _divisors_at_every_head(M, F, emb, torus):
+    """(the fiber, divisors_at_heads on it, _dense_divisors at each head)
+    for M over F[x, y] or F[x^±1, y^±1]."""
+    ring = M.ring
+    line = Ring(F, ring.variables[-1:], laurent=ring.laurent)
+    plane = Ring(F, ring.variables, laurent=ring.laurent)
+    fiber = [b for (b,) in enumerate_coords(F, 1, on_torus(ring, torus))]
+    shared = divisors_at_heads(F, M.evaluator(F, emb, plane)(()), M.ncols,
+                               ring.laurent, fiber)
+    at = M.evaluator(F, emb, line)
+    return fiber, shared, [_dense_divisors(line, at((h,)), M.ncols)
+                           for h in fiber]
+
+
+_F25, _EMB25 = extension_of(F5, 2)
+
+
+@st.composite
+def _plane_matrices(draw):
+    """(a differential of a random bivariate complex, possibly Laurent
+    twisted, the field F_q it is read over, the embedding into it, torus)
+    for q = 16, 17, 27, 101, and F_5 read over F_25."""
+    q = draw(st.sampled_from([16, 17, 27, 101, 25]))
+    F, emb = (F5, _EMB25) if q == 25 else (finite_field(q), None)
+    seed = draw(st.integers(0, 199))
+    E = random_bivariate_complex(F, seed)
+    if draw(st.booleans()):
+        E = _laurent_twist(E, seed)
+    M = E.differential(draw(st.integers(1, len(E.differentials))))
+    return M, (_F25 if q == 25 else F), emb, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_plane_matrices())
+def test_shared_elimination_equals_each_heads_smith_form(case):
+    M, F, emb, torus = case
+    _, shared, own = _divisors_at_every_head(M, F, emb, torus)
+    assert len(shared) == len(own)
+    for chain, want in zip(shared, own):
+        assert chain is None or chain == want
+
+
+def test_a_head_where_an_inverted_pivot_vanishes_is_exceptional():
+    # [[x, y]]: over F(x) the pivot x is a unit, so the one divisor is 1,
+    # but at x = 0 the matrix is [[0, y]] with divisor y
+    for F in (finite_field(16), finite_field(17)):
+        R = Ring(F, ("x", "y"))
+        M = Matrix(R, 1, 2, [[parse_poly(R, "x"), parse_poly(R, "y")]])
+        fiber, shared, own = _divisors_at_every_head(M, F, None, False)
+        assert fiber[0] == F.zero and shared[0] is None
+        assert own[0] == [[F.zero, F.one]]
+        assert shared[1:] == own[1:] == [[[F.one]]] * (F.order - 1)
+
+
+def test_a_swelling_elimination_falls_back_to_every_head():
+    # d_1 of random_bivariate_complex(F_16, 3), a 3 x 2 matrix of degree
+    # <= 3: over F_16(x) a num or den passes x-degree floor(sqrt(16)) = 4
+    F = finite_field(16)
+    M = random_bivariate_complex(F, 3).differential(1)
+    K = smith.RationalFunctions(F)
+    rows = M.evaluator(F, None, M.ring)(())
+    with pytest.raises(smith._Swell):
+        smith._diagonalize(K, False, [[K.of_terms(t) for t in row]
+                                      for row in rows], M.ncols, False)
+    _, shared, _ = _divisors_at_every_head(M, F, None, False)
+    assert shared == [None] * 16
+
+
+def test_the_shared_elimination_serves_most_heads():
+    # exceptional heads are few: on 40 bivariate complexes over F_101, 8080
+    # heads of d_1 and d_2, fewer than 2 % fall back
+    F = finite_field(101)
+    served = total = 0
+    for seed in range(40):
+        E = random_bivariate_complex(F, seed)
+        for M in E.differentials[:2]:
+            _, shared, own = _divisors_at_every_head(M, F, None, False)
+            assert all(c is None or c == w for c, w in zip(shared, own))
+            served += sum(c is not None for c in shared)
+            total += len(shared)
+    assert total - served < total // 50, (served, total)
+
+
+@pytest.mark.parametrize("q", [16, 17])
+def test_fibered_route_reads_every_outer_head(q, monkeypatch):
+    # three variables: one elimination over F(y)[z] per outer head x, on
+    # F^3, on the torus, and over the Laurent ring
+    shared = _spy(monkeypatch, "divisors_at_heads")
+    F = finite_field(q)
+    R = Ring(F, ("x", "y", "z"))
+    complexes_run = 0
+    for seed in range(10):
+        E = random_free_complex(R, "trivariate:%d" % seed, max_len=2,
+                                max_rank=3)
+        if _conical(E):
+            continue
+        complexes_run += 1
+        _assert_fibered_matches_table(E, F)
+        _assert_fibered_matches_table(E, F, torus=True)
+        _assert_fibered_matches_table(_laurent_twist(E, seed), F, torus=True)
+    assert complexes_run >= 4 and shared
 
 
 def test_pointwise_homology_evaluates_each_block_once_per_point(monkeypatch):

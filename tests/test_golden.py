@@ -2,9 +2,11 @@
 
 Each command is a README sample or a variant of one (extension fields,
 the torus, the union comparison); the sha256 of its stdout was recorded
-before the pointwise loci were moved onto one streaming kernel, and must
-not change while the printed results stay the same.  Paths are relative to
-the repository root, which the test makes the working directory.
+before the pointwise loci were moved onto one streaming kernel (the two
+fibered-route runs of samples/plane-curves.cc before the fibered route
+shared one Smith elimination across heads), and must not change while the
+printed results stay the same.  Paths are relative to the repository root,
+which the test makes the working directory.
 """
 
 import hashlib
@@ -53,6 +55,12 @@ GOLDEN = [
      0, "3cbba564136b84b9db146733d098681b4a21bf19699e64b8b63496979d42b5bf"),
     ("resonance --cga samples/f4-pairing.cga --i 1 --d 1 --ext 2",
      0, "63db19d96f2a69ca0893dcbd27ade0417868b14ff86e28b0992fd8db0dafb99d"),
+    # a complex that is not a cone, over fields large enough for the
+    # fibered route, on the plane and on the torus
+    ("jumploci --complex samples/plane-curves.cc --i 1 --d 1 --q 17",
+     0, "961c050083eb90e62359106c33687151bb947874e8cbf45189b30a23a5b6ca8f"),
+    ("jumploci --complex samples/plane-curves.cc --i 1 --d 1 --q 16 --torus",
+     0, "248eed4563a51343f0f3bf4b93ca89ecde40582fecd85ec0a0915d75307b1fbe"),
 ]
 
 

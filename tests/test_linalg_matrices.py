@@ -103,6 +103,16 @@ def test_matrix_shape_checks():
     assert all_minors(M, 1) == []
 
 
+def test_matrix_equality_sees_the_shape():
+    # matrices with no rows have equal (empty) entries whatever their width
+    R = Ring(F5, ("t",))
+    empty = [Matrix(R, 0, 0, []), Matrix(R, 0, 3, [])]
+    assert empty[0] != empty[1] and len(set(empty)) == 2
+    assert Matrix.zero(R, 3, 0) != Matrix.zero(R, 2, 0)
+    assert Matrix.zero(R, 0, 3) == Matrix(R, 0, 3, [])
+    assert hash(Matrix.zero(R, 0, 3)) == hash(Matrix(R, 0, 3, []))
+
+
 # Matrix.evaluate runs through the matrix's evaluation plan; the reference is
 # Poly.evaluate entry by entry.  Cases: Q, F_p, a ring over F_p evaluated in
 # F_{p^m} through the prime field's embedding, and Laurent F_p[t^±1] at
