@@ -242,13 +242,15 @@ def resonance_points(A, i, d, field=None, embed=None):
     a^2 = 0 and dim H^i(A, a) >= d: the jump locus of E_A cut by a^2 = 0
     when d >= 1.  `field` and `embed` are those of jump_locus_points.
 
-    The result is checked to be a cone (closed under scaling)."""
+    The result is checked to be a cone (closed under scaling): closed
+    under a generator g of F^x, since for a finite set g*S in S is g*S = S,
+    and so g^k*S = S for every unit g^k."""
     F = field if field is not None else A.field
     pts = square_zero_jump_points(aomoto_complex(A), i, d, F, embed)
-    for p in pts:
-        for lam in F.units():
-            if tuple(F.mul(lam, c) for c in p) not in pts:
-                raise InternalError("resonance locus is not a cone")
+    if pts:
+        g, mul = F.primitive(), F.mul
+        if any(tuple(mul(g, c) for c in p) not in pts for p in pts):
+            raise InternalError("resonance locus is not a cone")
     return pts
 
 

@@ -11,12 +11,16 @@ import json
 import sys
 import time
 import types
+from collections import deque
+from itertools import chain, count, repeat
+from math import prod
+from operator import add, floordiv, itemgetter, mod, mul
 
 from .cga import BShape, generic_vanishing_experiment, resonance_ideal, resonance_points, validate_cga
 from .complexes import (FreeChainComplex, jump_locus_ideal, jump_locus_points,
                         support_points, validate_complex, validate_presented)
 from .documents import (dump, dump_cga, dump_complex, dump_matrix, dump_scalar,
-                        load_document)
+                        load_document, write_rows)
 from .equivariant import build_E1, finiteness_test, verify_cv_res
 from .errors import (AlgebraError, DocumentError, InternalError,
                      ResourceLimitError)
@@ -25,23 +29,88 @@ from .fox import alexander_invariant, characteristic_variety_points
 from .rings import poly_to_str
 from .varieties import extension_fields
 
+
+class Locus:
+    """A point set of F^r as a report prints it: the list of its points'
+    rows of document scalars (dump_scalar) in the canonical order, sorted
+    by the printed scalar of each coordinate in turn: numeric over F_p,
+    string order over F_{p^m}, and over Q the ints before the strings.
+
+    A report never builds the rows.  Each column's distinct coordinates
+    are dumped and ranked once; the points are bucketed by the rank of
+    their first coordinate and sorted inside each bucket by the ranks of
+    the others, packed into one int; and documents.write_rows streams
+    them."""
+
+    __slots__ = ("field", "points")
+
+    def __init__(self, field, points):
+        self.field = field
+        self.points = points
+
+    def _ranked(self):
+        """(cells, columns), for r >= 1 coordinates and a point or more:
+        cells[j] lists the distinct scalars of column j in ascending order,
+        and columns[j] gives the ranks among them of the coordinates of
+        column j, in canonical row order."""
+        field, points = self.field, self.points
+        cells, keys = [], []
+        for j in range(len(next(iter(points)))):
+            col = tuple(map(itemgetter(j), points))
+            scalars = {c: dump_scalar(field, c) for c in set(col)}
+            key = scalars.__getitem__
+            if len(set(map(type, scalars.values()))) > 1:  # ints and strings
+                key = lambda c: (type(scalars[c]) is str, scalars[c])
+            order = sorted(scalars, key=key)
+            cells.append(list(map(scalars.__getitem__, order)))
+            keys.append(map(dict(zip(order, count())).__getitem__, col))
+        sizes = list(map(len, cells))
+        # the ranks after the first, packed into one int base sizes[j]
+        rest = keys[1] if len(keys) > 1 else repeat(0)
+        for key, size in zip(keys[2:], sizes[2:]):
+            rest = map(add, map(mul, rest, repeat(size)), key)
+        buckets = [[] for _ in cells[0]]
+        deque(map(list.append, map(buckets.__getitem__, keys[0]), rest),
+              maxlen=0)
+        for bucket in buckets:
+            bucket.sort()
+        packed = list(chain.from_iterable(buckets))
+        columns = [chain.from_iterable(map(repeat, count(), map(len, buckets)))]
+        for j in range(1, len(sizes)):
+            stride = prod(sizes[j + 1:])
+            col = packed if stride == 1 else map(floordiv, packed,
+                                                 repeat(stride))
+            columns.append(col if j == 1 else map(mod, col, repeat(sizes[j])))
+        return cells, columns
+
+    def write_json(self, nl, write):
+        """Write json.dumps of the rows as documents.write_rows does (`nl`
+        as there: None for one line)."""
+        if not self.points:
+            write("[]")
+        elif not next(iter(self.points)):  # the one point of F^0
+            write("[[]]" if nl is None else "[" + nl + "  []" + nl + "]")
+        else:
+            cells, columns = self._ranked()
+            write_rows(list(map(enumerate, cells)), columns,
+                       len(self.points), nl, write)
+
+
 def point_list(field, pts):
-    """The points `pts` as sorted lists of document scalars, converted a
-    coordinate column at a time through one dict that converts each
-    distinct coordinate once.  Points of F^0 have no columns: the one
-    such point is the empty list."""
-    columns = list(zip(*pts))
-    if not columns:
+    """The points `pts` as lists of document scalars, in the canonical
+    order a report prints them in (Locus)."""
+    if not pts or not next(iter(pts)):
         return [[] for _ in pts]
-    scalar = {c: dump_scalar(field, c) for c in set().union(*columns)}.__getitem__
-    return sorted(map(list, zip(*[map(scalar, col) for col in columns])))
+    cells, columns = Locus(field, pts)._ranked()
+    return list(map(list, zip(*map(map, [c.__getitem__ for c in cells],
+                                   columns))))
 
 
 def _by_extension(extensions, locus):
     """The by_extension block: for each (e, F_{q^e}, embed) of
     `extensions`, the field order and the points of locus(F_{q^e}, embed)."""
     return {str(e): {"field_order": big.order,
-                     "points": point_list(big, locus(big, emb))}
+                     "points": Locus(big, locus(big, emb))}
             for e, big, emb in extensions}
 
 
@@ -129,8 +198,8 @@ def cmd_supports(args, E):
             same = w_union == v_union
             agree = agree and same
             comparison[str(e)] = {
-                "support_union": point_list(big, w_union),
-                "jump_union": point_list(big, v_union),
+                "support_union": Locus(big, w_union),
+                "jump_union": Locus(big, v_union),
                 "equal": same,
             }
         result["compare_v"] = comparison
@@ -162,8 +231,8 @@ def cmd_verify_cvres(args, A, nu):
     rep = verify_cv_res(A, nu, args.i, args.d)
     result = {
         "i": args.i, "d": args.d, "field_order": F.order,
-        "lhs_points": point_list(F, rep["lhs_points"]),
-        "rhs_points": point_list(F, rep["rhs_points"]),
+        "lhs_points": Locus(F, rep["lhs_points"]),
+        "rhs_points": Locus(F, rep["rhs_points"]),
         "equal": rep["equal"],
     }
     return {"results": result}, 0 if rep["equal"] else 1
@@ -189,7 +258,7 @@ def cmd_finiteness(args, A, nu):
             key=lambda v: (v["i"], v["w"]))
     if rep["hypothesis_holds"]:
         result["e2_supports_in_origin"] = rep["e2_supports_in_origin"]
-        result["e2_supports"] = {str(i): point_list(F, pts)
+        result["e2_supports"] = {str(i): Locus(F, pts)
                                  for i, pts in rep["e2_supports"].items()}
         result["e2_dims"] = {str(i): dataclasses.asdict(v)
                              for i, v in rep["e2_dims"].items()}
@@ -239,6 +308,10 @@ def _render_text(report, out):
         if isinstance(value, dict):
             for k in sorted(value):
                 walk("%s.%s" % (prefix, k) if prefix else str(k), value[k])
+        elif isinstance(value, Locus):
+            out.write(prefix + ": ")
+            value.write_json(None, out.write)
+            out.write("\n")
         elif isinstance(value, list):
             out.write("%s: %s\n" % (prefix, json.dumps(value)))
         else:

@@ -374,34 +374,40 @@ def _cell_columns(value):
     return None
 
 
-def _write_columns(columns, nl, write):
-    """Write the rows whose columns are `columns` as _write would, in
-    bounded chunks: each distinct cell of a column is rendered once, with
-    the separator that follows it attached (after the last column, the
-    close of its row and the open of the next), and the text is a join of
-    those shared strings in row order."""
-    inner = nl + "  "
-    cell = inner + "  "
-    seps = ["," + cell] * (len(columns) - 1) + [inner + "]," + inner + "[" + cell]
-    texts = [{v: _scalar(v) + sep for v in set(col)}.__getitem__
-             for col, sep in zip(columns, seps)]
+def write_rows(cells, columns, count, nl, write):
+    """Write `count` rows as json.dumps writes that list of lists: indented
+    by 2 when `nl` is the newline and indent that precede its closing
+    bracket, on one line when `nl` is None.  columns[j] gives the keys of
+    the rows' j-th cells in row order, and cells[j] the (key, scalar)
+    pair of each distinct key, the scalar an int or a string.  Each
+    distinct cell of a column is rendered once with the separator that
+    follows it attached (after the last column, the close of its row and
+    the open of the next), and the text is a join of those shared strings
+    in row order, written 4096 cells at a time."""
+    inner, cell, comma = (("", "", ", ") if nl is None
+                          else (nl + "  ", nl + "    ", ","))
+    seps = [comma + cell] * (len(cells) - 1)
+    seps.append(inner + "]" + comma + inner + "[" + cell)
+    texts = [{key: _scalar(v) + sep for key, v in pairs}.__getitem__
+             for pairs, sep in zip(cells, seps)]
     stream = chain.from_iterable(zip(*map(map, texts, columns)))
     # every cell but the last, whose row closes the array instead
-    left = len(columns) * len(columns[0]) - 1
+    left = len(cells) * count - 1
     write("[" + inner + "[" + cell)
     while left:
         chunk = min(left, 4096)
         write("".join(islice(stream, chunk)))
         left -= chunk
-    write(_scalar(columns[-1][-1]) + inner + "]" + nl + "]")
+    write(next(stream)[:-len(seps[-1])] + inner + "]" + (nl or "") + "]")
 
 
 def _write(value, nl, write):
     """Write the text of json.dumps(value, sort_keys=True, indent=2)
     through `write`, one call per array that holds no array or object, so
     that a point is one join and not one call per coordinate, and a list
-    of rows of ints and strings, such as a point list, column by column
-    in chunks (_write_columns); `nl` is the newline and indent that
+    of rows of ints and strings in chunks (write_rows); a value with a
+    write_json(nl, write) method, such as a cli.Locus, writes its own text
+    for the list it stands for.  `nl` is the newline and indent that
     precede the closing bracket of `value`.  Object keys must be strings,
     as they are in every document."""
     if isinstance(value, dict):
@@ -421,7 +427,8 @@ def _write(value, nl, write):
             return
         columns = _cell_columns(value)
         if columns is not None:
-            _write_columns(columns, nl, write)
+            write_rows([((v, v) for v in set(col)) for col in columns],
+                       columns, len(value), nl, write)
             return
         inner = nl + "  "
         texts = []
@@ -439,6 +446,8 @@ def _write(value, nl, write):
             _write(item, inner, write)
             sep = "," + inner
         write(nl + "]")
+    elif hasattr(value, "write_json"):  # a value that streams itself
+        value.write_json(nl, write)
     else:
         write(_scalar(value))
 

@@ -185,6 +185,13 @@ class PrimeField:
     def units(self):
         return range(1, self.p)
 
+    def primitive(self):
+        """A generator of the units: the least element of order p - 1."""
+        n = self.p - 1
+        return next(g for g in self.units()
+                    if all(pow(g, n // r, self.p) != 1
+                           for r in _prime_factors(n)))
+
     def scalar_str(self, a):
         return str(a)
 
@@ -415,6 +422,10 @@ class ExtensionField:
 
     def units(self):
         return range(1, self.order)
+
+    def primitive(self):
+        """The generator g of the units whose powers the tables hold."""
+        return self._exp[1]
 
     def scalar_str(self, a):
         parts = []

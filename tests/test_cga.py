@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from jumploci import complexes
+from jumploci import cga, complexes
 from jumploci.complexes import jump_locus_points
 from jumploci.cga import (BShape, GradedAlgebra, aomoto_complex,
                           exterior_algebra, generic_vanishing_experiment,
                           in_resonance, pairing_cga, resonance_ideal,
                           resonance_points, sample_cga, validate_cga)
 from jumploci.documents import dump_cga
-from jumploci.errors import PreconditionError
+from jumploci.errors import InternalError, PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.matrices import Matrix
 from jumploci.rings import Poly, unit_ideal, zero_ideal
@@ -203,6 +203,29 @@ def test_cone_and_nesting_exhaustive():
                         for lam in field.units():
                             scaled = tuple(field.mul(lam, c) for c in coords)
                             assert scaled in sets[d]
+
+
+@pytest.mark.parametrize("planted", [
+    # not closed under any unit but 1
+    {(0, 0), (1, 2)},
+    # closed under 2, of order 3 in F_7^x, but not under the generator 3
+    {(1, 0), (2, 0), (4, 0)},
+])
+def test_a_planted_non_cone_is_an_internal_error(planted, monkeypatch):
+    monkeypatch.setattr(cga, "square_zero_jump_points",
+                        lambda *args: set(planted))
+    with pytest.raises(InternalError, match="not a cone"):
+        resonance_points(zero_mult(PrimeField(7)), 1, 1)
+
+
+def test_a_planted_cone_passes_the_generator_check(monkeypatch):
+    # the two lines through the origin spanned by (1, 0) and (1, 1)
+    F7 = PrimeField(7)
+    cone = {(F7.mul(t, a), F7.mul(t, b)) for a, b in ((1, 0), (1, 1))
+            for t in F7.elements()}
+    monkeypatch.setattr(cga, "square_zero_jump_points",
+                        lambda *args: set(cone))
+    assert resonance_points(zero_mult(F7), 1, 1) == cone
 
 
 def test_sample_cga_validity_and_classification():

@@ -675,6 +675,30 @@ def test_point_list_matches_the_per_coordinate_conversion(field, pts):
     assert cli.point_list(field, pts) == _each_coordinate(field, pts)
 
 
+def test_a_structured_report_builds_no_list_of_rows(capsys, monkeypatch):
+    # each locus reaches the writer as its point set, and is streamed from
+    # it: no list of row lists is built, and none is handed to the writer
+    from jumploci import documents
+    built, handed = [], []
+    cell_columns = documents._cell_columns
+
+    def spy_cell_columns(value):
+        columns = cell_columns(value)
+        if columns is not None:
+            handed.append(value)
+        return columns
+    monkeypatch.setattr(cli, "point_list",
+                        lambda *args: built.append("point_list"))
+    monkeypatch.setattr(documents, "_cell_columns", spy_cell_columns)
+    code, out = run(capsys, "jumploci", "--complex",
+                    SAMPLES + "plane-curves.cc", "--i", "1", "--q", "17",
+                    "--ext", "2", "--format", "structured")
+    assert code == 0
+    assert built == [] and handed == []
+    points = json.loads(out)["results"]["by_extension"]["2"]["points"]
+    assert len(points) > 3
+
+
 def test_zero_variable_locus_prints_the_empty_point(capsys, tmp_path):
     # F_5^0 is one point, the empty tuple; H_0 of [0] : F_5 -> F_5 is 1
     # there, so the locus is that point and prints as [[]]

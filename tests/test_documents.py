@@ -1,13 +1,17 @@
 import io
 import json
+import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumploci.cga import pairing_cga
+from jumploci.cli import Locus, _render_text, point_list
 from jumploci.documents import (dump, dump_cga, dump_complex, dump_field,
-                                dump_group, dump_nu, dump_presentation, dumps,
-                                load_cga,
+                                dump_group, dump_nu, dump_presentation,
+                                dump_scalar, dumps, load_cga,
                                 load_complex, load_document, load_field,
                                 load_group, load_nu, load_presentation)
 from jumploci.equivariant import FinAbGroup, NuData
@@ -191,3 +195,89 @@ def test_a_large_point_list_is_written_in_bounded_chunks():
     if out.getvalue() != want:  # no diff of half a megabyte
         pytest.fail("dump wrote other text than json.dumps")
     assert max(sizes) < len(want) // 4
+
+
+# Loci, which a report holds as their point sets and the writer streams:
+# each must print as its rows from point_list print through json.dumps,
+# in the structured form and in the text form.  Over Q a column can hold
+# ints and fraction strings, over F_16 and F_9 the printed strings sort
+# otherwise than the field's ints.
+_LOCUS_FIELDS = [Q, PrimeField(2), PrimeField(7), finite_field(9),
+                 finite_field(16)]
+
+
+@st.composite
+def _loci(draw):
+    field = draw(st.sampled_from(_LOCUS_FIELDS))
+    if field.is_finite:
+        scalar = st.integers(0, field.order - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    r = draw(st.integers(0, 4))
+    return field, draw(st.sets(st.tuples(*[scalar] * r), max_size=30))
+
+
+def _report(points):
+    return {"command": "jumploci", "results": {
+        "by_extension": {"1": {"field_order": 7, "points": points}},
+        "ideal": ["x"], "lhs_points": points}}
+
+
+def _text(report):
+    out = io.StringIO()
+    _render_text(report, out)
+    return out.getvalue()
+
+
+def _check_locus(field, points):
+    rows = point_list(field, points)
+    try:  # the per-coordinate order, where Python can sort the rows
+        assert rows == sorted([dump_scalar(field, c) for c in p]
+                              for p in points)
+    except TypeError:  # a Q column whose ints and strings meet
+        pass
+    streamed, built = _report(Locus(field, points)), _report(rows)
+    want = json.dumps(built, sort_keys=True, indent=2) + "\n"
+    if dumps(streamed) != want:  # no diff of a large text
+        pytest.fail("dumps wrote other text than json.dumps of the rows")
+    out = io.StringIO()
+    dump(streamed, out)
+    assert out.getvalue() == want
+    if _text(streamed) != _text(built):
+        pytest.fail("the text form differs from that of the rows")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_loci())
+@example((PrimeField(7), set()))
+@example((PrimeField(7), {()}))
+@example((Q, {(Fraction(1, 2), Fraction(3)), (Fraction(1, 3), Fraction(-1, 2))}))
+def test_a_locus_prints_as_its_rows_print(locus):
+    _check_locus(*locus)
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_locus_of_many_rows_prints_as_its_rows_print(rows, r):
+    # 4096 cells are written at a time: one row short of, at, and one past
+    # a chunk of cells, and past two
+    field = PrimeField(8209) if r == 1 else finite_field(101)
+    points = random.Random(rows).sample(
+        list(product(range(field.order), repeat=r)), rows)
+    _check_locus(field, set(points))
+
+
+def test_a_locus_is_written_in_bounded_chunks():
+    # 101^2 points of F_101^2, as a jump locus prints them
+    F101 = PrimeField(101)
+    report = {"points": Locus(F101, set(product(range(101), repeat=2)))}
+    for render in (dump, _render_text):
+        sizes = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+        out = Out()
+        render(report, out)
+        assert max(sizes) < len(out.getvalue()) // 4

@@ -61,6 +61,17 @@ GOLDEN = [
      0, "961c050083eb90e62359106c33687151bb947874e8cbf45189b30a23a5b6ca8f"),
     ("jumploci --complex samples/plane-curves.cc --i 1 --d 1 --q 16 --torus",
      0, "248eed4563a51343f0f3bf4b93ca89ecde40582fecd85ec0a0915d75307b1fbe"),
+    # the structured writer, recorded before it took each locus straight
+    # from its point set: over F_16 the printed strings sort otherwise than
+    # the field's ints, and two-tori.cga has a 4-dimensional A^1
+    ("jumploci --complex samples/plane-curves.cc --i 1 --d 1 --q 17 --format structured",
+     0, "92b07fb29fb28322c614bbd0aebf176075b39e6c05a1ae6769b17b7a1e4ed964"),
+    ("jumploci --complex samples/plane-curves.cc --i 1 --d 1 --q 16 --torus --format structured",
+     0, "af13f65d24282fca4d28abcd4cc7d8396c4d72100d95316e114fee1cdff24556"),
+    ("resonance --cga samples/two-tori.cga --i 1 --d 2 --q 7 --format structured",
+     0, "77402d38c5fc349b5ee7a0191a517a5c2fc5844802ad9ab0ff55efd91a45acef"),
+    ("verify-cvres --cga samples/zero-pairing.cga --nu samples/identity-z2.nu --i 1 --d 1 --q 7 --format structured",
+     0, "d8cd27008ba1805b773aac606052ddc671d708a8dd4e702fb5483de5fc26f366"),
 ]
 
 

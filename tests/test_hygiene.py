@@ -179,18 +179,26 @@ def _public_definitions(tree):
 
 
 def _benchmark_names():
-    """The library names the benchmark imports or its traced run wraps,
-    read from `clibench/`, so that the list follows the benchmark."""
+    """The library names the benchmark imports, reads off a library module
+    it imports (`cli.point_list` after `from jumploci import cli`), or its
+    traced run wraps, read from `clibench/`, so that the list follows the
+    benchmark."""
     bench = os.path.join(ROOT, "clibench")
     names = set()
     for fname in sorted(os.listdir(bench)):
         if not fname.endswith(".py"):
             continue
         tree = _parse(os.path.join(bench, fname))
-        names.update(alias.name for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom)
-                     and (node.module or "").startswith("jumploci")
-                     for alias in node.names)
+        imported = [alias for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("jumploci")
+                    for alias in node.names]
+        names.update(alias.name for alias in imported)
+        modules = {alias.asname or alias.name for alias in imported}
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in modules)
     for _, traced in _traced_spans().values():
         if traced != "cmd_*":
             names.update(traced)
