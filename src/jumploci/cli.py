@@ -8,6 +8,7 @@ and timing goes to stderr only.
 
 import dataclasses
 import json
+import os
 import sys
 import time
 import types
@@ -181,18 +182,23 @@ def cmd_jumploci(args, E):
 def cmd_supports(args, E):
     base = _target_field(args, E.ring.field)
     extensions = list(extension_fields(base, args.ext))
+    supports = {}  # (i, d, field) -> a support locus already computed
+
+    def support(i, d, big, emb):
+        key = (i, d, big)
+        if key not in supports:
+            supports[key] = support_points(E, i, d, big, torus=args.torus,
+                                           embed=emb)
+        return supports[key]
     result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
-        extensions,
-        lambda big, emb: support_points(E, args.i, args.d, big,
-                                        torus=args.torus, embed=emb))}
+        extensions, lambda big, emb: support(args.i, args.d, big, emb))}
     if args.compare_v:
         comparison = {}
         agree = True
         for e, big, emb in extensions:
             w_union, v_union = set(), set()
             for i2 in range(args.i + 1):
-                w_union |= support_points(E, i2, 1, big, torus=args.torus,
-                                          embed=emb)
+                w_union |= support(i2, 1, big, emb)
                 v_union |= jump_locus_points(E, i2, 1, big, torus=args.torus,
                                              embed=emb)
             same = w_union == v_union
@@ -525,7 +531,14 @@ def main(argv=None):
         report = {"command": args.command, "error": {
             "type": type(exc).__name__, "message": str(exc)}}
         code = error_code(exc)
-    emit(report, args)
+    try:
+        emit(report, args)
+    except BrokenPipeError:
+        # the reader closed stdout: the report ends here, with exit code 5.
+        # stdout now points at os.devnull, so the interpreter's final flush
+        # of what is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 5
     print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)
     return code
 

@@ -8,6 +8,9 @@ locus is the degree-0 jump locus of a homology presentation matrix.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, product
+from operator import add, neg, sub
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
 from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
@@ -16,8 +19,9 @@ from .linalg import mat_rank, mat_rank_stacked
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
 from .rings import Poly, Ring, unit_ideal, zero_ideal
-from .smith import (_dense_divisors, divisors_at_heads, smith_divisors,
-                    smith_normal_form, vanishing_counts)
+from .smith import (_dense_divisors, divisors_at_heads,
+                    integer_column_echelon, smith_divisors, smith_normal_form,
+                    vanishing_counts)
 from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where)
 
@@ -85,6 +89,7 @@ class FreeChainComplex(_ChainComplex):
     def __init__(self, ring, ranks, differentials):
         super().__init__(ring, ranks, differentials)
         self.ranks = self._gens
+        self._orbit_cache = {}
 
     rank = _ChainComplex.gens
 
@@ -271,7 +276,7 @@ def homology_dims_table(E, field, torus=False, embed=None):
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
-# A free complex that is not conical, over a field of at least this many
+# A free complex with no grading, over a field of at least this many
 # elements, takes the fibered route of jump_locus_points.  Over small
 # fields the Smith divisors of a line cost more than ranking its q points;
 # README gives the measured crossover and why the threshold sits above it.
@@ -282,11 +287,12 @@ def jump_locus_points(E, i, d, field, torus=False, embed=None):
     """{w : dim H_i(E (x) S/m_w) >= d} over `field`.
 
     The route is fixed by the input.  A free complex in at least one
-    variable whose d_i and d_{i+1} are column-graded is solved on the
-    origin and the charts of P^{r-1}, then scaled (`_conical_jump_points`);
-    otherwise, over a field of at least FIBER_MIN_Q elements, it is read
-    line by line from Smith divisors (`_fibered_jump_points`).  Presented
-    complexes and smaller fields rank d_i and d_{i+1} at each point.
+    variable whose d_i and d_{i+1} have a nonzero weight lattice is ranked
+    at one point per orbit of a grading torus on each coordinate stratum
+    (`_orbit_jump_points`); any other free complex, over a field of at
+    least FIBER_MIN_Q elements, is read line by line from Smith divisors
+    (`_fibered_jump_points`).  Presented complexes and the rest rank d_i
+    and d_{i+1} at each point.
     """
     if d < 0:
         raise PreconditionError("d must be non-negative")
@@ -298,50 +304,224 @@ def jump_locus_points(E, i, d, field, torus=False, embed=None):
         return set()
     emb = embed if embed is not None else coefficient_embedding(ring.field, field)
     if isinstance(E, FreeChainComplex) and ring.nvars >= 1 and field.is_finite:
-        if all(_column_graded(E.differential(j)) for j in (i, i + 1)):
-            return _conical_jump_points(E, i, d, field, torus, emb)
+        if _strata(E, i) is not None:
+            return _orbit_jump_points(E, i, d, field, torus, emb)
         if field.order >= FIBER_MIN_Q:
             return _fibered_jump_points(E, i, d, field, torus, emb)
     dim_at = homology_dim_at(E, i, field, emb)
     return points_where(field, ring.nvars, torus, lambda coords: dim_at(coords) >= d)
 
 
-def _column_graded(M):
-    """Whether the nonzero terms of each column of M share one total degree."""
-    return all(len({sum(e) for p in M.col(j) for e in p.terms}) <= 1
-               for j in range(M.ncols))
+def _orbit_jump_points(E, i, d, field, torus, emb):
+    """The jump locus of a free complex whose d_i and d_{i+1} are graded,
+    one coordinate stratum at a time, ranked at one point per torus orbit.
 
-
-def _conical_jump_points(E, i, d, field, torus, emb):
-    """The jump locus of a free complex whose d_i and d_{i+1} are
-    column-graded, so d(λx) = d(x) diag(λ^{deg of each column}) and
-    dim H_i is constant on every punctured line through 0.
-
-    The origin is tested once (off the torus).  Chart k sets x_1..x_k = 0
-    and x_{k+1} = 1 (only x_1 = 1 on the torus) through the plans of d_i
-    and d_{i+1} that keep x_{k+2}..x_r, leaving a free complex in them (in
-    none for k = r - 1) whose locus jump_locus_points finds by its own
-    rule; every point of it is then scaled by every λ in F^x."""
-    F, ring = field, E.ring
-    r = ring.nvars
+    If w.e = b_k - a_j for each monomial x^e of entry (j, k) of d, with
+    row and column shifts a and b of its own for each of d = d_i and
+    d_{i+1}, then d(λ^w x) = diag(λ^-a) d(x) diag(λ^b) for λ in F^x, so
+    both ranks, and dim H_i, are constant on the orbits of λ -> λ^w.  The
+    stratum S holds the points whose nonzero coordinates are S (only the
+    full torus on request or over a Laurent ring).  `_stratum` gives its
+    weight lattice L_S, re-solved from the monomials nonzero there, and a
+    unimodular V = [P | K] with K a basis of L_S.  In the coordinates
+    x_v = prod_j t_j^V[v][j] of (F^x)^S the shifts absorb t_K, so the rank
+    is that at t_K = 1: a Laurent complex in the |S| - k coordinates t_P
+    on the smaller torus.  Over a field of at least FIBER_MIN_Q elements
+    it is read line by line (`_fibered_jump_points`); otherwise each of
+    its (q - 1)^(|S| - k) points is ranked through the evaluator of E.
+    Each point of its locus is then spread over its orbit, and when every
+    point is in it, so is the whole stratum."""
+    F, r = field, E.ring.nvars
+    mul, units = F.mul, F.units()
+    dim_at = homology_dim_at(E, i, F, emb)
     out = set()
-    if not torus and homology_dim_at(E, i, F, emb)((F.zero,) * r) >= d:
-        out.add((F.zero,) * r)
-    units, mul = list(F.units()), F.mul
-    for k in range(1 if torus else r):
-        tail = Ring(F, ring.variables[k + 1:], laurent=ring.laurent)
-        zeros = (F.zero,) * k
-        prefix, diffs = zeros + (F.one,), []
-        for M in (E.differential(i), E.differential(i + 1)):
-            grid = M.evaluator(F, emb, tail)(prefix)
-            diffs.append(Matrix(tail, M.nrows, M.ncols,
-                                [[Poly(tail, t) for t in row] for row in grid]))
-        chart = FreeChainComplex(
-            tail, [E.rank(i - 1), E.rank(i), E.rank(i + 1)], diffs)
-        for p in jump_locus_points(chart, 1, d, F, torus):
-            for lam in units:
-                out.add(zeros + (lam,) + tuple([mul(lam, c) for c in p]))
+    for S in ([tuple(range(r))] if torus else
+              [S for k in range(r + 1) for S in combinations(range(r), k)]):
+        pcols, kernel = _stratum(E, i, S)
+        lift = _lifter(F, r, S, pcols)
+        if pcols and F.order >= FIBER_MIN_Q:
+            reps = _fibered_jump_points(_stratum_complex(E, i, S, pcols), 1,
+                                        d, F, True, emb)
+        else:
+            reps = points_where(F, len(pcols), True,
+                                lambda t: dim_at(lift(t)) >= d)
+        if len(reps) == (F.order - 1) ** len(pcols):
+            out.update(product(*[units if v in S else (F.zero,)
+                                 for v in range(r)]))
+        elif reps:
+            orbit = _orbit(F, r, S, kernel)
+            for x in map(lift, reps):
+                out.update(tuple(map(mul, x, o)) for o in orbit)
     return out
+
+
+def _strata(E, i):
+    """The per-degree cache of the orbit route: None when the weight
+    lattice L of d_i and d_{i+1} on the full torus is 0, else their
+    monomial graph, the differences of two monomials of one entry, and a
+    dict from each stratum asked for to its (P, K).  The graph has a node
+    per row and per column of each map, and each monomial x^e of an entry
+    is an edge from its row to its column, kept at both ends as (the other
+    end, +-e, whether it leaves this end, the bit mask of the variables
+    x^e holds); a difference is kept with the mask of both monomials.  The
+    differences are cycle vectors, so when they leave no weight, neither
+    does the graph, and it is not built."""
+    cache = E._orbit_cache
+    if i not in cache:
+        maps = (E.differential(i), E.differential(i + 1))
+        masks = [[{e: sum(1 << v for v, x in enumerate(e) if x)
+                   for e in p.terms} for p in row]
+                 for M in maps for row in M.entries]
+        pairs = [(entry[e] | entry[f], tuple(map(sub, f, e)))
+                 for row in masks for entry in row
+                 for e, f in combinations(entry, 2)]
+        full = tuple(range(E.ring.nvars))
+        lattice = _kernel([z for _, z in pairs], full)
+        if lattice[1]:
+            adj, base, rows = {}, 0, iter(masks)
+            for M in maps:
+                for j, row in zip(range(M.nrows), rows):
+                    for k, entry in enumerate(row):
+                        a, b = base + j, base + M.nrows + k
+                        for e, mask in entry.items():
+                            adj.setdefault(a, []).append((b, e, True, mask))
+                            adj.setdefault(b, []).append(
+                                (a, tuple(map(neg, e)), False, mask))
+                base += M.nrows + M.ncols
+            lattice = _kernel(_cycles(adj, full), full)
+        cache[i] = (adj, pairs, {full: lattice}) if lattice[1] else None
+    return cache[i]
+
+
+def _stratum(E, i, S):
+    """The (P, K) of the stratum S, a tuple of variable indices.  L_S holds
+    the projection of L onto Z^S, whose rank is k'.  The differences of
+    two monomials of one entry, both nonzero on S, are cycle vectors, so
+    when they leave a kernel of rank k', it is L_S (saturated lattices,
+    one inside the other, of one rank); else the graph is walked."""
+    adj, pairs, lattices = E._orbit_cache[i]
+    if S not in lattices:
+        on = sum(1 << v for v in S)
+        _, full = lattices[tuple(range(E.ring.nvars))]
+        pivots, _ = integer_column_echelon([[col[v] for v in S]
+                                            for col in full], len(S))
+        lattice = _kernel([z for mask, z in pairs if mask & on == mask], S)
+        if len(lattice[1]) != len(pivots) - pivots.count(None):
+            lattice = _kernel(_cycles(adj, S), S)
+        lattices[S] = lattice
+    return lattices[S]
+
+
+def _cycles(adj, S):
+    """The cycle vectors of the monomials of the graph `adj` nonzero on S:
+    shifts propagate along a spanning forest, s(column) = s(row) + e, and
+    every other edge gives s(row) + e - s(column)."""
+    on = sum(1 << v for v in S)
+    shift, cycles = {}, set()
+    for root in adj:
+        if root not in shift:
+            e = adj[root][0][1]
+            shift[root], stack = tuple(map(sub, e, e)), [root]
+            while stack:
+                u = stack.pop()
+                for v, e, forward, mask in adj[u]:
+                    if mask & on != mask:
+                        continue
+                    if v not in shift:
+                        shift[v] = tuple(map(add, shift[u], e))
+                        stack.append(v)
+                    elif forward:
+                        cycles.add(tuple(map(sub, map(add, shift[u], e),
+                                             shift[v])))
+    return cycles
+
+
+def _kernel(cycles, S):
+    """(P, K), columns over S: K a basis of the weights w in Z^S with
+    w.z = 0 for every vector z of `cycles` (zero off S), and P its
+    completion to a basis of Z^S, from one `integer_column_echelon` of the
+    coordinates as columns of the cycles.  P is the pivot columns of the
+    echelon form when they are unit vectors, else unit vectors where some
+    choice of them does, else those pivot columns.  Unit vectors make a
+    chart: the other coordinates of S are set to 1."""
+    n = len(S)
+    rows = list({tuple(z[v] for v in S) for z in cycles} - {(0,) * n})
+    m = len(rows)
+    pivots, rest = integer_column_echelon(
+        [[z[a] for z in rows] + [int(a == b) for b in range(n)]
+         for a in range(n)], m)
+    kernel = [c[m:] for c in rest]
+    pcols = [c[m:] for c in pivots if c is not None]
+    if all(sorted(c) == [0] * (n - 1) + [1] for c in pcols):
+        return pcols, kernel
+    for chart in combinations(range(n), len(kernel)):
+        spans, _ = integer_column_echelon(
+            [[col[a] for a in chart] for col in kernel], len(kernel))
+        if all(c is not None and abs(c[k]) == 1 for k, c in enumerate(spans)):
+            return [[int(a == b) for b in range(n)]
+                    for a in range(n) if a not in chart], kernel
+    return pcols, kernel
+
+
+def _stratum_complex(E, i, S, pcols):
+    """d_i and d_{i+1} at x_v = prod_j t_j^P[v][j] on S and 0 off S: a
+    Laurent complex in t_P, whose weight lattice is 0.  Two monomials of
+    one entry differ by a cycle vector, which has no K-part and so a
+    nonzero P-part: their terms stay distinct."""
+    ring = E.ring
+    small = Ring(ring.field, [ring.variables[v] for v in S[:len(pcols)]],
+                 laurent=True)
+    off = [v for v in range(ring.nvars) if v not in S]
+
+    def term(e):
+        return tuple(sum(e[v] * c for v, c in zip(S, col)) for col in pcols)
+    return FreeChainComplex(
+        small, [E.rank(i - 1), E.rank(i), E.rank(i + 1)],
+        [Matrix(small, M.nrows, M.ncols, [
+            [Poly(small, {term(e): c for e, c in p.terms.items()
+                          if not any(e[v] for v in off)}) for p in row]
+            for row in M.entries])
+         for M in (E.differential(i), E.differential(i + 1))])
+
+
+def _lifter(F, r, S, pcols):
+    """t -> the point of F^r, 0 off S, whose coordinate x_v on S is
+    prod_j t_j^P[v][j]: the representative t_K = 1 of an orbit.  On a
+    chart each x_v is a t_j, 1 or 0, picked from t + (1, 0)."""
+    one, zero, mul, pow_ = F.one, F.zero, F.mul, F.pow
+    unit = [0] * (len(S) - 1) + [1]
+    if all(sorted(col) == unit for col in pcols):
+        tail = len(pcols)
+        spots = {S[col.index(1)]: j for j, col in enumerate(pcols)}
+        picks = [spots.get(v, tail) if v in S else tail + 1 for v in range(r)]
+        return lambda t: tuple(map((t + (one, zero)).__getitem__, picks))
+    factors = [(v, [(j, col[a]) for j, col in enumerate(pcols) if col[a]])
+               for a, v in enumerate(S)]
+
+    def lift(t):
+        x = [zero] * r
+        for v, fs in factors:
+            value = one
+            for j, k in fs:
+                value = mul(value, t[j] if k == 1 else pow_(t[j], k))
+            x[v] = value
+        return tuple(x)
+    return lift
+
+
+def _orbit(F, r, S, kernel):
+    """The points of the torus of L_S in (F^x)^S, as r-tuples with 0 off
+    S: the products of one list of powers λ^K[v] per basis vector K of
+    L_S."""
+    zero, mul, pow_ = F.zero, F.mul, F.pow
+    lists = []
+    for col in kernel:
+        exps = dict(zip(S, col))
+        lists.append([tuple(pow_(lam, exps[v]) if v in exps else zero
+                            for v in range(r)) for lam in F.units()])
+    base = tuple(F.one if v in S else zero for v in range(r))
+    return [reduce(lambda a, b: tuple(map(mul, a, b)), combo, base)
+            for combo in product(*lists)]
 
 
 def _fibered_jump_points(E, i, d, field, torus, emb):

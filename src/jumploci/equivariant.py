@@ -17,6 +17,7 @@ from .complexes import (FreeChainComplex, homology_presentation,
 from .errors import InternalError, PreconditionError
 from .matrices import Matrix
 from .rings import Ring
+from .smith import integer_column_echelon
 
 
 class FinAbGroup:
@@ -113,25 +114,15 @@ class NuData:
 
     def is_surjective(self):
         """Whether the columns of the blocks, with n_j e_j for each torsion
-        factor Z/n_j, span Z^m.  For each coordinate k in turn, Euclid on
-        the columns with a nonzero k-th entry leaves one column, whose
-        entry is their gcd; the map is onto when every such gcd is +-1."""
+        factor Z/n_j, span Z^m: whether their integer column echelon form
+        has a pivot of +-1 in every row."""
         G, m = self.group, self.group.ngens
         cols = [list(c) for c in zip(*self.free_block, *self.torsion_blocks)]
         cols += [[n if k == G.rank + j else 0 for k in range(m)]
                  for j, n in enumerate(G.torsion)]
-        for k in range(m):
-            live = sorted((c for c in cols if c[k]), key=lambda c: abs(c[k]))
-            while len(live) > 1:
-                pivot = live[0]
-                for c in live[1:]:
-                    q = c[k] // pivot[k]
-                    c[k:] = [x - q * y for x, y in zip(c[k:], pivot[k:])]
-                live = sorted((c for c in live if c[k]), key=lambda c: abs(c[k]))
-            if not live or abs(live[0][k]) != 1:
-                return False
-            cols.remove(live[0])
-        return True
+        pivots, _ = integer_column_echelon(cols, m)
+        return all(c is not None and abs(c[k]) == 1
+                   for k, c in enumerate(pivots))
 
     def nu_bar_star(self, field):
         """The induced map H_1(X,k) -> k^r: the free block reduced into k."""

@@ -22,6 +22,10 @@ off the generic ones at every head h where nothing the elimination
 inverted vanishes (the specialization argument of comprehensive Groebner
 systems, Weispfenning 1992), and leaves the other heads to their own
 Smith form.
+
+Over Z itself there is one column reduction, `integer_column_echelon`:
+`NuData` checks with it that a map is onto, and the orbit route of
+`complexes` solves its weight lattices with it.
 """
 
 from dataclasses import dataclass
@@ -438,3 +442,29 @@ def kernel_matrix(snf):
     the divisors."""
     V, k = snf.V, len(snf.divisors)
     return Matrix(V.ring, V.nrows, V.ncols - k, [row[k:] for row in V.entries])
+
+
+def integer_column_echelon(cols, m):
+    """Euclid on integer columns over Z, one row k = 0..m-1 at a time: the
+    columns nonzero at k are reduced against the one of least |entry|
+    until it alone is nonzero there, and it is set aside as the pivot of
+    row k, its entry the gcd of theirs.  Entries past row m ride along, so
+    a column that carries a unit vector there records its transform.
+    Returns (pivots, rest): pivots[k] is the pivot column of row k or None,
+    and rest the columns left zero in rows 0..m-1.  Every step is
+    unimodular, so pivots and rest span what `cols` spanned.  The lists
+    of `cols` are reduced in place."""
+    pivots = []
+    for k in range(m):
+        live = [c for c in cols if c[k]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda c: abs(c[k]))
+            for c in live:
+                if c is not pivot:
+                    q = c[k] // pivot[k]
+                    c[k:] = [x - q * y for x, y in zip(c[k:], pivot[k:])]
+            live = [c for c in live if c[k]]
+        pivots.append(live[0] if live else None)
+        if live:
+            cols = [c for c in cols if c is not live[0]]
+    return pivots, cols

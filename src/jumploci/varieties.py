@@ -14,11 +14,11 @@ that field comes with the `embed` of `extension_fields`.  Every command
 takes its loci from `complexes.jump_locus_points`; `zero_locus_points` is
 an oracle.
 Zero loci and point-by-point jump loci are one `points_where` pass over
-F^r; a conical jump locus is the origin plus one pass per chart x_1..x_k =
-0, x_{k+1} = 1 of P^{r-1}, whose points are then scaled by F^x; the
-fibered route streams the outer heads x_1..x_{r-2} and reads every line
-through one of them off one Smith elimination over F(x_{r-1})[x_r].  The
-one q^r table,
+F^r; the jump locus of a graded complex takes one pass per coordinate
+stratum over one representative of each torus orbit, whose points are
+then spread over their orbits; the fibered route streams the outer heads
+x_1..x_{r-2} and reads every line through one of them off one Smith
+elimination over F(x_{r-1})[x_r].  The one q^r table,
 `complexes.homology_dims_table`, is a brute-force oracle for the tests.
 """
 

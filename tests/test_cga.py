@@ -313,11 +313,10 @@ def test_char2_square_condition():
 
 def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     # R^1 of the exterior algebra on 4 generators over F_5: the Aomoto
-    # complex is conical, so only the origin and the chart points of P^3
-    # are ranked, 157 = 1 + 125 + 25 + 5 + 1 of the 625, and at each only
-    # d_1 (1 x 4) and d_2 (4 x 6) are evaluated, each from its plan, and
-    # ranked; each of the 4 charts substitutes its prefix into d_1 and d_2
-    # once, through plans that keep the chart's variables; the six a^2
+    # complex is graded by all of Z^4, so each of the 16 coordinate strata
+    # is one torus orbit, and one point of each is ranked, 16 of the 625;
+    # at each only d_1 (1 x 4) and d_2 (4 x 6) are evaluated, each from
+    # its plan, and ranked, with no prefix substituted; the six a^2
     # quadrics are evaluated one polynomial at a time at the one point of
     # the locus
     counts = {"evaluate": 0, "rank": 0, (1, 4): 0, (4, 6): 0}
@@ -331,7 +330,7 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
         at = evaluator(self, field, coeff_map, kept)
         key = (self.nrows, self.ncols)
         if kept is not None:
-            key = ("chart",) + key
+            key = ("prefix",) + key
 
         def counted_at(coords):
             counts[key] = counts.get(key, 0) + 1
@@ -346,6 +345,5 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
     pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
     assert pts == {(0, 0, 0, 0)}
-    assert counts == {"evaluate": 6 * 1, "rank": 2 * 157,
-                      (1, 4): 157, (4, 6): 157,
-                      ("chart", 1, 4): 4, ("chart", 4, 6): 4}
+    assert counts == {"evaluate": 6 * 1, "rank": 2 * 16,
+                      (1, 4): 16, (4, 6): 16}

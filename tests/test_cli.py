@@ -148,6 +148,26 @@ def test_supports_compare_v(docs, capsys):
         [0], [1], [2], [3], [4]]
 
 
+@pytest.mark.parametrize("d, calls", [(1, 2 + 2 * 1), (2, 2 + 2 * 2)])
+def test_supports_compare_v_reuses_the_printed_support(d, calls, docs,
+                                                       capsys, monkeypatch):
+    # with --ext 2 and i = 1: one support locus per extension for the
+    # by_extension block, then the union of degrees 0 and 1 at depth 1 per
+    # extension, whose degree-1 term is that block's locus when d = 1
+    taken = []
+    real = cli.support_points
+
+    def spied(E, i, d, *args, **kwargs):
+        taken.append((i, d))
+        return real(E, i, d, *args, **kwargs)
+    argv = ("supports", "--complex", docs["ex27"], "--i", "1", "--d", str(d),
+            "--q", "5", "--ext", "2", "--compare-v", "--format", "structured")
+    want = run(capsys, *argv)
+    monkeypatch.setattr(cli, "support_points", spied)
+    assert run(capsys, *argv) == want
+    assert len(taken) == calls, taken
+
+
 def test_e1_round_trip_through_jumploci(docs, capsys, tmp_path):
     code, out = run(capsys, "e1", "--cga", docs["ext"], "--nu", docs["nu2"],
                     "--q", "3", "--format", "structured")
@@ -615,6 +635,29 @@ def test_compare_v_union_of_a_rational_complex_at_q17(capsys, tmp_path):
 def test_each_kind_of_error_has_its_exit_code(error, code):
     # 0 is ok and 1 a false verdict, so no error report exits 0 or 1
     assert error_code(error("message")) == code
+
+
+def test_a_closed_stdout_ends_the_report_without_a_traceback():
+    # a reader that closes the pipe after the first bytes of a 200 kB
+    # report, as `| head` does: exit code 5, and no traceback on stderr,
+    # neither from the report's writes nor from the final flush
+    import subprocess
+
+    import jumploci
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "jumploci.cli", "resonance", "--cga",
+         SAMPLES + "two-tori.cga", "--i", "1", "--d", "1", "--q", "7",
+         "--format", "structured"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert child.stdout.read(64).startswith(b"{")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == 5
+    assert b"Traceback" not in err and b"Error" not in err, err
+    assert err.startswith(b"elapsed: ")
 
 
 @pytest.mark.parametrize("q", [3, 5, 16, 17])

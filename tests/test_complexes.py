@@ -491,7 +491,7 @@ def _table_locus(table, i, d):
 
 
 def _assert_fibered_matches_table(E, field, torus=False, embed=None):
-    # so jump_locus_points goes fibered, or conical with fibered charts
+    # so jump_locus_points goes fibered, or by orbits with fibered strata
     assert field.order >= FIBER_MIN_Q
     _assert_locus_matches_table(E, field, torus, embed)
 
@@ -601,10 +601,16 @@ def test_route_is_fixed_by_the_field_order(monkeypatch):
 
 
 def test_fibered_koszul_over_f729_counts(monkeypatch):
+    # the Koszul complex of x + 1, y + 1, which no weight grades: one
+    # Smith form per exceptional head at most
     calls = _count_divisor_calls(monkeypatch)
     F = finite_field(729)
-    E = koszul_complex(F3)
-    assert jump_locus_points(E, 1, 1, F) == {(0, 0)}
+    R = Ring(F3, ("x", "y"))
+    x, y = parse_poly(R, "x + 1"), parse_poly(R, "y + 1")
+    E = FreeChainComplex(R, (1, 2, 1), (Matrix(R, 1, 2, [[x, y]]),
+                                        Matrix(R, 2, 1, [[-y], [x]])))
+    assert complexes._strata(E, 1) is None
+    assert jump_locus_points(E, 1, 1, F) == {(F.neg(F.one), F.neg(F.one))}
     assert 0 < len(calls) <= 2 * 729
 
 
@@ -722,21 +728,25 @@ def test_the_shared_elimination_serves_most_heads():
 @pytest.mark.parametrize("q", [16, 17])
 def test_fibered_route_reads_every_outer_head(q, monkeypatch):
     # three variables: one elimination over F(y)[z] per outer head x, on
-    # F^3, on the torus, and over the Laurent ring
+    # F^3, on the torus, and over the Laurent ring, for the first four
+    # complexes of the corpus that some degree leaves ungraded (most of
+    # them are graded in every degree and go by orbits)
     shared = _spy(monkeypatch, "divisors_at_heads")
     F = finite_field(q)
     R = Ring(F, ("x", "y", "z"))
     complexes_run = 0
-    for seed in range(10):
+    for seed in range(40):
         E = random_free_complex(R, "trivariate:%d" % seed, max_len=2,
                                 max_rank=3)
-        if _conical(E):
+        if _graded(E):
             continue
         complexes_run += 1
         _assert_fibered_matches_table(E, F)
         _assert_fibered_matches_table(E, F, torus=True)
         _assert_fibered_matches_table(_laurent_twist(E, seed), F, torus=True)
-    assert complexes_run >= 4 and shared
+        if complexes_run == 4:
+            break
+    assert complexes_run == 4 and shared
 
 
 def test_pointwise_homology_evaluates_each_block_once_per_point(monkeypatch):
@@ -758,13 +768,15 @@ def test_pointwise_homology_evaluates_each_block_once_per_point(monkeypatch):
     assert applied == {"[1]": 5, "[x]": 5}
 
 
-# -- the cone route: the origin, the charts of P^{r-1}, and scaling ---------------
+# -- the orbit route: one point per torus orbit on each coordinate stratum ----
 
 
-def _conical(E):
-    """Whether every differential of E is column-graded, so that every
-    jump_locus_points call on E takes the cone route."""
-    return all(complexes._column_graded(d) for d in E.differentials)
+def _graded(E):
+    """Whether d_i and d_{i+1} have a nonzero weight lattice in every
+    degree i, so that every jump_locus_points call on E takes the orbit
+    route.  A column-graded map (one total degree per column: a cone) is
+    graded by w = (1, ..., 1)."""
+    return all(complexes._strata(E, i) is not None for i in range(E.top + 1))
 
 
 def koszul3_complex(field):
@@ -783,17 +795,17 @@ def koszul3_complex(field):
 def test_cone_route_koszul_in_three_variables(q, torus):
     F = finite_field(q)
     E = koszul3_complex(F)
-    assert validate_complex(E).ok and _conical(E)
+    assert validate_complex(E).ok and _graded(E)
     _assert_locus_matches_table(E, F, torus=torus)
 
 
 @pytest.mark.parametrize("q", [3, 17])
 def test_cone_route_conical_bivariate_corpus(q):
     F = finite_field(q)
-    conical = [E for E in (random_bivariate_complex(F, seed)
-                           for seed in range(100)) if _conical(E)]
-    assert len(conical) >= 20
-    for E in conical:
+    graded = [E for E in (random_bivariate_complex(F, seed)
+                          for seed in range(100)) if _graded(E)]
+    assert len(graded) >= 20
+    for E in graded:
         _assert_locus_matches_table(E, F)
 
 
@@ -807,9 +819,9 @@ def test_cone_route_laurent_complexes_on_the_torus(q):
     laurent = [random_laurent_complex(F, seed) for seed in range(40)]
     twisted = [_laurent_twist(random_bivariate_complex(F, seed), seed)
                for seed in range(40)]
-    conical = [E for E in [handmade] + laurent + twisted if _conical(E)]
-    assert len(conical) >= 15
-    for E in conical:
+    graded = [E for E in [handmade] + laurent + twisted if _graded(E)]
+    assert len(graded) >= 15
+    for E in graded:
         _assert_locus_matches_table(E, F, torus=True)
 
 
@@ -821,16 +833,17 @@ def test_cone_route_columns_of_different_degrees(q):
         M = Matrix(R, len(rows), 2, [[parse_poly(R, e) for e in row]
                                      for row in rows])
         E = FreeChainComplex(R, (len(rows), 2), (M,))
-        assert _conical(E)
+        assert _graded(E)
         _assert_locus_matches_table(E, F)
 
 
 @pytest.mark.parametrize("q, text, route", [
-    (5, "x^2 - x*y", "_conical_jump_points"),    # the one chart x_1 = 1
-    (17, "x^2 - x*y", "_conical_jump_points"),
-    (16, "x*y - x", "_fibered_jump_points"),
-    (17, "x*y - x", "_fibered_jump_points"),
-    (5, "x*y - x", None),                        # point by point
+    (5, "x^2 - x*y", "_orbit_jump_points"),     # graded by w = (1, 1)
+    (17, "x^2 - x*y", "_orbit_jump_points"),
+    (16, "x*y - x", "_orbit_jump_points"),      # graded by w = (1, 0)
+    (16, "x^2 + x*y - x", "_fibered_jump_points"),
+    (17, "x^2 + x*y - x", "_fibered_jump_points"),
+    (5, "x^2 + x*y - x", None),                 # point by point
 ])
 def test_torus_loci_have_no_zero_coordinate(q, text, route, monkeypatch):
     # a point of the torus, or of a Laurent ring's affine space, has every
@@ -844,7 +857,7 @@ def test_torus_loci_have_no_zero_coordinate(q, text, route, monkeypatch):
             taken.append(name)
             return real(*args)
         monkeypatch.setattr(complexes, name, wrapped)
-    spy("_conical_jump_points")
+    spy("_orbit_jump_points")
     spy("_fibered_jump_points")
     F = finite_field(q)
 
@@ -865,29 +878,196 @@ def test_torus_loci_have_no_zero_coordinate(q, text, route, monkeypatch):
 
 
 def test_cone_route_is_fixed_by_the_column_degrees(monkeypatch):
-    calls = []
-    real = complexes._conical_jump_points
-
-    def counted(E, *args):
-        calls.append(E)
-        return real(E, *args)
-    monkeypatch.setattr(complexes, "_conical_jump_points", counted)
+    # the orbit route is taken exactly when the weight lattice is
+    # nonzero: column degrees give w = (1, 1), and so do row shifts, and a
+    # weight may live in one variable
+    taken = _spy(monkeypatch, "_orbit_jump_points")
     R = Ring(F5, ("x", "y"))
 
     def one_map(rows):
         return FreeChainComplex(R, (len(rows), len(rows[0])), (Matrix(
             R, len(rows), len(rows[0]),
             [[parse_poly(R, e) for e in row] for row in rows]),))
-    for E, conical in ((koszul_complex(F5), True),
-                       (one_map([["x", "y^2"]]), True),
-                       (one_map([["x", "y"], ["1", "1"]]), False),  # row-graded
-                       (one_map([["x + 1", "y"]]), False)):
+    for E, graded in ((koszul_complex(F5), True),
+                      (one_map([["x", "y^2"]]), True),
+                      # graded by w = (1, 1) with row shifts (1, 0)
+                      (one_map([["x", "y"], ["1", "1"]]), True),
+                      (one_map([["x + 1", "y"]]), True),  # by w = (0, 1)
+                      (one_map([["x + 1", "y + 1"]]), False),
+                      (one_map([["x^2 + x*y - x"]]), False)):
         table = homology_dims_table(E, F5)
         for i in (0, 1):
-            del calls[:]
+            del taken[:]
             got = jump_locus_points(E, i, 1, F5)
             assert got == _table_locus(table, i, 1)
-            assert bool(calls) == conical, (E, i)
+            assert taken[:1] == ([E] if graded else []), (E, i)
+
+
+def test_a_lattice_with_no_chart_takes_general_coordinates():
+    # x^3 - y^2 is graded by w = (2, 3) alone, and neither coordinate of
+    # (2, 3) is a unit, so no coordinate can be set to 1: the torus
+    # coordinates are x = t^a s^2, y = t^b s^3 with 3a - 2b = +-1
+    for q in (5, 7, 16, 17):
+        F = finite_field(q)
+        R = Ring(F, ("x", "y"))
+        E = FreeChainComplex(R, (1, 1), (Matrix(
+            R, 1, 1, [[parse_poly(R, "x^3 - y^2")]]),))
+        assert complexes._strata(E, 0) is not None
+        pcols, kernel = complexes._stratum(E, 0, (0, 1))
+        assert [list(map(abs, k)) for k in kernel] == [[2, 3]]
+        assert len(pcols) == 1 and abs(3 * pcols[0][0] - 2 * pcols[0][1]) == 1
+        small = complexes._stratum_complex(E, 0, (0, 1), pcols)
+        assert small.ring.nvars == 1 and small.ring.laurent
+        assert complexes._strata(small, 1) is None
+        _assert_locus_matches_table(E, F)
+        _assert_locus_matches_table(E, F, torus=True)
+
+
+def _planted_map(draw, R, w, nrows, ncols):
+    """A nrows x ncols matrix over R graded by w: random row and column
+    shifts a, b, and in entry (j, k) up to two monomials x^e with
+    w.e = b_k - a_j."""
+    box = range(-2, 3) if R.laurent else range(0, 4)
+    shifts = st.integers(-3, 3)
+    a = [draw(shifts) for _ in range(nrows)]
+    b = [draw(shifts) for _ in range(ncols)]
+    by_weight = {}
+    for e in itertools.product(box, repeat=R.nvars):
+        by_weight.setdefault(sum(x * y for x, y in zip(w, e)), []).append(e)
+    coeffs = st.integers(1, R.field.order - 1)
+    rows = []
+    for j in range(nrows):
+        row = []
+        for k in range(ncols):
+            monomials = by_weight.get(b[k] - a[j], [])
+            chosen = draw(st.lists(st.sampled_from(monomials), max_size=2,
+                                   unique=True)) if monomials else []
+            row.append(Poly(R, {e: draw(coeffs) for e in chosen}))
+        rows.append(row)
+    return Matrix(R, nrows, ncols, rows)
+
+
+@st.composite
+def _planted_complexes(draw):
+    """(E, torus): a complex A (+) B with d_1 = [A | 0], d_2 = [0 ; B] for
+    maps A and B graded by one planted nonzero w in Z^r (entries -2..2)
+    with shifts of their own, so d_1 d_2 = 0; r = 1..3 over F_4, F_5,
+    F_16, F_17, F_27 and F_101 (fewer variables over the larger fields),
+    on the plane, on the torus, or over the Laurent ring."""
+    q = draw(st.sampled_from([4, 5, 16, 17, 27, 101]))
+    F = finite_field(q)
+    r = draw(st.integers(1, {4: 3, 5: 3, 16: 2, 17: 2, 27: 2, 101: 1}[q]))
+    kind = draw(st.sampled_from(["plane", "torus", "laurent"]))
+    R = Ring(F, ("x", "y", "z")[:r], laurent=kind == "laurent")
+    w = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any))
+    size = st.integers(1, 2)
+    c0, c1a, c1b, c2 = (draw(size) for _ in range(4))
+    A = _planted_map(draw, R, w, c0, c1a)
+    B = _planted_map(draw, R, w, c1b, c2)
+    z = R.zero()
+    d1 = Matrix(R, c0, c1a + c1b, [list(row) + [z] * c1b for row in A.entries])
+    d2 = Matrix(R, c1a + c1b, c2,
+                [[z] * c2] * c1a + [list(row) for row in B.entries])
+    return FreeChainComplex(R, (c0, c1a + c1b, c2), (d1, d2)), kind != "plane"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_planted_complexes())
+def test_orbit_route_on_planted_gradings(case):
+    E, torus = case
+    assert validate_complex(E).ok and _graded(E)
+    _assert_locus_matches_table(E, E.ring.field, torus=torus)
+
+
+def _brute_force_orbits(E, i, S, field):
+    """The number of orbits on the stratum S, a tuple of variable indices,
+    of the group generated by g^w, g a generator of F^x, for every w in
+    [-3, 3]^S that grades each of d_i and d_{i+1} on the monomials nonzero
+    on S: shifts are propagated from each row in turn and checked on every
+    monomial, and the orbits are the components of (F^x)^S."""
+    ring = E.ring
+    off = [v for v in range(ring.nvars) if v not in S]
+
+    def grades(M, w):
+        shift = {}
+        monomials = [(("r", j), ("c", k), sum(w[a] * e[v]
+                                              for a, v in enumerate(S)))
+                     for j, row in enumerate(M.entries)
+                     for k, p in enumerate(row) for e in p.terms
+                     if not any(e[v] for v in off)]
+        changed = True
+        while changed:
+            changed = False
+            for u, v, de in monomials:
+                if u not in shift and v not in shift:
+                    shift[u], changed = 0, True
+                if u in shift and v not in shift:
+                    shift[v], changed = shift[u] + de, True
+                elif v in shift and u not in shift:
+                    shift[u], changed = shift[v] - de, True
+        return all(shift[v] - shift[u] == de for u, v, de in monomials)
+    maps = (E.differential(i), E.differential(i + 1))
+    weights = [w for w in itertools.product(range(-3, 4), repeat=len(S))
+               if all(grades(M, w) for M in maps)]
+    g, pow_, mul = field.primitive(), field.pow, field.mul
+    movers = [tuple(pow_(g, c) for c in w) for w in weights]
+    seen, orbits = set(), 0
+    for x in itertools.product(list(field.units()), repeat=len(S)):
+        if x in seen:
+            continue
+        orbits += 1
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for m in movers:
+                z = tuple(map(mul, y, m))
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return orbits
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 9])
+def test_orbit_route_ranks_one_point_per_orbit(q, monkeypatch):
+    # below FIBER_MIN_Q each stratum's complex is ranked at every point of
+    # its torus, so the points ranked are the representatives: as many as
+    # the orbits a brute-force closure finds, (q - 1)^(|S| - k) on a
+    # stratum whose lattice has rank k
+    F = finite_field(q)
+    R2, R3 = Ring(F, ("x", "y")), Ring(F, ("x", "y", "z"))
+
+    def one_map(R, rows):
+        return FreeChainComplex(R, (len(rows), len(rows[0])), (Matrix(
+            R, len(rows), len(rows[0]),
+            [[parse_poly(R, e) for e in row] for row in rows]),))
+    cases = [koszul_complex(F), koszul3_complex(F),
+             one_map(R2, [["x^3 - y^2"]]), one_map(R2, [["x^2 - x*y"]]),
+             one_map(R2, [["x + 1", "y"]]),
+             one_map(R3, [["x*z - y^2", "x*y"], ["y*z", "z^2 - x^2"]]),
+             aomoto_complex(exterior_algebra(F, 3))]
+    ranked = []
+    real = complexes.points_where
+
+    def counted(field, r, torus, test):
+        def spied(coords):
+            ranked.append(coords)
+            return test(coords)
+        return real(field, r, torus, spied)
+    monkeypatch.setattr(complexes, "points_where", counted)
+    for E in cases:
+        r = E.ring.nvars
+        strata = [S for k in range(r + 1)
+                  for S in itertools.combinations(range(r), k)]
+        for i in range(E.top + 1):
+            del ranked[:]
+            got = jump_locus_points(E, i, 1, F)
+            assert got == _table_locus(homology_dims_table(E, F), i, 1)
+            want = sum(_brute_force_orbits(E, i, S, F) for S in strata)
+            assert len(ranked) == want, (E, i)
+            assert want == sum(
+                (q - 1) ** (len(S) - len(complexes._stratum(E, i, S)[1]))
+                for S in strata)
 
 
 @st.composite
@@ -916,17 +1096,17 @@ def _column_graded_complexes(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_column_graded_complexes())
 def test_cone_route_on_random_column_graded_maps(E):
-    assert _conical(E)
+    assert _graded(E)
     _assert_locus_matches_table(E, E.ring.field, torus=E.ring.laurent)
 
 
 @pytest.mark.parametrize("q, count", [(5, 3), (7, 2), (17, 1)])
 def test_cone_route_aomoto_complexes_of_sampled_algebras(q, count):
-    # resonance of (1,4,3) algebras; at F_17 the charts go fibered
+    # resonance of (1,4,3) algebras; at F_17 the strata go fibered
     F = finite_field(q)
     for seed in range(count):
         E = aomoto_complex(sample_cga((1, 4, 3), F, "cone:%d" % seed))
-        assert _conical(E)
+        assert _graded(E)
         _assert_locus_matches_table(E, F)
 
 
@@ -938,8 +1118,30 @@ def test_cone_route_exterior_aomoto_complex_and_pages(q):
     for E in (aomoto_complex(exterior_algebra(F, 4)),
               build_E1(exterior_algebra(F, 3), identity_nu(3)),
               build_E1(exterior_algebra(F, 4), identity_nu(4))):
-        assert _conical(E)
+        assert _graded(E)
         _assert_locus_matches_table(E, F)
+
+
+@pytest.mark.parametrize("q", [4, 9, 16])
+def test_orbit_route_on_koszul_aomoto_and_page_corpora(q):
+    # every degree of the Koszul complexes in 2 and 3 variables, of the
+    # Aomoto complexes of exterior(3) and exterior(4), and of the E1 pages
+    # of their identity covers, on the plane and on the torus: all are
+    # graded by all of Z^r, so each stratum is one orbit
+    F = finite_field(q)
+    corpus = [koszul_complex(F), koszul3_complex(F)]
+    for n in (3, 4):
+        corpus += [aomoto_complex(exterior_algebra(F, n)),
+                   build_E1(exterior_algebra(F, n), identity_nu(n))]
+    for E in corpus:
+        if E.ring.nvars == 4 and q > 9:
+            continue
+        for i in range(E.top + 1):
+            assert complexes._strata(E, i) is not None
+            full = tuple(range(E.ring.nvars))
+            assert complexes._stratum(E, i, full)[0] == []
+        _assert_locus_matches_table(E, F)
+        _assert_locus_matches_table(E, F, torus=True)
 
 
 # -- homology presentations -------------------------------------------------------

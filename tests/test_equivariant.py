@@ -187,9 +187,9 @@ def test_verify_cvres_zero_mult():
 
 
 def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
-    # exterior(3) over F_5 with the identity: the pullback side ranks the
-    # origin and the points of the charts of P^2, 1 + (5^3 - 1)/(5 - 1)
-    # per degree, not all 125 points of F_5^3
+    # exterior(3) over F_5 with the identity: the pulled-back Aomoto
+    # complex is graded by all of Z^3, so the pullback side ranks one point
+    # per coordinate stratum, 2^3 per degree, not all 125 points of F_5^3
     from jumploci import cga, complexes, equivariant
     ranked = []
 
@@ -211,18 +211,18 @@ def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
         out = thunk()
         return len(ranked), out
     A, nu = exterior_algebra(F5, 3), identity_nu(3)
-    bound = 1 + (5 ** 3 - 1) // (5 - 1)
+    strata = 2 ** 3
     E = build_E1(A, nu)
     for i in (0, 1):
         page, _ = count(lambda: jump_locus_points(E, i, 1, F5))
         both, rep = count(lambda: verify_cv_res(A, nu, i, 1))
         assert rep["equal"] and rep["rhs_points"] == {(0, 0, 0)}
-        assert 0 < both - page <= bound
+        assert both - page == strata
     supports, _ = count(lambda: [equivariant.support_points(E, i, 1, F5)
                                  for i in (0, 1)])
     total, rep = count(lambda: finiteness_test(A, nu, 1))
     assert rep["hypothesis_holds"]
-    assert 0 < total - supports <= 2 * bound
+    assert total - supports == 2 * strata
 
 
 def test_verify_cvres_degree_zero():

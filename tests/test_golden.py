@@ -72,6 +72,12 @@ GOLDEN = [
      0, "77402d38c5fc349b5ee7a0191a517a5c2fc5844802ad9ab0ff55efd91a45acef"),
     ("verify-cvres --cga samples/zero-pairing.cga --nu samples/identity-z2.nu --i 1 --d 1 --q 7 --format structured",
      0, "d8cd27008ba1805b773aac606052ddc671d708a8dd4e702fb5483de5fc26f366"),
+    # the Koszul complex of x, y, z, graded by all of Z^3, recorded while
+    # jump loci of graded complexes still went through the charts of P^2
+    ("jumploci --complex samples/koszul3.cc --i 1 --d 1 --q 1009",
+     0, "ecb18f94a788d4ec6afa566bb7e62e87240f194fc981fda197071c020c76b058"),
+    ("jumploci --complex samples/koszul3.cc --i 1 --d 1 --q 1009 --torus --format structured",
+     0, "9622329553e945833f4fc9eb80d4194612ab405adf32766995dd02ce50092b57"),
 ]
 
 

@@ -177,8 +177,8 @@ def test_matrix_evaluate_is_entrywise_poly_evaluate(case):
 
 
 def test_evaluator_substitutes_a_head_or_a_chart_prefix():
-    # the fibered route keeps the last variable; the last chart of the
-    # conical route keeps none, and still gets term dicts
+    # the fibered route keeps the last variable; a prefix of all the
+    # variables keeps none, and still gets term dicts
     R2 = Ring(F5, ("x", "y"))
     line, none = Ring(F5, ("y",)), Ring(F5, ())
     M = Matrix(R2, 1, 2, [[parse_poly(R2, "x^2*y + 3*x"),
