@@ -328,23 +328,31 @@ def _orbit_jump_points(E, i, d, field, torus, emb):
     is that at t_K = 1: a Laurent complex in the |S| - k coordinates t_P
     on the smaller torus.  Over a field of at least FIBER_MIN_Q elements
     it is read line by line (`_fibered_jump_points`); otherwise each of
-    its (q - 1)^(|S| - k) points is ranked through the evaluator of E.
-    Each point of its locus is then spread over its orbit, and when every
-    point is in it, so is the whole stratum."""
+    its (q - 1)^(|S| - k) points is ranked through the evaluators of E,
+    except that a map whose own monomials on S close no cycle is graded
+    by all of Z^S and is ranked once, at t = 1.  Each point of the locus
+    is then spread over its orbit, and when every point is in it, so is
+    the whole stratum."""
     F, r = field, E.ring.nvars
     mul, units = F.mul, F.units()
-    dim_at = homology_dim_at(E, i, F, emb)
+    plans = {m: M.evaluator(F, emb)
+             for m, M in enumerate((E.differential(i), E.differential(i + 1)))
+             if M.nrows and M.ncols}
     out = set()
     for S in ([tuple(range(r))] if torus else
               [S for k in range(r + 1) for S in combinations(range(r), k)]):
-        pcols, kernel = _stratum(E, i, S)
+        pcols, kernel, cyclic = _stratum(E, i, S)
         lift = _lifter(F, r, S, pcols)
         if pcols and F.order >= FIBER_MIN_Q:
             reps = _fibered_jump_points(_stratum_complex(E, i, S, pcols), 1,
                                         d, F, True, emb)
         else:
-            reps = points_where(F, len(pcols), True,
-                                lambda t: dim_at(lift(t)) >= d)
+            room = E.rank(i) - d - sum(
+                mat_rank(F, at(lift((F.one,) * len(pcols))))
+                for m, at in plans.items() if not cyclic[m])
+            ranked = [at for m, at in plans.items() if cyclic[m]]
+            reps = points_where(F, len(pcols), True, lambda t: sum(
+                mat_rank(F, at(x)) for x in [lift(t)] for at in ranked) <= room)
         if len(reps) == (F.order - 1) ** len(pcols):
             out.update(product(*[units if v in S else (F.zero,)
                                  for v in range(r)]))
@@ -358,109 +366,82 @@ def _orbit_jump_points(E, i, d, field, torus, emb):
 def _strata(E, i):
     """The per-degree cache of the orbit route: None when the weight
     lattice L of d_i and d_{i+1} on the full torus is 0, else their
-    monomial graph, the differences of two monomials of one entry, and a
-    dict from each stratum asked for to its (P, K).  The graph has a node
-    per row and per column of each map, and each monomial x^e of an entry
-    is an edge from its row to its column, kept at both ends as (the other
-    end, +-e, whether it leaves this end, the bit mask of the variables
-    x^e holds); a difference is kept with the mask of both monomials.  The
-    differences are cycle vectors, so when they leave no weight, neither
-    does the graph, and it is not built."""
+    monomial graph and a dict from each stratum asked for to its
+    `_stratum`.  The graph has a node per row and per column of each map,
+    and each monomial x^e of an entry is an edge from its row to its
+    column, kept at both ends as (the other end, +-e, whether it leaves
+    this end, the bit mask of the variables x^e holds, the map: 0 for d_i,
+    1 for d_{i+1})."""
     cache = E._orbit_cache
     if i not in cache:
-        maps = (E.differential(i), E.differential(i + 1))
-        masks = [[{e: sum(1 << v for v, x in enumerate(e) if x)
-                   for e in p.terms} for p in row]
-                 for M in maps for row in M.entries]
-        pairs = [(entry[e] | entry[f], tuple(map(sub, f, e)))
-                 for row in masks for entry in row
-                 for e, f in combinations(entry, 2)]
-        full = tuple(range(E.ring.nvars))
-        lattice = _kernel([z for _, z in pairs], full)
-        if lattice[1]:
-            adj, base, rows = {}, 0, iter(masks)
-            for M in maps:
-                for j, row in zip(range(M.nrows), rows):
-                    for k, entry in enumerate(row):
-                        a, b = base + j, base + M.nrows + k
-                        for e, mask in entry.items():
-                            adj.setdefault(a, []).append((b, e, True, mask))
-                            adj.setdefault(b, []).append(
-                                (a, tuple(map(neg, e)), False, mask))
-                base += M.nrows + M.ncols
-            lattice = _kernel(_cycles(adj, full), full)
-        cache[i] = (adj, pairs, {full: lattice}) if lattice[1] else None
+        adj, base = {}, 0
+        for m, M in enumerate((E.differential(i), E.differential(i + 1))):
+            for j, row in enumerate(M.entries):
+                for k, p in enumerate(row):
+                    a, b = base + j, base + M.nrows + k
+                    for e in p.terms:
+                        mask = sum(1 << v for v, x in enumerate(e) if x)
+                        adj.setdefault(a, []).append((b, e, True, mask, m))
+                        adj.setdefault(b, []).append(
+                            (a, tuple(map(neg, e)), False, mask, m))
+            base += M.nrows + M.ncols
+        cache[i] = (adj, {})
+        if not _stratum(E, i, tuple(range(E.ring.nvars)))[1]:
+            cache[i] = None
     return cache[i]
 
 
 def _stratum(E, i, S):
-    """The (P, K) of the stratum S, a tuple of variable indices.  L_S holds
-    the projection of L onto Z^S, whose rank is k'.  The differences of
-    two monomials of one entry, both nonzero on S, are cycle vectors, so
-    when they leave a kernel of rank k', it is L_S (saturated lattices,
-    one inside the other, of one rank); else the graph is walked."""
-    adj, pairs, lattices = E._orbit_cache[i]
+    """(P, K, cyclic) for the stratum S, a tuple of variable indices, from
+    the cycles of the monomials nonzero on S: `_kernel` of them all, and
+    for d_i and d_{i+1} whether its own monomials close a nonzero cycle."""
+    adj, lattices = E._orbit_cache[i]
     if S not in lattices:
-        on = sum(1 << v for v in S)
-        _, full = lattices[tuple(range(E.ring.nvars))]
-        pivots, _ = integer_column_echelon([[col[v] for v in S]
-                                            for col in full], len(S))
-        lattice = _kernel([z for mask, z in pairs if mask & on == mask], S)
-        if len(lattice[1]) != len(pivots) - pivots.count(None):
-            lattice = _kernel(_cycles(adj, S), S)
-        lattices[S] = lattice
+        cycles = _cycles(adj, S)
+        lattices[S] = _kernel(cycles[0] | cycles[1], S) + (
+            [bool(c) for c in cycles],)
     return lattices[S]
 
 
 def _cycles(adj, S):
-    """The cycle vectors of the monomials of the graph `adj` nonzero on S:
-    shifts propagate along a spanning forest, s(column) = s(row) + e, and
-    every other edge gives s(row) + e - s(column)."""
+    """The nonzero cycle vectors of the monomials of the graph `adj`
+    nonzero on S, one set per map: shifts propagate along a spanning
+    forest, s(column) = s(row) + e, and every other edge gives
+    s(row) + e - s(column).  The maps share no node."""
     on = sum(1 << v for v in S)
-    shift, cycles = {}, set()
+    shift, cycles = {}, (set(), set())
     for root in adj:
         if root not in shift:
             e = adj[root][0][1]
             shift[root], stack = tuple(map(sub, e, e)), [root]
             while stack:
                 u = stack.pop()
-                for v, e, forward, mask in adj[u]:
+                for v, e, forward, mask, m in adj[u]:
                     if mask & on != mask:
                         continue
                     if v not in shift:
                         shift[v] = tuple(map(add, shift[u], e))
                         stack.append(v)
                     elif forward:
-                        cycles.add(tuple(map(sub, map(add, shift[u], e),
-                                             shift[v])))
+                        z = tuple(map(sub, map(add, shift[u], e), shift[v]))
+                        if any(z):
+                            cycles[m].add(z)
     return cycles
 
 
 def _kernel(cycles, S):
     """(P, K), columns over S: K a basis of the weights w in Z^S with
     w.z = 0 for every vector z of `cycles` (zero off S), and P its
-    completion to a basis of Z^S, from one `integer_column_echelon` of the
-    coordinates as columns of the cycles.  P is the pivot columns of the
-    echelon form when they are unit vectors, else unit vectors where some
-    choice of them does, else those pivot columns.  Unit vectors make a
-    chart: the other coordinates of S are set to 1."""
+    completion to a basis of Z^S, the pivot columns of one
+    `integer_column_echelon` of the coordinates as columns of the
+    cycles."""
     n = len(S)
-    rows = list({tuple(z[v] for v in S) for z in cycles} - {(0,) * n})
+    rows = list({tuple(z[v] for v in S) for z in cycles})
     m = len(rows)
     pivots, rest = integer_column_echelon(
         [[z[a] for z in rows] + [int(a == b) for b in range(n)]
          for a in range(n)], m)
-    kernel = [c[m:] for c in rest]
-    pcols = [c[m:] for c in pivots if c is not None]
-    if all(sorted(c) == [0] * (n - 1) + [1] for c in pcols):
-        return pcols, kernel
-    for chart in combinations(range(n), len(kernel)):
-        spans, _ = integer_column_echelon(
-            [[col[a] for a in chart] for col in kernel], len(kernel))
-        if all(c is not None and abs(c[k]) == 1 for k, c in enumerate(spans)):
-            return [[int(a == b) for b in range(n)]
-                    for a in range(n) if a not in chart], kernel
-    return pcols, kernel
+    return [c[m:] for c in pivots if c is not None], [c[m:] for c in rest]
 
 
 def _stratum_complex(E, i, S, pcols):
@@ -486,15 +467,8 @@ def _stratum_complex(E, i, S, pcols):
 
 def _lifter(F, r, S, pcols):
     """t -> the point of F^r, 0 off S, whose coordinate x_v on S is
-    prod_j t_j^P[v][j]: the representative t_K = 1 of an orbit.  On a
-    chart each x_v is a t_j, 1 or 0, picked from t + (1, 0)."""
+    prod_j t_j^P[v][j]: the representative t_K = 1 of an orbit."""
     one, zero, mul, pow_ = F.one, F.zero, F.mul, F.pow
-    unit = [0] * (len(S) - 1) + [1]
-    if all(sorted(col) == unit for col in pcols):
-        tail = len(pcols)
-        spots = {S[col.index(1)]: j for j, col in enumerate(pcols)}
-        picks = [spots.get(v, tail) if v in S else tail + 1 for v in range(r)]
-        return lambda t: tuple(map((t + (one, zero)).__getitem__, picks))
     factors = [(v, [(j, col[a]) for j, col in enumerate(pcols) if col[a]])
                for a, v in enumerate(S)]
 

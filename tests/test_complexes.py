@@ -729,24 +729,23 @@ def test_the_shared_elimination_serves_most_heads():
 def test_fibered_route_reads_every_outer_head(q, monkeypatch):
     # three variables: one elimination over F(y)[z] per outer head x, on
     # F^3, on the torus, and over the Laurent ring, for the first four
-    # complexes of the corpus that some degree leaves ungraded (most of
-    # them are graded in every degree and go by orbits)
+    # complexes of the corpus that some degree leaves ungraded; the graded
+    # ones among seeds 0-9 go by orbits, with fibered strata, and are
+    # checked on the same three inputs
     shared = _spy(monkeypatch, "divisors_at_heads")
     F = finite_field(q)
     R = Ring(F, ("x", "y", "z"))
-    complexes_run = 0
-    for seed in range(40):
-        E = random_free_complex(R, "trivariate:%d" % seed, max_len=2,
-                                max_rank=3)
-        if _graded(E):
-            continue
-        complexes_run += 1
+    corpus = [random_free_complex(R, "trivariate:%d" % seed, max_len=2,
+                                  max_rank=3) for seed in range(40)]
+    graded = [(seed, E) for seed, E in enumerate(corpus[:10]) if _graded(E)]
+    ungraded = [(seed, E) for seed, E in enumerate(corpus)
+                if not _graded(E)][:4]
+    assert len(ungraded) == 4 and graded
+    for seed, E in graded + ungraded:
         _assert_fibered_matches_table(E, F)
         _assert_fibered_matches_table(E, F, torus=True)
         _assert_fibered_matches_table(_laurent_twist(E, seed), F, torus=True)
-        if complexes_run == 4:
-            break
-    assert complexes_run == 4 and shared
+    assert shared
 
 
 def test_pointwise_homology_evaluates_each_block_once_per_point(monkeypatch):
@@ -913,8 +912,9 @@ def test_a_lattice_with_no_chart_takes_general_coordinates():
         E = FreeChainComplex(R, (1, 1), (Matrix(
             R, 1, 1, [[parse_poly(R, "x^3 - y^2")]]),))
         assert complexes._strata(E, 0) is not None
-        pcols, kernel = complexes._stratum(E, 0, (0, 1))
+        pcols, kernel, cyclic = complexes._stratum(E, 0, (0, 1))
         assert [list(map(abs, k)) for k in kernel] == [[2, 3]]
+        assert cyclic == [False, True]
         assert len(pcols) == 1 and abs(3 * pcols[0][0] - 2 * pcols[0][1]) == 1
         small = complexes._stratum_complex(E, 0, (0, 1), pcols)
         assert small.ring.nvars == 1 and small.ring.laurent
@@ -1068,6 +1068,39 @@ def test_orbit_route_ranks_one_point_per_orbit(q, monkeypatch):
             assert want == sum(
                 (q - 1) ** (len(S) - len(complexes._stratum(E, i, S)[1]))
                 for S in strata)
+
+
+def test_a_map_without_a_cycle_is_ranked_once_per_stratum(monkeypatch):
+    # F_5[x, y]: d_1 = (x  y), a star with no cycle, and d_2 = (y(x + y),
+    # -x(x + y))^T, whose entries of two monomials grade it by (1, 1)
+    # alone.  On the torus d_2 is ranked at q - 1 = 4 representatives and
+    # d_1 once; on x = 0 and y = 0 one monomial of each entry is left, and
+    # at the origin none, so each map is ranked once there
+    F = finite_field(5)
+    R = Ring(F, ("x", "y"))
+    d1 = Matrix(R, 1, 2, [[parse_poly(R, "x"), parse_poly(R, "y")]])
+    d2 = Matrix(R, 2, 1, [[parse_poly(R, "x*y + y^2")],
+                          [parse_poly(R, "-x^2 - x*y")]])
+    E = FreeChainComplex(R, (1, 2, 1), (d1, d2))
+    assert complexes._strata(E, 1) is not None
+    assert [complexes._stratum(E, 1, S)[2] for S in ((), (0,), (1,), (0, 1))
+            ] == [[False, False]] * 3 + [[False, True]]
+    counts = {}
+    evaluator = Matrix.evaluator
+
+    def counted_evaluator(self, *args):
+        at = evaluator(self, *args)
+
+        def counted_at(coords):
+            key = (self.nrows, self.ncols)
+            counts[key] = counts.get(key, 0) + 1
+            return at(coords)
+        return counted_at
+    monkeypatch.setattr(Matrix, "evaluator", counted_evaluator)
+    got = jump_locus_points(E, 1, 1, F)
+    assert counts == {(1, 2): 4, (2, 1): 3 + 4}
+    monkeypatch.undo()
+    assert got == _table_locus(homology_dims_table(E, F), 1, 1)
 
 
 @st.composite

@@ -188,23 +188,18 @@ def test_verify_cvres_zero_mult():
 
 def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
     # exterior(3) over F_5 with the identity: the pulled-back Aomoto
-    # complex is graded by all of Z^3, so the pullback side ranks one point
-    # per coordinate stratum, 2^3 per degree, not all 125 points of F_5^3
-    from jumploci import cga, complexes, equivariant
+    # complex is graded by all of Z^3, so on each coordinate stratum the
+    # pullback side ranks each nonempty map of d_i and d_{i+1} once (d_1
+    # for i = 0, where d_0 is empty), 2^3 or 2 * 2^3 ranks per degree, not
+    # at all 125 points of F_5^3
+    from jumploci import complexes, equivariant
     ranked = []
+    rank = complexes.mat_rank
 
-    def counting(real):
-        def wrapped(E, i, field, embed=None):
-            dim = real(E, i, field, embed)
-
-            def counted(coords):
-                ranked.append(coords)
-                return dim(coords)
-            return counted
-        return wrapped
-    for module in (complexes, cga):
-        monkeypatch.setattr(module, "homology_dim_at",
-                            counting(module.homology_dim_at))
+    def counted_rank(*args):
+        ranked.append(args)
+        return rank(*args)
+    monkeypatch.setattr(complexes, "mat_rank", counted_rank)
 
     def count(thunk):
         del ranked[:]
@@ -213,16 +208,16 @@ def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
     A, nu = exterior_algebra(F5, 3), identity_nu(3)
     strata = 2 ** 3
     E = build_E1(A, nu)
-    for i in (0, 1):
+    for i, maps in ((0, 1), (1, 2)):
         page, _ = count(lambda: jump_locus_points(E, i, 1, F5))
         both, rep = count(lambda: verify_cv_res(A, nu, i, 1))
         assert rep["equal"] and rep["rhs_points"] == {(0, 0, 0)}
-        assert both - page == strata
+        assert both - page == maps * strata
     supports, _ = count(lambda: [equivariant.support_points(E, i, 1, F5)
                                  for i in (0, 1)])
     total, rep = count(lambda: finiteness_test(A, nu, 1))
     assert rep["hypothesis_holds"]
-    assert total - supports == 2 * strata
+    assert total - supports == (1 + 2) * strata
 
 
 def test_verify_cvres_degree_zero():
