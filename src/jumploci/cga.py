@@ -15,7 +15,7 @@ as for every other locus.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import (FreeChainComplex, Verdict, homology_dim_at,
                         jump_locus_ideal, jump_locus_points)
@@ -103,15 +103,15 @@ class GradedAlgebra:
         return "GradedAlgebra(dims=%r over %r)" % (list(self.dims), self.field)
 
 
-@dataclass(frozen=True)
-class BShape:
-    dims: tuple
+class BShape(namedtuple("BShape", "dims")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.dims or self.dims[0] != 1:
+    def __new__(cls, dims):
+        if not dims or dims[0] != 1:
             raise PreconditionError("shape must start with 1")
-        if any(b < 0 for b in self.dims):
+        if any(b < 0 for b in dims):
             raise PreconditionError("negative dimension in shape")
+        return super().__new__(cls, dims)
 
 
 def validate_cga(A):

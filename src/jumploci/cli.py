@@ -6,7 +6,6 @@ sets are sorted canonically, structured output is JSON with sorted keys,
 and timing goes to stderr only.
 """
 
-import dataclasses
 import json
 import os
 import sys
@@ -266,7 +265,7 @@ def cmd_finiteness(args, A, nu):
         result["e2_supports_in_origin"] = rep["e2_supports_in_origin"]
         result["e2_supports"] = {str(i): Locus(F, pts)
                                  for i, pts in rep["e2_supports"].items()}
-        result["e2_dims"] = {str(i): dataclasses.asdict(v)
+        result["e2_dims"] = {str(i): v._asdict()
                              for i, v in rep["e2_dims"].items()}
     return {"results": result}, 0
 
@@ -277,7 +276,7 @@ def cmd_alexander(args, P, nu):
     result = {
         "generators": pres.gens,
         "relations": dump_matrix(pres.relations),
-        "finiteness": dataclasses.asdict(verdict),
+        "finiteness": verdict._asdict(),
     }
     return {"results": result}, 0
 

@@ -7,7 +7,7 @@ homology dimensions over a finite field (free or presented).  A support
 locus is the degree-0 jump locus of a homology presentation matrix.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations, product
 from operator import add, neg, sub
@@ -26,11 +26,9 @@ from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
                         points_where)
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    message: str = ""
-    location: tuple = None
+class Verdict(namedtuple("Verdict", "ok message location",
+                         defaults=("", None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -97,18 +95,18 @@ class FreeChainComplex(_ChainComplex):
         return "FreeChainComplex(ranks=%r over %r)" % (list(self.ranks), self.ring)
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
-    """gens generators, columns of `relations` are the relations."""
-    ring: object
-    gens: int
-    relations: object  # Matrix with `gens` rows
+class ModulePresentation(namedtuple("ModulePresentation",
+                                    "ring gens relations")):
+    """gens generators, columns of `relations` (a Matrix with `gens` rows)
+    are the relations."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relations.nrows != self.gens:
+    def __new__(cls, ring, gens, relations):
+        if relations.nrows != gens:
             raise PreconditionError("relations matrix must have one row per generator")
-        if self.relations.ring != self.ring:
+        if relations.ring != ring:
             raise PreconditionError("relations over a different ring")
+        return super().__new__(cls, ring, gens, relations)
 
 
 class PresentedChainComplex(_ChainComplex):
@@ -754,11 +752,10 @@ def support_points(E, i, d, field, torus=False, embed=None):
     return jump_locus_points(two_term, 0, d, field, torus, embed)
 
 
-@dataclass
-class FinVerdict:
-    kind: str              # "finite" | "infinite" | "unknown"
-    dim: int = None
-    note: str = ""
+class FinVerdict(namedtuple("FinVerdict", "kind dim note",
+                            defaults=(None, ""))):
+    """kind: "finite" | "infinite" | "unknown"; dim when finite."""
+    __slots__ = ()
 
 
 def is_finite_dimensional(P):

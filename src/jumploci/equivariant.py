@@ -7,7 +7,7 @@ of the group; in characteristic p, p-torsion contributes nilpotent
 directions which carry no points and are recorded but quotiented away.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .cga import aomoto_complex, square_zero_jump_points, validate_cga
@@ -53,16 +53,15 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GrRingDescriptor:
+class GrRingDescriptor(namedtuple("GrRingDescriptor",
+                                  "group field sbar nilpotent_parts")):
     """The associated graded ring of the group algebra along powers of the
-    augmentation ideal: a polynomial ring on the free rank, with one
-    nilpotent truncated variable per torsion factor divisible by the
-    characteristic.  Points only see the polynomial part."""
-    group: object
-    field: object
-    sbar: object                 # Ring k[x_1..x_r]
-    nilpotent_parts: tuple       # per torsion factor: ("trivial",) or ("truncated", p^s)
+    augmentation ideal: a polynomial ring `sbar` = k[x_1..x_r] on the free
+    rank, with one nilpotent truncated variable per torsion factor
+    divisible by the characteristic (`nilpotent_parts`, per torsion
+    factor: ("trivial",) or ("truncated", p^s)).  Points only see the
+    polynomial part."""
+    __slots__ = ()
 
 
 def gr_ring(G, field):

@@ -28,7 +28,7 @@ Over Z itself there is one column reduction, `integer_column_echelon`:
 `complexes` solves its weight lattices with it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .errors import UnsupportedRingError
@@ -67,13 +67,10 @@ def _submul(F, x, q, y):
     return out
 
 
-@dataclass
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "V divisors V_inv")):
     """The divisors d_1 | d_2 | ... of A and a unimodular V with V V_inv = 1
     such that A V is zero past its first len(divisors) columns."""
-    V: Matrix
-    divisors: tuple
-    V_inv: Matrix
+    __slots__ = ()
 
 
 def _identity(F, n):

@@ -126,6 +126,63 @@ def upoly_gcd(a, b, p):
     return a
 
 
+# -- finite fields F_{p^m} by one polynomial product per element --------------
+
+
+def _digits(a, p, m):
+    return [a // p ** i % p for i in range(m)]
+
+
+def _number(coeffs, p):
+    return sum(c * p ** i for i, c in enumerate(coeffs))
+
+
+def is_irreducible_by_trial_division(p, poly):
+    """Whether the monic coefficient list `poly` is irreducible over F_p:
+    no root, and no monic factor of degree 2..d/2 that passes this same
+    test."""
+    d = len(poly) - 1
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    if any(sum(c * a ** i for i, c in enumerate(poly)) % p == 0
+           for a in range(p)):
+        return False
+    for e in range(2, d // 2 + 1):
+        for idx in range(p ** e):
+            g = _digits(idx, p, e) + [1]
+            if (is_irreducible_by_trial_division(p, g)
+                    and not upoly_mod(list(poly), g, p)):
+                return False
+    return True
+
+
+def extension_field_tables(p, m, modulus):
+    """The exp, log and Zech-log lists of F_{p^m} = F_p[u]/(modulus) in the
+    layout of `ExtensionField`, one polynomial product per power of g:
+    g is the least int encoding whose powers first return to 1 at q - 1."""
+    q, n = p ** m, p ** m - 1
+
+    def times(a, b):
+        prod = upoly_mul(_digits(a, p, m), _digits(b, p, m), p)
+        return _number(upoly_mod(prod, list(modulus), p), p)
+
+    for g in range(p, q):
+        powers, a = [1], g
+        while a != 1:
+            powers.append(a)
+            a = times(a, g)
+        if len(powers) == n:
+            break
+    log = [2 * n] * q
+    for k, a in enumerate(powers):
+        log[a] = k
+    plus_one = [a - a % p + (a + 1) % p for a in range(q)]
+    zech = [log[plus_one[a]] for a in powers]
+    return powers * 2 + [0] * (2 * n + 1), log, zech * 2
+
+
 # -- quotient complexes by explicit bases --------------------------------------
 
 

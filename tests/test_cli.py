@@ -134,6 +134,18 @@ def test_reports_identical_across_hash_seeds(docs):
     assert outs2[0] == outs2[1]
 
 
+def test_one_modulus_search_per_extension_field(capsys):
+    """A document over Q read under an extension --q is checked against
+    the field --q built, without a second search for its modulus."""
+    from jumploci.fields import irreducible_modulus
+    irreducible_modulus.cache_clear()
+    code, _ = run(capsys, "jumploci", "--complex", SAMPLES + "koszul3.cc",
+                  "--i", "1", "--d", "1", "--q", "64")
+    assert code == 0
+    info = irreducible_modulus.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_supports_compare_v(docs, capsys):
     code, out = run(capsys, "supports", "--complex", docs["ex27"], "--i", "1",
                     "--d", "1", "--q", "5", "--compare-v", "--format",

@@ -310,3 +310,15 @@ def test_a_report_loads_no_argparse_gettext_or_locale():
                        env=dict(os.environ, PYTHONPATH=path))
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [[code for _, code, _ in RUNS], [], []]
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    import jumploci
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, jumploci.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -1,11 +1,16 @@
+import hashlib
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError, ResourceLimitError
 from jumploci.fields import (_TABLE_CAP, ExtensionField, PrimeField,
-                             _polymulmod, extension_of, factor_prime_power,
-                             field_make, finite_field, irreducible_modulus,
-                             is_prime)
+                             _is_irreducible, _monic_polys, _polymulmod,
+                             extension_of, factor_prime_power, field_make,
+                             finite_field, irreducible_modulus, is_prime)
+
+from oracles import extension_field_tables, is_irreducible_by_trial_division
 
 
 def test_field_make_prime():
@@ -38,6 +43,10 @@ def test_reducible_modulus_rejected():
     # u^2 + 1 = (u + 1)^2 over F_2
     with pytest.raises(PreconditionError):
         ExtensionField(2, 2, modulus=(1, 0, 1))
+    # u^4 + u^2 + 1 = (u^2 + u + 1)^2 over F_2 has no root
+    with pytest.raises(PreconditionError):
+        ExtensionField(2, 4, modulus=(1, 0, 1, 0, 1))
+    assert ExtensionField(2, 4, modulus=(1, 0, 0, 1, 1)).order == 16
 
 
 def test_factor_prime_power():
@@ -242,3 +251,41 @@ def test_extension_fields_above_the_cap_are_refused():
         assert "F_%d^%d" % (p, m) in str(exc.value)
     with pytest.raises(ResourceLimitError):
         finite_field(2 ** 18)
+
+
+# -- table construction and the modulus search against the oracles ----------
+
+
+def _extension_orders(cap):
+    return [(p, m) for p in range(2, isqrt(cap) + 1) if is_prime(p)
+            for m in range(2, cap.bit_length()) if p ** m <= cap]
+
+
+@pytest.mark.parametrize("p, m", _extension_orders(2 ** 12))
+def test_tables_equal_one_product_per_power(p, m):
+    F = ExtensionField(p, m)
+    exp, log, zech = extension_field_tables(p, m, F.modulus)
+    assert F._exp == exp
+    assert F._log == log
+    assert F._zech == zech
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_ben_or_agrees_with_trial_division(p, top):
+    for d in range(top + 1):
+        for poly in _monic_polys(p, d):
+            assert (_is_irreducible(p, poly)
+                    == is_irreducible_by_trial_division(p, list(poly))), poly
+
+
+def test_default_moduli_up_to_the_table_cap():
+    """The default modulus of every extension order up to the cap, as the
+    trial-division search found it before Ben-Or's test replaced it."""
+    pairs = _extension_orders(_TABLE_CAP)
+    text = ""
+    for p, m in pairs:
+        modulus = " ".join(map(str, irreducible_modulus(p, m)))
+        text += "%d %d %s\n" % (p, m, modulus)
+    assert len(pairs) == 119
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "727a2d1618b0648123029a821b5a2c8804ec59c606d8baaa96678781334779c5")

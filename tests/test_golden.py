@@ -78,6 +78,10 @@ GOLDEN = [
      0, "ecb18f94a788d4ec6afa566bb7e62e87240f194fc981fda197071c020c76b058"),
     ("jumploci --complex samples/koszul3.cc --i 1 --d 1 --q 1009 --torus --format structured",
      0, "9622329553e945833f4fc9eb80d4194612ab405adf32766995dd02ce50092b57"),
+    # over the largest extension field _TABLE_CAP allows, recorded while
+    # its tables were still built with one polynomial product per element
+    ("jumploci --complex samples/koszul3.cc --i 1 --d 1 --q 131072",
+     0, "3d5dfb5c8592db3cb30a1a01f7c77878d9e7c201223d203edcf7430931877af4"),
 ]
 
 
