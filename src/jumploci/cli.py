@@ -40,7 +40,9 @@ class Locus:
     are dumped and ranked once; the points are bucketed by the rank of
     their first coordinate and sorted inside each bucket by the ranks of
     the others, packed into one int; and documents.write_rows streams
-    them."""
+    them.  All of F_q^r, or of the torus, is printed in product order of
+    one sorted column of the q (or q - 1) scalars, with no bucket or
+    sort of the points."""
 
     __slots__ = ("field", "points")
 
@@ -54,8 +56,16 @@ class Locus:
         and columns[j] gives the ranks among them of the coordinates of
         column j, in canonical row order."""
         field, points = self.field, self.points
+        r = len(next(iter(points)))
+        if field.is_finite and len(points) in (field.order ** r,
+                                               (field.order - 1) ** r):
+            whole = len(points) == field.order ** r
+            # on the torus when no coordinate is 0, the zero of F_q
+            if whole or all(chain.from_iterable(points)):
+                return self._product_order(
+                    field.elements() if whole else field.units(), r)
         cells, keys = [], []
-        for j in range(len(next(iter(points)))):
+        for j in range(r):
             col = tuple(map(itemgetter(j), points))
             scalars = {c: dump_scalar(field, c) for c in set(col)}
             key = scalars.__getitem__
@@ -82,6 +92,22 @@ class Locus:
                                                  repeat(stride))
             columns.append(col if j == 1 else map(mod, col, repeat(sizes[j])))
         return cells, columns
+
+    def _product_order(self, pool, r):
+        """_ranked of pool^r: the scalars of `pool` sorted once make every
+        column's cells, and row n has rank n // s^(r-1-j) mod s in column
+        j, s = |pool|: runs of each rank, the runs of column j repeated
+        s^j times."""
+        scalars = [dump_scalar(self.field, c) for c in pool]
+        scalars.sort()  # one type: ints over F_p, strings over F_{p^m}
+        s = len(scalars)
+        columns = []
+        for j in range(r):
+            runs = chain.from_iterable(map(repeat, range(s),
+                                           repeat(s ** (r - 1 - j))))
+            columns.append(chain.from_iterable(repeat(tuple(runs), s ** j))
+                           if j else runs)
+        return [scalars] * r, columns
 
     def write_json(self, nl, write):
         """Write json.dumps of the rows as documents.write_rows does (`nl`

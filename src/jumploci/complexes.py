@@ -9,7 +9,7 @@ locus is the degree-0 jump locus of a homology presentation matrix.
 
 from collections import namedtuple
 from functools import reduce
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from operator import add, neg, sub
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
@@ -284,30 +284,75 @@ FIBER_MIN_Q = 16
 def jump_locus_points(E, i, d, field, torus=False, embed=None):
     """{w : dim H_i(E (x) S/m_w) >= d} over `field`.
 
-    The route is fixed by the input.  A free complex in at least one
-    variable whose d_i and d_{i+1} have a nonzero weight lattice is ranked
-    at one point per orbit of a grading torus on each coordinate stratum
-    (`_orbit_jump_points`); any other free complex, over a field of at
-    least FIBER_MIN_Q elements, is read line by line from Smith divisors
-    (`_fibered_jump_points`).  Presented complexes and the rest rank d_i
-    and d_{i+1} at each point.
+    The route is fixed by the input.  Before any route, a free complex in
+    at least one variable over a finite field is ranked on a small grid
+    that certifies a locus of the whole space (`_whole_space`).  Else a
+    free complex whose d_i and d_{i+1} have a nonzero weight lattice is
+    ranked at one point per orbit of a grading torus on each coordinate
+    stratum (`_orbit_jump_points`); any other free complex, over a field
+    of at least FIBER_MIN_Q elements, is read line by line from Smith
+    divisors (`_fibered_jump_points`).  Presented complexes and the rest
+    rank d_i and d_{i+1} at each point.
     """
     if d < 0:
         raise PreconditionError("d must be non-negative")
     ring = E.ring
     torus = on_torus(ring, torus)
     if d == 0:
-        return points_where(field, ring.nvars, torus, lambda coords: True)
+        return set(enumerate_coords(field, ring.nvars, torus))
     if not 0 <= i <= E.top:
         return set()
     emb = embed if embed is not None else coefficient_embedding(ring.field, field)
     if isinstance(E, FreeChainComplex) and ring.nvars >= 1 and field.is_finite:
+        if _whole_space(E, i, d, field, torus, emb):
+            return set(enumerate_coords(field, ring.nvars, torus))
         if _strata(E, i) is not None:
             return _orbit_jump_points(E, i, d, field, torus, emb)
         if field.order >= FIBER_MIN_Q:
             return _fibered_jump_points(E, i, d, field, torus, emb)
     dim_at = homology_dim_at(E, i, field, emb)
     return points_where(field, ring.nvars, torus, lambda coords: dim_at(coords) >= d)
+
+
+def _whole_space(E, i, d, field, torus, emb):
+    """Whether the jump locus of the free complex E is all of F^r (or the
+    torus), certified on a grid without a minor.
+
+    The locus is the zero set of the k-minors of d_i (+) d_{i+1}, k = c_i -
+    d + 1, and a k-minor has degree at most D_v = k * s_v in x_v, s_v the
+    largest x_v-degree of an entry.  On the torus s_v is the spread of the
+    x_v-exponents instead: the unit x^-lo that scales every entry to a
+    polynomial of x_v-degree s_v scales each k-minor by x^(-k lo).  A
+    polynomial of degree at most D_v in each x_v that vanishes on S_1 x
+    ... x S_r with |S_v| > D_v is zero (Alon, Combinatorial
+    Nullstellensatz, Lemma 2.1), so if dim H_i >= d at every point of that
+    grid, every k-minor vanishes identically.  S_v is the first D_v + 1
+    elements of the pool, taken only when they are at most half of it, so
+    the grid never holds more than 2^-r of the points; the points with no
+    zero coordinate are ranked first, and the first point outside the
+    locus ends the check."""
+    k = E.rank(i) - d + 1
+    if k < 1:  # d > c_i: the locus is empty
+        return False
+    maps = (E.differential(i), E.differential(i + 1))
+    exps = [e for M in maps for row in M.entries for p in row for e in p.terms]
+    pool = field.units() if torus else field.elements()
+    # not len(pool), which a range of 2^63 or more elements refuses
+    size = field.order - 1 if torus else field.order
+    sides = []
+    for v in range(E.ring.nvars):
+        top = max((e[v] for e in exps), default=0)
+        low = min((e[v] for e in exps), default=0) if torus else 0
+        side = k * (top - low) + 1
+        if 2 * side > size:
+            return False
+        sides.append(tuple(islice(pool, side)))
+    zero = field.zero
+    grid = chain(product(*[[c for c in s if c != zero] for s in sides]),
+                 (x for x in product(*sides) if zero in x))
+    # dim H_i >= d where rank d_i + rank d_{i+1} < k
+    plans = [M.evaluator(field, emb) for M in maps if M.nrows and M.ncols]
+    return all(sum(mat_rank(field, at(x)) for at in plans) < k for x in grid)
 
 
 def _orbit_jump_points(E, i, d, field, torus, emb):
@@ -745,8 +790,8 @@ def support_points(E, i, d, field, torus=False, embed=None):
     As dim (H_i(E) (x) S/m_w) = g - rank P(w), that is the degree-0,
     depth-d jump locus of the two-term free complex [P]: no minors."""
     if d < 1:
-        return points_where(field, E.ring.nvars, on_torus(E.ring, torus),
-                            lambda coords: True)
+        return set(enumerate_coords(field, E.ring.nvars,
+                                    on_torus(E.ring, torus)))
     P = homology_presentation(E, i).relations
     two_term = FreeChainComplex(P.ring, [P.nrows, P.ncols], [P])
     return jump_locus_points(two_term, 0, d, field, torus, embed)

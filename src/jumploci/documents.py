@@ -28,7 +28,7 @@ command asks for a finite field; a zero denominator is a ParseError.
 """
 
 import json
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .cga import GradedAlgebra
@@ -60,13 +60,23 @@ _KINDS = {
 }
 
 
+def _fits(value, kind):
+    """Whether `value` is of the JSON kind `kind`, as _check decides."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(
+            map(_fits, value, repeat(kind[0])))
+    return _KINDS[kind][1](value)
+
+
 def _check(value, kind, what):
     """`value` when it is of the JSON kind `kind` (a _KINDS name, or [k]
     for a list of k); anything else is a DocumentError naming `what`, not a
-    TypeError, ValueError or IndexError further in."""
+    TypeError, ValueError or IndexError further in.  A list is tested
+    whole first, and its entries are named only when one fails."""
     if isinstance(kind, list):
-        for n, item in enumerate(_check(value, "list", what)):
-            _check(item, kind[0], "entry %d of %s" % (n, what))
+        if not _fits(value, kind):
+            for n, item in enumerate(_check(value, "list", what)):
+                _check(item, kind[0], "entry %d of %s" % (n, what))
         return value
     description, test = _KINDS[kind]
     if not test(value):

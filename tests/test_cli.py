@@ -710,18 +710,30 @@ def _point_sets():
     from fractions import Fraction
     from itertools import product
     from jumploci.fields import PrimeField, Rationals, finite_field
-    Q, F7, F16 = Rationals(), PrimeField(7), finite_field(16)
+    Q, F7, F9, F16 = (Rationals(), PrimeField(7), finite_field(9),
+                      finite_field(16))
     half, three = Fraction(1, 2), Fraction(3)
+
+    def space(F, r, torus=False):  # printed in product order
+        return F, set(product(F.units() if torus else F.elements(),
+                              repeat=r))
     return [
         (Q, {(half, three), (Fraction(-1, 3), three), (half, Fraction(7))}),
         (Q, {(three, three)}),
-        (F7, set(product(range(7), repeat=2))),
+        space(F7, 2),
         (F7, {(3, 3, 3), (3, 0, 3), (0, 3, 6)}),
         (F7, set()),
-        (finite_field(9), set(product(range(9), repeat=2))),
+        space(F9, 2),
         (F16, {(5, 5), (5, 11), (11, 5), (0, 5)}),
-        (F16, {(c,) for c in range(16)}),
+        space(F16, 1),
         (F7, {()}),
+        space(F7, 1), space(F7, 3),
+        space(F7, 1, True), space(F7, 2, True), space(F7, 3, True),
+        space(F9, 2, True),
+        space(F16, 2), space(F16, 1, True), space(F16, 2, True),
+        # (q - 1)^r points that are not the torus, and q^r - 1 points
+        (F7, set(product(range(6), repeat=2))),
+        (F16, set(product(range(16), repeat=2)) - {(0, 0)}),
     ]
 
 

@@ -1041,9 +1041,17 @@ def test_orbit_route_ranks_one_point_per_orbit(q, monkeypatch):
         return FreeChainComplex(R, (len(rows), len(rows[0])), (Matrix(
             R, len(rows), len(rows[0]),
             [[parse_poly(R, e) for e in row] for row in rows]),))
+
+    # the map (x + 1  y) alone has H_1 != 0 everywhere, a locus of the
+    # whole plane that the grid of _whole_space gives with no orbit ranked;
+    # its Koszul complex has the same lattice and a point for a locus
+    def koszul_of(R, f, g):
+        f, g = parse_poly(R, f), parse_poly(R, g)
+        return FreeChainComplex(R, (1, 2, 1), (Matrix(R, 1, 2, [[f, g]]),
+                                               Matrix(R, 2, 1, [[-g], [f]])))
     cases = [koszul_complex(F), koszul3_complex(F),
              one_map(R2, [["x^3 - y^2"]]), one_map(R2, [["x^2 - x*y"]]),
-             one_map(R2, [["x + 1", "y"]]),
+             koszul_of(R2, "x + 1", "y"),
              one_map(R3, [["x*z - y^2", "x*y"], ["y*z", "z^2 - x^2"]]),
              aomoto_complex(exterior_algebra(F, 3))]
     ranked = []
@@ -1175,6 +1183,161 @@ def test_orbit_route_on_koszul_aomoto_and_page_corpora(q):
             assert complexes._stratum(E, i, full)[0] == []
         _assert_locus_matches_table(E, F)
         _assert_locus_matches_table(E, F, torus=True)
+
+
+# -- the whole-space grid, before any route -------------------------------------
+
+
+def _with_free_summand(E, i, a):
+    """E (+) (0 -> S^a -> 0) in degree i: d_i gains a zero columns and
+    d_{i+1} a zero rows, so dim H_i rises by a at every point, and for
+    d <= a the minors of size c_i + a - d + 1 vanish identically."""
+    ring, z = E.ring, E.ring.zero()
+    ranks = list(E.ranks)
+    ranks[i] += a
+    diffs = []
+    for k, M in enumerate(E.differentials, start=1):
+        rows = [list(row) + [z] * (a if k == i else 0) for row in M.entries]
+        rows += [[z] * M.ncols for _ in range(a if k == i + 1 else 0)]
+        diffs.append(Matrix(ring, ranks[k - 1], ranks[k], rows))
+    return FreeChainComplex(ring, ranks, diffs)
+
+
+def _map_complex(F, rows, laurent=False):
+    """The one-map complex of `rows` of polynomial strings in x, y."""
+    R = Ring(F, ("x", "y"), laurent=laurent)
+    return FreeChainComplex(R, (len(rows), len(rows[0])), (Matrix(
+        R, len(rows), len(rows[0]),
+        [[parse_poly(R, e) for e in row] for row in rows]),))
+
+
+def _frobenius_complex(F, j):
+    """The 1 x 1 map (x^p - x) y^j over F[x, y], p the characteristic of
+    F: x^p - x vanishes at every point of F_p without being zero."""
+    return _map_complex(F, [["(x^%d - x) * y^%d" % (F.characteristic, j)]])
+
+
+def _grid_fits(E, i, d, F, torus):
+    """The size rule of the grid, restated: k = c_i - d + 1 >= 1, and
+    every side k * s_v + 1 is at most half the pool, s_v the largest
+    x_v-exponent of d_i and d_{i+1}, less the least one on the torus."""
+    k = E.rank(i) - d + 1
+    exps = [e for M in (E.differential(i), E.differential(i + 1))
+            for row in M.entries for p in row for e in p.terms]
+    pool = F.order - 1 if torus else F.order
+    return k >= 1 and all(
+        2 * (k * (max(col) - (min(col) if torus else 0)) + 1) <= pool
+        for col in zip(*exps or [(0,) * E.ring.nvars]))
+
+
+_F4 = finite_field(4)
+_, _F16, _EMB4_16 = list(extension_fields(_F4, 2))[1]
+
+
+@st.composite
+def _whole_space_cases(draw):
+    """(E, i, d, F, torus, embed): a random bivariate complex over F_q, its
+    Laurent twist, a univariate Laurent complex, a Koszul complex, or a
+    complex over F_5 or F_4 read over F_25 or F_16 through extension_of and
+    extension_fields; or the map (x^p - x) y^j; with a free summand
+    planted in degree i half of the time, so that depths d <= a have the
+    whole space for a locus.  i runs over 0..top and d up to c_i + 2."""
+    kind = draw(st.sampled_from(["bivariate", "laurent", "laurent1",
+                                 "koszul", "extension", "frobenius"]))
+    seed, emb = draw(st.integers(0, 99)), None
+    F = finite_field(draw(st.sampled_from([7, 11, 16, 17, 23])))
+    if kind == "bivariate":
+        E = random_bivariate_complex(F, seed)
+    elif kind == "laurent":
+        E = _laurent_twist(random_bivariate_complex(F, seed), seed)
+    elif kind == "laurent1":
+        E = random_laurent_complex(F, seed)
+    elif kind == "koszul":
+        E = draw(st.sampled_from([koszul_complex(F), koszul3_complex(F7)]))
+        F = E.ring.field
+    elif kind == "extension":
+        base, F, emb = draw(st.sampled_from([(F5, _F25, _EMB25),
+                                             (_F4, _F16, _EMB4_16)]))
+        E = random_bivariate_complex(base, seed)
+    else:
+        F = finite_field(draw(st.sampled_from([3, 5, 7])))
+        E = _frobenius_complex(F, draw(st.integers(0, 2)))
+    i = draw(st.integers(0, E.top))
+    a = draw(st.integers(0, 2))
+    if a:
+        E = _with_free_summand(E, i, a)
+    d = draw(st.integers(1, a if a and draw(st.booleans()) else E.rank(i) + 2))
+    return E, i, d, F, on_torus(E.ring, draw(st.booleans())), emb
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_whole_space_cases())
+@example((_frobenius_complex(PrimeField(5), 1), 0, 1, PrimeField(5), False,
+          None))
+@example((_with_free_summand(koszul_complex(finite_field(17)), 1, 1), 1, 1,
+          finite_field(17), False, None))
+@example((_map_complex(PrimeField(7), [["x", "0"], ["0", "x - 1"]]), 1, 1,
+          PrimeField(7), False, None))
+@example((_map_complex(PrimeField(7), [["x^-1 - x^-2"]], laurent=True), 0,
+          1, PrimeField(7), True, None))
+def test_whole_space_grid_agrees_with_the_table(case):
+    # the grid certifies exactly the whole-space loci whose grid fits: it
+    # lies inside the space, and by the grid lemma a certified locus has
+    # minors that vanish identically, which the minor ideal confirms; the
+    # locus itself is the table's either way.  The 2-minor x (x - 1) of
+    # diag(x, x - 1) vanishes on x in {0, 1}: its grid needs a side of 3;
+    # x^-1 - x^-2 = x^-2 (x - 1) has degree -1 and spread 1 in x
+    E, i, d, F, torus, emb = case
+    table = homology_dims_table(E, F, torus, emb)
+    whole = all(dims[i] >= d for dims in table.values())
+    certified = complexes._whole_space(E, i, d, F, torus, emb)
+    assert certified == (whole and _grid_fits(E, i, d, F, torus))
+    if certified:
+        assert all(g.is_zero() for g in jump_locus_ideal(E, i, d).generators)
+    assert jump_locus_points(E, i, d, F, torus, emb) == _table_locus(
+        table, i, d)
+
+
+def test_a_frobenius_entry_is_declined_and_the_route_keeps_every_point():
+    # x^p - x vanishes on F_p, so H_0 of (x^p - x) y is 1 at all of F_p^2,
+    # but only where x is in F_p or y = 0 over F_{p^2}: a grid side of
+    # degree p is more than half of F_p, and the route lists every point
+    for p in (3, 5, 7):
+        F = PrimeField(p)
+        E = _frobenius_complex(F, 1)
+        assert not complexes._whole_space(E, 0, 1, F, False, None)
+        assert jump_locus_points(E, 0, 1, F) == set(
+            itertools.product(range(p), repeat=2))
+        big, emb = extension_of(F, 2)
+        assert len(jump_locus_points(E, 0, 1, big, embed=emb)) == (
+            p * p ** 2 + p ** 2 - p)
+
+
+def test_a_whole_space_locus_takes_no_route(monkeypatch):
+    # a free summand in degree 1 of the Koszul complex of x, y over F_17:
+    # H_1 >= 1 everywhere.  The grid of k = 3 and linear entries has
+    # sides {0..3} and ranks its 3^2 torus points and then the 7 others;
+    # neither the orbit nor the fibered route runs
+    F = finite_field(17)
+    E = _with_free_summand(koszul_complex(F), 1, 1)
+    for route in ("_orbit_jump_points", "_fibered_jump_points",
+                  "points_where"):
+        monkeypatch.setattr(complexes, route, None)
+    ranked = []
+    rank = complexes.mat_rank
+
+    def counted(field, rows):
+        ranked.append(rows)
+        return rank(field, rows)
+    monkeypatch.setattr(complexes, "mat_rank", counted)
+    assert jump_locus_points(E, 1, 1, F) == set(
+        itertools.product(range(17), repeat=2))
+    assert len(ranked) == 2 * 4 ** 2
+    # d = c_i + 1 = 4 is past every dimension: no grid, and the route
+    # answers with the empty set
+    monkeypatch.undo()
+    assert not complexes._whole_space(E, 1, 4, F, False, None)
+    assert jump_locus_points(E, 1, 4, F) == set()
 
 
 # -- homology presentations -------------------------------------------------------

@@ -107,6 +107,28 @@ def test_load_document_type_guard(tmp_path):
         load_document(str(bad))
 
 
+def test_a_list_names_its_entries_only_when_one_fails(monkeypatch):
+    # a valid list of lists is checked whole, with no "entry %d of" text
+    # formatted for it; a bad entry is named by its path, as before
+    from jumploci import documents
+    named = []
+    check = documents._check
+
+    def counted(value, kind, what):
+        named.append(what)
+        return check(value, kind, what)
+    monkeypatch.setattr(documents, "_check", counted)
+    rows = [[["x", 1]] * 3] * 4
+    assert documents._check(rows, [[["entry"]]], "'differentials'") is rows
+    assert named == ["'differentials'"]
+    bad = [[["x", 1], ["y", 1.5]]]
+    with pytest.raises(DocumentError) as err:
+        documents._check(bad, [[["entry"]]], "'differentials'")
+    assert str(err.value) == (
+        "entry 1 of entry 1 of entry 0 of 'differentials' must be a "
+        "polynomial string or an integer, not 1.5")
+
+
 # JSON-like documents: scalars of every JSON kind (strings with quotes,
 # backslashes, control characters and non-ASCII; every float json writes,
 # NaN and the infinities included), lists, tuples, and objects with string

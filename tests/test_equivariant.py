@@ -191,31 +191,44 @@ def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
     # complex is graded by all of Z^3, so on each coordinate stratum the
     # pullback side ranks each nonempty map of d_i and d_{i+1} once (d_1
     # for i = 0, where d_0 is empty), 2^3 or 2 * 2^3 ranks per degree, not
-    # at all 125 points of F_5^3
+    # at all 125 points of F_5^3.  The whole-space grid that every free
+    # locus tries first is counted apart.  For i = 0 its sides are {0, 1}
+    # (k = 1, linear entries), and its first point, (1, 1, 1), is outside
+    # the locus: one rank of d_1 per locus.  For i = 1 (k = 3) a side of 4
+    # is more than half of F_5, and no grid is ranked
     from jumploci import complexes, equivariant
-    ranked = []
-    rank = complexes.mat_rank
+    ranked, grid = [], []
+    rank, whole_space = complexes.mat_rank, complexes._whole_space
 
     def counted_rank(*args):
         ranked.append(args)
         return rank(*args)
+
+    def counted_whole_space(*args):
+        start = len(ranked)
+        out = whole_space(*args)
+        grid.extend(ranked[start:])
+        del ranked[start:]
+        return out
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
+    monkeypatch.setattr(complexes, "_whole_space", counted_whole_space)
 
     def count(thunk):
-        del ranked[:]
+        del ranked[:], grid[:]
         out = thunk()
-        return len(ranked), out
+        return len(ranked), len(grid), out
     A, nu = exterior_algebra(F5, 3), identity_nu(3)
     strata = 2 ** 3
     E = build_E1(A, nu)
-    for i, maps in ((0, 1), (1, 2)):
-        page, _ = count(lambda: jump_locus_points(E, i, 1, F5))
-        both, rep = count(lambda: verify_cv_res(A, nu, i, 1))
+    for i, maps, grid_ranks in ((0, 1, 1), (1, 2, 0)):
+        page, page_grid, _ = count(lambda: jump_locus_points(E, i, 1, F5))
+        both, both_grid, rep = count(lambda: verify_cv_res(A, nu, i, 1))
         assert rep["equal"] and rep["rhs_points"] == {(0, 0, 0)}
         assert both - page == maps * strata
-    supports, _ = count(lambda: [equivariant.support_points(E, i, 1, F5)
-                                 for i in (0, 1)])
-    total, rep = count(lambda: finiteness_test(A, nu, 1))
+        assert page_grid == both_grid - page_grid == grid_ranks
+    supports, _, _ = count(lambda: [equivariant.support_points(E, i, 1, F5)
+                                    for i in (0, 1)])
+    total, _, rep = count(lambda: finiteness_test(A, nu, 1))
     assert rep["hypothesis_holds"]
     assert total - supports == (1 + 2) * strata
 

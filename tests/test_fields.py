@@ -270,6 +270,23 @@ def test_tables_equal_one_product_per_power(p, m):
     assert F._zech == zech
 
 
+def test_primitive_element_is_found_by_the_table_walk(monkeypatch):
+    # with the modulus searched for already, a build makes no polynomial
+    # product: each candidate is tested by its walk, which returns to 1
+    # before q - 1 steps unless it is primitive.  u has order 51 modulo
+    # u^8 + u^4 + u^3 + u + 1, so F_256 discards u and takes u + 1; over
+    # F_{17^4} 290 candidates come before g = 307, and all but 5 of them
+    # lie in a subgroup that a discarded walk went through
+    from jumploci import fields
+    for p, m in ((2, 8), (2, 9), (17, 4)):
+        irreducible_modulus(p, m)
+    monkeypatch.setattr(fields, "_polymulmod", None)
+    F = ExtensionField(2, 8)
+    assert F.primitive() == 3 and F.pow(2, 51) == 1
+    assert ExtensionField(2, 9).primitive() == 7
+    assert ExtensionField(17, 4).primitive() == 307
+
+
 @pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3)])
 def test_ben_or_agrees_with_trial_division(p, top):
     for d in range(top + 1):

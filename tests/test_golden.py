@@ -82,6 +82,14 @@ GOLDEN = [
     # its tables were still built with one polynomial product per element
     ("jumploci --complex samples/koszul3.cc --i 1 --d 1 --q 131072",
      0, "3d5dfb5c8592db3cb30a1a01f7c77878d9e7c201223d203edcf7430931877af4"),
+    # the graded page of the zero-pairing algebra, whose degree-1 locus is
+    # the whole space, recorded while such a locus still took a route and
+    # was printed through the sort of its points: the torus over F_16,
+    # whose printed strings sort otherwise than its ints, and F_17^2
+    ("jumploci --complex samples/zero-pairing-page.cc --i 1 --d 1 --q 16 --torus --format structured",
+     0, "7f4ad1b0a2ff211b5063c21d3d98e7cf43b1d4a23d90b2690e116d9a1a92a0cf"),
+    ("jumploci --complex samples/zero-pairing-page.cc --i 1 --d 1 --q 17",
+     0, "98903443f7a7edefac63d4c063c041b7b9a458320e7382208945933cf87dd689"),
 ]
 
 
