@@ -8,7 +8,7 @@ locus is the degree-0 jump locus of a homology presentation matrix.
 """
 
 from collections import namedtuple
-from functools import reduce
+from functools import reduce, wraps
 from itertools import chain, combinations, islice, product
 from operator import add, neg, sub
 
@@ -274,49 +274,29 @@ def homology_dims_table(E, field, torus=False, embed=None):
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
-# A free complex with no grading, over a field of at least this many
-# elements, takes the fibered route of jump_locus_points.  Over small
-# fields the Smith divisors of a line cost more than ranking its q points;
-# README gives the measured crossover and why the threshold sits above it.
-FIBER_MIN_Q = 16
-
-
 def jump_locus_points(E, i, d, field, torus=False, embed=None):
-    """{w : dim H_i(E (x) S/m_w) >= d} over `field`.
-
-    The route is fixed by the input.  Before any route, a free complex in
-    at least one variable over a finite field is ranked on a small grid
-    that certifies a locus of the whole space (`_whole_space`).  Else a
-    free complex whose d_i and d_{i+1} have a nonzero weight lattice is
-    ranked at one point per orbit of a grading torus on each coordinate
-    stratum (`_orbit_jump_points`); any other free complex, over a field
-    of at least FIBER_MIN_Q elements, is read line by line from Smith
-    divisors (`_fibered_jump_points`).  Presented complexes and the rest
-    rank d_i and d_{i+1} at each point.
-    """
+    """{w : dim H_i(E (x) S/m_w) >= d} over the finite field `field`, for
+    1 <= d <= g_i the first answer of ROUTES, whose comment has the rule."""
     if d < 0:
         raise PreconditionError("d must be non-negative")
+    if not field.is_finite:
+        raise PreconditionError("point enumeration needs a finite field")
     ring = E.ring
     torus = on_torus(ring, torus)
     if d == 0:
         return set(enumerate_coords(field, ring.nvars, torus))
-    if not 0 <= i <= E.top:
+    if d > E.gens(i):  # dim H_i <= g_i, and g_i = 0 outside 0..n
         return set()
     emb = embed if embed is not None else coefficient_embedding(ring.field, field)
-    if isinstance(E, FreeChainComplex) and ring.nvars >= 1 and field.is_finite:
-        if _whole_space(E, i, d, field, torus, emb):
-            return set(enumerate_coords(field, ring.nvars, torus))
-        if _strata(E, i) is not None:
-            return _orbit_jump_points(E, i, d, field, torus, emb)
-        if field.order >= FIBER_MIN_Q:
-            return _fibered_jump_points(E, i, d, field, torus, emb)
-    dim_at = homology_dim_at(E, i, field, emb)
-    return points_where(field, ring.nvars, torus, lambda coords: dim_at(coords) >= d)
+    for route in ROUTES:
+        points = route(E, i, d, field, torus, emb)
+        if points is not None:
+            return points
 
 
 def _whole_space(E, i, d, field, torus, emb):
-    """Whether the jump locus of the free complex E is all of F^r (or the
-    torus), certified on a grid without a minor.
+    """All of F^r (or the torus) when the grid below certifies that the
+    jump locus of the free complex E is the whole space, else None.
 
     The locus is the zero set of the k-minors of d_i (+) d_{i+1}, k = c_i -
     d + 1, and a k-minor has degree at most D_v = k * s_v in x_v, s_v the
@@ -332,8 +312,6 @@ def _whole_space(E, i, d, field, torus, emb):
     zero coordinate are ranked first, and the first point outside the
     locus ends the check."""
     k = E.rank(i) - d + 1
-    if k < 1:  # d > c_i: the locus is empty
-        return False
     maps = (E.differential(i), E.differential(i + 1))
     exps = [e for M in maps for row in M.entries for p in row for e in p.terms]
     pool = field.units() if torus else field.elements()
@@ -345,14 +323,16 @@ def _whole_space(E, i, d, field, torus, emb):
         low = min((e[v] for e in exps), default=0) if torus else 0
         side = k * (top - low) + 1
         if 2 * side > size:
-            return False
+            return None
         sides.append(tuple(islice(pool, side)))
     zero = field.zero
     grid = chain(product(*[[c for c in s if c != zero] for s in sides]),
                  (x for x in product(*sides) if zero in x))
     # dim H_i >= d where rank d_i + rank d_{i+1} < k
     plans = [M.evaluator(field, emb) for M in maps if M.nrows and M.ncols]
-    return all(sum(mat_rank(field, at(x)) for at in plans) < k for x in grid)
+    if all(sum(mat_rank(field, at(x)) for at in plans) < k for x in grid):
+        return set(enumerate_coords(field, E.ring.nvars, torus))
+    return None
 
 
 def _orbit_jump_points(E, i, d, field, torus, emb):
@@ -376,6 +356,8 @@ def _orbit_jump_points(E, i, d, field, torus, emb):
     by all of Z^S and is ranked once, at t = 1.  Each point of the locus
     is then spread over its orbit, and when every point is in it, so is
     the whole stratum."""
+    if _strata(E, i) is None:
+        return None
     F, r = field, E.ring.nvars
     mul, units = F.mul, F.units()
     plans = {m: M.evaluator(F, emb)
@@ -541,7 +523,7 @@ def _orbit(F, r, S, kernel):
             for combo in product(*lists)]
 
 
-def _fibered_jump_points(E, i, d, field, torus, emb):
+def _fibered_jump_points(E, i, d, F, torus, emb):
     """The jump locus of a free complex, one line x_1..x_{r-1} = h at a time.
 
     Substituting the head h turns d_i and d_{i+1} into matrices over F[t]
@@ -553,7 +535,8 @@ def _fibered_jump_points(E, i, d, field, torus, emb):
     the last one is solved on the line, the others are evaluated at its
     roots, and a line whose divisors are all constant has one value
     throughout."""
-    F = field
+    if F.order < FIBER_MIN_Q:
+        return None
     fiber = [b for (b,) in enumerate_coords(F, 1, torus)]
     c_i = E.rank(i)
     out = set()
@@ -599,6 +582,38 @@ def _head_divisors(E, i, F, torus, emb, fiber):
                 chains[k] if chains[k] is not None
                 else _dense_divisors(line, at(head), M.ncols)
                 for chains, (M, at) in zip(shared, maps)]
+
+
+def _free_in_some_variable(route):
+    """`route`, declining a presented complex and a ring in no variable."""
+    @wraps(route)
+    def guarded(E, i, d, field, torus, emb):
+        if isinstance(E, FreeChainComplex) and E.ring.nvars >= 1:
+            return route(E, i, d, field, torus, emb)
+        return None
+    return guarded
+
+
+def _pointwise_jump_points(E, i, d, field, torus, emb):
+    """The jump locus of any complex, dim H_i ranked at every point."""
+    dim_at = homology_dim_at(E, i, field, emb)
+    return points_where(field, E.ring.nvars, torus, lambda c: dim_at(c) >= d)
+
+
+# The routes of jump_locus_points in the order it tries them, a fixed
+# rule with no flag or option: each returns the locus or declines with
+# None.  The first three read the minors of a free complex along its
+# coordinates, and decline a presented complex and a ring in no variable;
+# `_whole_space` also declines a locus its grid does not certify whole,
+# `_orbit_jump_points` a d_i and d_{i+1} with no grading, and
+# `_fibered_jump_points` a field of fewer than FIBER_MIN_Q elements, over
+# which the Smith divisors of a line cost more than ranking its q points
+# (README gives the measured crossover, and why the threshold sits above
+# it).  The last declines nothing.
+FIBER_MIN_Q = 16
+ROUTES = (*map(_free_in_some_variable, (_whole_space, _orbit_jump_points,
+                                        _fibered_jump_points)),
+          _pointwise_jump_points)
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,6 @@ def verify_cv_res(A, nu, i, d):
     complex, the latter cut by nu-bar^*(w)^2 = 0, the entries of its d_1 d_2.
     `equal` must be true; a false value signals an implementation fault."""
     field = A.field
-    if not field.is_finite:
-        raise PreconditionError("point verification needs a finite field")
     E = build_E1(A, nu)
     lhs = jump_locus_points(E, i, d, field)
     rhs = square_zero_jump_points(pulled_back_aomoto_complex(A, nu), i, d, field)
@@ -254,8 +252,6 @@ def finiteness_test(A, nu, k_range):
     field = A.field
     if k_range > A.top:
         raise PreconditionError("k exceeds the top degree of the algebra")
-    if not field.is_finite:
-        raise PreconditionError("the hypothesis check enumerates a finite field")
     E = build_E1(A, nu)
     zero = tuple(field.zero for _ in range(nu.group.rank))
     P = pulled_back_aomoto_complex(A, nu)

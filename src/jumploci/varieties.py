@@ -11,19 +11,8 @@ supports, resonance and its pullback) streams its coordinates from
 the locus, so memory is O(locus), not O(q^r).  A locus is a set of
 coordinate tuples over the enumeration field; over an extension F_{q^e}
 that field comes with the `embed` of `extension_fields`.  Every command
-takes its loci from `complexes.jump_locus_points`; `zero_locus_points` is
-an oracle.
-Zero loci and point-by-point jump loci are one `points_where` pass over
-F^r.  Before any route, the jump locus of a free complex is ranked on a
-grid of at most half of each coordinate's pool, whose side exceeds the
-degree of the minors in that coordinate: if the grid is in the locus, so
-is everything, and the whole space is returned with no route run.  The
-jump locus of a graded complex takes one pass per coordinate stratum over
-one representative of each torus orbit, whose points are then spread over
-their orbits; the fibered route streams the outer heads x_1..x_{r-2} and
-reads every line through one of them off one Smith elimination over
-F(x_{r-1})[x_r].  The one q^r table, `complexes.homology_dims_table`, is
-a brute-force oracle for the tests.
+takes its loci from `complexes.jump_locus_points`; `zero_locus_points`
+and `complexes.homology_dims_table` are oracles.
 """
 
 from itertools import product

@@ -584,20 +584,39 @@ def _spy(monkeypatch, name):
     return taken
 
 
+def _answering_routes(monkeypatch):
+    """The list of the names of the entries of complexes.ROUTES that
+    answer, one per jump_locus_points call that reaches the table: every
+    entry is wrapped, and one that declines is not listed."""
+    answered = []
+
+    def spied(route):
+        def wrapped(*args):
+            out = route(*args)
+            if out is not None:
+                answered.append(route.__name__)
+            return out
+        return wrapped
+    monkeypatch.setattr(complexes, "ROUTES",
+                        tuple(map(spied, complexes.ROUTES)))
+    return answered
+
+
 def test_route_is_fixed_by_the_field_order(monkeypatch):
-    taken = _spy(monkeypatch, "_fibered_jump_points")
+    answered = _answering_routes(monkeypatch)
     for q in (13, 16):
         F = finite_field(q)
         E = random_bivariate_complex(F, 3)
-        del taken[:]
+        del answered[:]
         pts = jump_locus_points(E, 1, 1, F)
         assert pts == _table_locus(homology_dims_table(E, F), 1, 1)
-        assert taken == ([E] if q >= FIBER_MIN_Q else []), q
+        assert answered == ["_fibered_jump_points" if q >= FIBER_MIN_Q
+                            else "_pointwise_jump_points"], q
     # presented complexes stay pointwise at any order
-    del taken[:]
+    del answered[:]
     augmentation = augmentation_complex(finite_field(17))
     assert len(jump_locus_points(augmentation, 1, 1, finite_field(17))) == 16
-    assert taken == []
+    assert answered == ["_pointwise_jump_points"]
 
 
 def test_fibered_koszul_over_f729_counts(monkeypatch):
@@ -847,17 +866,7 @@ def test_cone_route_columns_of_different_degrees(q):
 def test_torus_loci_have_no_zero_coordinate(q, text, route, monkeypatch):
     # a point of the torus, or of a Laurent ring's affine space, has every
     # coordinate a unit; off the torus each of these loci meets x = 0
-    taken = []
-
-    def spy(name):
-        real = getattr(complexes, name)
-
-        def wrapped(*args):
-            taken.append(name)
-            return real(*args)
-        monkeypatch.setattr(complexes, name, wrapped)
-    spy("_orbit_jump_points")
-    spy("_fibered_jump_points")
+    answered = _answering_routes(monkeypatch)
     F = finite_field(q)
 
     def one_map(ring):
@@ -868,9 +877,9 @@ def test_torus_loci_have_no_zero_coordinate(q, text, route, monkeypatch):
     for i in (0, 1):
         whole = jump_locus_points(E, i, 1, F)
         assert any(p[0] == F.zero for p in whole)
-        del taken[:]
+        del answered[:]
         torus = jump_locus_points(E, i, 1, F, torus=True)
-        assert taken[:1] == ([route] if route else [])
+        assert answered == [route or "_pointwise_jump_points"]
         assert torus and all(F.zero not in p for p in torus)
         assert torus == {p for p in whole if F.zero not in p}
         assert jump_locus_points(L, i, 1, F) == torus
@@ -879,8 +888,9 @@ def test_torus_loci_have_no_zero_coordinate(q, text, route, monkeypatch):
 def test_cone_route_is_fixed_by_the_column_degrees(monkeypatch):
     # the orbit route is taken exactly when the weight lattice is
     # nonzero: column degrees give w = (1, 1), and so do row shifts, and a
-    # weight may live in one variable
-    taken = _spy(monkeypatch, "_orbit_jump_points")
+    # weight may live in one variable; over F_5 any other goes point by
+    # point
+    answered = _answering_routes(monkeypatch)
     R = Ring(F5, ("x", "y"))
 
     def one_map(rows):
@@ -896,10 +906,11 @@ def test_cone_route_is_fixed_by_the_column_degrees(monkeypatch):
                       (one_map([["x^2 + x*y - x"]]), False)):
         table = homology_dims_table(E, F5)
         for i in (0, 1):
-            del taken[:]
+            del answered[:]
             got = jump_locus_points(E, i, 1, F5)
             assert got == _table_locus(table, i, 1)
-            assert taken[:1] == ([E] if graded else []), (E, i)
+            assert answered == ["_orbit_jump_points" if graded
+                                else "_pointwise_jump_points"], (E, i)
 
 
 def test_a_lattice_with_no_chart_takes_general_coordinates():
@@ -969,14 +980,6 @@ def _planted_complexes(draw):
     d2 = Matrix(R, c1a + c1b, c2,
                 [[z] * c2] * c1a + [list(row) for row in B.entries])
     return FreeChainComplex(R, (c0, c1a + c1b, c2), (d1, d2)), kind != "plane"
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_planted_complexes())
-def test_orbit_route_on_planted_gradings(case):
-    E, torus = case
-    assert validate_complex(E).ok and _graded(E)
-    _assert_locus_matches_table(E, E.ring.field, torus=torus)
 
 
 def _brute_force_orbits(E, i, S, field):
@@ -1134,13 +1137,6 @@ def _column_graded_complexes(draw):
     return FreeChainComplex(R, (nrows, ncols), (M,))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_column_graded_complexes())
-def test_cone_route_on_random_column_graded_maps(E):
-    assert _graded(E)
-    _assert_locus_matches_table(E, E.ring.field, torus=E.ring.laurent)
-
-
 @pytest.mark.parametrize("q, count", [(5, 3), (7, 2), (17, 1)])
 def test_cone_route_aomoto_complexes_of_sampled_algebras(q, count):
     # resonance of (1,4,3) algebras; at F_17 the strata go fibered
@@ -1234,16 +1230,25 @@ _F4 = finite_field(4)
 _, _F16, _EMB4_16 = list(extension_fields(_F4, 2))[1]
 
 
+_GRID_KINDS = ("bivariate", "laurent", "laurent1", "koszul", "extension",
+               "frobenius")
+
+
 @st.composite
-def _whole_space_cases(draw):
-    """(E, i, d, F, torus, embed): a random bivariate complex over F_q, its
-    Laurent twist, a univariate Laurent complex, a Koszul complex, or a
-    complex over F_5 or F_4 read over F_25 or F_16 through extension_of and
-    extension_fields; or the map (x^p - x) y^j; with a free summand
-    planted in degree i half of the time, so that depths d <= a have the
-    whole space for a locus.  i runs over 0..top and d up to c_i + 2."""
-    kind = draw(st.sampled_from(["bivariate", "laurent", "laurent1",
-                                 "koszul", "extension", "frobenius"]))
+def _whole_space_cases(draw, kinds=_GRID_KINDS):
+    """(E, i, d, F, torus, embed), E of one of `kinds`: a random bivariate
+    complex over F_q, its Laurent twist, a univariate Laurent complex, a
+    Koszul complex, or a complex over F_5 or F_4 read over F_25 or F_16
+    through extension_of and extension_fields; the map (x^p - x) y^j; and
+    beyond the default kinds, a complex graded by a planted weight or by
+    its column degrees in 1 to 3 variables, or a diagonal map over F_p
+    whose entries are y - a for 2 or 3 distinct a, or the products of y - a
+    over the first 1, 2, 3 of them (a chain of Smith divisors on every line
+    x = h), times 1, x or x + 1 (the last leaves it ungraded).  A free
+    summand is planted in degree i half of the time, so that depths d <= a
+    have the whole space for a locus.  i runs over 0..top and d up to
+    c_i + 2."""
+    kind = draw(st.sampled_from(kinds))
     seed, emb = draw(st.integers(0, 99)), None
     F = finite_field(draw(st.sampled_from([7, 11, 16, 17, 23])))
     if kind == "bivariate":
@@ -1259,9 +1264,24 @@ def _whole_space_cases(draw):
         base, F, emb = draw(st.sampled_from([(F5, _F25, _EMB25),
                                              (_F4, _F16, _EMB4_16)]))
         E = random_bivariate_complex(base, seed)
-    else:
+    elif kind == "frobenius":
         F = finite_field(draw(st.sampled_from([3, 5, 7])))
         E = _frobenius_complex(F, draw(st.integers(0, 2)))
+    elif kind == "diagonal":
+        F = finite_field(draw(st.sampled_from([7, 17])))
+        roots = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3,
+                              unique=True))
+        nested, twist = draw(st.booleans()), draw(st.sampled_from(
+            ["1", "x", "x + 1"]))
+        entries = ["(%s) * (%s)" % (" * ".join(
+            "(y - %d)" % b for b in (roots[:j + 1] if nested else [a])), twist)
+                   for j, a in enumerate(roots)]
+        E = _map_complex(F, [[e if j == k else "0" for k in range(len(roots))]
+                             for j, e in enumerate(entries)])
+    else:
+        E = draw(_planted_complexes().map(lambda case: case[0])
+                 if kind == "planted" else _column_graded_complexes())
+        F = E.ring.field
     i = draw(st.integers(0, E.top))
     a = draw(st.integers(0, 2))
     if a:
@@ -1283,19 +1303,22 @@ def _whole_space_cases(draw):
 def test_whole_space_grid_agrees_with_the_table(case):
     # the grid certifies exactly the whole-space loci whose grid fits: it
     # lies inside the space, and by the grid lemma a certified locus has
-    # minors that vanish identically, which the minor ideal confirms; the
-    # locus itself is the table's either way.  The 2-minor x (x - 1) of
-    # diag(x, x - 1) vanishes on x in {0, 1}: its grid needs a side of 3;
-    # x^-1 - x^-2 = x^-2 (x - 1) has degree -1 and spread 1 in x
+    # minors that vanish identically, which the minor ideal confirms.  The
+    # route runs only for 1 <= d <= c_i, as jump_locus_points answers the
+    # other depths itself.  The 2-minor x (x - 1) of diag(x, x - 1)
+    # vanishes on x in {0, 1}: its grid needs a side of 3; x^-1 - x^-2 =
+    # x^-2 (x - 1) has degree -1 and spread 1 in x.  The locus itself is
+    # checked route by route in test_every_route_agrees_with_both_oracles
     E, i, d, F, torus, emb = case
     table = homology_dims_table(E, F, torus, emb)
     whole = all(dims[i] >= d for dims in table.values())
-    certified = complexes._whole_space(E, i, d, F, torus, emb)
+    answer = (complexes._whole_space(E, i, d, F, torus, emb)
+              if d <= E.rank(i) else None)
+    certified = answer is not None
     assert certified == (whole and _grid_fits(E, i, d, F, torus))
     if certified:
+        assert answer == set(table)
         assert all(g.is_zero() for g in jump_locus_ideal(E, i, d).generators)
-    assert jump_locus_points(E, i, d, F, torus, emb) == _table_locus(
-        table, i, d)
 
 
 def test_a_frobenius_entry_is_declined_and_the_route_keeps_every_point():
@@ -1305,7 +1328,7 @@ def test_a_frobenius_entry_is_declined_and_the_route_keeps_every_point():
     for p in (3, 5, 7):
         F = PrimeField(p)
         E = _frobenius_complex(F, 1)
-        assert not complexes._whole_space(E, 0, 1, F, False, None)
+        assert complexes._whole_space(E, 0, 1, F, False, None) is None
         assert jump_locus_points(E, 0, 1, F) == set(
             itertools.product(range(p), repeat=2))
         big, emb = extension_of(F, 2)
@@ -1317,12 +1340,16 @@ def test_a_whole_space_locus_takes_no_route(monkeypatch):
     # a free summand in degree 1 of the Koszul complex of x, y over F_17:
     # H_1 >= 1 everywhere.  The grid of k = 3 and linear entries has
     # sides {0..3} and ranks its 3^2 torus points and then the 7 others;
-    # neither the orbit nor the fibered route runs
+    # no later entry of the table runs, and each would fail the test
     F = finite_field(17)
     E = _with_free_summand(koszul_complex(F), 1, 1)
-    for route in ("_orbit_jump_points", "_fibered_jump_points",
-                  "points_where"):
-        monkeypatch.setattr(complexes, route, None)
+    whole_space, *later = complexes.ROUTES
+    assert whole_space.__name__ == "_whole_space" and later
+
+    def unreachable(*args):
+        raise AssertionError("a route after the grid ran")
+    monkeypatch.setattr(complexes, "ROUTES",
+                        (whole_space,) + (unreachable,) * len(later))
     ranked = []
     rank = complexes.mat_rank
 
@@ -1333,11 +1360,106 @@ def test_a_whole_space_locus_takes_no_route(monkeypatch):
     assert jump_locus_points(E, 1, 1, F) == set(
         itertools.product(range(17), repeat=2))
     assert len(ranked) == 2 * 4 ** 2
-    # d = c_i + 1 = 4 is past every dimension: no grid, and the route
-    # answers with the empty set
-    monkeypatch.undo()
-    assert not complexes._whole_space(E, 1, 4, F, False, None)
-    assert jump_locus_points(E, 1, 4, F) == set()
+
+
+def test_a_locus_deeper_than_the_generators_is_empty_with_no_work(
+        monkeypatch):
+    # dim H_i <= g_i, so depth g_i + 1 is empty in every degree, and
+    # jump_locus_points answers before any route: no rank and no Smith
+    # form, on a graded complex (which the orbit route would take), on
+    # ungraded ones over F_1009 (fibered) and F_7 (point by point), and
+    # on a presented complex (point by point)
+    F7, F1009 = finite_field(7), finite_field(1009)
+    cases = [koszul_complex(F5), random_bivariate_complex(F1009, 3),
+             random_bivariate_complex(F7, 3), augmentation_complex(F5)]
+    assert _graded(cases[0])
+    assert complexes._strata(cases[1], 1) is None
+    assert complexes._strata(cases[2], 1) is None
+    calls = [_spy(monkeypatch, name) for name in (
+        "mat_rank", "mat_rank_stacked", "_dense_divisors",
+        "divisors_at_heads")]
+    answered = _answering_routes(monkeypatch)
+    for E in cases:
+        for i in range(-1, E.top + 2):
+            assert jump_locus_points(E, i, E.gens(i) + 1,
+                                     E.ring.field) == set(), (E, i)
+    assert calls == [[]] * 4 and answered == []
+
+
+def test_an_infinite_field_is_refused_at_every_depth():
+    E = koszul_complex(Q)
+    for i, d in ((1, 0), (1, 1), (1, 3), (5, 1)):
+        with pytest.raises(PreconditionError, match="finite field"):
+            jump_locus_points(E, i, d, Q)
+
+
+# -- every route against both oracles ----------------------------------------------
+
+
+def _tensor_with_quotient(E, f, top):
+    """E (x) S/(f) in degrees 0..top, and E above: term k <= top is
+    presented by the relations f times the identity.  d_k carries f E_k
+    into f E_{k-1}, and a free term above top has no relations to carry,
+    so this is a presented complex."""
+    ring, zero = E.ring, E.ring.zero()
+
+    def term(k, c):
+        rows = [[f if a == b else zero for b in range(c)] for a in range(c)]
+        return ModulePresentation(ring, c, Matrix(ring, c, c, rows)
+                                  if k <= top else Matrix.zero(ring, c, 0))
+    return PresentedChainComplex(ring, [term(k, c) for k, c in
+                                        enumerate(E.ranks)], E.differentials)
+
+
+@st.composite
+def _route_cases(draw):
+    """(E, i, d, F, torus, embed): a case of `_whole_space_cases` of any
+    kind, graded or not, and a quarter of the time that complex tensored
+    with S/(f) in degrees up to a drawn one, for f one of x, x - 1,
+    x z + 1 (z the last variable) and 0: a presented complex."""
+    E, i, d, F, torus, emb = draw(_whole_space_cases(
+        _GRID_KINDS + ("planted", "column", "diagonal")))
+    if draw(st.integers(0, 3)) == 0:
+        R = E.ring
+        x, z, one = R.var(0), R.var(R.nvars - 1), R.one()
+        f = draw(st.sampled_from([x, x - one, x * z + one, R.zero()]))
+        E = _tensor_with_quotient(E, f, draw(st.integers(0, E.top)))
+    return E, i, d, F, torus, emb
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_route_cases())
+@example((random_bivariate_complex(F5, 0), 1, 1, _F25, False, _EMB25))
+@example((_map_complex(PrimeField(7), [["x", "0"], ["0", "x - 1"]]), 1, 1,
+          PrimeField(7), False, None))
+@example((_map_complex(PrimeField(17), [["y * (x + 1)", "0"],
+                                        ["0", "y * (y - 1) * (x + 1)"]]),
+          1, 1, PrimeField(17), False, None))
+def test_every_route_agrees_with_both_oracles(case):
+    # jump_locus_points gives the locus of homology_dims_table at the
+    # drawn depth, and so does the zero set of the minor ideal of a free
+    # complex; at every depth 1 <= d <= g_i, where jump_locus_points walks
+    # the table, each entry of ROUTES that answers gives the table's
+    # locus, and the last entry answers.  The explicit examples set a trap
+    # for each fast route: the locus x in {0, 1} of diag(x, x - 1) holds
+    # the grid of side 2, but not that of side 3 that the factor k = 2
+    # gives, and its origin is a coordinate stratum of its own; on every
+    # line of the last one, the divisors y | y (y - 1) must be read in
+    # chain order
+    E, i, d, F, torus, emb = case
+    table = homology_dims_table(E, F, torus, emb)
+    want = _table_locus(table, i, d)
+    assert jump_locus_points(E, i, d, F, torus, emb) == want
+    if isinstance(E, FreeChainComplex):
+        assert zero_locus_points(jump_locus_ideal(E, i, d), F, torus,
+                                 emb) == want
+    for depth in range(1, E.gens(i) + 1):
+        want = _table_locus(table, i, depth)
+        answers = [route(E, i, depth, F, torus, emb)
+                   for route in complexes.ROUTES]
+        assert answers[-1] is not None
+        for route, got in zip(complexes.ROUTES, answers):
+            assert got is None or got == want, (route.__name__, depth)
 
 
 # -- homology presentations -------------------------------------------------------

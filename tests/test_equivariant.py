@@ -192,13 +192,15 @@ def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
     # pullback side ranks each nonempty map of d_i and d_{i+1} once (d_1
     # for i = 0, where d_0 is empty), 2^3 or 2 * 2^3 ranks per degree, not
     # at all 125 points of F_5^3.  The whole-space grid that every free
-    # locus tries first is counted apart.  For i = 0 its sides are {0, 1}
-    # (k = 1, linear entries), and its first point, (1, 1, 1), is outside
-    # the locus: one rank of d_1 per locus.  For i = 1 (k = 3) a side of 4
-    # is more than half of F_5, and no grid is ranked
+    # locus tries first, the first entry of the route table, is counted
+    # apart.  For i = 0 its sides are {0, 1} (k = 1, linear entries), and
+    # its first point, (1, 1, 1), is outside the locus: one rank of d_1 per
+    # locus.  For i = 1 (k = 3) a side of 4 is more than half of F_5, and
+    # no grid is ranked
     from jumploci import complexes, equivariant
     ranked, grid = [], []
-    rank, whole_space = complexes.mat_rank, complexes._whole_space
+    rank, (whole_space, *later) = complexes.mat_rank, complexes.ROUTES
+    assert whole_space.__name__ == "_whole_space"
 
     def counted_rank(*args):
         ranked.append(args)
@@ -211,7 +213,8 @@ def test_pullback_side_ranks_the_cone_charts_only(monkeypatch):
         del ranked[start:]
         return out
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
-    monkeypatch.setattr(complexes, "_whole_space", counted_whole_space)
+    monkeypatch.setattr(complexes, "ROUTES",
+                        (counted_whole_space, *later))
 
     def count(thunk):
         del ranked[:], grid[:]
@@ -289,6 +292,15 @@ def test_finiteness_zero_mult_inconclusive():
 def test_finiteness_k_out_of_range():
     with pytest.raises(PreconditionError):
         finiteness_test(exterior2(F3), identity_nu(2), 5)
+
+
+def test_both_pointwise_checks_refuse_an_infinite_field():
+    # the refusal is jump_locus_points', the first locus either one takes
+    A = exterior2(Q)
+    for check in (lambda: verify_cv_res(A, identity_nu(2), 1, 1),
+                  lambda: finiteness_test(A, identity_nu(2), 1)):
+        with pytest.raises(PreconditionError, match="finite field"):
+            check()
 
 
 def test_rank3_exterior_page_is_koszul():

@@ -1,9 +1,9 @@
-"""Repository hygiene: the README documents exactly the CLI's long options
-and the jump-locus route threshold the library uses, the library holds no
-`assert` statement (they vanish under -O) and no `raise AssertionError` (a
-broken invariant is an InternalError report), every library name the
-benchmark's traced run wraps still exists, and every public name of the
-library has a caller."""
+"""Repository hygiene: the README documents exactly the CLI's long options,
+and the jump-locus route threshold and route table the library uses; the
+library holds no `assert` statement (they vanish under -O) and no `raise
+AssertionError` (a broken invariant is an InternalError report); every
+library name the benchmark's traced run wraps still exists; and every
+public name of the library has a caller."""
 
 import argparse
 import ast
@@ -44,6 +44,17 @@ def test_readme_states_the_route_threshold():
     with open(os.path.join(ROOT, "README.md")) as fh:
         stated = re.findall(r"FIBER_MIN_Q = (\d+)", fh.read())
     assert stated and all(int(q) == FIBER_MIN_Q for q in stated), stated
+
+
+def test_readme_names_the_routes_in_table_order():
+    from jumploci.complexes import ROUTES
+    names = ["`%s`" % route.__name__ for route in ROUTES]
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    start = text.index("**Which route a pointwise jump locus takes.**")
+    paragraph = text[start:text.index("\n\n", start)]
+    first = [paragraph.find(name) for name in names]
+    assert -1 not in first and first == sorted(first), (names, first)
 
 
 def test_library_has_no_assert_statements():
