@@ -982,6 +982,14 @@ def _planted_complexes(draw):
     return FreeChainComplex(R, (c0, c1a + c1b, c2), (d1, d2)), kind != "plane"
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_planted_complexes())
+def test_orbit_route_on_planted_gradings(case):
+    E, torus = case
+    assert validate_complex(E).ok and _graded(E)
+    _assert_locus_matches_table(E, E.ring.field, torus=torus)
+
+
 def _brute_force_orbits(E, i, S, field):
     """The number of orbits on the stratum S, a tuple of variable indices,
     of the group generated by g^w, g a generator of F^x, for every w in
@@ -1135,6 +1143,13 @@ def _column_graded_complexes(draw):
                      for _ in range(nrows)])
     M = Matrix(R, nrows, ncols, [list(row) for row in zip(*cols)])
     return FreeChainComplex(R, (nrows, ncols), (M,))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_column_graded_complexes())
+def test_cone_route_on_random_column_graded_maps(E):
+    assert _graded(E)
+    _assert_locus_matches_table(E, E.ring.field, torus=E.ring.laurent)
 
 
 @pytest.mark.parametrize("q, count", [(5, 3), (7, 2), (17, 1)])
