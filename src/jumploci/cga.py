@@ -9,9 +9,9 @@ d-dimensional.  All of these complexes are the specializations of one free
 complex over k[a1..a_{b_1}], the universal Aomoto complex, so resonance is
 its jump locus on the quadric a^2 = 0.  The quadrics are the entries of
 d_1 d_2, so `square_zero_jump_points` makes the one cut for E_A and for
-every pullback of it.  Loci are sets of coordinate tuples, and points over
-an extension F_{q^e} come from the (field, embed) pair of jump_locus_points,
-as for every other locus.
+every pullback of it.  Loci are sets of coordinate tuples, or a `Space`
+for all of A^1, and points over an extension F_{q^e} come from the (field,
+embed) pair of jump_locus_points, as for every other locus.
 """
 
 import random
@@ -216,6 +216,8 @@ def square_zero_jump_points(E, i, d, field, embed=None):
     # a nonempty locus means jump_locus_points accepted embed=None as an
     # unchanged encoding of E's coefficients in `field`
     quadrics, zero = square_zero_quadrics(E), field.zero
+    if all(q.is_zero() for q in quadrics):  # on E_A away from characteristic 2
+        return pts
     return {w for w in pts
             if all(q.evaluate(w, field, embed) == zero for q in quadrics)}
 
@@ -247,7 +249,7 @@ def resonance_points(A, i, d, field=None, embed=None):
     and so g^k*S = S for every unit g^k."""
     F = field if field is not None else A.field
     pts = square_zero_jump_points(aomoto_complex(A), i, d, F, embed)
-    if pts:
+    if pts and isinstance(pts, set):  # a whole Space is a cone
         g, mul = F.primitive(), F.mul
         if any(tuple(mul(g, c) for c in p) not in pts for p in pts):
             raise InternalError("resonance locus is not a cone")

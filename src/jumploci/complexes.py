@@ -22,8 +22,8 @@ from .rings import Poly, Ring, unit_ideal, zero_ideal
 from .smith import (_dense_divisors, divisors_at_heads,
                     integer_column_echelon, smith_divisors, smith_normal_form,
                     vanishing_counts)
-from .varieties import (coefficient_embedding, enumerate_coords, on_torus,
-                        points_where)
+from .varieties import (Space, coefficient_embedding, enumerate_coords,
+                        on_torus, points_where)
 
 
 class Verdict(namedtuple("Verdict", "ok message location",
@@ -276,22 +276,24 @@ def homology_dims_table(E, field, torus=False, embed=None):
 
 def jump_locus_points(E, i, d, field, torus=False, embed=None):
     """{w : dim H_i(E (x) S/m_w) >= d} over the finite field `field`, for
-    1 <= d <= g_i the first answer of ROUTES, whose comment has the rule."""
+    1 <= d <= g_i the first answer of ROUTES, whose comment has the rule;
+    a `Space` when it is all of F^r or of the torus."""
     if d < 0:
         raise PreconditionError("d must be non-negative")
-    if not field.is_finite:
-        raise PreconditionError("point enumeration needs a finite field")
     ring = E.ring
     torus = on_torus(ring, torus)
+    whole = Space(field, ring.nvars, torus)
     if d == 0:
-        return set(enumerate_coords(field, ring.nvars, torus))
+        return whole
     if d > E.gens(i):  # dim H_i <= g_i, and g_i = 0 outside 0..n
         return set()
     emb = embed if embed is not None else coefficient_embedding(ring.field, field)
     for route in ROUTES:
         points = route(E, i, d, field, torus, emb)
         if points is not None:
-            return points
+            # a set of s^r points is the whole space, and printed as one
+            return (whole if isinstance(points, set)
+                    and len(points) == whole.size else points)
 
 
 def _whole_space(E, i, d, field, torus, emb):
@@ -314,24 +316,22 @@ def _whole_space(E, i, d, field, torus, emb):
     k = E.rank(i) - d + 1
     maps = (E.differential(i), E.differential(i + 1))
     exps = [e for M in maps for row in M.entries for p in row for e in p.terms]
-    pool = field.units() if torus else field.elements()
-    # not len(pool), which a range of 2^63 or more elements refuses
-    size = field.order - 1 if torus else field.order
+    line = Space(field, 1, torus)  # size s, with no len() of a range
     sides = []
     for v in range(E.ring.nvars):
         top = max((e[v] for e in exps), default=0)
         low = min((e[v] for e in exps), default=0) if torus else 0
         side = k * (top - low) + 1
-        if 2 * side > size:
+        if 2 * side > line.size:
             return None
-        sides.append(tuple(islice(pool, side)))
+        sides.append(tuple(islice(line.pool, side)))
     zero = field.zero
     grid = chain(product(*[[c for c in s if c != zero] for s in sides]),
                  (x for x in product(*sides) if zero in x))
     # dim H_i >= d where rank d_i + rank d_{i+1} < k
     plans = [M.evaluator(field, emb) for M in maps if M.nrows and M.ncols]
     if all(sum(mat_rank(field, at(x)) for at in plans) < k for x in grid):
-        return set(enumerate_coords(field, E.ring.nvars, torus))
+        return Space(field, E.ring.nvars, torus)
     return None
 
 
@@ -805,8 +805,7 @@ def support_points(E, i, d, field, torus=False, embed=None):
     As dim (H_i(E) (x) S/m_w) = g - rank P(w), that is the degree-0,
     depth-d jump locus of the two-term free complex [P]: no minors."""
     if d < 1:
-        return set(enumerate_coords(field, E.ring.nvars,
-                                    on_torus(E.ring, torus)))
+        return Space(field, E.ring.nvars, on_torus(E.ring, torus))
     P = homology_presentation(E, i).relations
     two_term = FreeChainComplex(P.ring, [P.nrows, P.ncols], [P])
     return jump_locus_points(two_term, 0, d, field, torus, embed)

@@ -9,12 +9,13 @@ Every pointwise locus of the package (zero loci, and jump loci and so
 supports, resonance and its pullback) streams its coordinates from
 `enumerate_coords`, tests them one at a time, and keeps only the points of
 the locus, so memory is O(locus), not O(q^r).  A locus is a set of
-coordinate tuples over the enumeration field; over an extension F_{q^e}
-that field comes with the `embed` of `extension_fields`.  Every command
-takes its loci from `complexes.jump_locus_points`; `zero_locus_points`
-and `complexes.homology_dims_table` are oracles.
+coordinate tuples over the enumeration field, or a `Space` of all of them;
+over F_{q^e} that field comes with the `embed` of `extension_fields`.
+Every command takes its loci from `complexes.jump_locus_points`;
+`zero_locus_points` and `complexes.homology_dims_table` are oracles.
 """
 
+from collections.abc import Set
 from itertools import product
 
 from .errors import PreconditionError
@@ -42,10 +43,37 @@ def coefficient_embedding(ring_field, target_field):
 
 def enumerate_coords(field, r, torus):
     """All coordinate tuples of F^r, or of the torus (F^x)^r."""
-    if not field.is_finite:
-        raise PreconditionError("point enumeration needs a finite field")
-    pool = field.units() if torus else field.elements()
-    return product(pool, repeat=r)
+    return product(Space(field, r, torus).pool, repeat=r)
+
+
+class Space(Set):
+    """All of F^r, or of the torus (F^x)^r, as a set that holds no tuple:
+    `pool` is F or F^x, a range, and iteration walks `enumerate_coords`.
+    `size` (s^r) and bool() read no len(), which refuses 2^63 or more."""
+
+    __slots__ = ("field", "r", "torus", "pool", "size")
+
+    def __init__(self, field, r, torus):
+        if not field.is_finite:
+            raise PreconditionError("point enumeration needs a finite field")
+        self.field, self.r, self.torus = field, r, torus
+        self.pool = field.units() if torus else field.elements()
+        self.size = (self.pool.stop - self.pool.start) ** r
+
+    def __len__(self):
+        return self.size
+
+    def __bool__(self):
+        return True  # s >= 1
+
+    def __contains__(self, c):
+        return (isinstance(c, tuple) and len(c) == self.r
+                and all(map(self.pool.__contains__, c)))
+
+    def __iter__(self):
+        return enumerate_coords(self.field, self.r, self.torus)
+
+    _from_iterable = set  # |, & and - with a set give a set
 
 
 def on_torus(ring, torus=False):

@@ -13,9 +13,10 @@ from jumploci.errors import InternalError, PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.matrices import Matrix
 from jumploci.rings import Poly, unit_ideal, zero_ideal
-from jumploci.varieties import (extension_fields, points_where,
+from jumploci.varieties import (Space, extension_fields, points_where,
                                 zero_locus_points)
 
+from families import surface_algebra
 from oracles import _matmul_mod_p, base_change, rank_by_minors
 
 Q = Rationals()
@@ -317,8 +318,8 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     # is one torus orbit, and one point of each is ranked, 16 of the 625;
     # at each only d_1 (1 x 4) and d_2 (4 x 6) are evaluated, each from
     # its plan, and ranked, with no prefix substituted; the six a^2
-    # quadrics are evaluated one polynomial at a time at the one point of
-    # the locus
+    # quadrics are the zero polynomial away from characteristic 2, so none
+    # is evaluated
     counts = {"evaluate": 0, "rank": 0, (1, 4): 0, (4, 6): 0}
     evaluate, evaluator, rank = Poly.evaluate, Matrix.evaluator, complexes.mat_rank
 
@@ -345,5 +346,18 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
     monkeypatch.setattr(complexes, "mat_rank", counted_rank)
     pts = resonance_points(exterior_algebra(PrimeField(5), 4), 1, 1)
     assert pts == {(0, 0, 0, 0)}
-    assert counts == {"evaluate": 6 * 1, "rank": 2 * 16,
+    assert counts == {"evaluate": 0, "rank": 2 * 16,
                       (1, 4): 16, (4, 6): 16}
+
+
+@pytest.mark.parametrize("q, g", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                  (5, 3), (9, 1), (9, 2)])
+def test_surface_algebra_resonance_is_the_closed_form(q, g):
+    F = finite_field(q)
+    A = surface_algebra(F, g)
+    for d in range(2 * g + 2):
+        pts = resonance_points(A, 1, d)
+        if d <= 2 * g - 2:
+            assert isinstance(pts, Space) and pts == Space(F, 2 * g, False)
+        else:
+            assert pts == ({(F.zero,) * (2 * g)} if d <= 2 * g else set())

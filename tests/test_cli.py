@@ -710,27 +710,30 @@ def _point_sets():
     from fractions import Fraction
     from itertools import product
     from jumploci.fields import PrimeField, Rationals, finite_field
+    from jumploci.varieties import Space
     Q, F7, F9, F16 = (Rationals(), PrimeField(7), finite_field(9),
                       finite_field(16))
     half, three = Fraction(1, 2), Fraction(3)
 
-    def space(F, r, torus=False):  # printed in product order
-        return F, set(product(F.units() if torus else F.elements(),
-                              repeat=r))
+    def space(F, r, torus=False):
+        # the bucket path of its tuples, and the product order of a Space
+        return [(F, set(product(F.units() if torus else F.elements(),
+                                repeat=r))), (F, Space(F, r, torus))]
     return [
         (Q, {(half, three), (Fraction(-1, 3), three), (half, Fraction(7))}),
         (Q, {(three, three)}),
-        space(F7, 2),
+        *space(F7, 2),
         (F7, {(3, 3, 3), (3, 0, 3), (0, 3, 6)}),
         (F7, set()),
-        space(F9, 2),
+        *space(F9, 2),
         (F16, {(5, 5), (5, 11), (11, 5), (0, 5)}),
-        space(F16, 1),
+        *space(F16, 1),
         (F7, {()}),
-        space(F7, 1), space(F7, 3),
-        space(F7, 1, True), space(F7, 2, True), space(F7, 3, True),
-        space(F9, 2, True),
-        space(F16, 2), space(F16, 1, True), space(F16, 2, True),
+        *space(F7, 0), *space(F7, 0, True),
+        *space(F7, 1), *space(F7, 3),
+        *space(F7, 1, True), *space(F7, 2, True), *space(F7, 3, True),
+        *space(F9, 2, True),
+        *space(F16, 2), *space(F16, 1, True), *space(F16, 2, True),
         # (q - 1)^r points that are not the torus, and q^r - 1 points
         (F7, set(product(range(6), repeat=2))),
         (F16, set(product(range(16), repeat=2)) - {(0, 0)}),
@@ -740,6 +743,39 @@ def _point_sets():
 @pytest.mark.parametrize("field, pts", _point_sets())
 def test_point_list_matches_the_per_coordinate_conversion(field, pts):
     assert cli.point_list(field, pts) == _each_coordinate(field, pts)
+
+
+def test_a_whole_plane_is_counted_and_printed_without_its_points():
+    # H_1 of the zero-pairing page is 1-dimensional or more everywhere: at
+    # q = 1009, computing and printing its 1018081 rows held all of them
+    # as tuples (87-91 MB traced), and at q = 1000003 the locus holds 10^12
+    # points, which are counted only after the smaller case has passed
+    import tracemalloc
+
+    from jumploci.complexes import jump_locus_points
+    from jumploci.documents import load_document
+    from jumploci.fields import finite_field
+
+    def locus(q):
+        F = finite_field(q)
+        E = load_document(SAMPLES + "zero-pairing-page.cc", "complex",
+                          field_override=F)
+        return F, jump_locus_points(E, 1, 1, F)
+    written = [0]
+
+    def discard(text):
+        written[0] += len(text)
+    tracemalloc.start()
+    try:
+        cli.Locus(*locus(1009)).write_json("\n", discard)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert written[0] > 10 * 1009 ** 2
+    started = time.perf_counter()
+    assert len(locus(1000003)[1]) == 1000003 ** 2
+    assert time.perf_counter() - started < 1
 
 
 def test_a_structured_report_builds_no_list_of_rows(capsys, monkeypatch):
@@ -799,6 +835,23 @@ def test_a_power_past_the_parser_bound_is_an_error_report(field, entry, capsys,
     err = json.loads(out)["error"]
     assert err["type"] == "ResourceLimitError"
     assert "MAX_POWER_SIZE" in err["message"]
+
+
+def test_running_out_of_memory_is_an_error_report(capsys, tmp_path):
+    # over a prime near 10^18 the fibered route lists the q points of a
+    # line, which cannot be held: a resource limit, not a traceback
+    path = _write(tmp_path, "line.cc", {
+        "type": "free-complex",
+        "ring": {"field": {"kind": "rationals"}, "variables": ["x"]},
+        "ranks": [1, 1], "differentials": [[["x - 1"]]]})
+    code = main(["jumploci", "--complex", path, "--i", "0", "--q",
+                 "1000000000000000003", "--format", "structured"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "ResourceLimitError",
+        "message": "out of memory computing the report"}
+    assert "Traceback" not in err and err.startswith("elapsed: ")
 
 
 def test_a_huge_prime_q_is_factored_without_trial_division(capsys):

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals, extension_of
+from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.rings import Ideal, Ring, parse_poly
-from jumploci.varieties import extension_fields, zero_locus_points
+from jumploci.varieties import Space, extension_fields, zero_locus_points
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -79,3 +83,41 @@ def test_extension_tower_embedding_path():
     assert {p[0] for p in by_degree[1]} == {u}
     F16, emb = extension_of(F4, 2)
     assert {p[0] for p in by_degree[2]} == {emb(u)}
+
+
+@st.composite
+def _spaces(draw):
+    """(Space, its tuples, a set of tuples near it): the other set keeps
+    some of the tuples and adds some of any length 0..4 whose coordinates
+    run one past the field's ints at each end."""
+    field = draw(st.sampled_from([PrimeField(2), PrimeField(5),
+                                  finite_field(4), finite_field(9)]))
+    torus, r = draw(st.booleans()), draw(st.integers(0, 3))
+    tuples = set(product(field.units() if torus else field.elements(),
+                         repeat=r))
+    near = st.lists(st.integers(-1, field.order), max_size=4).map(tuple)
+    other = (tuples - draw(st.sets(st.sampled_from(sorted(tuples)))) if
+             draw(st.booleans()) else set()) | draw(st.sets(near, max_size=4))
+    return Space(field, r, torus), tuples, other, draw(st.lists(near))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_spaces())
+def test_a_space_is_the_set_of_its_tuples(case):
+    space, tuples, other, probes = case
+    assert len(space) == space.size == len(tuples) and bool(space)
+    assert set(space) == tuples and len(list(space)) == len(tuples)
+    for c in [*tuples, *other, *probes]:
+        assert (c in space) == (c in tuples)
+    assert space == tuples and tuples == space
+    assert (space == other) == (other == space) == (tuples == other)
+    assert (space != other) == (tuples != other)
+    twin = Space(space.field, space.r, not space.torus)
+    assert (space == twin) == (tuples == set(twin))
+    for got, want in [(space | other, tuples | other),
+                      (other | space, other | tuples),
+                      (space & other, tuples & other),
+                      (other & space, other & tuples),
+                      (space - other, tuples - other),
+                      (other - space, other - tuples)]:
+        assert type(got) is set and got == want
