@@ -42,13 +42,16 @@ class Locus:
     the others, packed into one int; and documents.write_rows streams
     them.  A `Space`, all of F_q^r or of the torus, is printed in product
     order of one sorted column of the q (or q - 1) scalars, with no bucket
-    or sort, and no tuple, of the points."""
+    or sort, and no tuple, of the points: its pool is listed in one
+    allocation, while the command runs, where a MemoryError is a report."""
 
-    __slots__ = ("field", "points")
+    __slots__ = ("field", "points", "pool")
 
     def __init__(self, field, points):
         self.field = field
         self.points = points
+        self.pool = (list(points.pool) if type(points) is Space and points.r
+                     else [])
 
     def _ranked(self):
         """(cells, columns, count): cells[j] lists the distinct scalars of
@@ -94,11 +97,9 @@ class Locus:
         """_ranked of a Space: the scalars of its pool sorted once make
         every column's cells, and row n has rank n // s^(r-1-j) mod s in
         column j, s = |pool|: runs of each rank, the runs of column j
-        repeated s^j times, all streamed.  The pool is listed in one
-        allocation, which fails at once when it cannot be held."""
+        repeated s^j times, all streamed."""
         r = space.r
-        pool = list(space.pool) if r else []
-        scalars = [dump_scalar(self.field, c) for c in pool]
+        scalars = [dump_scalar(self.field, c) for c in self.pool]
         scalars.sort()  # one type: ints over F_p, strings over F_{p^m}
         s = len(scalars)
         columns = []
@@ -203,6 +204,12 @@ def cmd_jumploci(args, E):
     return {"results": result}, 0
 
 
+def _union(loci):
+    """The union of loci of one space: the Space among them, else a set."""
+    return next((s for s in loci if type(s) is Space), None) or set().union(
+        *loci)
+
+
 def cmd_supports(args, E):
     base = _target_field(args, E.ring.field)
     extensions = list(extension_fields(base, args.ext))
@@ -220,11 +227,11 @@ def cmd_supports(args, E):
         comparison = {}
         agree = True
         for e, big, emb in extensions:
-            w_union, v_union = set(), set()
-            for i2 in range(args.i + 1):
-                w_union.update(support(i2, 1, big, emb))
-                v_union.update(jump_locus_points(E, i2, 1, big,
-                                                 torus=args.torus, embed=emb))
+            w_union = _union([support(i2, 1, big, emb)
+                              for i2 in range(args.i + 1)])
+            v_union = _union([jump_locus_points(E, i2, 1, big,
+                                                torus=args.torus, embed=emb)
+                              for i2 in range(args.i + 1)])
             same = w_union == v_union
             agree = agree and same
             comparison[str(e)] = {

@@ -13,11 +13,13 @@ All arithmetic goes through the field object; elements never carry their
 field around.  Extension fields keep exp/log/Zech-logarithm tables of a
 primitive element, built with a few list lookups per element, so each
 operation is a list lookup or two; orders above ``_TABLE_CAP`` raise
-ResourceLimitError.
+ResourceLimitError.  The default modulus of each order up to the cap and
+its primitive element are read from one shipped table, ``_DEFAULTS``, the
+way computer-algebra systems ship Conway polynomials: a build searches
+for neither.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 import operator
 
 from .errors import InternalError, PreconditionError, ResourceLimitError
@@ -259,12 +261,6 @@ def udivmod(F, a, b):
     return q, r
 
 
-def _monic_polys(p, d):
-    """All monic coefficient tuples of degree d over F_p, ascending lex order."""
-    for idx in range(p ** d):
-        yield tuple(idx // p ** i % p for i in range(d)) + (1,)
-
-
 def _is_irreducible(p, poly):
     """Whether the monic `poly` is irreducible over F_p: no root, and then
     Ben-Or's test (FOCS 1981): gcd(poly, x^(p^i) - x) = 1 for 2 <= i <= d/2,
@@ -297,15 +293,43 @@ def _is_irreducible(p, poly):
     return True
 
 
-@lru_cache(maxsize=None)
+# "p^m:a:g" for each prime p and m >= 2 with p^m <= _TABLE_CAP: the default
+# modulus of F_{p^m} is u^m + a, a in the int encoding, with the least a that
+# makes it irreducible, and g is its first element of order p^m - 1 (the
+# oracles of the tests search for both)
+_DEFAULTS = (
+    " 2^2:3:2 2^3:3:2 2^4:3:2 2^5:5:2 2^6:3:2 2^7:3:2 2^8:27:3 2^9:3:7"
+    " 2^10:9:2 2^11:5:2 2^12:9:3 2^13:27:2 2^14:33:7 2^15:3:2 2^16:43:3"
+    " 2^17:9:2 3^2:1:4 3^3:7:3 3^4:5:3 3^5:7:3 3^6:5:3 3^7:11:5 3^8:11:38"
+    " 3^9:64:3 3^10:19:34 5^2:2:6 5^3:6:9 5^4:2:6 5^5:21:10 5^6:7:5 5^7:6:9"
+    " 7^2:1:9 7^3:2:22 7^4:8:12 7^5:10:9 7^6:2:8 11^2:1:15 11^3:15:11"
+    " 11^4:13:11 13^2:2:15 13^3:2:15 13^4:2:17 17^2:3:19 17^3:20:17 17^4:3:307"
+    " 19^2:1:22 19^3:2:29 19^4:27:21 23^2:1:25 23^3:26:23 29^2:2:30 29^3:33:30"
+    " 31^2:1:35 31^3:3:34 37^2:2:41 37^3:2:75 41^2:3:43 41^3:42:44 43^2:1:45"
+    " 43^3:3:45 47^2:1:49 47^3:51:47 53^2:2:54 59^2:1:62 61^2:2:63 67^2:1:74"
+    " 71^2:1:79 73^2:5:76 79^2:1:85 83^2:1:93 89^2:3:91 97^2:5:101 101^2:2:102"
+    " 103^2:1:105 107^2:1:109 109^2:2:111 113^2:3:117 127^2:1:135 131^2:1:134"
+    " 137^2:3:145 139^2:1:143 149^2:2:152 151^2:1:160 157^2:2:159 163^2:1:170"
+    " 167^2:1:169 173^2:2:174 179^2:1:182 181^2:2:185 191^2:1:201 193^2:5:198"
+    " 197^2:2:200 199^2:1:212 211^2:1:215 223^2:1:225 227^2:1:229 229^2:2:231"
+    " 233^2:3:241 239^2:1:247 241^2:7:248 251^2:1:256 257^2:3:259 263^2:1:265"
+    " 269^2:2:278 271^2:1:276 277^2:2:279 281^2:3:285 283^2:1:285 293^2:2:294"
+    " 307^2:1:316 311^2:1:315 313^2:5:316 317^2:2:327 331^2:1:337 337^2:5:356"
+    " 347^2:1:351 349^2:2:353 353^2:3:360 359^2:1:370 ")
+
+
+def _tabled(p, m):
+    """(modulus, g) of F_{p^m} from _DEFAULTS, for an order it holds."""
+    at = _DEFAULTS.index(" %d^%d:" % (p, m))
+    a, g = map(int, _DEFAULTS[at:_DEFAULTS.find(" ", at + 1)].split(":")[1:])
+    return tuple(a // p ** i % p for i in range(m)) + (1,), g
+
+
 def irreducible_modulus(p, m):
-    """First irreducible monic polynomial of degree m over F_p, in the
-    fixed ascending enumeration order.  Deterministic by construction, and
-    searched for once per (p, m) in a process."""
-    for poly in _monic_polys(p, m):
-        if _is_irreducible(p, poly):
-            return poly
-    raise InternalError("no irreducible polynomial found (impossible)")
+    """The first irreducible monic polynomial of degree m over F_p in
+    ascending order of its lower coefficients read as a base-p number, the
+    default modulus of F_{p^m}: read from _DEFAULTS, not searched for."""
+    return _tabled(p, m)[0]
 
 
 class ExtensionField:
@@ -322,16 +346,11 @@ class ExtensionField:
     results that are 0 need no branch.
 
     Each power of g costs a few list lookups (`_build_tables`), not a
-    polynomial product.  Median build, modulus search included, on one
-    pinned CPU of a 2-vCPU VM under CPython 3.11, with one product per
-    element before: F_256 1.7-2.6 ms -> 0.7 ms, F_1024 4.1-7.0 ms -> 0.8 ms,
-    F_{2^16} 0.46-0.67 s -> 29 ms, F_{2^17} 0.73-0.81 s -> 63 ms.  The
-    candidates for g are tested by that walk too, with no polynomial
+    polynomial product.  The default modulus and its g are read from
+    _DEFAULTS, and g is walked once; a supplied modulus is tested by
+    Ben-Or's test, and candidates for g by the walk, with no polynomial
     power: a candidate whose powers return to 1 early is discarded after
-    as many steps as its order, so a search costs a walk of each subgroup
-    it goes through.  That took the median build, the modulus cached, of
-    F_256 from 0.33 to 0.19 ms and of F_1024 from 0.51 to 0.37 ms, and of
-    F_{2^16} (u has order (2^16 - 1)/3) from 22 to 30 ms.
+    as many steps as its order.  Builds are timed in README.md.
     """
 
     kind = "extension-field"
@@ -340,7 +359,7 @@ class ExtensionField:
     def __init__(self, p, m, modulus=None):
         if m < 2:
             raise PreconditionError("extension degree must be >= 2, got %r" % (m,))
-        # before p ** m is formed (m may be huge) or a modulus searched for
+        # before p ** m is formed (m may be huge) or the table is read
         if m >= _TABLE_CAP.bit_length() or p ** m > _TABLE_CAP:
             raise ResourceLimitError(
                 "F_%d^%d is larger than _TABLE_CAP = %d, the largest "
@@ -348,10 +367,10 @@ class ExtensionField:
                 % (p, m, _TABLE_CAP))
         if not is_prime(p):
             raise PreconditionError("%r is not prime" % (p,))
-        if modulus is None:
-            modulus = irreducible_modulus(p, m)
-        else:
-            modulus = tuple(c % p for c in modulus)
+        default, g = _tabled(p, m)
+        modulus = default if modulus is None else tuple(c % p for c in modulus)
+        if modulus != default:
+            g = None  # for the walk to find
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise PreconditionError("modulus must be monic of degree %d" % m)
             if not _is_irreducible(p, modulus):
@@ -364,7 +383,7 @@ class ExtensionField:
         self.order = p ** m
         self.zero = 0
         self.one = 1
-        self._build_tables()
+        self._build_tables(g)
 
     # -- encoding ---------------------------------------------------------
 
@@ -375,13 +394,7 @@ class ExtensionField:
             a //= self.p
         return tuple(out)
 
-    def idx(self, vec):
-        a = 0
-        for c in reversed(vec):
-            a = a * self.p + (c % self.p)
-        return a
-
-    def _build_tables(self):
+    def _build_tables(self, g):
         p, m, q, n = self.p, self.m, self.order, self.order - 1
         # a -> a*g is F_p-linear.  With a = lo + P*hi, P = p^h, a*g is
         # lo*g + (P*hi)*g: two lookups, written in base R = 2p - 1 so that
@@ -433,11 +446,12 @@ class ExtensionField:
                 log[a] = k
             return exp
 
-        # 0..p-1 is F_p, whose units have order < n.  A discarded walk
-        # leaves a log below 2n on each power of its candidate, a proper
-        # subgroup, so that no later candidate in it is walked: each walk
-        # is of a subgroup not walked before
-        exp = next(filter(None, map(powers, (
+        # g tabled is walked once.  Else 0..p-1 is F_p, whose units have
+        # order < n, and a discarded walk leaves a log below 2n on each
+        # power of its candidate, a proper subgroup, so that no later
+        # candidate in it is walked: each walk is of a subgroup not walked
+        # before
+        exp = next(filter(None, map(powers, [g] if g else (
             c for c in range(p, q) if log[c] == 2 * n))))
         # log(1 + a) for every a: 1 + a changes digit 0 only; log[0] = 2n
         # where 1 + a = 0

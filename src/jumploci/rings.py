@@ -5,9 +5,12 @@ non-negative for ordinary rings and arbitrary integers when the ring is
 Laurent.  Equality is on-the-nose equality of term maps.
 """
 
-from .errors import ParseError, PreconditionError, ResourceLimitError
-
 from fractions import Fraction
+from itertools import islice
+from operator import add
+import re
+
+from .errors import ParseError, PreconditionError, ResourceLimitError
 
 
 class Ring:
@@ -102,9 +105,6 @@ class Poly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
 
     def is_unit(self):
         """Unit test: nonzero constant, or (Laurent) a single term c*t^e."""
@@ -303,187 +303,156 @@ def poly_to_str(p):
     return "".join(parts)
 
 
-class _Tokenizer:
-    SYMBOLS = ("+", "-", "*", "^", "(", ")")
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def next_token(self):
-        ch = self.peek()
-        if ch is None:
-            return None
-        if ch in self.SYMBOLS:
-            self.pos += 1
-            return ch
-        if ch.isdecimal():  # what int() reads; isdigit() also takes "²"
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] == "/":
-                self.pos += 1
-                den = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-                    self.pos += 1
-                if self.pos == den:
-                    raise ParseError("fraction %r has no denominator"
-                                     % self.text[start:self.pos], self.pos)
-            return self.text[start:self.pos]
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while (self.pos < len(self.text)
-                   and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-                self.pos += 1
-            return self.text[start:self.pos]
-        raise ParseError("unexpected character %r" % ch, self.pos)
+# a token of a polynomial string, after white space: digits, with "/" and
+# digits for a fraction; a name; or any other character.  \s, \d and \w are
+# str.isspace, str.isdecimal and str.isalnum or "_"
+_TOKEN = re.compile(r"\s*(\d+(?:/\d*)?|\w+|\S)")
 
 
 class _PolyParser:
-    """Recursive-descent parser for the canonical polynomial form.
+    """Recursive descent, over the tokens of one string, of the grammar
 
-    expr    := term (('+'|'-') term)*
-    term    := factor ('*'? factor)*      (juxtaposition not allowed; '*' required
-                                           except for a leading sign)
-    factor  := number | name ('^' int)? | '(' expr ')'
-    The name 'u' denotes the generator of an extension coefficient field.
+        expr   := ('+' | '-')? term (('+' | '-') term)*
+        term   := factor ('*' factor)*
+        factor := (digits ('/' digits)? | '(' expr ')' | name) ('^' int)?
 
-    A power is expanded only when its estimated size is at most
-    MAX_POWER_SIZE: the product over the variables of (exponent x the
-    base's exponent spread + 1), which bounds its terms, times over Q the
-    exponent x the bits of the base's longest numerator or denominator,
-    which bounds the bits of its coefficients.
+    where int is '-'? digits and a name is a variable or, over F_{p^m}, the
+    generator u.  An expr is built as a term dict, and the monomial factors
+    of a term as one coefficient and exponent list: Poly arithmetic runs
+    only for a parenthesized factor that is not a scalar, and its power.  A
+    power is expanded only when its estimated size is at most
+    MAX_POWER_SIZE: the product over the variables of (exponent x the base's
+    exponent spread + 1), which bounds its terms, times over Q the exponent
+    x the bits of the base's longest numerator or denominator, which bounds
+    the bits of its coefficients.
     """
 
     MAX_POWER_SIZE = 2048
 
     def __init__(self, ring, text):
-        self.ring = ring
-        self.tok = _Tokenizer(text)
-        self.current = self.tok.next_token()
+        self.ring, self.text = ring, text
+        self.tokens = _TOKEN.findall(text) + [None]
+        self.i = 0  # the current token, one past the last one read
 
-    def advance(self):
-        self.current = self.tok.next_token()
-
-    def expect(self, sym):
-        if self.current != sym:
-            raise ParseError("expected %r, found %r" % (sym, self.current), self.tok.pos)
-        self.advance()
-
-    def parse(self):
-        p = self.expr()
-        if self.current is not None:
-            raise ParseError("trailing input %r" % self.current, self.tok.pos)
-        return p
+    def fail(self, message, limit=False):
+        """Raise `message` at the end of the current token (of the text, past
+        the last), unless a token up to it is malformed: a lexer that reads
+        a token ahead, as the errors' positions have it, fails there first."""
+        for m in islice(_TOKEN.finditer(self.text), self.i + 1):
+            tok, pos = m[1], m.end()
+            c = tok[0]
+            if not (c in "+-*^()" or c.isdecimal() or c.isalpha() or c == "_"):
+                raise ParseError("unexpected character %r" % c, m.start(1))
+            if tok[-1] == "/":
+                raise ParseError("fraction %r has no denominator" % tok, pos)
+        if limit:
+            raise ResourceLimitError(message)
+        raise ParseError(message, pos if self.tokens[self.i] else len(self.text))
 
     def expr(self):
-        if self.current == "-":
-            self.advance()
-            acc = -self.term()
-        else:
-            if self.current == "+":
-                self.advance()
-            acc = self.term()
-        while self.current in ("+", "-"):
-            op = self.current
-            self.advance()
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
+        F, tokens = self.ring.field, self.tokens
+        terms, zero = {}, F.zero
+        sign = tokens[self.i]
+        self.i += sign == "+" or sign == "-"
+        while True:
+            c, e, poly = self.term()
+            if sign == "-":
+                c = F.neg(c)
+            for k, v in (((tuple(e), c),) if poly is None else [
+                    (tuple(map(add, k, e)), F.mul(v, c))
+                    for k, v in poly.terms.items() if c != zero]):
+                s = F.add(terms.get(k, zero), v)
+                if s == zero:
+                    terms.pop(k, None)
+                else:
+                    terms[k] = s
+            sign = tokens[self.i]
+            if sign != "+" and sign != "-":
+                return terms
+            self.i += 1
 
     def term(self):
-        acc = self.factor()
-        while self.current == "*":
-            self.advance()
-            acc = acc * self.factor()
-        return acc
-
-    def factor(self):
-        tok = self.current
-        if tok is None:
-            raise ParseError("unexpected end of input", self.tok.pos)
-        if tok in self.tok.SYMBOLS and tok != "(":
-            raise ParseError("unexpected token %r" % tok, self.tok.pos)
-        if tok == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return self._maybe_power(inner)
-        if tok[0].isdecimal():
-            self.advance()
-            if "/" in tok:
-                F = self.ring.field
-                num, den = (F.from_int(self._int(n)) for n in tok.split("/"))
-                if den == F.zero:
-                    raise ParseError("zero denominator in %r over %r" % (tok, F),
-                                     self.tok.pos)
-                c = F.div(num, den)
+        """(c, e, poly): the term is c * x^e * poly, where poly, or None, is
+        the product of its parenthesized factors."""
+        ring, tokens = self.ring, self.tokens
+        F, variables = ring.field, ring.variables
+        c, e, poly = F.one, [0] * len(variables), None
+        while True:
+            tok = tokens[self.i]
+            if tok is None:
+                self.fail("unexpected end of input")
+            if tok in "+-*^)":
+                self.fail("unexpected token %r" % tok)
+            self.i += 1
+            if tok == "(":
+                inner = self.expr()
+                if tokens[self.i] != ")":
+                    self.fail("expected ')', found %r" % tokens[self.i])
+                self.i += 1
+                if tokens[self.i] != "^" and not any(map(any, inner)):
+                    c = F.mul(c, inner.get((0,) * len(e), F.zero))  # a scalar
+                else:
+                    inner = Poly(ring, inner)
+                    if tokens[self.i] == "^":
+                        inner = self.power(inner)
+                    poly = inner if poly is None else poly * inner
+            elif tok[0].isdecimal():
+                num, slash, den = tok.partition("/")
+                k = F.from_int(self.integer(num))
+                if slash:  # a fraction, or no denominator, which fail finds
+                    den = F.from_int(self.integer(den))
+                    if den == F.zero:
+                        self.fail("zero denominator in %r over %r" % (tok, F))
+                    k = F.div(k, den)
+                if tokens[self.i] == "^":
+                    k = self.power(ring.const(k)).constant_value()
+                c = F.mul(c, k)
+            elif tok in variables and (tok[0].isalpha() or tok[0] == "_"):
+                n = self.exponent()
+                if n < 0 and not ring.laurent:
+                    self.fail("negative exponent in a non-Laurent ring")
+                e[variables.index(tok)] += n
+            elif tok == "u" and F.kind == "extension-field":
+                c = F.mul(c, F.pow(F.p, self.exponent()))  # u is p, encoded
             else:
-                c = self.ring.field.from_int(self._int(tok))
-            return self._maybe_power(self.ring.const(c))
-        # a name: ring variable or the extension generator u
-        self.advance()
-        if tok in self.ring.variables:
-            base = self.ring.var(self.ring.variables.index(tok))
-            exp = self._power_suffix()
-            if exp is None:
-                return base
-            if exp < 0 and not self.ring.laurent:
-                raise ParseError("negative exponent in a non-Laurent ring", self.tok.pos)
-            e = [0] * self.ring.nvars
-            e[self.ring.variables.index(tok)] = exp
-            return self.ring.monomial(e)
-        if tok == "u" and getattr(self.ring.field, "kind", None) == "extension-field":
-            F = self.ring.field
-            gen = F.idx((0, 1) + (0,) * (F.m - 2)) if F.m >= 2 else F.one
-            exp = self._power_suffix()
-            c = F.pow(gen, exp if exp is not None else 1)
-            return self.ring.const(c)
-        raise ParseError("unknown name %r" % tok, self.tok.pos)
+                self.fail("unknown name %r" % tok)
+            if tokens[self.i] != "*":
+                return c, e, poly
+            self.i += 1
 
-    def _power_suffix(self):
-        if self.current != "^":
-            return None
-        self.advance()
-        neg = False
-        if self.current == "-":
-            neg = True
-            self.advance()
-        if self.current is None or not self.current.lstrip("-").isdecimal():
-            raise ParseError("expected integer exponent", self.tok.pos)
-        val = self._int(self.current)
-        self.advance()
-        return -val if neg else val
+    def exponent(self):
+        """The exponent that a '^' at the current token starts, else 1."""
+        tokens = self.tokens
+        if tokens[self.i] != "^":
+            return 1
+        neg = tokens[self.i + 1] == "-"
+        self.i += 1 + neg
+        tok = tokens[self.i]
+        if tok is None or not tok.isdecimal():
+            self.fail("expected integer exponent")
+        n = self.integer(tok)
+        self.i += 1
+        return -n if neg else n
 
-    def _int(self, digits):
+    def integer(self, digits):
         try:
             return int(digits)
         except ValueError as exc:  # past sys.get_int_max_str_digits()
-            raise ParseError("integer literal too long: %s" % exc, self.tok.pos)
+            self.fail("integer literal too long: %s" % exc)
 
-    def _maybe_power(self, base):
-        exp = self._power_suffix()
-        if exp is None:
-            return base
-        if exp < 0 and not base.is_unit():
-            raise ParseError("negative power of a non-unit", self.tok.pos)
-        self._check_power_size(base, abs(exp))
-        if exp < 0:
-            if base.is_constant():
-                return self.ring.const(self.ring.field.pow(base.constant_value(), exp))
+    def power(self, base):
+        """The power of base that a '^' at the current token makes."""
+        n = self.exponent()
+        if n < 0 and not base.is_unit():
+            self.fail("negative power of a non-unit")
+        self.check_power_size(base, abs(n))
+        if n < 0:  # a unit is one term
             (e, c), = base.terms.items()
-            return Poly(self.ring, {tuple(x * exp for x in e):
-                                    self.ring.field.pow(c, exp)})
-        return base ** exp
+            return Poly(self.ring, {tuple(x * n for x in e):
+                                    self.ring.field.pow(c, n)})
+        return base ** n
 
-    def _check_power_size(self, base, n):
+    def check_power_size(self, base, n):
         """Refuse base^n, n >= 0, when its size passes MAX_POWER_SIZE."""
         if not base.terms:
             return
@@ -494,13 +463,17 @@ class _PolyParser:
             size *= n * max(max(abs(c.numerator), c.denominator).bit_length()
                             for c in base.terms.values())
         if size > self.MAX_POWER_SIZE:
-            raise ResourceLimitError(
-                "a power of size %d (terms, times coefficient bits over Q) "
-                "is past MAX_POWER_SIZE = %d" % (size, self.MAX_POWER_SIZE))
+            self.fail("a power of size %d (terms, times coefficient bits over "
+                      "Q) is past MAX_POWER_SIZE = %d"
+                      % (size, self.MAX_POWER_SIZE), limit=True)
 
 
 def parse_poly(ring, text):
-    return _PolyParser(ring, text).parse()
+    parser = _PolyParser(ring, text)
+    terms = parser.expr()
+    if parser.tokens[parser.i] is not None:
+        parser.fail("trailing input %r" % parser.tokens[parser.i])
+    return Poly(ring, terms)
 
 
 # -- ideals and points ---------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against the defining
 formulas, without touching the package's own linear algebra, polynomial,
 or calculus code paths; the reference Smith form runs on the package's
-Poly arithmetic, which its Smith worker does not use.  Tests compute
+Poly arithmetic, which its Smith worker does not use, and so does the
+token-at-a-time polynomial parser, where the package's parser multiplies
+monomial factors out of Poly arithmetic.  Tests compute
 expected values with these and freeze or compare them against the package.
 The few constructions on the package's own matrices and complexes that
 only the tests need (a determinant, a block sum, an acyclic summand) live
@@ -14,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from jumploci.complexes import FreeChainComplex
-from jumploci.errors import PreconditionError, UnsupportedRingError
+from jumploci.errors import (ParseError, PreconditionError,
+                             ResourceLimitError, UnsupportedRingError)
 from jumploci.matrices import Matrix, all_minors
 from jumploci.rings import Ideal, Poly
 
@@ -133,7 +136,8 @@ def _digits(a, p, m):
     return [a // p ** i % p for i in range(m)]
 
 
-def _number(coeffs, p):
+def number(coeffs, p):
+    """The int encoding of a coefficient list: sum c_i * p**i."""
     return sum(c * p ** i for i, c in enumerate(coeffs))
 
 
@@ -166,7 +170,7 @@ def extension_field_tables(p, m, modulus):
 
     def times(a, b):
         prod = upoly_mul(_digits(a, p, m), _digits(b, p, m), p)
-        return _number(upoly_mod(prod, list(modulus), p), p)
+        return number(upoly_mod(prod, list(modulus), p), p)
 
     for g in range(p, q):
         powers, a = [1], g
@@ -181,6 +185,45 @@ def extension_field_tables(p, m, modulus):
     plus_one = [a - a % p + (a + 1) % p for a in range(q)]
     zech = [log[plus_one[a]] for a in powers]
     return powers * 2 + [0] * (2 * n + 1), log, zech * 2
+
+
+def monic_polys(p, d):
+    """All monic coefficient tuples of degree d over F_p, in ascending order
+    of their lower coefficients read as a base-p number."""
+    for idx in range(p ** d):
+        yield tuple(_digits(idx, p, d)) + (1,)
+
+
+def first_irreducible(p, m):
+    """The first irreducible of monic_polys(p, m), by trial division: the
+    default modulus of F_{p^m}."""
+    return next(poly for poly in monic_polys(p, m)
+                if is_irreducible_by_trial_division(p, list(poly)))
+
+
+def first_primitive(p, modulus):
+    """The least int encoding g of F_p[u]/(modulus) of order q - 1: g^(n/r)
+    is not 1 for any prime r dividing n = q - 1, powered by products."""
+    m = len(modulus) - 1
+    n = p ** m - 1
+    primes, k = set(), n
+    for r in range(2, n + 1):
+        while k % r == 0:
+            primes.add(r)
+            k //= r
+        if k == 1:
+            break
+
+    def power(a, e):
+        out = [1]
+        for bit in bin(e)[2:]:
+            out = upoly_mod(upoly_mul(out, out, p), list(modulus), p)
+            if bit == "1":
+                out = upoly_mod(upoly_mul(out, a, p), list(modulus), p)
+        return out
+
+    return next(g for g in range(p, n + 1)
+                if all(power(_digits(g, p, m), n // r) != [1] for r in primes))
 
 
 # -- quotient complexes by explicit bases --------------------------------------
@@ -762,3 +805,207 @@ def reference_smith_form(matrix):
     return (Matrix(ring, w.m, w.m, w.u), Matrix(ring, w.m, w.n, w.a),
             Matrix(ring, w.n, w.n, w.v), Matrix(ring, w.n, w.n, w.vinv),
             divisors)
+
+
+# -- polynomial strings, parsed a token at a time ---------------------------
+
+
+class Tokenizer:
+    SYMBOLS = ("+", "-", "*", "^", "(", ")")
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def next_token(self):
+        ch = self.peek()
+        if ch is None:
+            return None
+        if ch in self.SYMBOLS:
+            self.pos += 1
+            return ch
+        if ch.isdecimal():  # what int() reads; isdigit() also takes "²"
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+                self.pos += 1
+            if self.pos < len(self.text) and self.text[self.pos] == "/":
+                self.pos += 1
+                den = self.pos
+                while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+                    self.pos += 1
+                if self.pos == den:
+                    raise ParseError("fraction %r has no denominator"
+                                     % self.text[start:self.pos], self.pos)
+            return self.text[start:self.pos]
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            while (self.pos < len(self.text)
+                   and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
+                self.pos += 1
+            return self.text[start:self.pos]
+        raise ParseError("unexpected character %r" % ch, self.pos)
+
+
+class PolyParser:
+    """The oracle of rings.parse_poly: a lexer that reads one token ahead,
+    and recursive descent in Poly arithmetic, for the canonical form.
+
+    expr    := term (('+'|'-') term)*
+    term    := factor ('*'? factor)*      (juxtaposition not allowed; '*' required
+                                           except for a leading sign)
+    factor  := number | name ('^' int)? | '(' expr ')'
+    The name 'u' denotes the generator of an extension coefficient field.
+
+    A power is expanded only when its estimated size is at most
+    MAX_POWER_SIZE: the product over the variables of (exponent x the
+    base's exponent spread + 1), which bounds its terms, times over Q the
+    exponent x the bits of the base's longest numerator or denominator,
+    which bounds the bits of its coefficients.
+    """
+
+    MAX_POWER_SIZE = 2048
+
+    def __init__(self, ring, text):
+        self.ring = ring
+        self.tok = Tokenizer(text)
+        self.current = self.tok.next_token()
+
+    def advance(self):
+        self.current = self.tok.next_token()
+
+    def expect(self, sym):
+        if self.current != sym:
+            raise ParseError("expected %r, found %r" % (sym, self.current), self.tok.pos)
+        self.advance()
+
+    def parse(self):
+        p = self.expr()
+        if self.current is not None:
+            raise ParseError("trailing input %r" % self.current, self.tok.pos)
+        return p
+
+    def expr(self):
+        if self.current == "-":
+            self.advance()
+            acc = -self.term()
+        else:
+            if self.current == "+":
+                self.advance()
+            acc = self.term()
+        while self.current in ("+", "-"):
+            op = self.current
+            self.advance()
+            t = self.term()
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.current == "*":
+            self.advance()
+            acc = acc * self.factor()
+        return acc
+
+    def factor(self):
+        tok = self.current
+        if tok is None:
+            raise ParseError("unexpected end of input", self.tok.pos)
+        if tok in self.tok.SYMBOLS and tok != "(":
+            raise ParseError("unexpected token %r" % tok, self.tok.pos)
+        if tok == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return self._maybe_power(inner)
+        if tok[0].isdecimal():
+            self.advance()
+            if "/" in tok:
+                F = self.ring.field
+                num, den = (F.from_int(self._int(n)) for n in tok.split("/"))
+                if den == F.zero:
+                    raise ParseError("zero denominator in %r over %r" % (tok, F),
+                                     self.tok.pos)
+                c = F.div(num, den)
+            else:
+                c = self.ring.field.from_int(self._int(tok))
+            return self._maybe_power(self.ring.const(c))
+        # a name: ring variable or the extension generator u
+        self.advance()
+        if tok in self.ring.variables:
+            base = self.ring.var(self.ring.variables.index(tok))
+            exp = self._power_suffix()
+            if exp is None:
+                return base
+            if exp < 0 and not self.ring.laurent:
+                raise ParseError("negative exponent in a non-Laurent ring", self.tok.pos)
+            e = [0] * self.ring.nvars
+            e[self.ring.variables.index(tok)] = exp
+            return self.ring.monomial(e)
+        if tok == "u" and getattr(self.ring.field, "kind", None) == "extension-field":
+            F = self.ring.field
+            gen = number((0, 1), F.p) if F.m >= 2 else F.one
+            exp = self._power_suffix()
+            c = F.pow(gen, exp if exp is not None else 1)
+            return self.ring.const(c)
+        raise ParseError("unknown name %r" % tok, self.tok.pos)
+
+    def _power_suffix(self):
+        if self.current != "^":
+            return None
+        self.advance()
+        neg = False
+        if self.current == "-":
+            neg = True
+            self.advance()
+        if self.current is None or not self.current.lstrip("-").isdecimal():
+            raise ParseError("expected integer exponent", self.tok.pos)
+        val = self._int(self.current)
+        self.advance()
+        return -val if neg else val
+
+    def _int(self, digits):
+        try:
+            return int(digits)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise ParseError("integer literal too long: %s" % exc, self.tok.pos)
+
+    def _maybe_power(self, base):
+        exp = self._power_suffix()
+        if exp is None:
+            return base
+        if exp < 0 and not base.is_unit():
+            raise ParseError("negative power of a non-unit", self.tok.pos)
+        self._check_power_size(base, abs(exp))
+        if exp < 0:
+            if not any(map(any, base.terms)):  # a constant
+                return self.ring.const(self.ring.field.pow(base.constant_value(), exp))
+            (e, c), = base.terms.items()
+            return Poly(self.ring, {tuple(x * exp for x in e):
+                                    self.ring.field.pow(c, exp)})
+        return base ** exp
+
+    def _check_power_size(self, base, n):
+        """Refuse base^n, n >= 0, when its size passes MAX_POWER_SIZE."""
+        if not base.terms:
+            return
+        size = 1
+        for column in zip(*base.terms):
+            size *= n * (max(column) - min(column)) + 1
+        if self.ring.field.characteristic == 0:
+            size *= n * max(max(abs(c.numerator), c.denominator).bit_length()
+                            for c in base.terms.values())
+        if size > self.MAX_POWER_SIZE:
+            raise ResourceLimitError(
+                "a power of size %d (terms, times coefficient bits over Q) "
+                "is past MAX_POWER_SIZE = %d" % (size, self.MAX_POWER_SIZE))
+
+
+def parse_poly_by_tokens(ring, text):
+    return PolyParser(ring, text).parse()

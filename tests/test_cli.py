@@ -134,16 +134,20 @@ def test_reports_identical_across_hash_seeds(docs):
     assert outs2[0] == outs2[1]
 
 
-def test_one_modulus_search_per_extension_field(capsys):
+def test_one_modulus_search_per_extension_field(capsys, monkeypatch):
     """A document over Q read under an extension --q is checked against
-    the field --q built, without a second search for its modulus."""
-    from jumploci.fields import irreducible_modulus
-    irreducible_modulus.cache_clear()
+    the field --q built, which reads its modulus and g from the table: no
+    search for either runs, no irreducibility test, and one build."""
+    from jumploci import fields
+    builds = []
+    build = fields.ExtensionField._build_tables
+    monkeypatch.setattr(fields, "_is_irreducible", None)
+    monkeypatch.setattr(fields.ExtensionField, "_build_tables",
+                        lambda F, g: builds.append(g) or build(F, g))
     code, _ = run(capsys, "jumploci", "--complex", SAMPLES + "koszul3.cc",
                   "--i", "1", "--d", "1", "--q", "64")
     assert code == 0
-    info = irreducible_modulus.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert builds == [fields._tabled(2, 6)[1]]
 
 
 def test_supports_compare_v(docs, capsys):
@@ -852,6 +856,40 @@ def test_running_out_of_memory_is_an_error_report(capsys, tmp_path):
         "type": "ResourceLimitError",
         "message": "out of memory computing the report"}
     assert "Traceback" not in err and err.startswith("elapsed: ")
+
+
+def test_a_whole_plane_too_large_to_list_is_an_error_report(capsys):
+    # the zero-pairing page's locus is all of F_q^2, whose pool cannot be
+    # listed over a prime near 10^18: it is listed while the command runs,
+    # so the MemoryError is a report, and no line of the locus is printed
+    code = main(["jumploci", "--complex", SAMPLES + "zero-pairing-page.cc",
+                 "--i", "1", "--d", "1", "--q", "1000000000000000003"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ("command: jumploci\n"
+                   "error.message: out of memory computing the report\n"
+                   "error.type: ResourceLimitError\n")
+    assert "Traceback" not in err and err.startswith("elapsed: ")
+
+
+def test_a_union_that_holds_a_space_is_that_space(monkeypatch):
+    # both unions of supports --compare-v over the zero-pairing page hold
+    # the whole plane, so each is that Space, printed in product order,
+    # with the rows the set of its points prints
+    from jumploci.fields import finite_field
+    from jumploci.varieties import Space
+    reports = []
+    monkeypatch.setattr(cli, "emit",
+                        lambda report, args, out=None: reports.append(report))
+    assert main(["supports", "--complex", SAMPLES + "zero-pairing-page.cc",
+                 "--i", "1", "--d", "1", "--q", "5", "--compare-v"]) == 0
+    compared = reports[0]["results"]["compare_v"]["1"]
+    F = finite_field(5)
+    for key in ("support_union", "jump_union"):
+        union = compared[key].points
+        assert type(union) is Space and len(union) == 25
+        assert cli.point_list(F, union) == cli.point_list(F, set(union))
+    assert compared["equal"] is True
 
 
 def test_a_huge_prime_q_is_factored_without_trial_division(capsys):

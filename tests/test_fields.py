@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError, ResourceLimitError
-from jumploci.fields import (_TABLE_CAP, ExtensionField, PrimeField,
-                             _is_irreducible, _monic_polys, _polymulmod,
-                             extension_of, factor_prime_power, field_make,
-                             finite_field, irreducible_modulus, is_prime)
+from jumploci.fields import (_DEFAULTS, _TABLE_CAP, ExtensionField,
+                             PrimeField, _is_irreducible, _polymulmod,
+                             _tabled, extension_of, factor_prime_power,
+                             field_make, finite_field, irreducible_modulus,
+                             is_prime)
 
-from oracles import extension_field_tables, is_irreducible_by_trial_division
+from oracles import (extension_field_tables, first_irreducible,
+                     first_primitive, is_irreducible_by_trial_division,
+                     monic_polys, number)
 
 
 def test_field_make_prime():
@@ -151,7 +154,7 @@ def test_irreducible_search_deterministic():
 
 def test_scalar_str():
     F9 = finite_field(9)
-    u = F9.idx((0, 1))
+    u = number((0, 1), 3)
     assert F9.scalar_str(u) == "u"
     assert F9.scalar_str(F9.add(u, F9.one)) == "u + 1"
     assert F9.scalar_str(F9.zero) == "0"
@@ -164,7 +167,7 @@ EXT_FIELDS = {q: finite_field(q) for q in EXT_ORDERS}
 
 
 def _ref_mul(F, a, b):
-    return F.idx(_polymulmod(F.p, F.modulus, F.vec(a), F.vec(b)))
+    return number(_polymulmod(F.p, F.modulus, F.vec(a), F.vec(b)), F.p)
 
 
 def _ref_pow(F, a, e):
@@ -181,7 +184,7 @@ def _ref_pow(F, a, e):
 
 
 def _digitwise(F, op, *xs):
-    return F.idx(tuple(op(*cs) % F.p for cs in zip(*map(F.vec, xs))))
+    return number([op(*cs) % F.p for cs in zip(*map(F.vec, xs))], F.p)
 
 
 @pytest.mark.parametrize("q", EXT_ORDERS)
@@ -271,28 +274,41 @@ def test_tables_equal_one_product_per_power(p, m):
 
 
 def test_primitive_element_is_found_by_the_table_walk(monkeypatch):
-    # with the modulus searched for already, a build makes no polynomial
-    # product: each candidate is tested by its walk, which returns to 1
-    # before q - 1 steps unless it is primitive.  u has order 51 modulo
-    # u^8 + u^4 + u^3 + u + 1, so F_256 discards u and takes u + 1; over
-    # F_{17^4} 290 candidates come before g = 307, and all but 5 of them
-    # lie in a subgroup that a discarded walk went through
+    # a modulus that is not the default one has no tabled g: each candidate
+    # is tested by its walk, which returns to 1 before q - 1 steps unless
+    # it is primitive, with no polynomial product (Ben-Or's test, which
+    # makes them, is stood in for by trial division)
     from jumploci import fields
-    for p, m in ((2, 8), (2, 9), (17, 4)):
-        irreducible_modulus(p, m)
+    cases = (((1, 1, 0, 1, 1, 1, 1, 0, 1), 2, 9), ((2, 0, 1, 0, 1), 3, 12),
+             ((5, 0, 0, 0, 1), 17, 309))
+    for modulus, p, g in cases:
+        assert is_irreducible_by_trial_division(p, list(modulus))
+        assert modulus != irreducible_modulus(p, len(modulus) - 1)
+        assert first_primitive(p, modulus) == g
+    monkeypatch.setattr(fields, "_is_irreducible", lambda p, poly: True)
     monkeypatch.setattr(fields, "_polymulmod", None)
-    F = ExtensionField(2, 8)
-    assert F.primitive() == 3 and F.pow(2, 51) == 1
-    assert ExtensionField(2, 9).primitive() == 7
-    assert ExtensionField(17, 4).primitive() == 307
+    for modulus, p, g in cases:
+        assert ExtensionField(p, len(modulus) - 1, modulus).primitive() == g
 
 
 @pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3)])
 def test_ben_or_agrees_with_trial_division(p, top):
     for d in range(top + 1):
-        for poly in _monic_polys(p, d):
+        for poly in monic_polys(p, d):
             assert (_is_irreducible(p, poly)
                     == is_irreducible_by_trial_division(p, list(poly))), poly
+
+
+def test_the_table_is_the_search_and_the_walk():
+    # each entry is the first irreducible modulus, by trial division, and
+    # the least primitive element modulo it, by powers
+    keys = []
+    for entry in _DEFAULTS.split():
+        p, m = map(int, entry.split(":")[0].split("^"))
+        keys.append((p, m))
+        modulus = first_irreducible(p, m)
+        assert _tabled(p, m) == (modulus, first_primitive(p, modulus))
+    assert keys == _extension_orders(_TABLE_CAP)
 
 
 def test_default_moduli_up_to_the_table_cap():

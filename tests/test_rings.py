@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from jumploci.errors import ParseError, PreconditionError, ResourceLimitError
 from jumploci.fields import PrimeField, Rationals, finite_field
-from jumploci.rings import (Ideal, Ring, parse_poly, poly_to_str, unit_ideal,
-                            zero_ideal)
+from jumploci.rings import (Ideal, Poly, Ring, parse_poly, poly_to_str,
+                            unit_ideal, zero_ideal)
+
+from oracles import number, parse_poly_by_tokens
 
 
 Q = Rationals()
@@ -103,7 +105,7 @@ def test_parse_extension_scalar():
     F4 = finite_field(4)
     R = Ring(F4, ("x",))
     p = parse_poly(R, "(u + 1)*x + u")
-    u = F4.idx((0, 1))
+    u = number((0, 1), 2)
     assert p.terms[(1,)] == F4.add(u, F4.one)
     assert p.terms[(0,)] == u
     assert parse_poly(R, poly_to_str(p)) == p
@@ -182,3 +184,94 @@ def test_ideal_canonicalization():
     assert Ideal(R, []) == zero_ideal(R)
     assert Ideal(R, [R.const(2)]) == unit_ideal(R)
 
+
+
+# -- the parser against the token-by-token oracle ----------------------------
+
+PARSE_FIELDS = (Q, F5, PrimeField(7), finite_field(4), finite_field(9),
+                finite_field(25))
+
+
+def _outcome(parse, ring, text):
+    """The Poly a parser reads, or the type and text of its error."""
+    try:
+        return parse(ring, text)
+    except (ParseError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _poly_strings(draw):
+    """(ring, text): a polynomial string over Q, F_p or F_{p^m}, ordinary or
+    Laurent, in 1-3 variables, with signs, products, powers, fractions,
+    parenthesized sums and their powers, and u^k over F_{p^m}."""
+    field = draw(st.sampled_from(PARSE_FIELDS))
+    laurent = draw(st.booleans())
+    ring = Ring(field, ("x", "y", "z")[:draw(st.integers(1, 3))],
+                laurent=laurent)
+    p = field.characteristic
+    space = st.sampled_from(("", " ", "  "))
+
+    def factor(depth):
+        kinds = ["int", "fraction", "name"]
+        kinds += ["u"] if field.kind == "extension-field" else []
+        kinds += ["paren"] if depth else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            text = str(draw(st.integers(0, 40)))
+        elif kind == "fraction":
+            den = draw(st.integers(1, 12).filter(lambda d: p == 0 or d % p))
+            return "%d/%d" % (draw(st.integers(0, 40)), den)
+        elif kind == "name":
+            text = draw(st.sampled_from(ring.variables))
+            low = -3 if laurent else 0
+            if draw(st.booleans()):
+                return text + "^" + str(draw(st.integers(low, 4)))
+            return text
+        elif kind == "u":
+            text = "u"
+            if draw(st.booleans()):
+                return text + "^" + str(draw(st.integers(-3, 5)))
+            return text
+        else:
+            text = "(" + expr(depth - 1) + ")"
+        if draw(st.booleans()):
+            text += "^" + str(draw(st.integers(0, 9)))
+        return text
+
+    def term(depth):
+        return (draw(space) + "*" + draw(space)).join(
+            factor(depth) for _ in range(draw(st.integers(1, 3))))
+
+    def expr(depth):
+        text = draw(st.sampled_from(("", "-", "+"))) + term(depth)
+        for _ in range(draw(st.integers(0, 3))):
+            text += draw(space) + draw(st.sampled_from("+-")) + draw(space)
+            text += term(depth)
+        return text
+
+    return ring, draw(space) + expr(2) + draw(space)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_poly_strings())
+def test_parser_agrees_with_the_token_parser(case):
+    ring, text = case
+    want = _outcome(parse_poly_by_tokens, ring, text)
+    assert isinstance(want, Poly) or want[0] is ResourceLimitError
+    assert _outcome(parse_poly, ring, text) == want
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_poly_strings(), st.data())
+def test_parser_agrees_with_the_token_parser_on_mutated_strings(case, data):
+    # one character inserted, deleted or replaced: the same Poly, or the
+    # same error type and message, position included
+    ring, text = case
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from(list("+-*^()/ 0123456789xyzutv_$²١\t")))
+    edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+    text = text[:at] + (char if edit != "delete" else "") + text[
+        at + (edit != "insert"):]
+    assert (_outcome(parse_poly, ring, text)
+            == _outcome(parse_poly_by_tokens, ring, text))

@@ -9,6 +9,8 @@ from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.rings import Ideal, Ring, parse_poly
 from jumploci.varieties import Space, extension_fields, zero_locus_points
 
+from oracles import number
+
 Q = Rationals()
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -76,7 +78,7 @@ def test_extension_tower_embedding_path():
     # embedded through the tower
     F4 = __import__("jumploci").finite_field(4)
     R = Ring(F4, ("x",))
-    u = F4.idx((0, 1))
+    u = number((0, 1), 2)
     I = Ideal(R, [R.var(0) - R.const(u)])  # x - u
     by_degree = {e: zero_locus_points(I, F, embed=emb)
                  for e, F, emb in extension_fields(F4, 2)}
