@@ -119,7 +119,7 @@ class Locus:
         elif not cells:  # the one point of F^0
             write("[[]]" if nl is None else "[" + nl + "  []" + nl + "]")
         else:
-            write_rows(list(map(enumerate, cells)), columns, rows, nl, write)
+            write_rows(cells, columns, rows, nl, write)
 
 
 def point_list(field, pts):

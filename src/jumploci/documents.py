@@ -336,6 +336,8 @@ def load_document(path, expect=None, field_override=None):
         # bytes that are not text, or an integer longer than
         # sys.get_int_max_str_digits() allows
         raise DocumentError("%s cannot be read: %s" % (path, exc))
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise DocumentError("%s is nested too deep to read: %s" % (path, exc))
     kind = _require(doc, "type", "str", "free-complex" if "ranks" in doc else None)
     if expect is not None:
         allowed = {"complex": ("free-complex", "presented-complex")}.get(
@@ -370,36 +372,22 @@ def _scalar(v):
     return json.dumps(v)
 
 
-def _cell_columns(value):
-    """The columns of `value` when it is a list of lists of one length
-    k >= 1 whose cells are all ints (not bools) or strings, as a point list
-    is; else None."""
-    if type(value) is not list or set(map(type, value)) != {list}:
-        return None
-    if len(set(map(len, value))) != 1 or not value[0]:
-        return None
-    columns = list(zip(*value))
-    if all(set(map(type, col)) <= {int, str} for col in columns):
-        return columns
-    return None
-
-
 def write_rows(cells, columns, count, nl, write):
     """Write `count` rows as json.dumps writes that list of lists: indented
     by 2 when `nl` is the newline and indent that precede its closing
-    bracket, on one line when `nl` is None.  columns[j] gives the keys of
-    the rows' j-th cells in row order, and cells[j] the (key, scalar)
-    pair of each distinct key, the scalar an int or a string.  Each
-    distinct cell of a column is rendered once with the separator that
-    follows it attached (after the last column, the close of its row and
-    the open of the next), and the text is a join of those shared strings
-    in row order, written 4096 cells at a time."""
+    bracket, on one line when `nl` is None.  cells[j] lists the distinct
+    scalars of the rows' j-th cells, each an int or a string, and
+    columns[j] their ranks in that list in row order.  Each distinct cell
+    of a column is rendered once with the separator that follows it
+    attached (after the last column, the close of its row and the open of
+    the next), and the text is a join of those shared strings in row
+    order, written 4096 cells at a time."""
     inner, cell, comma = (("", "", ", ") if nl is None
                           else (nl + "  ", nl + "    ", ","))
     seps = [comma + cell] * (len(cells) - 1)
     seps.append(inner + "]" + comma + inner + "[" + cell)
-    texts = [{key: _scalar(v) + sep for key, v in pairs}.__getitem__
-             for pairs, sep in zip(cells, seps)]
+    texts = [[_scalar(v) + sep for v in col].__getitem__
+             for col, sep in zip(cells, seps)]
     stream = chain.from_iterable(zip(*map(map, texts, columns)))
     # every cell but the last, whose row closes the array instead
     left = len(cells) * count - 1
@@ -414,10 +402,9 @@ def write_rows(cells, columns, count, nl, write):
 def _write(value, nl, write):
     """Write the text of json.dumps(value, sort_keys=True, indent=2)
     through `write`, one call per array that holds no array or object, so
-    that a point is one join and not one call per coordinate, and a list
-    of rows of ints and strings in chunks (write_rows); a value with a
-    write_json(nl, write) method, such as a cli.Locus, writes its own text
-    for the list it stands for.  `nl` is the newline and indent that
+    that a point is one join and not one call per coordinate; a value with
+    a write_json(nl, write) method, such as a cli.Locus, writes its own
+    text for the list it stands for.  `nl` is the newline and indent that
     precede the closing bracket of `value`.  Object keys must be strings,
     as they are in every document."""
     if isinstance(value, dict):
@@ -434,11 +421,6 @@ def _write(value, nl, write):
     elif isinstance(value, (list, tuple)):
         if not value:
             write("[]")
-            return
-        columns = _cell_columns(value)
-        if columns is not None:
-            write_rows([((v, v) for v in set(col)) for col in columns],
-                       columns, len(value), nl, write)
             return
         inner = nl + "  "
         texts = []

@@ -17,6 +17,13 @@ ResourceLimitError.  The default modulus of each order up to the cap and
 its primitive element are read from one shipped table, ``_DEFAULTS``, the
 way computer-algebra systems ship Conway polynomials: a build searches
 for neither.
+
+Univariate polynomials over any of these fields, or over any object with
+their operations (`smith.RationalFunctions`), are dense coefficient lists,
+lowest degree first and trimmed, so [] is zero and len - 1 the degree.
+One kit here serves every caller: `_mul`, `_submul` (x - q*y), `udivmod`,
+`_gcd` (Euclid), `_powmod` (square and multiply modulo a polynomial) and
+`_horner` (evaluation at many points).
 """
 
 from fractions import Fraction
@@ -210,38 +217,33 @@ class PrimeField:
         return "F%d" % self.p
 
 
-def _polymulmod(p, mod_vec, a, b):
-    """Multiply coefficient vectors a, b over F_p modulo the monic mod_vec."""
-    m = len(mod_vec) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-    for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for k in range(m):
-                prod[d - m + k] = (prod[d - m + k] - c * mod_vec[k]) % p
-    return tuple(prod[:m]) + (0,) * (m - len(prod))
+def _mul(F, a, b):
+    """a*b on coefficient lists."""
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    add, mul = F.add, F.mul
+    for i, c in enumerate(a):
+        for j, v in enumerate(b, i):
+            out[j] = add(out[j], mul(c, v))
+    return out
 
 
-def _vecpow(p, mod_vec, a, e):
-    """a**e, e >= 0, for a coefficient vector a modulo the monic mod_vec."""
-    result = (1,) + (0,) * (len(mod_vec) - 2)
-    while e:
-        if e & 1:
-            result = _polymulmod(p, mod_vec, a, result)
-        a = _polymulmod(p, mod_vec, a, a)
-        e >>= 1
-    return result
+def _submul(F, x, q, y):
+    """x - q*y on coefficient lists."""
+    out = x + [F.zero] * (len(q) + len(y) - 1 - len(x))
+    sub, mul = F.sub, F.mul
+    for i, c in enumerate(q):
+        if c != F.zero:
+            for j, b in enumerate(y, i):
+                out[j] = sub(out[j], mul(c, b))
+    while out and out[-1] == F.zero:
+        out.pop()
+    return out
 
 
 def udivmod(F, a, b):
-    """Quotient and remainder of the coefficient list a by b over the field
-    F, each list lowest degree first and trimmed (so [] is zero)."""
+    """Quotient and remainder of the coefficient list a by b over F."""
     db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -261,6 +263,35 @@ def udivmod(F, a, b):
     return q, r
 
 
+def _gcd(F, a, b):
+    """A gcd of the coefficient lists a and b, not made monic: Euclid's
+    last nonzero remainder."""
+    while b:
+        a, b = b, udivmod(F, a, b)[1]
+    return a
+
+
+def _powmod(F, a, e, f):
+    """a**e mod f, e >= 0 and f of degree >= 1, on coefficient lists:
+    square and multiply."""
+    out = [F.one]
+    while e:
+        if e & 1:
+            out = udivmod(F, _mul(F, out, a), f)[1]
+        a = udivmod(F, _mul(F, a, a), f)[1]
+        e >>= 1
+    return out
+
+
+def _horner(F, coeffs, values):
+    """The coefficient list coeffs (not []) evaluated at each of `values`."""
+    add, mul = F.add, F.mul
+    acc = [coeffs[-1]] * len(values)
+    for c in coeffs[-2::-1]:
+        acc = [add(mul(a, b), c) for a, b in zip(acc, values)]
+    return acc
+
+
 def _is_irreducible(p, poly):
     """Whether the monic `poly` is irreducible over F_p: no root, and then
     Ben-Or's test (FOCS 1981): gcd(poly, x^(p^i) - x) = 1 for 2 <= i <= d/2,
@@ -270,25 +301,15 @@ def _is_irreducible(p, poly):
         return False
     if d == 1:
         return True
-    for a in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
     F = PrimeField(p)
-    power = (0, 1) + (0,) * (d - 2)  # x^(p^i) mod poly, from i = 0
+    if F.zero in _horner(F, poly, range(p)):
+        return False
+    power = [0, 1]  # x^(p^i) mod poly, from i = 0
     for i in range(1, d // 2 + 1):
-        power = _vecpow(p, poly, power, p)
+        power = _powmod(F, power, p, poly)
         if i == 1:
             continue  # gcd(poly, x^p - x) = 1: poly has no root
-        a, b = list(poly), list(power)
-        b[1] = (b[1] - 1) % p
-        while b and b[-1] == 0:
-            b.pop()
-        while b:
-            a, b = b, udivmod(F, a, b)[1]
-        if len(a) > 1:
+        if len(_gcd(F, poly, _submul(F, power, [1], [0, 1]))) > 1:
             return False
     return True
 
@@ -582,20 +603,13 @@ def extension_of(field, e):
         big = ExtensionField(field.p, e)
         return big, (lambda a: a)  # digit-0 encoding keeps constants fixed
     big = ExtensionField(field.p, field.m * e)
-    root = None
-    for cand in big.elements():
-        acc = 0
-        for c in reversed(field.modulus):
-            acc = big.add(big.mul(acc, cand), c % field.p)
-        if acc == 0:
-            root = cand
-            break
+    # the roots of field.modulus lie in the copy of F_q in big, whose units
+    # are the powers of g^((Q - 1)/(q - 1)): the least is the first root in
+    # int order
+    units = big._exp[:big._n:big._n // (field.order - 1)]
+    root = min((c for c, v in zip(units, _horner(big, field.modulus, units))
+                if v == big.zero), default=None)
     if root is None:
         raise InternalError("modulus has no root in the extension (impossible)")
-    table = []
-    for a in field.elements():
-        acc = 0
-        for c in reversed(field.vec(a)):
-            acc = big.add(big.mul(acc, root), c)
-        table.append(acc)
+    table = [_horner(big, field.vec(a), (root,))[0] for a in field.elements()]
     return big, (lambda a: table[a])

@@ -470,7 +470,11 @@ class _PolyParser:
 
 def parse_poly(ring, text):
     parser = _PolyParser(ring, text)
-    terms = parser.expr()
+    try:
+        terms = parser.expr()
+    except RecursionError:  # one level of recursion per parenthesis
+        parser.fail("parentheses nested past sys.getrecursionlimit()",
+                    limit=True)
     if parser.tokens[parser.i] is not None:
         parser.fail("trailing input %r" % parser.tokens[parser.i])
     return Poly(ring, terms)

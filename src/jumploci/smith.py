@@ -4,11 +4,10 @@ Both rings are PIDs; the algorithm is the classical Euclidean one.  Row
 operations act on the matrix alone; column operations are also kept as V
 and V^{-1} when the caller asks for them, so the columns of A V past the
 divisors are zero and the matching columns of V span ker A.  It runs on
-dense coefficient lists of field elements (lowest degree first and
-trimmed, so [] is zero and len - 1 the degree) through the field's own
-operations.  The worker takes rows of term dicts: a Matrix gives its
-entries' terms and gets Poly entries back once on exit, while the
-fibered route of `complexes` hands it the term dicts of a
+the coefficient lists of `fields`, through that module's kit and the
+field's own operations.  The worker takes rows of term dicts: a Matrix
+gives its entries' terms and gets Poly entries back once on exit, while
+the fibered route of `complexes` hands it the term dicts of a
 Matrix.evaluator plan and keeps the divisors as lists, so no Poly or
 Matrix is built per head.  Laurent input is first cleared by row shifts
 (unit scalings), so the elimination itself always runs on ordinary
@@ -32,7 +31,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import UnsupportedRingError
-from .fields import udivmod
+from .fields import _gcd, _horner, _mul, _submul, udivmod
 from .matrices import Matrix
 from .rings import Poly
 
@@ -52,19 +51,6 @@ def _poly(ring, c):
     """The Poly of the coefficient list c."""
     zero = ring.field.zero
     return Poly(ring, {(e,): v for e, v in enumerate(c) if v != zero})
-
-
-def _submul(F, x, q, y):
-    """x - q*y on coefficient lists."""
-    out = x + [F.zero] * (len(q) + len(y) - 1 - len(x))
-    sub, mul = F.sub, F.mul
-    for i, c in enumerate(q):
-        if c != F.zero:
-            for j, b in enumerate(y, i):
-                out[j] = sub(out[j], mul(c, b))
-    while out and out[-1] == F.zero:
-        out.pop()
-    return out
 
 
 class SmithForm(namedtuple("SmithForm", "V divisors V_inv")):
@@ -254,27 +240,6 @@ def smith_divisors(matrix):
                  for c in _dense_divisors(ring, _rows(matrix), matrix.ncols))
 
 
-def _horner(F, coeffs, values):
-    """The coefficient list coeffs (not []) evaluated at each of `values`."""
-    add, mul = F.add, F.mul
-    acc = [coeffs[-1]] * len(values)
-    for c in coeffs[-2::-1]:
-        acc = [add(mul(a, b), c) for a, b in zip(acc, values)]
-    return acc
-
-
-def _mul(F, a, b):
-    """a*b on coefficient lists."""
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    add, mul = F.add, F.mul
-    for i, c in enumerate(a):
-        for j, v in enumerate(b, i):
-            out[j] = add(out[j], mul(c, v))
-    return out
-
-
 class _Swell(Exception):
     """A numerator or denominator of a shared elimination passed its bound."""
 
@@ -302,9 +267,7 @@ class RationalFunctions:
         if not num:
             return self.zero
         if len(den) > 1:
-            g, r = num, den
-            while r:
-                g, r = r, udivmod(F, g, r)[1]
+            g = _gcd(F, num, den)
             if len(g) > 1:
                 num, den = udivmod(F, num, g)[0], udivmod(F, den, g)[0]
         if den[-1] != F.one:

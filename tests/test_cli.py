@@ -257,8 +257,9 @@ def test_error_report_is_structured(docs, capsys):
 
 
 def _write(tmp_path, name, doc):
+    """Write `doc` as JSON to tmp_path/name, or verbatim when a string."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(p)
 
 
@@ -464,6 +465,14 @@ def _load_argv(doc, path):
     (dict(CGA_Q, mult=None), "DocumentError"),
     (dict(CGA_Q, mult=[[1, 5, 1, 0, [-1]]]), "DocumentError"),
     (dict(CGA_Q, mult=[[0, 1, 0, 0, [1]]]), "DocumentError"),
+    # nested past the recursion limit: an entry in 1200 parentheses, and a
+    # ring of 100 000 nested arrays, which json.load cannot read
+    (dict(NON_OBJECT_RING, ring=RING_X,
+          differentials=[[["(" * 1200 + "x" + ")" * 1200]]]),
+     "ResourceLimitError"),
+    pytest.param('{"type": "free-complex", "ring": %s}'
+                 % ("[" * 100000 + "]" * 100000), "DocumentError",
+                 id="doc14-DocumentError"),
 ])
 def test_malformed_documents_give_error_reports(doc, error, capsys, tmp_path):
     path = _write(tmp_path, "bad.cc", doc)
@@ -787,16 +796,16 @@ def test_a_structured_report_builds_no_list_of_rows(capsys, monkeypatch):
     # it: no list of row lists is built, and none is handed to the writer
     from jumploci import documents
     built, handed = [], []
-    cell_columns = documents._cell_columns
+    write = documents._write
 
-    def spy_cell_columns(value):
-        columns = cell_columns(value)
-        if columns is not None:
+    def spy_write(value, nl, out):
+        if isinstance(value, list) and value and all(
+                isinstance(row, (list, tuple)) for row in value):
             handed.append(value)
-        return columns
+        write(value, nl, out)
     monkeypatch.setattr(cli, "point_list",
                         lambda *args: built.append("point_list"))
-    monkeypatch.setattr(documents, "_cell_columns", spy_cell_columns)
+    monkeypatch.setattr(documents, "_write", spy_write)
     code, out = run(capsys, "jumploci", "--complex",
                     SAMPLES + "plane-curves.cc", "--i", "1", "--q", "17",
                     "--ext", "2", "--format", "structured")

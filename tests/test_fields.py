@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError, ResourceLimitError
 from jumploci.fields import (_DEFAULTS, _TABLE_CAP, ExtensionField,
-                             PrimeField, _is_irreducible, _polymulmod,
-                             _tabled, extension_of, factor_prime_power,
-                             field_make, finite_field, irreducible_modulus,
-                             is_prime)
+                             PrimeField, _is_irreducible, _tabled,
+                             extension_of, factor_prime_power, field_make,
+                             finite_field, irreducible_modulus, is_prime)
 
 from oracles import (extension_field_tables, first_irreducible,
                      first_primitive, is_irreducible_by_trial_division,
-                     monic_polys, number)
+                     monic_polys, number, upoly_mod, upoly_mul)
 
 
 def test_field_make_prime():
@@ -160,18 +159,19 @@ def test_scalar_str():
     assert F9.scalar_str(F9.zero) == "0"
 
 
-# -- exp/log/Zech arithmetic against the digit-wise / _polymulmod reference --
+# -- exp/log/Zech arithmetic against the digit-wise / oracle-product reference
 
 EXT_ORDERS = (4, 8, 9, 25, 27, 512, 625, 729, 1024)
 EXT_FIELDS = {q: finite_field(q) for q in EXT_ORDERS}
 
 
 def _ref_mul(F, a, b):
-    return number(_polymulmod(F.p, F.modulus, F.vec(a), F.vec(b)), F.p)
+    prod = upoly_mul(list(F.vec(a)), list(F.vec(b)), F.p)
+    return number(upoly_mod(prod, list(F.modulus), F.p), F.p)
 
 
 def _ref_pow(F, a, e):
-    """a**e by square-and-multiply over _polymulmod; a**-k = a**(k(q-2))."""
+    """a**e by square-and-multiply over _ref_mul; a**-k = a**(k(q-2))."""
     if e < 0:
         e = -e * (F.order - 2)
     result = F.one
@@ -276,8 +276,8 @@ def test_tables_equal_one_product_per_power(p, m):
 def test_primitive_element_is_found_by_the_table_walk(monkeypatch):
     # a modulus that is not the default one has no tabled g: each candidate
     # is tested by its walk, which returns to 1 before q - 1 steps unless
-    # it is primitive, with no polynomial product (Ben-Or's test, which
-    # makes them, is stood in for by trial division)
+    # it is primitive, with no polynomial power (Ben-Or's test, which
+    # takes them, is stood in for by trial division)
     from jumploci import fields
     cases = (((1, 1, 0, 1, 1, 1, 1, 0, 1), 2, 9), ((2, 0, 1, 0, 1), 3, 12),
              ((5, 0, 0, 0, 1), 17, 309))
@@ -286,9 +286,40 @@ def test_primitive_element_is_found_by_the_table_walk(monkeypatch):
         assert modulus != irreducible_modulus(p, len(modulus) - 1)
         assert first_primitive(p, modulus) == g
     monkeypatch.setattr(fields, "_is_irreducible", lambda p, poly: True)
-    monkeypatch.setattr(fields, "_polymulmod", None)
+    monkeypatch.setattr(fields, "_powmod", None)
     for modulus, p, g in cases:
         assert ExtensionField(p, len(modulus) - 1, modulus).primitive() == g
+
+
+# the sha256 of the embedding table of extension_of(F_q, e), recorded
+# before the root search and the table ran on fields._horner: the first
+# root of F_q's modulus in int order fixes every printed coordinate of an
+# --ext locus over a non-prime base
+EMBEDDING_DIGESTS = {
+    (4, 2): "9b6f1e813d68772f9a644a6d64d3b46b34e2d55659dca4e24273f5275f9e5b17",
+    (4, 3): "eb75b00f069d2428fe6a34f120afb7f6cdd6d4514e7f92d44a591b14a740200d",
+    (8, 2): "9ed4e86cc8cbfc6d875af5e43b76aa27573e84a39b18070f65e8a0347e97fdd4",
+    (8, 3): "a71165fd02ea663b907f571f98d658c405659e2c04c83048c1077da2fff4a246",
+    (9, 2): "f72b2e5eceb770b8233b66e8ad89f5733ea0891bb86e835626e76cc670a69507",
+    (9, 3): "9a5c095f639e788cef719363a62cef9b1e3e23a0c8b8d15bcc0c33d6e7902821",
+    (16, 2): "512b518ea60d1ff9e594455cdf243eb44c0248869f905303beacb906ad0e9eac",
+    (16, 3): "dffa8889dd6994ce6cfd9c64bf9f8d81ab5b63ee1aeeb606be64cb2472ba8bdf",
+    (25, 2): "f41b8a8ebc74ef9b09e0af766f9b2142b97bf25f01e6921922a597c37ab66692",
+    (25, 3): "6680ad181629e85e68dca5fbbf9e8705e5619f976b6592fe16e5ed489caf7902",
+    (27, 2): "79f79e48340ef9cff65afdbd411d072995e969744b471932d717e49cbd48160b",
+    (27, 3): "c002e8b75f702a20803c82c32c0d0f9ecc7f3edd3786d91fb3715f6d6f1cb2e1",
+    (32, 2): "9e9a9b4790806767c00a76d73cc32db9d3b9b7b332f8018d943c8260a609f379",
+    (32, 3): "4303a3f363ffe89137ea09a540da32ee9ab1aee999b7e2d83b765e0b22d713e5",
+}
+
+
+def test_tower_embeddings_are_pinned():
+    assert all(q ** e <= _TABLE_CAP for q, e in EMBEDDING_DIGESTS)
+    for (q, e), digest in EMBEDDING_DIGESTS.items():
+        small = finite_field(q)
+        emb = extension_of(small, e)[1]
+        text = " ".join(str(emb(a)) for a in small.elements())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (q, e)
 
 
 @pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3)])

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumploci.errors import UnsupportedRingError
-from jumploci.fields import PrimeField, Rationals, finite_field, udivmod
+from jumploci.fields import (PrimeField, Rationals, _gcd, _horner, _mul,
+                             _powmod, finite_field, udivmod)
 from jumploci.matrices import Matrix
 from jumploci.rings import Poly, Ring, parse_poly, poly_to_str
 from jumploci.smith import (_dense_divisors, kernel_matrix, smith_divisors,
                             smith_normal_form, vanishing_counts)
 
 from oracles import det, reference_smith_form, udivmod as poly_udivmod
-from oracles import upoly_gcd, upoly_mul
+from oracles import upoly_gcd, upoly_mod, upoly_mul
 
 F5 = PrimeField(5)
 Q = Rationals()
@@ -31,8 +32,9 @@ def test_udivmod():
     assert udivmod(Q, a, [Q.from_int(2)]) == ([x / 2 for x in a], [])
     with pytest.raises(ZeroDivisionError):
         udivmod(Q, a, [])
-    # over F_5, against the oracle's product: q * b + r == a, deg r < deg b
-    rng = random.Random(7)
+    # over F_5, against the oracle's product: q * b + r == a, deg r < deg b;
+    # and the rest of the coefficient-list kit against the oracles
+    rng, exponents = random.Random(7), random.Random(8)
     for _ in range(50):
         a = [rng.randrange(5) for _ in range(rng.randint(0, 6))]
         b = [rng.randrange(5) for _ in range(rng.randint(0, 3))] + [rng.randrange(1, 5)]
@@ -45,6 +47,17 @@ def test_udivmod():
         while total and total[-1] == 0:
             total.pop()
         assert total == a
+        assert _mul(F5, a, b) == upoly_mul(a, b, 5)
+        g = _gcd(F5, a, b)
+        assert upoly_gcd(g, [], 5) == upoly_gcd(a, b, 5)
+        e, f = exponents.randrange(30), b + [1]  # f of degree >= 1
+        power = [1]
+        for _ in range(e):
+            power = upoly_mod(upoly_mul(power, a, 5), f, 5)
+        assert _powmod(F5, a, e, f) == power
+        if a:
+            assert _horner(F5, a, range(5)) == [
+                sum(c * x ** i for i, c in enumerate(a)) % 5 for x in range(5)]
 
 
 def test_diagonal_example():
