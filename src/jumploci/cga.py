@@ -22,6 +22,7 @@ from .complexes import (FreeChainComplex, Verdict, homology_dim_at,
 from .errors import InternalError, PreconditionError
 from .matrices import Matrix
 from .rings import Ideal, Ring, unit_ideal, zero_ideal
+from .varieties import Space
 
 
 class GradedAlgebra:
@@ -381,7 +382,11 @@ def generic_vanishing_experiment(shape, i, trials, field, seed):
     witnesses = []
     for trial in range(trials):
         A = sample_cga(BShape(dims), F, "%s:%d" % (seed, trial))
-        nontrivial = {p for p in resonance_points(A, i, 1) if p != zero}
+        pts = resonance_points(A, i, 1)
+        if isinstance(pts, Space):  # all of A^1: its least nonzero point
+            nontrivial = [zero[:-1] + (F.one,)] if zero else []
+        else:
+            nontrivial = [p for p in pts if p != zero]
         if nontrivial:
             resonant_count += 1
             witness = min(nontrivial)

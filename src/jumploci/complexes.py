@@ -15,7 +15,7 @@ from operator import add, neg, sub
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
 from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
                        standard_monomial_count, syzygy_matrix)
-from .linalg import mat_rank, mat_rank_stacked
+from .linalg import mat_rank, mat_rank_stacked, null_space
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
 from .rings import Poly, Ring, unit_ideal, zero_ideal
@@ -335,6 +335,57 @@ def _whole_space(E, i, d, field, torus, emb):
     return None
 
 
+def _kernel_jump_points(E, i, d, field, torus, emb):
+    """The jump locus of a free complex whose d_i is one row of linear
+    forms of rank r, so nonzero away from 0, and whose d_{i+1} has linear
+    entries, d_{i+1}(x) = sum_j x_j M_j: E_A at i = 1, and its pullback
+    along an injective nu-bar^*.
+
+    Away from 0 rank d_i = 1, so dim H_i >= d exactly where rank d_{i+1}
+    <= c_{i+1} - e, e = c_{i+1} - c_i + 1 + d; at 0, dim H_i = c_i >= d.
+    For e <= 0 that is every point.  For e = 1 it says the columns of
+    d_{i+1}(x) are dependent: d_{i+1}(x) phi = B_phi x = 0 for some phi !=
+    0, with B_phi[t][j] = sum_u M_j[t][u] phi_u.  So the locus is the
+    union of the kernels of B_phi over the projective phi, one `null_space`
+    each, and the origin, which c_{i+1} = 0 leaves with no phi."""
+    r, zero = E.ring.nvars, field.zero
+    d_i, d_next = E.differential(i), E.differential(i + 1)
+    e = E.rank(i + 1) - E.rank(i) + 1 + d
+    if d_i.nrows != 1 or e > 1 or (e == 1 and field.order >= FIBER_MIN_Q):
+        return None
+    if not all(x.count(1) == 1 and x.count(0) == r - 1
+               for M in (d_i, d_next) for row in M.entries for p in row
+               for x in p.terms):
+        return None
+    units = [tuple(field.one if v == j else zero for v in range(r))
+             for j in range(r)]
+    forms = d_i.evaluator(field, emb)
+    if mat_rank(field, [forms(x)[0] for x in units]) < r:
+        return None
+    if e <= 0:
+        return Space(field, r, torus)
+    at = d_next.evaluator(field, emb)
+    M = [at(x) for x in units]
+    add, mul = field.add, field.mul
+    kernels = set()
+    for k in range(d_next.ncols):  # phi = (0, .., 0, 1, tail)
+        for tail in product(field.elements(), repeat=d_next.ncols - k - 1):
+            phi = [(u, c) for u, c in enumerate(tail, k + 1) if c != zero]
+            kernels.add(tuple(null_space(field, [
+                [reduce(add, [mul(Mj[t][u], c) for u, c in phi], Mj[t][k])
+                 for Mj in M] for t in range(d_i.ncols)], r)))
+    if any(len(K) == r for K in kernels):
+        return Space(field, r, torus)
+    out = {(zero,) * r}
+    for K in kernels:
+        points = [(zero,) * r]
+        for v in K:
+            multiples = [tuple(mul(c, b) for b in v) for c in field.elements()]
+            points = [tuple(map(add, x, y)) for x in points for y in multiples]
+        out.update(points)
+    return {x for x in out if zero not in x} if torus else out
+
+
 def _orbit_jump_points(E, i, d, field, torus, emb):
     """The jump locus of a free complex whose d_i and d_{i+1} are graded,
     one coordinate stratum at a time, ranked at one point per torus orbit.
@@ -602,16 +653,21 @@ def _pointwise_jump_points(E, i, d, field, torus, emb):
 
 # The routes of jump_locus_points in the order it tries them, a fixed
 # rule with no flag or option: each returns the locus or declines with
-# None.  The first three read the minors of a free complex along its
+# None.  The first four read the minors of a free complex along its
 # coordinates, and decline a presented complex and a ring in no variable;
-# `_whole_space` also declines a locus its grid does not certify whole,
-# `_orbit_jump_points` a d_i and d_{i+1} with no grading, and
+# `_whole_space` also declines a locus its grid does not certify whole;
+# `_kernel_jump_points` a d_i that is not one row of linear forms of rank
+# r, a d_{i+1} with a nonlinear entry, and an e = c_{i+1} - c_i + 1 + d
+# above 1, or of 1 over a field of at least FIBER_MIN_Q elements, where
+# the orbit route reads its lines by Smith forms and is as fast;
+# `_orbit_jump_points` a d_i and d_{i+1} with no grading; and
 # `_fibered_jump_points` a field of fewer than FIBER_MIN_Q elements, over
 # which the Smith divisors of a line cost more than ranking its q points
 # (README gives the measured crossover, and why the threshold sits above
 # it).  The last declines nothing.
 FIBER_MIN_Q = 16
-ROUTES = (*map(_free_in_some_variable, (_whole_space, _orbit_jump_points,
+ROUTES = (*map(_free_in_some_variable, (_whole_space, _kernel_jump_points,
+                                        _orbit_jump_points,
                                         _fibered_jump_points)),
           _pointwise_jump_points)
 

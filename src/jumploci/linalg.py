@@ -55,3 +55,29 @@ def mat_rank_stacked(F, blocks):
         return 0
     return mat_rank(F, rows)
 
+
+def null_space(F, rows, ncols):
+    """A basis of {x in F^ncols : rows x = 0}, one vector per free column f
+    of the reduced echelon form of `rows` (1 at f, 0 at the other free
+    columns): that form depends only on the row space, so matrices with
+    one kernel give one basis."""
+    m, zero, pivots = [list(r) for r in rows], F.zero, []
+    for col in range(ncols):
+        k = len(pivots)
+        pivot = next((r for r in range(k, len(m)) if m[r][col] != zero), None)
+        if pivot is None:
+            continue
+        inv = F.inv(m[pivot][col])
+        m[pivot], m[k] = m[k], [F.mul(inv, c) for c in m[pivot]]
+        for r, mr in enumerate(m):
+            if r != k and mr[col] != zero:
+                m[r] = [F.sub(a, F.mul(mr[col], b)) for a, b in zip(mr, m[k])]
+        pivots.append(col)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [zero] * ncols
+        x[f] = F.one
+        for k, p in enumerate(pivots):
+            x[p] = F.neg(m[k][f])
+        basis.append(tuple(x))
+    return basis

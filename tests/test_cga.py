@@ -1,8 +1,11 @@
+import itertools
+import json
 import random
 
 import pytest
 
 from jumploci import cga, complexes
+from jumploci.cli import main
 from jumploci.complexes import jump_locus_points
 from jumploci.cga import (BShape, GradedAlgebra, aomoto_complex,
                           exterior_algebra, generic_vanishing_experiment,
@@ -16,7 +19,7 @@ from jumploci.rings import Poly, unit_ideal, zero_ideal
 from jumploci.varieties import (Space, extension_fields, points_where,
                                 zero_locus_points)
 
-from families import surface_algebra
+from families import graph_algebra, graph_resonance, surface_algebra
 from oracles import _matmul_mod_p, base_change, rank_by_minors
 
 Q = Rationals()
@@ -283,6 +286,22 @@ def test_experiment_shape_110_all_vanishing():
     assert rep["vanishing_count"] == 25
 
 
+def test_experiment_reads_a_whole_space_resonance_without_listing_it(
+        capsys, monkeypatch):
+    # on (1, 40, 3), e = c_2 - c_1 + 1 + d = 3 - 40 + 2 < 0, so R^1_1 is
+    # all of F_3^40, a Space: the experiment calls it resonant with its
+    # least nonzero point for a witness, and never walks its 3^40 points
+    def refuse(self):
+        raise AssertionError("a Space was listed")
+    monkeypatch.setattr(Space, "__iter__", refuse)
+    assert main("genres-experiment --shape 1,40,3 --i 1 --trials 1 "
+                "--q 3".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "results.resonant_count: 1" in lines
+    assert ("results.resonant_exemplar.witness: %s"
+            % json.dumps([0] * 39 + [1])) in lines
+
+
 def test_experiment_zero_trials_error():
     with pytest.raises(PreconditionError):
         generic_vanishing_experiment(BShape((1, 2, 1)), 1, 0, F3, 0)
@@ -350,6 +369,28 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
                       (1, 4): 16, (4, 6): 16}
 
 
+def test_resonance_of_a_1_4_3_algebra_is_57_eliminations(monkeypatch):
+    # over F_7, R^1_1 of a (1, 4, 3) algebra is the union of the kernels
+    # of the 4 x 4 matrices B_phi, one null space for each of the
+    # (7^3 - 1) / 6 = 57 projective phi in (A^2)^*, instead of a rank per
+    # torus orbit; the one mat_rank is the route's check that the forms of
+    # d_1 have rank 4, and none is taken at a point
+    F = finite_field(7)
+    A = sample_cga((1, 4, 3), F, "count:0")
+    counts = {"null_space": 0, "mat_rank": 0}
+    for name in counts:
+        def counted(*args, real=getattr(complexes, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(complexes, name, counted)
+    pts = resonance_points(A, 1, 1)
+    assert counts == {"null_space": 57, "mat_rank": 1}
+    monkeypatch.undo()
+    E = aomoto_complex(A)
+    assert pts == complexes._orbit_jump_points(E, 1, 1, F, False, None)
+    assert len(pts) > 1
+
+
 @pytest.mark.parametrize("q, g", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
                                   (5, 3), (9, 1), (9, 2)])
 def test_surface_algebra_resonance_is_the_closed_form(q, g):
@@ -361,3 +402,49 @@ def test_surface_algebra_resonance_is_the_closed_form(q, g):
             assert isinstance(pts, Space) and pts == Space(F, 2 * g, False)
         else:
             assert pts == ({(F.zero,) * (2 * g)} if d <= 2 * g else set())
+
+
+_GRAPHS = {
+    # trees, with b_2 = b_1 - 1: e = b_2 - b_1 + 1 + 1 = 1
+    "P3": (3, [(0, 1), (1, 2)], "_kernel_jump_points"),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)], "_kernel_jump_points"),
+    # e = 2 for the 4-cycle, and K_4 gives the exterior algebra, e = 4
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)], "_orbit_jump_points"),
+    "K4": (4, list(itertools.combinations(range(4), 2)),
+           "_orbit_jump_points"),
+}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+@pytest.mark.parametrize("graph", sorted(_GRAPHS))
+def test_graph_algebra_resonance_is_the_closed_form(graph, q, monkeypatch):
+    # R^1_1 of the cohomology of a right-angled Artin group is the union
+    # of the coordinate subspaces of its disconnected vertex sets, over
+    # F_3, F_5, F_7 and the extension fields F_4 and F_9; the paths take
+    # the kernel route, the 4-cycle and K_4 the orbit route
+    n, edges, route = _GRAPHS[graph]
+    F = finite_field(q)
+    A = graph_algebra(F, n, edges)
+    assert validate_cga(A).ok
+    answered = []
+
+    def spied(entry):
+        def run(*args):
+            out = entry(*args)
+            if out is not None:
+                answered.append(entry.__name__)
+            return out
+        return run
+    monkeypatch.setattr(complexes, "ROUTES",
+                        tuple(map(spied, complexes.ROUTES)))
+    assert resonance_points(A, 1, 1) == graph_resonance(F, n, edges)
+    assert answered == [route]
+    if graph == "P4" and q == 7:
+        assert len(graph_resonance(F, n, edges)) == 637
+
+
+def test_the_graph_algebra_of_k4_is_the_exterior_algebra():
+    F = finite_field(5)
+    K4 = graph_algebra(F, 4, _GRAPHS["K4"][1])
+    assert (K4.dims, K4.mult) == (exterior_algebra(F, 4).dims,
+                                  exterior_algebra(F, 4).mult)

@@ -17,7 +17,8 @@ from jumploci.complexes import (FIBER_MIN_Q, FinVerdict, FreeChainComplex,
                                 validate_complex, validate_presented)
 from jumploci.corpus import (random_bivariate_complex, random_free_complex,
                              random_laurent_complex)
-from jumploci.equivariant import build_E1, identity_nu
+from jumploci.equivariant import (FinAbGroup, NuData, build_E1, identity_nu,
+                                  pulled_back_aomoto_complex)
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
 from jumploci.groebner import ModuleSolver
@@ -909,8 +910,10 @@ def test_cone_route_is_fixed_by_the_column_degrees(monkeypatch):
             del answered[:]
             got = jump_locus_points(E, i, 1, F5)
             assert got == _table_locus(table, i, 1)
-            assert answered == ["_orbit_jump_points" if graded
-                                else "_pointwise_jump_points"], (E, i)
+            assert answered == [
+                "_kernel_jump_points" if E.ranks == (1, 2, 1) and i == 1
+                else "_orbit_jump_points" if graded
+                else "_pointwise_jump_points"], (E, i)
 
 
 def test_a_lattice_with_no_chart_takes_general_coordinates():
@@ -1044,7 +1047,8 @@ def test_orbit_route_ranks_one_point_per_orbit(q, monkeypatch):
     # below FIBER_MIN_Q each stratum's complex is ranked at every point of
     # its torus, so the points ranked are the representatives: as many as
     # the orbits a brute-force closure finds, (q - 1)^(|S| - k) on a
-    # stratum whose lattice has rank k
+    # stratum whose lattice has rank k.  The route is called itself, as
+    # H_1 of the Koszul complex of x, y is answered before it
     F = finite_field(q)
     R2, R3 = Ring(F, ("x", "y")), Ring(F, ("x", "y", "z"))
 
@@ -1080,7 +1084,7 @@ def test_orbit_route_ranks_one_point_per_orbit(q, monkeypatch):
                   for S in itertools.combinations(range(r), k)]
         for i in range(E.top + 1):
             del ranked[:]
-            got = jump_locus_points(E, i, 1, F)
+            got = complexes._orbit_jump_points(E, i, 1, F, False, None)
             assert got == _table_locus(homology_dims_table(E, F), i, 1)
             want = sum(_brute_force_orbits(E, i, S, F) for S in strata)
             assert len(ranked) == want, (E, i)
@@ -1426,12 +1430,54 @@ def _tensor_with_quotient(E, f, top):
                                         enumerate(E.ranks)], E.differentials)
 
 
+_F2 = finite_field(2)
+_EXTENSIONS = [(base, *extension_of(base, e)) for base, e in
+               ((_F2, 2), (_F2, 3), (finite_field(3), 2), (_F4, 2))]
+
+
+@st.composite
+def _aomoto_cases(draw):
+    """(E, 1, d, F, torus, embed): the universal Aomoto complex E_A of a
+    sampled algebra of shape (1, b, b - k), b <= 4 and k = 1, 2, so that
+    depth k has e = c_2 - c_1 + 1 + k = 1, over F_q with q < FIBER_MIN_Q
+    in any characteristic, 2 included, or read over F_{q^e} through
+    extension_of; or the pullback of E_A along a nu-bar onto Z^r, r = b or
+    b - 1, whose block is [I | N] with its columns permuted (so nu-bar^* is
+    injective) and to which jump_locus_points gives the algebra's own
+    field.  Shapes with q^b above 4096 points are cut to fewer
+    generators."""
+    kind = draw(st.sampled_from(["prime", "extension", "pullback"]))
+    F, emb = draw(st.sampled_from([finite_field(q) for q in
+                                   (2, 3, 4, 5, 7, 8, 9, 11, 13)])), None
+    if kind == "extension":
+        base, F, emb = draw(st.sampled_from(_EXTENSIONS))
+    k = draw(st.integers(1, 2))
+    b = draw(st.integers(k, 4))
+    while F.order ** b > 4096:
+        b -= 1
+    A = sample_cga((1, b, b - k), base if kind == "extension" else F,
+                   draw(st.integers(0, 99)))
+    E = aomoto_complex(A)
+    if kind == "pullback":
+        r = draw(st.integers(max(b - 1, 1), b))
+        rows = [[int(a == c) for c in range(r)] + [
+            draw(st.integers(-2, 2)) for _ in range(b - r)] for a in range(r)]
+        order = draw(st.permutations(range(b)))
+        E = pulled_back_aomoto_complex(A, NuData(
+            b, [[row[c] for c in order] for row in rows], (), FinAbGroup(r)))
+    return E, 1, draw(st.integers(1, b)), F, draw(st.booleans()), emb
+
+
 @st.composite
 def _route_cases(draw):
     """(E, i, d, F, torus, embed): a case of `_whole_space_cases` of any
     kind, graded or not, and a quarter of the time that complex tensored
     with S/(f) in degrees up to a drawn one, for f one of x, x - 1,
-    x z + 1 (z the last variable) and 0: a presented complex."""
+    x z + 1 (z the last variable) and 0: a presented complex; or, a
+    quarter of the time, a case of `_aomoto_cases`, which the kernel route
+    answers."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_aomoto_cases())
     E, i, d, F, torus, emb = draw(_whole_space_cases(
         _GRID_KINDS + ("planted", "column", "diagonal")))
     if draw(st.integers(0, 3)) == 0:

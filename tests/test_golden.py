@@ -90,6 +90,13 @@ GOLDEN = [
      0, "7f4ad1b0a2ff211b5063c21d3d98e7cf43b1d4a23d90b2690e116d9a1a92a0cf"),
     ("jumploci --complex samples/zero-pairing-page.cc --i 1 --d 1 --q 17",
      0, "98903443f7a7edefac63d4c063c041b7b9a458320e7382208945933cf87dd689"),
+    # the graph algebra of the path on 4 vertices, whose R^1_1 is two
+    # 3-planes of F^4 meeting in a plane, recorded while it was still
+    # ranked one torus orbit at a time
+    ("resonance --cga samples/path4.cga --i 1 --d 1 --q 7",
+     0, "53bb636060d71530a3cf77c59ba1905f27a1e247963b0b2606dbd70805d83b4c"),
+    ("resonance --cga samples/path4.cga --i 1 --d 1 --q 5 --ext 2",
+     0, "59e5f56f691dcd4d326343f5f6531022dac72136f4af0dea9013831efc348250"),
 ]
 
 

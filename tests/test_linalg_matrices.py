@@ -1,3 +1,4 @@
+import itertools
 import random
 from itertools import combinations
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError
 from jumploci.fields import PrimeField, Rationals, extension_of
-from jumploci.linalg import mat_rank
+from jumploci.linalg import mat_rank, null_space
 from jumploci.matrices import (Matrix, all_minors, block_diag_minors_ideal,
                                minors_ideal)
 from jumploci.rings import (Ideal, Poly, Ring, parse_poly, unit_ideal,
@@ -36,6 +37,34 @@ def test_rank_equals_minor_rank_exhaustive_random():
             n = rng.randint(1, 4)
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
             assert mat_rank(F, rows) == rank_by_minors(rows, p)
+
+
+def test_null_space_is_the_kernel_and_one_basis_per_kernel():
+    # the span of the basis is every x with rows x = 0, listed by brute
+    # force, and a matrix with the same row space (its rows mixed by an
+    # invertible matrix, with a zero row added) gives the same basis
+    rng = random.Random(11)
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            basis = null_space(F, rows, n)
+            kernel = {x for x in itertools.product(range(p), repeat=n)
+                      if all(sum(a * b for a, b in zip(row, x)) % p == 0
+                             for row in rows)}
+            span = {tuple(sum(c * v[j] for c, v in zip(cs, basis)) % p
+                          for j in range(n))
+                    for cs in itertools.product(range(p), repeat=len(basis))}
+            assert len(basis) == n - rank_by_minors(rows, p)
+            assert span == kernel
+            while True:
+                mix = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+                if rank_by_minors(mix, p) == m:
+                    break
+            mixed = [[sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                      for j in range(n)] for coeffs in mix] + [[0] * n]
+            assert null_space(F, mixed, n) == basis
 
 
 def test_det_against_cofactor_oracle():
