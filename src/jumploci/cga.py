@@ -10,8 +10,8 @@ complex over k[a1..a_{b_1}], the universal Aomoto complex, so resonance is
 its jump locus on the quadric a^2 = 0.  The quadrics are the entries of
 d_1 d_2, so `square_zero_jump_points` makes the one cut for E_A and for
 every pullback of it.  Loci are sets of coordinate tuples, or a `Space`
-for all of A^1, and points over an extension F_{q^e} come from the (field,
-embed) pair of jump_locus_points, as for every other locus.
+for all of A^1, over F_q or an extension F_{q^e} given by its field alone,
+as for every other locus.
 """
 
 import random
@@ -207,20 +207,18 @@ def square_zero_quadrics(E):
     return (E.differential(1) * E.differential(2)).row(0)
 
 
-def square_zero_jump_points(E, i, d, field, embed=None):
+def square_zero_jump_points(E, i, d, field):
     """The jump locus of E (E_A or a pullback of it) over `field`, cut by
     the square-zero quadrics when d >= 1: resonance, or pulled-back
-    resonance.  `field` and `embed` are those of jump_locus_points."""
-    pts = jump_locus_points(E, i, d, field, embed=embed)
+    resonance.  `field` is that of jump_locus_points."""
+    pts = jump_locus_points(E, i, d, field)
     if d < 1:
         return pts
-    # a nonempty locus means jump_locus_points accepted embed=None as an
-    # unchanged encoding of E's coefficients in `field`
     quadrics, zero = square_zero_quadrics(E), field.zero
     if all(q.is_zero() for q in quadrics):  # on E_A away from characteristic 2
         return pts
     return {w for w in pts
-            if all(q.evaluate(w, field, embed) == zero for q in quadrics)}
+            if all(q.evaluate(w, field) == zero for q in quadrics)}
 
 
 def in_resonance(A, a, i, d):
@@ -240,16 +238,16 @@ def in_resonance(A, a, i, d):
     return homology_dim_at(aomoto_complex(A), i, A.field)(tuple(a)) >= d
 
 
-def resonance_points(A, i, d, field=None, embed=None):
+def resonance_points(A, i, d, field=None):
     """All a in A^1 over `field` (default: the algebra's finite field) with
     a^2 = 0 and dim H^i(A, a) >= d: the jump locus of E_A cut by a^2 = 0
-    when d >= 1.  `field` and `embed` are those of jump_locus_points.
+    when d >= 1.  `field` is that of jump_locus_points.
 
     The result is checked to be a cone (closed under scaling): closed
     under a generator g of F^x, since for a finite set g*S in S is g*S = S,
     and so g^k*S = S for every unit g^k."""
     F = field if field is not None else A.field
-    pts = square_zero_jump_points(aomoto_complex(A), i, d, F, embed)
+    pts = square_zero_jump_points(aomoto_complex(A), i, d, F)
     if pts and isinstance(pts, set):  # a whole Space is a cone
         g, mul = F.primitive(), F.mul
         if any(tuple(mul(g, c) for c in p) not in pts for p in pts):

@@ -133,11 +133,11 @@ def point_list(field, pts):
 
 
 def _by_extension(extensions, locus):
-    """The by_extension block: for each (e, F_{q^e}, embed) of
-    `extensions`, the field order and the points of locus(F_{q^e}, embed)."""
+    """The by_extension block: for each (e, F_{q^e}) of `extensions`, the
+    field order and the points of locus(F_{q^e})."""
     return {str(e): {"field_order": big.order,
-                     "points": Locus(big, locus(big, emb))}
-            for e, big, emb in extensions}
+                     "points": Locus(big, locus(big))}
+            for e, big in extensions}
 
 
 def _target_field(args, declared=None):
@@ -172,7 +172,7 @@ def cmd_validate(args):
         # --q has replaced
         verdicts["complex"] = (validate_complex(E)
                                if isinstance(E, FreeChainComplex)
-                               else validate_presented(E, E.ring.field))
+                               else validate_presented(E))
     results = {name: {"ok": v.ok, "message": v.message,
                       "location": list(v.location) if v.location else None}
                for name, v in verdicts.items()}
@@ -191,8 +191,8 @@ def cmd_jumploci(args, E):
     base = _target_field(args, E.ring.field)
     result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
         extension_fields(base, args.ext),
-        lambda big, emb: jump_locus_points(E, args.i, args.d, big,
-                                           torus=args.torus, embed=emb))}
+        lambda big: jump_locus_points(E, args.i, args.d, big,
+                                      torus=args.torus))}
     if isinstance(E, FreeChainComplex):
         ideal = jump_locus_ideal(E, args.i, args.d)
         result["ideal"] = [poly_to_str(g) for g in ideal.generators]
@@ -215,22 +215,21 @@ def cmd_supports(args, E):
     extensions = list(extension_fields(base, args.ext))
     supports = {}  # (i, d, field) -> a support locus already computed
 
-    def support(i, d, big, emb):
+    def support(i, d, big):
         key = (i, d, big)
         if key not in supports:
-            supports[key] = support_points(E, i, d, big, torus=args.torus,
-                                           embed=emb)
+            supports[key] = support_points(E, i, d, big, torus=args.torus)
         return supports[key]
     result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
-        extensions, lambda big, emb: support(args.i, args.d, big, emb))}
+        extensions, lambda big: support(args.i, args.d, big))}
     if args.compare_v:
         comparison = {}
         agree = True
-        for e, big, emb in extensions:
-            w_union = _union([support(i2, 1, big, emb)
+        for e, big in extensions:
+            w_union = _union([support(i2, 1, big)
                               for i2 in range(args.i + 1)])
             v_union = _union([jump_locus_points(E, i2, 1, big,
-                                                torus=args.torus, embed=emb)
+                                                torus=args.torus)
                               for i2 in range(args.i + 1)])
             same = w_union == v_union
             agree = agree and same
@@ -249,7 +248,7 @@ def cmd_resonance(args, A):
         raise DocumentError("resonance enumeration needs --q")
     by_extension = _by_extension(
         extension_fields(A.field, args.ext),
-        lambda big, emb: resonance_points(A, args.i, args.d, big, emb))
+        lambda big: resonance_points(A, args.i, args.d, big))
     ideal = resonance_ideal(A, args.i, args.d)
     return {"results": {"i": args.i, "d": args.d, "by_extension": by_extension,
                         "ideal": [poly_to_str(g) for g in ideal.generators]}}, 0
@@ -316,8 +315,8 @@ def cmd_alexander(args, P, nu):
 def cmd_charvar(args, P, nu):
     result = {"i": args.i, "d": args.d, "by_extension": _by_extension(
         extension_fields(_target_field(args), args.ext),
-        lambda big, emb: characteristic_variety_points(P, nu, args.i, args.d,
-                                                       big))}
+        lambda big: characteristic_variety_points(P, nu, args.i, args.d,
+                                                  big))}
     return {"results": result}, 0
 
 

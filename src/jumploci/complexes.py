@@ -22,8 +22,7 @@ from .rings import Poly, Ring, unit_ideal, zero_ideal
 from .smith import (_dense_divisors, divisors_at_heads,
                     integer_column_echelon, smith_divisors, smith_normal_form,
                     vanishing_counts)
-from .varieties import (Space, coefficient_embedding, enumerate_coords,
-                        on_torus, points_where)
+from .varieties import Space, enumerate_coords, on_torus, points_where
 
 
 class Verdict(namedtuple("Verdict", "ok message location",
@@ -172,14 +171,14 @@ def _first_outside(R, M):
     return None
 
 
-def validate_presented(E, sample_field=None):
+def validate_presented(E):
     """Check differentials map relations into relations and composites vanish
     modulo relations.  Each degree lists its conditions in order: a matrix
     that must lie in the span of some relations, with its message at a
     column and at a point.  Rings in at most one variable get exact
     membership, read from invariants (`_first_outside`); multivariate rings
-    are checked pointwise over `sample_field` (required there), every
-    condition at a point before the next point."""
+    are checked at every point of their own field, which must be finite,
+    every condition at a point before the next point."""
     ring = E.ring
     for i in range(1, E.top + 1):
         d = E.differential(i)
@@ -198,13 +197,12 @@ def validate_presented(E, sample_field=None):
                 if j is not None:
                     return Verdict(False, at_column % j, (i, j))
             continue
-        if sample_field is None or not sample_field.is_finite:
+        F = ring.field
+        if not F.is_finite:
             raise PreconditionError(
                 "multivariate presented complexes are validated pointwise; "
                 "supply a finite sample field")
-        F = sample_field
-        emb = coefficient_embedding(ring.field, F)
-        plans = [(M.evaluator(F, emb), R.evaluator(F, emb), at_point)
+        plans = [(M.evaluator(), R.evaluator(), at_point)
                  for M, R, _, at_point in checks]
         for coords in enumerate_coords(F, ring.nvars, on_torus(ring)):
             for M_at, R_at, at_point in plans:
@@ -218,7 +216,7 @@ def validate_presented(E, sample_field=None):
 # pointwise homology
 
 
-def homology_dim_at(E, i, field, embed=None):
+def homology_dim_at(E, i, field):
     """The per-point evaluator: a callable coords -> dim H_i over `field`.
 
     Term k is g_k generators modulo the columns R_k of its relations (a free
@@ -229,7 +227,6 @@ def homology_dim_at(E, i, field, embed=None):
     evaluates and ranks d_i and d_{i+1} only.  Each distinct block's plan
     is built once here and applied once per point: R_{i-1}, read by two
     ranks, is evaluated once."""
-    emb = embed if embed is not None else coefficient_embedding(E.ring.field, field)
     d_out, rel_prev = E.differential(i), E.relations(i - 1)
     signed = [(-1, (E.differential(i + 1), E.relations(i)))]
     if d_out.nrows and d_out.ncols:
@@ -237,7 +234,7 @@ def homology_dim_at(E, i, field, embed=None):
     live = [(sign, [m for m in blocks if m.nrows and m.ncols])
             for sign, blocks in signed]
     distinct = {id(m): m for _, blocks in live for m in blocks}
-    plans = {key: m.evaluator(field, emb) for key, m in distinct.items()}
+    plans = {key: m.evaluator(field) for key, m in distinct.items()}
     terms = [(sign, [id(m) for m in blocks]) for sign, blocks in live if blocks]
     g_i = E.gens(i)
 
@@ -253,16 +250,15 @@ def homology_dim_at(E, i, field, embed=None):
     return dim
 
 
-def homology_dims_table(E, field, torus=False, embed=None):
+def homology_dims_table(E, field, torus=False):
     """{coords: [dim H_0, ..., dim H_n]} at every point of F^r (or the
     torus): a brute-force oracle for the tests, which no command calls.
     Independent of `homology_dim_at`, it ranks each d_j and relation block
     R_k once per point: dim H_j = g_j - rank R_j - im_j - im_{j+1}, with
     im_j = rank [d_j | R_{j-1}] - rank R_{j-1}, and 0 outside 1..n."""
     ring, n = E.ring, E.top
-    emb = embed if embed is not None else coefficient_embedding(ring.field, field)
-    diffs = [d.evaluator(field, emb) for d in E.differentials]
-    rels = [E.relations(k).evaluator(field, emb) for k in range(n + 1)]
+    diffs = [d.evaluator(field) for d in E.differentials]
+    rels = [E.relations(k).evaluator(field) for k in range(n + 1)]
 
     def dims(c):
         rel = [R(c) for R in rels]
@@ -274,7 +270,7 @@ def homology_dims_table(E, field, torus=False, embed=None):
             for c in enumerate_coords(field, ring.nvars, on_torus(ring, torus))}
 
 
-def jump_locus_points(E, i, d, field, torus=False, embed=None):
+def jump_locus_points(E, i, d, field, torus=False):
     """{w : dim H_i(E (x) S/m_w) >= d} over the finite field `field`, for
     1 <= d <= g_i the first answer of ROUTES, whose comment has the rule;
     a `Space` when it is all of F^r or of the torus."""
@@ -287,16 +283,15 @@ def jump_locus_points(E, i, d, field, torus=False, embed=None):
         return whole
     if d > E.gens(i):  # dim H_i <= g_i, and g_i = 0 outside 0..n
         return set()
-    emb = embed if embed is not None else coefficient_embedding(ring.field, field)
     for route in ROUTES:
-        points = route(E, i, d, field, torus, emb)
+        points = route(E, i, d, field, torus)
         if points is not None:
             # a set of s^r points is the whole space, and printed as one
             return (whole if isinstance(points, set)
                     and len(points) == whole.size else points)
 
 
-def _whole_space(E, i, d, field, torus, emb):
+def _whole_space(E, i, d, field, torus):
     """All of F^r (or the torus) when the grid below certifies that the
     jump locus of the free complex E is the whole space, else None.
 
@@ -329,13 +324,13 @@ def _whole_space(E, i, d, field, torus, emb):
     grid = chain(product(*[[c for c in s if c != zero] for s in sides]),
                  (x for x in product(*sides) if zero in x))
     # dim H_i >= d where rank d_i + rank d_{i+1} < k
-    plans = [M.evaluator(field, emb) for M in maps if M.nrows and M.ncols]
+    plans = [M.evaluator(field) for M in maps if M.nrows and M.ncols]
     if all(sum(mat_rank(field, at(x)) for at in plans) < k for x in grid):
         return Space(field, E.ring.nvars, torus)
     return None
 
 
-def _kernel_jump_points(E, i, d, field, torus, emb):
+def _kernel_jump_points(E, i, d, field, torus):
     """The jump locus of a free complex whose d_i is one row of linear
     forms of rank r, so nonzero away from 0, and whose d_{i+1} has linear
     entries, d_{i+1}(x) = sum_j x_j M_j: E_A at i = 1, and its pullback
@@ -359,12 +354,12 @@ def _kernel_jump_points(E, i, d, field, torus, emb):
         return None
     units = [tuple(field.one if v == j else zero for v in range(r))
              for j in range(r)]
-    forms = d_i.evaluator(field, emb)
+    forms = d_i.evaluator(field)
     if mat_rank(field, [forms(x)[0] for x in units]) < r:
         return None
     if e <= 0:
         return Space(field, r, torus)
-    at = d_next.evaluator(field, emb)
+    at = d_next.evaluator(field)
     M = [at(x) for x in units]
     add, mul = field.add, field.mul
     kernels = set()
@@ -386,7 +381,7 @@ def _kernel_jump_points(E, i, d, field, torus, emb):
     return {x for x in out if zero not in x} if torus else out
 
 
-def _orbit_jump_points(E, i, d, field, torus, emb):
+def _orbit_jump_points(E, i, d, field, torus):
     """The jump locus of a free complex whose d_i and d_{i+1} are graded,
     one coordinate stratum at a time, ranked at one point per torus orbit.
 
@@ -411,7 +406,7 @@ def _orbit_jump_points(E, i, d, field, torus, emb):
         return None
     F, r = field, E.ring.nvars
     mul, units = F.mul, F.units()
-    plans = {m: M.evaluator(F, emb)
+    plans = {m: M.evaluator(F)
              for m, M in enumerate((E.differential(i), E.differential(i + 1)))
              if M.nrows and M.ncols}
     out = set()
@@ -421,7 +416,7 @@ def _orbit_jump_points(E, i, d, field, torus, emb):
         lift = _lifter(F, r, S, pcols)
         if pcols and F.order >= FIBER_MIN_Q:
             reps = _fibered_jump_points(_stratum_complex(E, i, S, pcols), 1,
-                                        d, F, True, emb)
+                                        d, F, True)
         else:
             room = E.rank(i) - d - sum(
                 mat_rank(F, at(lift((F.one,) * len(pcols))))
@@ -574,7 +569,7 @@ def _orbit(F, r, S, kernel):
             for combo in product(*lists)]
 
 
-def _fibered_jump_points(E, i, d, F, torus, emb):
+def _fibered_jump_points(E, i, d, F, torus):
     """The jump locus of a free complex, one line x_1..x_{r-1} = h at a time.
 
     Substituting the head h turns d_i and d_{i+1} into matrices over F[t]
@@ -591,7 +586,7 @@ def _fibered_jump_points(E, i, d, F, torus, emb):
     fiber = [b for (b,) in enumerate_coords(F, 1, torus)]
     c_i = E.rank(i)
     out = set()
-    for head, chains in _head_divisors(E, i, F, torus, emb, fiber):
+    for head, chains in _head_divisors(E, i, F, torus, fiber):
         # how many divisors must vanish at b for dim H_i >= d
         need = d - c_i + sum(len(ch) for ch in chains)
         if need <= 0:
@@ -605,7 +600,7 @@ def _fibered_jump_points(E, i, d, F, torus, emb):
     return out
 
 
-def _head_divisors(E, i, F, torus, emb, fiber):
+def _head_divisors(E, i, F, torus, fiber):
     """(h, [the divisors of d_i(h, t), of d_{i+1}(h, t)]) for every head h.
 
     The plans that keep x_{r-1} and x_r give each matrix at an outer head
@@ -616,13 +611,13 @@ def _head_divisors(E, i, F, torus, emb, fiber):
     head either way."""
     ring = E.ring
     line = Ring(F, ring.variables[-1:], laurent=ring.laurent)
-    maps = [(M, M.evaluator(F, emb, line))
+    maps = [(M, M.evaluator(F, line))
             for M in (E.differential(i), E.differential(i + 1))]
     if ring.nvars == 1:
         yield (), [_dense_divisors(line, at(()), M.ncols) for M, at in maps]
         return
     plane = Ring(F, ring.variables[-2:], laurent=ring.laurent)
-    plans = [M.evaluator(F, emb, plane) for M, _ in maps]
+    plans = [M.evaluator(F, plane) for M, _ in maps]
     for outer in enumerate_coords(F, ring.nvars - 2, torus):
         shared = [divisors_at_heads(F, plan(outer), M.ncols, ring.laurent,
                                     fiber)
@@ -638,16 +633,16 @@ def _head_divisors(E, i, F, torus, emb, fiber):
 def _free_in_some_variable(route):
     """`route`, declining a presented complex and a ring in no variable."""
     @wraps(route)
-    def guarded(E, i, d, field, torus, emb):
+    def guarded(E, i, d, field, torus):
         if isinstance(E, FreeChainComplex) and E.ring.nvars >= 1:
-            return route(E, i, d, field, torus, emb)
+            return route(E, i, d, field, torus)
         return None
     return guarded
 
 
-def _pointwise_jump_points(E, i, d, field, torus, emb):
+def _pointwise_jump_points(E, i, d, field, torus):
     """The jump locus of any complex, dim H_i ranked at every point."""
-    dim_at = homology_dim_at(E, i, field, emb)
+    dim_at = homology_dim_at(E, i, field)
     return points_where(field, E.ring.nvars, torus, lambda c: dim_at(c) >= d)
 
 
@@ -855,7 +850,7 @@ def fitting_ideal(P, j):
     return minors_ideal(P.relations, size)
 
 
-def support_points(E, i, d, field, torus=False, embed=None):
+def support_points(E, i, d, field, torus=False):
     """Support of the d-th exterior power of H_i(E), as a point set: the
     zero locus of Fitt_{d-1} of a presentation S^m --P--> S^g of H_i(E).
     As dim (H_i(E) (x) S/m_w) = g - rank P(w), that is the degree-0,
@@ -864,7 +859,7 @@ def support_points(E, i, d, field, torus=False, embed=None):
         return Space(field, E.ring.nvars, on_torus(E.ring, torus))
     P = homology_presentation(E, i).relations
     two_term = FreeChainComplex(P.ring, [P.nrows, P.ncols], [P])
-    return jump_locus_points(two_term, 0, d, field, torus, embed)
+    return jump_locus_points(two_term, 0, d, field, torus)
 
 
 class FinVerdict(namedtuple("FinVerdict", "kind dim note",

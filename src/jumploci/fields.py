@@ -27,6 +27,7 @@ One kit here serves every caller: `_mul`, `_submul` (x - q*y), `udivmod`,
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import operator
 
 from .errors import InternalError, PreconditionError, ResourceLimitError
@@ -588,28 +589,40 @@ def finite_field(q):
 
 
 def extension_of(field, e):
-    """The degree-e extension of a finite field, with the embedding map.
-
-    Returns (bigger_field, embed) where embed takes elements of `field`
-    into the bigger field.  For e == 1 the identity is returned.
-    """
+    """The degree-e extension of a finite field: the field itself for
+    e == 1, else F_{p^(me)} with its default modulus."""
     if not field.is_finite:
         raise PreconditionError("extensions are only enumerated for finite fields")
     if e < 1:
         raise PreconditionError("extension degree must be >= 1")
-    if e == 1:
-        return field, (lambda a: a)
-    if isinstance(field, PrimeField):
-        big = ExtensionField(field.p, e)
-        return big, (lambda a: a)  # digit-0 encoding keeps constants fixed
-    big = ExtensionField(field.p, field.m * e)
-    # the roots of field.modulus lie in the copy of F_q in big, whose units
+    return field if e == 1 else ExtensionField(field.p, field.degree * e)
+
+
+def embedding(source, target):
+    """How the coefficients of `source` enter `target`, for Poly.evaluate
+    and Matrix.evaluator: None where the int encoding is unchanged (equal
+    fields, or a prime field, whose constants are digit 0, in a finite
+    field of its characteristic); for F_{p^m} in F_{p^(me)}, the table of
+    a -> its image, u sent to the least root of source.modulus in int
+    order, built once per pair; else PreconditionError."""
+    if source == target:
+        return None
+    if (source.is_finite and target.is_finite
+            and source.characteristic == target.characteristic
+            and target.degree % source.degree == 0):
+        return None if source.degree == 1 else _least_root_table(source, target)
+    raise PreconditionError("no embedding of %r into %r" % (source, target))
+
+
+@lru_cache(maxsize=None)
+def _least_root_table(small, big):
+    # the roots of small.modulus lie in the copy of F_q in big, whose units
     # are the powers of g^((Q - 1)/(q - 1)): the least is the first root in
     # int order
-    units = big._exp[:big._n:big._n // (field.order - 1)]
-    root = min((c for c, v in zip(units, _horner(big, field.modulus, units))
+    units = big._exp[:big._n:big._n // (small.order - 1)]
+    root = min((c for c, v in zip(units, _horner(big, small.modulus, units))
                 if v == big.zero), default=None)
     if root is None:
         raise InternalError("modulus has no root in the extension (impossible)")
-    table = [_horner(big, field.vec(a), (root,))[0] for a in field.elements()]
-    return big, (lambda a: table[a])
+    return tuple(_horner(big, small.vec(a), (root,))[0]
+                 for a in small.elements())

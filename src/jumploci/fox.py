@@ -240,8 +240,8 @@ def alexander_complex(P, nu, field):
 def characteristic_variety_points(P, nu, i, d, field):
     """Jump loci of the abelianized complex inside the character torus of
     `field` (unit-valued characters only).  The complex is built over
-    `field` itself: its coefficients are integers, which need no
-    embedding."""
+    `field` itself: its coefficients are integers, read in `field`
+    directly."""
     return jump_locus_points(alexander_complex(P, nu, field), i, d, field,
                              torus=True)
 

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 from .errors import PreconditionError
+from .fields import embedding
 from .rings import Ideal, Poly, unit_ideal, zero_ideal
 
 
@@ -88,14 +89,14 @@ class Matrix:
         return Matrix(ring, self.nrows, self.ncols,
                       [[Poly(ring, p.terms) for p in row] for row in self.entries])
 
-    def evaluate(self, coords, field=None, coeff_map=None):
+    def evaluate(self, coords, field=None):
         """Entrywise evaluation; returns a list-of-lists scalar matrix."""
-        return self.evaluator(field, coeff_map)(coords)
+        return self.evaluator(field)(coords)
 
-    def evaluator(self, field=None, coeff_map=None, kept=None):
+    def evaluator(self, field=None, kept=None):
         """The evaluation plan of this matrix: a callable coords -> the
-        list-of-lists scalar matrix at coords, with `field` and `coeff_map`
-        as in Poly.evaluate.  Given `kept`, a ring over `field` in the last
+        list-of-lists scalar matrix at coords, with `field` as in
+        Poly.evaluate.  Given `kept`, a ring over `field` in the last
         kept.nvars variables, coords is the prefix of the others, and each
         entry comes back as a term dict over `kept` with no zero coefficient.
 
@@ -106,12 +107,13 @@ class Matrix:
         each entry is a short sum.  A coefficient 1 is stored as None and
         costs no product."""
         F = field if field is not None else self.ring.field
+        table = embedding(self.ring.field, F)
         split = self.ring.nvars - (kept.nvars if kept is not None else 0)
         one = F.one
         index = {}
 
         def triple(e, c):
-            c = coeff_map(c) if coeff_map is not None else c
+            c = table[c] if table is not None else c
             return (index.setdefault(e[:split], len(index)), e[split:],
                     None if c == one else c)
 

@@ -11,6 +11,7 @@ from operator import add
 import re
 
 from .errors import ParseError, PreconditionError, ResourceLimitError
+from .fields import embedding
 
 
 class Ring:
@@ -193,18 +194,15 @@ class Poly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, coords, field=None, coeff_map=None):
-        """Evaluate at a coordinate tuple.
-
-        `field` is the field the coordinates live in (defaults to the
-        coefficient field); `coeff_map` embeds coefficients into it.  The
-        default embedding covers: same field, and prime field into one of
-        its extensions (the int encoding is unchanged).
-        """
+    def evaluate(self, coords, field=None):
+        """Evaluate at a coordinate tuple over `field`, the field the
+        coordinates live in (default: the coefficient field), which the
+        coefficients enter through `fields.embedding`."""
         F = field if field is not None else self.ring.field
+        table = embedding(self.ring.field, F)
         acc = F.zero
         for exps, c in self.terms.items():
-            v = coeff_map(c) if coeff_map is not None else c
+            v = table[c] if table is not None else c
             for i, e in enumerate(exps):
                 if e:
                     v = F.mul(v, F.pow(coords[i], e))

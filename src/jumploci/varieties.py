@@ -5,12 +5,17 @@ ideals are exact over any field, and their points are listed over F_q and
 its extensions F_{q^e}.  Laurent rings only have torus points (all
 coordinates invertible), so `on_torus` forces the torus restriction there.
 
-Every pointwise locus of the package (zero loci, and jump loci and so
-supports, resonance and its pullback) streams its coordinates from
-`enumerate_coords`, tests them one at a time, and keeps only the points of
-the locus, so memory is O(locus), not O(q^r).  A locus is a set of
-coordinate tuples over the enumeration field, or a `Space` of all of them;
-over F_{q^e} that field comes with the `embed` of `extension_fields`.
+No pointwise locus of the package holds a table of the q^r points.  Zero
+loci, and the jump-locus routes that rank point by point or line by line
+(and so supports, resonance and its pullback when they take them), stream
+their coordinates from `enumerate_coords` and keep only the points of the
+locus, so memory is O(locus).  The other routes of
+`complexes.jump_locus_points` build their loci otherwise: `_whole_space`
+ranks an `islice` grid of at most 2^-r of the points and answers with a
+`Space`, `_kernel_jump_points` lists the multiples of kernel bases, and the
+orbit route spreads each ranked point over its torus orbit.  A locus is a
+set of coordinate tuples over the enumeration field, or a `Space` of all
+of them.
 Every command takes its loci from `complexes.jump_locus_points`;
 `zero_locus_points` and `complexes.homology_dims_table` are oracles.
 """
@@ -20,25 +25,6 @@ from itertools import product
 
 from .errors import PreconditionError
 from .fields import extension_of
-
-
-def coefficient_embedding(ring_field, target_field):
-    """Default embedding of the coefficient field into the enumeration field,
-    as a coeff_map for Poly.evaluate (None means the encoding is unchanged).
-
-    Covers identical fields and a prime field inside any finite field of the
-    same characteristic.  Other towers need an explicit embedding from
-    fields.extension_of.
-    """
-    if ring_field == target_field:
-        return None
-    if (ring_field.is_finite and target_field.is_finite
-            and ring_field.characteristic == target_field.characteristic
-            and getattr(ring_field, "degree", None) == 1):
-        return None  # prime-field ints are valid indices in the extension
-    raise PreconditionError(
-        "no default embedding of %r into %r; pass one from extension_of"
-        % (ring_field, target_field))
 
 
 def enumerate_coords(field, r, torus):
@@ -88,25 +74,18 @@ def points_where(field, r, torus, test):
     return {c for c in enumerate_coords(field, r, torus) if test(c)}
 
 
-def zero_locus_points(ideal, field=None, torus=False, embed=None):
-    """The points of F^r (or the torus) where every generator vanishes.
-
-    `field` may be the coefficient field, a finite extension of a prime
-    coefficient field, or any field reachable through an explicit `embed`
-    map; default is the ring's own field.
-    """
+def zero_locus_points(ideal, field=None, torus=False):
+    """The points of F^r (or the torus) where every generator vanishes,
+    over `field` (default: the ring's own), which the coefficients enter
+    as in Poly.evaluate."""
     ring = ideal.ring
     F = field if field is not None else ring.field
-    emb = embed if embed is not None else coefficient_embedding(ring.field, F)
     gens = sorted(ideal.generators, key=lambda g: len(g.terms))
     return points_where(F, ring.nvars, on_torus(ring, torus), lambda c: all(
-        g.evaluate(c, F, emb) == F.zero for g in gens))
+        g.evaluate(c, F) == F.zero for g in gens))
 
 
 def extension_fields(base, max_ext):
-    """Yield (e, F_{q^e}, embed) for e = 1..max_ext, each field built once;
-    embed is the coeff_map from `base` into F_{q^e} (None where the
-    encoding is unchanged: e == 1, or a prime base field)."""
+    """Yield (e, F_{q^e}) for e = 1..max_ext, each field built once."""
     for e in range(1, max_ext + 1):
-        big, emb = extension_of(base, e)
-        yield e, big, (emb if e > 1 and base.degree > 1 else None)
+        yield e, extension_of(base, e)

@@ -18,6 +18,7 @@ from itertools import combinations
 from jumploci.complexes import FreeChainComplex
 from jumploci.errors import (ParseError, PreconditionError,
                              ResourceLimitError, UnsupportedRingError)
+from jumploci.fields import embedding
 from jumploci.matrices import Matrix, all_minors
 from jumploci.rings import Ideal, Poly
 
@@ -590,13 +591,14 @@ def add_acyclic_summand(E, m):
 # -- graded algebras over an extension field -----------------------------------
 
 
-def base_change(A, field, embed=None):
+def base_change(A, field):
     """The graded algebra A over an extension `field`, each structure
-    constant mapped through `embed` (None: the encoding is unchanged, as
-    for a prime field inside its extensions).  Its loci are enumerated over
-    `field` as the algebra's own field, with no embedding."""
-    f = embed if embed is not None else (lambda c: c)
-    mult = {key: [[[f(c) for c in vec] for vec in row] for row in block]
+    constant mapped in through the table of fields.embedding (None: the
+    encoding is unchanged, as for a prime field inside its extensions).
+    Its loci are enumerated over `field` as the algebra's own field."""
+    table = embedding(A.field, field)
+    mult = {key: [[[c if table is None else table[c] for c in vec]
+                   for vec in row] for row in block]
             for key, block in A.mult.items()}
     return type(A)(field, A.dims, mult)
 

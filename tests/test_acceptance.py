@@ -71,25 +71,24 @@ def _corpora():
     return univariate, bivariate
 
 
-def _ideal_vs_points(E, fields_with_embeds, dmax=4):
-    for field, emb in fields_with_embeds:
-        table = homology_dims_table(E, field, embed=emb)
+def _ideal_vs_points(E, fields, dmax=4):
+    for field in fields:
+        table = homology_dims_table(E, field)
         for i in range(E.top + 1):
             for d in range(1, dmax + 1):
                 ideal = jump_locus_ideal(E, i, d)
-                lhs = zero_locus_points(ideal, field, embed=emb)
+                lhs = zero_locus_points(ideal, field)
                 rhs = {c for c, dims in table.items() if dims[i] >= d}
                 assert lhs == rhs, (E.ring, i, d, field)
                 # the streamed route the CLI runs gives the same locus
-                streamed = jump_locus_points(E, i, d, field, embed=emb)
+                streamed = jump_locus_points(E, i, d, field)
                 assert streamed == lhs, (E.ring, i, d, field)
 
 
 def test_criterion_02_minor_ideal_oracle():
     started = time.monotonic()
     univariate, bivariate = _corpora()
-    f9, _ = extension_of(F3, 2)
-    fields = [(F3, None), (f9, None)]
+    fields = [F3, extension_of(F3, 2)]
     for E in univariate:
         _ideal_vs_points(E, fields)
     for E in bivariate:
@@ -103,7 +102,7 @@ def test_criterion_02_minor_ideal_oracle():
 def test_criterion_03_support_vs_jump_unions():
     started = time.monotonic()
     univariate, bivariate = _corpora()
-    f9, _ = extension_of(F3, 2)
+    f9 = extension_of(F3, 2)
     for E in univariate + bivariate:
         for field in (F3, f9):
             table = homology_dims_table(E, field)

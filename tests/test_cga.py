@@ -13,7 +13,8 @@ from jumploci.cga import (BShape, GradedAlgebra, aomoto_complex,
                           resonance_points, sample_cga, validate_cga)
 from jumploci.documents import dump_cga
 from jumploci.errors import InternalError, PreconditionError
-from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
+from jumploci.fields import (PrimeField, Rationals, embedding, extension_of,
+                             finite_field)
 from jumploci.matrices import Matrix
 from jumploci.rings import Poly, unit_ideal, zero_ideal
 from jumploci.varieties import (Space, extension_fields, points_where,
@@ -133,7 +134,7 @@ def test_resonance_ideal_matches_points():
 def test_resonance_ideal_extension_degree_two():
     A = exterior2(F3)
     ideal = resonance_ideal(A, 1, 1)
-    F9, _ = extension_of(F3, 2)
+    F9 = extension_of(F3, 2)
     locus = zero_locus_points(ideal, F9)
     # reload the algebra over F_9 to enumerate there directly
     A9 = pairing_cga(F9, 2, 1, {(0, 1): [1]})
@@ -143,21 +144,21 @@ def test_resonance_ideal_extension_degree_two():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_extension_resonance_against_the_base_changed_algebra(q):
-    # resonance over F_{q^e} through the (field, embed) pair equals the
-    # resonance of the algebra rebuilt over F_{q^e}; F_4 -> F_16 is the
-    # case whose embedding is not None
+    # resonance over F_{q^e}, whose evaluators map the coefficients in,
+    # equals the resonance of the algebra rebuilt over F_{q^e}; F_4 ->
+    # F_16 is the case whose embedding is a table, not None
     F = finite_field(q)
     nontrivial = 0
-    for e, big, emb in extension_fields(F, 3):
-        assert (emb is not None) == (e > 1 and q == 4)
+    for e, big in extension_fields(F, 3):
+        assert (embedding(F, big) is not None) == (e > 1 and q == 4)
         for shape in ((1, 3, 2), (1, 4, 3)):
             if e == 1 or big.order ** (shape[1] - 1) > 5000:
                 continue
             for seed in range(2):
                 A = sample_cga(BShape(shape), F, "ext:%d" % seed)
-                B = base_change(A, big, emb)
+                B = base_change(A, big)
                 for i, d in ((1, 1), (1, 2), (2, 1)):
-                    got = resonance_points(A, i, d, big, emb)
+                    got = resonance_points(A, i, d, big)
                     assert got == resonance_points(B, i, d), (shape, e, i, d)
                     nontrivial += len(got) > 1
     assert nontrivial
@@ -346,8 +347,8 @@ def test_resonance_evaluates_only_the_two_maps_it_ranks(monkeypatch):
         counts["evaluate"] += 1
         return evaluate(*args, **kwargs)
 
-    def counted_evaluator(self, field=None, coeff_map=None, kept=None):
-        at = evaluator(self, field, coeff_map, kept)
+    def counted_evaluator(self, field=None, kept=None):
+        at = evaluator(self, field, kept)
         key = (self.nrows, self.ncols)
         if kept is not None:
             key = ("prefix",) + key
@@ -387,7 +388,7 @@ def test_resonance_of_a_1_4_3_algebra_is_57_eliminations(monkeypatch):
     assert counts == {"null_space": 57, "mat_rank": 1}
     monkeypatch.undo()
     E = aomoto_complex(A)
-    assert pts == complexes._orbit_jump_points(E, 1, 1, F, False, None)
+    assert pts == complexes._orbit_jump_points(E, 1, 1, F, False)
     assert len(pts) > 1
 
 

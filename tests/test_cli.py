@@ -606,7 +606,7 @@ def test_broken_invariant_is_an_internal_error_report(capsys, monkeypatch):
     # a locus that is not scaling-invariant breaks the cone check
     from jumploci import cga
     monkeypatch.setattr(cga, "jump_locus_points",
-                        lambda E, i, d, field, embed: {(1, 0)})
+                        lambda E, i, d, field: {(1, 0)})
     code, out = run(capsys, "resonance", "--cga", SAMPLES + "exterior.cga",
                     "--i", "1", "--q", "3", "--format", "structured")
     assert code == 4

@@ -20,7 +20,8 @@ from jumploci.corpus import (random_bivariate_complex, random_free_complex,
 from jumploci.equivariant import (FinAbGroup, NuData, build_E1, identity_nu,
                                   pulled_back_aomoto_complex)
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
+from jumploci.fields import (PrimeField, Rationals, embedding, extension_of,
+                             finite_field)
 from jumploci.groebner import ModuleSolver
 from jumploci.matrices import Matrix
 from jumploci.rings import (Ideal, Poly, Ring, parse_poly, poly_to_str,
@@ -115,15 +116,17 @@ def test_validate_presented_augmentation():
 
 def test_validate_presented_multivariate_pointwise():
     # a presented complex over k[x, y]: quotient by (x) in degree zero,
-    # the inclusion-of-multiples map x: S -> S/(x) is zero on relations
-    R = Ring(F3, ("x", "y"))
-    x, y = R.var(0), R.var(1)
-    e0 = ModulePresentation(R, 1, Matrix(R, 1, 1, [[x]]))
-    e1 = ModulePresentation(R, 1, Matrix(R, 1, 0, [[]]))
-    E = PresentedChainComplex(R, (e0, e1), (Matrix(R, 1, 1, [[x]]),))
-    assert validate_presented(E, F3).ok
-    with pytest.raises(PreconditionError):
-        validate_presented(E)  # multivariate needs a sample field
+    # the inclusion-of-multiples map x: S -> S/(x) is zero on relations;
+    # it is sampled at the points of its ring's field, so Q[x, y] is refused
+    def complex_over(field):
+        R = Ring(field, ("x", "y"))
+        x = R.var(0)
+        e0 = ModulePresentation(R, 1, Matrix(R, 1, 1, [[x]]))
+        e1 = ModulePresentation(R, 1, Matrix(R, 1, 0, [[]]))
+        return PresentedChainComplex(R, (e0, e1), (Matrix(R, 1, 1, [[x]]),))
+    assert validate_presented(complex_over(F3)).ok
+    with pytest.raises(PreconditionError, match="supply a finite sample field"):
+        validate_presented(complex_over(Q))
 
 
 def _quotient_then_two_free_terms(ring, d_2):
@@ -150,7 +153,7 @@ def test_validate_presented_composite_modulo_relations():
     assert verdict.location == (2, 0)
     R2 = Ring(F3, ("x", "y"))
     verdict = validate_presented(
-        _quotient_then_two_free_terms(R2, lambda v: R2.one()), F3)
+        _quotient_then_two_free_terms(R2, lambda v: R2.one()))
     assert not verdict.ok
     assert verdict.message == ("d_1 . d_2 nonzero modulo relations at point "
                                "(0, 0)")
@@ -159,7 +162,7 @@ def test_validate_presented_composite_modulo_relations():
     # is the whole ring and d_2 = [1] lands there too
     assert validate_presented(_quotient_then_two_free_terms(R, lambda v: v)).ok
     assert validate_presented(
-        _quotient_then_two_free_terms(R2, lambda v: v), F3).ok
+        _quotient_then_two_free_terms(R2, lambda v: v)).ok
     L = Ring(F3, ("t",), laurent=True)
     assert validate_presented(
         _quotient_then_two_free_terms(L, lambda v: L.one())).ok
@@ -190,7 +193,7 @@ def test_validate_presented_reports_the_first_failing_point():
         return ModulePresentation(R, 1, Matrix(R, 1, 1, [[p]]))
     one = Matrix(R, 1, 1, [[R.one()]])
     E = PresentedChainComplex(R, (term(x), term(x), term(y)), (one, one))
-    assert validate_presented(E, F3) == complexes.Verdict(
+    assert validate_presented(E) == complexes.Verdict(
         False, "d_1 . d_2 nonzero modulo relations at point (0, 0)", (2,))
 
 
@@ -491,17 +494,17 @@ def _table_locus(table, i, d):
             if (dims[i] if 0 <= i < len(dims) else 0) >= d}
 
 
-def _assert_fibered_matches_table(E, field, torus=False, embed=None):
+def _assert_fibered_matches_table(E, field, torus=False):
     # so jump_locus_points goes fibered, or by orbits with fibered strata
     assert field.order >= FIBER_MIN_Q
-    _assert_locus_matches_table(E, field, torus, embed)
+    _assert_locus_matches_table(E, field, torus)
 
 
-def _assert_locus_matches_table(E, field, torus=False, embed=None):
-    table = homology_dims_table(E, field, torus=torus, embed=embed)
+def _assert_locus_matches_table(E, field, torus=False):
+    table = homology_dims_table(E, field, torus=torus)
     for i in range(-1, E.top + 2):
         for d in range(4):
-            got = jump_locus_points(E, i, d, field, torus=torus, embed=embed)
+            got = jump_locus_points(E, i, d, field, torus=torus)
             assert got == _table_locus(table, i, d), (E, i, d, field)
 
 
@@ -529,17 +532,15 @@ def test_fibered_route_bivariate_corpus_f17():
 
 
 def test_fibered_route_through_extension_embeddings():
-    # F_5 -> F_25 with the embedding of extension_of passed explicitly, and
-    # F_4 -> F_16 through extension_fields, whose embedding is not None
-    f25, emb25 = extension_of(F5, 2)
+    # F_5 -> F_25, whose encoding is unchanged, and F_4 -> F_16 from
+    # extension_fields, which maps u through fields.embedding's table
+    f25 = extension_of(F5, 2)
     f4 = finite_field(4)
-    (_, f16, emb16), = [x for x in extension_fields(f4, 2) if x[0] == 2]
-    assert emb16 is not None
+    (_, f16), = [x for x in extension_fields(f4, 2) if x[0] == 2]
+    assert embedding(F5, f25) is None and embedding(f4, f16) is not None
     for seed in range(12):
-        _assert_fibered_matches_table(random_bivariate_complex(F5, seed),
-                                      f25, embed=emb25)
-        _assert_fibered_matches_table(random_bivariate_complex(f4, seed),
-                                      f16, embed=emb16)
+        _assert_fibered_matches_table(random_bivariate_complex(F5, seed), f25)
+        _assert_fibered_matches_table(random_bivariate_complex(f4, seed), f16)
 
 
 @pytest.mark.parametrize("q", [16, 17])
@@ -662,43 +663,43 @@ def test_fibered_route_builds_no_matrix_or_poly_per_head(monkeypatch):
 # -- one elimination over F(x)[y], read off at every head ------------------------
 
 
-def _divisors_at_every_head(M, F, emb, torus):
+def _divisors_at_every_head(M, F, torus):
     """(the fiber, divisors_at_heads on it, _dense_divisors at each head)
     for M over F[x, y] or F[x^±1, y^±1]."""
     ring = M.ring
     line = Ring(F, ring.variables[-1:], laurent=ring.laurent)
     plane = Ring(F, ring.variables, laurent=ring.laurent)
     fiber = [b for (b,) in enumerate_coords(F, 1, on_torus(ring, torus))]
-    shared = divisors_at_heads(F, M.evaluator(F, emb, plane)(()), M.ncols,
+    shared = divisors_at_heads(F, M.evaluator(F, plane)(()), M.ncols,
                                ring.laurent, fiber)
-    at = M.evaluator(F, emb, line)
+    at = M.evaluator(F, line)
     return fiber, shared, [_dense_divisors(line, at((h,)), M.ncols)
                            for h in fiber]
 
 
-_F25, _EMB25 = extension_of(F5, 2)
+_F25 = extension_of(F5, 2)
 
 
 @st.composite
 def _plane_matrices(draw):
     """(a differential of a random bivariate complex, possibly Laurent
-    twisted, the field F_q it is read over, the embedding into it, torus)
-    for q = 16, 17, 27, 101, and F_5 read over F_25."""
+    twisted, the field F_q it is read over, torus) for q = 16, 17, 27,
+    101, and F_5 read over F_25."""
     q = draw(st.sampled_from([16, 17, 27, 101, 25]))
-    F, emb = (F5, _EMB25) if q == 25 else (finite_field(q), None)
+    F = F5 if q == 25 else finite_field(q)
     seed = draw(st.integers(0, 199))
     E = random_bivariate_complex(F, seed)
     if draw(st.booleans()):
         E = _laurent_twist(E, seed)
     M = E.differential(draw(st.integers(1, len(E.differentials))))
-    return M, (_F25 if q == 25 else F), emb, draw(st.booleans())
+    return M, (_F25 if q == 25 else F), draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_plane_matrices())
 def test_shared_elimination_equals_each_heads_smith_form(case):
-    M, F, emb, torus = case
-    _, shared, own = _divisors_at_every_head(M, F, emb, torus)
+    M, F, torus = case
+    _, shared, own = _divisors_at_every_head(M, F, torus)
     assert len(shared) == len(own)
     for chain, want in zip(shared, own):
         assert chain is None or chain == want
@@ -710,7 +711,7 @@ def test_a_head_where_an_inverted_pivot_vanishes_is_exceptional():
     for F in (finite_field(16), finite_field(17)):
         R = Ring(F, ("x", "y"))
         M = Matrix(R, 1, 2, [[parse_poly(R, "x"), parse_poly(R, "y")]])
-        fiber, shared, own = _divisors_at_every_head(M, F, None, False)
+        fiber, shared, own = _divisors_at_every_head(M, F, False)
         assert fiber[0] == F.zero and shared[0] is None
         assert own[0] == [[F.zero, F.one]]
         assert shared[1:] == own[1:] == [[[F.one]]] * (F.order - 1)
@@ -722,11 +723,11 @@ def test_a_swelling_elimination_falls_back_to_every_head():
     F = finite_field(16)
     M = random_bivariate_complex(F, 3).differential(1)
     K = smith.RationalFunctions(F)
-    rows = M.evaluator(F, None, M.ring)(())
+    rows = M.evaluator(F, M.ring)(())
     with pytest.raises(smith._Swell):
         smith._diagonalize(K, False, [[K.of_terms(t) for t in row]
                                       for row in rows], M.ncols, False)
-    _, shared, _ = _divisors_at_every_head(M, F, None, False)
+    _, shared, _ = _divisors_at_every_head(M, F, False)
     assert shared == [None] * 16
 
 
@@ -738,7 +739,7 @@ def test_the_shared_elimination_serves_most_heads():
     for seed in range(40):
         E = random_bivariate_complex(F, seed)
         for M in E.differentials[:2]:
-            _, shared, own = _divisors_at_every_head(M, F, None, False)
+            _, shared, own = _divisors_at_every_head(M, F, False)
             assert all(c is None or c == w for c, w in zip(shared, own))
             served += sum(c is not None for c in shared)
             total += len(shared)
@@ -1084,7 +1085,7 @@ def test_orbit_route_ranks_one_point_per_orbit(q, monkeypatch):
                   for S in itertools.combinations(range(r), k)]
         for i in range(E.top + 1):
             del ranked[:]
-            got = complexes._orbit_jump_points(E, i, 1, F, False, None)
+            got = complexes._orbit_jump_points(E, i, 1, F, False)
             assert got == _table_locus(homology_dims_table(E, F), i, 1)
             want = sum(_brute_force_orbits(E, i, S, F) for S in strata)
             assert len(ranked) == want, (E, i)
@@ -1246,7 +1247,7 @@ def _grid_fits(E, i, d, F, torus):
 
 
 _F4 = finite_field(4)
-_, _F16, _EMB4_16 = list(extension_fields(_F4, 2))[1]
+_, _F16 = list(extension_fields(_F4, 2))[1]
 
 
 _GRID_KINDS = ("bivariate", "laurent", "laurent1", "koszul", "extension",
@@ -1255,7 +1256,7 @@ _GRID_KINDS = ("bivariate", "laurent", "laurent1", "koszul", "extension",
 
 @st.composite
 def _whole_space_cases(draw, kinds=_GRID_KINDS):
-    """(E, i, d, F, torus, embed), E of one of `kinds`: a random bivariate
+    """(E, i, d, F, torus), E of one of `kinds`: a random bivariate
     complex over F_q, its Laurent twist, a univariate Laurent complex, a
     Koszul complex, or a complex over F_5 or F_4 read over F_25 or F_16
     through extension_of and extension_fields; the map (x^p - x) y^j; and
@@ -1268,7 +1269,7 @@ def _whole_space_cases(draw, kinds=_GRID_KINDS):
     have the whole space for a locus.  i runs over 0..top and d up to
     c_i + 2."""
     kind = draw(st.sampled_from(kinds))
-    seed, emb = draw(st.integers(0, 99)), None
+    seed = draw(st.integers(0, 99))
     F = finite_field(draw(st.sampled_from([7, 11, 16, 17, 23])))
     if kind == "bivariate":
         E = random_bivariate_complex(F, seed)
@@ -1280,8 +1281,7 @@ def _whole_space_cases(draw, kinds=_GRID_KINDS):
         E = draw(st.sampled_from([koszul_complex(F), koszul3_complex(F7)]))
         F = E.ring.field
     elif kind == "extension":
-        base, F, emb = draw(st.sampled_from([(F5, _F25, _EMB25),
-                                             (_F4, _F16, _EMB4_16)]))
+        base, F = draw(st.sampled_from([(F5, _F25), (_F4, _F16)]))
         E = random_bivariate_complex(base, seed)
     elif kind == "frobenius":
         F = finite_field(draw(st.sampled_from([3, 5, 7])))
@@ -1306,19 +1306,18 @@ def _whole_space_cases(draw, kinds=_GRID_KINDS):
     if a:
         E = _with_free_summand(E, i, a)
     d = draw(st.integers(1, a if a and draw(st.booleans()) else E.rank(i) + 2))
-    return E, i, d, F, on_torus(E.ring, draw(st.booleans())), emb
+    return E, i, d, F, on_torus(E.ring, draw(st.booleans()))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_whole_space_cases())
-@example((_frobenius_complex(PrimeField(5), 1), 0, 1, PrimeField(5), False,
-          None))
+@example((_frobenius_complex(PrimeField(5), 1), 0, 1, PrimeField(5), False))
 @example((_with_free_summand(koszul_complex(finite_field(17)), 1, 1), 1, 1,
-          finite_field(17), False, None))
+          finite_field(17), False))
 @example((_map_complex(PrimeField(7), [["x", "0"], ["0", "x - 1"]]), 1, 1,
-          PrimeField(7), False, None))
+          PrimeField(7), False))
 @example((_map_complex(PrimeField(7), [["x^-1 - x^-2"]], laurent=True), 0,
-          1, PrimeField(7), True, None))
+          1, PrimeField(7), True))
 def test_whole_space_grid_agrees_with_the_table(case):
     # the grid certifies exactly the whole-space loci whose grid fits: it
     # lies inside the space, and by the grid lemma a certified locus has
@@ -1328,10 +1327,10 @@ def test_whole_space_grid_agrees_with_the_table(case):
     # vanishes on x in {0, 1}: its grid needs a side of 3; x^-1 - x^-2 =
     # x^-2 (x - 1) has degree -1 and spread 1 in x.  The locus itself is
     # checked route by route in test_every_route_agrees_with_both_oracles
-    E, i, d, F, torus, emb = case
-    table = homology_dims_table(E, F, torus, emb)
+    E, i, d, F, torus = case
+    table = homology_dims_table(E, F, torus)
     whole = all(dims[i] >= d for dims in table.values())
-    answer = (complexes._whole_space(E, i, d, F, torus, emb)
+    answer = (complexes._whole_space(E, i, d, F, torus)
               if d <= E.rank(i) else None)
     certified = answer is not None
     assert certified == (whole and _grid_fits(E, i, d, F, torus))
@@ -1347,11 +1346,11 @@ def test_a_frobenius_entry_is_declined_and_the_route_keeps_every_point():
     for p in (3, 5, 7):
         F = PrimeField(p)
         E = _frobenius_complex(F, 1)
-        assert complexes._whole_space(E, 0, 1, F, False, None) is None
+        assert complexes._whole_space(E, 0, 1, F, False) is None
         assert jump_locus_points(E, 0, 1, F) == set(
             itertools.product(range(p), repeat=2))
-        big, emb = extension_of(F, 2)
-        assert len(jump_locus_points(E, 0, 1, big, embed=emb)) == (
+        big = extension_of(F, 2)
+        assert len(jump_locus_points(E, 0, 1, big)) == (
             p * p ** 2 + p ** 2 - p)
 
 
@@ -1431,13 +1430,13 @@ def _tensor_with_quotient(E, f, top):
 
 
 _F2 = finite_field(2)
-_EXTENSIONS = [(base, *extension_of(base, e)) for base, e in
+_EXTENSIONS = [(base, extension_of(base, e)) for base, e in
                ((_F2, 2), (_F2, 3), (finite_field(3), 2), (_F4, 2))]
 
 
 @st.composite
 def _aomoto_cases(draw):
-    """(E, 1, d, F, torus, embed): the universal Aomoto complex E_A of a
+    """(E, 1, d, F, torus): the universal Aomoto complex E_A of a
     sampled algebra of shape (1, b, b - k), b <= 4 and k = 1, 2, so that
     depth k has e = c_2 - c_1 + 1 + k = 1, over F_q with q < FIBER_MIN_Q
     in any characteristic, 2 included, or read over F_{q^e} through
@@ -1447,10 +1446,10 @@ def _aomoto_cases(draw):
     field.  Shapes with q^b above 4096 points are cut to fewer
     generators."""
     kind = draw(st.sampled_from(["prime", "extension", "pullback"]))
-    F, emb = draw(st.sampled_from([finite_field(q) for q in
-                                   (2, 3, 4, 5, 7, 8, 9, 11, 13)])), None
+    F = draw(st.sampled_from([finite_field(q) for q in
+                              (2, 3, 4, 5, 7, 8, 9, 11, 13)]))
     if kind == "extension":
-        base, F, emb = draw(st.sampled_from(_EXTENSIONS))
+        base, F = draw(st.sampled_from(_EXTENSIONS))
     k = draw(st.integers(1, 2))
     b = draw(st.integers(k, 4))
     while F.order ** b > 4096:
@@ -1465,12 +1464,12 @@ def _aomoto_cases(draw):
         order = draw(st.permutations(range(b)))
         E = pulled_back_aomoto_complex(A, NuData(
             b, [[row[c] for c in order] for row in rows], (), FinAbGroup(r)))
-    return E, 1, draw(st.integers(1, b)), F, draw(st.booleans()), emb
+    return E, 1, draw(st.integers(1, b)), F, draw(st.booleans())
 
 
 @st.composite
 def _route_cases(draw):
-    """(E, i, d, F, torus, embed): a case of `_whole_space_cases` of any
+    """(E, i, d, F, torus): a case of `_whole_space_cases` of any
     kind, graded or not, and a quarter of the time that complex tensored
     with S/(f) in degrees up to a drawn one, for f one of x, x - 1,
     x z + 1 (z the last variable) and 0: a presented complex; or, a
@@ -1478,24 +1477,24 @@ def _route_cases(draw):
     answers."""
     if draw(st.integers(0, 3)) == 0:
         return draw(_aomoto_cases())
-    E, i, d, F, torus, emb = draw(_whole_space_cases(
+    E, i, d, F, torus = draw(_whole_space_cases(
         _GRID_KINDS + ("planted", "column", "diagonal")))
     if draw(st.integers(0, 3)) == 0:
         R = E.ring
         x, z, one = R.var(0), R.var(R.nvars - 1), R.one()
         f = draw(st.sampled_from([x, x - one, x * z + one, R.zero()]))
         E = _tensor_with_quotient(E, f, draw(st.integers(0, E.top)))
-    return E, i, d, F, torus, emb
+    return E, i, d, F, torus
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_route_cases())
-@example((random_bivariate_complex(F5, 0), 1, 1, _F25, False, _EMB25))
+@example((random_bivariate_complex(F5, 0), 1, 1, _F25, False))
 @example((_map_complex(PrimeField(7), [["x", "0"], ["0", "x - 1"]]), 1, 1,
-          PrimeField(7), False, None))
+          PrimeField(7), False))
 @example((_map_complex(PrimeField(17), [["y * (x + 1)", "0"],
                                         ["0", "y * (y - 1) * (x + 1)"]]),
-          1, 1, PrimeField(17), False, None))
+          1, 1, PrimeField(17), False))
 def test_every_route_agrees_with_both_oracles(case):
     # jump_locus_points gives the locus of homology_dims_table at the
     # drawn depth, and so does the zero set of the minor ideal of a free
@@ -1507,16 +1506,15 @@ def test_every_route_agrees_with_both_oracles(case):
     # gives, and its origin is a coordinate stratum of its own; on every
     # line of the last one, the divisors y | y (y - 1) must be read in
     # chain order
-    E, i, d, F, torus, emb = case
-    table = homology_dims_table(E, F, torus, emb)
+    E, i, d, F, torus = case
+    table = homology_dims_table(E, F, torus)
     want = _table_locus(table, i, d)
-    assert jump_locus_points(E, i, d, F, torus, emb) == want
+    assert jump_locus_points(E, i, d, F, torus) == want
     if isinstance(E, FreeChainComplex):
-        assert zero_locus_points(jump_locus_ideal(E, i, d), F, torus,
-                                 emb) == want
+        assert zero_locus_points(jump_locus_ideal(E, i, d), F, torus) == want
     for depth in range(1, E.gens(i) + 1):
         want = _table_locus(table, i, depth)
-        answers = [route(E, i, depth, F, torus, emb)
+        answers = [route(E, i, depth, F, torus)
                    for route in complexes.ROUTES]
         assert answers[-1] is not None
         for route, got in zip(complexes.ROUTES, answers):
@@ -1799,7 +1797,7 @@ def test_free_as_presented_dims_agree():
 def test_closedness_oracle_q5_with_extension():
     from jumploci.fields import extension_of
     F5loc = PrimeField(5)
-    f25, _ = extension_of(F5loc, 2)
+    f25 = extension_of(F5loc, 2)
     for seed in range(4):
         E = random_laurent_complex(F5loc, seed)
         for field in (F5loc, f25):
@@ -1863,7 +1861,7 @@ def test_supports_match_the_fitting_oracle(q):
                 pres = homology_presentation(E, i)
                 for d in (1, 2):
                     fitt = fitting_ideal(pres, d - 1)
-                    for _, big, emb in extension_fields(F, max_ext):
-                        assert (support_points(E, i, d, big, embed=emb)
-                                == zero_locus_points(fitt, big, embed=emb)), \
+                    for _, big in extension_fields(F, max_ext):
+                        assert (support_points(E, i, d, big)
+                                == zero_locus_points(fitt, big)), \
                             (seed, i, d, big)

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError, ResourceLimitError
 from jumploci.fields import (_DEFAULTS, _TABLE_CAP, ExtensionField,
-                             PrimeField, _is_irreducible, _tabled,
-                             extension_of, factor_prime_power, field_make,
-                             finite_field, irreducible_modulus, is_prime)
+                             PrimeField, Rationals, _is_irreducible, _tabled,
+                             embedding, extension_of, factor_prime_power,
+                             field_make, finite_field, irreducible_modulus,
+                             is_prime)
 
 from oracles import (extension_field_tables, first_irreducible,
                      first_primitive, is_irreducible_by_trial_division,
@@ -123,10 +124,18 @@ def test_pow_negative_exponents():
         assert F9.mul(F9.pow(a, -2), F9.pow(a, 2)) == F9.one
 
 
+def _image(small, big):
+    """a -> its image in big, read from fields.embedding."""
+    table = embedding(small, big)
+    return (lambda a: a) if table is None else table.__getitem__
+
+
 def test_extension_of_prime_field_is_constant_preserving():
     F3 = PrimeField(3)
-    F9, emb = extension_of(F3, 2)
+    F9 = extension_of(F3, 2)
     assert F9.order == 9
+    assert embedding(F3, F9) is None
+    emb = _image(F3, F9)
     for a in F3.elements():
         for b in F3.elements():
             assert emb(F3.add(a, b)) == F9.add(emb(a), emb(b))
@@ -135,8 +144,9 @@ def test_extension_of_prime_field_is_constant_preserving():
 
 def test_extension_of_extension_is_a_homomorphism():
     F4 = finite_field(4)
-    F16, emb = extension_of(F4, 2)
+    F16 = extension_of(F4, 2)
     assert F16.order == 16
+    emb = _image(F4, F16)
     for a in F4.elements():
         for b in F4.elements():
             assert emb(F4.add(a, b)) == F16.add(emb(a), emb(b))
@@ -236,8 +246,9 @@ def test_exp_log_are_inverse_bijections_onto_units(q):
 @pytest.mark.parametrize("base,e", [(5, 4), (3, 6), (25, 2), (9, 3)])
 def test_extension_of_is_a_ring_homomorphism(base, e):
     small = finite_field(base)
-    big, emb = extension_of(small, e)
+    big = extension_of(small, e)
     assert big.order == base ** e
+    emb = _image(small, big)
     assert emb(small.one) == big.one
     for a in small.elements():
         for b in small.elements():
@@ -291,7 +302,7 @@ def test_primitive_element_is_found_by_the_table_walk(monkeypatch):
         assert ExtensionField(p, len(modulus) - 1, modulus).primitive() == g
 
 
-# the sha256 of the embedding table of extension_of(F_q, e), recorded
+# the sha256 of the embedding table of F_q in extension_of(F_q, e), recorded
 # before the root search and the table ran on fields._horner: the first
 # root of F_q's modulus in int order fixes every printed coordinate of an
 # --ext locus over a non-prime base
@@ -317,9 +328,19 @@ def test_tower_embeddings_are_pinned():
     assert all(q ** e <= _TABLE_CAP for q, e in EMBEDDING_DIGESTS)
     for (q, e), digest in EMBEDDING_DIGESTS.items():
         small = finite_field(q)
-        emb = extension_of(small, e)[1]
-        text = " ".join(str(emb(a)) for a in small.elements())
+        text = " ".join(map(str, embedding(small, extension_of(small, e))))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (q, e)
+
+
+def test_embedding_table_is_built_once_per_field_pair():
+    # equal fields built apart share one table, so a plan per point set
+    # costs one lookup, not a root search
+    small, big = finite_field(4), extension_of(finite_field(4), 3)
+    assert embedding(small, big) is embedding(ExtensionField(2, 2),
+                                              finite_field(64))
+    assert embedding(small, small) is None
+    assert embedding(PrimeField(2), big) is None
+    assert embedding(Rationals(), Rationals()) is None
 
 
 @pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3)])

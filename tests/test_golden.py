@@ -97,6 +97,15 @@ GOLDEN = [
      0, "53bb636060d71530a3cf77c59ba1905f27a1e247963b0b2606dbd70805d83b4c"),
     ("resonance --cga samples/path4.cga --i 1 --d 1 --q 5 --ext 2",
      0, "59e5f56f691dcd4d326343f5f6531022dac72136f4af0dea9013831efc348250"),
+    # the Koszul complex of x + u, y + 1 over F_4, whose one jump point
+    # (u, 1) is printed through the inclusion of F_4 in F_16 and F_64,
+    # recorded while that inclusion was still passed down as an argument
+    ("jumploci --complex samples/koszul-f4.cc --i 1 --d 1 --ext 3",
+     0, "eae38b8df6afd777e555e45ef57598a4a30afb7688b4948bc91aa0d84b352c2b"),
+    ("jumploci --complex samples/koszul-f4.cc --i 1 --d 1 --ext 3 --torus --format structured",
+     0, "a4cb38acf68f3a9257f112eb4df6aa980cbb5ff74eb36e2abedbd74f7ae31166"),
+    ("supports --complex samples/koszul-f4.cc --i 1 --d 1 --ext 2 --compare-v",
+     0, "8f8d888cb56f80aa01c1d3adc739ddb7fd41b1cbd41c5d1e6c3253fbdb28baca"),
 ]
 
 

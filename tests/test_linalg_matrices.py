@@ -156,9 +156,9 @@ def _evaluation_cases(draw):
     laurent = kind == "laurent"
     ring = Ring(base, ("x", "y", "z")[:nvars], laurent=laurent)
     if kind == "extension":
-        field, embed = extension_of(base, draw(st.integers(2, 3)))
+        field = extension_of(base, draw(st.integers(2, 3)))
     else:
-        field, embed = base, None
+        field = base
     if base.is_finite:
         coeffs = st.integers(1, base.order - 1)
     else:
@@ -178,7 +178,7 @@ def _evaluation_cases(draw):
     else:
         values = st.fractions(-9, 9, max_denominator=5)
     points = draw(st.lists(st.tuples(*[values] * nvars), min_size=1, max_size=3))
-    return M, field, embed, points, draw(st.integers(0, nvars))
+    return M, field, points, draw(st.integers(0, nvars))
 
 
 # With a prefix length k, the plan that keeps the last nvars - k variables
@@ -188,14 +188,14 @@ def _evaluation_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_evaluation_cases())
 def test_matrix_evaluate_is_entrywise_poly_evaluate(case):
-    M, field, embed, points, k = case
-    at = M.evaluator(field, embed)  # one plan, applied at every point
+    M, field, points, k = case
+    at = M.evaluator(field)  # one plan, applied at every point
     kept = Ring(field, M.ring.variables[k:], laurent=M.ring.laurent)
-    at_prefix = M.evaluator(field, embed, kept)
+    at_prefix = M.evaluator(field, kept)
     for coords in points:
-        want = [[p.evaluate(coords, field, embed) for p in row]
+        want = [[p.evaluate(coords, field) for p in row]
                 for row in M.entries]
-        assert M.evaluate(coords, field, embed) == want
+        assert M.evaluate(coords, field) == want
         assert at(coords) == want
         rows = at_prefix(coords[:k])
         assert all(c != field.zero for row in rows for t in row
@@ -212,15 +212,15 @@ def test_evaluator_substitutes_a_head_or_a_chart_prefix():
     line, none = Ring(F5, ("y",)), Ring(F5, ())
     M = Matrix(R2, 1, 2, [[parse_poly(R2, "x^2*y + 3*x"),
                            parse_poly(R2, "y^2 - x*y")]])
-    at = M.evaluator(F5, None, line)
+    at = M.evaluator(F5, line)
     assert at((2,)) == [[{(1,): 4, (0,): 1}, {(2,): 1, (1,): 3}]]
     assert at((0,)) == [[{}, {(2,): 1}]]
     # x^2*y + 3*x vanishes at (2, 1), and no zero coefficient is kept
-    assert M.evaluator(F5, None, none)((2, 1)) == [[{}, {(): 4}]]
-    assert M.evaluator(F5, None, R2)(()) == [[p.terms for p in M.entries[0]]]
+    assert M.evaluator(F5, none)((2, 1)) == [[{}, {(): 4}]]
+    assert M.evaluator(F5, R2)(()) == [[p.terms for p in M.entries[0]]]
     L2 = Ring(F5, ("x", "y"), laurent=True)
     N = Matrix(L2, 1, 1, [[parse_poly(L2, "x^-1*y^-2 + x")]])
-    assert N.evaluator(F5, None, Ring(F5, ("y",), laurent=True))((2,)) == [
+    assert N.evaluator(F5, Ring(F5, ("y",), laurent=True))((2,)) == [
         [{(-2,): 3, (0,): 2}]]
 
 

@@ -180,7 +180,7 @@ def test_vanishing_counts_read_a_divisor_chain():
         [R.zero(), _poly(R, "t - 1"), R.zero()],
         [R.zero(), R.zero(), _poly(R, "(t - 1)*(t - 2)*(t + 1)")]])
     # the worker takes rows of term dicts, as a plan that keeps t gives them
-    chain = _dense_divisors(R, M.evaluator(F5, None, R)(()), 3)
+    chain = _dense_divisors(R, M.evaluator(F5, R)(()), 3)
     assert chain == [[1], [4, 1], [2, 4, 3, 1]]  # lowest degree first
     assert dict(vanishing_counts(F5, chain, range(5))) == {1: 2, 2: 1, 4: 1}
     line = ([0, 1],)

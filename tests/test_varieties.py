@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumploci.complexes import FreeChainComplex, jump_locus_points
 from jumploci.errors import PreconditionError
-from jumploci.fields import PrimeField, Rationals, extension_of, finite_field
+from jumploci.fields import (PrimeField, Rationals, embedding, extension_of,
+                             finite_field)
+from jumploci.matrices import Matrix
 from jumploci.rings import Ideal, Ring, parse_poly
 from jumploci.varieties import Space, extension_fields, zero_locus_points
 
@@ -63,11 +66,11 @@ def test_locus_over_extensions():
     R = Ring(F3, ("x",))
     # x^2 + 1 has no roots in F_3, two in F_9
     I = Ideal(R, [parse_poly(R, "x^2 + 1")])
-    by_degree = {e: zero_locus_points(I, F, embed=emb)
-                 for e, F, emb in extension_fields(F3, 2)}
+    by_degree = {e: zero_locus_points(I, F)
+                 for e, F in extension_fields(F3, 2)}
     assert by_degree[1] == set()
     assert len(by_degree[2]) == 2
-    F9, _ = extension_of(F3, 2)
+    F9 = extension_of(F3, 2)
     for p in by_degree[2]:
         a = p[0]
         assert F9.add(F9.mul(a, a), F9.one) == F9.zero
@@ -80,11 +83,30 @@ def test_extension_tower_embedding_path():
     R = Ring(F4, ("x",))
     u = number((0, 1), 2)
     I = Ideal(R, [R.var(0) - R.const(u)])  # x - u
-    by_degree = {e: zero_locus_points(I, F, embed=emb)
-                 for e, F, emb in extension_fields(F4, 2)}
+    by_degree = {e: zero_locus_points(I, F)
+                 for e, F in extension_fields(F4, 2)}
     assert {p[0] for p in by_degree[1]} == {u}
-    F16, emb = extension_of(F4, 2)
-    assert {p[0] for p in by_degree[2]} == {emb(u)}
+    F16 = extension_of(F4, 2)
+    assert {p[0] for p in by_degree[2]} == {embedding(F4, F16)[u]}
+
+
+@pytest.mark.parametrize("source, target", [
+    (finite_field(4), finite_field(8)), (finite_field(8), finite_field(4)),
+    (F5, PrimeField(7)), (Q, F5)], ids=repr)
+def test_fields_with_no_embedding_are_refused(source, target):
+    # neither field lies in the other, so no locus over `target` is read
+    # from coefficients in `source`: the refusal names both fields, from
+    # fields.embedding and from each locus that evaluates through it
+    R = Ring(source, ("x", "y"))
+    x, y = R.var(0), R.var(1)
+    koszul = FreeChainComplex(R, [1, 2, 1], [Matrix(R, 1, 2, [[x, y]]),
+                                             Matrix(R, 2, 1, [[-y], [x]])])
+    for refused in (lambda: embedding(source, target),
+                    lambda: jump_locus_points(koszul, 1, 1, target),
+                    lambda: zero_locus_points(Ideal(R, [x]), target)):
+        with pytest.raises(PreconditionError) as exc:
+            refused()
+        assert "%r into %r" % (source, target) in str(exc.value)
 
 
 @st.composite
