@@ -13,6 +13,7 @@ from itertools import chain, combinations, islice, product
 from operator import add, neg, sub
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedRingError
+from .fields import embedding
 from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
                        standard_monomial_count, syzygy_matrix)
 from .linalg import mat_rank, mat_rank_stacked, null_space
@@ -274,6 +275,7 @@ def jump_locus_points(E, i, d, field, torus=False):
     """{w : dim H_i(E (x) S/m_w) >= d} over the finite field `field`, for
     1 <= d <= g_i the first answer of ROUTES, whose comment has the rule;
     a `Space` when it is all of F^r or of the torus."""
+    embedding(E.ring.field, field)  # refuses a field E cannot be read in
     if d < 0:
         raise PreconditionError("d must be non-negative")
     ring = E.ring
@@ -397,33 +399,25 @@ def _orbit_jump_points(E, i, d, field, torus):
     is that at t_K = 1: a Laurent complex in the |S| - k coordinates t_P
     on the smaller torus.  Over a field of at least FIBER_MIN_Q elements
     it is read line by line (`_fibered_jump_points`); otherwise each of
-    its (q - 1)^(|S| - k) points is ranked through the evaluators of E,
-    except that a map whose own monomials on S close no cycle is graded
-    by all of Z^S and is ranked once, at t = 1.  Each point of the locus
-    is then spread over its orbit, and when every point is in it, so is
-    the whole stratum."""
+    its (q - 1)^(|S| - k) points is ranked through `homology_dim_at` of E.
+    Each point of the locus is then spread over its orbit, and when every
+    point is in it, so is the whole stratum."""
     if _strata(E, i) is None:
         return None
     F, r = field, E.ring.nvars
     mul, units = F.mul, F.units()
-    plans = {m: M.evaluator(F)
-             for m, M in enumerate((E.differential(i), E.differential(i + 1)))
-             if M.nrows and M.ncols}
+    dim_at = homology_dim_at(E, i, F)
     out = set()
     for S in ([tuple(range(r))] if torus else
               [S for k in range(r + 1) for S in combinations(range(r), k)]):
-        pcols, kernel, cyclic = _stratum(E, i, S)
+        pcols, kernel = _stratum(E, i, S)
         lift = _lifter(F, r, S, pcols)
         if pcols and F.order >= FIBER_MIN_Q:
             reps = _fibered_jump_points(_stratum_complex(E, i, S, pcols), 1,
                                         d, F, True)
         else:
-            room = E.rank(i) - d - sum(
-                mat_rank(F, at(lift((F.one,) * len(pcols))))
-                for m, at in plans.items() if not cyclic[m])
-            ranked = [at for m, at in plans.items() if cyclic[m]]
-            reps = points_where(F, len(pcols), True, lambda t: sum(
-                mat_rank(F, at(x)) for x in [lift(t)] for at in ranked) <= room)
+            reps = points_where(F, len(pcols), True,
+                                lambda t: dim_at(lift(t)) >= d)
         if len(reps) == (F.order - 1) ** len(pcols):
             out.update(product(*[units if v in S else (F.zero,)
                                  for v in range(r)]))
@@ -441,20 +435,19 @@ def _strata(E, i):
     `_stratum`.  The graph has a node per row and per column of each map,
     and each monomial x^e of an entry is an edge from its row to its
     column, kept at both ends as (the other end, +-e, whether it leaves
-    this end, the bit mask of the variables x^e holds, the map: 0 for d_i,
-    1 for d_{i+1})."""
+    this end, the bit mask of the variables x^e holds)."""
     cache = E._orbit_cache
     if i not in cache:
         adj, base = {}, 0
-        for m, M in enumerate((E.differential(i), E.differential(i + 1))):
+        for M in (E.differential(i), E.differential(i + 1)):
             for j, row in enumerate(M.entries):
                 for k, p in enumerate(row):
                     a, b = base + j, base + M.nrows + k
                     for e in p.terms:
                         mask = sum(1 << v for v, x in enumerate(e) if x)
-                        adj.setdefault(a, []).append((b, e, True, mask, m))
+                        adj.setdefault(a, []).append((b, e, True, mask))
                         adj.setdefault(b, []).append(
-                            (a, tuple(map(neg, e)), False, mask, m))
+                            (a, tuple(map(neg, e)), False, mask))
             base += M.nrows + M.ncols
         cache[i] = (adj, {})
         if not _stratum(E, i, tuple(range(E.ring.nvars)))[1]:
@@ -463,31 +456,27 @@ def _strata(E, i):
 
 
 def _stratum(E, i, S):
-    """(P, K, cyclic) for the stratum S, a tuple of variable indices, from
-    the cycles of the monomials nonzero on S: `_kernel` of them all, and
-    for d_i and d_{i+1} whether its own monomials close a nonzero cycle."""
+    """The (P, K) of the stratum S, a tuple of variable indices: `_kernel`
+    of the cycles of the monomials nonzero on S."""
     adj, lattices = E._orbit_cache[i]
     if S not in lattices:
-        cycles = _cycles(adj, S)
-        lattices[S] = _kernel(cycles[0] | cycles[1], S) + (
-            [bool(c) for c in cycles],)
+        lattices[S] = _kernel(_cycles(adj, S), S)
     return lattices[S]
 
 
 def _cycles(adj, S):
     """The nonzero cycle vectors of the monomials of the graph `adj`
-    nonzero on S, one set per map: shifts propagate along a spanning
-    forest, s(column) = s(row) + e, and every other edge gives
-    s(row) + e - s(column).  The maps share no node."""
+    nonzero on S: shifts propagate along a spanning forest, s(column) =
+    s(row) + e, and every other edge gives s(row) + e - s(column)."""
     on = sum(1 << v for v in S)
-    shift, cycles = {}, (set(), set())
+    shift, cycles = {}, set()
     for root in adj:
         if root not in shift:
             e = adj[root][0][1]
             shift[root], stack = tuple(map(sub, e, e)), [root]
             while stack:
                 u = stack.pop()
-                for v, e, forward, mask, m in adj[u]:
+                for v, e, forward, mask in adj[u]:
                     if mask & on != mask:
                         continue
                     if v not in shift:
@@ -496,7 +485,7 @@ def _cycles(adj, S):
                     elif forward:
                         z = tuple(map(sub, map(add, shift[u], e), shift[v]))
                         if any(z):
-                            cycles[m].add(z)
+                            cycles.add(z)
     return cycles
 
 
@@ -855,6 +844,7 @@ def support_points(E, i, d, field, torus=False):
     zero locus of Fitt_{d-1} of a presentation S^m --P--> S^g of H_i(E).
     As dim (H_i(E) (x) S/m_w) = g - rank P(w), that is the degree-0,
     depth-d jump locus of the two-term free complex [P]: no minors."""
+    embedding(E.ring.field, field)  # refuses a field E cannot be read in
     if d < 1:
         return Space(field, E.ring.nvars, on_torus(E.ring, torus))
     P = homology_presentation(E, i).relations

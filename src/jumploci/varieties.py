@@ -24,7 +24,7 @@ from collections.abc import Set
 from itertools import product
 
 from .errors import PreconditionError
-from .fields import extension_of
+from .fields import embedding, extension_of
 
 
 def enumerate_coords(field, r, torus):
@@ -35,7 +35,8 @@ def enumerate_coords(field, r, torus):
 class Space(Set):
     """All of F^r, or of the torus (F^x)^r, as a set that holds no tuple:
     `pool` is F or F^x, a range, and iteration walks `enumerate_coords`.
-    `size` (s^r) and bool() read no len(), which refuses 2^63 or more."""
+    `size` (s^r), bool() and == read no len(), which refuses 2^63 or
+    more, and == walks no tuple of it."""
 
     __slots__ = ("field", "r", "torus", "pool", "size")
 
@@ -59,6 +60,13 @@ class Space(Set):
     def __iter__(self):
         return enumerate_coords(self.field, self.r, self.torus)
 
+    def __eq__(self, other):
+        if isinstance(other, Space):
+            return self.r == other.r and (not self.r or self.pool == other.pool)
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(other) == self.size and all(map(self.__contains__, other))
+
     _from_iterable = set  # |, & and - with a set give a set
 
 
@@ -80,6 +88,7 @@ def zero_locus_points(ideal, field=None, torus=False):
     as in Poly.evaluate."""
     ring = ideal.ring
     F = field if field is not None else ring.field
+    embedding(ring.field, F)  # refuses a field the ideal cannot be read in
     gens = sorted(ideal.generators, key=lambda g: len(g.terms))
     return points_where(F, ring.nvars, on_torus(ring, torus), lambda c: all(
         g.evaluate(c, F) == F.zero for g in gens))

@@ -881,6 +881,22 @@ def test_a_whole_plane_too_large_to_list_is_an_error_report(capsys):
     assert "Traceback" not in err and err.startswith("elapsed: ")
 
 
+def test_comparing_two_whole_planes_too_large_to_list_is_an_error_report(
+        capsys):
+    # both sides of verify-cvres are all of F_q^2, q^2 >= 2^63: they are
+    # compared as Spaces, with no len() of either, and the listing of the
+    # pool while the command runs is a report, as under jumploci
+    code = main(["verify-cvres", "--cga", SAMPLES + "zero-pairing.cga",
+                 "--nu", SAMPLES + "identity-z2.nu", "--i", "1",
+                 "--q", "1000000000000000003"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ("command: verify-cvres\n"
+                   "error.message: out of memory computing the report\n"
+                   "error.type: ResourceLimitError\n")
+    assert "Traceback" not in err and err.startswith("elapsed: ")
+
+
 def test_a_union_that_holds_a_space_is_that_space(monkeypatch):
     # both unions of supports --compare-v over the zero-pairing page hold
     # the whole plane, so each is that Space, printed in product order,

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumploci.complexes import FreeChainComplex, jump_locus_points
+from jumploci.complexes import (FreeChainComplex, jump_locus_points,
+                                support_points)
 from jumploci.errors import PreconditionError
 from jumploci.fields import (PrimeField, Rationals, embedding, extension_of,
                              finite_field)
@@ -96,14 +97,20 @@ def test_extension_tower_embedding_path():
 def test_fields_with_no_embedding_are_refused(source, target):
     # neither field lies in the other, so no locus over `target` is read
     # from coefficients in `source`: the refusal names both fields, from
-    # fields.embedding and from each locus that evaluates through it
+    # fields.embedding, from each locus that evaluates through it, and
+    # from the answers given with no evaluation (depth 0, a depth above
+    # c_1 = 2, the support at depth 0, the zero ideal)
     R = Ring(source, ("x", "y"))
     x, y = R.var(0), R.var(1)
     koszul = FreeChainComplex(R, [1, 2, 1], [Matrix(R, 1, 2, [[x, y]]),
                                              Matrix(R, 2, 1, [[-y], [x]])])
     for refused in (lambda: embedding(source, target),
                     lambda: jump_locus_points(koszul, 1, 1, target),
-                    lambda: zero_locus_points(Ideal(R, [x]), target)):
+                    lambda: zero_locus_points(Ideal(R, [x]), target),
+                    lambda: jump_locus_points(koszul, 1, 0, target),
+                    lambda: jump_locus_points(koszul, 1, 3, target),
+                    lambda: support_points(koszul, 1, 0, target),
+                    lambda: zero_locus_points(Ideal(R, []), target)):
         with pytest.raises(PreconditionError) as exc:
             refused()
         assert "%r into %r" % (source, target) in str(exc.value)
@@ -138,6 +145,8 @@ def test_a_space_is_the_set_of_its_tuples(case):
     assert (space != other) == (tuples != other)
     twin = Space(space.field, space.r, not space.torus)
     assert (space == twin) == (tuples == set(twin))
+    other_field = Space(F5, space.r, space.torus)
+    assert (space == other_field) == (tuples == set(other_field))
     for got, want in [(space | other, tuples | other),
                       (other | space, other | tuples),
                       (space & other, tuples & other),
@@ -145,3 +154,22 @@ def test_a_space_is_the_set_of_its_tuples(case):
                       (space - other, tuples - other),
                       (other - space, other - tuples)]:
         assert type(got) is set and got == want
+
+
+def test_a_space_is_compared_without_walking_it(monkeypatch):
+    # equality reads the field's pool and r, and against a set its size and
+    # the set's own points: no tuple of the Space is listed, and q^2 >= 2^63
+    # needs no len()
+    def refuse(self):
+        raise AssertionError("a Space was listed")
+    monkeypatch.setattr(Space, "__iter__", refuse)
+    huge = finite_field(1000000000000000003)
+    F = finite_field(1009)
+    assert Space(huge, 2, False) == Space(huge, 2, False)
+    assert Space(huge, 2, False) != Space(huge, 2, True)
+    assert Space(huge, 2, False) != Space(huge, 3, False)
+    assert Space(F, 0, False) == Space(F, 0, True) == {()}
+    assert Space(F, 2, False) != Space(finite_field(1013), 2, False)
+    assert Space(huge, 2, False) != {(0, 0)} != Space(F, 2, True)
+    assert Space(F, 1, True) == set(product(range(1, 1009)))
+    assert Space(F, 1, False) != set(product(range(1, 1010)))
