@@ -268,7 +268,7 @@ def resonance_ideal(A, i, d):
         return zero_ideal(E.ring)
     if A.dim(i) - d + 1 <= 0:
         return unit_ideal(E.ring)
-    # the quadrics are emitted even when char != 2 makes them vanish
+    # away from characteristic 2 the quadrics are 0, which Ideal drops
     return Ideal(E.ring, [*square_zero_quadrics(E),
                           *jump_locus_ideal(E, i, d).generators])
 

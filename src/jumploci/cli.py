@@ -515,21 +515,16 @@ def _parse_plain(argv):
         **{flag.replace("-", "_"): value for flag, value in values.items()})
 
 
-def build_parser(argv=()):
-    """The parser of `argv`.  When argv[0] names a command, only that
-    command's sub-parser is built, and the metavar keeps every command in
-    the usage line; --help, a bare argv and an unknown command build all."""
+def build_parser():
+    """The argparse parser of the argvs `_parse_plain` leaves to it: one
+    sub-parser per command, with the options of `_options`."""
     import argparse
     ap = argparse.ArgumentParser(
         prog="jumploci",
         description="Exact jump loci, supports, and resonance of chain "
                     "complexes, graded algebras, and group presentations.")
-    named = argv[0] if argv and argv[0] in COMMANDS else None
-    metavar = "{%s}" % ",".join(COMMANDS) if named else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (line, _, _, _) in COMMANDS.items():
-        if named and name != named:
-            continue
         sp = sub.add_parser(name, help=line)
         for option, kw in _options(name).items():
             sp.add_argument("--" + option, **kw)
@@ -551,7 +546,7 @@ def error_code(exc):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_plain(argv) or build_parser(argv).parse_args(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     _, provenance, documents, _ = COMMANDS[args.command]
     started = time.monotonic()
     try:

@@ -19,7 +19,7 @@ from .groebner import (ModuleSolver, module_lead_terms, module_saturate,
 from .linalg import mat_rank, mat_rank_stacked, null_space
 from .matrices import (Matrix, block_diag_minors_ideal, clear_laurent_cols,
                        clear_laurent_rows, minors_ideal)
-from .rings import Poly, Ring, unit_ideal, zero_ideal
+from .rings import Poly, Ring, unit_ideal
 from .smith import (_dense_divisors, divisors_at_heads,
                     integer_column_echelon, smith_divisors, smith_normal_form,
                     vanishing_counts)
@@ -422,7 +422,8 @@ def _orbit_jump_points(E, i, d, field, torus):
             out.update(product(*[units if v in S else (F.zero,)
                                  for v in range(r)]))
         elif reps:
-            orbit = _orbit(F, r, S, kernel)
+            orbit = list(map(_lifter(F, r, S, kernel),
+                             product(units, repeat=len(kernel))))
             for x in map(lift, reps):
                 out.update(tuple(map(mul, x, o)) for o in orbit)
     return out
@@ -525,11 +526,12 @@ def _stratum_complex(E, i, S, pcols):
          for M in (E.differential(i), E.differential(i + 1))])
 
 
-def _lifter(F, r, S, pcols):
+def _lifter(F, r, S, cols):
     """t -> the point of F^r, 0 off S, whose coordinate x_v on S is
-    prod_j t_j^P[v][j]: the representative t_K = 1 of an orbit."""
+    prod_j t_j^C[v][j], C the columns `cols` over S: for C = P the orbit
+    representative t_K = 1, for C = K the point λ^K of the torus of L_S."""
     one, zero, mul, pow_ = F.one, F.zero, F.mul, F.pow
-    factors = [(v, [(j, col[a]) for j, col in enumerate(pcols) if col[a]])
+    factors = [(v, [(j, col[a]) for j, col in enumerate(cols) if col[a]])
                for a, v in enumerate(S)]
 
     def lift(t):
@@ -541,21 +543,6 @@ def _lifter(F, r, S, pcols):
             x[v] = value
         return tuple(x)
     return lift
-
-
-def _orbit(F, r, S, kernel):
-    """The points of the torus of L_S in (F^x)^S, as r-tuples with 0 off
-    S: the products of one list of powers λ^K[v] per basis vector K of
-    L_S."""
-    zero, mul, pow_ = F.zero, F.mul, F.pow
-    lists = []
-    for col in kernel:
-        exps = dict(zip(S, col))
-        lists.append([tuple(pow_(lam, exps[v]) if v in exps else zero
-                            for v in range(r)) for lam in F.units()])
-    base = tuple(F.one if v in S else zero for v in range(r))
-    return [reduce(lambda a, b: tuple(map(mul, a, b)), combo, base)
-            for combo in product(*lists)]
 
 
 def _fibered_jump_points(E, i, d, F, torus):
@@ -676,7 +663,7 @@ def jump_locus_ideal(E, i, d):
     c_i = E.rank(i)
     size = c_i - d + 1
     if size <= 0:
-        return unit_ideal(E.ring) if d > 0 else zero_ideal(E.ring)
+        return unit_ideal(E.ring)
     return block_diag_minors_ideal(E.differential(i + 1), E.differential(i),
                                    size)
 
@@ -818,9 +805,7 @@ def _presented_homology_presentation(E, i):
             rel_cols.append(x)
     inner = solver.syzygies()
     rel_cols += [inner.col(j) for j in range(inner.ncols)]
-    rel = Matrix(ring, lifts.ncols, len(rel_cols),
-                 [[rel_cols[j][gi] for j in range(len(rel_cols))]
-                  for gi in range(lifts.ncols)])
+    rel = Matrix(ring, len(rel_cols), lifts.ncols, rel_cols).transpose()
     return ModulePresentation(ring, lifts.ncols, rel)
 
 
@@ -845,7 +830,9 @@ def support_points(E, i, d, field, torus=False):
     As dim (H_i(E) (x) S/m_w) = g - rank P(w), that is the degree-0,
     depth-d jump locus of the two-term free complex [P]: no minors."""
     embedding(E.ring.field, field)  # refuses a field E cannot be read in
-    if d < 1:
+    if d < 0:
+        raise PreconditionError("d must be non-negative")
+    if d == 0:
         return Space(field, E.ring.nvars, on_torus(E.ring, torus))
     P = homology_presentation(E, i).relations
     two_term = FreeChainComplex(P.ring, [P.nrows, P.ncols], [P])

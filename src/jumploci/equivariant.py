@@ -250,6 +250,8 @@ def finiteness_test(A, nu, k_range):
     criterion is one-directional.
     """
     field = A.field
+    if k_range < 0:
+        raise PreconditionError("k must be non-negative")
     if k_range > A.top:
         raise PreconditionError("k exceeds the top degree of the algebra")
     E = build_E1(A, nu)

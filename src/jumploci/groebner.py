@@ -278,22 +278,14 @@ def elim_var_key(ring, var_index):
 # polynomial (ideal) interface
 
 
-def poly_to_module(p, comp=0):
-    return {(comp, e): c for e, c in p.terms.items()}
-
-
-def module_to_poly(ring, v, comp=0):
-    return Poly(ring, {e: c for (c0, e), c in v.items() if c0 == comp})
-
-
 def buchberger(ideal):
     """Reduced Groebner basis of an ideal, under the ring's monomial order,
     within the engine bounds of every Groebner computation."""
     ring = ideal.ring
-    _require_ordinary(ring)
-    gens = [poly_to_module(g) for g in ideal.generators]
-    basis = module_groebner(ring, gens, pot_key(ring))
-    return Ideal(ring, [module_to_poly(ring, v) for v in basis])
+    gens = ideal.generators
+    basis = module_groebner(ring, _columns_as_module(
+        Matrix(ring, 1, len(gens), [gens])), pot_key(ring))
+    return Ideal(ring, _module_as_columns(ring, basis, 1).row(0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +333,6 @@ class ModuleSolver:
 
     def __init__(self, matrix):
         ring = matrix.ring
-        _require_ordinary(ring)
         self.ring = ring
         self.m = matrix.nrows
         self.n = matrix.ncols
@@ -363,17 +354,14 @@ class ModuleSolver:
     def solve(self, rhs):
         """rhs: list of Poly of length m.  Returns list of Poly (length n)
         with K x = rhs, or None if rhs is not in the column span."""
-        v = {}
-        for i, p in enumerate(rhs):
-            for e, c in p.terms.items():
-                v[(i, e)] = c
-        r = m_reduce(self.ring.field, v, self.basis, self.order)
-        if any(comp < self.m for (comp, _) in r):
+        ring, m = self.ring, self.m
+        v, = _columns_as_module(Matrix(ring, m, 1, [[p] for p in rhs]))
+        r = m_reduce(ring.field, v, self.basis, self.order)
+        if any(comp < m for (comp, _) in r):
             return None
-        x = [dict() for _ in range(self.n)]
-        for (comp, e), c in r.items():
-            x[comp - self.m][e] = self.ring.field.neg(c)
-        return [Poly(self.ring, t) for t in x]
+        neg = ring.field.neg
+        x = {(comp - m, e): neg(c) for (comp, e), c in r.items()}
+        return _module_as_columns(ring, [x], self.n).col(0)
 
 
 def module_lead_terms(ring, columns_matrix):

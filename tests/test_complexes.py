@@ -485,6 +485,15 @@ def test_negative_degree_empty():
     assert jump_locus_ideal(E, -1, 0) == zero_ideal(E.ring)
 
 
+def test_negative_depth_is_refused():
+    E = koszul_complex(F3)
+    for locus in (lambda: jump_locus_points(E, 1, -1, F3),
+                  lambda: jump_locus_ideal(E, 1, -1),
+                  lambda: support_points(E, 1, -1, F3)):
+        with pytest.raises(PreconditionError, match="d must be non-negative"):
+            locus()
+
+
 # -- the fibered route, against the brute-force table ---------------------------
 
 

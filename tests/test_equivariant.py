@@ -292,6 +292,8 @@ def test_finiteness_zero_mult_inconclusive():
 def test_finiteness_k_out_of_range():
     with pytest.raises(PreconditionError):
         finiteness_test(exterior2(F3), identity_nu(2), 5)
+    with pytest.raises(PreconditionError, match="k must be non-negative"):
+        finiteness_test(exterior2(F3), identity_nu(2), -1)
 
 
 def test_both_pointwise_checks_refuse_an_infinite_field():

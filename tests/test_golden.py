@@ -106,6 +106,16 @@ GOLDEN = [
      0, "a4cb38acf68f3a9257f112eb4df6aa980cbb5ff74eb36e2abedbd74f7ae31166"),
     ("supports --complex samples/koszul-f4.cc --i 1 --d 1 --ext 2 --compare-v",
      0, "8f8d888cb56f80aa01c1d3adc739ddb7fd41b1cbd41c5d1e6c3253fbdb28baca"),
+    # complexes that spread a ranked representative over its rank-1 orbit
+    # below FIBER_MIN_Q: corpus.random_free_complex(F_3[x, y], 56,
+    # max_rank=4) and corpus.random_bivariate_complex(F_41, 18), recorded
+    # while the orbits were still built by a helper of their own
+    ("jumploci --complex samples/orbit-f3.cc --i 1 --d 1 --q 3",
+     0, "58d2bf763f9742cfd44a42a47e736da882558a88e8ea26618e442393b95771db"),
+    ("supports --complex samples/orbit-f3.cc --i 1 --d 1 --q 3 --compare-v",
+     0, "059bd8875ea2acbc98196aef2be35c0810394f105db34a809a82b6060e2c1982"),
+    ("jumploci --complex samples/orbit-f41.cc --i 1 --d 1 --q 41",
+     0, "538f8f5018d851dd2247067a901cc71f05e9a1c10626607afe81f34a8cafaa49"),
 ]
 
 

@@ -15,8 +15,7 @@ from jumploci.errors import ResourceLimitError, UnsupportedRingError
 from jumploci.fields import PrimeField, Rationals, finite_field
 from jumploci.groebner import (ModuleSolver, buchberger, elim_var_key,
                                module_lead_terms, module_saturate, pot_key,
-                               poly_to_module, standard_monomial_count,
-                               syzygy_matrix)
+                               standard_monomial_count, syzygy_matrix)
 from jumploci.matrices import Matrix
 from jumploci.rings import Ideal, Poly, Ring, parse_poly, poly_to_str
 from oracles import (ideal_normal_form, module_normal_form,
@@ -121,6 +120,11 @@ def _ideal(ring, *texts):
     return Ideal(ring, [parse_poly(ring, t) for t in texts])
 
 
+def _module(p):
+    """The polynomial p as a module element in component 0."""
+    return {(0, e): c for e, c in p.terms.items()}
+
+
 def test_principal_and_monomial_ideals_fixed():
     R = Ring(Q, ("x",))
     assert buchberger(_ideal(R, "x")) == _ideal(R, "x")
@@ -161,8 +165,8 @@ def test_spolys_of_output_reduce_to_zero():
             gens.append(p)
         G = buchberger(Ideal(R, gens))
         _assert_buchberger_criterion(
-            R, [poly_to_module(g) for g in gens if not g.is_zero()],
-            pot_key(R), [poly_to_module(g) for g in G.generators])
+            R, [_module(g) for g in gens if not g.is_zero()],
+            pot_key(R), [_module(g) for g in G.generators])
 
 
 def test_ideal_membership_via_normal_form():
